@@ -7,15 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .geometry import Chart, Form, VectorField, ext_d, lie_derivative
+from .geometry import Chart, Form, VectorField, dot, ext_d, lie_derivative
 from .liegroup import MatrixGroup, action_generators
-
-
-def _dot(cov, vec):
-    total = 0.0
-    for a, b in zip(cov, vec):
-        total = total + a * b
-    return total
 
 
 @dataclass
@@ -40,7 +33,7 @@ class CartanTriple:
     def rho_star_form(self, v):
         v = list(v)
         return Form(self.chart, 1,
-                    lambda p, vs: _dot(self.rho_star(p, v), vs[0]))
+                    lambda p, vs: dot(self.rho_star(p, v), vs[0]))
 
 
 def action_axiom_residual(T, rng, n_samples=8, scale=0.4):
@@ -84,7 +77,7 @@ def cartan_closed_residual(T, samples):
     for p in samples:
         for v in probes:
             rv = T.rho(p, v)
-            r1 = max(r1, abs(jets.value_of(_dot(T.rho_star(p, v), rv))))
+            r1 = max(r1, abs(jets.value_of(dot(T.rho_star(p, v), rv))))
         for v in basis:
             Xv = T.rho_field(v)
             da = ext_d(T.rho_star_form(v))
@@ -127,8 +120,8 @@ def group_invariance_residual(T, rng, n_samples=8, scale=0.4):
             cov = T.rho_star(gx, adv)
             ref = T.rho_star(x, v)
             for e in tangent:
-                lhs = _dot(cov, list(dact @ e))
-                rhs = _dot(ref, list(e))
+                lhs = dot(cov, list(dact @ e))
+                rhs = dot(ref, list(e))
                 worst = max(worst, abs(jets.value_of(lhs - rhs)))
     return worst
 

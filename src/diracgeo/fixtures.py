@@ -5,52 +5,14 @@ from the seed."""
 
 import math
 
-import numpy as np
-
 from . import liegroup as lg
-from .foliation import CoordFoliation, foliation_groupoid
+from .foliation import foliation_groupoid
 from .geometry import Chart, ChartMap, Form, pullback
-from .groupoid import ChartGroupoid, GroupoidForm
+from .groupoid import GroupoidForm, action_groupoid, fiberwise_pair_groupoid
+from .jets import cos, sin
 
 
 # -- pair groupoids ---------------------------------------------------------
-
-def _pair_groupoid(n, sample_point):
-    """M x M with s = pr2, t = pr1."""
-
-    def s(p):
-        return list(p[n:])
-
-    def t(p):
-        return list(p[:n])
-
-    def unit(x):
-        return list(x) + list(x)
-
-    def inv(p):
-        return list(p[n:]) + list(p[:n])
-
-    def mul(g, h):
-        return list(g[:n]) + list(h[n:])
-
-    def sample_unit(rng):
-        return sample_point(rng)
-
-    def sample_arrow(rng):
-        return sample_point(rng) + sample_point(rng)
-
-    def sample_pair(rng):
-        x, y, z = sample_point(rng), sample_point(rng), sample_point(rng)
-        return x + y, y + z
-
-    def sample_triple(rng):
-        x, y, z, w = (sample_point(rng) for _ in range(4))
-        return x + y, y + z, z + w
-
-    return ChartGroupoid(2 * n, n, s, t, unit, inv, mul,
-                         sample_unit, sample_arrow, sample_pair,
-                         sample_triple)
-
 
 def _pair_form(n, omega_comps, phi_comps=None):
     bch = Chart(tuple(f"x{i+1}" for i in range(n)))
@@ -72,7 +34,7 @@ def pair_groupoid_r2():
     def sample_point(rng):
         return list(rng.uniform(-1.0, 1.0, 2))
 
-    G = _pair_groupoid(2, sample_point)
+    G = fiberwise_pair_groupoid(2, 2, 0, sample_point, sample_point)
     F, omega_M = _pair_form(2, {(0, 1): "1.0"})
     return {"groupoid": G, "form": F, "theta": omega_M,
             "expected_flags": {"is_dirac_type": True, "is_robust": True,
@@ -92,7 +54,7 @@ def twisted_pair_r3():
         z = rng.uniform(0.3, 1.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
         return p + [z]
 
-    G = _pair_groupoid(3, sample_point)
+    G = fiberwise_pair_groupoid(3, 3, 0, sample_point, sample_point)
     F, omega_M = _pair_form(3, {(0, 1): "x3"}, {(0, 1, 2): "-1.0"})
     return {"groupoid": G, "form": F, "theta": omega_M,
             "expected_flags": {"is_dirac_type": True, "is_robust": True,
@@ -105,8 +67,9 @@ def twisted_pair_r3():
 # -- the rotation-flow counterexample ---------------------------------------
 
 def flow_groupoid():
-    """The flow groupoid R x R^2 of the rotation field, with the
-    multiplicative form t*theta - s*theta for theta = x2 dx1^dx2.
+    """The flow groupoid R x R^2 of the rotation field, as the action of the
+    chart group torus(1) by rotation, with the multiplicative form
+    t*theta - s*theta for theta = x2 dx1^dx2.
 
     Base points are drawn on the unit circle, with the angles 0 and pi
     forced into every sampling sequence: the kernel of the form jumps
@@ -117,26 +80,17 @@ def flow_groupoid():
     bch = Chart(("x1", "x2"))
     ch = Chart(("tau", "x1", "x2"))
 
-    def s(p):
-        return list(p[1:])
+    def rotate(u, x):
+        c, sn = cos(u[0]), sin(u[0])
+        return [c * x[0] - sn * x[1], sn * x[0] + c * x[1]]
 
-    def t(p):
-        from .jets import cos, sin
-        c, sn = cos(p[0]), sin(p[0])
-        return [c * p[1] - sn * p[2], sn * p[1] + c * p[2]]
-
-    def unit(x):
-        return [0.0] + list(x)
-
-    def inv(p):
-        return [-p[0]] + t(p)
-
-    def mul(g, h):
-        return [g[0] + h[0]] + list(h[1:])
-
-    state = {"count": 0}
+    state = {"rng": None, "count": 0}
 
     def circle_point(rng):
+        # the forcing schedule restarts for each new generator, so that a
+        # check's samples do not depend on the checks that ran before it
+        if rng is not state["rng"]:
+            state["rng"], state["count"] = rng, 0
         forced = [0.0, math.pi]
         i = state["count"]
         state["count"] += 1
@@ -147,27 +101,13 @@ def flow_groupoid():
         return [math.cos(ang), math.sin(ang)]
 
     def sample_tau(rng):
-        return rng.uniform(0.3, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        return [rng.uniform(0.3, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)]
 
-    def sample_unit(rng):
-        return circle_point(rng)
-
-    def sample_arrow(rng):
-        return [sample_tau(rng)] + circle_point(rng)
-
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        return [sample_tau(rng)] + t(g2), g2
-
-    def sample_triple(rng):
-        g2, g3 = sample_pair(rng)
-        return [sample_tau(rng)] + t(g2), g2, g3
-
-    G = ChartGroupoid(3, 2, s, t, unit, inv, mul,
-                      sample_unit, sample_arrow, sample_pair, sample_triple)
+    G = action_groupoid(lg.torus(1), 2, rotate, sample_tau, circle_point,
+                        sample_tau)
     theta = Form.from_components(bch, 2, {(0, 1): "x2"})
-    tmap = ChartMap(ch, bch, t)
-    smap = ChartMap(ch, bch, s)
+    tmap = ChartMap(ch, bch, G.t)
+    smap = ChartMap(ch, bch, G.s)
     omega = pullback(tmap, theta) - pullback(smap, theta)
     return {"groupoid": G, "form": GroupoidForm(omega, None), "theta": theta,
             "expected_flags": {"is_dirac_type": False}}

@@ -11,7 +11,7 @@ from . import jets, linear
 from .courant import Section, courant_bracket
 from .expr import ScalarExpr, parse
 from .geometry import Chart, Form, VectorField, ext_d
-from .groupoid import ChartGroupoid, GroupoidForm
+from .groupoid import GroupoidForm, fiberwise_pair_groupoid
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,17 @@ def twisted_shift_residual(fol, extension, phi, samples):
 
 # -- groupoid fixtures ------------------------------------------------------
 
+def _uniform(size):
+    return lambda rng: list(rng.uniform(-1.0, 1.0, size))
+
+
+def _groupoid_chart(k, m, r):
+    return Chart(tuple(f"y{i+1}" for i in range(k))
+                 + tuple(f"x{i+1}" for i in range(k))
+                 + tuple(f"q{i+1}" for i in range(m))
+                 + tuple(f"v{i+1}" for i in range(r)))
+
+
 def foliation_groupoid(n, k):
     """The fiberwise pair groupoid of the foliation acting on the conormal
     bundle: coordinates (y, x, q, v) with y, x leafwise, q transverse, and
@@ -248,52 +259,8 @@ def foliation_groupoid(n, k):
     The holonomy slot is trivial for planar leaves, so the conormal part
     just adds.  The attached form is sum_m dv_m ^ dq_m.
     """
-    fol = CoordFoliation(n, k)
     m = n - k
-    names = tuple(f"y{i+1}" for i in range(k)) + \
-        tuple(f"x{i+1}" for i in range(k)) + \
-        tuple(f"q{i+1}" for i in range(m)) + \
-        tuple(f"v{i+1}" for i in range(m))
-    ch = Chart(names)
-
-    def s(p):
-        return list(p[k:2 * k]) + list(p[2 * k:2 * k + m])
-
-    def t(p):
-        return list(p[:k]) + list(p[2 * k:2 * k + m])
-
-    def unit(b):
-        return list(b[:k]) + list(b[:k]) + list(b[k:]) + [0.0] * m
-
-    def inv(p):
-        return list(p[k:2 * k]) + list(p[:k]) + list(p[2 * k:2 * k + m]) \
-            + [-c for c in p[2 * k + m:]]
-
-    def mul(g, h):
-        # holonomy action on the conormal slot is trivial here, so the
-        # slots simply add
-        return list(g[:k]) + list(h[k:2 * k]) + list(h[2 * k:2 * k + m]) \
-            + [a + b for a, b in zip(g[2 * k + m:], h[2 * k + m:])]
-
-    def sample_unit(rng):
-        return list(rng.uniform(-1.0, 1.0, n))
-
-    def sample_arrow(rng):
-        return list(rng.uniform(-1.0, 1.0, 2 * n))
-
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        y = list(rng.uniform(-1.0, 1.0, k))
-        v = list(rng.uniform(-1.0, 1.0, m))
-        g1 = y + list(g2[:k]) + list(g2[2 * k:2 * k + m]) + v
-        return g1, g2
-
-    def sample_triple(rng):
-        g2, g3 = sample_pair(rng)
-        y = list(rng.uniform(-1.0, 1.0, k))
-        v = list(rng.uniform(-1.0, 1.0, m))
-        g1 = y + list(g2[:k]) + list(g2[2 * k:2 * k + m]) + v
-        return g1, g2, g3
+    G = fiberwise_pair_groupoid(n, k, m, _uniform(k), _uniform(n))
 
     def omega_ev(p, vs):
         V, W = vs
@@ -303,9 +270,7 @@ def foliation_groupoid(n, k):
                              - V[2 * k + i] * W[2 * k + m + i])
         return total
 
-    G = ChartGroupoid(2 * n, n, s, t, unit, inv, mul,
-                      sample_unit, sample_arrow, sample_pair, sample_triple)
-    return G, GroupoidForm(Form(ch, 2, omega_ev), None)
+    return G, GroupoidForm(Form(_groupoid_chart(k, m, m), 2, omega_ev), None)
 
 
 def leaf_conormal_dirac(n, k, tol=linear.DEFAULT_TOL):
@@ -321,46 +286,8 @@ def leaf_conormal_dirac(n, k, tol=linear.DEFAULT_TOL):
 def monodromy_groupoid(n, k):
     """The fiberwise pair groupoid of the foliation itself: coordinates
     (y, x, q) with multiplication (y,z,q).(z,x,q) = (y,x,q)."""
-    m = n - k
-    names = tuple(f"y{i+1}" for i in range(k)) + \
-        tuple(f"x{i+1}" for i in range(k)) + \
-        tuple(f"q{i+1}" for i in range(m))
-    ch = Chart(names)
-
-    def s(p):
-        return list(p[k:2 * k]) + list(p[2 * k:])
-
-    def t(p):
-        return list(p[:k]) + list(p[2 * k:])
-
-    def unit(b):
-        return list(b[:k]) + list(b[:k]) + list(b[k:])
-
-    def inv(p):
-        return list(p[k:2 * k]) + list(p[:k]) + list(p[2 * k:])
-
-    def mul(g, h):
-        return list(g[:k]) + list(h[k:2 * k]) + list(h[2 * k:])
-
-    def sample_unit(rng):
-        return list(rng.uniform(-1.0, 1.0, n))
-
-    def sample_arrow(rng):
-        return list(rng.uniform(-1.0, 1.0, k + n))
-
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        y = list(rng.uniform(-1.0, 1.0, k))
-        return y + list(g2[:k]) + list(g2[2 * k:]), g2
-
-    def sample_triple(rng):
-        g2, g3 = sample_pair(rng)
-        y = list(rng.uniform(-1.0, 1.0, k))
-        return y + list(g2[:k]) + list(g2[2 * k:]), g2, g3
-
-    return ChartGroupoid(k + n, n, s, t, unit, inv, mul,
-                         sample_unit, sample_arrow, sample_pair,
-                         sample_triple), ch
+    G = fiberwise_pair_groupoid(n, k, 0, _uniform(k), _uniform(n))
+    return G, _groupoid_chart(k, n - k, 0)
 
 
 def exact_multiplicative_form(n, k, sigma):

@@ -9,6 +9,8 @@ for the supported function basis and nest for second derivatives.
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from . import jets
 from .expr import ScalarExpr, parse
 
@@ -158,6 +160,28 @@ class Form:
 
     def scale(self, c):
         return Form(self.chart, self.degree, lambda p, vs: c * self.func(p, vs))
+
+
+def dot(cov, vec):
+    """Contraction sum cov_i vec_i, a left fold from 0.0 that stays generic
+    over floats and jets."""
+    total = 0.0
+    for a, b in zip(cov, vec):
+        total = total + a * b
+    return total
+
+
+def form_matrix(w, p):
+    """Component matrix M[i, j] = w(e_i, e_j) of a 2-form at the point p."""
+    p = [float(c) for c in p]
+    n = len(p)
+    E = np.eye(n)
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i, j] = jets.value_of(w(p, E[i], E[j]))
+            M[j, i] = -M[i, j]
+    return M
 
 
 def ext_d(w):

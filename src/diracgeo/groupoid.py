@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, linear
-from .geometry import Form, ext_d, pullback, ChartMap
+from .geometry import Form, ext_d, form_matrix, pullback, ChartMap
 
 
 class RankInstabilityError(ValueError):
@@ -23,7 +23,8 @@ class ChartGroupoid:
 
     All structure maps are evaluators over generic scalars so that jets can
     differentiate through them.  Composable pairs/triples come from the
-    fixture's own samplers (never from root-finding).
+    fixture's own samplers (never from root-finding).  Build one with
+    `action_groupoid` or `fiberwise_pair_groupoid`.
     """
 
     total_dim: int
@@ -33,10 +34,10 @@ class ChartGroupoid:
     unit: object
     inv: object
     mul: object
-    sample_unit: object   # rng -> base point
-    sample_arrow: object  # rng -> arrow
-    sample_pair: object   # rng -> (g, h) with s(g) = t(h)
-    sample_triple: object = None
+    sample_unit: object    # rng -> base point
+    sample_arrow: object   # rng -> arrow
+    sample_pair: object    # rng -> (g, h) with s(g) = t(h)
+    sample_triple: object  # rng -> (g, h, k) with s(g) = t(h), s(h) = t(k)
 
     def structure_residuals(self, rng, n=8):
         """Sanity residuals of the groupoid axioms at sampled points."""
@@ -51,12 +52,111 @@ class ChartGroupoid:
                        _dist(self.t(gh), self.t(g)))
             r_inv = max(r_inv, _dist(self.inv(self.inv(g)), g),
                         _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))
-            if self.sample_triple is not None:
-                a, b, c = self.sample_triple(rng)
-                r_assoc = max(r_assoc, _dist(self.mul(self.mul(a, b), c),
-                                             self.mul(a, self.mul(b, c))))
+            a, b, c = self.sample_triple(rng)
+            r_assoc = max(r_assoc, _dist(self.mul(self.mul(a, b), c),
+                                         self.mul(a, self.mul(b, c))))
         return {"unit": r_unit, "source_target": r_st,
                 "associativity": r_assoc, "inverse": r_inv}
+
+
+def action_groupoid(Gp, base_dim, act, sample_group, sample_base,
+                    sample_group_near):
+    """The action groupoid H x M of a left action act(u, x) of the chart
+    group Gp on a base chart of dimension base_dim.  An arrow (u, x) goes
+    from x to act(u, x), and (u, act(v, x)).(v, x) = (uv, x).
+
+    sample_group(rng) and sample_base(rng) draw the two parts of an arrow;
+    the group parts that extend an arrow to a pair come from sample_group,
+    those that extend it to a triple from sample_group_near, which may stay
+    closer to the identity so that the products remain inside the chart.
+    """
+    d = Gp.dim
+
+    def s(p):
+        return list(p[d:])
+
+    def t(p):
+        return act(p[:d], p[d:])
+
+    def unit(x):
+        return Gp.identity() + list(x)
+
+    def inv(p):
+        return Gp.inv(p[:d]) + t(p)
+
+    def mul(g, h):
+        return Gp.mul(g[:d], h[:d]) + list(h[d:])
+
+    def sample_arrow(rng):
+        return sample_group(rng) + sample_base(rng)
+
+    def sample_pair(rng):
+        g2 = sample_arrow(rng)
+        return sample_group(rng) + t(g2), g2
+
+    def sample_triple(rng):
+        g3 = sample_arrow(rng)
+        g2 = sample_group_near(rng) + t(g3)
+        return sample_group_near(rng) + t(g2), g2, g3
+
+    return ChartGroupoid(d + base_dim, base_dim, s, t, unit, inv, mul,
+                         sample_base, sample_arrow, sample_pair,
+                         sample_triple)
+
+
+def fiberwise_pair_groupoid(n, k, r, sample_leaf, sample_point):
+    """The fiberwise pair groupoid of the foliation of R^n by the first k
+    coordinates, with an additive slot of r conormal coordinates.
+
+    Arrows are (y, x, q, v) with y, x leafwise, q transverse and v in the
+    slot; (y,z,q,v).(z,x,q,w) = (y,x,q,v+w).  k = n, r = 0 is the pair
+    groupoid of R^n.  sample_point(rng) draws a base point (x, q) and
+    sample_leaf(rng) a leafwise part y; slot entries are uniform in [-1, 1].
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    j = k + n   # end of the transverse block q
+
+    def s(p):
+        return list(p[k:2 * k]) + list(p[2 * k:j])
+
+    def t(p):
+        return list(p[:k]) + list(p[2 * k:j])
+
+    def unit(b):
+        return list(b[:k]) + list(b) + [0.0] * r
+
+    def inv(p):
+        return list(p[k:2 * k]) + list(p[:k]) + list(p[2 * k:j]) \
+            + [-c for c in p[j:]]
+
+    def mul(g, h):
+        return list(g[:k]) + list(h[k:j]) \
+            + [a + b for a, b in zip(g[j:], h[j:])]
+
+    def sample_arrow(rng):
+        return sample_leaf(rng) + sample_point(rng) \
+            + list(rng.uniform(-1.0, 1.0, r))
+
+    def left_of(g, y, rng):
+        """An arrow from t(g) to the leafwise part y, composable with g."""
+        return y + t(g) + list(rng.uniform(-1.0, 1.0, r))
+
+    # y is drawn before the arrow it extends, so that the pair groupoid
+    # samples its pairs as (x, y), (y, z) from points drawn in that order
+    def sample_pair(rng):
+        y = sample_leaf(rng)
+        g2 = sample_arrow(rng)
+        return left_of(g2, y, rng), g2
+
+    def sample_triple(rng):
+        y = sample_leaf(rng)
+        g2, g3 = sample_pair(rng)
+        return left_of(g2, y, rng), g2, g3
+
+    return ChartGroupoid(j + r, n, s, t, unit, inv, mul,
+                         sample_point, sample_arrow, sample_pair,
+                         sample_triple)
 
 
 def _dist(a, b):
@@ -75,19 +175,6 @@ class GroupoidForm:
 
 def _jac(f, p):
     return np.array(jets.jacobian(f, [float(c) for c in p]))
-
-
-def omega_matrix(F, g):
-    """Matrix of omega at the arrow g in chart coordinates."""
-    N = len(g)
-    E = np.eye(N)
-    M = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            v = jets.value_of(F.omega(list(map(float, g)), E[i], E[j]))
-            M[i, j] = v
-            M[j, i] = -v
-    return M
 
 
 def _stable_rank(s, tol, where="matrix"):
@@ -110,7 +197,7 @@ def _stable_rank(s, tol, where="matrix"):
 
 
 def kernel_of_form(F, g, tol=1e-9, where="omega"):
-    M = omega_matrix(F, g)
+    M = form_matrix(F.omega, g)
     U, s, Vt = np.linalg.svd(M)
     r, gap = _stable_rank(s, tol, where)
     return Vt[r:].T, gap
@@ -198,7 +285,7 @@ def check_kernel_orthogonality(G, F, rng, n=8, tol=1e-9):
     worst = 0.0
     for _ in range(n):
         g = [float(c) for c in G.sample_arrow(rng)]
-        Om = omega_matrix(F, g)
+        Om = form_matrix(F.omega, g)
         Ks = linear.null_basis(_jac(G.s, g), tol)
         Kt = linear.null_basis(_jac(G.t, g), tol)
         Kw = linear.null_basis(Om, tol)
@@ -294,10 +381,13 @@ class ClassificationReport:
     rank_gaps: dict = field(default_factory=dict)
 
     def to_json(self):
+        # strict JSON has no Infinity: a gap with nothing below the cutoff
+        # is written as null
         return {"flags": self.flags, "dims": self.dims,
                 "residuals": {k: float(v) for k, v in self.residuals.items()},
                 "worst_points": self.worst_points,
-                "rank_gaps": {k: float(v) for k, v in self.rank_gaps.items()}}
+                "rank_gaps": {k: float(v) if np.isfinite(v) else None
+                              for k, v in self.rank_gaps.items()}}
 
 
 def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
@@ -314,7 +404,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
     for _ in range(n_units):
         x = [float(c) for c in G.sample_unit(rng)]
         ex = [float(c) for c in G.unit(x)]
-        Om = omega_matrix(F, ex)
+        Om = form_matrix(F.omega, ex)
         Kw, gap = kernel_of_form(F, ex, tol, f"unit {x}")
         min_gap = min(min_gap, gap)
         Deps = _jac(G.unit, x)

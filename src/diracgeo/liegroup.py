@@ -16,8 +16,8 @@ import numpy as np
 
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
-from .geometry import Chart, Form, chart
-from .groupoid import ChartGroupoid, GroupoidForm
+from .geometry import Chart, Form, chart, dot
+from .groupoid import GroupoidForm, action_groupoid
 
 
 class ChartRadiusError(ValueError):
@@ -313,48 +313,16 @@ def amm_omega(Gp):
     return Form(ch, 2, ev)
 
 
-def amm_groupoid(Gp, cap_g=0.7, cap_x=0.7):
+def amm_groupoid(Gp):
     """The conjugation groupoid H x H with the AMM form and Cartan 3-form."""
     d = Gp.dim
 
-    def s(p):
-        return p[d:]
+    def sample(rng):
+        return list(rng.uniform(-0.7, 0.7, d) * 0.5)
 
-    def t(p):
-        return conjugate(Gp, p[:d], p[d:])
-
-    def unit(x):
-        return [0.0] * d + list(x)
-
-    def inv(p):
-        return Gp.inv(p[:d]) + conjugate(Gp, p[:d], p[d:])
-
-    def mul(g, h):
-        return Gp.mul(g[:d], h[:d]) + list(h[d:])
-
-    def sample_unit(rng):
-        return list(rng.uniform(-cap_x, cap_x, d) * 0.5)
-
-    def sample_arrow(rng):
-        return list(rng.uniform(-cap_g, cap_g, d) * 0.5) + \
-               list(rng.uniform(-cap_x, cap_x, d) * 0.5)
-
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        u1 = list(rng.uniform(-cap_g, cap_g, d) * 0.5)
-        return u1 + t(g2), g2
-
-    def sample_triple(rng):
-        g3 = sample_arrow(rng)
-        u2 = list(rng.uniform(-cap_g, cap_g, d) * 0.4)
-        g2 = u2 + t(g3)
-        u1 = list(rng.uniform(-cap_g, cap_g, d) * 0.4)
-        return u1 + t(g2), g2, g3
-
-    G = ChartGroupoid(2 * d, d, s, t, unit, inv, mul,
-                      sample_unit, sample_arrow, sample_pair, sample_triple)
-    phi = cartan_form(Gp)
-    return G, GroupoidForm(amm_omega(Gp), phi)
+    G = action_groupoid(Gp, d, conjugation_action(Gp), sample, sample,
+                        lambda rng: list(rng.uniform(-0.7, 0.7, d) * 0.4))
+    return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
 
 
 # -- general action form (degree-3 equivariant data -> 2-form) -------------
@@ -372,12 +340,6 @@ def general_action_form(Gp, base_dim, action, rho, rho_star):
     names = tuple(f"g{i+1}" for i in range(d)) + \
             tuple(f"x{i+1}" for i in range(base_dim))
     ch = Chart(names)
-
-    def dot(cov, vec):
-        total = 0.0
-        for a, b in zip(cov, vec):
-            total = total + a * b
-        return total
 
     def ev(p, vs):
         u, x = p[:d], p[d:]
@@ -434,46 +396,15 @@ def coadjoint_action(Gp):
     return act
 
 
-def coadjoint_groupoid(Gp, cap=0.8):
+def coadjoint_groupoid(Gp):
     """T*H presented as the action groupoid H x h* with the canonical form."""
     d = Gp.dim
     act = coadjoint_action(Gp)
-
-    def s(p):
-        return p[d:]
-
-    def t(p):
-        return act(p[:d], p[d:])
-
-    def unit(x):
-        return [0.0] * d + list(x)
-
-    def inv(p):
-        return Gp.inv(p[:d]) + act(p[:d], p[d:])
-
-    def mul(g, h):
-        return Gp.mul(g[:d], h[:d]) + list(h[d:])
-
-    def sample_unit(rng):
-        return list(rng.uniform(-1.0, 1.0, d))
-
-    def sample_arrow(rng):
-        return list(rng.uniform(-cap, cap, d) * 0.5) + \
-               list(rng.uniform(-1.0, 1.0, d))
-
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        u1 = list(rng.uniform(-cap, cap, d) * 0.5)
-        return u1 + t(g2), g2
-
-    def sample_triple(rng):
-        g3 = sample_arrow(rng)
-        g2 = list(rng.uniform(-cap, cap, d) * 0.4) + t(g3)
-        g1 = list(rng.uniform(-cap, cap, d) * 0.4) + t(g2)
-        return g1, g2, g3
-
-    G = ChartGroupoid(2 * d, d, s, t, unit, inv, mul,
-                      sample_unit, sample_arrow, sample_pair, sample_triple)
+    G = action_groupoid(
+        Gp, d, act,
+        lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.5),
+        lambda rng: list(rng.uniform(-1.0, 1.0, d)),
+        lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.4))
     rho = action_generators(Gp, act)
     omega = general_action_form(Gp, d, act, rho, lambda x, v: list(v))
     return G, GroupoidForm(omega, None)
@@ -490,11 +421,7 @@ def canonical_cotangent_form(Gp):
 
     def sigma_ev(p, vs):
         u, xi = p[:d], p[d:]
-        lamV = Gp.lam(u, vs[0][:d])
-        total = 0.0
-        for a, b in zip(xi, lamV):
-            total = total + a * b
-        return total
+        return dot(xi, Gp.lam(u, vs[0][:d]))
 
     sigma = Form(ch, 1, sigma_ev)
     return -ext_d(sigma)

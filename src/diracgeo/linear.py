@@ -8,6 +8,7 @@ canonicalized spanning matrices so equality is plain entrywise comparison.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import subspace_angles
 
 DEFAULT_TOL = 1e-9
 
@@ -95,6 +96,17 @@ def intersect_spans(A, B, tol=DEFAULT_TOL):
         return np.zeros((A.shape[0], 0))
     K = null_basis(np.hstack([A, -B]), tol)
     return orth_basis(A @ K[: A.shape[1]], tol)
+
+
+def span_gap(A, B):
+    """sin of the largest principal angle between the column spans; 1.0
+    when their dimensions differ."""
+    if A.shape[1] == 0 and B.shape[1] == 0:
+        return 0.0
+    if A.shape[1] != B.shape[1]:
+        return 1.0
+    ang = subspace_angles(np.asarray(A, float), np.asarray(B, float))
+    return float(np.sin(np.max(ang))) if ang.size else 0.0
 
 
 def subspace_contained(A, B, tol=1e-8):

@@ -10,32 +10,12 @@ structure on a group.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from . import jets, linear
-from .geometry import Chart, ChartMap, Form, VectorField, ext_d, interior, \
-    lie_derivative, pullback
+from .geometry import Chart, ChartMap, Form, VectorField, ext_d, \
+    form_matrix, lie_derivative, pullback
 from .liegroup import MatrixGroup, cartan_dirac_field, cartan_form, \
     chart_metric, torus
-
-
-def _dot(a, b):
-    total = 0.0
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
-
-
-def eta_matrix(eta, p):
-    """Component matrix H[a, b] = eta(e_a, e_b) at p."""
-    n = eta.chart.dim
-    E = np.eye(n)
-    H = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            H[a, b] = jets.value_of(eta(p, list(E[a]), list(E[b])))
-            H[b, a] = -H[a, b]
-    return H
 
 
 @dataclass
@@ -82,7 +62,7 @@ def realization_check(R, samples, tol=1e-8):
     }
     for p in samples:
         Dmu = np.array(jets.jacobian(R.mu.func, p))
-        H = eta_matrix(R.eta, p)
+        H = form_matrix(R.eta, p)
         y = [jets.value_of(c) for c in R.mu(p)]
         L = R.target.dirac_at(y)
         m = L.dim
@@ -117,22 +97,12 @@ def realization_check(R, samples, tol=1e-8):
         elif ker_eta.shape[1] > 0:
             if np.linalg.matrix_rank(image, tol=1e-10) < ker_eta.shape[1]:
                 report["kernel_iso_ok"] = False
-            gap = _span_gap(image, ker_L)
+            gap = linear.span_gap(image, ker_L)
             report["kernel_iso_residual"] = max(
                 report["kernel_iso_residual"], gap)
             if gap > 1e-7:
                 report["kernel_iso_ok"] = False
     return report
-
-
-def _span_gap(A, B):
-    """sin of the largest principal angle between the column spans."""
-    if A.shape[1] == 0 and B.shape[1] == 0:
-        return 0.0
-    if A.shape[1] != B.shape[1]:
-        return 1.0
-    ang = subspace_angles(np.asarray(A, float), np.asarray(B, float))
-    return float(np.sin(np.max(ang))) if ang.size else 0.0
 
 
 @dataclass
@@ -196,7 +166,7 @@ def quasi_ham_check(Q, samples, tol=1e-8):
     r3 = 0.0
     r_inv = 0.0
     for p in samples:
-        H = eta_matrix(Q.eta, p)
+        H = form_matrix(Q.eta, p)
         for v in np.eye(Gp.dim):
             v = list(v)
             Xv = Q.rho_P(v)
@@ -216,7 +186,7 @@ def quasi_ham_check(Q, samples, tol=1e-8):
                             for g in Q.generators]).T  # n x dim(h)
         image = gen_mat @ ker_v if ker_v.size else np.zeros((n, 0))
         ker_eta = linear.null_basis(H)
-        r3 = max(r3, _span_gap(image, ker_eta))
+        r3 = max(r3, linear.span_gap(image, ker_eta))
     return r1, r2, r3, r_inv
 
 
@@ -235,7 +205,7 @@ def equivalence_crosscheck(Q, samples, tol=1e-8):
     n = Q.P.dim
     for p in samples:
         Dmu = np.array(jets.jacobian(Q.mu.func, p))
-        H = eta_matrix(Q.eta, p)
+        H = form_matrix(Q.eta, p)
         A = np.vstack([Dmu, H.T])
         u = [jets.value_of(c) for c in Q.mu(p)]
         Gm = chart_metric(Gp, u)

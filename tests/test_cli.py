@@ -154,3 +154,38 @@ def test_grid_flag_overrides_policy(capsys):
     entry = json.loads(out)["reports"][0]["checks"]["basicness"]
     assert entry["grid"] == [16, 32, 64]
     assert entry["order"] >= 1.8
+
+
+def test_induced_dirac_compares_spans_by_angle(capsys):
+    # near a coordinate axis the canonical entries reach 2e4, so an
+    # entrywise comparison of the two canonical forms exceeded 1e-8 here
+    code, out = run_cli(["run", os.path.join(SCN, "amm-so3.json"),
+                         "--seed", "7"], capsys)
+    entry = json.loads(out)["reports"][0]["checks"]["induced-dirac"]
+    assert entry["residual"] <= 1e-12
+    assert code == 0
+
+
+def test_flow_samples_do_not_depend_on_suite(tmp_path, capsys):
+    scn = json.load(open(os.path.join(SCN, "nondirac-flow.json")))
+    _, out = run_cli(["run", os.path.join(SCN, "nondirac-flow.json"),
+                      "--samples", "3"], capsys)
+    in_suite = json.loads(out)["reports"][0]["checks"]["dirac-type"]
+    scn["suite"] = ["dirac-type"]
+    p = tmp_path / "alone.json"
+    p.write_text(json.dumps(scn))
+    _, out = run_cli(["run", str(p), "--samples", "3"], capsys)
+    alone = json.loads(out)["reports"][0]["checks"]["dirac-type"]
+    assert alone["worst_point"] == in_suite["worst_point"]
+
+
+def test_reports_are_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    for name in ("pair-groupoid-r2", "nondirac-flow"):
+        _, out = run_cli(["run", os.path.join(SCN, f"{name}.json"),
+                          "--samples", "4"], capsys)
+        report = json.loads(out, parse_constant=reject)["reports"][0]
+        gaps = report["checks"]["classification"]["rank_gaps"]
+        assert set(gaps) == {"units", "arrows"}
