@@ -26,7 +26,6 @@ from . import pathspace as PS
 from . import realization as RZ
 from .expr import ExprSyntaxError, UnknownIdentifierError
 from .geometry import Chart, Form
-from .jets import value_of
 from .linear import span_gap
 
 
@@ -92,8 +91,11 @@ def load_fixture(ref):
 # -- checks -----------------------------------------------------------------
 
 def _residual_entry(residual, threshold, extra=None):
-    entry = {"residual": float(residual), "threshold": float(threshold),
-             "pass": bool(residual <= threshold)}
+    """A non-finite residual fails and is written as null (strict JSON)."""
+    residual = float(residual)
+    entry = {"residual": GR.finite_or_none(residual),
+             "threshold": float(threshold),
+             "pass": bool(np.isfinite(residual)) and residual <= threshold}
     if extra:
         entry.update(extra)
     return entry
@@ -102,9 +104,9 @@ def _residual_entry(residual, threshold, extra=None):
 def check_structure(fx, rng, policy):
     G = fx["groupoid"]
     res = G.structure_residuals(rng, policy["samples"])
-    worst = max(res.values())
-    return _residual_entry(worst, policy["tol"],
-                           {"parts": {k: float(v) for k, v in res.items()}})
+    return _residual_entry(GR.worst_of(*res.values()), policy["tol"],
+                           {"parts": {k: GR.finite_or_none(v)
+                                      for k, v in res.items()}})
 
 
 def check_multiplicative(fx, rng, policy):
@@ -122,9 +124,9 @@ def check_rel_closed(fx, rng, policy):
 def check_unit_identities(fx, rng, policy):
     r_eps, r_inv = GR.check_unit_identities(fx["groupoid"], fx["form"], rng,
                                             policy["samples"])
-    return _residual_entry(max(r_eps, r_inv), policy["tol"],
-                           {"unit_pullback": float(r_eps),
-                            "inversion": float(r_inv)})
+    return _residual_entry(GR.worst_of(r_eps, r_inv), policy["tol"],
+                           {"unit_pullback": GR.finite_or_none(r_eps),
+                            "inversion": GR.finite_or_none(r_inv)})
 
 
 def check_kernel_orthogonality(fx, rng, policy):
@@ -149,7 +151,7 @@ def check_classification(fx, rng, policy):
                   for k, v in expected.items() if rep.flags.get(k) != v}
     entry = rep.to_json()
     entry["pass"] = not mismatches and \
-        max(rep.residuals.values(), default=0.0) <= policy["tol"]
+        GR.worst_of(0.0, *rep.residuals.values()) <= policy["tol"]
     if mismatches:
         entry["mismatches"] = mismatches
     return entry
@@ -177,7 +179,7 @@ def check_induced_vs_group(fx, rng, policy):
         x = [float(c) for c in fx["groupoid"].sample_unit(rng)]
         L1 = GR.induced_dirac(fx["groupoid"], fx["form"], x)
         L2 = LG.cartan_dirac(Gp, x)
-        worst = max(worst, span_gap(L1.canonical.T, L2.canonical.T))
+        worst = GR.worst_of(worst, span_gap(L1.canonical.T, L2.canonical.T))
     return _residual_entry(worst, policy["tol"])
 
 
@@ -194,15 +196,15 @@ def check_rho_star_half_flat(fx, rng, policy):
         x = [float(c) for c in fx["groupoid"].sample_unit(rng)]
         sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
         Gm = LG.chart_metric(Gp, x)
+        R, L = Gp.right_matrix(x), Gp.left_matrix(x)
         for j in range(sp.A.shape[1]):
-            v_alg = list(sp.A[:d, j])
-            worst = max(worst, float(np.max(np.abs(sp.A[d:, j]))))
-            vr = np.array([value_of(c) for c in Gp.right_translate(x, v_alg)])
-            vl = np.array([value_of(c) for c in Gp.left_translate(x, v_alg)])
+            v_alg = sp.A[:d, j]
+            vr, vl = R @ v_alg, L @ v_alg
             ref = Gm @ (0.5 * (vr + vl))
             rho_ref = vr - vl
-            worst = max(worst, float(np.max(np.abs(sp.rho_star[j] - ref))))
-            worst = max(worst, float(np.max(np.abs(sp.rho[:, j] - rho_ref))))
+            worst = GR.worst_of(worst, np.max(np.abs(sp.A[d:, j])),
+                                np.max(np.abs(sp.rho_star[j] - ref)),
+                                np.max(np.abs(sp.rho[:, j] - rho_ref)))
     return _residual_entry(worst, policy["tol"])
 
 
@@ -210,25 +212,27 @@ def check_quasi_ham(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(0.5)
     samples = _annulus_samples(rng, policy["samples"])
     r1, r2, r3, r_inv = RZ.quasi_ham_check(Q, samples)
-    worst = max(r1, r2, r3, r_inv)
+    worst = GR.worst_of(r1, r2, r3, r_inv)
     return _residual_entry(worst, policy["tol"],
-                           {"d_eta": float(r1), "moment": float(r2),
-                            "kernel_match": float(r3),
-                            "invariance": float(r_inv)})
+                           {"d_eta": GR.finite_or_none(r1),
+                            "moment": GR.finite_or_none(r2),
+                            "kernel_match": GR.finite_or_none(r3),
+                            "invariance": GR.finite_or_none(r_inv)})
 
 
 def check_quasi_ham_negative(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(1.0)
     samples = _annulus_samples(rng, policy["samples"])
     r2 = RZ.quasi_ham_check(Q, samples)[1]
-    return {"residual": float(r2), "threshold": 0.1, "pass": bool(r2 >= 0.1)}
+    return {"residual": GR.finite_or_none(r2), "threshold": 0.1,
+            "pass": bool(r2 >= 0.1)}
 
 
 def check_equivalence_crosscheck(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(0.5)
     samples = _annulus_samples(rng, policy["samples"])
     rep = RZ.equivalence_crosscheck(Q, samples)
-    worst = max(rep["solve_residual"], rep["generator_mismatch"])
+    worst = GR.worst_of(rep["solve_residual"], rep["generator_mismatch"])
     return _residual_entry(worst, policy["tol"],
                            {"dirac_map": rep["dirac_map"],
                             "unique": rep["unique"],
@@ -290,7 +294,7 @@ def check_path_boundary_identity(fx, rng, policy):
     ts = np.linspace(0.0, 1.0, N + 1)
     gamma = ts.reshape(-1, 1)
     X = np.ones_like(gamma)
-    worst = max(
+    worst = GR.worst_of(
         PS.path_variation_identity_residual(["t"], gamma, X),
         PS.path_variation_identity_residual(["x1"], gamma, X))
     return _residual_entry(worst, 1e-6)
@@ -403,7 +407,10 @@ def run_scenario(scenario, args):
         # reproducible independently of suite order
         rng = np.random.default_rng(
             [policy["seed"]] + list(name.encode()))
-        entry = CHECKS[name](fx, rng, policy)
+        try:
+            entry = CHECKS[name](fx, rng, policy)
+        except GR.NonFiniteFormError as e:
+            entry = {"pass": False, "error": str(e)}
         expected = expect.get(name, True)
         entry["expected"] = expected
         entry["as_expected"] = bool(entry["pass"]) == bool(expected)

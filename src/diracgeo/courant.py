@@ -35,8 +35,7 @@ def courant_bracket(a, b, phi=None):
     zeta = lie_derivative(a.X, b.xi) - interior(b.X, ext_d(a.xi))
     if phi is not None:
         _check_chart(phi.chart, a.chart)
-        zeta = zeta + Form(a.chart, 1,
-                           lambda p, vs: phi.func(p, [a.X(p), b.X(p)] + vs))
+        zeta = zeta + interior(b.X, interior(a.X, phi))
     return Section(Z, zeta)
 
 
@@ -64,12 +63,8 @@ class AlmostDiracField:
 
     def dirac_at(self, p, tol=linear.DEFAULT_TOL):
         """Evaluate the frame into a LinearDirac at the point p."""
-        cols = []
-        for s in self.frame:
-            x = [jets.value_of(c) for c in s.X(p)]
-            n = len(x)
-            xi = [jets.value_of(s.xi(p, e)) for e in np.eye(n)]
-            cols.append(x + xi)
+        cols = [np.concatenate([[jets.value_of(c) for c in s.X(p)],
+                                s.xi.at(p)]) for s in self.frame]
         return linear.LinearDirac.from_span(np.array(cols).T, tol)
 
 
@@ -80,8 +75,7 @@ def graph_of_form(omega):
     for i in range(ch.dim):
         e = [1.0 if j == i else 0.0 for j in range(ch.dim)]
         X = VectorField(ch, lambda p, e=e: list(e))
-        xi = Form(ch, 1, lambda p, vs, e=e: omega.func(p, [e] + vs))
-        frame.append(Section(X, xi))
+        frame.append(Section(X, interior(X, omega)))
     return AlmostDiracField(frame)
 
 
@@ -148,16 +142,16 @@ class AnchoredDual:
         """rho*([alpha_i, alpha_j]) as a 1-form via structure functions."""
         ch = self.chart
 
-        def ev(p, vs):
-            total = 0.0
+        def components(p):
+            total = np.zeros(ch.dim)
             for k in range(self.rank):
                 c = self.struct_coeff(i, j, k, p)
                 if isinstance(c, float) and c == 0.0:
                     continue
-                total = total + c * self.rho_star[k].func(p, vs)
+                total = total + self.rho_star[k].components(p) * c
             return total
 
-        return Form(ch, 1, ev)
+        return Form(ch, 1, components)
 
 
 def anchor_bracket_residual(D, samples):
@@ -181,9 +175,6 @@ def im_conditions_residual(D, phi, samples):
         d_A rho*(a,b) = rho*([a,b]) - L_a rho*(b) + L_b rho*(a)
                         + d<rho*(b), rho(a)>   (L_a means L_{rho(a)}).
     """
-    ch = D.chart
-    n = ch.dim
-    basis = np.eye(n)
     r1 = 0.0
     r2 = 0.0
     for p in samples:
@@ -197,18 +188,10 @@ def im_conditions_residual(D, phi, samples):
                 term1 = D.rho_star_bracket(i, j)
                 term2 = lie_derivative(D.rho[i], D.rho_star[j])
                 term3 = lie_derivative(D.rho[j], D.rho_star[i])
-                pairfun = Form(ch, 0,
-                               lambda q, vs, i=i, j=j:
-                               D.rho_star[j].func(q, [D.rho[i](q)]))
-                term4 = ext_d(pairfun)
-                if phi is None:
-                    phiterm = Form.zero(ch, 1)
-                else:
-                    phiterm = Form(ch, 1,
-                                   lambda q, vs, i=i, j=j:
-                                   phi.func(q, [D.rho[i](q), D.rho[j](q)] + vs))
-                for e in basis:
-                    val = (term1(p, e) - term2(p, e) + term3(p, e)
-                           + term4(p, e) - phiterm(p, e))
-                    r2 = max(r2, abs(jets.value_of(val)))
+                term4 = ext_d(interior(D.rho[i], D.rho_star[j]))
+                total = term1 - term2 + term3 + term4
+                if phi is not None:
+                    total = total - interior(D.rho[j],
+                                             interior(D.rho[i], phi))
+                r2 = max(r2, float(np.max(np.abs(total.at(p)))))
     return r1, r2

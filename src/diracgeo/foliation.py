@@ -10,7 +10,7 @@ import numpy as np
 from . import jets, linear
 from .courant import Section, courant_bracket
 from .expr import ScalarExpr, parse
-from .geometry import Chart, Form, VectorField, ext_d
+from .geometry import Chart, Form, VectorField, ext_d, interior
 from .groupoid import GroupoidForm, fiberwise_pair_groupoid
 
 
@@ -144,11 +144,11 @@ def d_F(w):
 
 def restriction_residual(fol, theta, extension, samples):
     """Max defect of the extension against theta on leaf directions."""
-    E = np.eye(fol.n)
     worst = 0.0
     for p in samples:
+        C = extension.components(p)
         for (i, j) in combinations(fol.leaf, 2):
-            val = extension(p, list(E[i]), list(E[j])) - theta.coeff((i, j), p)
+            val = C[i, j] - theta.coeff((i, j), p)
             worst = max(worst, abs(jets.value_of(val)))
     return worst
 
@@ -163,23 +163,28 @@ def d_nu(theta, extension, samples=None, tol=1e-10):
     purely-leafwise triples.
     """
     fol = theta.fol
-    E = np.eye(fol.n)
     dext = ext_d(extension)
     if samples is not None:
         r = restriction_residual(fol, theta, extension, samples)
         if r > 1e-12:
             raise ValueError(f"extension does not restrict to theta: {r:.2e}")
-        for p in samples:
-            for (i, j, l) in combinations(fol.leaf, 3):
-                v = dext(p, list(E[i]), list(E[j]), list(E[l]))
-                if abs(jets.value_of(v)) > tol:
+        triples = list(combinations(fol.leaf, 3))
+        if triples:     # leaves of dimension < 3 carry no 3-form
+            for p in samples:
+                C = dext.components(p)
+                if any(abs(jets.value_of(C[idx])) > tol for idx in triples):
                     raise ValueError("extension is not leafwise closed")
+    return _conormal_part(fol, dext)
+
+
+def _conormal_part(fol, w):
+    """The leafwise 2-form p -> w[i, j, m] (i, j leafwise, m transverse) of
+    a 3-form w."""
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
         for m in fol.transverse:
             out[((i, j), m)] = (
-                lambda p, i=i, j=j, m=m:
-                dext(p, list(E[i]), list(E[j]), list(E[m])))
+                lambda p, i=i, j=j, m=m: w.components(p)[i, j, m])
     return FoliatedForm(fol, 2, out, nu_valued=True)
 
 
@@ -191,8 +196,7 @@ def splitting_sections(fol, extension):
     for i in fol.leaf:
         e = [1.0 if j == i else 0.0 for j in range(fol.n)]
         X = VectorField(ch, lambda p, e=e: list(e))
-        xi = Form(ch, 1, lambda p, vs, e=e: extension.func(p, [e] + vs))
-        out.append(Section(X, xi))
+        out.append(Section(X, interior(X, extension)))
     return out
 
 
@@ -202,26 +206,18 @@ def classifying_rep(fol, extension, phi=None):
     Leaf coordinate fields commute, so the defect is just the bracket of
     the lifted sections."""
     secs = splitting_sections(fol, extension)
-    E = np.eye(fol.n)
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
         br = courant_bracket(secs[i], secs[j], phi)
         for m in fol.transverse:
             out[((i, j), m)] = (
-                lambda p, br=br, m=m: br.xi(p, list(E[m])))
+                lambda p, br=br, m=m: br.xi.components(p)[m])
     return FoliatedForm(fol, 2, out, nu_valued=True)
 
 
 def phi_bar(fol, phi):
     """Conormal restriction of a 3-form: two leaf slots, one transverse."""
-    E = np.eye(fol.n)
-    out = {}
-    for (i, j) in combinations(fol.leaf, 2):
-        for m in fol.transverse:
-            out[((i, j), m)] = (
-                lambda p, i=i, j=j, m=m:
-                phi(p, list(E[i]), list(E[j]), list(E[m])))
-    return FoliatedForm(fol, 2, out, nu_valued=True)
+    return _conormal_part(fol, phi)
 
 
 def twisted_shift_residual(fol, extension, phi, samples):
@@ -261,16 +257,12 @@ def foliation_groupoid(n, k):
     """
     m = n - k
     G = fiberwise_pair_groupoid(n, k, m, _uniform(k), _uniform(n))
-
-    def omega_ev(p, vs):
-        V, W = vs
-        total = 0.0
-        for i in range(m):
-            total = total + (V[2 * k + m + i] * W[2 * k + i]
-                             - V[2 * k + i] * W[2 * k + m + i])
-        return total
-
-    return G, GroupoidForm(Form(_groupoid_chart(k, m, m), 2, omega_ev), None)
+    Om = np.zeros((2 * n, 2 * n))
+    for i in range(m):
+        q, v = 2 * k + i, 2 * k + m + i
+        Om[v, q], Om[q, v] = 1.0, -1.0
+    return G, GroupoidForm(Form(_groupoid_chart(k, m, m), 2, lambda p: Om),
+                           None)
 
 
 def leaf_conormal_dirac(n, k, tol=linear.DEFAULT_TOL):

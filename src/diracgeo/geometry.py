@@ -1,18 +1,21 @@
 """Chart-based tensor calculus via jets.
 
-Vector fields and k-forms are evaluators over a single chart; derived
-operators (exterior derivative, interior product, Lie derivative/bracket,
-pullback) compose lazily and differentiate through jets, so they stay exact
-for the supported function basis and nest for second derivatives.
+Vector fields are evaluators over a single chart; a k-form is its component
+tensor at a point, an antisymmetric array of shape (n,)*k.  Derived
+operators compose lazily: the exterior derivative is the antisymmetrized
+Jacobian of the components, the interior product a contraction, the
+pullback J^T.w.J.  Derivatives come from jets, so they stay exact for the
+supported function basis and nest for second derivatives.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from types import FunctionType
 
 import numpy as np
 
 from . import jets
-from .expr import ScalarExpr, parse
+from .expr import parse
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,9 @@ def chart(*names):
 
 
 def _as_expr(e, ch):
-    if isinstance(e, ScalarExpr):
+    """An expression string or number compiled on the chart; a callable
+    p -> value (such as a compiled ScalarExpr) as it is."""
+    if callable(e):
         return e
     if isinstance(e, (int, float)):
         return parse(repr(float(e)), ch.names)
@@ -76,90 +81,14 @@ class VectorField:
         return VectorField(self.chart, lambda p: [-a for a in self(p)])
 
 
-def _det(rows):
-    """Determinant by Leibniz expansion, generic arithmetic, fixed term order."""
-    k = len(rows)
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0.0
-    for perm in permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(1 for i in range(k) for j in range(i + 1, k)
-                  if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        term = rows[0][perm[0]]
-        for i in range(1, k):
-            term = term * rows[i][perm[i]]
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
-class Form:
-    """Evaluator (point, vectors) -> scalar, alternating of fixed degree."""
-
-    def __init__(self, ch, degree, func):
-        self.chart = ch
-        self.degree = degree
-        self.func = func
-
-    @staticmethod
-    def from_components(ch, degree, comps):
-        """comps: dict mapping strictly increasing index tuples to exprs."""
-        table = {}
-        for idx, e in comps.items():
-            idx = tuple(idx)
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"indices must be strictly increasing: {idx}")
-            if len(idx) != degree:
-                raise ValueError(f"index {idx} has wrong length for degree {degree}")
-            table[idx] = _as_expr(e, ch)
-
-        def ev(p, vs):
-            total = 0.0
-            for idx, e in table.items():
-                rows = [[vs[j][i] for j in range(degree)] for i in idx]
-                total = total + e(p) * _det(rows)
-            return total
-
-        return Form(ch, degree, ev)
-
-    @staticmethod
-    def zero(ch, degree):
-        return Form(ch, degree, lambda p, vs: 0.0)
-
-    @staticmethod
-    def function(ch, e):
-        """Degree-0 form (a scalar function)."""
-        e = _as_expr(e, ch)
-        return Form(ch, 0, lambda p, vs: e(p))
-
-    def __call__(self, p, *vs):
-        if len(vs) != self.degree:
-            raise ValueError(f"degree-{self.degree} form applied to "
-                             f"{len(vs)} vectors")
-        return self.func(p, list(vs))
-
-    def __add__(self, other):
-        _check_chart(self.chart, other.chart)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Form(self.chart, self.degree,
-                    lambda p, vs: self.func(p, vs) + other.func(p, vs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Form(self.chart, self.degree, lambda p, vs: -self.func(p, vs))
-
-    def scale(self, c):
-        return Form(self.chart, self.degree, lambda p, vs: c * self.func(p, vs))
+def _signed_permutations(idx):
+    """(permuted index, sign) for every ordering of a strictly increasing
+    index tuple."""
+    out = []
+    for perm in permutations(range(len(idx))):
+        inv = sum(a > b for a, b in combinations(perm, 2))
+        out.append((tuple(idx[i] for i in perm), -1 if inv % 2 else 1))
+    return out
 
 
 def dot(cov, vec):
@@ -171,34 +100,136 @@ def dot(cov, vec):
     return total
 
 
-def form_matrix(w, p):
-    """Component matrix M[i, j] = w(e_i, e_j) of a 2-form at the point p."""
-    p = [float(c) for c in p]
-    n = len(p)
-    E = np.eye(n)
-    M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i, j] = jets.value_of(w(p, E[i], E[j]))
-            M[j, i] = -M[i, j]
-    return M
+def _contract(v, C):
+    """Contract the first index of the component array C with the vector v;
+    generic over floats and jets."""
+    if C.ndim == 1:
+        return dot(v, C)
+    return (np.asarray(v) @ C.reshape(len(v), -1)).reshape(C.shape[1:])
+
+
+class Form:
+    """Alternating k-form: components(p) is the antisymmetric array of shape
+    (n,)*k at the point p (a scalar when k = 0), generic over floats and
+    jets.  Evaluation on vectors is a contraction.
+
+    A form may also be given by its values on vectors, a function
+    (p, vectors) -> scalar; its components are then read on the coordinate
+    basis, one value per increasing index tuple."""
+
+    def __init__(self, ch, degree, components):
+        self.chart = ch
+        self.degree = degree
+        self.components = components
+        if isinstance(components, FunctionType) and 2 == (
+                components.__code__.co_argcount
+                - len(components.__defaults__ or ())):
+            E = np.eye(ch.dim).tolist()
+            self.components = Form.from_components(ch, degree, {
+                ix: lambda p, ix=ix: components(p, [E[i] for i in ix])
+                for ix in combinations(range(ch.dim), degree)}).components
+
+    @staticmethod
+    def from_components(ch, degree, comps):
+        """comps: dict mapping strictly increasing index tuples to exprs
+        or to functions p -> value."""
+        perms, exprs = [], []
+        for idx, e in comps.items():
+            idx = tuple(idx)
+            if list(idx) != sorted(set(idx)):
+                raise ValueError(f"indices must be strictly increasing: {idx}")
+            if len(idx) != degree:
+                raise ValueError(f"index {idx} has wrong length for degree {degree}")
+            perms.append(_signed_permutations(idx))
+            exprs.append(_as_expr(e, ch))
+        shape = (ch.dim,) * degree
+
+        def components(p):
+            vals = [e(p) for e in exprs]
+            if any(isinstance(v, jets.Jet) for v in vals):
+                C = np.full(shape, 0.0, dtype=object)
+            else:
+                C = np.zeros(shape)
+            for signed, v in zip(perms, vals):
+                for perm, sign in signed:
+                    C[perm] = v if sign > 0 else -v
+            return C if degree else C[()]
+
+        return Form(ch, degree, components)
+
+    @staticmethod
+    def zero(ch, degree):
+        shape = (ch.dim,) * degree
+        return Form(ch, degree, lambda p: np.zeros(shape) if degree else 0.0)
+
+    @staticmethod
+    def function(ch, e):
+        """Degree-0 form (a scalar function)."""
+        e = _as_expr(e, ch)
+        return Form(ch, 0, e)
+
+    def __call__(self, p, *vs):
+        if len(vs) != self.degree:
+            raise ValueError(f"degree-{self.degree} form applied to "
+                             f"{len(vs)} vectors")
+        C = self.components(p)
+        for v in vs:
+            C = _contract(v, C)
+        return C
+
+    def at(self, p):
+        """The component array at a float point, as floats."""
+        return np.asarray(self.components([float(c) for c in p]), dtype=float)
+
+    def __add__(self, other):
+        _check_chart(self.chart, other.chart)
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        return Form(self.chart, self.degree,
+                    lambda p: self.components(p) + other.components(p))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return Form(self.chart, self.degree, lambda p: -self.components(p))
+
+    def scale(self, c):
+        return Form(self.chart, self.degree, lambda p: self.components(p) * c)
+
+
+def _jacobian(f, p):
+    """J[..., l] = d f(p)[...] / d p_l for an array-valued f: one jet pass
+    with n partials, nesting-safe."""
+    shape = []
+
+    def flat(q):
+        C = np.asarray(f(q))
+        shape[:] = C.shape
+        return list(C.ravel())
+
+    rows = jets.jacobian(flat, p)
+    return np.array(rows).reshape(tuple(shape) + (len(p),))
 
 
 def ext_d(w):
-    """Exterior derivative; exact for constant argument extensions."""
+    """Exterior derivative: the antisymmetrized Jacobian of the components,
+    (dw)[i0..ik] = sum_a (-1)^a d_{i_a} w[i0..^i_a..ik]."""
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
     k = w.degree
+    # moving the derivative index (last) to slot a
+    moves = [tuple(range(a)) + (k,) + tuple(range(a, k)) for a in range(k + 1)]
 
-    def ev(p, vs):
-        total = 0.0
-        for i in range(k + 1):
-            rest = vs[:i] + vs[i + 1:]
-            der = jets.directional(lambda q: w.func(q, rest), p, vs[i])
-            total = total + (der if i % 2 == 0 else -der)
+    def components(p):
+        D = _jacobian(w.components, p)
+        total = D.transpose(moves[0])
+        for a in range(1, k + 1):
+            term = D.transpose(moves[a])
+            total = total - term if a % 2 else total + term
         return total
 
-    return Form(w.chart, k + 1, ev)
+    return Form(w.chart, k + 1, components)
 
 
 def interior(X, w):
@@ -207,7 +238,7 @@ def interior(X, w):
     if w.degree == 0:
         raise ValueError("cannot contract a function")
     return Form(w.chart, w.degree - 1,
-                lambda p, vs: w.func(p, [X(p)] + vs))
+                lambda p: _contract(X(p), w.components(p)))
 
 
 def lie_derivative(X, w):
@@ -255,12 +286,16 @@ class ChartMap:
 
 
 def pullback(f, w):
-    """f* w for a chart map f and a form w on the target chart."""
+    """f* w for a chart map f and a form w on the target chart: every slot
+    of the components at f(p) is contracted with the Jacobian J of f at p,
+    J^T.w.J for a 2-form."""
     _check_chart(f.target, w.chart)
 
-    def ev(p, vs):
-        q = f(p)
-        pushed = [f.push(p, v) for v in vs]
-        return w.func(q, pushed)
+    def components(p):
+        J = np.array(jets.jacobian(f.func, p))
+        C = w.components(f(p))
+        for _ in range(w.degree):
+            C = np.tensordot(C, J, axes=(0, 0))
+        return C
 
-    return Form(f.source, w.degree, ev)
+    return Form(f.source, w.degree, components)

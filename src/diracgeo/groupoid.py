@@ -5,16 +5,28 @@ classification (Dirac type / robust / presymplectic / over-symplectic /
 nondegenerate), rho*-extraction at units, induced Dirac structures, and
 gauge transformations."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets, linear
-from .geometry import Form, ext_d, form_matrix, pullback, ChartMap
+from .geometry import Form, ext_d, pullback, ChartMap
 
 
 class RankInstabilityError(ValueError):
     """A singular value sits too close to the rank cutoff to decide."""
+
+
+class NonFiniteFormError(ValueError):
+    """The component matrix of omega has a NaN or infinite entry."""
+
+
+def worst_of(*values):
+    """The largest residual, or NaN when any residual is NaN (the built-in
+    max drops a NaN that is not its first argument)."""
+    values = [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 @dataclass
@@ -45,16 +57,18 @@ class ChartGroupoid:
         for _ in range(n):
             x = self.sample_unit(rng)
             ex = self.unit(x)
-            r_unit = max(r_unit, _dist(self.s(ex), x), _dist(self.t(ex), x))
+            r_unit = worst_of(r_unit, _dist(self.s(ex), x),
+                              _dist(self.t(ex), x))
             g, h = self.sample_pair(rng)
             gh = self.mul(g, h)
-            r_st = max(r_st, _dist(self.s(gh), self.s(h)),
-                       _dist(self.t(gh), self.t(g)))
-            r_inv = max(r_inv, _dist(self.inv(self.inv(g)), g),
-                        _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))
+            r_st = worst_of(r_st, _dist(self.s(gh), self.s(h)),
+                            _dist(self.t(gh), self.t(g)))
+            r_inv = worst_of(r_inv, _dist(self.inv(self.inv(g)), g),
+                             _dist(self.mul(g, self.inv(g)),
+                                   self.unit(self.t(g))))
             a, b, c = self.sample_triple(rng)
-            r_assoc = max(r_assoc, _dist(self.mul(self.mul(a, b), c),
-                                         self.mul(a, self.mul(b, c))))
+            r_assoc = worst_of(r_assoc, _dist(self.mul(self.mul(a, b), c),
+                                              self.mul(a, self.mul(b, c))))
         return {"unit": r_unit, "source_target": r_st,
                 "associativity": r_assoc, "inverse": r_inv}
 
@@ -160,7 +174,8 @@ def fiberwise_pair_groupoid(n, k, r, sample_leaf, sample_point):
 
 
 def _dist(a, b):
-    return max(abs(jets.value_of(x) - jets.value_of(y)) for x, y in zip(a, b))
+    return worst_of(*(abs(jets.value_of(x) - jets.value_of(y))
+                      for x, y in zip(a, b)))
 
 
 @dataclass
@@ -196,9 +211,11 @@ def _stable_rank(s, tol, where="matrix"):
     return r, gap
 
 
-def kernel_of_form(F, g, tol=1e-9, where="omega"):
-    M = form_matrix(F.omega, g)
-    U, s, Vt = np.linalg.svd(M)
+def kernel_of_form(Om, tol=1e-9, where="omega"):
+    """Kernel basis of the component matrix Om and the rank gap."""
+    if not np.all(np.isfinite(Om)):
+        raise NonFiniteFormError(f"omega is not finite at {where}")
+    U, s, Vt = np.linalg.svd(Om)
     r, gap = _stable_rank(s, tol, where)
     return Vt[r:].T, gap
 
@@ -214,9 +231,17 @@ def composable_tangents(G, g, h, tol=1e-9):
     return linear.null_basis(C, tol)
 
 
+def _upper_max(M):
+    """Largest |M[i, j]| over i < j, NaN-propagating."""
+    iu = np.triu_indices(M.shape[0], 1)
+    return worst_of(0.0, *np.abs(M[iu]))
+
+
 def check_multiplicative(G, F, rng, n_pairs=8):
     """Max |m*omega - pr1*omega - pr2*omega| over sampled composable pairs
-    and tangent-basis pairs."""
+    and tangent-basis pairs: the entries i < j of (Dm B)^T omega(gh) (Dm B)
+    - B1^T omega(g) B1 - B2^T omega(h) B2, with B = [B1; B2] a basis of the
+    composable tangents."""
     N = G.total_dim
     worst = 0.0
     for _ in range(n_pairs):
@@ -224,35 +249,35 @@ def check_multiplicative(G, F, rng, n_pairs=8):
         gh = G.mul(g, h)
         B = composable_tangents(G, g, h)
         Dm = _jac(lambda z: G.mul(z[:N], z[N:]), list(g) + list(h))
-        for i in range(B.shape[1]):
-            for j in range(i + 1, B.shape[1]):
-                u, v = B[:, i], B[:, j]
-                lhs = F.omega(gh, Dm @ u, Dm @ v)
-                rhs = (F.omega(g, u[:N], v[:N])
-                       + F.omega(h, u[N:], v[N:]))
-                worst = max(worst, abs(jets.value_of(lhs - rhs)))
+        DmB, B1, B2 = Dm @ B, B[:N], B[N:]
+        D = DmB.T @ F.omega.at(gh) @ DmB - B1.T @ F.omega.at(g) @ B1 \
+            - B2.T @ F.omega.at(h) @ B2
+        worst = worst_of(worst, _upper_max(D))
     return worst
 
 
 def check_rel_closed(G, F, rng, n_points=8, n_triples=4):
     """Max |d omega - s*phi + t*phi| at sampled arrows on random triples."""
-    dom = ext_d(F.omega)
-    ch = F.omega.chart
+    total = ext_d(F.omega)
     if F.phi is not None:
-        bch = F.phi.chart
-        smap = ChartMap(ch, bch, G.s)
-        tmap = ChartMap(ch, bch, G.t)
-        sphi = pullback(smap, F.phi)
-        tphi = pullback(tmap, F.phi)
+        ch, bch = F.omega.chart, F.phi.chart
+        total = total - pullback(ChartMap(ch, bch, G.s), F.phi) \
+            + pullback(ChartMap(ch, bch, G.t), F.phi)
     worst = 0.0
     for _ in range(n_points):
-        g = [float(c) for c in G.sample_arrow(rng)]
+        T = total.at(G.sample_arrow(rng))
         for _ in range(n_triples):
             u, v, w = rng.standard_normal((3, G.total_dim))
-            val = dom(g, u, v, w)
-            if F.phi is not None:
-                val = val - sphi(g, u, v, w) + tphi(g, u, v, w)
-            worst = max(worst, abs(jets.value_of(val)))
+            worst = worst_of(worst, abs(T @ w @ v @ u))
+    return worst
+
+
+def _pair_max(M, rng, dim, n=3):
+    """max |u^T M v| over n random pairs drawn from rng."""
+    worst = 0.0
+    for _ in range(n):
+        u, v = rng.standard_normal((2, dim))
+        worst = worst_of(worst, abs(u @ M @ v))
     return worst
 
 
@@ -261,37 +286,34 @@ def check_unit_identities(G, F, rng, n=8):
     r_eps = 0.0
     for _ in range(n):
         x = [float(c) for c in G.sample_unit(rng)]
-        ex = G.unit(x)
-        for _ in range(3):
-            u, v = rng.standard_normal((2, G.base_dim))
-            du = jets.directional(G.unit, x, list(u))
-            dv = jets.directional(G.unit, x, list(v))
-            r_eps = max(r_eps, abs(jets.value_of(F.omega(ex, du, dv))))
+        Deps = _jac(G.unit, x)
+        M = Deps.T @ F.omega.at(G.unit(x)) @ Deps
+        r_eps = worst_of(r_eps, _pair_max(M, rng, G.base_dim))
     r_inv = 0.0
     for _ in range(n):
         g = [float(c) for c in G.sample_arrow(rng)]
-        ig = G.inv(g)
-        for _ in range(3):
-            u, v = rng.standard_normal((2, G.total_dim))
-            du = jets.directional(G.inv, g, list(u))
-            dv = jets.directional(G.inv, g, list(v))
-            val = F.omega(ig, du, dv) + F.omega(g, list(u), list(v))
-            r_inv = max(r_inv, abs(jets.value_of(val)))
+        Dinv = _jac(G.inv, g)
+        M = Dinv.T @ F.omega.at(G.inv(g)) @ Dinv + F.omega.at(g)
+        r_inv = worst_of(r_inv, _pair_max(M, rng, G.total_dim))
     return r_eps, r_inv
 
 
 def check_kernel_orthogonality(G, F, rng, n=8, tol=1e-9):
-    """Ker(ds) + Ker(omega) is omega-orthogonal to Ker(dt) at arrows."""
+    """Ker(ds) + Ker(omega) is omega-orthogonal to Ker(dt) at arrows.  A
+    non-finite omega gives a NaN residual."""
     worst = 0.0
     for _ in range(n):
         g = [float(c) for c in G.sample_arrow(rng)]
-        Om = form_matrix(F.omega, g)
+        Om = F.omega.at(g)
+        if not np.all(np.isfinite(Om)):
+            worst = math.nan
+            continue
         Ks = linear.null_basis(_jac(G.s, g), tol)
         Kt = linear.null_basis(_jac(G.t, g), tol)
         Kw = linear.null_basis(Om, tol)
         span = linear.orth_basis(np.hstack([Ks, Kw]))
         if span.shape[1] and Kt.shape[1]:
-            worst = max(worst, np.max(np.abs(span.T @ Om @ Kt)))
+            worst = worst_of(worst, np.max(np.abs(span.T @ Om @ Kt)))
     return worst
 
 
@@ -303,10 +325,8 @@ def check_orbit_form(G, F, theta, rng, n=8):
                       - pullback(ChartMap(ch, bch, G.s), theta))
     worst = 0.0
     for _ in range(n):
-        g = [float(c) for c in G.sample_arrow(rng)]
-        for _ in range(3):
-            u, v = rng.standard_normal((2, G.total_dim))
-            worst = max(worst, abs(jets.value_of(diff(g, u, v))))
+        M = diff.at(G.sample_arrow(rng))
+        worst = worst_of(worst, _pair_max(M, rng, G.total_dim))
     return worst
 
 
@@ -322,6 +342,7 @@ class UnitSplitting:
     A: np.ndarray          # basis of A_x = Ker(ds) at eps(x)
     rho: np.ndarray        # dt restricted to A, in base coordinates (n x a)
     rho_star: np.ndarray   # matrix (a x n): row j = i_{A_j} omega |_{T_xM}
+    omega: np.ndarray      # component matrix of omega at eps(x)
 
 
 def extract_rho_star(G, F, x, tol=1e-9):
@@ -337,19 +358,16 @@ def extract_rho_star(G, F, x, tol=1e-9):
     A = Vt[r:].T
     Jt = _jac(G.t, ex)
     rho = Jt @ A
-    n = G.base_dim
-    rho_star = np.zeros((A.shape[1], n))
-    for j in range(A.shape[1]):
-        for i in range(n):
-            rho_star[j, i] = jets.value_of(F.omega(ex, A[:, j], Deps[:, i]))
-    return UnitSplitting(np.array(x), np.array(ex), Deps, A, rho, rho_star)
+    Om = F.omega.at(ex)
+    return UnitSplitting(np.array(x), np.array(ex), Deps, A, rho,
+                         A.T @ Om @ Deps, Om)
 
 
 def induced_dirac(G, F, x, tol=1e-9):
     """The Dirac structure at x induced on the base by a multiplicative form."""
     sp = extract_rho_star(G, F, x, tol)
     n = G.base_dim
-    Kw, _ = kernel_of_form(F, sp.point, tol, "omega at unit")
+    Kw, _ = kernel_of_form(sp.omega, tol, "omega at unit")
     KTM = linear.intersect_spans(Kw, sp.TM, tol)
     # express Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
     if KTM.shape[1]:
@@ -381,17 +399,25 @@ class ClassificationReport:
     rank_gaps: dict = field(default_factory=dict)
 
     def to_json(self):
-        # strict JSON has no Infinity: a gap with nothing below the cutoff
-        # is written as null
+        # strict JSON has no Infinity or NaN: a gap with nothing below the
+        # cutoff, or a non-finite residual, is written as null
         return {"flags": self.flags, "dims": self.dims,
-                "residuals": {k: float(v) for k, v in self.residuals.items()},
+                "residuals": {k: finite_or_none(v)
+                              for k, v in self.residuals.items()},
                 "worst_points": self.worst_points,
-                "rank_gaps": {k: float(v) if np.isfinite(v) else None
+                "rank_gaps": {k: finite_or_none(v)
                               for k, v in self.rank_gaps.items()}}
 
 
+def finite_or_none(v):
+    """A float for JSON, or None for a non-finite value."""
+    return float(v) if np.isfinite(v) else None
+
+
 def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
-    """Dimension/classification suite at sampled units and arrows."""
+    """Dimension/classification suite at sampled units and arrows.  The
+    kernel identities report the sine of the largest principal angle
+    between the two sides."""
     N, n = G.total_dim, G.base_dim
     dims = {}
     residuals = {"kernel_dim_sum": 0.0, "kernel_decomp": 0.0,
@@ -403,9 +429,9 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
     min_gap = np.inf
     for _ in range(n_units):
         x = [float(c) for c in G.sample_unit(rng)]
-        ex = [float(c) for c in G.unit(x)]
-        Om = form_matrix(F.omega, ex)
-        Kw, gap = kernel_of_form(F, ex, tol, f"unit {x}")
+        ex = G.unit(x)
+        Om = F.omega.at(ex)
+        Kw, gap = kernel_of_form(Om, tol, f"unit {x}")
         min_gap = min(min_gap, gap)
         Deps = _jac(G.unit, x)
         TM = linear.orth_basis(Deps, tol)
@@ -425,21 +451,18 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
         rhs1 = linear.null_basis((Kt.T @ Om), tol) if Kt.shape[1] else np.eye(N)
         lhs2 = linear.orth_basis(np.hstack([TM, Kw]), tol)
         rhs2 = linear.null_basis((TM.T @ Om), tol)
-        r_orth = 0.0
-        if not linear.spans_equal(lhs1, rhs1, tol):
-            r_orth = max(r_orth, 1.0)
-        if not linear.spans_equal(lhs2, rhs2, tol):
-            r_orth = max(r_orth, 1.0)
-        residuals["kernel_orth"] = max(residuals["kernel_orth"], r_orth)
+        residuals["kernel_orth"] = worst_of(
+            residuals["kernel_orth"], linear.span_gap(lhs1, rhs1),
+            linear.span_gap(lhs2, rhs2))
         # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
         recomb = linear.orth_basis(np.hstack([KwKs, KwTM]), tol)
-        if recomb.shape[1] != Kw.shape[1] or not linear.spans_equal(recomb, Kw, tol):
-            residuals["kernel_decomp"] = max(residuals["kernel_decomp"], 1.0)
+        residuals["kernel_decomp"] = worst_of(
+            residuals["kernel_decomp"], linear.span_gap(recomb, Kw))
         # dimension formulas
         want_tm = 0.5 * (Kw.shape[1] + 2 * n - N)
         want_ks = 0.5 * (Kw.shape[1] - 2 * n + N)
         err = max(abs(KwTM.shape[1] - want_tm), abs(KwKs.shape[1] - want_ks))
-        residuals["kernel_dim_sum"] = max(residuals["kernel_dim_sum"], err)
+        residuals["kernel_dim_sum"] = worst_of(residuals["kernel_dim_sum"], err)
         if not linear.subspace_contained(Kw, Kst):
             over_symplectic = False
     dims["ker_omega_units"] = dim_ker
@@ -454,12 +477,12 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
     min_gap_a = np.inf
     for _ in range(n_arrows):
         g = [float(c) for c in G.sample_arrow(rng)]
-        Kg, gap = kernel_of_form(F, g, tol, f"arrow {g}")
+        Kg, gap = kernel_of_form(F.omega.at(g), tol, f"arrow {g}")
         min_gap_a = min(min_gap_a, gap)
         sx = [jets.value_of(c) for c in G.s(g)]
         tx = [jets.value_of(c) for c in G.t(g)]
-        Ks_, _ = kernel_of_form(F, [float(c) for c in G.unit(sx)], tol, "unit")
-        Kt_, _ = kernel_of_form(F, [float(c) for c in G.unit(tx)], tol, "unit")
+        Ks_, _ = kernel_of_form(F.omega.at(G.unit(sx)), tol, "unit")
+        Kt_, _ = kernel_of_form(F.omega.at(G.unit(tx)), tol, "unit")
         want = 0.5 * (Ks_.shape[1] + Kt_.shape[1])
         if Kg.shape[1] != want:
             dirac_type = False

@@ -233,7 +233,12 @@ def _first_partial(c, tag):
 
 
 def jacobian(f, point):
-    """Jacobian matrix (list of rows) of f at a plain-float point."""
+    """Jacobian matrix (list of rows) of f at the point, one jet pass with
+    one partial per coordinate.
+
+    Nesting-safe: when the point carries jets of an outer differentiation,
+    the entries are those jets, not their values.
+    """
     n = len(point)
     tag = new_tag()
     dirs = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
@@ -244,8 +249,5 @@ def jacobian(f, point):
     rows = []
     for c in out:
         p = tangent_part(c, tag)
-        if p is None:
-            rows.append([0.0] * n)
-        else:
-            rows.append([value_of(pk) for pk in p])
+        rows.append([0.0] * n if p is None else list(p))
     return rows

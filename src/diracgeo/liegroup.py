@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
-from .geometry import Chart, Form, chart, dot
+from .geometry import Chart, Form, ext_d
 from .groupoid import GroupoidForm, action_groupoid
 
 
@@ -116,42 +116,49 @@ class MatrixGroup:
             raise ChartRadiusError(
                 f"|u| = {math.sqrt(r2):.3f} outside the exp-chart radius")
 
-    # Maurer-Cartan forms and adjoint, via chart curves
-    def lam(self, u, V):
-        """Left Maurer-Cartan: algebra coords of g^{-1} (d/ds)(exp(u + sV))."""
-        return jets.directional(
-            lambda s: self.mul(self.inv(u), [ui + s[0] * vi
-                                             for ui, vi in zip(u, V)]),
-            [0.0], [1.0])
+    # Maurer-Cartan forms, adjoint and translations at u as d x d matrices,
+    # each the Jacobian at 0 of one chart curve v -> ...; generic over jets
+    def _curve_jacobian(self, curve):
+        return np.array(jets.jacobian(curve, self.identity()))
 
-    def lam_bar(self, u, V):
-        """Right Maurer-Cartan: algebra coords of (d/ds)(exp(u + sV)) g^{-1}."""
-        return jets.directional(
-            lambda s: self.mul([ui + s[0] * vi for ui, vi in zip(u, V)],
-                               self.inv(u)),
-            [0.0], [1.0])
+    def lam_matrix(self, u):
+        """Left Maurer-Cartan: V -> algebra coords of g^{-1} (d/ds)(exp(u + sV))."""
+        return self._curve_jacobian(
+            lambda v: self.mul(self.inv(u), [a + b for a, b in zip(u, v)]))
 
-    def Ad(self, u, v):
-        """Adjoint action of exp(u) on the algebra element v."""
-        return jets.directional(
-            lambda s: self.mul(self.mul(u, [s[0] * vi for vi in v]),
-                               self.inv(u)),
-            [0.0], [1.0])
+    def lam_bar_matrix(self, u):
+        """Right Maurer-Cartan: V -> algebra coords of (d/ds)(exp(u + sV)) g^{-1}."""
+        return self._curve_jacobian(
+            lambda v: self.mul([a + b for a, b in zip(u, v)], self.inv(u)))
 
     def Ad_matrix(self, u):
-        cols = [self.Ad(u, list(e)) for e in np.eye(self.dim)]
-        return np.array([[value_of(c[i]) for c in cols]
-                         for i in range(self.dim)])
+        """Adjoint action of exp(u) on the algebra."""
+        return self._curve_jacobian(
+            lambda v: self.mul(self.mul(u, v), self.inv(u)))
+
+    def left_matrix(self, u):
+        """v -> the left-invariant field v_l at u, tangent of s -> u exp(s v)."""
+        return self._curve_jacobian(lambda v: self.mul(u, v))
+
+    def right_matrix(self, u):
+        """v -> the right-invariant field v_r at u, tangent of s -> exp(s v) u."""
+        return self._curve_jacobian(lambda v: self.mul(v, u))
+
+    # the same maps applied to one vector
+    def lam(self, u, V):
+        return self.lam_matrix(u) @ np.asarray(V)
+
+    def lam_bar(self, u, V):
+        return self.lam_bar_matrix(u) @ np.asarray(V)
+
+    def Ad(self, u, v):
+        return self.Ad_matrix(u) @ np.asarray(v)
 
     def left_translate(self, u, v):
-        """Tangent of s -> u * exp(s v): the left-invariant field v_l at u."""
-        return jets.directional(
-            lambda s: self.mul(u, [s[0] * vi for vi in v]), [0.0], [1.0])
+        return self.left_matrix(u) @ np.asarray(v)
 
     def right_translate(self, u, v):
-        """Tangent of s -> exp(s v) * u: the right-invariant field v_r at u."""
-        return jets.directional(
-            lambda s: self.mul([s[0] * vi for vi in v], u), [0.0], [1.0])
+        return self.right_matrix(u) @ np.asarray(v)
 
     def embed(self, u):
         """Matrix of exp(u) in the defining representation."""
@@ -195,7 +202,6 @@ class _Torus(MatrixGroup):
         return [a + b for a, b in zip(u, v)]
 
     def embed(self, u):
-        blocks = []
         d = self.dim
         M = np.zeros((2 * d, 2 * d), dtype=object)
         for i in range(d):
@@ -232,42 +238,34 @@ GROUPS = {"so3": so3, "su2": su2, "torus2": lambda: torus(2),
 # -- Cartan form and Cartan-Dirac structure --------------------------------
 
 def cartan_form(Gp):
-    """The bi-invariant 3-form: phi(V1,V2,V3) = (1/2)(lam V1, [lam V2, lam V3])."""
+    """The bi-invariant 3-form: phi(V1,V2,V3) = (1/2)(lam V1, [lam V2, lam V3]),
+    phi[p,q,r] = (1/2) lam[a,p] K[a,i,j] lam[i,q] lam[j,r] with
+    K[a,i,j] = (e_a, [e_i, e_j])."""
     ch = Chart(Gp.chart_names())
+    K = np.einsum("ab,ijb->aij", Gp.metric, Gp.struct)
 
-    def ev(p, vs):
+    def components(p):
         Gp.check_radius(p)
-        a = Gp.lam(p, vs[0])
-        b = Gp.lam(p, vs[1])
-        c = Gp.lam(p, vs[2])
-        return 0.5 * Gp.inner(a, Gp.bracket(b, c))
+        L = Gp.lam_matrix(p)
+        C = np.tensordot(L, K, axes=(0, 0))          # [p, i, j]
+        C = np.tensordot(C, L, axes=(1, 0))          # [p, j, q]
+        return 0.5 * np.tensordot(C, L, axes=(1, 0))  # [p, q, r]
 
-    return Form(ch, 3, ev)
+    return Form(ch, 3, components)
 
 
 def chart_metric(Gp, u):
     """Matrix of the bi-invariant metric in chart coordinates at u."""
-    d = Gp.dim
-    lam_cols = [Gp.lam(u, list(e)) for e in np.eye(d)]
-    M = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            M[i, j] = value_of(Gp.inner(lam_cols[i], lam_cols[j]))
-    return M
+    L = Gp.lam_matrix(u)
+    return L.T @ Gp.metric @ L
 
 
 def cartan_dirac(Gp, u, tol=linear.DEFAULT_TOL):
     """L_g = span of (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis."""
-    d = Gp.dim
-    Gm = chart_metric(Gp, u)
-    cols = []
-    for e in np.eye(d):
-        vr = np.array([value_of(c) for c in Gp.right_translate(u, list(e))])
-        vl = np.array([value_of(c) for c in Gp.left_translate(u, list(e))])
-        x = vr - vl
-        xi = Gm @ (0.5 * (vr + vl))
-        cols.append(np.concatenate([x, xi]))
-    return linear.LinearDirac.from_span(np.array(cols).T, tol)
+    R = Gp.right_matrix(u)
+    L = Gp.left_matrix(u)
+    span = np.vstack([R - L, chart_metric(Gp, u) @ (0.5 * (R + L))])
+    return linear.LinearDirac.from_span(span, tol)
 
 
 def cartan_dirac_field(Gp):
@@ -291,26 +289,27 @@ def conjugate(Gp, u, x):
     return Gp.mul(Gp.mul(u, x), Gp.inv(u))
 
 
+def _action_chart(d, base_dim):
+    return Chart(tuple(f"g{i+1}" for i in range(d))
+                 + tuple(f"x{i+1}" for i in range(base_dim)))
+
+
 def amm_omega(Gp):
     """The multiplicative 2-form on the conjugation groupoid H x H:
-    omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar)))."""
+    omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar))),
+    i.e. 1/2 (P^T Ad^T G P - P^T G Ad P + P^T G Q - Q^T G P) with
+    P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x]."""
     d = Gp.dim
-    names = tuple(f"g{i+1}" for i in range(d)) + tuple(f"x{i+1}" for i in range(d))
-    ch = Chart(names)
 
-    def ev(p, vs):
+    def components(p):
         u, x = p[:d], p[d:]
-        V, W = vs
-        a = Gp.lam(u, V[:d])
-        b = Gp.lam(u, W[:d])
-        cV = [s + t for s, t in zip(Gp.lam(x, V[d:]), Gp.lam_bar(x, V[d:]))]
-        cW = [s + t for s, t in zip(Gp.lam(x, W[d:]), Gp.lam_bar(x, W[d:]))]
-        Adx_a = Gp.Ad(x, a)
-        Adx_b = Gp.Ad(x, b)
-        return 0.5 * (Gp.inner(Adx_a, b) - Gp.inner(Adx_b, a)
-                      + Gp.inner(a, cW) - Gp.inner(b, cV))
+        L = Gp.lam_matrix(u)
+        GL = Gp.metric @ L
+        X = (Gp.Ad_matrix(x) @ L).T @ GL
+        top = 0.5 * (GL.T @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
+        return np.block([[0.5 * (X - X.T), top], [-top.T, np.zeros((d, d))]])
 
-    return Form(ch, 2, ev)
+    return Form(_action_chart(d, d), 2, components)
 
 
 def amm_groupoid(Gp):
@@ -334,23 +333,21 @@ def general_action_form(Gp, base_dim, action, rho, rho_star):
     - <rho*_x(lam_g V'), X>.
 
     rho(x, v) and rho_star(x, v) are evaluators returning tangent/cotangent
-    component lists on the base chart.
+    component lists on the base chart.  With S = rho*_x lam_g the components
+    are [[S^T rho_x lam_g, S^T], [-S, 0]].
     """
     d = Gp.dim
-    names = tuple(f"g{i+1}" for i in range(d)) + \
-            tuple(f"x{i+1}" for i in range(base_dim))
-    ch = Chart(names)
+    basis = [list(e) for e in np.eye(d)]
 
-    def ev(p, vs):
+    def components(p):
         u, x = p[:d], p[d:]
-        V, W = vs
-        a = Gp.lam(u, V[:d])
-        b = Gp.lam(u, W[:d])
-        ra = rho_star(x, a)
-        rb = rho_star(x, b)
-        return (dot(ra, rho(x, b)) + dot(ra, W[d:]) - dot(rb, V[d:]))
+        L = Gp.lam_matrix(u)
+        S = np.array([rho_star(x, e) for e in basis]).T @ L
+        R = np.array([rho(x, e) for e in basis]).T
+        return np.block([[S.T @ (R @ L), S.T],
+                         [-S, np.zeros((base_dim, base_dim))]])
 
-    return Form(ch, 2, ev)
+    return Form(_action_chart(d, base_dim), 2, components)
 
 
 def action_generators(Gp, action):
@@ -365,15 +362,10 @@ def action_generators(Gp, action):
 
 def amm_rho_star(Gp):
     """rho*_x(v) = the covector (1/2)((lam + lam_bar)(.), v) on the base chart."""
-    d = Gp.dim
 
     def rho_star(x, v):
-        out = []
-        for e in np.eye(d):
-            w = [s + t for s, t in zip(Gp.lam(x, list(e)),
-                                       Gp.lam_bar(x, list(e)))]
-            out.append(0.5 * Gp.inner(w, v))
-        return out
+        M = Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)
+        return list(0.5 * (M.T @ (Gp.metric @ np.asarray(v))))
 
     return rho_star
 
@@ -389,9 +381,7 @@ def coadjoint_action(Gp):
     (g . xi)(v) = xi(Ad_{g^{-1}} v)."""
 
     def act(u, xi):
-        Ainv_cols = [Gp.Ad(Gp.inv(u), list(e)) for e in np.eye(Gp.dim)]
-        return [sum(xi[a] * Ainv_cols[b][a] for a in range(Gp.dim))
-                for b in range(Gp.dim)]
+        return list(Gp.Ad_matrix(Gp.inv(u)).T @ np.asarray(xi))
 
     return act
 
@@ -413,15 +403,11 @@ def coadjoint_groupoid(Gp):
 def canonical_cotangent_form(Gp):
     """-d sigma with sigma_(g,xi)(V, Xi) = <xi, lam_g V>: the canonical
     symplectic form of T*H in the left trivialization chart."""
-    from .geometry import ext_d
     d = Gp.dim
-    names = tuple(f"g{i+1}" for i in range(d)) + \
-            tuple(f"x{i+1}" for i in range(d))
-    ch = Chart(names)
 
-    def sigma_ev(p, vs):
+    def sigma(p):
         u, xi = p[:d], p[d:]
-        return dot(xi, Gp.lam(u, vs[0][:d]))
+        return np.concatenate([Gp.lam_matrix(u).T @ np.asarray(xi),
+                               np.zeros(d)])
 
-    sigma = Form(ch, 1, sigma_ev)
-    return -ext_d(sigma)
+    return -ext_d(Form(_action_chart(d, d), 1, sigma))

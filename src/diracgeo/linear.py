@@ -1,14 +1,14 @@
 """Linear algebra of Dirac structures on a finite-dimensional vector space.
 
 A Dirac structure on V is a maximal isotropic subspace L of V + V* for the
-pairing <(x,xi),(y,eta)> = xi(y) + eta(x).  Subspaces are stored as
-canonicalized spanning matrices so equality is plain entrywise comparison.
+pairing <(x,xi),(y,eta)> = xi(y) + eta(x).  Subspaces are stored with a
+canonicalized spanning matrix; two spans are equal when the largest
+principal angle between them vanishes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 DEFAULT_TOL = 1e-9
 
@@ -74,18 +74,17 @@ def canonical_span(M, tol=DEFAULT_TOL):
 
     Column-pivoted QR (via SVD orthonormalization, which shares the same
     determinism goal) followed by RREF of the transpose: the result depends
-    only on the subspace, so two spans compare by entrywise equality.
+    only on the subspace.  Its entries grow with small pivots, so spans are
+    compared by principal angle (`spans_equal`), not entrywise.
     """
     B = orth_basis(M, tol)
     return rref(B.T, tol)
 
 
 def spans_equal(A, B, tol=DEFAULT_TOL):
-    CA = canonical_span(A, tol)
-    CB = canonical_span(B, tol)
-    if CA.shape != CB.shape:
-        return False
-    return bool(np.max(np.abs(CA - CB), initial=0.0) <= 1e-9)
+    """Equal column spans: the sine of the largest principal angle between
+    them is at most 1e-9 (ranks decided at tol)."""
+    return span_gap(orth_basis(A, tol), orth_basis(B, tol)) <= 1e-9
 
 
 def intersect_spans(A, B, tol=DEFAULT_TOL):
@@ -100,13 +99,20 @@ def intersect_spans(A, B, tol=DEFAULT_TOL):
 
 def span_gap(A, B):
     """sin of the largest principal angle between the column spans; 1.0
-    when their dimensions differ."""
+    when their dimensions differ.  The sines of the principal angles are
+    the singular values of the part of one orthonormal basis that lies
+    outside the other span."""
     if A.shape[1] == 0 and B.shape[1] == 0:
         return 0.0
     if A.shape[1] != B.shape[1]:
         return 1.0
-    ang = subspace_angles(np.asarray(A, float), np.asarray(B, float))
-    return float(np.sin(np.max(ang))) if ang.size else 0.0
+    QA, QB = (orth_basis(M, np.finfo(float).eps * max(M.shape))
+              for M in (A, B))
+    if QA.shape[1] < QB.shape[1]:
+        QA, QB = QB, QA
+    if QB.shape[1] == 0:
+        return 0.0
+    return min(1.0, float(np.linalg.norm(QB - QA @ (QA.T @ QB), 2)))
 
 
 def subspace_contained(A, B, tol=1e-8):
@@ -174,12 +180,10 @@ class LinearDirac:
         return LinearDirac(n, span, canonical_span(span, tol), tol)
 
     def __eq__(self, other):
-        if not isinstance(other, LinearDirac) or self.dim != other.dim:
-            return NotImplemented if not isinstance(other, LinearDirac) else False
-        if self.canonical.shape != other.canonical.shape:
-            return False
-        return bool(np.max(np.abs(self.canonical - other.canonical),
-                           initial=0.0) <= 1e-9)
+        if not isinstance(other, LinearDirac):
+            return NotImplemented
+        return self.dim == other.dim and spans_equal(self.span, other.span,
+                                                     self.tol)
 
     def __hash__(self):
         return hash((self.dim, self.canonical.shape))
@@ -327,15 +331,3 @@ def pull_back(f, L, tol=None):
 def is_dirac_map(psi, L_V, L_W):
     """True iff the forward image of L_V under psi equals L_W."""
     return push_forward(psi, L_V) == L_W
-
-
-# -- metric identification -----------------------------------------------
-
-def lower_index(g, v):
-    """v-flat: the covector g(v, .)."""
-    return np.asarray(g, float) @ np.asarray(v, float)
-
-
-def raise_index(g, xi):
-    """xi-sharp w.r.t. the inner product g."""
-    return np.linalg.solve(np.asarray(g, float), np.asarray(xi, float))

@@ -136,8 +136,8 @@ def sigma_tilde(path, X):
         for k, alpha in enumerate(path.pres.rho_star):
             if path.a[i, k] == 0.0:
                 continue
-            total = total + path.a[i, k] * jets.value_of(
-                alpha(p, list(X.dgamma[i])))
+            total = total + path.a[i, k] * float(
+                alpha.components(p) @ X.dgamma[i])
         vals.append(total)
     return _trapz(vals, path.dt)
 
@@ -278,7 +278,7 @@ def sigma_contraction_residual(path, eta):
         for k, alpha in enumerate(pres.rho_star):
             if eta_here[k] == 0.0:
                 continue
-            total = total + eta_here[k] * jets.value_of(alpha(p, list(rho_a)))
+            total = total + eta_here[k] * float(alpha.components(p) @ rho_a)
         vals.append(total)
     return abs(lhs + _trapz(vals, path.dt))
 
@@ -380,8 +380,6 @@ def tangent_presentation(omega_comps, n, phi=None):
     rho = [VectorField.from_components(
         ch, ["1.0" if j == i else "0.0" for j in range(n)])
         for i in range(n)]
-    rho_star = []
-    for i in range(n):
-        e = [1.0 if j == i else 0.0 for j in range(n)]
-        rho_star.append(Form(ch, 1, lambda p, vs, e=e: omega.func(p, [e] + vs)))
+    rho_star = [Form(ch, 1, lambda p, i=i: omega.components(p)[i])
+                for i in range(n)]
     return AnchoredDual(rho, rho_star, None)

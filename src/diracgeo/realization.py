@@ -8,14 +8,14 @@ structure on a group.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import jets, linear
 from .geometry import Chart, ChartMap, Form, VectorField, ext_d, \
-    form_matrix, lie_derivative, pullback
-from .liegroup import MatrixGroup, cartan_dirac_field, cartan_form, \
-    chart_metric, torus
+    lie_derivative, pullback
+from .liegroup import MatrixGroup, cartan_dirac_field, chart_metric, torus
 
 
 @dataclass
@@ -30,15 +30,13 @@ class RealizationData:
         d_eta = ext_d(self.eta)
         total = d_eta if self.target.phi is None else \
             d_eta + pullback(self.mu, self.target.phi)
-        n = self.P.dim
-        E = np.eye(n)
+        triples = list(combinations(range(self.P.dim), 3))
+        if not triples:
+            return 0.0      # no 3-form on a chart of dimension < 3
         worst = 0.0
         for p in samples:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for c in range(b + 1, n):
-                        worst = max(worst, abs(jets.value_of(
-                            total(p, list(E[a]), list(E[b]), list(E[c])))))
+            T = total.at(p)
+            worst = max(worst, max(abs(T[idx]) for idx in triples))
         return worst
 
 
@@ -49,7 +47,6 @@ def realization_check(R, samples, tol=1e-8):
     kernel-isomorphism diagnostics, and the induced action vectors per
     sample (one X per frame column of the target Dirac space).
     """
-    n = R.P.dim
     report = {
         "solve_residual": 0.0,
         "kernel_dim_max": 0,
@@ -62,7 +59,7 @@ def realization_check(R, samples, tol=1e-8):
     }
     for p in samples:
         Dmu = np.array(jets.jacobian(R.mu.func, p))
-        H = form_matrix(R.eta, p)
+        H = R.eta.at(p)
         y = [jets.value_of(c) for c in R.mu(p)]
         L = R.target.dirac_at(y)
         m = L.dim
@@ -121,16 +118,18 @@ class QuasiHamData:
                        zip(*[g(p) for g in self.generators])])
 
     def moment_one_form(self, v):
-        """(1/2) mu*((lam + lam_bar)(.), v) as a 1-form on P."""
+        """(1/2) mu*((lam + lam_bar)(.), v) as a 1-form on P: components
+        (1/2) Dmu^T (lam + lam_bar)^T G v."""
         Gp = self.group
+        Gv = Gp.metric @ np.asarray(v)
 
-        def ev(p, vs):
+        def components(p):
             u = self.mu(p)
-            W = self.mu.push(p, vs[0])
-            lw = [a + b for a, b in zip(Gp.lam(u, W), Gp.lam_bar(u, W))]
-            return 0.5 * Gp.inner(lw, v)
+            M = Gp.lam_matrix(u) + Gp.lam_bar_matrix(u)
+            Dmu = np.array(jets.jacobian(self.mu.func, p))
+            return 0.5 * (Dmu.T @ (M.T @ Gv))
 
-        return Form(self.P, 1, ev)
+        return Form(self.P, 1, components)
 
 
 def equivariance_residual(Q, samples):
@@ -139,13 +138,11 @@ def equivariance_residual(Q, samples):
     worst = 0.0
     for p in samples:
         u = [jets.value_of(c) for c in Q.mu(p)]
-        for e in np.eye(Gp.dim):
+        gen = Gp.right_matrix(u) - Gp.left_matrix(u)
+        for j, e in enumerate(np.eye(Gp.dim)):
             lhs = Q.mu.push(p, Q.rho_P(list(e))(p))
-            vr = Gp.right_translate(u, list(e))
-            vl = Gp.left_translate(u, list(e))
-            rhs = [a - b for a, b in zip(vr, vl)]
             worst = max(worst, max(abs(jets.value_of(a - b))
-                                   for a, b in zip(lhs, rhs)))
+                                   for a, b in zip(lhs, gen[:, j])))
     return worst
 
 
@@ -158,27 +155,22 @@ def quasi_ham_check(Q, samples, tol=1e-8):
     """
     Gp = Q.group
     n = Q.P.dim
-    E = np.eye(n)
-    phi = cartan_form(Gp)
     R = RealizationData(Q.P, Q.eta, Q.mu, cartan_dirac_field(Gp))
     r1 = R.closedness_residual(samples)
     r2 = 0.0
     r3 = 0.0
     r_inv = 0.0
     for p in samples:
-        H = form_matrix(Q.eta, p)
+        H = Q.eta.at(p)
         for v in np.eye(Gp.dim):
             v = list(v)
             Xv = Q.rho_P(v)
-            beta = Q.moment_one_form(v)
-            for e in E:
-                val = Q.eta(p, Xv(p), list(e)) - beta(p, list(e))
-                r2 = max(r2, abs(jets.value_of(val)))
-            Leta = lie_derivative(Xv, Q.eta)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    r_inv = max(r_inv, abs(jets.value_of(
-                        Leta(p, list(E[a]), list(E[b])))))
+            row = np.array([jets.value_of(c) for c in Xv(p)]) @ H
+            r2 = max(r2, float(np.max(np.abs(
+                row - Q.moment_one_form(v).at(p)))))
+            Leta = lie_derivative(Xv, Q.eta).at(p)
+            r_inv = max(r_inv, float(np.max(np.abs(
+                Leta[np.triu_indices(n, 1)]))))
         u = [jets.value_of(c) for c in Q.mu(p)]
         Adp1 = Gp.Ad_matrix(u) + np.eye(Gp.dim)
         ker_v = linear.null_basis(Adp1)
@@ -202,18 +194,15 @@ def equivalence_crosscheck(Q, samples, tol=1e-8):
     R = RealizationData(Q.P, Q.eta, Q.mu, cartan_dirac_field(Gp))
     report = realization_check(R, samples, tol)
     mismatch = 0.0
-    n = Q.P.dim
     for p in samples:
         Dmu = np.array(jets.jacobian(Q.mu.func, p))
-        H = form_matrix(Q.eta, p)
+        H = Q.eta.at(p)
         A = np.vstack([Dmu, H.T])
         u = [jets.value_of(c) for c in Q.mu(p)]
         Gm = chart_metric(Gp, u)
-        for e in np.eye(Gp.dim):
-            vr = np.array([jets.value_of(c)
-                           for c in Gp.right_translate(u, list(e))])
-            vl = np.array([jets.value_of(c)
-                           for c in Gp.left_translate(u, list(e))])
+        Rm, Lm = Gp.right_matrix(u), Gp.left_matrix(u)
+        for j, e in enumerate(np.eye(Gp.dim)):
+            vr, vl = Rm[:, j], Lm[:, j]
             w = vr - vl
             xi = Gm @ (0.5 * (vr + vl))
             rhs = np.concatenate([w, Dmu.T @ xi])

@@ -187,7 +187,10 @@ def test_acceptance_4_unit_extraction():
             half = [(a + b) / 2.0 for a, b in zip(vr, vl)]
             return Gp.inner(Gp.lam(p, half), Gp.lam(p, vs[0]))
 
-        frame.append(Section(VectorField(ch, Xev), Form(ch, 1, xiev)))
+        # components: xiev on the coordinate basis
+        frame.append(Section(VectorField(ch, Xev), Form(
+            ch, 1, lambda p, xiev=xiev: np.array(
+                [xiev(p, [f]) for f in np.eye(d)]))))
     L = AlmostDiracField(frame)
     pts = [list(rng.uniform(-0.5, 0.5, d)) for _ in range(4)]
     r_int = integrability_residual(L, lg.cartan_form(Gp), pts)

@@ -40,7 +40,7 @@ def test_untwisted_bracket_on_exact_sections():
     b = Section(Y, ext_d(g))
     br = courant_bracket(a, b)
     # oracle: d(X g) - the derivative of g along X differentiated again
-    Xg = Form(CH3, 0, lambda p, vs: ext_d(g).func(p, [X(p)]))
+    Xg = Form(CH3, 0, lambda p: ext_d(g)(p, X(p)))
     oracle = ext_d(Xg)
     rng = np.random.default_rng(0)
     for p in samples(rng, 3):

@@ -192,3 +192,80 @@ def test_d_is_alternating_and_linear(p, u, v):
     assert dw(p, u, v) == pytest.approx(-dw(p, v, u), abs=1e-12)
     s = [a + b for a, b in zip(u, v)]
     assert dw(p, s, v) == pytest.approx(dw(p, u, v), abs=1e-12)
+
+
+# -- the component representation -------------------------------------------
+
+def test_evaluation_is_contraction_of_components():
+    w = Form.from_components(CH3, 2, {(0, 1): "x*z", (1, 2): "sin(y)"})
+    rng = np.random.default_rng(4)
+    p = [0.3, -0.6, 0.9]
+    C = w.components(p)
+    assert C.shape == (3, 3)
+    assert np.allclose(C, -C.T, atol=0.0)
+    for _ in range(3):
+        u, v = rng.standard_normal((2, 3))
+        assert w(p, u, v) == pytest.approx(u @ C @ v, abs=1e-15)
+
+
+def test_three_form_value_is_a_determinant():
+    # f dx^dy^dz on (u, v, s) is f times the determinant of [u v s]
+    w = Form.from_components(CH3, 3, {(0, 1, 2): "x*y + z"})
+    rng = np.random.default_rng(5)
+    p = [0.4, -0.7, 1.3]
+    u, v, s = rng.standard_normal((3, 3))
+    f = p[0] * p[1] + p[2]
+    assert w(p, u, v, s) == pytest.approx(
+        f * np.linalg.det(np.array([u, v, s]).T), abs=1e-14)
+
+
+def test_d_squared_vanishes_on_all_components():
+    w = Form.from_components(CH3, 1, {(0,): "y*z^2", (1,): "exp(x)*z",
+                                      (2,): "sin(x*y)"})
+    p = [0.2, -0.5, 0.8]
+    assert ext_d(w).at(p).shape == (3, 3)
+    assert np.max(np.abs(ext_d(ext_d(w)).at(p))) < 1e-13
+
+
+def test_d_squared_vanishes_on_the_canonical_cotangent_form():
+    # -d sigma through the quaternion chart needs second derivatives of lam,
+    # so d(-d sigma) exercises nested Jacobians
+    from diracgeo import liegroup as lg
+    can = lg.canonical_cotangent_form(lg.so3())
+    p = [0.3, -0.2, 0.25, 0.7, -0.4, 0.1]
+    assert np.max(np.abs(can.at(p))) > 0.1
+    assert np.max(np.abs(ext_d(can).at(p))) < 1e-12
+
+
+def test_pullback_commutes_with_d_on_components():
+    f = ChartMap.from_components(CH3, CH3, ["x*y", "sin(z) + x", "y*z^2"])
+    w = Form.from_components(CH3, 2, {(0, 1): "z", (0, 2): "x*y",
+                                      (1, 2): "cos(x)"})
+    p = [0.6, -0.3, 0.45]
+    lhs = ext_d(pullback(f, w)).at(p)
+    rhs = pullback(f, ext_d(w)).at(p)
+    assert np.max(np.abs(rhs)) > 0.1
+    assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+def test_group_forms_have_skew_component_matrices():
+    from diracgeo import liegroup as lg
+    Gp = lg.so3()
+    p = [0.3, -0.2, 0.1, 0.25, 0.05, -0.35]
+    for omega in (lg.amm_omega(Gp), lg.coadjoint_groupoid(Gp)[1].omega):
+        Om = omega.at(p)
+        assert Om.shape == (6, 6)
+        assert np.max(np.abs(Om)) > 0.1
+        assert np.max(np.abs(Om + Om.T)) < 1e-14
+
+
+def test_form_given_by_values_on_vectors_reads_its_components():
+    # (p, vectors) -> value defines the same form as its components
+    w = Form.from_components(CH3, 2, {(0, 1): "x*z", (1, 2): "sin(y)"})
+    by_values = Form(CH3, 2, lambda p, vs: w(p, *vs))
+    lam = Form(CH3, 2, lambda p, i=0: w.components(p))
+    p = [0.3, -0.6, 0.9]
+    assert np.array_equal(by_values.at(p), w.at(p))
+    assert np.array_equal(lam.at(p), w.at(p))
+    u, v = np.random.default_rng(6).standard_normal((2, 3))
+    assert by_values(p, u, v) == pytest.approx(w(p, u, v), abs=1e-15)

@@ -147,3 +147,19 @@ def test_gauge_preserves_multiplicativity_and_shifts_phi():
 def test_unknown_fixture_raises():
     with pytest.raises(KeyError):
         fixtures.load("no-such-fixture")
+
+
+def test_induced_dirac_equals_cartan_dirac_near_an_axis():
+    # the first induced-dirac unit of amm-so3 at seed 7 lies near the x2
+    # axis, where the canonical entries of the two spans reach 2e4 and
+    # differ by 5e-8 although the spans agree to 1e-14
+    from diracgeo import liegroup as lg
+    fx = fixtures.load("amm-so3")
+    rng = np.random.default_rng([7] + list(b"induced-dirac"))
+    x = [float(c) for c in fx["groupoid"].sample_unit(rng)]
+    assert x == pytest.approx([0.002, 0.343, 0.008], abs=5e-4)
+    L1 = induced_dirac(fx["groupoid"], fx["form"], x)
+    L2 = lg.cartan_dirac(fx["group"], x)
+    assert np.max(np.abs(L1.canonical - L2.canonical)) > 1e-9
+    assert L1 == L2
+    assert linear.spans_equal(L1.span, L2.span)

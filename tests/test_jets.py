@@ -108,3 +108,17 @@ def test_directional_is_linear_in_direction(p, d1, d2):
     b = jets.directional(f, p, d2)
     both = jets.directional(f, p, [u + v for u, v in zip(d1, d2)])
     assert both == pytest.approx(a + b, abs=1e-10)
+
+
+def test_nested_jacobian_is_the_hessian():
+    # f = sin(x y) + x^3 y; the inner Jacobian must return jets of the
+    # outer pass, not their values, for the outer one to see the gradient
+    def f(q):
+        return jets.sin(q[0] * q[1]) + q[0] ** 3 * q[1]
+
+    x, y = 0.7, -0.4
+    H = jets.jacobian(lambda q: jets.jacobian(f, q)[0], [x, y])
+    c, s = math.cos(x * y), math.sin(x * y)
+    expected = [[-y * y * s + 6 * x * y, c - x * y * s + 3 * x * x],
+                [c - x * y * s + 3 * x * x, -x * x * s]]
+    assert np.allclose(H, expected, atol=1e-14)

@@ -174,7 +174,10 @@ def test_cartan_dirac_field_integrable_against_cartan_form():
             lam_v = Gp.lam(p, vs[0])
             return Gp.inner(lam_half, lam_v)
 
-        frame.append(Section(VectorField(ch, Xev), Form(ch, 1, xiev)))
+        # components: xiev on the coordinate basis
+        frame.append(Section(VectorField(ch, Xev), Form(
+            ch, 1, lambda p, xiev=xiev: np.array(
+                [xiev(p, [f]) for f in np.eye(3)]))))
     L = AlmostDiracField(frame)
     phi = lg.cartan_form(Gp)
     rng = np.random.default_rng(18)

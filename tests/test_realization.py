@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracgeo import liegroup as lg
-from diracgeo.geometry import Chart, ChartMap, Form, form_matrix
+from diracgeo.geometry import Chart, ChartMap, Form
 from diracgeo.realization import (QuasiHamData, RealizationData,
                                   action_compatibility_residual,
                                   equivalence_crosscheck,
@@ -25,7 +25,7 @@ def annulus(rng, k=6):
 def test_eta_matrix_is_skew():
     ch = Chart(("x", "y", "z"))
     eta = Form.from_components(ch, 2, {(0, 1): "z", (1, 2): "x"})
-    H = form_matrix(eta, [0.4, 0.1, -0.7])
+    H = eta.at([0.4, 0.1, -0.7])
     assert np.allclose(H, -H.T)
     assert H[0, 1] == pytest.approx(-0.7)
     assert H[1, 2] == pytest.approx(0.4)
