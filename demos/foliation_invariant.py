@@ -18,13 +18,13 @@ def main():
     fol = fo.CoordFoliation(3, 2)
     pts = [list(v) for v in rng.uniform(-1, 1, (6, 3))]
 
-    theta = fo.FoliatedForm(fol, 2, {(0, 1): "x3"})
+    theta = Form.from_components(fol.chart, 2, {(0, 1): "x3"})
     ext = Form.from_components(fol.chart, 2, {(0, 1): "x3"})
 
-    dn = fo.d_nu(theta, ext, pts)
+    dn = fo.d_nu(fol, theta, ext, pts)
     u = fo.classifying_rep(fol, ext)
-    print("transverse derivative component:", dn.coeff(((0, 1), 2), pts[0]))
-    print("splitting curvature matches    :", (u - dn).max_abs(pts) < 1e-12)
+    print("transverse derivative component:", dn.at(pts[0])[0, 1, 2])
+    print("splitting curvature matches    :", fo.max_abs(u - dn, pts) < 1e-12)
 
     phi = Form.from_components(fol.chart, 3, {(0, 1, 2): "sin(x3) + x1"})
     print("twisted shift residual         :",

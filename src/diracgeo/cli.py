@@ -303,7 +303,7 @@ def check_path_boundary_identity(fx, rng, policy):
 def _foliation_scenario():
     fol = FO.CoordFoliation(3, 2)
     ch = fol.chart
-    theta = FO.FoliatedForm(fol, 2, {(0, 1): "x3"})
+    theta = Form.from_components(ch, 2, {(0, 1): "x3"})
     ext = Form.from_components(ch, 2, {(0, 1): "x3"})
     phi = Form.from_components(ch, 3, {(0, 1, 2): "sin(x3) + x1"})
     return fol, theta, ext, phi
@@ -311,18 +311,18 @@ def _foliation_scenario():
 
 def check_leafwise_d_squared(fx, rng, policy):
     fol, _, _, _ = _foliation_scenario()
-    f = FO.FoliatedForm(fol, 0, {(): "x3*x1 + sin(x2)"})
+    f = Form.function(fol.chart, "x3*x1 + sin(x2)")
     samples = [list(v) for v in rng.uniform(-1, 1, (policy["samples"], 3))]
-    r = FO.d_F(FO.d_F(f)).max_abs(samples)
+    r = FO.max_abs(FO.d_F(fol, FO.d_F(fol, f)), samples)
     return _residual_entry(r, 1e-12)
 
 
 def check_transverse_derivative(fx, rng, policy):
     fol, theta, ext, _ = _foliation_scenario()
     samples = [list(v) for v in rng.uniform(-1, 1, (policy["samples"], 3))]
-    dn = FO.d_nu(theta, ext, samples)
+    dn = FO.d_nu(fol, theta, ext, samples)
     u = FO.classifying_rep(fol, ext)
-    r = (u - dn).max_abs(samples)
+    r = FO.max_abs(u - dn, samples)
     return _residual_entry(r, 1e-9)
 
 
@@ -358,24 +358,39 @@ CHECKS = {
 
 # -- runner -----------------------------------------------------------------
 
-def load_scenario(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}")
+
+
+def load_scenario(path):
+    data = _read_json(path)
     if not isinstance(data, dict) or "id" not in data:
         raise ScenarioError(f"{path}: scenario needs an 'id'")
     if not isinstance(data.get("suite"), list) or not data["suite"]:
         raise ScenarioError(f"{path}: scenario needs a non-empty 'suite'")
+    for key in ("policy", "expect"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ScenarioError(f"{path}: {key!r} must be an object")
     for name in data["suite"]:
         if name not in CHECKS:
             raise ScenarioError(
                 f"{path}: unknown check {name!r}; known: "
                 + ", ".join(sorted(CHECKS)))
     return data
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
 
 
 def merge_policy(scenario, args):
@@ -387,9 +402,19 @@ def merge_policy(scenario, args):
             policy[key] = val
     if getattr(args, "grid", None):
         policy["grid"] = args.grid
-    if policy["samples"] <= 0 or policy["tol"] <= 0 or \
-            any(n <= 1 for n in policy["grid"]):
-        raise ScenarioError("policy values must be positive")
+    grid = policy["grid"]
+    if not (_is_int(policy["seed"]) and policy["seed"] >= 0):
+        raise ScenarioError("policy seed must be a non-negative integer")
+    if not (_is_int(policy["samples"]) and policy["samples"] > 0):
+        raise ScenarioError("policy samples must be a positive integer")
+    if not _is_positive(policy["tol"]):
+        raise ScenarioError("policy tol must be a positive number")
+    if not (policy["fd_step"] is None or _is_positive(policy["fd_step"])):
+        raise ScenarioError("policy fd_step must be a positive number")
+    if not (isinstance(grid, list) and all(_is_int(N) and N > 1 for N in grid)
+            and len(set(grid)) == len(grid) >= 2):
+        raise ScenarioError(
+            "policy grid must be at least two distinct integers > 1")
     return policy
 
 
@@ -398,8 +423,12 @@ def run_scenario(scenario, args):
     _, fx = load_fixture(scenario.get("fixture", "pair-groupoid-r2"))
     expect = dict(scenario.get("expect", {}))
     if args.expect_file:
-        with open(args.expect_file) as fh:
-            expect.update(json.load(fh).get(scenario["id"], {}))
+        given = _read_json(args.expect_file)
+        if not isinstance(given, dict) or \
+                not isinstance(given.get(scenario["id"], {}), dict):
+            raise ScenarioError(f"{args.expect_file}: expectations must be "
+                                "an object per scenario id")
+        expect.update(given.get(scenario["id"], {}))
     checks = {}
     ok = True
     for name in sorted(set(scenario["suite"])):

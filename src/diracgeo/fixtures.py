@@ -152,7 +152,6 @@ FIXTURES = {
     "nondirac-flow": flow_groupoid,
     "foliated-r3": foliated_r3,
     "amm-so3": lambda: amm("so3"),
-    "amm-su2": lambda: amm("su2"),
     "amm-torus2": lambda: amm("torus2"),
     "coadjoint-so3": lambda: coadjoint("so3"),
 }

@@ -1,17 +1,21 @@
 """Coordinate foliations on R^n: leafwise de Rham calculus, the transverse
 two-form invariant of a leafwise presymplectic family, and the fiberwise
-pair groupoid over the conormal bundle with its canonical form."""
+pair groupoid over the conormal bundle with its canonical form.
+
+Leafwise forms are geometry.Form blocks on the foliation's chart: a
+leafwise p-form has p leaf indices, a conormal-valued one one more index,
+which is transverse."""
 
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import jets, linear
+from . import linear
 from .courant import Section, courant_bracket
-from .expr import ScalarExpr, parse
-from .geometry import Chart, Form, VectorField, ext_d, interior
-from .groupoid import GroupoidForm, fiberwise_pair_groupoid
+from .geometry import (Chart, Form, VectorField, alternate,
+                       component_jacobian, ext_d, interior)
+from .groupoid import GroupoidForm, fiberwise_pair_groupoid, worst_of
 
 
 @dataclass(frozen=True)
@@ -39,153 +43,53 @@ class CoordFoliation:
         return tuple(range(self.k, self.n))
 
 
-def _coeff_fn(e, ch):
-    if callable(e) and not isinstance(e, ScalarExpr):
-        return e
-    if isinstance(e, (int, float)):
-        v = float(e)
-        return lambda p: v
-    if isinstance(e, str):
-        e = parse(e, ch.names)
-    return lambda p: e(p)
+def _block(fol, w, q):
+    """The components of w with exactly q transverse indices, the others
+    set to zero.  A leafwise p-form is the q = 0 block of a p-form; a
+    conormal-valued one is the q = 1 block of a (p+1)-form, its one
+    transverse index m carrying the value in the conormal direction dx^m."""
+    keep = (np.indices((fol.n,) * w.degree) >= fol.k).sum(axis=0) == q
+    return Form(w.chart, w.degree,
+                lambda p: np.where(keep, w.components(p), 0.0))
 
 
-@dataclass
-class FoliatedForm:
-    """Leafwise p-form with coefficients over the whole chart.
-
-    Scalar-valued coefficients are keyed by strictly increasing tuples of
-    leaf indices; conormal-valued ones add a transverse index m.
-    """
-
-    fol: CoordFoliation
-    degree: int
-    coeffs: dict
-    nu_valued: bool = False
-
-    def __post_init__(self):
-        ch = self.fol.chart
-        table = {}
-        for key, e in self.coeffs.items():
-            if self.nu_valued:
-                idx, m = tuple(key[0]), key[1]
-                if m not in self.fol.transverse:
-                    raise ValueError(f"transverse index {m} out of range")
-            else:
-                idx = tuple(key)
-                m = None
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"indices must be strictly increasing: {idx}")
-            if len(idx) != self.degree:
-                raise ValueError(f"index {idx} has wrong length")
-            if any(i not in self.fol.leaf for i in idx):
-                raise ValueError(f"non-leaf index in {idx}")
-            table[(idx, m) if self.nu_valued else idx] = _coeff_fn(e, ch)
-        self.table = table
-
-    def keys(self):
-        if self.nu_valued:
-            return [(idx, m)
-                    for idx in combinations(self.fol.leaf, self.degree)
-                    for m in self.fol.transverse]
-        return list(combinations(self.fol.leaf, self.degree))
-
-    def coeff(self, key, p):
-        fn = self.table.get(key)
-        return 0.0 if fn is None else fn(p)
-
-    def __sub__(self, other):
-        if (self.fol, self.degree, self.nu_valued) != \
-                (other.fol, other.degree, other.nu_valued):
-            raise ValueError("foliated-form mismatch")
-        out = {}
-        for key in self.keys():
-            out[key] = (lambda p, k=key:
-                        self.coeff(k, p) - other.coeff(k, p))
-        return FoliatedForm(self.fol, self.degree, out, self.nu_valued)
-
-    def max_abs(self, samples):
-        worst = 0.0
-        for p in samples:
-            for key in self.keys():
-                worst = max(worst, abs(jets.value_of(self.coeff(key, p))))
-        return worst
+def max_abs(w, samples):
+    """Largest |component| of w over the samples (NaN if any is NaN)."""
+    return worst_of(*(np.max(np.abs(w.at(p))) for p in samples))
 
 
-def d_F(w):
-    """Leafwise exterior derivative; for conormal-valued forms this is the
-    flat partial-derivative connection of a coordinate foliation (the
-    curvature vanishes identically)."""
-    fol = w.fol
-    if w.degree >= fol.k:
-        raise ValueError("degree overflow along the leaves")
-    out = {}
+def d_F(fol, w):
+    """Leafwise exterior derivative sum_{i leafwise} dx^i ^ d_i: the
+    alternation of ext_d applied to the component Jacobian with its
+    transverse columns zeroed.  On conormal-valued forms this is the flat
+    partial-derivative connection of a coordinate foliation (the curvature
+    vanishes identically)."""
+    def components(p):
+        D = component_jacobian(w, p)
+        D[..., fol.k:] = 0.0    # the transverse derivative columns
+        return alternate(D)
 
-    def coefficient(J, m):
-        def fn(p):
-            total = 0.0
-            for pos, i in enumerate(J):
-                rest = tuple(x for x in J if x != i)
-                key = (rest, m) if w.nu_valued else rest
-                e = [1.0 if j == i else 0.0 for j in range(fol.n)]
-                der = jets.directional(lambda q: w.coeff(key, q), p, e)
-                total = total + (der if pos % 2 == 0 else -der)
-            return total
-        return fn
-
-    for J in combinations(fol.leaf, w.degree + 1):
-        if w.nu_valued:
-            for m in fol.transverse:
-                out[(J, m)] = coefficient(J, m)
-        else:
-            out[J] = coefficient(J, None)
-    return FoliatedForm(fol, w.degree + 1, out, w.nu_valued)
+    return Form(w.chart, w.degree + 1, components)
 
 
-def restriction_residual(fol, theta, extension, samples):
-    """Max defect of the extension against theta on leaf directions."""
-    worst = 0.0
-    for p in samples:
-        C = extension.components(p)
-        for (i, j) in combinations(fol.leaf, 2):
-            val = C[i, j] - theta.coeff((i, j), p)
-            worst = max(worst, abs(jets.value_of(val)))
-    return worst
-
-
-def d_nu(theta, extension, samples=None, tol=1e-10):
-    """Transverse derivative of a d_F-closed leafwise 2-form: contract the
-    exterior derivative of an extension with two leaf directions and one
-    transverse direction.
+def d_nu(fol, theta, extension, samples=None, tol=1e-10):
+    """Transverse derivative of a d_F-closed leafwise 2-form: the block of
+    the exterior derivative of an extension with two leaf indices and one
+    transverse index.
 
     When samples are given, the extension is validated: it must restrict
     to theta on the leaves, and its exterior derivative must vanish on
     purely-leafwise triples.
     """
-    fol = theta.fol
     dext = ext_d(extension)
     if samples is not None:
-        r = restriction_residual(fol, theta, extension, samples)
+        r = max_abs(_block(fol, extension - theta, 0), samples)
         if r > 1e-12:
             raise ValueError(f"extension does not restrict to theta: {r:.2e}")
-        triples = list(combinations(fol.leaf, 3))
-        if triples:     # leaves of dimension < 3 carry no 3-form
-            for p in samples:
-                C = dext.components(p)
-                if any(abs(jets.value_of(C[idx])) > tol for idx in triples):
-                    raise ValueError("extension is not leafwise closed")
-    return _conormal_part(fol, dext)
-
-
-def _conormal_part(fol, w):
-    """The leafwise 2-form p -> w[i, j, m] (i, j leafwise, m transverse) of
-    a 3-form w."""
-    out = {}
-    for (i, j) in combinations(fol.leaf, 2):
-        for m in fol.transverse:
-            out[((i, j), m)] = (
-                lambda p, i=i, j=j, m=m: w.components(p)[i, j, m])
-    return FoliatedForm(fol, 2, out, nu_valued=True)
+        # leaves of dimension < 3 carry no 3-form
+        if fol.k >= 3 and max_abs(_block(fol, dext, 0), samples) > tol:
+            raise ValueError("extension is not leafwise closed")
+    return _block(fol, dext, 1)
 
 
 def splitting_sections(fol, extension):
@@ -202,36 +106,28 @@ def splitting_sections(fol, extension):
 
 def classifying_rep(fol, extension, phi=None):
     """The conormal-valued curvature of the splitting: transverse
-    components of the (twisted) bracket defect of the lifted leaf frame.
-    Leaf coordinate fields commute, so the defect is just the bracket of
-    the lifted sections."""
+    components of the (twisted) bracket defect of the lifted leaf frame,
+    as the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
+    so the defect is just the bracket of the lifted sections."""
     secs = splitting_sections(fol, extension)
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
         br = courant_bracket(secs[i], secs[j], phi)
         for m in fol.transverse:
-            out[((i, j), m)] = (
-                lambda p, br=br, m=m: br.xi.components(p)[m])
-    return FoliatedForm(fol, 2, out, nu_valued=True)
+            out[(i, j, m)] = lambda p, br=br, m=m: br.xi.components(p)[m]
+    return Form.from_components(fol.chart, 3, out)
 
 
 def phi_bar(fol, phi):
     """Conormal restriction of a 3-form: two leaf slots, one transverse."""
-    return _conormal_part(fol, phi)
+    return _block(fol, phi, 1)
 
 
 def twisted_shift_residual(fol, extension, phi, samples):
     """|classifying_rep with twist - classifying_rep - phi_bar|."""
-    twisted = classifying_rep(fol, extension, phi)
-    plain = classifying_rep(fol, extension)
-    bar = phi_bar(fol, phi)
-    worst = 0.0
-    for p in samples:
-        for key in twisted.keys():
-            val = twisted.coeff(key, p) - plain.coeff(key, p) \
-                - bar.coeff(key, p)
-            worst = max(worst, abs(jets.value_of(val)))
-    return worst
+    return max_abs(classifying_rep(fol, extension, phi)
+                   - classifying_rep(fol, extension) - phi_bar(fol, phi),
+                   samples)
 
 
 # -- groupoid fixtures ------------------------------------------------------

@@ -194,17 +194,14 @@ class Form:
     def __neg__(self):
         return Form(self.chart, self.degree, lambda p: -self.components(p))
 
-    def scale(self, c):
-        return Form(self.chart, self.degree, lambda p: self.components(p) * c)
 
-
-def _jacobian(f, p):
-    """J[..., l] = d f(p)[...] / d p_l for an array-valued f: one jet pass
-    with n partials, nesting-safe."""
+def component_jacobian(w, p):
+    """D[..., l] = d w[...] / d p_l, the Jacobian of the components of the
+    form w at p: one jet pass with n partials, nesting-safe."""
     shape = []
 
     def flat(q):
-        C = np.asarray(f(q))
+        C = np.asarray(w.components(q))
         shape[:] = C.shape
         return list(C.ravel())
 
@@ -212,24 +209,24 @@ def _jacobian(f, p):
     return np.array(rows).reshape(tuple(shape) + (len(p),))
 
 
-def ext_d(w):
-    """Exterior derivative: the antisymmetrized Jacobian of the components,
+def alternate(D):
+    """sum_a (-1)^a of D with its last (derivative) index moved to slot a:
+    the components of dw for the component Jacobian D of a k-form w,
     (dw)[i0..ik] = sum_a (-1)^a d_{i_a} w[i0..^i_a..ik]."""
+    k = D.ndim - 1
+    total = D.transpose((k,) + tuple(range(k)))
+    for a in range(1, k + 1):
+        term = D.transpose(tuple(range(a)) + (k,) + tuple(range(a, k)))
+        total = total - term if a % 2 else total + term
+    return total
+
+
+def ext_d(w):
+    """Exterior derivative: the alternated Jacobian of the components."""
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
-    k = w.degree
-    # moving the derivative index (last) to slot a
-    moves = [tuple(range(a)) + (k,) + tuple(range(a, k)) for a in range(k + 1)]
-
-    def components(p):
-        D = _jacobian(w.components, p)
-        total = D.transpose(moves[0])
-        for a in range(1, k + 1):
-            term = D.transpose(moves[a])
-            total = total - term if a % 2 else total + term
-        return total
-
-    return Form(w.chart, k + 1, components)
+    return Form(w.chart, w.degree + 1,
+                lambda p: alternate(component_jacobian(w, p)))
 
 
 def interior(X, w):

@@ -127,25 +127,6 @@ def subspace_contained(A, B, tol=1e-8):
 
 # -- pairing and Dirac structures ----------------------------------------
 
-@dataclass(frozen=True)
-class PairedVector:
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if self.x.shape != self.xi.shape:
-            raise ValueError("vector and covector dimensions disagree")
-
-
-def pairing(a, b):
-    """<(x,xi),(y,eta)> = xi(y) + eta(x)."""
-    if a.x.shape != b.x.shape:
-        raise ValueError("dimension mismatch")
-    return float(a.xi @ b.x + b.xi @ a.x)
-
-
 def _pairing_matrix(n):
     P = np.zeros((2 * n, 2 * n))
     P[:n, n:] = np.eye(n)

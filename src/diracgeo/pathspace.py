@@ -169,16 +169,15 @@ class GaugeParameter:
         return [parse(e, names) for e in self.exprs]
 
 
-def gauge_vector(path, eta, extension=None, chart=None):
+def gauge_vector(path, eta):
     """First-order gauge direction X_eta at the path.
 
     dgamma = rho(eta_t)(gamma);
-    da = d eta/dt + [xi0, eta] along gamma, where xi0 is the chosen section
-    extension of a: constant in x by default, or a(t) + D.(x - gamma(t))
-    when an extension matrix D is supplied.
+    da = d eta/dt + [xi0, eta] along gamma, where xi0 is the extension of a
+    constant in x.
     """
     pres = path.pres
-    ch = chart if chart is not None else pres.chart
+    ch = pres.chart
     n = ch.dim
     r = pres.rank
     fns = eta.compiled(ch)
@@ -216,25 +215,16 @@ def gauge_vector(path, eta, extension=None, chart=None):
                     c = pres.struct_coeff(ii, jj, k, p)
                     if c:
                         val = val + c * path.a[i, ii] * eta_here[jj]
-            if extension is not None:
-                # a linear-in-x extension xi0 = a(t) + D.(x - gamma(t))
-                # contributes -rho(eta)(xi0) through the bracket and
-                # +(d xi0/dx)(rho(eta)) through the moving base point;
-                # the two cancel, making da extension-independent
-                D = np.asarray(extension, dtype=float)
-                bracket_term = -float(D[k] @ rho_eta)
-                chain_term = float(D[k] @ rho_eta)
-                val = val + bracket_term + chain_term
             da[i, k] = val
     return PathTangent(dgamma, da)
 
 
 # -- identities -------------------------------------------------------------
 
-def basicness_residual(path, eta, phi, probes, h=None, extension=None):
+def basicness_residual(path, eta, phi, probes, h=None):
     """Max over probe tangents X of |omega_tilde(X_eta, X) +
     omega_phi(X_eta, X)|."""
-    X_eta = gauge_vector(path, eta, extension=extension)
+    X_eta = gauge_vector(path, eta)
     worst = 0.0
     for X in probes:
         val = omega_tilde(path, X_eta, X, h) + omega_phi(path, X_eta, X, phi)

@@ -160,15 +160,18 @@ def quasi_ham_check(Q, samples, tol=1e-8):
     r2 = 0.0
     r3 = 0.0
     r_inv = 0.0
+    # sample-independent, so built once per basis vector v
+    fields = []
+    for v in np.eye(Gp.dim):
+        Xv = Q.rho_P(list(v))
+        fields.append((Xv, Q.moment_one_form(list(v)),
+                       lie_derivative(Xv, Q.eta)))
     for p in samples:
         H = Q.eta.at(p)
-        for v in np.eye(Gp.dim):
-            v = list(v)
-            Xv = Q.rho_P(v)
+        for Xv, moment, L in fields:
             row = np.array([jets.value_of(c) for c in Xv(p)]) @ H
-            r2 = max(r2, float(np.max(np.abs(
-                row - Q.moment_one_form(v).at(p)))))
-            Leta = lie_derivative(Xv, Q.eta).at(p)
+            r2 = max(r2, float(np.max(np.abs(row - moment.at(p)))))
+            Leta = L.at(p)
             r_inv = max(r_inv, float(np.max(np.abs(
                 Leta[np.triu_indices(n, 1)]))))
         u = [jets.value_of(c) for c in Q.mu(p)]

@@ -139,14 +139,26 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     p3.write_text(json.dumps(scn2))
     assert cli.main(["run", str(p3)]) == 2
     capsys.readouterr()
+    good = os.path.join(SCN, "foliation-x3.json")
+    assert cli.main(["run", good, "--expect-file",
+                     str(tmp_path / "nope.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert cli.main(["run", good, "--expect-file", str(p)]) == 2
+    capsys.readouterr()
 
 
 def test_bad_policy_rejected(tmp_path, capsys):
-    scn = {"id": "bad-policy", "fixture": "pair-groupoid-r2",
-           "suite": ["structure"], "policy": {"samples": 0}}
-    p = tmp_path / "policy.json"
-    p.write_text(json.dumps(scn))
-    assert cli.main(["run", str(p)]) == 2
+    for policy in ({"samples": 0}, {"samples": "8"}, {"tol": "1e-8"},
+                   {"grid": [4, 4]}, {"seed": -1}, {"fd_step": "x"}, [8]):
+        scn = {"id": "bad-policy", "fixture": "pair-groupoid-r2",
+               "suite": ["structure"], "policy": policy}
+        p = tmp_path / "policy.json"
+        p.write_text(json.dumps(scn))
+        assert cli.main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "policy" in err
+    assert cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
+                     "--grid", "4,4"]) == 2
     capsys.readouterr()
 
 

@@ -84,15 +84,6 @@ def test_gauge_vector_endpoints_vanish():
     assert np.max(np.abs(X.dgamma[-1])) == 0.0
 
 
-def test_gauge_vector_extension_independent():
-    path, _, eta = pair_setup(32)
-    X0 = ps.gauge_vector(path, eta)
-    D = np.array([[0.3, -0.7], [1.1, 0.2]])
-    X1 = ps.gauge_vector(path, eta, extension=D)
-    assert np.max(np.abs(X0.da - X1.da)) < 1e-14
-    assert np.max(np.abs(X0.dgamma - X1.dgamma)) == 0.0
-
-
 def test_basicness_converges_at_second_order():
     _, _, eta = pair_setup(8)
     Ns = [32, 64, 128]
