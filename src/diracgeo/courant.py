@@ -8,7 +8,7 @@ import numpy as np
 
 from . import jets, linear
 from .geometry import (Form, VectorField, ext_d, interior, lie_bracket,
-                       lie_derivative, _check_chart, _as_expr)
+                       lie_derivative, _check_chart)
 
 
 @dataclass
@@ -61,11 +61,11 @@ class AlmostDiracField:
     def chart(self):
         return self.frame[0].chart
 
-    def dirac_at(self, p, tol=linear.DEFAULT_TOL):
+    def dirac_at(self, p):
         """Evaluate the frame into a LinearDirac at the point p."""
         cols = [np.concatenate([[jets.value_of(c) for c in s.X(p)],
                                 s.xi.at(p)]) for s in self.frame]
-        return linear.LinearDirac.from_span(np.array(cols).T, tol)
+        return linear.LinearDirac.from_span(np.array(cols).T)
 
 
 def graph_of_form(omega):

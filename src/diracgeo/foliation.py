@@ -161,14 +161,14 @@ def foliation_groupoid(n, k):
                            None)
 
 
-def leaf_conormal_dirac(n, k, tol=linear.DEFAULT_TOL):
+def leaf_conormal_dirac(n, k):
     """The Dirac space F + conormal(F) on R^n."""
     span = np.zeros((2 * n, n))
     for i in range(k):
         span[i, i] = 1.0
     for m in range(k, n):
         span[n + m, m] = 1.0
-    return linear.LinearDirac.from_span(span, tol)
+    return linear.LinearDirac.from_span(span)
 
 
 def monodromy_groupoid(n, k):

@@ -381,11 +381,7 @@ def induced_dirac(G, F, x, tol=1e-9):
     for j in range(base_kernel.shape[1]):
         cols.append(np.concatenate([base_kernel[:, j], np.zeros(n)]))
     span = np.array(cols).T if cols else np.zeros((2 * n, 0))
-    B = linear.orth_basis(span, tol)
-    if B.shape[1] != n:
-        raise linear.DegenerateRankError(
-            f"non-Dirac point: induced span has rank {B.shape[1]} != {n}")
-    return linear.LinearDirac.from_span(span, tol)
+    return linear.LinearDirac.from_span(span)
 
 
 # -- classification --------------------------------------------------------

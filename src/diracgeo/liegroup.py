@@ -260,12 +260,12 @@ def chart_metric(Gp, u):
     return L.T @ Gp.metric @ L
 
 
-def cartan_dirac(Gp, u, tol=linear.DEFAULT_TOL):
+def cartan_dirac(Gp, u):
     """L_g = span of (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis."""
     R = Gp.right_matrix(u)
     L = Gp.left_matrix(u)
     span = np.vstack([R - L, chart_metric(Gp, u) @ (0.5 * (R + L))])
-    return linear.LinearDirac.from_span(span, tol)
+    return linear.LinearDirac.from_span(span)
 
 
 def cartan_dirac_field(Gp):

@@ -1,12 +1,12 @@
 """Linear algebra of Dirac structures on a finite-dimensional vector space.
 
 A Dirac structure on V is a maximal isotropic subspace L of V + V* for the
-pairing <(x,xi),(y,eta)> = xi(y) + eta(x).  Subspaces are stored with a
-canonicalized spanning matrix; two spans are equal when the largest
-principal angle between them vanishes.
+pairing <(x,xi),(y,eta)> = xi(y) + eta(x).  A Dirac structure keeps the
+frame it was built from and an orthonormal basis of its span; two spans are
+equal when the largest principal angle between them vanishes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,6 @@ DEFAULT_TOL = 1e-9
 
 class DegenerateRankError(ValueError):
     """Numerical rank of a pushed/pulled subspace is not the expected one."""
-
-
-class NonSmoothPullbackError(DegenerateRankError):
-    """Pull-back candidate subspace has the wrong dimension at this point."""
 
 
 # -- subspace utilities ---------------------------------------------------
@@ -46,39 +42,6 @@ def null_basis(M, tol=DEFAULT_TOL):
         return np.eye(n)
     r = int(np.sum(s > tol * s[0]))
     return Vt[r:].T
-
-
-def rref(M, tol=DEFAULT_TOL):
-    """Reduced row echelon form with partial pivoting; pivots normalized to 1."""
-    A = np.array(M, dtype=float)
-    m, n = A.shape
-    scale = max(1.0, np.abs(A).max()) if A.size else 1.0
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        piv = row + int(np.argmax(np.abs(A[row:, col])))
-        if abs(A[piv, col]) <= tol * scale:
-            continue
-        A[[row, piv]] = A[[piv, row]]
-        A[row] = A[row] / A[row, col]
-        for r in range(m):
-            if r != row:
-                A[r] = A[r] - A[r, col] * A[row]
-        row += 1
-    return A[:row]
-
-
-def canonical_span(M, tol=DEFAULT_TOL):
-    """Canonical matrix representing the column span of M.
-
-    Column-pivoted QR (via SVD orthonormalization, which shares the same
-    determinism goal) followed by RREF of the transpose: the result depends
-    only on the subspace.  Its entries grow with small pivots, so spans are
-    compared by principal angle (`spans_equal`), not entrywise.
-    """
-    B = orth_basis(M, tol)
-    return rref(B.T, tol)
 
 
 def spans_equal(A, B, tol=DEFAULT_TOL):
@@ -134,53 +97,41 @@ def _pairing_matrix(n):
     return P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearDirac:
-    """Maximal isotropic subspace of V + V*, canonicalized."""
+    """Maximal isotropic subspace of V + V*: its frame `span` and an
+    orthonormal `basis` of that span."""
 
     dim: int
     span: np.ndarray
-    canonical: np.ndarray = field(compare=False)
-    tol: float = field(default=DEFAULT_TOL, compare=False)
+    basis: np.ndarray
 
     @staticmethod
-    def from_span(span, tol=DEFAULT_TOL, check=True):
+    def from_span(span):
         span = np.asarray(span, dtype=float)
         if span.ndim != 2 or span.shape[0] % 2 != 0:
             raise ValueError("span must be a 2n x k matrix")
         n = span.shape[0] // 2
-        B = orth_basis(span, tol)
-        if check:
-            if B.shape[1] != n:
-                raise DegenerateRankError(
-                    f"span has rank {B.shape[1]}, expected {n}")
-            P = _pairing_matrix(n)
-            iso = np.max(np.abs(B.T @ P @ B))
-            if iso > 1e-7:
-                raise ValueError(f"span is not isotropic (residual {iso:.2e})")
-        return LinearDirac(n, span, canonical_span(span, tol), tol)
+        B = orth_basis(span)
+        if B.shape[1] != n:
+            raise DegenerateRankError(
+                f"span has rank {B.shape[1]}, expected {n}")
+        iso = np.max(np.abs(B.T @ _pairing_matrix(n) @ B))
+        if iso > 1e-7:
+            raise ValueError(f"span is not isotropic (residual {iso:.2e})")
+        return LinearDirac(n, span, B)
 
     def __eq__(self, other):
         if not isinstance(other, LinearDirac):
             return NotImplemented
-        return self.dim == other.dim and spans_equal(self.span, other.span,
-                                                     self.tol)
-
-    def __hash__(self):
-        return hash((self.dim, self.canonical.shape))
+        return self.dim == other.dim and \
+            span_gap(self.basis, other.basis) <= 1e-9
 
     def contains(self, x, xi, tol=1e-8):
         """Membership test for (x, xi) via vanishing pairing against L."""
-        n = self.dim
         v = np.concatenate([np.asarray(x, float), np.asarray(xi, float)])
-        B = orth_basis(self.span, self.tol)
-        P = _pairing_matrix(n)
-        return bool(np.max(np.abs(B.T @ P @ v), initial=0.0) <= tol)
-
-    def to_json(self):
-        return {"dim": self.dim,
-                "span": [list(map(float, row)) for row in self.span],
-                "tol": self.tol}
+        P = _pairing_matrix(self.dim)
+        return bool(np.max(np.abs(self.basis.T @ P @ v), initial=0.0) <= tol)
 
 
 def _check_skew(M, what, tol=1e-9):
@@ -193,21 +144,21 @@ def _check_skew(M, what, tol=1e-9):
     return M
 
 
-def from_form(theta, tol=DEFAULT_TOL):
+def from_form(theta):
     """Graph of the 2-form theta: L = {(x, theta(x, .))}."""
     theta = _check_skew(theta, "theta")
     n = theta.shape[0]
     # column j is (e_j, theta(e_j, .)); theta(e_j, e_i) = theta[j, i]
-    return LinearDirac.from_span(np.vstack([np.eye(n), theta.T]), tol)
+    return LinearDirac.from_span(np.vstack([np.eye(n), theta.T]))
 
 
-def from_bivector(pi, tol=DEFAULT_TOL):
+def from_bivector(pi):
     """Graph of the bivector pi over V*: L = {(pi~(alpha), alpha)},
     with pi~(alpha)(beta) = pi(beta, alpha)."""
     pi = _check_skew(pi, "pi")
     n = pi.shape[0]
     # column j is (pi~(e_j*), e_j*); pi~(e_j*)_i = pi(e_i, e_j) = pi[i, j]
-    return LinearDirac.from_span(np.vstack([pi, np.eye(n)]), tol)
+    return LinearDirac.from_span(np.vstack([pi, np.eye(n)]))
 
 
 @dataclass(frozen=True)
@@ -220,30 +171,26 @@ class InducedData:
 
 def _membership_solve(L, v):
     """Find xi with (v, xi) in L; v must lie in pr1(L)."""
-    n = L.dim
-    B = orth_basis(L.span, L.tol)
-    top = B[:n]
-    c, res, *_ = np.linalg.lstsq(top, np.asarray(v, float), rcond=None)
-    return B[n:] @ c
+    B = L.basis
+    c, *_ = np.linalg.lstsq(B[:L.dim], np.asarray(v, float), rcond=None)
+    return B[L.dim:] @ c
 
 
 def _comembership_solve(L, xi):
     """Find x with (x, xi) in L; xi must lie in pr2(L)."""
-    n = L.dim
-    B = orth_basis(L.span, L.tol)
-    bot = B[n:]
-    c, *_ = np.linalg.lstsq(bot, np.asarray(xi, float), rcond=None)
-    return B[:n] @ c
+    B = L.basis
+    c, *_ = np.linalg.lstsq(B[L.dim:], np.asarray(xi, float), rcond=None)
+    return B[:L.dim] @ c
 
 
 def induced(L):
     """Range, kernel, and the induced 2-form / bivector of L."""
     n = L.dim
-    B = orth_basis(L.span, L.tol)
-    rng = orth_basis(B[:n], L.tol)
+    B = L.basis
+    rng = orth_basis(B[:n])
     # kernel: x-parts of elements with vanishing covector part
-    K = null_basis(B[n:], L.tol)
-    ker = orth_basis(B[:n] @ K, L.tol)
+    K = null_basis(B[n:])
+    ker = orth_basis(B[:n] @ K)
     # theta on the range, extended by the orthogonal projection onto it
     P = rng @ rng.T
     theta = np.zeros((n, n))
@@ -253,7 +200,7 @@ def induced(L):
             theta[i, j] = xis[i] @ P[:, j]
     theta = 0.5 * (theta - theta.T)
     # pi on pr2(L), extended by projection
-    rng2 = orth_basis(B[n:], L.tol)
+    rng2 = orth_basis(B[n:])
     P2 = rng2 @ rng2.T
     xs = [_comembership_solve(L, P2[:, j]) for j in range(n)]
     pi = np.zeros((n, n))
@@ -266,47 +213,31 @@ def induced(L):
     return InducedData(rng, ker, theta, pi)
 
 
-def push_forward(psi, L, tol=None):
-    """Forward image F_psi(L) = {(psi x, eta) : (x, psi* eta) in L}."""
-    tol = L.tol if tol is None else tol
+def push_forward(psi, L):
+    """Forward image F_psi(L) = {(psi x, eta) : (x, psi* eta) in L}; a rank
+    drop (a discontinuity point) raises DegenerateRankError."""
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     m, n = psi.shape
     if n != L.dim:
         raise ValueError("psi domain dimension mismatch")
-    B = orth_basis(L.span, tol)
     # constraints: for every basis column (a, alpha) of L,
     # alpha(x) + eta(psi a) = 0  -- unknowns (x, eta) in R^{n+m}
-    A = B[:n]
-    Al = B[n:]
-    C = np.hstack([Al.T, (psi @ A).T])  # n rows (one per basis column)
-    K = null_basis(C, tol)
-    out = np.vstack([psi @ K[:n], K[n:]])
-    Bout = orth_basis(out, tol)
-    if Bout.shape[1] != m:
-        raise DegenerateRankError(
-            f"push-forward rank {Bout.shape[1]} != {m} (discontinuity point)")
-    return LinearDirac.from_span(out, tol)
+    A, Al = L.basis[:n], L.basis[n:]
+    K = null_basis(np.hstack([Al.T, (psi @ A).T]))
+    return LinearDirac.from_span(np.vstack([psi @ K[:n], K[n:]]))
 
 
-def pull_back(f, L, tol=None):
-    """Backward image f*L = {(X, f* xi) : (f X, xi) in L} on the source."""
-    tol = L.tol if tol is None else tol
+def pull_back(f, L):
+    """Backward image f*L = {(X, f* xi) : (f X, xi) in L} on the source; a
+    rank drop (a non-smooth pull-back point) raises DegenerateRankError."""
     f = np.atleast_2d(np.asarray(f, dtype=float))
     m, n = f.shape  # f: R^n -> R^m, L lives on R^m
     if m != L.dim:
         raise ValueError("f codomain dimension mismatch")
-    B = orth_basis(L.span, tol)
-    A = B[:m]
-    Al = B[m:]
     # constraints: for basis (b, beta) of L: xi(b) + beta(f X) = 0
-    C = np.hstack([(Al.T @ f), A.T])  # unknowns (X, xi) in R^{n+m}
-    K = null_basis(C, tol)
-    out = np.vstack([K[:n], f.T @ K[n:]])
-    Bout = orth_basis(out, tol)
-    if Bout.shape[1] != n:
-        raise NonSmoothPullbackError(
-            f"pull-back rank {Bout.shape[1]} != {n} (non-smooth pull-back point)")
-    return LinearDirac.from_span(out, tol)
+    A, Al = L.basis[:m], L.basis[m:]
+    K = null_basis(np.hstack([(Al.T @ f), A.T]))  # unknowns (X, xi)
+    return LinearDirac.from_span(np.vstack([K[:n], f.T @ K[n:]]))
 
 
 def is_dirac_map(psi, L_V, L_W):

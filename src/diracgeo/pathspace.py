@@ -8,7 +8,7 @@ module establish that gauge directions are in the kernel of
 omega_tilde + omega_phi as the grid and step are refined.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

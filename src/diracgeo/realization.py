@@ -15,7 +15,7 @@ import numpy as np
 from . import jets, linear
 from .geometry import Chart, ChartMap, Form, VectorField, ext_d, \
     lie_derivative, pullback
-from .liegroup import MatrixGroup, cartan_dirac_field, chart_metric, torus
+from .liegroup import MatrixGroup, cartan_dirac_field, torus
 
 
 @dataclass
@@ -40,8 +40,9 @@ class RealizationData:
         return worst
 
 
-def realization_check(R, samples, tol=1e-8):
-    """Solve d mu(X) = w, i_X eta = mu* xi for each target frame element.
+def realization_check(R, samples):
+    """Solve d mu(X) = w, i_X eta = mu* xi for each column (w, xi) of the
+    target's frame.
 
     Returns a report dict with solvability and uniqueness residuals, the
     kernel-isomorphism diagnostics, and the induced action vectors per
@@ -65,13 +66,13 @@ def realization_check(R, samples, tol=1e-8):
         m = L.dim
         A = np.vstack([Dmu, H.T])
         vecs = []
-        for row in L.canonical:
-            w, xi = row[:m], row[m:]
+        for col in L.span.T:
+            w, xi = col[:m], col[m:]
             rhs = np.concatenate([w, Dmu.T @ xi])
             X, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             res = float(np.linalg.norm(A @ X - rhs, np.inf))
             report["solve_residual"] = max(report["solve_residual"], res)
-            if res > tol:
+            if res > 1e-8:
                 report["dirac_map"] = False
                 report["failures"].append(
                     {"kind": "not a Dirac map", "point": list(map(float, p)),
@@ -146,7 +147,7 @@ def equivariance_residual(Q, samples):
     return worst
 
 
-def quasi_ham_check(Q, samples, tol=1e-8):
+def quasi_ham_check(Q, samples):
     """Residuals (r1, r2, r3, r_inv) of the quasi-hamiltonian axioms.
 
     r1: |d eta + mu* phi|;  r2: |i_{rho_P(v)} eta - moment 1-form|;
@@ -185,32 +186,22 @@ def quasi_ham_check(Q, samples, tol=1e-8):
     return r1, r2, r3, r_inv
 
 
-def equivalence_crosscheck(Q, samples, tol=1e-8):
+def equivalence_crosscheck(Q, samples):
     """Run the realization solve against the Cartan-Dirac target and compare
     the solved action vectors with Q's generators.
 
-    The Cartan-Dirac frame element for an algebra vector v is
-    (v_r - v_l, ((v_r + v_l)/2)-flat); its realization solve must return
-    rho_P(v).
+    Column j of the Cartan-Dirac frame is (v_r - v_l, ((v_r + v_l)/2)-flat)
+    for the basis vector v = e_j; its realization solve must return
+    rho_P(e_j).
     """
     Gp = Q.group
     R = RealizationData(Q.P, Q.eta, Q.mu, cartan_dirac_field(Gp))
-    report = realization_check(R, samples, tol)
+    report = realization_check(R, samples)
+    gens = [Q.rho_P(list(e)) for e in np.eye(Gp.dim)]
     mismatch = 0.0
-    for p in samples:
-        Dmu = np.array(jets.jacobian(Q.mu.func, p))
-        H = Q.eta.at(p)
-        A = np.vstack([Dmu, H.T])
-        u = [jets.value_of(c) for c in Q.mu(p)]
-        Gm = chart_metric(Gp, u)
-        Rm, Lm = Gp.right_matrix(u), Gp.left_matrix(u)
-        for j, e in enumerate(np.eye(Gp.dim)):
-            vr, vl = Rm[:, j], Lm[:, j]
-            w = vr - vl
-            xi = Gm @ (0.5 * (vr + vl))
-            rhs = np.concatenate([w, Dmu.T @ xi])
-            X, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            ref = [jets.value_of(c) for c in Q.rho_P(list(e))(p)]
+    for p, vecs in zip(samples, report["action_vectors"]):
+        for X, gen in zip(vecs, gens):
+            ref = [jets.value_of(c) for c in gen(p)]
             mismatch = max(mismatch, max(abs(a - b)
                                          for a, b in zip(X, ref)))
     report["generator_mismatch"] = mismatch

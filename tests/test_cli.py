@@ -183,8 +183,9 @@ def test_grid_flag_overrides_policy(capsys):
 
 
 def test_induced_dirac_compares_spans_by_angle(capsys):
-    # near a coordinate axis the canonical entries reach 2e4, so an
-    # entrywise comparison of the two canonical forms exceeded 1e-8 here
+    # near a coordinate axis the RREF forms of the two spans had entries of
+    # 2e4, so comparing them entrywise exceeded 1e-8 here; the residual is
+    # the sine of the largest principal angle between the two spans
     code, out = run_cli(["run", os.path.join(SCN, "amm-so3.json"),
                          "--seed", "7"], capsys)
     entry = json.loads(out)["reports"][0]["checks"]["induced-dirac"]
@@ -243,18 +244,22 @@ def test_nan_residuals_fail_and_stay_strict_json(tmp_path, capsys):
 
 
 def test_classification_fails_on_non_finite_omega(tmp_path, capsys):
-    # the kernel SVD of a NaN matrix does not converge; the checks that
-    # classify must fail with a reason instead of a traceback
-    scn = {"id": "nan-omega", "fixture":
-           {"inline": {"n": 2, "omega": {"0,1": "1e308*x1*10.0"}}},
-           "suite": ["classification", "dirac-type"]}
-    p = tmp_path / "nan.json"
-    p.write_text(json.dumps(scn))
-    code = cli.main(["run", str(p), "--samples", "4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "Traceback" not in captured.err
-    checks = json.loads(captured.out)["reports"][0]["checks"]
-    for name in scn["suite"]:
-        assert checks[name]["pass"] is False, name
-        assert "not finite" in checks[name]["error"], name
+    # the kernel SVD of a NaN matrix does not converge, and sqrt(x1) has no
+    # value at the sampled x1 < 0; the checks must fail with a reason
+    # instead of a traceback
+    for omega, suite, reason in [
+            ("1e308*x1*10.0", ["classification", "dirac-type"], "not finite"),
+            ("sqrt(x1)", ["multiplicative"], "sqrt of negative value")]:
+        scn = {"id": "bad-omega", "fixture":
+               {"inline": {"n": 2, "omega": {"0,1": omega}}},
+               "suite": suite}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(scn))
+        code = cli.main(["run", str(p), "--samples", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        checks = json.loads(captured.out)["reports"][0]["checks"]
+        for name in suite:
+            assert checks[name]["pass"] is False, name
+            assert reason in checks[name]["error"], name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diracgeo import liegroup as lg
+from diracgeo.courant import AnchoredDual, im_conditions_residual
 from diracgeo.equivariant import (CartanTriple, action_axiom_residual,
                                   cartan_closed_residual, cocycle_residual,
                                   group_invariance_residual, slice_form)
@@ -131,3 +132,17 @@ def test_cocycle_detects_non_multiplicative_form():
     bad = Form.from_components(ch, 2, {(0, 4): "1.0", (3, 5): "x1"})
     rng = np.random.default_rng(39)
     assert cocycle_residual(T, bad, rng, 5) > 1e-3
+
+
+def test_cartan_closedness_is_stronger_than_the_im_conditions():
+    # torus(1) acting trivially on R^2, sigma(e) = x2 dx1, no twist: the IM
+    # conditions hold (rho = 0 and one section has no brackets), but
+    # d sigma(e) = dx2 ^ dx1 differs from i_{rho(e)} phi = 0
+    Gp = lg.torus(1)
+    ch = Chart(("x1", "x2"))
+    T = CartanTriple(Gp, ch, lambda u, x: list(x),
+                     lambda x, v: [v[0] * x[1], 0.0], None)
+    pts = sample_pts(np.random.default_rng(40), 2)
+    assert cartan_closed_residual(T, pts) == pytest.approx((0.0, 1.0, 0.0))
+    D = AnchoredDual([T.rho_field([1.0])], [T.rho_star_form([1.0])], None)
+    assert im_conditions_residual(D, None, pts) == pytest.approx((0.0, 0.0))

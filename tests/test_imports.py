@@ -1,0 +1,31 @@
+"""Every name a package module imports is read somewhere in that module."""
+
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "diracgeo")
+
+
+def unused_imports(path):
+    tree = ast.parse(open(path).read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    # a Name node is every bare read, and every base of an attribute chain
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{os.path.basename(path)}:{line} {name}"
+                  for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    # __init__.py imports only to re-export
+    unused = [u for p in paths if not p.endswith("__init__.py")
+              for u in unused_imports(p)]
+    assert unused == []
