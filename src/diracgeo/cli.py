@@ -245,7 +245,7 @@ def _annulus_samples(rng, n):
     return out
 
 
-def _pathspace_scenario(policy):
+def _pathspace_scenario():
     pres = PS.tangent_presentation({(0, 1): "1.0"}, 2)
     eta = PS.GaugeParameter(["1.0 + x2", "t - x1*x1"])
 
@@ -258,11 +258,11 @@ def _pathspace_scenario(policy):
                                      ["1.0", "-1.0"])]
         return path, probes
 
-    return pres, eta, make
+    return eta, make
 
 
 def check_basicness(fx, rng, policy):
-    _, eta, make = _pathspace_scenario(policy)
+    eta, make = _pathspace_scenario()
     grid = policy["grid"]
     residuals = []
     for N in grid:
@@ -280,7 +280,7 @@ def check_basicness(fx, rng, policy):
 
 
 def check_sigma_contraction(fx, rng, policy):
-    _, eta, make = _pathspace_scenario(policy)
+    eta, make = _pathspace_scenario()
     path, _ = make(max(policy["grid"]))
     r = PS.sigma_contraction_residual(path, eta)
     return _residual_entry(r, 1e-10)

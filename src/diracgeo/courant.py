@@ -57,10 +57,6 @@ class AlmostDiracField:
         if len(self.frame) != ch.dim:
             raise ValueError("frame size must equal the chart dimension")
 
-    @property
-    def chart(self):
-        return self.frame[0].chart
-
     def dirac_at(self, p):
         """Evaluate the frame into a LinearDirac at the point p."""
         cols = [np.concatenate([[jets.value_of(c) for c in s.X(p)],

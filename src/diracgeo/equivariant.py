@@ -24,7 +24,7 @@ class CartanTriple:
     phi: object = None      # degree-3 Form on chart, or None
 
     def __post_init__(self):
-        self.rho = action_generators(self.group, self.action)
+        self.rho = action_generators(self.action)
 
     def rho_field(self, v):
         v = list(v)
@@ -35,15 +35,15 @@ class CartanTriple:
         return Form(self.chart, 1, lambda p: np.asarray(self.rho_star(p, v)))
 
 
-def action_axiom_residual(T, rng, n_samples=8, scale=0.4):
+def action_axiom_residual(T, rng, n_samples=8):
     """Max defect of g.(h.x) = (gh).x and e.x = x at random samples."""
     d = T.group.dim
     m = T.chart.dim
     worst = 0.0
     for _ in range(n_samples):
-        g = list(rng.uniform(-scale, scale, d))
-        h = list(rng.uniform(-scale, scale, d))
-        x = list(rng.uniform(-scale, scale, m))
+        g = list(rng.uniform(-0.4, 0.4, d))
+        h = list(rng.uniform(-0.4, 0.4, d))
+        x = list(rng.uniform(-0.4, 0.4, m))
         lhs = T.action(g, T.action(h, x))
         rhs = T.action(T.group.mul(g, h), x)
         worst = max(worst, max(abs(jets.value_of(a - b))
@@ -93,7 +93,7 @@ def cartan_closed_residual(T, samples):
     return r1, r2, r3
 
 
-def group_invariance_residual(T, rng, n_samples=8, scale=0.4):
+def group_invariance_residual(T, rng, n_samples=8):
     """Residual of the group-level invariance of rho*:
     the pullback by the action of g of rho*(Ad_g v) equals rho*(v)."""
     d = T.group.dim
@@ -102,8 +102,8 @@ def group_invariance_residual(T, rng, n_samples=8, scale=0.4):
     basis = [list(e) for e in np.eye(d)]
     tangent = np.eye(m)
     for _ in range(n_samples):
-        g = list(rng.uniform(-scale, scale, d))
-        x = list(rng.uniform(-scale, scale, m))
+        g = list(rng.uniform(-0.4, 0.4, d))
+        x = list(rng.uniform(-0.4, 0.4, m))
         gx = [jets.value_of(c) for c in T.action(g, x)]
         dact = jets.jacobian(lambda q: T.action(g, q), x)
         for v in basis:
@@ -124,7 +124,7 @@ def slice_form(omega, group_dim, g, x, X, Xp):
     return omega(p, zeros + list(X), zeros + list(Xp))
 
 
-def cocycle_residual(T, omega, rng, n_samples=8, scale=0.4):
+def cocycle_residual(T, omega, rng, n_samples=8):
     """Max defect of c(hg) = g*c(h) + c(g) over sampled (h, g, x) and base
     tangent pairs, where c(g) is the slice restriction of omega."""
     d = T.group.dim
@@ -132,9 +132,9 @@ def cocycle_residual(T, omega, rng, n_samples=8, scale=0.4):
     tangent = np.eye(m)
     worst = 0.0
     for _ in range(n_samples):
-        h = list(rng.uniform(-scale, scale, d))
-        g = list(rng.uniform(-scale, scale, d))
-        x = list(rng.uniform(-scale, scale, m))
+        h = list(rng.uniform(-0.4, 0.4, d))
+        g = list(rng.uniform(-0.4, 0.4, d))
+        x = list(rng.uniform(-0.4, 0.4, m))
         hg = T.group.mul(h, g)
         gx = [jets.value_of(c) for c in T.action(g, x)]
         dact = jets.jacobian(lambda q: T.action(g, q), x)

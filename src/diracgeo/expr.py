@@ -264,17 +264,6 @@ class ScalarExpr:
                 f"expected {len(self.variables)} coordinates, got {len(point)}")
         return _eval(self.ast, point)
 
-    def eval_jet(self, point, directions):
-        """Value and directional derivatives along each given direction."""
-        tag = jets.new_tag()
-        q = jets.seed_point(point, directions, tag)
-        out = _eval(self.ast, q)
-        p = jets.tangent_part(out, tag)
-        if p is None:
-            return (out.value if isinstance(out, jets.Jet) else out,
-                    [0.0] * len(directions))
-        return out.value, list(p)
-
 
 def parse(src, variables):
     """Parse src over the declared variable names into a ScalarExpr."""

@@ -72,23 +72,22 @@ def d_F(fol, w):
     return Form(w.chart, w.degree + 1, components)
 
 
-def d_nu(fol, theta, extension, samples=None, tol=1e-10):
+def d_nu(fol, theta, extension, samples):
     """Transverse derivative of a d_F-closed leafwise 2-form: the block of
     the exterior derivative of an extension with two leaf indices and one
     transverse index.
 
-    When samples are given, the extension is validated: it must restrict
-    to theta on the leaves, and its exterior derivative must vanish on
+    The extension is validated at the samples: it must restrict to theta
+    on the leaves, and its exterior derivative must vanish on
     purely-leafwise triples.
     """
     dext = ext_d(extension)
-    if samples is not None:
-        r = max_abs(_block(fol, extension - theta, 0), samples)
-        if r > 1e-12:
-            raise ValueError(f"extension does not restrict to theta: {r:.2e}")
-        # leaves of dimension < 3 carry no 3-form
-        if fol.k >= 3 and max_abs(_block(fol, dext, 0), samples) > tol:
-            raise ValueError("extension is not leafwise closed")
+    r = max_abs(_block(fol, extension - theta, 0), samples)
+    if r > 1e-12:
+        raise ValueError(f"extension does not restrict to theta: {r:.2e}")
+    # leaves of dimension < 3 carry no 3-form
+    if fol.k >= 3 and max_abs(_block(fol, dext, 0), samples) > 1e-10:
+        raise ValueError("extension is not leafwise closed")
     return _block(fol, dext, 1)
 
 

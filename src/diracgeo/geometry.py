@@ -67,19 +67,6 @@ class VectorField:
     def __call__(self, p):
         return self.func(p)
 
-    def __add__(self, other):
-        _check_chart(self.chart, other.chart)
-        return VectorField(self.chart, lambda p: [a + b for a, b in
-                                                  zip(self(p), other(p))])
-
-    def __sub__(self, other):
-        _check_chart(self.chart, other.chart)
-        return VectorField(self.chart, lambda p: [a - b for a, b in
-                                                  zip(self(p), other(p))])
-
-    def __neg__(self):
-        return VectorField(self.chart, lambda p: [-a for a in self(p)])
-
 
 def _signed_permutations(idx):
     """(permuted index, sign) for every ordering of a strictly increasing

@@ -15,7 +15,7 @@ from .geometry import Form, ext_d, pullback, ChartMap
 
 
 class RankInstabilityError(ValueError):
-    """A singular value sits too close to the rank cutoff to decide."""
+    """A singular value sits too close to the rank threshold to decide."""
 
 
 class NonFiniteFormError(ValueError):
@@ -192,12 +192,12 @@ def _jac(f, p):
     return np.array(jets.jacobian(f, [float(c) for c in p]))
 
 
-def _stable_rank(s, tol, where="matrix"):
-    """Rank from singular values; record the gap, refuse unstable cutoffs."""
+def _stable_rank(s, where="matrix"):
+    """Rank from singular values; record the gap, refuse unstable ranks."""
     if s.size == 0:
         return 0, np.inf
     top = max(s[0], 1.0)
-    cut = tol * top
+    cut = 1e-9 * top
     r = int(np.sum(s > cut))
     small = s[s <= cut]
     kept = s[s > cut]
@@ -207,28 +207,29 @@ def _stable_rank(s, tol, where="matrix"):
         if small.max() > cut / 10 and kept.size and kept.min() < cut * 10:
             raise RankInstabilityError(
                 f"indeterminate rank at {where}: singular values straddle "
-                f"the cutoff {cut:.1e}")
+                f"the threshold {cut:.1e}")
     return r, gap
 
 
-def kernel_of_form(Om, tol=1e-9, where="omega"):
-    """Kernel basis of the component matrix Om and the rank gap."""
+def kernel_of_form(Om, where="omega"):
+    """Kernel basis of Om (a component matrix of omega, or a Jacobian)
+    and the rank gap."""
     if not np.all(np.isfinite(Om)):
         raise NonFiniteFormError(f"omega is not finite at {where}")
     U, s, Vt = np.linalg.svd(Om)
-    r, gap = _stable_rank(s, tol, where)
+    r, gap = _stable_rank(s, where)
     return Vt[r:].T, gap
 
 
 # -- the multiplicative-form checks ---------------------------------------
 
-def composable_tangents(G, g, h, tol=1e-9):
+def composable_tangents(G, g, h):
     """Basis of the tangent space to the composable-pair set at (g, h):
     pairs (u, v) with ds_g u = dt_h v."""
     Js = _jac(G.s, g)
     Jt = _jac(G.t, h)
     C = np.hstack([Js, -Jt])
-    return linear.null_basis(C, tol)
+    return linear.null_basis(C)
 
 
 def _upper_max(M):
@@ -272,10 +273,10 @@ def check_rel_closed(G, F, rng, n_points=8, n_triples=4):
     return worst
 
 
-def _pair_max(M, rng, dim, n=3):
-    """max |u^T M v| over n random pairs drawn from rng."""
+def _pair_max(M, rng, dim):
+    """max |u^T M v| over 3 random pairs drawn from rng."""
     worst = 0.0
-    for _ in range(n):
+    for _ in range(3):
         u, v = rng.standard_normal((2, dim))
         worst = worst_of(worst, abs(u @ M @ v))
     return worst
@@ -298,7 +299,7 @@ def check_unit_identities(G, F, rng, n=8):
     return r_eps, r_inv
 
 
-def check_kernel_orthogonality(G, F, rng, n=8, tol=1e-9):
+def check_kernel_orthogonality(G, F, rng, n=8):
     """Ker(ds) + Ker(omega) is omega-orthogonal to Ker(dt) at arrows.  A
     non-finite omega gives a NaN residual."""
     worst = 0.0
@@ -308,9 +309,9 @@ def check_kernel_orthogonality(G, F, rng, n=8, tol=1e-9):
         if not np.all(np.isfinite(Om)):
             worst = math.nan
             continue
-        Ks = linear.null_basis(_jac(G.s, g), tol)
-        Kt = linear.null_basis(_jac(G.t, g), tol)
-        Kw = linear.null_basis(Om, tol)
+        Ks = linear.null_basis(_jac(G.s, g))
+        Kt = linear.null_basis(_jac(G.t, g))
+        Kw = linear.null_basis(Om)
         span = linear.orth_basis(np.hstack([Ks, Kw]))
         if span.shape[1] and Kt.shape[1]:
             worst = worst_of(worst, np.max(np.abs(span.T @ Om @ Kt)))
@@ -345,17 +346,14 @@ class UnitSplitting:
     omega: np.ndarray      # component matrix of omega at eps(x)
 
 
-def extract_rho_star(G, F, x, tol=1e-9):
+def extract_rho_star(G, F, x):
     """rho*_omega at the unit over x: alpha -> i_alpha(omega)|_{T_xM}."""
     x = [float(c) for c in x]
     ex = [float(c) for c in G.unit(x)]
     Deps = _jac(G.unit, x)
-    Js = _jac(G.s, ex)
-    U, sv, Vt = np.linalg.svd(Js)
-    r, _ = _stable_rank(sv, tol, "ds at unit")
-    if r != G.base_dim:
+    A, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
+    if A.shape[1] != G.total_dim - G.base_dim:
         raise linear.DegenerateRankError("rank defect in ds at the unit")
-    A = Vt[r:].T
     Jt = _jac(G.t, ex)
     rho = Jt @ A
     Om = F.omega.at(ex)
@@ -363,12 +361,12 @@ def extract_rho_star(G, F, x, tol=1e-9):
                          A.T @ Om @ Deps, Om)
 
 
-def induced_dirac(G, F, x, tol=1e-9):
+def induced_dirac(G, F, x):
     """The Dirac structure at x induced on the base by a multiplicative form."""
-    sp = extract_rho_star(G, F, x, tol)
+    sp = extract_rho_star(G, F, x)
     n = G.base_dim
-    Kw, _ = kernel_of_form(sp.omega, tol, "omega at unit")
-    KTM = linear.intersect_spans(Kw, sp.TM, tol)
+    Kw, _ = kernel_of_form(sp.omega, "omega at unit")
+    KTM = linear.intersect_spans(Kw, sp.TM)
     # express Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
     if KTM.shape[1]:
         coeff, *_ = np.linalg.lstsq(sp.TM, KTM, rcond=None)
@@ -396,7 +394,7 @@ class ClassificationReport:
 
     def to_json(self):
         # strict JSON has no Infinity or NaN: a gap with nothing below the
-        # cutoff, or a non-finite residual, is written as null
+        # threshold, or a non-finite residual, is written as null
         return {"flags": self.flags, "dims": self.dims,
                 "residuals": {k: finite_or_none(v)
                               for k, v in self.residuals.items()},
@@ -410,7 +408,7 @@ def finite_or_none(v):
     return float(v) if np.isfinite(v) else None
 
 
-def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
+def classify(G, F, rng, n_units=8, n_arrows=16):
     """Dimension/classification suite at sampled units and arrows.  The
     kernel identities report the sine of the largest principal angle
     between the two sides."""
@@ -427,31 +425,31 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
         x = [float(c) for c in G.sample_unit(rng)]
         ex = G.unit(x)
         Om = F.omega.at(ex)
-        Kw, gap = kernel_of_form(Om, tol, f"unit {x}")
+        Kw, gap = kernel_of_form(Om, f"unit {x}")
         min_gap = min(min_gap, gap)
         Deps = _jac(G.unit, x)
-        TM = linear.orth_basis(Deps, tol)
-        Ks = linear.null_basis(_jac(G.s, ex), tol)
-        Kt = linear.null_basis(_jac(G.t, ex), tol)
-        Kst = linear.intersect_spans(Ks, Kt, tol)
-        KwTM = linear.intersect_spans(Kw, TM, tol)
-        KwKs = linear.intersect_spans(Kw, Ks, tol)
-        gx = linear.intersect_spans(Kw, Kst, tol)
+        TM = linear.orth_basis(Deps)
+        Ks = linear.null_basis(_jac(G.s, ex))
+        Kt = linear.null_basis(_jac(G.t, ex))
+        Kst = linear.intersect_spans(Ks, Kt)
+        KwTM = linear.intersect_spans(Kw, TM)
+        KwKs = linear.intersect_spans(Kw, Ks)
+        gx = linear.intersect_spans(Kw, Kst)
         dim_ker.append(Kw.shape[1])
         dim_ker_tm.append(KwTM.shape[1])
         dim_ker_ks.append(KwKs.shape[1])
         dim_gx.append(gx.shape[1])
         # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
         # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
-        lhs1 = linear.orth_basis(np.hstack([Ks, Kw]), tol)
-        rhs1 = linear.null_basis((Kt.T @ Om), tol) if Kt.shape[1] else np.eye(N)
-        lhs2 = linear.orth_basis(np.hstack([TM, Kw]), tol)
-        rhs2 = linear.null_basis((TM.T @ Om), tol)
+        lhs1 = linear.orth_basis(np.hstack([Ks, Kw]))
+        rhs1 = linear.null_basis(Kt.T @ Om) if Kt.shape[1] else np.eye(N)
+        lhs2 = linear.orth_basis(np.hstack([TM, Kw]))
+        rhs2 = linear.null_basis(TM.T @ Om)
         residuals["kernel_orth"] = worst_of(
             residuals["kernel_orth"], linear.span_gap(lhs1, rhs1),
             linear.span_gap(lhs2, rhs2))
         # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
-        recomb = linear.orth_basis(np.hstack([KwKs, KwTM]), tol)
+        recomb = linear.orth_basis(np.hstack([KwKs, KwTM]))
         residuals["kernel_decomp"] = worst_of(
             residuals["kernel_decomp"], linear.span_gap(recomb, Kw))
         # dimension formulas
@@ -473,12 +471,12 @@ def classify(G, F, rng, n_units=8, n_arrows=16, tol=1e-9):
     min_gap_a = np.inf
     for _ in range(n_arrows):
         g = [float(c) for c in G.sample_arrow(rng)]
-        Kg, gap = kernel_of_form(F.omega.at(g), tol, f"arrow {g}")
+        Kg, gap = kernel_of_form(F.omega.at(g), f"arrow {g}")
         min_gap_a = min(min_gap_a, gap)
         sx = [jets.value_of(c) for c in G.s(g)]
         tx = [jets.value_of(c) for c in G.t(g)]
-        Ks_, _ = kernel_of_form(F.omega.at(G.unit(sx)), tol, "unit")
-        Kt_, _ = kernel_of_form(F.omega.at(G.unit(tx)), tol, "unit")
+        Ks_, _ = kernel_of_form(F.omega.at(G.unit(sx)), "unit")
+        Kt_, _ = kernel_of_form(F.omega.at(G.unit(tx)), "unit")
         want = 0.5 * (Ks_.shape[1] + Kt_.shape[1])
         if Kg.shape[1] != want:
             dirac_type = False

@@ -102,24 +102,6 @@ class Jet:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return value_of(self) == value_of(other)
-
-    def __lt__(self, other):
-        return value_of(self) < value_of(other)
-
-    def __le__(self, other):
-        return value_of(self) <= value_of(other)
-
-    def __gt__(self, other):
-        return value_of(self) > value_of(other)
-
-    def __ge__(self, other):
-        return value_of(self) >= value_of(other)
-
-    def __hash__(self):
-        return hash((self.tag, value_of(self)))
-
 
 def value_of(x):
     """Strip all jet layers, returning the underlying float."""

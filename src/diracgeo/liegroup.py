@@ -77,7 +77,6 @@ class MatrixGroup:
     dim: int
     struct: np.ndarray   # [i, j, k] coefficient of e_k in [e_i, e_j]
     metric: np.ndarray   # invariant inner product in the algebra basis
-    chart_cap: float = 1.0
 
     # chart-level multiplication; set by the constructors below
     def mul(self, u, v):
@@ -272,7 +271,6 @@ def cartan_dirac_field(Gp):
     """The Cartan-Dirac structure as target data: dirac_at plus the 3-form."""
 
     class _Target:
-        chart_dim = Gp.dim
         phi = cartan_form(Gp)
 
         @staticmethod
@@ -326,7 +324,7 @@ def amm_groupoid(Gp):
 
 # -- general action form (degree-3 equivariant data -> 2-form) -------------
 
-def general_action_form(Gp, base_dim, action, rho, rho_star):
+def general_action_form(Gp, base_dim, rho, rho_star):
     """The multiplicative 2-form on the action groupoid H x M determined by
     (rho*, phi):  omega_(g,x)((V,X),(V',X')) =
     <rho*_x(lam_g V), rho_x(lam_g V')> + <rho*_x(lam_g V), X'>
@@ -350,7 +348,7 @@ def general_action_form(Gp, base_dim, action, rho, rho_star):
     return Form(_action_chart(d, base_dim), 2, components)
 
 
-def action_generators(Gp, action):
+def action_generators(action):
     """Infinitesimal generators of a left action: rho(x, v) via jets."""
 
     def rho(x, v):
@@ -395,8 +393,8 @@ def coadjoint_groupoid(Gp):
         lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.5),
         lambda rng: list(rng.uniform(-1.0, 1.0, d)),
         lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.4))
-    rho = action_generators(Gp, act)
-    omega = general_action_form(Gp, d, act, rho, lambda x, v: list(v))
+    rho = action_generators(act)
+    omega = general_action_form(Gp, d, rho, lambda x, v: list(v))
     return G, GroupoidForm(omega, None)
 
 

@@ -31,7 +31,7 @@ def orth_basis(M, tol=DEFAULT_TOL):
     return U[:, :r]
 
 
-def null_basis(M, tol=DEFAULT_TOL):
+def null_basis(M):
     """Orthonormal basis of the kernel of M (rows = constraints)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     m, n = M.shape
@@ -40,24 +40,24 @@ def null_basis(M, tol=DEFAULT_TOL):
     U, s, Vt = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > DEFAULT_TOL * s[0]))
     return Vt[r:].T
 
 
-def spans_equal(A, B, tol=DEFAULT_TOL):
+def spans_equal(A, B):
     """Equal column spans: the sine of the largest principal angle between
-    them is at most 1e-9 (ranks decided at tol)."""
-    return span_gap(orth_basis(A, tol), orth_basis(B, tol)) <= 1e-9
+    them is at most 1e-9."""
+    return span_gap(orth_basis(A), orth_basis(B)) <= 1e-9
 
 
-def intersect_spans(A, B, tol=DEFAULT_TOL):
+def intersect_spans(A, B):
     """Basis of (col span A) ∩ (col span B)."""
-    A = orth_basis(A, tol)
-    B = orth_basis(B, tol)
+    A = orth_basis(A)
+    B = orth_basis(B)
     if A.shape[1] == 0 or B.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
-    K = null_basis(np.hstack([A, -B]), tol)
-    return orth_basis(A @ K[: A.shape[1]], tol)
+    K = null_basis(np.hstack([A, -B]))
+    return orth_basis(A @ K[: A.shape[1]])
 
 
 def span_gap(A, B):
@@ -78,14 +78,14 @@ def span_gap(A, B):
     return min(1.0, float(np.linalg.norm(QB - QA @ (QA.T @ QB), 2)))
 
 
-def subspace_contained(A, B, tol=1e-8):
+def subspace_contained(A, B):
     """Is col span A contained in col span B (residual test)?"""
     A = orth_basis(A)
     B = orth_basis(B)
     if A.shape[1] == 0:
         return True
     P = B @ B.T
-    return bool(np.max(np.abs(A - P @ A)) <= tol)
+    return bool(np.max(np.abs(A - P @ A)) <= 1e-8)
 
 
 # -- pairing and Dirac structures ----------------------------------------
@@ -127,19 +127,19 @@ class LinearDirac:
         return self.dim == other.dim and \
             span_gap(self.basis, other.basis) <= 1e-9
 
-    def contains(self, x, xi, tol=1e-8):
+    def contains(self, x, xi):
         """Membership test for (x, xi) via vanishing pairing against L."""
         v = np.concatenate([np.asarray(x, float), np.asarray(xi, float)])
         P = _pairing_matrix(self.dim)
-        return bool(np.max(np.abs(self.basis.T @ P @ v), initial=0.0) <= tol)
+        return bool(np.max(np.abs(self.basis.T @ P @ v), initial=0.0) <= 1e-8)
 
 
-def _check_skew(M, what, tol=1e-9):
+def _check_skew(M, what):
     M = np.asarray(M, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square")
     scale = max(1.0, np.abs(M).max())
-    if np.max(np.abs(M + M.T)) > tol * scale:
+    if np.max(np.abs(M + M.T)) > 1e-9 * scale:
         raise ValueError(f"{what} must be skew-symmetric")
     return M
 

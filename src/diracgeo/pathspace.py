@@ -159,10 +159,9 @@ def omega_tilde(path, V, W, h=None):
 @dataclass
 class GaugeParameter:
     """Time-dependent section eta_t given componentwise as expressions in
-    (t, x1..xn); a cutoff factor t(1-t) enforces endpoint vanishing."""
+    (t, x1..xn); a factor t(1-t) enforces endpoint vanishing."""
 
     exprs: list
-    cutoff: bool = True
 
     def compiled(self, chart):
         names = ("t",) + chart.names
@@ -187,7 +186,7 @@ def gauge_vector(path, eta):
     e_t = [1.0] + [0.0] * n
 
     def chi(t):
-        return t * (1.0 - t) if eta.cutoff else 1.0
+        return t * (1.0 - t)
 
     for i in range(path.N + 1):
         t = ts[i]
@@ -200,11 +199,9 @@ def gauge_vector(path, eta):
         dgamma[i] = rho_eta
         rho_a = path.rho_of_a(i)
         for k in range(r):
-            # time derivative of the cutoff section
+            # time derivative of the section t(1-t) eta_k
             fk = fns[k]
-            dt_eta = jets.directional(
-                lambda q: (q[0] * (1.0 - q[0]) if eta.cutoff else 1.0) * fk(q),
-                z, e_t)
+            dt_eta = jets.directional(lambda q: chi(q[0]) * fk(q), z, e_t)
             # spatial derivative paired with rho(xi0) = rho(a)
             dx_eta = chi(t) * jets.directional(
                 lambda q: fk([t] + q), p, list(rho_a))
@@ -261,7 +258,7 @@ def sigma_contraction_residual(path, eta):
     for i in range(path.N + 1):
         t = ts[i]
         p = list(path.gamma[i])
-        chi = t * (1.0 - t) if eta.cutoff else 1.0
+        chi = t * (1.0 - t)
         eta_here = [chi * f([t] + p) for f in fns]
         rho_a = path.rho_of_a(i)
         total = 0.0
@@ -273,7 +270,7 @@ def sigma_contraction_residual(path, eta):
     return abs(lhs + _trapz(vals, path.dt))
 
 
-def path_variation_identity_residual(u_exprs, gamma, X, h=1e-5):
+def path_variation_identity_residual(u_exprs, gamma, X):
     """Boundary identity for the first variation of the path functional
     F = integral <u(t, gamma), gamma-dot>:
 
@@ -307,6 +304,7 @@ def path_variation_identity_residual(u_exprs, gamma, X, h=1e-5):
             vals.append(sum(ufun[j](z) * vel[i, j] for j in range(n)))
         return _trapz(vals, dt)
 
+    h = 1e-5
     lhs1 = (functional(gamma + h * X) - functional(gamma - h * X)) / (2 * h)
     vel = velocity(gamma)
     vals = []
@@ -326,11 +324,11 @@ def path_variation_identity_residual(u_exprs, gamma, X, h=1e-5):
     return abs(lhs1 + lhs2 - boundary)
 
 
-def relative_closedness_residual(path, U, V, W, phi, h=None):
+def relative_closedness_residual(path, U, V, W, phi):
     """Discrete exterior derivative of omega_tilde + omega_phi on the
     constant-extension triple (U, V, W) minus the endpoint pullbacks
     (t*phi - s*phi)."""
-    h = fd_step(path, h)
+    h = fd_step(path)
 
     def two_form(pp, A, B):
         return omega_tilde(pp, A, B, h) + omega_phi(pp, A, B, phi)
@@ -362,7 +360,7 @@ def fitted_order(Ns, residuals):
 
 # -- stock presentations ----------------------------------------------------
 
-def tangent_presentation(omega_comps, n, phi=None):
+def tangent_presentation(omega_comps, n):
     """A = TM on R^n with rho the coordinate frame and rho* the flat map of
     a 2-form given by components {(i, j): expr}."""
     ch = Chart(tuple(f"x{i+1}" for i in range(n)))

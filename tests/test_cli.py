@@ -110,6 +110,18 @@ def test_expectation_mismatch_exits_one(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["ok"] is False
 
 
+def test_expect_file_overrides_the_scenario(tmp_path, capsys):
+    p = tmp_path / "expect.json"
+    p.write_text(json.dumps({"pair-groupoid-r2": {"multiplicative": False}}))
+    code, out = run_cli(["run", os.path.join(SCN, "pair-groupoid-r2.json"),
+                         "--expect-file", str(p)], capsys)
+    assert code == 1
+    entry = json.loads(out)["reports"][0]["checks"]["multiplicative"]
+    assert entry["pass"] is True
+    assert entry["expected"] is False
+    assert entry["as_expected"] is False
+
+
 def test_inline_fixture(tmp_path, capsys):
     scn = {"id": "inline-demo", "fixture":
            {"inline": {"n": 2, "omega": {"0,1": "1.0 + x1*x1"}}},

@@ -8,6 +8,7 @@ from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
                               graph_of_form, im_conditions_residual,
                               integrability_residual, pair_sections)
 from diracgeo.geometry import Chart, Form, VectorField, chart, ext_d
+from diracgeo.pathspace import tangent_presentation
 
 
 CH2 = chart("x", "y")
@@ -128,8 +129,9 @@ def test_anchor_bracket_residual_abelian():
 
 
 def test_im_conditions_rotation_pair():
-    # <rho*, rho> = x*y - y*x = 0 (r1); d rho* = d(x dx + y dy) = 0 and the
-    # rank-1 abelian bracket vanishes, so r2 reduces to d<rho*,rho> = 0
+    # <rho*, rho> = x*y - y*x = 0 (r1).  A rank-1 pair has no pair of
+    # sections i < j, so r2 is never evaluated and reads 0 by default; the
+    # differential condition is tested on the rank-3 pairs below
     D = rotation_pair()
     rng = np.random.default_rng(6)
     r1, r2 = im_conditions_residual(D, None, samples(rng, 2))
@@ -145,6 +147,35 @@ def test_im_conditions_detect_bad_dual():
     rng = np.random.default_rng(7)
     r1, _ = im_conditions_residual(D, None, samples(rng, 2))
     assert r1 > 1e-2
+
+
+@pytest.mark.parametrize("phi, r2", [(-1.0, 0.0), (1.0, 2.0), (None, 1.0)])
+def test_im_conditions_tangent_presentation(phi, r2):
+    # rho* = flat of x3 dx1^dx2 has d rho* = dx1^dx2^dx3, which the
+    # differential condition matches against -phi
+    D = tangent_presentation({(0, 1): "x3"}, 3)
+    if phi is not None:
+        phi = Form.from_components(D.chart, 3, {(0, 1, 2): str(phi)})
+    rng = np.random.default_rng(9)
+    got = im_conditions_residual(D, phi, samples(rng, 3))
+    assert got == pytest.approx((0.0, r2), abs=1e-12)
+
+
+@pytest.mark.parametrize("sign, r2", [(1.0, 0.0), (-1.0, 2.0)])
+def test_im_conditions_so3_anchor(sign, r2):
+    # sigma(e_i) = dx_i on the rotation anchor: rho*([e_i, e_j]) must equal
+    # the Lie-derivative terms, so negated structure constants fail
+    rho = [VectorField.from_components(CH3, ["0.0", "-z", "y"]),
+           VectorField.from_components(CH3, ["z", "0.0", "-x"]),
+           VectorField.from_components(CH3, ["-y", "x", "0.0"])]
+    c = np.zeros((3, 3, 3))
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        c[i, j, k], c[j, i, k] = -sign, sign
+    sigma = [Form.from_components(CH3, 1, {(i,): "1.0"}) for i in range(3)]
+    D = AnchoredDual(rho, sigma, c.tolist())
+    rng = np.random.default_rng(9)
+    got = im_conditions_residual(D, None, samples(rng, 3))
+    assert got == pytest.approx((0.0, r2), abs=1e-12)
 
 
 def test_structure_functions_so3_anchor():

@@ -5,11 +5,12 @@ import pytest
 
 from diracgeo import fixtures, linear
 from diracgeo.geometry import Form, chart
-from diracgeo.groupoid import (check_kernel_orthogonality,
+from diracgeo.groupoid import (RankInstabilityError,
+                               check_kernel_orthogonality,
                                check_multiplicative, check_orbit_form,
                                check_rel_closed, check_unit_identities,
                                classify, extract_rho_star, gauge,
-                               induced_dirac)
+                               induced_dirac, kernel_of_form)
 
 
 def rng_for(name):
@@ -162,3 +163,10 @@ def test_induced_dirac_equals_cartan_dirac_near_an_axis():
     L2 = lg.cartan_dirac(fx["group"], x)
     assert L1 == L2
     assert linear.spans_equal(L1.span, L2.span)
+
+
+def test_rank_decision_near_the_threshold_is_refused():
+    # 5e-9 and 5e-10 lie within a decade of the threshold 1e-9 on either
+    # side, so the rank is indeterminate
+    with pytest.raises(RankInstabilityError):
+        kernel_of_form(np.diag([1.0, 5e-9, 5e-10]), "probe")

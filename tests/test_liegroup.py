@@ -34,17 +34,27 @@ def test_group_axioms_in_chart(name):
         assert np.allclose(vals(ab_c), vals(a_bc), atol=1e-10)
 
 
-@pytest.mark.parametrize("name", ["so3", "su2"])
+@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
 def test_chart_mul_matches_matrix_embedding(name):
     Gp = lg.GROUPS[name]()
     rng = np.random.default_rng(11)
     for _ in range(5):
-        u, v = rand_alg(rng, 3), rand_alg(rng, 3)
+        u, v = rand_alg(rng, Gp.dim), rand_alg(rng, Gp.dim)
         Mu = np.array([[value_of(c) for c in row] for row in Gp.embed(u)])
         Mv = np.array([[value_of(c) for c in row] for row in Gp.embed(v)])
         w = Gp.mul(u, v)
         Mw = np.array([[value_of(c) for c in row] for row in Gp.embed(w)])
         assert np.allclose(Mu @ Mv, Mw, atol=1e-10)
+
+
+def test_so3_embed_small_angle_branch():
+    # |u|^2 = 1e-14 takes the series branch of the Rodrigues formula
+    Gp = lg.so3()
+    R = np.array([[value_of(c) for c in row]
+                  for row in Gp.embed([1e-7, 0.0, 0.0])])
+    c, s = math.cos(1e-7), math.sin(1e-7)
+    assert np.allclose(R, [[1, 0, 0], [0, c, -s], [0, s, c]],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_so3_embed_is_rotation():
@@ -187,7 +197,6 @@ def test_cartan_dirac_field_integrable_against_cartan_form():
 
 def test_cartan_dirac_field_wrapper():
     T = lg.cartan_dirac_field(lg.su2())
-    assert T.chart_dim == 3
     L = T.dirac_at([0.2, -0.1, 0.3])
     assert L.dim == 3
 
@@ -197,9 +206,8 @@ def test_cartan_dirac_field_wrapper():
 def test_amm_omega_equals_general_action_form():
     Gp = lg.so3()
     omega = lg.amm_omega(Gp)
-    rho = lg.action_generators(Gp, lg.conjugation_action(Gp))
-    built = lg.general_action_form(Gp, 3, lg.conjugation_action(Gp),
-                                   rho, lg.amm_rho_star(Gp))
+    rho = lg.action_generators(lg.conjugation_action(Gp))
+    built = lg.general_action_form(Gp, 3, rho, lg.amm_rho_star(Gp))
     rng = np.random.default_rng(19)
     for _ in range(5):
         p = rand_alg(rng, 6, 0.4)

@@ -14,7 +14,7 @@ def pair_pres():
 def twisted_pres():
     ch_phi = Form.from_components(chart("x1", "x2", "x3"), 3,
                                   {(0, 1, 2): "-1.0"})
-    return ps.tangent_presentation({(0, 1): "x3"}, 3, None), ch_phi
+    return ps.tangent_presentation({(0, 1): "x3"}, 3), ch_phi
 
 
 def pair_setup(N):

@@ -40,7 +40,6 @@ def test_identity_realization_of_cartan_dirac():
     ch = Chart(("u1",))
 
     class ZeroTarget:
-        chart_dim = 1
         phi = None
 
         @staticmethod
