@@ -18,7 +18,7 @@ def main():
 
     print("structure residuals:", G.structure_residuals(rng, 8))
     print("multiplicativity   :", gr.check_multiplicative(G, F, rng, 8))
-    print("rel. closedness    :", gr.check_rel_closed(G, F, rng, 8, 3))
+    print("rel. closedness    :", gr.check_rel_closed(G, F, rng, 8))
     r_eps, r_inv = gr.check_unit_identities(G, F, rng, 8)
     print("unit / inversion   :", r_eps, r_inv)
 

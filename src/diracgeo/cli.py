@@ -11,6 +11,7 @@ error.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -40,34 +41,53 @@ DEFAULT_POLICY = {"seed": 42, "samples": 8, "tol": 1e-8,
 
 # -- fixture loading --------------------------------------------------------
 
-def _parse_comp_key(key, degree):
+def _parse_comp_key(key, degree, n):
     parts = key.split(",")
     if len(parts) != degree:
         raise ScenarioError(f"component key {key!r} needs {degree} indices")
     try:
-        return tuple(int(c) for c in parts)
+        idx = tuple(int(c) for c in parts)
     except ValueError:
         raise ScenarioError(f"bad component key {key!r}")
+    if list(idx) != sorted(set(idx)) or not 0 <= idx[0] <= idx[-1] < n:
+        raise ScenarioError(f"component key {key!r} needs strictly "
+                            f"increasing indices in 0..{n - 1}")
+    return idx
+
+
+def _components(comps, name, degree, n):
+    if not isinstance(comps, dict):
+        raise ScenarioError(f"inline fixture {name!r} must be an object")
+    for v in comps.values():
+        if not (isinstance(v, str) or _is_real(v)):
+            raise ScenarioError(f"inline {name} component {v!r} must be an "
+                                "expression string or a number")
+    return {_parse_comp_key(k, degree, n): v for k, v in comps.items()}
 
 
 def _inline_fixture(spec):
     """Inline pair-groupoid fixture: {'n': int, 'omega': {'i,j': expr},
-    'phi': {'i,j,k': expr} (optional)}."""
-    try:
-        n = int(spec["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError("inline fixture needs an integer 'n'")
+    'phi': {'i,j,k': expr} (optional), 'box': positive number
+    (optional)}."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("inline fixture must be an object")
+    n = spec.get("n")
+    if not (_is_int(n) and n >= 1):
+        raise ScenarioError("inline fixture needs an integer 'n' >= 1")
     if "omega" not in spec:
         raise ScenarioError("inline fixture needs 'omega' components")
-    box = float(spec.get("box", 1.0))
+    box = spec.get("box", 1.0)
+    if not (_is_positive(box) and math.isfinite(box)):
+        raise ScenarioError("inline fixture 'box' must be a finite "
+                            "positive number")
 
     def sample_point(rng):
         return list(rng.uniform(-box, box, n))
 
-    omega = {_parse_comp_key(k, 2): v for k, v in spec["omega"].items()}
+    omega = _components(spec["omega"], "omega", 2, n)
     phi = None
-    if spec.get("phi"):
-        phi = {_parse_comp_key(k, 3): v for k, v in spec["phi"].items()}
+    if spec.get("phi") is not None:
+        phi = _components(spec["phi"], "phi", 3, n) or None
     try:
         F, theta = fx_mod._pair_form(n, omega, phi)
     except (ExprSyntaxError, UnknownIdentifierError) as e:
@@ -118,7 +138,7 @@ def check_multiplicative(fx, rng, policy):
 
 def check_rel_closed(fx, rng, policy):
     r = GR.check_rel_closed(fx["groupoid"], fx["form"], rng,
-                            policy["samples"], 3)
+                            policy["samples"])
     return _residual_entry(r, policy["tol"])
 
 
@@ -273,8 +293,8 @@ def check_basicness(fx, rng, policy):
     mid = residuals[min(1, len(residuals) - 1)]
     entry = _residual_entry(mid, 5e-4, {
         "grid": list(grid),
-        "convergence": [float(r) for r in residuals],
-        "order": float(order)})
+        "convergence": [GR.finite_or_none(r) for r in residuals],
+        "order": GR.finite_or_none(order)})
     entry["pass"] = entry["pass"] and order >= 1.8
     return entry
 
@@ -386,8 +406,12 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_positive(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return _is_real(v) and v > 0
 
 
 def merge_policy(scenario, args):

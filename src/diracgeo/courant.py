@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, linear
-from .geometry import (Form, VectorField, ext_d, interior, lie_bracket,
-                       lie_derivative, _check_chart)
+from .geometry import (Chart, Form, VectorField, ext_d, interior,
+                       lie_bracket, lie_derivative, _check_chart)
 
 
 @dataclass
@@ -95,99 +95,68 @@ def integrability_residual(L, phi, samples):
 
 @dataclass
 class AnchoredDual:
-    """Frame presentation of (A, rho, rho*): anchor vector fields, candidate
-    dual forms, and structure functions c[i][j][k] for the frame bracket."""
+    """An anchored bundle A of rank r over a chart with a dual map
+    sigma: A -> T*M, presented in a frame a_1..a_r of A: rho(p) is the
+    n x r anchor matrix, rho_star(p) the r x n matrix of sigma (both
+    generic over jets) and structure[i, j, k] the constant coefficient of
+    a_k in [a_i, a_j] (zeros when A is abelian)."""
 
-    rho: list        # r vector fields
-    rho_star: list   # r 1-forms
-    structure: object  # c[i][j] -> list of r exprs/callables, or None for abelian
-
-    @property
-    def chart(self):
-        return self.rho[0].chart
+    chart: Chart
+    rho: object
+    rho_star: object
+    structure: np.ndarray
 
     @property
     def rank(self):
-        return len(self.rho)
+        return len(self.structure)
 
-    def struct_coeff(self, i, j, k, p):
-        if self.structure is None:
-            return 0.0
-        c = self.structure[i][j][k]
-        if isinstance(c, (int, float)):
-            return float(c)
-        return c(p)
+    def anchor(self, i):
+        """rho(a_i) as a vector field."""
+        return VectorField(self.chart, lambda p: list(self.rho(p)[:, i]))
 
-    def bracket_field(self, i, j):
-        """rho([alpha_i, alpha_j]) as a vector field via structure functions."""
-        ch = self.chart
-
-        def ev(p):
-            out = [0.0] * ch.dim
-            for k in range(self.rank):
-                c = self.struct_coeff(i, j, k, p)
-                if isinstance(c, float) and c == 0.0:
-                    continue
-                v = self.rho[k](p)
-                out = [o + c * vc for o, vc in zip(out, v)]
-            return out
-
-        return VectorField(ch, ev)
-
-    def rho_star_bracket(self, i, j):
-        """rho*([alpha_i, alpha_j]) as a 1-form via structure functions."""
-        ch = self.chart
-
-        def components(p):
-            total = np.zeros(ch.dim)
-            for k in range(self.rank):
-                c = self.struct_coeff(i, j, k, p)
-                if isinstance(c, float) and c == 0.0:
-                    continue
-                total = total + self.rho_star[k].components(p) * c
-            return total
-
-        return Form(ch, 1, components)
+    def dual(self, i):
+        """sigma(a_i) as a 1-form."""
+        return Form(self.chart, 1, lambda p: self.rho_star(p)[i])
 
 
 def anchor_bracket_residual(D, samples):
     """|rho([a_i,a_j]) - [rho(a_i), rho(a_j)]| -- the anchor is a morphism."""
     worst = 0.0
     for p in samples:
+        R = D.rho(p)
         for i in range(D.rank):
             for j in range(D.rank):
-                lhs = D.bracket_field(i, j)(p)
-                rhs = lie_bracket(D.rho[i], D.rho[j])(p)
-                worst = max(worst, max(abs(jets.value_of(a - b))
-                                       for a, b in zip(lhs, rhs)))
+                rhs = lie_bracket(D.anchor(i), D.anchor(j))(p)
+                worst = max(worst, float(np.max(np.abs(
+                    R @ D.structure[i, j] - rhs))))
     return worst
 
 
 def im_conditions_residual(D, phi, samples):
     """Residuals of the two infinitesimal multiplicativity conditions.
 
-    r1: antisymmetry <rho*(a_i), rho(a_j)> + <rho*(a_j), rho(a_i)>.
-    r2: d_A rho*(a,b) - i_{rho(a) ^ rho(b)} phi, where
-        d_A rho*(a,b) = rho*([a,b]) - L_a rho*(b) + L_b rho*(a)
-                        + d<rho*(b), rho(a)>   (L_a means L_{rho(a)}).
+    r1: antisymmetry of <sigma(a_i), rho(a_j)>, max |S + S^T| for
+        S = rho_star . rho.
+    r2: d_A sigma(a,b) - i_{rho(a) ^ rho(b)} phi, where
+        d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
+                         + d<sigma(b), rho(a)>   (L_a means L_{rho(a)}).
     """
+    totals = []
+    for i in range(D.rank):
+        for j in range(i + 1, D.rank):
+            c = D.structure[i, j]
+            bracket = Form(D.chart, 1, lambda p, c=c: c @ D.rho_star(p))
+            X, Y = D.anchor(i), D.anchor(j)
+            total = bracket - lie_derivative(X, D.dual(j)) \
+                + lie_derivative(Y, D.dual(i)) + ext_d(interior(X, D.dual(j)))
+            if phi is not None:
+                total = total - interior(Y, interior(X, phi))
+            totals.append(total)
     r1 = 0.0
     r2 = 0.0
     for p in samples:
-        for i in range(D.rank):
-            for j in range(D.rank):
-                s = jets.value_of(D.rho_star[i](p, D.rho[j](p))
-                                  + D.rho_star[j](p, D.rho[i](p)))
-                r1 = max(r1, abs(s))
-                if j <= i:
-                    continue
-                term1 = D.rho_star_bracket(i, j)
-                term2 = lie_derivative(D.rho[i], D.rho_star[j])
-                term3 = lie_derivative(D.rho[j], D.rho_star[i])
-                term4 = ext_d(interior(D.rho[i], D.rho_star[j]))
-                total = term1 - term2 + term3 + term4
-                if phi is not None:
-                    total = total - interior(D.rho[j],
-                                             interior(D.rho[i], phi))
-                r2 = max(r2, float(np.max(np.abs(total.at(p)))))
+        S = D.rho_star(p) @ D.rho(p)
+        r1 = max(r1, float(np.max(np.abs(S + S.T))))
+        for total in totals:
+            r2 = max(r2, float(np.max(np.abs(total.at(p)))))
     return r1, r2

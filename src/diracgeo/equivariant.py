@@ -1,119 +1,75 @@
 """Degree-3 equivariant data (rho*, phi) for a group action on a chart:
 closedness/invariance residuals and the slice-restriction cocycle identity
-for multiplicative 2-forms on action groupoids."""
-
-from dataclasses import dataclass
+for multiplicative 2-forms on action groupoids.  The pair (rho, rho*) is the
+action algebroid `liegroup.action_algebroid`."""
 
 import numpy as np
 
 from . import jets
-from .geometry import Chart, Form, VectorField, dot, ext_d, lie_derivative
-from .liegroup import MatrixGroup, action_generators
+from .geometry import Form, ext_d, interior, lie_derivative
 
 
-@dataclass
-class CartanTriple:
-    """Action data on a chart M: a group acting via `action(u, x)` in the
-    exp chart, a linear map rho*: algebra -> 1-forms given as an evaluator
-    rho_star(x, v) -> covector components, and a closed 3-form phi (or None)."""
-
-    group: MatrixGroup
-    chart: Chart
-    action: object          # (u, x) -> x'
-    rho_star: object        # (x, v) -> covector list
-    phi: object = None      # degree-3 Form on chart, or None
-
-    def __post_init__(self):
-        self.rho = action_generators(self.action)
-
-    def rho_field(self, v):
-        v = list(v)
-        return VectorField(self.chart, lambda p: self.rho(p, v))
-
-    def rho_star_form(self, v):
-        v = list(v)
-        return Form(self.chart, 1, lambda p: np.asarray(self.rho_star(p, v)))
-
-
-def action_axiom_residual(T, rng, n_samples=8):
-    """Max defect of g.(h.x) = (gh).x and e.x = x at random samples."""
-    d = T.group.dim
-    m = T.chart.dim
+def action_axiom_residual(Gp, action, m, rng, n_samples=8):
+    """Max defect of g.(h.x) = (gh).x and e.x = x at random samples of a
+    base chart of dimension m."""
+    d = Gp.dim
     worst = 0.0
     for _ in range(n_samples):
         g = list(rng.uniform(-0.4, 0.4, d))
         h = list(rng.uniform(-0.4, 0.4, d))
         x = list(rng.uniform(-0.4, 0.4, m))
-        lhs = T.action(g, T.action(h, x))
-        rhs = T.action(T.group.mul(g, h), x)
+        lhs = action(g, action(h, x))
+        rhs = action(Gp.mul(g, h), x)
         worst = max(worst, max(abs(jets.value_of(a - b))
                                for a, b in zip(lhs, rhs)))
-        ex = T.action(T.group.identity(), x)
+        ex = action(Gp.identity(), x)
         worst = max(worst, max(abs(jets.value_of(a - b))
                                for a, b in zip(ex, x)))
     return worst
 
 
-def cartan_closed_residual(T, samples):
-    """Residuals of the three pointwise conditions on (rho*, phi).
+def cartan_closed_residual(D, phi, samples):
+    """Residuals of the three pointwise conditions on (rho*, phi) for the
+    action algebroid D.
 
-    r1: |i_{rho(v)} rho*(v)| over the basis and polarized sums e_i + e_j
-        (so the full symmetric condition is covered).
-    r2: |i_{rho(v)} phi - d(rho*(v))| over basis covectors and tangent pairs.
-    r3: |rho*([v,w]) + L_{rho(v)} rho*(w)| -- infinitesimal invariance of
-        rho* under the action (the generator map of a left action is an
-        anti-morphism, hence the plus sign).
+    r1: max |S + S^T| for S = rho* . rho, the symmetric part of
+        <rho*(v), rho(w)>.
+    r2: |i_{rho(a_i)} phi - d(rho*(a_i))| over the frame.
+    r3: |L_{rho(a_i)} rho*(a_j) - rho*([a_i, a_j])| -- infinitesimal
+        invariance of rho* under the action (the algebroid bracket is the
+        algebra bracket negated, as the generator map of a left action is
+        an anti-morphism).
     """
-    d = T.group.dim
-    m = T.chart.dim
-    basis = [list(e) for e in np.eye(d)]
-    probes = list(basis)
-    for i in range(d):
-        for j in range(i + 1, d):
-            probes.append([a + b for a, b in zip(basis[i], basis[j])])
-    upper = np.triu_indices(m, 1)
+    closed = []
+    for i in range(D.rank):
+        w = -ext_d(D.dual(i))
+        closed.append(w if phi is None else w + interior(D.anchor(i), phi))
+    invariant = [lie_derivative(D.anchor(i), D.dual(j)) - Form(
+        D.chart, 1, lambda p, c=D.structure[i, j]: c @ D.rho_star(p))
+        for i in range(D.rank) for j in range(D.rank) if i != j]
     r1 = r2 = r3 = 0.0
     for p in samples:
-        for v in probes:
-            rv = T.rho(p, v)
-            r1 = max(r1, abs(jets.value_of(dot(T.rho_star(p, v), rv))))
-        for v in basis:
-            val = -ext_d(T.rho_star_form(v)).at(p)
-            if T.phi is not None:
-                val = val + np.tensordot(T.rho(p, v), T.phi.at(p), axes=1)
-            r2 = max(r2, float(np.max(np.abs(val[upper]), initial=0.0)))
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                br = T.group.bracket(basis[i], basis[j])
-                val = T.rho_star_form(br) + lie_derivative(
-                    T.rho_field(basis[i]), T.rho_star_form(basis[j]))
-                r3 = max(r3, float(np.max(np.abs(val.at(p)))))
+        S = D.rho_star(p) @ D.rho(p)
+        r1 = max(r1, float(np.max(np.abs(S + S.T))))
+        for w in closed:
+            r2 = max(r2, float(np.max(np.abs(w.at(p)))))
+        for w in invariant:
+            r3 = max(r3, float(np.max(np.abs(w.at(p)))))
     return r1, r2, r3
 
 
-def group_invariance_residual(T, rng, n_samples=8):
-    """Residual of the group-level invariance of rho*:
-    the pullback by the action of g of rho*(Ad_g v) equals rho*(v)."""
-    d = T.group.dim
-    m = T.chart.dim
+def group_invariance_residual(Gp, action, D, rng, n_samples=8):
+    """Residual of the group-level invariance of rho*: the pullback by the
+    action of g of rho*(Ad_g v) equals rho*(v), i.e.
+    Ad_g^T rho*(g.x) J = rho*(x) with J the Jacobian of x -> g.x."""
     worst = 0.0
-    basis = [list(e) for e in np.eye(d)]
-    tangent = np.eye(m)
     for _ in range(n_samples):
-        g = list(rng.uniform(-0.4, 0.4, d))
-        x = list(rng.uniform(-0.4, 0.4, m))
-        gx = [jets.value_of(c) for c in T.action(g, x)]
-        dact = jets.jacobian(lambda q: T.action(g, q), x)
-        for v in basis:
-            adv = [jets.value_of(c) for c in T.group.Ad(g, v)]
-            cov = T.rho_star(gx, adv)
-            ref = T.rho_star(x, v)
-            for e in tangent:
-                lhs = dot(cov, list(dact @ e))
-                rhs = dot(ref, list(e))
-                worst = max(worst, abs(jets.value_of(lhs - rhs)))
+        g = list(rng.uniform(-0.4, 0.4, Gp.dim))
+        x = list(rng.uniform(-0.4, 0.4, D.chart.dim))
+        gx = [jets.value_of(c) for c in action(g, x)]
+        dact = np.array(jets.jacobian(lambda q: action(g, q), x))
+        lhs = Gp.Ad_matrix(g).T @ D.rho_star(gx) @ dact
+        worst = max(worst, float(np.max(np.abs(lhs - D.rho_star(x)))))
     return worst
 
 
@@ -124,20 +80,20 @@ def slice_form(omega, group_dim, g, x, X, Xp):
     return omega(p, zeros + list(X), zeros + list(Xp))
 
 
-def cocycle_residual(T, omega, rng, n_samples=8):
+def cocycle_residual(Gp, action, omega, rng, n_samples=8):
     """Max defect of c(hg) = g*c(h) + c(g) over sampled (h, g, x) and base
     tangent pairs, where c(g) is the slice restriction of omega."""
-    d = T.group.dim
-    m = T.chart.dim
+    d = Gp.dim
+    m = omega.chart.dim - d
     tangent = np.eye(m)
     worst = 0.0
     for _ in range(n_samples):
         h = list(rng.uniform(-0.4, 0.4, d))
         g = list(rng.uniform(-0.4, 0.4, d))
         x = list(rng.uniform(-0.4, 0.4, m))
-        hg = T.group.mul(h, g)
-        gx = [jets.value_of(c) for c in T.action(g, x)]
-        dact = jets.jacobian(lambda q: T.action(g, q), x)
+        hg = Gp.mul(h, g)
+        gx = [jets.value_of(c) for c in action(g, x)]
+        dact = jets.jacobian(lambda q: action(g, q), x)
         for a in range(m):
             for b in range(a + 1, m):
                 X, Xp = list(tangent[a]), list(tangent[b])

@@ -257,8 +257,9 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     return worst
 
 
-def check_rel_closed(G, F, rng, n_points=8, n_triples=4):
-    """Max |d omega - s*phi + t*phi| at sampled arrows on random triples."""
+def check_rel_closed(G, F, rng, n_points=8):
+    """Max |d omega - s*phi + t*phi| over the components at sampled
+    arrows."""
     total = ext_d(F.omega)
     if F.phi is not None:
         ch, bch = F.omega.chart, F.phi.chart
@@ -266,19 +267,7 @@ def check_rel_closed(G, F, rng, n_points=8, n_triples=4):
             + pullback(ChartMap(ch, bch, G.t), F.phi)
     worst = 0.0
     for _ in range(n_points):
-        T = total.at(G.sample_arrow(rng))
-        for _ in range(n_triples):
-            u, v, w = rng.standard_normal((3, G.total_dim))
-            worst = worst_of(worst, abs(T @ w @ v @ u))
-    return worst
-
-
-def _pair_max(M, rng, dim):
-    """max |u^T M v| over 3 random pairs drawn from rng."""
-    worst = 0.0
-    for _ in range(3):
-        u, v = rng.standard_normal((2, dim))
-        worst = worst_of(worst, abs(u @ M @ v))
+        worst = worst_of(worst, np.max(np.abs(total.at(G.sample_arrow(rng)))))
     return worst
 
 
@@ -289,13 +278,13 @@ def check_unit_identities(G, F, rng, n=8):
         x = [float(c) for c in G.sample_unit(rng)]
         Deps = _jac(G.unit, x)
         M = Deps.T @ F.omega.at(G.unit(x)) @ Deps
-        r_eps = worst_of(r_eps, _pair_max(M, rng, G.base_dim))
+        r_eps = worst_of(r_eps, _upper_max(M))
     r_inv = 0.0
     for _ in range(n):
         g = [float(c) for c in G.sample_arrow(rng)]
         Dinv = _jac(G.inv, g)
         M = Dinv.T @ F.omega.at(G.inv(g)) @ Dinv + F.omega.at(g)
-        r_inv = worst_of(r_inv, _pair_max(M, rng, G.total_dim))
+        r_inv = worst_of(r_inv, _upper_max(M))
     return r_eps, r_inv
 
 
@@ -327,7 +316,7 @@ def check_orbit_form(G, F, theta, rng, n=8):
     worst = 0.0
     for _ in range(n):
         M = diff.at(G.sample_arrow(rng))
-        worst = worst_of(worst, _pair_max(M, rng, G.total_dim))
+        worst = worst_of(worst, _upper_max(M))
     return worst
 
 

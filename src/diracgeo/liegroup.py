@@ -16,6 +16,7 @@ import numpy as np
 
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
+from .courant import AnchoredDual
 from .geometry import Chart, Form, ext_d
 from .groupoid import GroupoidForm, action_groupoid
 
@@ -322,50 +323,47 @@ def amm_groupoid(Gp):
     return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
 
 
-# -- general action form (degree-3 equivariant data -> 2-form) -------------
+# -- action algebroids and their multiplicative 2-forms --------------------
 
-def general_action_form(Gp, base_dim, rho, rho_star):
+def action_algebroid(Gp, ch, action, rho_star):
+    """The action algebroid h x M of a left action on the chart ch with the
+    dual rho_star(x), an r x n matrix.  Its anchor is the Jacobian at the
+    identity of u -> action(u, x); the generator map of a left action is
+    an anti-morphism, so the structure constants are those of h negated."""
+
+    def rho(x):
+        return np.array(jets.jacobian(lambda u: action(u, x), Gp.identity()))
+
+    return AnchoredDual(ch, rho, rho_star, -Gp.struct)
+
+
+def general_action_form(Gp, D):
     """The multiplicative 2-form on the action groupoid H x M determined by
-    (rho*, phi):  omega_(g,x)((V,X),(V',X')) =
+    the action algebroid D:  omega_(g,x)((V,X),(V',X')) =
     <rho*_x(lam_g V), rho_x(lam_g V')> + <rho*_x(lam_g V), X'>
     - <rho*_x(lam_g V'), X>.
 
-    rho(x, v) and rho_star(x, v) are evaluators returning tangent/cotangent
-    component lists on the base chart.  With S = rho*_x lam_g the components
-    are [[S^T rho_x lam_g, S^T], [-S, 0]].
+    With S = rho*_x^T lam_g the components are
+    [[S^T rho_x lam_g, S^T], [-S, 0]].
     """
     d = Gp.dim
-    basis = [list(e) for e in np.eye(d)]
+    m = D.chart.dim
 
     def components(p):
         u, x = p[:d], p[d:]
         L = Gp.lam_matrix(u)
-        S = np.array([rho_star(x, e) for e in basis]).T @ L
-        R = np.array([rho(x, e) for e in basis]).T
-        return np.block([[S.T @ (R @ L), S.T],
-                         [-S, np.zeros((base_dim, base_dim))]])
+        S = D.rho_star(x).T @ L
+        return np.block([[S.T @ (D.rho(x) @ L), S.T],
+                         [-S, np.zeros((m, m))]])
 
-    return Form(_action_chart(d, base_dim), 2, components)
-
-
-def action_generators(action):
-    """Infinitesimal generators of a left action: rho(x, v) via jets."""
-
-    def rho(x, v):
-        return jets.directional(
-            lambda s: action([s[0] * vi for vi in v], x), [0.0], [1.0])
-
-    return rho
+    return Form(_action_chart(d, m), 2, components)
 
 
 def amm_rho_star(Gp):
-    """rho*_x(v) = the covector (1/2)((lam + lam_bar)(.), v) on the base chart."""
-
-    def rho_star(x, v):
-        M = Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)
-        return list(0.5 * (M.T @ (Gp.metric @ np.asarray(v))))
-
-    return rho_star
+    """rho*_x = (1/2) G (lam + lam_bar) at x: row v is the covector
+    (1/2)((lam + lam_bar)(.), v) on the group chart."""
+    return lambda x: 0.5 * (Gp.metric @ (Gp.lam_matrix(x)
+                                         + Gp.lam_bar_matrix(x)))
 
 
 def conjugation_action(Gp):
@@ -393,9 +391,9 @@ def coadjoint_groupoid(Gp):
         lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.5),
         lambda rng: list(rng.uniform(-1.0, 1.0, d)),
         lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.4))
-    rho = action_generators(act)
-    omega = general_action_form(Gp, d, rho, lambda x, v: list(v))
-    return G, GroupoidForm(omega, None)
+    D = action_algebroid(Gp, Chart(tuple(f"x{i+1}" for i in range(d))), act,
+                         lambda x: np.eye(d))
+    return G, GroupoidForm(general_action_form(Gp, D), None)
 
 
 def canonical_cotangent_form(Gp):

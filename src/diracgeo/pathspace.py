@@ -15,7 +15,8 @@ import numpy as np
 from . import jets
 from .courant import AnchoredDual
 from .expr import parse
-from .geometry import Chart, Form, VectorField
+from .geometry import Chart, Form
+from .groupoid import worst_of
 
 
 def _trapz(vals, dt):
@@ -51,14 +52,7 @@ class DiscretizedAPath:
 
     def rho_of_a(self, i):
         """rho(a(t_i)) at gamma(t_i)."""
-        p = list(self.gamma[i])
-        out = np.zeros(self.gamma.shape[1])
-        for k, Xk in enumerate(self.pres.rho):
-            if self.a[i, k] == 0.0:
-                continue
-            out = out + self.a[i, k] * np.array(
-                [jets.value_of(c) for c in Xk(p)])
-        return out
+        return self.pres.rho(list(self.gamma[i])) @ self.a[i]
 
     def apath_residual(self):
         """Max defect of rho(a) against the central-difference velocity."""
@@ -127,18 +121,8 @@ def omega_phi(path, V, W, phi):
 
 def sigma_tilde(path, X):
     """Quadrature of <rho*(a), dgamma X> along the path."""
-    if path.pres.rho_star is None:
-        raise ValueError("the presentation carries no rho*")
-    vals = []
-    for i in range(path.N + 1):
-        p = list(path.gamma[i])
-        total = 0.0
-        for k, alpha in enumerate(path.pres.rho_star):
-            if path.a[i, k] == 0.0:
-                continue
-            total = total + path.a[i, k] * float(
-                alpha.components(p) @ X.dgamma[i])
-        vals.append(total)
+    vals = [path.a[i] @ (path.pres.rho_star(list(path.gamma[i])) @ X.dgamma[i])
+            for i in range(path.N + 1)]
     return _trapz(vals, path.dt)
 
 
@@ -192,12 +176,11 @@ def gauge_vector(path, eta):
         t = ts[i]
         p = list(path.gamma[i])
         z = [t] + p
-        eta_here = [chi(t) * f(z) for f in fns]
-        rho_cols = [np.array([jets.value_of(c) for c in Xk(p)])
-                    for Xk in pres.rho]
-        rho_eta = sum(eta_here[k] * rho_cols[k] for k in range(r))
-        dgamma[i] = rho_eta
+        eta_here = np.array([chi(t) * f(z) for f in fns])
+        dgamma[i] = pres.rho(p) @ eta_here
         rho_a = path.rho_of_a(i)
+        # structure term sum_{i',j'} c^k a_{i'} eta_{j'}
+        da[i] = np.einsum("a,b,abk->k", path.a[i], eta_here, pres.structure)
         for k in range(r):
             # time derivative of the section t(1-t) eta_k
             fk = fns[k]
@@ -205,14 +188,7 @@ def gauge_vector(path, eta):
             # spatial derivative paired with rho(xi0) = rho(a)
             dx_eta = chi(t) * jets.directional(
                 lambda q: fk([t] + q), p, list(rho_a))
-            val = dt_eta + dx_eta
-            # structure term sum_{i',j'} c^k a_{i'} eta_{j'}
-            for ii in range(r):
-                for jj in range(r):
-                    c = pres.struct_coeff(ii, jj, k, p)
-                    if c:
-                        val = val + c * path.a[i, ii] * eta_here[jj]
-            da[i, k] = val
+            da[i, k] += dt_eta + dx_eta
     return PathTangent(dgamma, da)
 
 
@@ -225,7 +201,7 @@ def basicness_residual(path, eta, phi, probes, h=None):
     worst = 0.0
     for X in probes:
         val = omega_tilde(path, X_eta, X, h) + omega_phi(path, X_eta, X, phi)
-        worst = max(worst, abs(val))
+        worst = worst_of(worst, abs(val))
     return worst
 
 
@@ -259,14 +235,8 @@ def sigma_contraction_residual(path, eta):
         t = ts[i]
         p = list(path.gamma[i])
         chi = t * (1.0 - t)
-        eta_here = [chi * f([t] + p) for f in fns]
-        rho_a = path.rho_of_a(i)
-        total = 0.0
-        for k, alpha in enumerate(pres.rho_star):
-            if eta_here[k] == 0.0:
-                continue
-            total = total + eta_here[k] * float(alpha.components(p) @ rho_a)
-        vals.append(total)
+        eta_here = np.array([chi * f([t] + p) for f in fns])
+        vals.append(eta_here @ (pres.rho_star(p) @ path.rho_of_a(i)))
     return abs(lhs + _trapz(vals, path.dt))
 
 
@@ -361,13 +331,9 @@ def fitted_order(Ns, residuals):
 # -- stock presentations ----------------------------------------------------
 
 def tangent_presentation(omega_comps, n):
-    """A = TM on R^n with rho the coordinate frame and rho* the flat map of
-    a 2-form given by components {(i, j): expr}."""
+    """A = TM on R^n with rho the identity and rho* the flat map of a
+    2-form given by components {(i, j): expr}."""
     ch = Chart(tuple(f"x{i+1}" for i in range(n)))
     omega = Form.from_components(ch, 2, omega_comps)
-    rho = [VectorField.from_components(
-        ch, ["1.0" if j == i else "0.0" for j in range(n)])
-        for i in range(n)]
-    rho_star = [Form(ch, 1, lambda p, i=i: omega.components(p)[i])
-                for i in range(n)]
-    return AnchoredDual(rho, rho_star, None)
+    return AnchoredDual(ch, lambda p: np.eye(n), omega.components,
+                        np.zeros((n, n, n)))

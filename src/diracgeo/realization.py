@@ -13,9 +13,9 @@ from itertools import combinations
 import numpy as np
 
 from . import jets, linear
-from .geometry import Chart, ChartMap, Form, VectorField, ext_d, \
-    lie_derivative, pullback
-from .liegroup import MatrixGroup, cartan_dirac_field, torus
+from .courant import AnchoredDual
+from .geometry import Chart, ChartMap, Form, ext_d, lie_derivative, pullback
+from .liegroup import MatrixGroup, amm_rho_star, cartan_dirac_field, torus
 
 
 @dataclass
@@ -105,32 +105,15 @@ def realization_check(R, samples):
 
 @dataclass
 class QuasiHamData:
-    P: Chart
+    """A space P with a group action, a 2-form eta and a moment map mu.  D
+    is the action algebroid P x h: its anchor is the generator matrix
+    rho_P(p), n x dim(h), and its dual mu*(amm_rho_star), whose row v is the
+    moment one-form (1/2) mu*((lam + lam_bar)(.), v)."""
+
     group: MatrixGroup
-    generators: list         # VectorFields rho_P(e_i) on P
+    D: AnchoredDual
     eta: Form
     mu: ChartMap             # P -> group chart
-
-    def rho_P(self, v):
-        return VectorField(
-            self.P,
-            lambda p: [sum(v[i] * c for i, c in
-                           enumerate(col)) for col in
-                       zip(*[g(p) for g in self.generators])])
-
-    def moment_one_form(self, v):
-        """(1/2) mu*((lam + lam_bar)(.), v) as a 1-form on P: components
-        (1/2) Dmu^T (lam + lam_bar)^T G v."""
-        Gp = self.group
-        Gv = Gp.metric @ np.asarray(v)
-
-        def components(p):
-            u = self.mu(p)
-            M = Gp.lam_matrix(u) + Gp.lam_bar_matrix(u)
-            Dmu = np.array(jets.jacobian(self.mu.func, p))
-            return 0.5 * (Dmu.T @ (M.T @ Gv))
-
-        return Form(self.P, 1, components)
 
 
 def equivariance_residual(Q, samples):
@@ -140,10 +123,8 @@ def equivariance_residual(Q, samples):
     for p in samples:
         u = [jets.value_of(c) for c in Q.mu(p)]
         gen = Gp.right_matrix(u) - Gp.left_matrix(u)
-        for j, e in enumerate(np.eye(Gp.dim)):
-            lhs = Q.mu.push(p, Q.rho_P(list(e))(p))
-            worst = max(worst, max(abs(jets.value_of(a - b))
-                                   for a, b in zip(lhs, gen[:, j])))
+        lhs = np.array(jets.jacobian(Q.mu.func, p)) @ Q.D.rho(p)
+        worst = max(worst, float(np.max(np.abs(lhs - gen))))
     return worst
 
 
@@ -155,34 +136,25 @@ def quasi_ham_check(Q, samples):
     r_inv: |L_{rho_P(v)} eta| (invariance of eta under the action).
     """
     Gp = Q.group
-    n = Q.P.dim
-    R = RealizationData(Q.P, Q.eta, Q.mu, cartan_dirac_field(Gp))
+    D = Q.D
+    R = RealizationData(D.chart, Q.eta, Q.mu, cartan_dirac_field(Gp))
     r1 = R.closedness_residual(samples)
     r2 = 0.0
     r3 = 0.0
     r_inv = 0.0
-    # sample-independent, so built once per basis vector v
-    fields = []
-    for v in np.eye(Gp.dim):
-        Xv = Q.rho_P(list(v))
-        fields.append((Xv, Q.moment_one_form(list(v)),
-                       lie_derivative(Xv, Q.eta)))
+    # sample-independent, so built once per frame element
+    invariance = [lie_derivative(D.anchor(i), Q.eta) for i in range(D.rank)]
+    upper = np.triu_indices(D.chart.dim, 1)
     for p in samples:
         H = Q.eta.at(p)
-        for Xv, moment, L in fields:
-            row = np.array([jets.value_of(c) for c in Xv(p)]) @ H
-            r2 = max(r2, float(np.max(np.abs(row - moment.at(p)))))
-            Leta = L.at(p)
-            r_inv = max(r_inv, float(np.max(np.abs(
-                Leta[np.triu_indices(n, 1)]))))
+        rho = D.rho(p)
+        r2 = max(r2, float(np.max(np.abs(rho.T @ H - D.rho_star(p)))))
+        for L in invariance:
+            r_inv = max(r_inv, float(np.max(np.abs(L.at(p)[upper]))))
         u = [jets.value_of(c) for c in Q.mu(p)]
-        Adp1 = Gp.Ad_matrix(u) + np.eye(Gp.dim)
-        ker_v = linear.null_basis(Adp1)
-        gen_mat = np.array([[jets.value_of(c) for c in g(p)]
-                            for g in Q.generators]).T  # n x dim(h)
-        image = gen_mat @ ker_v if ker_v.size else np.zeros((n, 0))
-        ker_eta = linear.null_basis(H)
-        r3 = max(r3, linear.span_gap(image, ker_eta))
+        ker_v = linear.null_basis(Gp.Ad_matrix(u) + np.eye(Gp.dim))
+        image = rho @ ker_v if ker_v.size else np.zeros((D.chart.dim, 0))
+        r3 = max(r3, linear.span_gap(image, linear.null_basis(H)))
     return r1, r2, r3, r_inv
 
 
@@ -194,16 +166,12 @@ def equivalence_crosscheck(Q, samples):
     for the basis vector v = e_j; its realization solve must return
     rho_P(e_j).
     """
-    Gp = Q.group
-    R = RealizationData(Q.P, Q.eta, Q.mu, cartan_dirac_field(Gp))
+    R = RealizationData(Q.D.chart, Q.eta, Q.mu, cartan_dirac_field(Q.group))
     report = realization_check(R, samples)
-    gens = [Q.rho_P(list(e)) for e in np.eye(Gp.dim)]
     mismatch = 0.0
     for p, vecs in zip(samples, report["action_vectors"]):
-        for X, gen in zip(vecs, gens):
-            ref = [jets.value_of(c) for c in gen(p)]
-            mismatch = max(mismatch, max(abs(a - b)
-                                         for a, b in zip(X, ref)))
+        gap = np.array(vecs).T - Q.D.rho(p)
+        mismatch = max(mismatch, float(np.max(np.abs(gap))))
     report["generator_mismatch"] = mismatch
     return report
 
@@ -251,7 +219,10 @@ def rotation_quasi_ham(factor=0.5):
     ch = Chart(("x", "y"))
     Gp = torus(1)
     eta = Form.from_components(ch, 2, {(0, 1): "1.0"})
-    gen = VectorField.from_components(ch, ("y", "-x"))
     mu = ChartMap(ch, Chart(Gp.chart_names()),
                   lambda p: [factor * (p[0] * p[0] + p[1] * p[1])])
-    return QuasiHamData(ch, Gp, [gen], eta, mu)
+    sigma = amm_rho_star(Gp)
+    D = AnchoredDual(ch, lambda p: np.array([[p[1]], [-p[0]]]),
+                     lambda p: sigma(mu(p)) @ np.array(jets.jacobian(mu.func, p)),
+                     -Gp.struct)
+    return QuasiHamData(Gp, D, eta, mu)

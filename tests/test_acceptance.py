@@ -113,7 +113,7 @@ def test_acceptance_3_groupoid_suite():
         rng = np.random.default_rng([42, sum(name.encode())])
         res = [max(G.structure_residuals(rng, 8).values()),
                gr.check_multiplicative(G, F, rng, 16),
-               gr.check_rel_closed(G, F, rng, 16, 3)]
+               gr.check_rel_closed(G, F, rng, 16)]
         res.extend(gr.check_unit_identities(G, F, rng, 16))
         if name != "nondirac-flow":
             res.append(gr.check_kernel_orthogonality(G, F, rng, 16))

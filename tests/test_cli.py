@@ -275,3 +275,38 @@ def test_classification_fails_on_non_finite_omega(tmp_path, capsys):
         for name in suite:
             assert checks[name]["pass"] is False, name
             assert reason in checks[name]["error"], name
+
+
+def test_non_finite_basicness_fails_and_stays_strict_json(capsys):
+    # a step of 1e308 overflows the shifted paths, so every grid residual
+    # is NaN; the fold must keep the NaN and the report must stay strict
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant}")
+
+    code = cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
+                     "--fd-step", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    entry = json.loads(captured.out, parse_constant=reject)[
+        "reports"][0]["checks"]["basicness"]
+    assert entry["pass"] is False
+    assert entry["residual"] is None
+    assert entry["order"] is None
+
+
+@pytest.mark.parametrize("change", [
+    {"box": "abc"}, {"box": -1}, {"box": 1e309},
+    {"omega": {"0,0": "1.0"}}, {"omega": {"1,0": "1.0"}},
+    {"omega": {"0,5": "1.0"}}, {"omega": []}, {"omega": {"0,1": [1]}},
+    {"phi": {"0,1,2": "1.0"}}, {"phi": "x1"},
+    {"n": 0}, {"n": -1}, {"n": 2.5}, {"n": "2"}])
+def test_malformed_inline_fixture_exits_two(tmp_path, capsys, change):
+    inline = {"n": 2, "omega": {"0,1": "1.0"}}
+    inline.update(change)
+    p = tmp_path / "inline.json"
+    p.write_text(json.dumps({"id": "bad-inline", "fixture":
+                             {"inline": inline}, "suite": ["structure"]}))
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -115,11 +115,23 @@ def test_frame_size_validation():
 
 # -- anchored dual pairs ----------------------------------------------------
 
-def rotation_pair(factor="1.0"):
-    """Rank-1 pair on R^2: rho = rotation field, rho* = factor * d(r^2)/2-ish."""
-    rho = [VectorField.from_components(CH2, ["y", "-x"])]
-    rho_star = [Form.from_components(CH2, 1, {(0,): "x", (1,): "y"})]
-    return AnchoredDual(rho, rho_star, None)
+def rotation_pair():
+    """Rank-1 pair on R^2: rho = the rotation field, rho* = x dx + y dy."""
+    return AnchoredDual(CH2, lambda p: np.array([[p[1]], [-p[0]]]),
+                        lambda p: np.array([[p[0], p[1]]]), np.zeros((1, 1, 1)))
+
+
+def so3_anchor(sigma, sign=1.0):
+    """The rotation generators on R^3 with structure c[i, j, k] = -sign for
+    (i, j, k) cyclic and the dual sigma."""
+    def rho(p):
+        x, y, z = p
+        return np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+
+    c = np.zeros((3, 3, 3))
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        c[i, j, k], c[j, i, k] = -sign, sign
+    return AnchoredDual(CH3, rho, sigma, c)
 
 
 def test_anchor_bracket_residual_abelian():
@@ -141,9 +153,8 @@ def test_im_conditions_rotation_pair():
 
 def test_im_conditions_detect_bad_dual():
     # rho* = x dy is not antisymmetric against the rotation field
-    rho = [VectorField.from_components(CH2, ["y", "-x"])]
-    rho_star = [Form.from_components(CH2, 1, {(1,): "x"})]
-    D = AnchoredDual(rho, rho_star, None)
+    D = AnchoredDual(CH2, rotation_pair().rho,
+                     lambda p: np.array([[0.0, p[0]]]), np.zeros((1, 1, 1)))
     rng = np.random.default_rng(7)
     r1, _ = im_conditions_residual(D, None, samples(rng, 2))
     assert r1 > 1e-2
@@ -165,14 +176,7 @@ def test_im_conditions_tangent_presentation(phi, r2):
 def test_im_conditions_so3_anchor(sign, r2):
     # sigma(e_i) = dx_i on the rotation anchor: rho*([e_i, e_j]) must equal
     # the Lie-derivative terms, so negated structure constants fail
-    rho = [VectorField.from_components(CH3, ["0.0", "-z", "y"]),
-           VectorField.from_components(CH3, ["z", "0.0", "-x"]),
-           VectorField.from_components(CH3, ["-y", "x", "0.0"])]
-    c = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        c[i, j, k], c[j, i, k] = -sign, sign
-    sigma = [Form.from_components(CH3, 1, {(i,): "1.0"}) for i in range(3)]
-    D = AnchoredDual(rho, sigma, c.tolist())
+    D = so3_anchor(lambda p: np.eye(3), sign)
     rng = np.random.default_rng(9)
     got = im_conditions_residual(D, None, samples(rng, 3))
     assert got == pytest.approx((0.0, r2), abs=1e-12)
@@ -180,16 +184,6 @@ def test_im_conditions_so3_anchor(sign, r2):
 
 def test_structure_functions_so3_anchor():
     # generators of rotations on R^3 with c^k_{ij} the epsilon symbol
-    rho = [VectorField.from_components(CH3, ["0.0", "-z", "y"]),
-           VectorField.from_components(CH3, ["z", "0.0", "-x"]),
-           VectorField.from_components(CH3, ["-y", "x", "0.0"])]
-    zero = Form.from_components(CH3, 1, {})
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i][j][k] = -1.0
-        eps[j][i][k] = 1.0
-    c = [[[eps[i][j][k] for k in range(3)] for j in range(3)]
-         for i in range(3)]
-    D = AnchoredDual(rho, [zero, zero, zero], c)
+    D = so3_anchor(lambda p: np.zeros((3, 3)))
     rng = np.random.default_rng(8)
     assert anchor_bracket_residual(D, samples(rng, 3)) < 1e-12

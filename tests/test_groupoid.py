@@ -34,7 +34,7 @@ def test_multiplicativity_all_fixtures():
 def test_relative_closedness_all_fixtures():
     for name in sorted(fixtures.FIXTURES):
         fx = fixtures.load(name)
-        r = check_rel_closed(fx["groupoid"], fx["form"], rng_for(name), 6, 3)
+        r = check_rel_closed(fx["groupoid"], fx["form"], rng_for(name), 6)
         assert r < 1e-8, (name, r)
 
 
@@ -135,7 +135,7 @@ def test_gauge_preserves_multiplicativity_and_shifts_phi():
     F2 = gauge(fx["groupoid"], fx["form"], B)
     rng = rng_for("gauge")
     assert check_multiplicative(fx["groupoid"], F2, rng, 5) < 1e-8
-    assert check_rel_closed(fx["groupoid"], F2, rng, 5, 3) < 1e-8
+    assert check_rel_closed(fx["groupoid"], F2, rng, 5) < 1e-8
     # gauging by a closed form leaves phi unchanged
     Bc = Form.from_components(bch, 2, {(0, 1): "1.0"})
     F3 = gauge(fx["groupoid"], fx["form"], Bc)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracgeo import liegroup as lg
+from diracgeo.geometry import Chart
 from diracgeo.jets import value_of
 
 
@@ -206,8 +207,9 @@ def test_cartan_dirac_field_wrapper():
 def test_amm_omega_equals_general_action_form():
     Gp = lg.so3()
     omega = lg.amm_omega(Gp)
-    rho = lg.action_generators(lg.conjugation_action(Gp))
-    built = lg.general_action_form(Gp, 3, rho, lg.amm_rho_star(Gp))
+    D = lg.action_algebroid(Gp, Chart(Gp.chart_names()),
+                            lg.conjugation_action(Gp), lg.amm_rho_star(Gp))
+    built = lg.general_action_form(Gp, D)
     rng = np.random.default_rng(19)
     for _ in range(5):
         p = rand_alg(rng, 6, 0.4)

@@ -5,7 +5,7 @@ import pytest
 
 from diracgeo import liegroup as lg
 from diracgeo.geometry import Chart, ChartMap, Form
-from diracgeo.realization import (QuasiHamData, RealizationData,
+from diracgeo.realization import (RealizationData,
                                   action_compatibility_residual,
                                   equivalence_crosscheck,
                                   equivariance_residual,
@@ -92,7 +92,7 @@ def test_degenerate_moment_map_detected():
     # are unsolvable and the kernel of the solve is positive-dimensional
     Q = rotation_quasi_ham(0.5)
     Gp = Q.group
-    ch = Q.P
+    ch = Q.D.chart
     mu0 = ChartMap(ch, Chart(Gp.chart_names()), lambda p: [0.25])
     from diracgeo.realization import RealizationData
     from diracgeo.liegroup import cartan_dirac_field
