@@ -461,6 +461,10 @@ def run_scenario(scenario, args):
             entry = CHECKS[name](fx, rng, policy)
         except (GR.NonFiniteFormError, DomainError) as e:
             entry = {"pass": False, "error": str(e)}
+        except OverflowError as e:
+            entry = {"pass": False, "error": f"floating-point overflow: {e}"}
+        except GR.RankInstabilityError as e:
+            entry = {"pass": False, "indeterminate": str(e)}
         expected = expect.get(name, True)
         entry["expected"] = expected
         entry["as_expected"] = bool(entry["pass"]) == bool(expected)

@@ -1,14 +1,16 @@
 """The phi-twisted Courant bracket on sections of TM + T*M, almost-Dirac
-fields given by global frames, and the infinitesimal-multiplicativity
-conditions for anchored dual pairs (rho, rho*)."""
+fields given by global frames, and the infinitesimal-multiplicativity and
+Cartan-closedness conditions for anchored dual pairs (rho, rho*)."""
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
 from . import jets, linear
 from .geometry import (Chart, Form, VectorField, ext_d, interior,
                        lie_bracket, lie_derivative, _check_chart)
+from .groupoid import max_abs, worst_of
 
 
 @dataclass
@@ -81,15 +83,15 @@ def integrability_residual(L, phi, samples):
     Vanishing pairing against all of L_p is membership in L_p (maximal
     isotropy), so this measures closure under the twisted bracket.
     """
+    brackets = [courant_bracket(a, b, phi)
+                for a, b in combinations(L.frame, 2)]
     worst = 0.0
     for p in samples:
         L.dirac_at(p)  # raises if the frame degenerates here
-        for i in range(len(L.frame)):
-            for j in range(i + 1, len(L.frame)):
-                br = courant_bracket(L.frame[i], L.frame[j], phi)
-                for s in L.frame:
-                    r = abs(jets.value_of(pair_sections(br, s, p)))
-                    worst = max(worst, r)
+        for br in brackets:
+            for s in L.frame:
+                worst = worst_of(worst, abs(jets.value_of(
+                    pair_sections(br, s, p))))
     return worst
 
 
@@ -127,36 +129,68 @@ def anchor_bracket_residual(D, samples):
         for i in range(D.rank):
             for j in range(D.rank):
                 rhs = lie_bracket(D.anchor(i), D.anchor(j))(p)
-                worst = max(worst, float(np.max(np.abs(
-                    R @ D.structure[i, j] - rhs))))
+                worst = worst_of(worst, np.max(np.abs(
+                    R @ D.structure[i, j] - rhs)))
     return worst
+
+
+def _bracket_dual(D, i, j):
+    """sigma([a_i, a_j]) as a 1-form."""
+    return Form(D.chart, 1, lambda p, c=D.structure[i, j]: c @ D.rho_star(p))
+
+
+def _isotropy_residual(D, samples):
+    """max |S + S^T| for S = rho_star . rho: <sigma(a_i), rho(a_j)> is
+    antisymmetric."""
+    S = [D.rho_star(p) @ D.rho(p) for p in samples]
+    return worst_of(*(np.max(np.abs(s + s.T)) for s in S))
+
+
+def _worst_form(forms, samples):
+    """The largest max_abs of the forms (0 when there are none)."""
+    return worst_of(0.0, *(max_abs(w, samples) for w in forms))
 
 
 def im_conditions_residual(D, phi, samples):
     """Residuals of the two infinitesimal multiplicativity conditions.
 
-    r1: antisymmetry of <sigma(a_i), rho(a_j)>, max |S + S^T| for
-        S = rho_star . rho.
+    r1: the isotropy residual max |S + S^T| for S = rho_star . rho.
     r2: d_A sigma(a,b) - i_{rho(a) ^ rho(b)} phi, where
         d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
                          + d<sigma(b), rho(a)>   (L_a means L_{rho(a)}).
     """
     totals = []
+    for i, j in combinations(range(D.rank), 2):
+        X, Y = D.anchor(i), D.anchor(j)
+        total = _bracket_dual(D, i, j) - lie_derivative(X, D.dual(j)) \
+            + lie_derivative(Y, D.dual(i)) + ext_d(interior(X, D.dual(j)))
+        if phi is not None:
+            total = total - interior(Y, interior(X, phi))
+        totals.append(total)
+    return _isotropy_residual(D, samples), _worst_form(totals, samples)
+
+
+def cartan_closed_residual(D, phi, samples):
+    """Residuals of the three pointwise conditions on (rho*, phi) for the
+    action algebroid D.
+
+    r1: the isotropy residual, as in im_conditions_residual.
+    r2: |i_{rho(a_i)} phi - d(rho*(a_i))| over the frame.
+    r3: |L_{rho(a_i)} rho*(a_j) - rho*([a_i, a_j])| -- infinitesimal
+        invariance of rho* under the action (the algebroid bracket is the
+        algebra bracket negated, as the generator map of a left action is
+        an anti-morphism).
+
+    r2 is stronger than the IM conditions: it says that the form
+    liegroup.general_action_form built from D is closed, while the IM
+    conditions only say that some relatively closed form exists.
+    """
+    closed = []
     for i in range(D.rank):
-        for j in range(i + 1, D.rank):
-            c = D.structure[i, j]
-            bracket = Form(D.chart, 1, lambda p, c=c: c @ D.rho_star(p))
-            X, Y = D.anchor(i), D.anchor(j)
-            total = bracket - lie_derivative(X, D.dual(j)) \
-                + lie_derivative(Y, D.dual(i)) + ext_d(interior(X, D.dual(j)))
-            if phi is not None:
-                total = total - interior(Y, interior(X, phi))
-            totals.append(total)
-    r1 = 0.0
-    r2 = 0.0
-    for p in samples:
-        S = D.rho_star(p) @ D.rho(p)
-        r1 = max(r1, float(np.max(np.abs(S + S.T))))
-        for total in totals:
-            r2 = max(r2, float(np.max(np.abs(total.at(p)))))
-    return r1, r2
+        w = -ext_d(D.dual(i))
+        closed.append(w if phi is None else w + interior(D.anchor(i), phi))
+    invariant = [lie_derivative(D.anchor(i), D.dual(j))
+                 - _bracket_dual(D, i, j)
+                 for i, j in permutations(range(D.rank), 2)]
+    return (_isotropy_residual(D, samples), _worst_form(closed, samples),
+            _worst_form(invariant, samples))

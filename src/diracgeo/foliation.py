@@ -15,7 +15,7 @@ from . import linear
 from .courant import Section, courant_bracket
 from .geometry import (Chart, Form, VectorField, alternate,
                        component_jacobian, ext_d, interior)
-from .groupoid import GroupoidForm, fiberwise_pair_groupoid, worst_of
+from .groupoid import GroupoidForm, fiberwise_pair_groupoid, max_abs
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,6 @@ def _block(fol, w, q):
     keep = (np.indices((fol.n,) * w.degree) >= fol.k).sum(axis=0) == q
     return Form(w.chart, w.degree,
                 lambda p: np.where(keep, w.components(p), 0.0))
-
-
-def max_abs(w, samples):
-    """Largest |component| of w over the samples (NaN if any is NaN)."""
-    return worst_of(*(np.max(np.abs(w.at(p))) for p in samples))
 
 
 def d_F(fol, w):

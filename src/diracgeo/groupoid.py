@@ -29,6 +29,12 @@ def worst_of(*values):
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
+def max_abs(w, samples):
+    """Largest |component| of the form w over the samples (NaN if any is
+    NaN)."""
+    return worst_of(*(np.max(np.abs(w.at(p))) for p in samples))
+
+
 @dataclass
 class ChartGroupoid:
     """Groupoid on global coordinate charts.
@@ -206,8 +212,9 @@ def _stable_rank(s, where="matrix"):
         gap = (kept.min() / small.max()) if kept.size else np.inf
         if small.max() > cut / 10 and kept.size and kept.min() < cut * 10:
             raise RankInstabilityError(
-                f"indeterminate rank at {where}: singular values straddle "
-                f"the threshold {cut:.1e}")
+                f"indeterminate rank at {where}: singular values "
+                f"{small.max():.1e} and {kept.min():.1e} straddle the "
+                f"threshold {cut:.1e}")
     return r, gap
 
 

@@ -59,7 +59,7 @@ class DiscretizedAPath:
         worst = 0.0
         for i in range(1, self.N):
             vel = (self.gamma[i + 1] - self.gamma[i - 1]) / (2 * self.dt)
-            worst = max(worst, float(np.max(np.abs(self.rho_of_a(i) - vel))))
+            worst = worst_of(worst, np.max(np.abs(self.rho_of_a(i) - vel)))
         return worst
 
     def shifted(self, s, T):
@@ -202,23 +202,6 @@ def basicness_residual(path, eta, phi, probes, h=None):
     for X in probes:
         val = omega_tilde(path, X_eta, X, h) + omega_phi(path, X_eta, X, phi)
         worst = worst_of(worst, abs(val))
-    return worst
-
-
-def twist_contraction_residual(path, eta, phi, probes):
-    """Discrete-exact identity: omega_phi(X_eta, X) equals the quadrature
-    of phi(rho(a), rho(eta), dgamma X)."""
-    X_eta = gauge_vector(path, eta)
-    worst = 0.0
-    for X in probes:
-        lhs = omega_phi(path, X_eta, X, phi)
-        vals = []
-        for i in range(path.N + 1):
-            p = list(path.gamma[i])
-            vals.append(jets.value_of(phi(p, list(path.rho_of_a(i)),
-                                          list(X_eta.dgamma[i]),
-                                          list(X.dgamma[i]))))
-        worst = max(worst, abs(lhs - _trapz(vals, path.dt)))
     return worst
 
 

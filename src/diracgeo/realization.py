@@ -8,13 +8,13 @@ structure on a group.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import jets, linear
 from .courant import AnchoredDual
 from .geometry import Chart, ChartMap, Form, ext_d, lie_derivative, pullback
+from .groupoid import max_abs, worst_of
 from .liegroup import MatrixGroup, amm_rho_star, cartan_dirac_field, torus
 
 
@@ -26,38 +26,26 @@ class RealizationData:
     target: object           # has .dirac_at(y), .phi (3-form or None)
 
     def closedness_residual(self, samples):
-        """|d eta + mu* phi| at samples over tangent triples."""
+        """|d eta + mu* phi| at the samples."""
+        if self.P.dim < 3:
+            return 0.0      # no 3-form on a chart of dimension < 3
         d_eta = ext_d(self.eta)
         total = d_eta if self.target.phi is None else \
             d_eta + pullback(self.mu, self.target.phi)
-        triples = list(combinations(range(self.P.dim), 3))
-        if not triples:
-            return 0.0      # no 3-form on a chart of dimension < 3
-        worst = 0.0
-        for p in samples:
-            T = total.at(p)
-            worst = max(worst, max(abs(T[idx]) for idx in triples))
-        return worst
+        return max_abs(total, samples)
 
 
 def realization_check(R, samples):
     """Solve d mu(X) = w, i_X eta = mu* xi for each column (w, xi) of the
     target's frame.
 
-    Returns a report dict with solvability and uniqueness residuals, the
-    kernel-isomorphism diagnostics, and the induced action vectors per
+    Returns a report dict with the solvability residual, the uniqueness
+    and kernel-isomorphism flags, and the induced action vectors per
     sample (one X per frame column of the target Dirac space).
     """
-    report = {
-        "solve_residual": 0.0,
-        "kernel_dim_max": 0,
-        "dirac_map": True,
-        "unique": True,
-        "kernel_iso_ok": True,
-        "kernel_iso_residual": 0.0,
-        "action_vectors": [],
-        "failures": [],
-    }
+    report = {"kernel_iso_ok": True, "action_vectors": []}
+    solve = 0.0
+    kdim = 0
     for p in samples:
         Dmu = np.array(jets.jacobian(R.mu.func, p))
         H = R.eta.at(p)
@@ -70,22 +58,10 @@ def realization_check(R, samples):
             w, xi = col[:m], col[m:]
             rhs = np.concatenate([w, Dmu.T @ xi])
             X, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            res = float(np.linalg.norm(A @ X - rhs, np.inf))
-            report["solve_residual"] = max(report["solve_residual"], res)
-            if res > 1e-8:
-                report["dirac_map"] = False
-                report["failures"].append(
-                    {"kind": "not a Dirac map", "point": list(map(float, p)),
-                     "residual": res})
+            solve = worst_of(solve, np.linalg.norm(A @ X - rhs, np.inf))
             vecs.append([float(c) for c in X])
         report["action_vectors"].append(vecs)
-        kdim = linear.null_basis(A).shape[1]
-        report["kernel_dim_max"] = max(report["kernel_dim_max"], kdim)
-        if kdim > 0:
-            report["unique"] = False
-            report["failures"].append(
-                {"kind": "degenerate realization",
-                 "point": list(map(float, p)), "kernel_dim": kdim})
+        kdim = max(kdim, linear.null_basis(A).shape[1])
         # d mu maps Ker(eta) isomorphically onto Ker(L)
         ker_eta = linear.null_basis(H)
         ker_L = linear.induced(L).kernel
@@ -95,11 +71,10 @@ def realization_check(R, samples):
         elif ker_eta.shape[1] > 0:
             if np.linalg.matrix_rank(image, tol=1e-10) < ker_eta.shape[1]:
                 report["kernel_iso_ok"] = False
-            gap = linear.span_gap(image, ker_L)
-            report["kernel_iso_residual"] = max(
-                report["kernel_iso_residual"], gap)
-            if gap > 1e-7:
+            if linear.span_gap(image, ker_L) > 1e-7:
                 report["kernel_iso_ok"] = False
+    report.update(solve_residual=solve, dirac_map=solve <= 1e-8,
+                  kernel_dim_max=kdim, unique=kdim == 0)
     return report
 
 
@@ -124,7 +99,7 @@ def equivariance_residual(Q, samples):
         u = [jets.value_of(c) for c in Q.mu(p)]
         gen = Gp.right_matrix(u) - Gp.left_matrix(u)
         lhs = np.array(jets.jacobian(Q.mu.func, p)) @ Q.D.rho(p)
-        worst = max(worst, float(np.max(np.abs(lhs - gen))))
+        worst = worst_of(worst, np.max(np.abs(lhs - gen)))
     return worst
 
 
@@ -139,22 +114,17 @@ def quasi_ham_check(Q, samples):
     D = Q.D
     R = RealizationData(D.chart, Q.eta, Q.mu, cartan_dirac_field(Gp))
     r1 = R.closedness_residual(samples)
-    r2 = 0.0
-    r3 = 0.0
-    r_inv = 0.0
-    # sample-independent, so built once per frame element
-    invariance = [lie_derivative(D.anchor(i), Q.eta) for i in range(D.rank)]
-    upper = np.triu_indices(D.chart.dim, 1)
+    r_inv = worst_of(0.0, *(max_abs(lie_derivative(D.anchor(i), Q.eta),
+                                    samples) for i in range(D.rank)))
+    r2 = r3 = 0.0
     for p in samples:
         H = Q.eta.at(p)
         rho = D.rho(p)
-        r2 = max(r2, float(np.max(np.abs(rho.T @ H - D.rho_star(p)))))
-        for L in invariance:
-            r_inv = max(r_inv, float(np.max(np.abs(L.at(p)[upper]))))
+        r2 = worst_of(r2, np.max(np.abs(rho.T @ H - D.rho_star(p))))
         u = [jets.value_of(c) for c in Q.mu(p)]
         ker_v = linear.null_basis(Gp.Ad_matrix(u) + np.eye(Gp.dim))
         image = rho @ ker_v if ker_v.size else np.zeros((D.chart.dim, 0))
-        r3 = max(r3, linear.span_gap(image, linear.null_basis(H)))
+        r3 = worst_of(r3, linear.span_gap(image, linear.null_basis(H)))
     return r1, r2, r3, r_inv
 
 
@@ -171,7 +141,7 @@ def equivalence_crosscheck(Q, samples):
     mismatch = 0.0
     for p, vecs in zip(samples, report["action_vectors"]):
         gap = np.array(vecs).T - Q.D.rho(p)
-        mismatch = max(mismatch, float(np.max(np.abs(gap))))
+        mismatch = worst_of(mismatch, np.max(np.abs(gap)))
     report["generator_mismatch"] = mismatch
     return report
 
@@ -205,7 +175,7 @@ def action_compatibility_residual(m_P, omega_L, eta, g_dim, p_dim,
                 lhs = eta(q, list(Dm @ V), list(Dm @ W))
                 rhs = omega_L(list(g), list(V[:g_dim]), list(W[:g_dim])) \
                     + eta(list(p), list(V[g_dim:]), list(W[g_dim:]))
-                worst = max(worst, abs(jets.value_of(lhs - rhs)))
+                worst = worst_of(worst, abs(jets.value_of(lhs - rhs)))
     return worst
 
 

@@ -3,8 +3,12 @@
 import copy
 import json
 import os
+import tempfile
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracgeo import cli
 from diracgeo import groupoid as GR
@@ -310,3 +314,83 @@ def test_malformed_inline_fixture_exits_two(tmp_path, capsys, change):
     assert cli.main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _strict(text):
+    """Parse text as JSON that has no NaN or infinite literal."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON literal {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_inline(inline, suite):
+    scn = {"id": "fuzz", "fixture": {"inline": inline}, "suite": suite,
+           "policy": {"samples": 2}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        out = os.path.join(tmp, "report.json")
+        with open(path, "w") as fh:
+            json.dump(scn, fh)
+        code = cli.main(["run", path, "--out", out])
+        text = open(out).read() if os.path.exists(out) else None
+    return code, text
+
+
+RANK = ({"n": 4, "omega": {"0,1": "5e-9", "2,3": "5e-10"}},
+        ["classification"])
+EXP = ({"n": 2, "omega": {"0,1": "exp(800*x1)"}}, ["multiplicative"])
+POW = ({"n": 2, "omega": {"0,1": "x1^200"}, "box": 1000.0},
+       ["multiplicative"])
+
+
+@pytest.mark.parametrize("inline, suite, key, reason", [
+    (*RANK, "indeterminate", "straddle the threshold"),
+    (*EXP, "error", "overflow"),
+    (*POW, "error", "overflow")])
+def test_overflow_and_ambiguous_rank_fail_without_traceback(
+        inline, suite, key, reason, capsys):
+    code, text = _run_inline(inline, suite)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    entry = _strict(text)["reports"][0]["checks"][suite[0]]
+    assert entry["pass"] is False
+    assert reason in entry[key]
+
+
+GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
+                   "unit-identities", "kernel-orthogonality", "orbit-form",
+                   "classification", "dirac-type", "induced-dirac",
+                   "rho-star-half-flat"]
+EXPRESSIONS = st.one_of(
+    st.floats(-5.0, 5.0), st.integers(-3, 3),
+    st.sampled_from(["x1", "sqrt(x1)", "1.0/(x1 - x1)", "x1^-3", "1e-9*x1",
+                     "exp(800*x1)"]))
+
+
+@st.composite
+def inline_fixtures(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [f"{i},{j}" for i, j in combinations(range(n), 2)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True,
+                         max_size=3)) if pairs else []
+    inline = {"n": n, "omega": {k: draw(EXPRESSIONS) for k in keys}}
+    if draw(st.booleans()):
+        inline["box"] = draw(st.sampled_from([0.5, 1000.0]))
+    return inline
+
+
+@settings(max_examples=40, deadline=None)
+@given(inline_fixtures(),
+       st.lists(st.sampled_from(GROUPOID_CHECKS), min_size=1, max_size=3,
+                unique=True))
+@example(*RANK)
+@example(*EXP)
+@example(*POW)
+def test_fuzzed_inline_fixtures_exit_cleanly(inline, suite):
+    # whatever the expressions do (overflow, divide by zero, leave their
+    # domain, make a rank ambiguous), the runner reports a check entry:
+    # exit 0 or 1 with a strict JSON report, or 2 for a rejected input
+    code, text = _run_inline(inline, suite)
+    assert code in (0, 1, 2)
+    if code != 2:
+        _strict(text)

@@ -1,12 +1,15 @@
-"""Twisted Courant bracket, almost-Dirac frames, anchored dual pairs."""
+"""Twisted Courant bracket, almost-Dirac frames, anchored dual pairs and
+their IM and Cartan-closedness conditions."""
 
 import numpy as np
 import pytest
 
+from diracgeo import liegroup as lg
 from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
-                              anchor_bracket_residual, courant_bracket,
-                              graph_of_form, im_conditions_residual,
-                              integrability_residual, pair_sections)
+                              anchor_bracket_residual, cartan_closed_residual,
+                              courant_bracket, graph_of_form,
+                              im_conditions_residual, integrability_residual,
+                              pair_sections)
 from diracgeo.geometry import Chart, Form, VectorField, chart, ext_d
 from diracgeo.pathspace import tangent_presentation
 
@@ -21,8 +24,8 @@ def section(ch, vec, cov):
                                         {(i,): c for i, c in enumerate(cov)}))
 
 
-def samples(rng, n, k=6):
-    return [list(rng.uniform(-1, 1, n)) for _ in range(k)]
+def samples(rng, n, k=6, scale=1.0):
+    return [list(rng.uniform(-scale, scale, n)) for _ in range(k)]
 
 
 def test_section_validation():
@@ -187,3 +190,113 @@ def test_structure_functions_so3_anchor():
     D = so3_anchor(lambda p: np.zeros((3, 3)))
     rng = np.random.default_rng(8)
     assert anchor_bracket_residual(D, samples(rng, 3)) < 1e-12
+
+
+def test_residuals_propagate_nan():
+    # the built-in max drops a NaN that is not its first argument; every
+    # residual folds with worst_of, so a NaN dual reads NaN
+    D = AnchoredDual(CH2, lambda p: np.eye(2),
+                     lambda p: np.full((2, 2), np.nan), np.zeros((2, 2, 2)))
+    pts = [[0.1, 0.2], [0.3, -0.4]]
+    r1, r2 = im_conditions_residual(D, None, pts)
+    assert np.isnan(r1) and np.isnan(r2)
+    r1, r2, r3 = cartan_closed_residual(D, None, pts)
+    assert np.isnan(r1) and np.isnan(r3)
+    assert r2 == 0.0    # d of a constant 1-form is 0, NaN or not
+
+
+# -- action algebroids: IM conditions and Cartan closedness -----------------
+
+def amm_algebroid(name="so3", rho_star=None):
+    """The conjugation action algebroid with the dual amm_rho_star (or the
+    given one) and the Cartan 3-form."""
+    Gp = lg.GROUPS[name]()
+    D = lg.action_algebroid(Gp, Chart(Gp.chart_names()),
+                            lg.conjugation_action(Gp),
+                            rho_star or lg.amm_rho_star(Gp))
+    return D, lg.cartan_form(Gp)
+
+
+def coadjoint_algebroid(name="so3"):
+    Gp = lg.GROUPS[name]()
+    return lg.action_algebroid(
+        Gp, Chart(tuple(f"x{i+1}" for i in range(Gp.dim))),
+        lg.coadjoint_action(Gp), lambda x: np.eye(Gp.dim))
+
+
+def test_conjugation_triple_satisfies_all_conditions():
+    rng = np.random.default_rng(31)
+    D, phi = amm_algebroid("so3")
+    r1, r2, r3 = cartan_closed_residual(D, phi, samples(rng, 3, 4, 0.4))
+    assert r1 < 1e-12
+    assert r2 < 1e-10
+    assert r3 < 1e-10
+
+
+def test_conjugation_triple_su2():
+    rng = np.random.default_rng(32)
+    D, phi = amm_algebroid("su2")
+    r1, r2, r3 = cartan_closed_residual(D, phi, samples(rng, 3, 3, 0.4))
+    assert max(r1, r2, r3) < 1e-10
+
+
+def test_coadjoint_triple_satisfies_all_conditions():
+    rng = np.random.default_rng(33)
+    D = coadjoint_algebroid()
+    r1, r2, r3 = cartan_closed_residual(D, None, samples(rng, 3, 4, 0.8))
+    assert max(r1, r2, r3) < 1e-12
+
+
+def test_wrong_dual_breaks_isotropy():
+    # doubling rho* breaks nothing (r1 is still <rho*(v), rho(v)> = 0 for
+    # conjugation), but swapping in a constant covector does
+    D, phi = amm_algebroid(
+        "so3", lambda x: np.eye(3) + np.outer(np.ones(3), [1.0, 0.0, 0.0]))
+    rng = np.random.default_rng(34)
+    r1, r2, r3 = cartan_closed_residual(D, phi, samples(rng, 3, 2, 0.4))
+    assert max(r1, r2, r3) > 1e-2
+
+
+def test_missing_twist_detected():
+    # the conjugation dual pair needs the Cartan 3-form; dropping it breaks r2
+    D, _ = amm_algebroid("so3")
+    rng = np.random.default_rng(35)
+    pts = [list(rng.uniform(0.2, 0.5, 3)) for _ in range(2)]
+    _, r2, _ = cartan_closed_residual(D, None, pts)
+    assert r2 > 1e-3
+
+
+def test_cartan_closedness_is_stronger_than_the_im_conditions():
+    # torus(1) acting trivially on R^2, sigma(e) = x2 dx1, no twist: the IM
+    # conditions hold (rho = 0 and one section has no brackets), but
+    # d sigma(e) = dx2 ^ dx1 differs from i_{rho(e)} phi = 0
+    D = lg.action_algebroid(lg.torus(1), Chart(("x1", "x2")),
+                            lambda u, x: list(x),
+                            lambda x: np.array([[x[1], 0.0]]))
+    pts = samples(np.random.default_rng(40), 2, 4, 0.4)
+    assert cartan_closed_residual(D, None, pts) == pytest.approx(
+        (0.0, 1.0, 0.0))
+    assert im_conditions_residual(D, None, pts) == pytest.approx((0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+def test_im_conditions_on_conjugation_algebroids(name):
+    D, phi = amm_algebroid(name)
+    pts = samples(np.random.default_rng(41), D.chart.dim, 3, 0.4)
+    r1, r2 = im_conditions_residual(D, phi, pts)
+    assert max(r1, r2) <= 1e-12
+
+
+def test_im_conditions_on_coadjoint_algebroid():
+    D = coadjoint_algebroid()
+    pts = samples(np.random.default_rng(42), 3, 3, 0.8)
+    assert im_conditions_residual(D, None, pts) == (0.0, 0.0)
+
+
+def test_im_conditions_reject_negated_dual_and_missing_twist():
+    D, phi = amm_algebroid("so3")
+    pts = samples(np.random.default_rng(41), 3, 3, 0.4)
+    negated = AnchoredDual(D.chart, D.rho, lambda x: -D.rho_star(x),
+                           D.structure)
+    assert im_conditions_residual(negated, phi, pts)[1] > 1e-2
+    assert im_conditions_residual(D, None, pts)[1] > 1e-2

@@ -101,16 +101,6 @@ def test_sigma_contraction_discrete_exact():
     assert ps.sigma_contraction_residual(path, eta) < 1e-10
 
 
-def test_twist_contraction_discrete_exact():
-    pres, phi = twisted_pres()
-    path = ps.sampled_path(pres, ["t", "t*t", "0.5 + 0.2*t"],
-                           ["1.0", "2.0*t", "0.2"], 48)
-    probes = [ps.sampled_tangent(path, ["t", "1.0", "sin(t)"],
-                                 ["1.0", "0.0", "cos(t)"])]
-    eta = ps.GaugeParameter(["x3", "t", "x1"])
-    assert ps.twist_contraction_residual(path, eta, phi, probes) < 1e-10
-
-
 def test_twisted_basicness_converges():
     pres, phi = twisted_pres()
     eta = ps.GaugeParameter(["x3", "t", "x1"])
