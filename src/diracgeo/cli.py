@@ -77,7 +77,7 @@ def _inline_fixture(spec):
     if "omega" not in spec:
         raise ScenarioError("inline fixture needs 'omega' components")
     box = spec.get("box", 1.0)
-    if not (_is_positive(box) and math.isfinite(box)):
+    if not _is_positive(box):
         raise ScenarioError("inline fixture 'box' must be a finite "
                             "positive number")
 
@@ -411,7 +411,9 @@ def _is_real(v):
 
 
 def _is_positive(v):
-    return _is_real(v) and v > 0
+    """A finite positive number (a JSON literal such as 1e400 reads as
+    inf)."""
+    return _is_real(v) and math.isfinite(v) and v > 0
 
 
 def merge_policy(scenario, args):
@@ -429,9 +431,10 @@ def merge_policy(scenario, args):
     if not (_is_int(policy["samples"]) and policy["samples"] > 0):
         raise ScenarioError("policy samples must be a positive integer")
     if not _is_positive(policy["tol"]):
-        raise ScenarioError("policy tol must be a positive number")
+        raise ScenarioError("policy tol must be a finite positive number")
     if not (policy["fd_step"] is None or _is_positive(policy["fd_step"])):
-        raise ScenarioError("policy fd_step must be a positive number")
+        raise ScenarioError("policy fd_step must be a finite positive "
+                            "number")
     if not (isinstance(grid, list) and all(_is_int(N) and N > 1 for N in grid)
             and len(set(grid)) == len(grid) >= 2):
         raise ScenarioError(
@@ -458,7 +461,10 @@ def run_scenario(scenario, args):
         rng = np.random.default_rng(
             [policy["seed"]] + list(name.encode()))
         try:
-            entry = CHECKS[name](fx, rng, policy)
+            # a non-finite value fails its check in the report, so numpy's
+            # warnings about it would only repeat that on stderr
+            with np.errstate(all="ignore"):
+                entry = CHECKS[name](fx, rng, policy)
         except (GR.NonFiniteFormError, DomainError) as e:
             entry = {"pass": False, "error": str(e)}
         except OverflowError as e:

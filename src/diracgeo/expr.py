@@ -3,10 +3,13 @@
 Recursive-descent parser for a small expression language (variables,
 + - * /, unary minus, sin cos exp sqrt, integer powers) plus jet-based
 evaluation.  Precedence, tightest first: function application, unary minus,
-power, * /, + -.
+power, * /, + -.  An expression evaluates at a point of floats, of arrays of
+shape (B,) (a batch of B points) or of jets over either.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .jets import DomainError
@@ -214,6 +217,13 @@ class _Parser:
 
 # -- evaluation -----------------------------------------------------------
 
+def _nonzero(x, node):
+    try:
+        jets.require(jets.value_of(x) == 0.0, "division by zero")
+    except DomainError as e:
+        raise DomainError(f"{e} in {to_str(node)}") from None
+
+
 def _eval(node, env):
     if isinstance(node, Num):
         return node.value
@@ -230,13 +240,17 @@ def _eval(node, env):
             return a - b
         if node.op == "*":
             return a * b
-        if jets.value_of(b) == 0.0:
-            raise DomainError(f"division by zero in {to_str(node)}")
+        _nonzero(b, node)
         return a / b
     if isinstance(node, Pow):
         base = _eval(node.base, env)
-        if node.exponent < 0 and jets.value_of(base) == 0.0:
-            raise DomainError(f"division by zero in {to_str(node)}")
+        if node.exponent < 0:
+            _nonzero(base, node)
+        if isinstance(base, np.ndarray):
+            # a float power raises on overflow; numpy returns inf
+            with np.errstate(over="ignore"):
+                return jets.require_finite(base, base ** node.exponent,
+                                           "power")
         return base ** node.exponent
     if isinstance(node, Call):
         arg = _eval(node.arg, env)
@@ -258,7 +272,7 @@ class ScalarExpr:
         return to_str(self.ast)
 
     def __call__(self, point):
-        """Evaluate at a point (floats or jets)."""
+        """Evaluate at a point (floats, arrays over a batch, or jets)."""
         if len(point) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} coordinates, got {len(point)}")

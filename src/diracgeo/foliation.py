@@ -62,7 +62,7 @@ def d_F(fol, w):
     def components(p):
         D = component_jacobian(w, p)
         D[..., fol.k:] = 0.0    # the transverse derivative columns
-        return alternate(D)
+        return alternate(D, w.degree)
 
     return Form(w.chart, w.degree + 1, components)
 

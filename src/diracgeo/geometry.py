@@ -6,6 +6,12 @@ operators compose lazily: the exterior derivative is the antisymmetrized
 Jacobian of the components, the interior product a contraction, the
 pullback J^T.w.J.  Derivatives come from jets, so they stay exact for the
 supported function basis and nest for second derivatives.
+
+A point may also be a batch: coordinates that are arrays of shape (B,).
+The components are then batch-first, (B,) + (n,)*k, or an object array of
+jets that carry the batch in their leaves; the component axes are always
+the trailing ones, so component code indexes and multiplies from the end
+(`C[..., i, j]`, `linear.mT`, `@`) and broadcasts over the batch.
 """
 
 from dataclasses import dataclass
@@ -43,6 +49,15 @@ def _as_expr(e, ch):
     if isinstance(e, (int, float)):
         return parse(repr(float(e)), ch.names)
     return parse(e, ch.names)
+
+
+def coordinates(P):
+    """The coordinates of a float point as floats, or of a (B, n) stack of
+    points as n arrays over the batch."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim == 1:
+        return P.tolist()
+    return list(np.ascontiguousarray(P.T))
 
 
 def _check_chart(a, b):
@@ -133,13 +148,20 @@ class Form:
 
         def components(p):
             vals = [e(p) for e in exprs]
-            if any(isinstance(v, jets.Jet) for v in vals):
+            kinds = set(map(type, vals))
+            if jets.Jet in kinds:
                 C = np.full(shape, 0.0, dtype=object)
+            elif np.ndarray in kinds:
+                # a batch of values fills a trailing axis of each entry,
+                # moved to the front below
+                C = np.zeros(shape + np.broadcast_shapes(*map(np.shape, vals)))
             else:
                 C = np.zeros(shape)
             for signed, v in zip(perms, vals):
                 for perm, sign in signed:
                     C[perm] = v if sign > 0 else -v
+            if C.ndim > degree:
+                C = np.moveaxis(C, -1, 0)
             return C if degree else C[()]
 
         return Form(ch, degree, components)
@@ -165,8 +187,14 @@ class Form:
         return C
 
     def at(self, p):
-        """The component array at a float point, as floats."""
-        return np.asarray(self.components([float(c) for c in p]), dtype=float)
+        """The component array at a float point, as floats; at a (B, n)
+        stack of points the (B,) + (n,)*k array of the B component
+        arrays."""
+        P = np.asarray(p, dtype=float)
+        C = np.asarray(self.components(coordinates(P)), dtype=float)
+        if P.ndim == 1:
+            return C
+        return np.broadcast_to(C, P.shape[:1] + (P.shape[1],) * self.degree)
 
     def __add__(self, other):
         _check_chart(self.chart, other.chart)
@@ -184,28 +212,36 @@ class Form:
 
 def component_jacobian(w, p):
     """D[..., l] = d w[...] / d p_l, the Jacobian of the components of the
-    form w at p: one jet pass with n partials, nesting-safe."""
-    shape = []
+    form w at p: one jet pass with n partials, nesting-safe, batch-first
+    at a batch of points."""
+    n, k = len(p), w.degree
 
     def flat(q):
+        # the entries, each a (B,) array when C is batch-first
         C = np.asarray(w.components(q))
-        shape[:] = C.shape
-        return list(C.ravel())
+        return list(C.reshape(C.shape[:C.ndim - k] + (-1,)).T)
 
-    rows = jets.jacobian(flat, p)
-    return np.array(rows).reshape(tuple(shape) + (len(p),))
+    D = jets.stack(jets.jacobian(flat, p))
+    return D.reshape(D.shape[:-2] + (n,) * (k + 1))
 
 
-def alternate(D):
+def alternate(D, k):
     """sum_a (-1)^a of D with its last (derivative) index moved to slot a:
     the components of dw for the component Jacobian D of a k-form w,
-    (dw)[i0..ik] = sum_a (-1)^a d_{i_a} w[i0..^i_a..ik]."""
-    k = D.ndim - 1
-    total = D.transpose((k,) + tuple(range(k)))
+    (dw)[i0..ik] = sum_a (-1)^a d_{i_a} w[i0..^i_a..ik].  The slots are
+    the k + 1 trailing axes of D."""
+    total = _to_slot(D, k, 0)
     for a in range(1, k + 1):
-        term = D.transpose(tuple(range(a)) + (k,) + tuple(range(a, k)))
+        term = _to_slot(D, k, a)
         total = total - term if a % 2 else total + term
     return total
+
+
+def _to_slot(D, k, a):
+    """D with its last axis moved to slot a of its k + 1 trailing axes."""
+    axes = list(range(D.ndim - 1))
+    axes.insert(D.ndim - k - 1 + a, D.ndim - 1)
+    return D.transpose(axes)
 
 
 def ext_d(w):
@@ -213,7 +249,7 @@ def ext_d(w):
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
     return Form(w.chart, w.degree + 1,
-                lambda p: alternate(component_jacobian(w, p)))
+                lambda p: alternate(component_jacobian(w, p), w.degree))
 
 
 def interior(X, w):
@@ -269,6 +305,20 @@ class ChartMap:
         return jets.directional(self.func, p, v)
 
 
+def pull(C, J, k):
+    """Every slot of the k-tensor C contracted with the rows of J:
+    J^T.C.J for k = 2.  C and J may be batch-first, one of them
+    constant."""
+    if k == 1:
+        return (C[..., None, :] @ J)[..., 0, :]
+    if k > 2:   # C has k - 2 more leading slot axes than a matrix
+        J = J.reshape(J.shape[:-2] + (1,) * (k - 2) + J.shape[-2:])
+    for _ in range(k):
+        C = C @ J
+        C = _to_slot(C, k - 1, 0)   # the contracted slot goes first
+    return C
+
+
 def pullback(f, w):
     """f* w for a chart map f and a form w on the target chart: every slot
     of the components at f(p) is contracted with the Jacobian J of f at p,
@@ -276,10 +326,17 @@ def pullback(f, w):
     _check_chart(f.target, w.chart)
 
     def components(p):
-        J = np.array(jets.jacobian(f.func, p))
-        C = w.components(f(p))
-        for _ in range(w.degree):
-            C = np.tensordot(C, J, axes=(0, 0))
-        return C
+        J = jets.stack(jets.jacobian(f.func, p))
+        return pull(w.components(f(p)), J, w.degree)
 
     return Form(f.source, w.degree, components)
+
+
+def block(rows):
+    """np.block on the two trailing axes of the blocks, each of which may
+    be batch-first or constant."""
+    batch = np.broadcast_shapes(*(np.shape(M)[:-2] for row in rows
+                                  for M in row))
+    return np.concatenate([np.concatenate(
+        [np.broadcast_to(M, batch + np.shape(M)[-2:]) for M in row],
+        axis=-1) for row in rows], axis=-2)

@@ -3,7 +3,8 @@ numerical checks for multiplicative 2-forms: multiplicativity, relative
 closedness, unit/inversion identities, kernel dimension identities,
 classification (Dirac type / robust / presymplectic / over-symplectic /
 nondegenerate), rho*-extraction at units, induced Dirac structures, and
-gauge transformations."""
+gauge transformations.  Each check draws all its samples first and then
+evaluates them as one (B, n) stack of points."""
 
 import math
 from dataclasses import dataclass, field
@@ -11,7 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, linear
-from .geometry import Form, ext_d, pullback, ChartMap
+from .linear import (mT, padded_contained, padded_intersect, padded_kernel,
+                     padded_null, padded_orth, padded_span_gap)
+from .geometry import Form, ChartMap, block, coordinates, ext_d, pullback
 
 
 class RankInstabilityError(ValueError):
@@ -23,8 +26,11 @@ class NonFiniteFormError(ValueError):
 
 
 def worst_of(*values):
-    """The largest residual, or NaN when any residual is NaN (the built-in
-    max drops a NaN that is not its first argument)."""
+    """The largest residual among scalars and arrays of residuals, or NaN
+    when any residual is NaN (the built-in max drops a NaN that is not its
+    first argument)."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return float(np.concatenate([np.ravel(v) for v in values]).max())
     values = [float(v) for v in values]
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
@@ -33,6 +39,18 @@ def max_abs(w, samples):
     """Largest |component| of the form w over the samples (NaN if any is
     NaN)."""
     return worst_of(*(np.max(np.abs(w.at(p))) for p in samples))
+
+
+def draw(sampler, rng, n):
+    """The (n, dim) stack of n points drawn one after another."""
+    return np.array([sampler(rng) for _ in range(n)], dtype=float)
+
+
+def apply(f, P):
+    """The (B, m) stack of the values of the structure map f at a (B, n)
+    stack of points, evaluated once on the coordinate arrays."""
+    return np.stack([np.broadcast_to(c, P.shape[:1])
+                     for c in f(coordinates(P))], axis=-1)
 
 
 @dataclass
@@ -58,25 +76,26 @@ class ChartGroupoid:
     sample_triple: object  # rng -> (g, h, k) with s(g) = t(h), s(h) = t(k)
 
     def structure_residuals(self, rng, n=8):
-        """Sanity residuals of the groupoid axioms at sampled points."""
-        r_unit = r_st = r_assoc = r_inv = 0.0
-        for _ in range(n):
-            x = self.sample_unit(rng)
-            ex = self.unit(x)
-            r_unit = worst_of(r_unit, _dist(self.s(ex), x),
-                              _dist(self.t(ex), x))
-            g, h = self.sample_pair(rng)
-            gh = self.mul(g, h)
-            r_st = worst_of(r_st, _dist(self.s(gh), self.s(h)),
-                            _dist(self.t(gh), self.t(g)))
-            r_inv = worst_of(r_inv, _dist(self.inv(self.inv(g)), g),
-                             _dist(self.mul(g, self.inv(g)),
-                                   self.unit(self.t(g))))
-            a, b, c = self.sample_triple(rng)
-            r_assoc = worst_of(r_assoc, _dist(self.mul(self.mul(a, b), c),
-                                              self.mul(a, self.mul(b, c))))
-        return {"unit": r_unit, "source_target": r_st,
-                "associativity": r_assoc, "inverse": r_inv}
+        """Sanity residuals of the groupoid axioms at sampled points: a
+        unit, a composable pair and a composable triple per sample, drawn
+        in that order."""
+        drawn = [(self.sample_unit(rng), self.sample_pair(rng),
+                  self.sample_triple(rng)) for _ in range(n)]
+        x = coordinates(np.array([u for u, _, _ in drawn], dtype=float))
+        g, h, a, b, c = (coordinates(np.array(P, dtype=float)) for P in
+                         zip(*(pair + triple for _, pair, triple in drawn)))
+        ex = self.unit(x)
+        gh = self.mul(g, h)
+        return {"unit": worst_of(0.0, _dist(self.s(ex), x),
+                                 _dist(self.t(ex), x)),
+                "source_target": worst_of(0.0, _dist(self.s(gh), self.s(h)),
+                                          _dist(self.t(gh), self.t(g))),
+                "associativity": worst_of(
+                    0.0, _dist(self.mul(self.mul(a, b), c),
+                               self.mul(a, self.mul(b, c)))),
+                "inverse": worst_of(
+                    0.0, _dist(self.inv(self.inv(g)), g),
+                    _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))}
 
 
 def action_groupoid(Gp, base_dim, act, sample_group, sample_base,
@@ -192,57 +211,68 @@ class GroupoidForm:
     phi: Form = None  # None means zero
 
 
-# -- jacobians and kernels -------------------------------------------------
+# -- jacobians, kernels and rank decisions over stacks ---------------------
+# Subspaces at a stack of samples are linear's padded bases.
 
 def _jac(f, p):
-    return np.array(jets.jacobian(f, [float(c) for c in p]))
+    """Jacobian of f at a float point, or the (B, m, n) stack of its
+    Jacobians at a (B, n) stack of points: one jet pass either way."""
+    P = np.asarray(p, dtype=float)
+    J = jets.stack(jets.jacobian(f, coordinates(P)))
+    return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
 
 
-def _stable_rank(s, where="matrix"):
-    """Rank from singular values; record the gap, refuse unstable ranks."""
-    if s.size == 0:
-        return 0, np.inf
-    top = max(s[0], 1.0)
-    cut = 1e-9 * top
-    r = int(np.sum(s > cut))
-    small = s[s <= cut]
-    kept = s[s > cut]
-    gap = np.inf
-    if small.size and small.max() > 0:
-        gap = (kept.min() / small.max()) if kept.size else np.inf
-        if small.max() > cut / 10 and kept.size and kept.min() < cut * 10:
-            raise RankInstabilityError(
-                f"indeterminate rank at {where}: singular values "
-                f"{small.max():.1e} and {kept.min():.1e} straddle the "
-                f"threshold {cut:.1e}")
-    return r, gap
+def _label(where, points, i):
+    """Where a matrix of a stack came from: its point, if known, and its
+    index."""
+    point = "" if points is None else f" {[float(c) for c in points[i]]}"
+    return f"{where}{point} (sample {i})"
 
 
-def kernel_of_form(Om, where="omega"):
-    """Kernel basis of Om (a component matrix of omega, or a Jacobian)
-    and the rank gap."""
-    if not np.all(np.isfinite(Om)):
-        raise NonFiniteFormError(f"omega is not finite at {where}")
-    U, s, Vt = np.linalg.svd(Om)
-    r, gap = _stable_rank(s, where)
-    return Vt[r:].T, gap
+def kernel_of_form(Om, where="omega", points=None):
+    """Kernel of Om (a component matrix of omega, or a Jacobian, or a
+    stack of them with their points) as a padded basis, its dimension, and
+    the rank gap (the smallest over a stack).  The first sample whose
+    matrix is not finite, or whose rank sits too close to the threshold to
+    decide, raises."""
+    Om = np.asarray(Om, dtype=float)
+    finite = np.all(np.isfinite(Om), axis=(-2, -1))
+    _, s, Vt = np.linalg.svd(np.where(finite[..., None, None], Om, 0.0))
+    cut = 1e-9 * np.maximum(s[..., :1], 1.0)
+    kept = s > cut
+    r = np.sum(kept, axis=-1)
+    small = np.max(np.where(kept, 0.0, s), axis=-1, initial=0.0)
+    least = np.min(np.where(kept, s, np.inf), axis=-1, initial=np.inf)
+    with np.errstate(divide="ignore"):
+        gap = np.where(small > 0, least / small, np.inf)
+    unstable = (small > cut[..., 0] / 10) & (least < cut[..., 0] * 10)
+    bad = ~finite | unstable
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        at = _label(where, points, i[0]) if i else where
+        if not finite[i]:
+            raise NonFiniteFormError(f"omega is not finite at {at}")
+        raise RankInstabilityError(
+            f"indeterminate rank at {at}: singular values "
+            f"{small[i]:.1e} and {least[i]:.1e} straddle the "
+            f"threshold {cut[i][0]:.1e}")
+    return (*padded_kernel(Vt, r), float(np.min(gap, initial=np.inf)))
 
 
 # -- the multiplicative-form checks ---------------------------------------
 
 def composable_tangents(G, g, h):
-    """Basis of the tangent space to the composable-pair set at (g, h):
-    pairs (u, v) with ds_g u = dt_h v."""
-    Js = _jac(G.s, g)
-    Jt = _jac(G.t, h)
-    C = np.hstack([Js, -Jt])
-    return linear.null_basis(C)
+    """Padded basis of the tangent space to the composable-pair set at
+    (g, h) (or at stacks of pairs): pairs (u, v) with ds_g u = dt_h v."""
+    C = np.concatenate([_jac(G.s, g), -_jac(G.t, h)], axis=-1)
+    return padded_null(C)[0]
 
 
 def _upper_max(M):
-    """Largest |M[i, j]| over i < j, NaN-propagating."""
-    iu = np.triu_indices(M.shape[0], 1)
-    return worst_of(0.0, *np.abs(M[iu]))
+    """Largest |M[..., i, j]| over i < j (and over a stack), NaN-
+    propagating."""
+    iu = np.triu_indices(M.shape[-1], 1)
+    return worst_of(0.0, np.abs(M[..., iu[0], iu[1]]))
 
 
 def check_multiplicative(G, F, rng, n_pairs=8):
@@ -251,17 +281,19 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     - B1^T omega(g) B1 - B2^T omega(h) B2, with B = [B1; B2] a basis of the
     composable tangents."""
     N = G.total_dim
-    worst = 0.0
-    for _ in range(n_pairs):
-        g, h = G.sample_pair(rng)
-        gh = G.mul(g, h)
-        B = composable_tangents(G, g, h)
-        Dm = _jac(lambda z: G.mul(z[:N], z[N:]), list(g) + list(h))
-        DmB, B1, B2 = Dm @ B, B[:N], B[N:]
-        D = DmB.T @ F.omega.at(gh) @ DmB - B1.T @ F.omega.at(g) @ B1 \
-            - B2.T @ F.omega.at(h) @ B2
-        worst = worst_of(worst, _upper_max(D))
-    return worst
+
+    def mul(z):
+        return G.mul(z[:N], z[N:])
+
+    pairs = [G.sample_pair(rng) for _ in range(n_pairs)]
+    g, h = (np.array(P, dtype=float) for P in zip(*pairs))
+    gh = apply(mul, np.hstack([g, h]))
+    B = composable_tangents(G, g, h)
+    Dm = _jac(mul, np.hstack([g, h]))
+    DmB, B1, B2 = Dm @ B, B[..., :N, :], B[..., N:, :]
+    D = mT(DmB) @ F.omega.at(gh) @ DmB - mT(B1) @ F.omega.at(g) @ B1 \
+        - mT(B2) @ F.omega.at(h) @ B2
+    return _upper_max(D)
 
 
 def check_rel_closed(G, F, rng, n_points=8):
@@ -272,46 +304,34 @@ def check_rel_closed(G, F, rng, n_points=8):
         ch, bch = F.omega.chart, F.phi.chart
         total = total - pullback(ChartMap(ch, bch, G.s), F.phi) \
             + pullback(ChartMap(ch, bch, G.t), F.phi)
-    worst = 0.0
-    for _ in range(n_points):
-        worst = worst_of(worst, np.max(np.abs(total.at(G.sample_arrow(rng)))))
-    return worst
+    return worst_of(0.0, np.abs(total.at(draw(G.sample_arrow, rng,
+                                               n_points))))
 
 
 def check_unit_identities(G, F, rng, n=8):
     """(max |eps* omega| at units, max |i* omega + omega| at arrows)."""
-    r_eps = 0.0
-    for _ in range(n):
-        x = [float(c) for c in G.sample_unit(rng)]
-        Deps = _jac(G.unit, x)
-        M = Deps.T @ F.omega.at(G.unit(x)) @ Deps
-        r_eps = worst_of(r_eps, _upper_max(M))
-    r_inv = 0.0
-    for _ in range(n):
-        g = [float(c) for c in G.sample_arrow(rng)]
-        Dinv = _jac(G.inv, g)
-        M = Dinv.T @ F.omega.at(G.inv(g)) @ Dinv + F.omega.at(g)
-        r_inv = worst_of(r_inv, _upper_max(M))
+    x = draw(G.sample_unit, rng, n)
+    Deps = _jac(G.unit, x)
+    r_eps = _upper_max(mT(Deps) @ F.omega.at(apply(G.unit, x)) @ Deps)
+    g = draw(G.sample_arrow, rng, n)
+    Dinv = _jac(G.inv, g)
+    r_inv = _upper_max(mT(Dinv) @ F.omega.at(apply(G.inv, g)) @ Dinv
+                       + F.omega.at(g))
     return r_eps, r_inv
 
 
 def check_kernel_orthogonality(G, F, rng, n=8):
     """Ker(ds) + Ker(omega) is omega-orthogonal to Ker(dt) at arrows.  A
     non-finite omega gives a NaN residual."""
-    worst = 0.0
-    for _ in range(n):
-        g = [float(c) for c in G.sample_arrow(rng)]
-        Om = F.omega.at(g)
-        if not np.all(np.isfinite(Om)):
-            worst = math.nan
-            continue
-        Ks = linear.null_basis(_jac(G.s, g))
-        Kt = linear.null_basis(_jac(G.t, g))
-        Kw = linear.null_basis(Om)
-        span = linear.orth_basis(np.hstack([Ks, Kw]))
-        if span.shape[1] and Kt.shape[1]:
-            worst = worst_of(worst, np.max(np.abs(span.T @ Om @ Kt)))
-    return worst
+    g = draw(G.sample_arrow, rng, n)
+    Om = F.omega.at(g)
+    finite = np.all(np.isfinite(Om), axis=(-2, -1))
+    Om = np.where(finite[:, None, None], Om, 0.0)
+    Ks, _ = padded_null(_jac(G.s, g))
+    Kt, _ = padded_null(_jac(G.t, g))
+    span, _ = padded_orth(block([[Ks, padded_null(Om)[0]]]))
+    worst = np.max(np.abs(mT(span) @ Om @ Kt), axis=(-2, -1))
+    return worst_of(0.0, np.where(finite, worst, np.nan))
 
 
 def check_orbit_form(G, F, theta, rng, n=8):
@@ -320,11 +340,7 @@ def check_orbit_form(G, F, theta, rng, n=8):
     bch = theta.chart
     diff = F.omega - (pullback(ChartMap(ch, bch, G.t), theta)
                       - pullback(ChartMap(ch, bch, G.s), theta))
-    worst = 0.0
-    for _ in range(n):
-        M = diff.at(G.sample_arrow(rng))
-        worst = worst_of(worst, _upper_max(M))
-    return worst
+    return _upper_max(diff.at(draw(G.sample_arrow, rng, n)))
 
 
 # -- units: splitting, rho*, induced Dirac --------------------------------
@@ -347,7 +363,8 @@ def extract_rho_star(G, F, x):
     x = [float(c) for c in x]
     ex = [float(c) for c in G.unit(x)]
     Deps = _jac(G.unit, x)
-    A, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
+    K, dim, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
+    A = K[:, :dim]
     if A.shape[1] != G.total_dim - G.base_dim:
         raise linear.DegenerateRankError("rank defect in ds at the unit")
     Jt = _jac(G.t, ex)
@@ -360,22 +377,13 @@ def extract_rho_star(G, F, x):
 def induced_dirac(G, F, x):
     """The Dirac structure at x induced on the base by a multiplicative form."""
     sp = extract_rho_star(G, F, x)
-    n = G.base_dim
-    Kw, _ = kernel_of_form(sp.omega, "omega at unit")
-    KTM = linear.intersect_spans(Kw, sp.TM)
+    Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
+    KTM, dim = padded_intersect(Kw, padded_orth(sp.TM)[0])
     # express Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
-    if KTM.shape[1]:
-        coeff, *_ = np.linalg.lstsq(sp.TM, KTM, rcond=None)
-        base_kernel = coeff
-    else:
-        base_kernel = np.zeros((n, 0))
-    cols = []
-    for j in range(sp.A.shape[1]):
-        cols.append(np.concatenate([sp.rho[:, j], sp.rho_star[j]]))
-    for j in range(base_kernel.shape[1]):
-        cols.append(np.concatenate([base_kernel[:, j], np.zeros(n)]))
-    span = np.array(cols).T if cols else np.zeros((2 * n, 0))
-    return linear.LinearDirac.from_span(span)
+    base_kernel, *_ = np.linalg.lstsq(sp.TM, KTM[:, :dim], rcond=None)
+    # columns (rho(a), rho*(a)) over A and (k, 0) over the base kernel
+    return linear.LinearDirac.from_span(block(
+        [[sp.rho, base_kernel], [sp.rho_star.T, np.zeros((G.base_dim, dim))]]))
 
 
 # -- classification --------------------------------------------------------
@@ -409,91 +417,65 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
     kernel identities report the sine of the largest principal angle
     between the two sides."""
     N, n = G.total_dim, G.base_dim
-    dims = {}
-    residuals = {"kernel_dim_sum": 0.0, "kernel_decomp": 0.0,
-                 "kernel_orth": 0.0}
+    x = draw(G.sample_unit, rng, n_units)
+    ex = apply(G.unit, x)
+    Om = F.omega.at(ex)
+    Kw, dim_ker, gap_units = kernel_of_form(Om, "unit", x)
+    TM, _ = padded_orth(_jac(G.unit, x))
+    Ks, _ = padded_null(_jac(G.s, ex))
+    Kt, _ = padded_null(_jac(G.t, ex))
+    Kst, _ = padded_intersect(Ks, Kt)
+    KwTM, dim_ker_tm = padded_intersect(Kw, TM)
+    KwKs, dim_ker_ks = padded_intersect(Kw, Ks)
+    _, dim_gx = padded_intersect(Kw, Kst)
+    # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
+    # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
+    orth1 = padded_span_gap(*padded_orth(block([[Ks, Kw]])),
+                            *padded_null(mT(Kt) @ Om))
+    orth2 = padded_span_gap(*padded_orth(block([[TM, Kw]])),
+                            *padded_null(mT(TM) @ Om))
+    # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
+    decomp = padded_span_gap(*padded_orth(block([[KwKs, KwTM]])), Kw,
+                             dim_ker)
+    # dimension formulas
+    want_tm = 0.5 * (dim_ker + 2 * n - N)
+    want_ks = 0.5 * (dim_ker - 2 * n + N)
+    dim_err = np.maximum(abs(dim_ker_tm - want_tm), abs(dim_ker_ks - want_ks))
+    residuals = {"kernel_dim_sum": worst_of(0.0, dim_err),
+                 "kernel_decomp": worst_of(0.0, decomp),
+                 "kernel_orth": worst_of(0.0, orth1, orth2)}
+    over_symplectic = bool(np.all(padded_contained(Kw, Kst)))
+    dims = {"ker_omega_units": dim_ker.tolist(),
+            "ker_omega_cap_TM": dim_ker_tm.tolist(),
+            "ker_omega_cap_ker_ds": dim_ker_ks.tolist(),
+            "g_x_omega": dim_gx.tolist()}
+
+    # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
+    # dimensions at the units over s(g) and t(g)
+    g = draw(G.sample_arrow, rng, n_arrows)
+    _, dim_arrow, gap_arrows = kernel_of_form(F.omega.at(g), "arrow", g)
+    sx, tx = apply(G.s, g), apply(G.t, g)
+    want = 0.5 * sum(kernel_of_form(F.omega.at(apply(G.unit, y)), "unit",
+                                    y)[1] for y in (sx, tx))
     worst = {}
-    gaps = {}
-    dim_ker, dim_ker_tm, dim_gx, dim_ker_ks = [], [], [], []
-    over_symplectic = True
-    min_gap = np.inf
-    for _ in range(n_units):
-        x = [float(c) for c in G.sample_unit(rng)]
-        ex = G.unit(x)
-        Om = F.omega.at(ex)
-        Kw, gap = kernel_of_form(Om, f"unit {x}")
-        min_gap = min(min_gap, gap)
-        Deps = _jac(G.unit, x)
-        TM = linear.orth_basis(Deps)
-        Ks = linear.null_basis(_jac(G.s, ex))
-        Kt = linear.null_basis(_jac(G.t, ex))
-        Kst = linear.intersect_spans(Ks, Kt)
-        KwTM = linear.intersect_spans(Kw, TM)
-        KwKs = linear.intersect_spans(Kw, Ks)
-        gx = linear.intersect_spans(Kw, Kst)
-        dim_ker.append(Kw.shape[1])
-        dim_ker_tm.append(KwTM.shape[1])
-        dim_ker_ks.append(KwKs.shape[1])
-        dim_gx.append(gx.shape[1])
-        # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
-        # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
-        lhs1 = linear.orth_basis(np.hstack([Ks, Kw]))
-        rhs1 = linear.null_basis(Kt.T @ Om) if Kt.shape[1] else np.eye(N)
-        lhs2 = linear.orth_basis(np.hstack([TM, Kw]))
-        rhs2 = linear.null_basis(TM.T @ Om)
-        residuals["kernel_orth"] = worst_of(
-            residuals["kernel_orth"], linear.span_gap(lhs1, rhs1),
-            linear.span_gap(lhs2, rhs2))
-        # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
-        recomb = linear.orth_basis(np.hstack([KwKs, KwTM]))
-        residuals["kernel_decomp"] = worst_of(
-            residuals["kernel_decomp"], linear.span_gap(recomb, Kw))
-        # dimension formulas
-        want_tm = 0.5 * (Kw.shape[1] + 2 * n - N)
-        want_ks = 0.5 * (Kw.shape[1] - 2 * n + N)
-        err = max(abs(KwTM.shape[1] - want_tm), abs(KwKs.shape[1] - want_ks))
-        residuals["kernel_dim_sum"] = worst_of(residuals["kernel_dim_sum"], err)
-        if not linear.subspace_contained(Kw, Kst):
-            over_symplectic = False
-    dims["ker_omega_units"] = dim_ker
-    dims["ker_omega_cap_TM"] = dim_ker_tm
-    dims["ker_omega_cap_ker_ds"] = dim_ker_ks
-    dims["g_x_omega"] = dim_gx
-    gaps["units"] = min_gap
+    failed = dim_arrow != want
+    if failed.any():
+        i = int(np.argmax(failed))
+        worst["dirac_type"] = {"arrow": g[i].tolist(), "s": sx[i].tolist(),
+                               "t": tx[i].tolist(),
+                               "dim_ker_arrow": int(dim_arrow[i]),
+                               "expected": float(want[i])}
+    gaps = {"units": gap_units, "arrows": gap_arrows}
 
-    # Dirac type at arrows
-    dirac_type = True
-    worst_fail = None
-    min_gap_a = np.inf
-    for _ in range(n_arrows):
-        g = [float(c) for c in G.sample_arrow(rng)]
-        Kg, gap = kernel_of_form(F.omega.at(g), f"arrow {g}")
-        min_gap_a = min(min_gap_a, gap)
-        sx = [jets.value_of(c) for c in G.s(g)]
-        tx = [jets.value_of(c) for c in G.t(g)]
-        Ks_, _ = kernel_of_form(F.omega.at(G.unit(sx)), "unit")
-        Kt_, _ = kernel_of_form(F.omega.at(G.unit(tx)), "unit")
-        want = 0.5 * (Ks_.shape[1] + Kt_.shape[1])
-        if Kg.shape[1] != want:
-            dirac_type = False
-            if worst_fail is None:
-                worst_fail = {"arrow": g, "s": sx, "t": tx,
-                              "dim_ker_arrow": Kg.shape[1],
-                              "expected": want}
-    gaps["arrows"] = min_gap_a
-    if worst_fail is not None:
-        worst["dirac_type"] = worst_fail
-
-    robust = all(d == N - 2 * n for d in dim_gx)
-    presymplectic = robust and (N == 2 * n)
-    nondegenerate = all(d == 0 for d in dim_gx)
+    robust = bool(np.all(dim_gx == N - 2 * n))
+    nondegenerate = bool(np.all(dim_gx == 0))
     flags = {
-        "is_dirac_type": dirac_type,
+        "is_dirac_type": not failed.any(),
         "is_robust": robust,
-        "is_presymplectic": presymplectic,
+        "is_presymplectic": robust and (N == 2 * n),
         "is_over_symplectic": over_symplectic,
         "is_nondegenerate": nondegenerate,
-        "is_symplectic": nondegenerate and all(d == 0 for d in dim_ker)
+        "is_symplectic": nondegenerate and bool(np.all(dim_ker == 0))
                          and N == 2 * n,
     }
     return ClassificationReport(flags, dims, residuals, worst, gaps)

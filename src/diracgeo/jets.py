@@ -4,10 +4,17 @@ A Jet holds a value plus one partial per active direction.  Nesting jets
 (differentiating code that already runs on jets) yields second derivatives;
 each differentiation call gets a fresh tag so perturbations from different
 calls never mix.
+
+The leaves of a jet (and the scalars the elementary functions take) are
+floats, or numpy arrays of shape (B,) that carry a batch of B sample points
+through one pass.  A domain error or an overflow on an array names the
+index of the first failing sample.
 """
 
 import math
 import itertools
+
+import numpy as np
 
 _tag_counter = itertools.count(1)
 
@@ -16,10 +23,37 @@ class DomainError(ArithmeticError):
     """Evaluation hit a point outside a function's domain."""
 
 
+def at_sample(bad):
+    """' at sample i' for the first True entry of a mask over a batch, ''
+    for a scalar test."""
+    if np.ndim(bad) == 0:
+        return ""
+    return f" at sample {int(np.argmax(bad))}"
+
+
+def require(bad, what):
+    """Raise DomainError(what) where the test bad (a bool, or a mask over
+    a batch) holds."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise DomainError(f"{what}{at_sample(bad)}")
+
+
+def require_finite(x, value, what):
+    """Raise OverflowError where the finite argument x gave a non-finite
+    value: numpy returns inf where math raises."""
+    bad = np.isinf(value) & np.isfinite(x)
+    if np.any(bad):
+        raise OverflowError(f"{what} overflow{at_sample(bad)}")
+    return value
+
+
 class Jet:
     """value + directional first derivatives, tagged by differentiation layer."""
 
     __slots__ = ("tag", "value", "partials")
+    # numpy arrays defer to the jet's reflected operators instead of
+    # broadcasting a jet over their entries
+    __array_ufunc__ = None
 
     def __init__(self, tag, value, partials):
         self.tag = tag
@@ -69,8 +103,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             if other.tag == self.tag:
-                if value_of(other) == 0.0:
-                    raise DomainError("division by zero")
+                require(value_of(other) == 0.0, "division by zero")
                 v = self.value / other.value
                 return Jet(self.tag, v,
                            ((p - v * q) / other.value
@@ -79,14 +112,12 @@ class Jet:
                 return Jet(other.tag, self / other.value,
                            tuple((-self) * q / (other.value * other.value)
                                  for q in other.partials))
-        if value_of(other) == 0.0:
-            raise DomainError("division by zero")
+        require(value_of(other) == 0.0, "division by zero")
         return Jet(self.tag, self.value / other, (p / other for p in self.partials))
 
     def __rtruediv__(self, other):
         # other / self with other a constant (number or lower-tag jet)
-        if value_of(self) == 0.0:
-            raise DomainError("division by zero")
+        require(value_of(self) == 0.0, "division by zero")
         v = other / self.value
         return Jet(self.tag, v, ((-v) * p / self.value for p in self.partials))
 
@@ -104,47 +135,67 @@ class Jet:
 
 
 def value_of(x):
-    """Strip all jet layers, returning the underlying float."""
+    """Strip all jet layers, returning the underlying float, or the array of
+    values of a batch."""
     while isinstance(x, Jet):
         x = x.value
-    return float(x)
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
-# -- elementary functions (generic over floats and jets) -----------------
+def where(mask, a, b):
+    """a where the sample mask holds and b elsewhere, generic over jets:
+    values and partials are selected sample by sample."""
+    if not (isinstance(a, Jet) or isinstance(b, Jet)):
+        return np.where(mask, a, b)
+    tag = max(t.tag for t in (a, b) if isinstance(t, Jet))
+    av, ap = _split(a, tag)
+    bv, bp = _split(b, tag)
+    width = len(ap) if ap is not None else len(bp)
+    ap = ap if ap is not None else (0.0,) * width
+    bp = bp if bp is not None else (0.0,) * width
+    return Jet(tag, where(mask, av, bv),
+               [where(mask, p, q) for p, q in zip(ap, bp)])
+
+
+# -- elementary functions (generic over floats, arrays and jets) ---------
+# A float goes through math, an array of samples through numpy.
 
 def sin(x):
     if isinstance(x, Jet):
         c = cos(x.value)
         return Jet(x.tag, sin(x.value), (c * p for p in x.partials))
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet):
         s = sin(x.value)
         return Jet(x.tag, cos(x.value), ((-s) * p for p in x.partials))
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Jet):
         e = exp(x.value)
         return Jet(x.tag, e, (e * p for p in x.partials))
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return require_finite(x, np.exp(x), "exp")
     return math.exp(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet):
+        # one mask, so that the error names the first sample that fails
         v = value_of(x)
-        if v < 0.0:
-            raise DomainError("sqrt of negative value")
-        if v == 0.0:
-            raise DomainError("sqrt not differentiable at zero")
+        bad = v <= 0.0
+        first = np.ravel(v)[np.argmax(bad)] if isinstance(v, np.ndarray) else v
+        require(bad, "sqrt of negative value" if first < 0.0
+                else "sqrt not differentiable at zero")
         r = sqrt(x.value)
         return Jet(x.tag, r, (p / (2.0 * r) for p in x.partials))
-    if x < 0.0:
-        raise DomainError("sqrt of negative value")
-    return math.sqrt(x)
+    require(x < 0.0, "sqrt of negative value")
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def atan2(y, x):
@@ -152,6 +203,8 @@ def atan2(y, x):
     ynum = not isinstance(y, Jet)
     xnum = not isinstance(x, Jet)
     if ynum and xnum:
+        if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
+            return np.arctan2(y, x)
         return math.atan2(y, x)
     # promote to the outermost tag present
     tag = max((t.tag for t in (y, x) if isinstance(t, Jet)))
@@ -159,8 +212,7 @@ def atan2(y, x):
     xv, xp = _split(x, tag)
     v = atan2(yv, xv)
     denom = xv * xv + yv * yv
-    if value_of(denom) == 0.0:
-        raise DomainError("atan2 not differentiable at the origin")
+    require(value_of(denom) == 0.0, "atan2 not differentiable at the origin")
     width = len(yp) if yp is not None else len(xp)
     parts = []
     for k in range(width):
@@ -219,7 +271,9 @@ def jacobian(f, point):
     one partial per coordinate.
 
     Nesting-safe: when the point carries jets of an outer differentiation,
-    the entries are those jets, not their values.
+    the entries are those jets, not their values.  At a batch of points
+    (coordinates that are arrays of shape (B,)) the entries are arrays;
+    `stack` makes the (B, m, n) array of the rows.
     """
     n = len(point)
     tag = new_tag()
@@ -233,3 +287,25 @@ def jacobian(f, point):
         p = tangent_part(c, tag)
         rows.append([0.0] * n if p is None else list(p))
     return rows
+
+
+def stack(rows):
+    """The array of a list of rows of scalars: (m, n) floats, (B, m, n)
+    batch-first when an entry is an array over B samples, or an (m, n)
+    object array when an entry is a jet (a jet carries its batch in its
+    leaves, so an object array has no batch axis)."""
+    flat = [c for row in rows for c in row]
+    shape = (len(rows), len(flat) // len(rows) if rows else 0)
+    kinds = set(map(type, flat))
+    if Jet in kinds:
+        out = np.empty(len(flat), dtype=object)
+        for i, c in enumerate(flat):
+            out[i] = c
+        return out.reshape(shape)
+    if np.ndarray not in kinds:
+        return np.array(flat, dtype=float).reshape(shape)
+    size = next(len(c) for c in flat if type(c) is np.ndarray)
+    out = np.empty((size, len(flat)))
+    for i, c in enumerate(flat):
+        out[:, i] = c
+    return out.reshape((size,) + shape)

@@ -17,8 +17,9 @@ import numpy as np
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
-from .geometry import Chart, Form, ext_d
+from .geometry import Chart, Form, block, dot, ext_d, pull
 from .groupoid import GroupoidForm, action_groupoid
+from .linear import mT
 
 
 class ChartRadiusError(ValueError):
@@ -36,35 +37,51 @@ def _qmul(a, b):
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2]
 
 
+def _small_or(s, cut, series, exact):
+    """series(s) where the value of s is below cut, exact(s) elsewhere.
+    On a batch that mixes both, exact is evaluated at s = 1 on the small
+    samples, away from its singularity at 0, and the two are merged by
+    mask."""
+    small = value_of(s) < cut
+    if not isinstance(small, np.ndarray):
+        return series(s) if small else exact(s)
+    if small.all():
+        return series(s)
+    if not small.any():
+        return exact(s)
+    return jets.where(small, series(s), exact(jets.where(small, 1.0, s)))
+
+
 def _half_sinc(s):
     """sin(sqrt(s)/2)/sqrt(s), analytic in s = |u|^2."""
-    if value_of(s) < 1e-10:
-        return 0.5 - s / 48.0 + s * s / 3840.0
-    r = sqrt(s)
-    return sin(r / 2.0) / r
+    def exact(s):
+        r = sqrt(s)
+        return sin(r / 2.0) / r
+
+    return _small_or(s, 1e-10, lambda s: 0.5 - s / 48.0 + s * s / 3840.0,
+                     exact)
 
 
 def _qexp(u):
     """Unit quaternion exp for algebra coordinates u (half-angle |u|/2)."""
     s = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
     f = _half_sinc(s)
-    if value_of(s) < 1e-10:
-        w = 1.0 - s / 8.0 + s * s / 384.0
-    else:
-        w = cos(sqrt(s) / 2.0)
+    w = _small_or(s, 1e-10, lambda s: 1.0 - s / 8.0 + s * s / 384.0,
+                  lambda s: cos(sqrt(s) / 2.0))
     return [w, u[0] * f, u[1] * f, u[2] * f]
 
 
 def _qlog(q):
     """Inverse of _qexp on the branch |u| < 2*pi (w > -1)."""
     w, x, y, z = q
-    s = x * x + y * y + z * z
-    if value_of(s) < 1e-14:
-        # atan2(r, w)/r ~ (1/w)(1 - s/(3w^2) + ...)
-        f = (1.0 / w) * (1.0 - s / (3.0 * w * w))
-    else:
+
+    def exact(s):
         r = sqrt(s)
-        f = atan2(r, w) / r
+        return atan2(r, w) / r
+
+    # atan2(r, w)/r ~ (1/w)(1 - s/(3w^2) + ...)
+    f = _small_or(x * x + y * y + z * z, 1e-14,
+                  lambda s: (1.0 / w) * (1.0 - s / (3.0 * w * w)), exact)
     return [2.0 * x * f, 2.0 * y * f, 2.0 * z * f]
 
 
@@ -111,15 +128,17 @@ class MatrixGroup:
         return total
 
     def check_radius(self, u):
-        r2 = sum(value_of(c) ** 2 for c in u)
-        if r2 > (0.9 * math.pi) ** 2 and self.name != "torus":
+        r2 = np.asarray(sum(value_of(c) ** 2 for c in u))
+        out = r2 > (0.9 * math.pi) ** 2
+        if out.any() and self.name != "torus":
             raise ChartRadiusError(
-                f"|u| = {math.sqrt(r2):.3f} outside the exp-chart radius")
+                f"|u| = {math.sqrt(r2.max()):.3f} outside the exp-chart "
+                f"radius{jets.at_sample(out)}")
 
     # Maurer-Cartan forms, adjoint and translations at u as d x d matrices,
     # each the Jacobian at 0 of one chart curve v -> ...; generic over jets
     def _curve_jacobian(self, curve):
-        return np.array(jets.jacobian(curve, self.identity()))
+        return jets.stack(jets.jacobian(curve, self.identity()))
 
     def lam_matrix(self, u):
         """Left Maurer-Cartan: V -> algebra coords of g^{-1} (d/ds)(exp(u + sV))."""
@@ -246,10 +265,7 @@ def cartan_form(Gp):
 
     def components(p):
         Gp.check_radius(p)
-        L = Gp.lam_matrix(p)
-        C = np.tensordot(L, K, axes=(0, 0))          # [p, i, j]
-        C = np.tensordot(C, L, axes=(1, 0))          # [p, j, q]
-        return 0.5 * np.tensordot(C, L, axes=(1, 0))  # [p, q, r]
+        return 0.5 * pull(K, Gp.lam_matrix(p), 3)
 
     return Form(ch, 3, components)
 
@@ -257,7 +273,7 @@ def cartan_form(Gp):
 def chart_metric(Gp, u):
     """Matrix of the bi-invariant metric in chart coordinates at u."""
     L = Gp.lam_matrix(u)
-    return L.T @ Gp.metric @ L
+    return mT(L) @ Gp.metric @ L
 
 
 def cartan_dirac(Gp, u):
@@ -304,9 +320,9 @@ def amm_omega(Gp):
         u, x = p[:d], p[d:]
         L = Gp.lam_matrix(u)
         GL = Gp.metric @ L
-        X = (Gp.Ad_matrix(x) @ L).T @ GL
-        top = 0.5 * (GL.T @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
-        return np.block([[0.5 * (X - X.T), top], [-top.T, np.zeros((d, d))]])
+        X = mT(Gp.Ad_matrix(x) @ L) @ GL
+        top = 0.5 * (mT(GL) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
+        return block([[0.5 * (X - mT(X)), top], [-mT(top), np.zeros((d, d))]])
 
     return Form(_action_chart(d, d), 2, components)
 
@@ -332,7 +348,8 @@ def action_algebroid(Gp, ch, action, rho_star):
     an anti-morphism, so the structure constants are those of h negated."""
 
     def rho(x):
-        return np.array(jets.jacobian(lambda u: action(u, x), Gp.identity()))
+        return jets.stack(jets.jacobian(lambda u: action(u, x),
+                                        Gp.identity()))
 
     return AnchoredDual(ch, rho, rho_star, -Gp.struct)
 
@@ -352,9 +369,9 @@ def general_action_form(Gp, D):
     def components(p):
         u, x = p[:d], p[d:]
         L = Gp.lam_matrix(u)
-        S = D.rho_star(x).T @ L
-        return np.block([[S.T @ (D.rho(x) @ L), S.T],
-                         [-S, np.zeros((m, m))]])
+        S = mT(D.rho_star(x)) @ L
+        return block([[mT(S) @ (D.rho(x) @ L), mT(S)],
+                      [-S, np.zeros((m, m))]])
 
     return Form(_action_chart(d, m), 2, components)
 
@@ -377,7 +394,9 @@ def coadjoint_action(Gp):
     (g . xi)(v) = xi(Ad_{g^{-1}} v)."""
 
     def act(u, xi):
-        return list(Gp.Ad_matrix(Gp.inv(u)).T @ np.asarray(xi))
+        A = Gp.Ad_matrix(Gp.inv(u))
+        # (A^T xi)_i; A[..., :, i].T lists column i entry by entry
+        return [dot(A[..., :, i].T, xi) for i in range(Gp.dim)]
 
     return act
 
@@ -403,7 +422,8 @@ def canonical_cotangent_form(Gp):
 
     def sigma(p):
         u, xi = p[:d], p[d:]
-        return np.concatenate([Gp.lam_matrix(u).T @ np.asarray(xi),
-                               np.zeros(d)])
+        L = Gp.lam_matrix(u)
+        return jets.stack([[dot(L[..., :, i].T, xi) for i in range(d)]
+                           + [0.0] * d])[..., 0, :]
 
     return -ext_d(Form(_action_chart(d, d), 1, sigma))

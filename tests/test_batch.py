@@ -1,0 +1,132 @@
+"""Batched evaluation: a stack of sample points against the per-point loop,
+the number of jet passes a check makes, and sample-indexed errors."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from diracgeo import cli, expr, fixtures, jets
+from diracgeo import groupoid as GR
+
+# These fixtures' maps go through sin, cos or atan2, which numpy's array
+# loops and math need not round alike in the last place; everything else is
+# the same arithmetic in the same order, so it must agree to the bit.
+THROUGH_TRANSCENDENTALS = {"amm-so3", "coadjoint-so3", "nondirac-flow"}
+
+
+def _agree(name, batched, single):
+    single = np.asarray(single, dtype=float)
+    assert batched.shape == single.shape
+    if name in THROUGH_TRANSCENDENTALS:
+        assert np.all(np.abs(batched - single)
+                      <= 1e-14 * np.maximum(1.0, np.abs(single)))
+    else:
+        assert np.array_equal(batched, single)
+
+
+def _jacobians_one_by_one(f, P):
+    return [jets.jacobian(f, [float(c) for c in p]) for p in P]
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("size", [1, 8, 64])
+def test_stack_matches_the_per_point_loop(name, size):
+    fx = fixtures.load(name)
+    G, F = fx["groupoid"], fx["form"]
+    rng = np.random.default_rng(42)
+    P = GR.draw(G.sample_arrow, rng, size)
+    X = GR.apply(G.s, P)
+    pairs = [G.sample_pair(rng) for _ in range(size)]
+    Z = np.array([list(g) + list(h) for g, h in pairs], dtype=float)
+    N = G.total_dim
+
+    def mul(z):
+        return G.mul(z[:N], z[N:])
+
+    _agree(name, F.omega.at(P), [F.omega.at(p) for p in P])
+    if F.phi is not None:
+        _agree(name, F.phi.at(X), [F.phi.at(x) for x in X])
+    for f, points in ((G.s, P), (G.t, P), (G.inv, P), (G.unit, X),
+                      (mul, Z)):
+        _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    for entry in ("jacobian", "directional"):
+        real = getattr(jets, entry)
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(jets, entry, counted)
+    return calls
+
+
+GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
+                   "unit-identities", "kernel-orthogonality", "orbit-form",
+                   "classification", "dirac-type"]
+
+
+@pytest.mark.parametrize("name", ["twisted-pair-r3", "nondirac-flow"])
+def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    for check in GROUPOID_CHECKS:
+        counts = []
+        for samples in (8, 64):
+            fx = fixtures.load(name)
+            policy = dict(cli.DEFAULT_POLICY, samples=samples)
+            del calls[:]
+            cli.CHECKS[check](fx, np.random.default_rng(42), policy)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (check, counts)
+
+
+def test_domain_errors_name_the_first_failing_sample():
+    x1 = np.array([1.0, 4.0, -1.0, -9.0])
+    with pytest.raises(jets.DomainError,
+                       match=r"sqrt of negative value at sample 2 in sqrt"):
+        expr.parse("sqrt(x1)", ["x1"])([x1])
+    with pytest.raises(jets.DomainError,
+                       match=r"division by zero at sample 0 in"):
+        expr.parse("1.0/(x1 - x1)", ["x1"])([x1])
+    with pytest.raises(OverflowError, match=r"exp overflow at sample 1"):
+        expr.parse("exp(800*x1)", ["x1"])([np.array([0.5, 1.0])])
+    # a zero before a negative value: the zero is the first failure
+    jet_x1 = jets.Jet(jets.new_tag(), np.array([0.0, 1.0, 4.0, -1.0]),
+                      (1.0,))
+    with pytest.raises(jets.DomainError,
+                       match=r"^sqrt not differentiable at zero at sample 0$"):
+        jets.sqrt(jet_x1)
+    # a float point names no sample
+    with pytest.raises(jets.DomainError, match=r"^sqrt of negative value in"):
+        expr.parse("sqrt(x1)", ["x1"])([-1.0])
+
+
+@pytest.mark.parametrize("omega, reason", [
+    ("sqrt(x1)", "sqrt of negative value"),
+    ("1.0/(x1 - x1)", "division by zero")])
+def test_inline_domain_error_names_the_sample(omega, reason, tmp_path,
+                                              capsys):
+    scn = {"id": "bad-omega", "fixture":
+           {"inline": {"n": 2, "omega": {"0,1": omega}}},
+           "suite": ["rel-closed"], "policy": {"samples": 8}}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(scn))
+    assert cli.main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    error = json.loads(captured.out)["reports"][0]["checks"]["rel-closed"][
+        "error"]
+    found = re.search(r"at sample (\d+)", error)
+    assert reason in error and found, error
+    # omega is pr1*omega_M - pr2*omega_M, and omega_M is read at the first
+    # two coordinates of an arrow first
+    fx = cli.load_fixture(scn["fixture"])[1]
+    rng = np.random.default_rng([42] + list(b"rel-closed"))
+    arrows = GR.draw(fx["groupoid"].sample_arrow, rng, 8)
+    bad = arrows[:, 0] < 0 if omega == "sqrt(x1)" else np.ones(8, bool)
+    assert int(found.group(1)) == int(np.argmax(bad))

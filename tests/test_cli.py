@@ -164,18 +164,23 @@ def test_parse_errors_exit_two(tmp_path, capsys):
 
 
 def test_bad_policy_rejected(tmp_path, capsys):
+    # "tol": 1e400 is valid JSON that reads as inf
     for policy in ({"samples": 0}, {"samples": "8"}, {"tol": "1e-8"},
-                   {"grid": [4, 4]}, {"seed": -1}, {"fd_step": "x"}, [8]):
-        scn = {"id": "bad-policy", "fixture": "pair-groupoid-r2",
-               "suite": ["structure"], "policy": policy}
+                   {"grid": [4, 4]}, {"seed": -1}, {"fd_step": "x"}, [8],
+                   "{\"tol\": 1e400}", "{\"fd_step\": 1e400}"):
+        text = policy if isinstance(policy, str) else json.dumps(policy)
         p = tmp_path / "policy.json"
-        p.write_text(json.dumps(scn))
+        p.write_text('{"id": "bad-policy", "fixture": "pair-groupoid-r2", '
+                     f'"suite": ["structure"], "policy": {text}}}')
         assert cli.main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "policy" in err
-    assert cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
-                     "--grid", "4,4"]) == 2
-    capsys.readouterr()
+        assert len(err.splitlines()) == 1
+    for flags in (["--grid", "4,4"], ["--tol", "inf"], ["--fd-step", "inf"]):
+        assert cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
+                         *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_out_file_written(tmp_path, capsys):
