@@ -8,8 +8,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import jets, linear
-from .geometry import (Chart, Form, VectorField, ext_d, interior,
-                       lie_bracket, lie_derivative, _check_chart)
+from .geometry import (Chart, Form, VectorField, coordinates, ext_d,
+                       interior, lie_bracket, lie_derivative, _check_chart)
 from .groupoid import max_abs, worst_of
 
 
@@ -100,8 +100,9 @@ class AnchoredDual:
     """An anchored bundle A of rank r over a chart with a dual map
     sigma: A -> T*M, presented in a frame a_1..a_r of A: rho(p) is the
     n x r anchor matrix, rho_star(p) the r x n matrix of sigma (both
-    generic over jets) and structure[i, j, k] the constant coefficient of
-    a_k in [a_i, a_j] (zeros when A is abelian)."""
+    generic over jets, batch-first (..., n, r) and (..., r, n) at a batch
+    of points, or constant) and structure[i, j, k] the constant
+    coefficient of a_k in [a_i, a_j] (zeros when A is abelian)."""
 
     chart: Chart
     rho: object
@@ -114,11 +115,12 @@ class AnchoredDual:
 
     def anchor(self, i):
         """rho(a_i) as a vector field."""
-        return VectorField(self.chart, lambda p: list(self.rho(p)[:, i]))
+        return VectorField(self.chart, lambda p: list(
+            np.moveaxis(self.rho(p)[..., i], -1, 0)))
 
     def dual(self, i):
         """sigma(a_i) as a 1-form."""
-        return Form(self.chart, 1, lambda p: self.rho_star(p)[i])
+        return Form(self.chart, 1, lambda p: self.rho_star(p)[..., i, :])
 
 
 def anchor_bracket_residual(D, samples):
@@ -140,10 +142,11 @@ def _bracket_dual(D, i, j):
 
 
 def _isotropy_residual(D, samples):
-    """max |S + S^T| for S = rho_star . rho: <sigma(a_i), rho(a_j)> is
-    antisymmetric."""
-    S = [D.rho_star(p) @ D.rho(p) for p in samples]
-    return worst_of(*(np.max(np.abs(s + s.T)) for s in S))
+    """max |S + S^T| for S = rho_star . rho on the stack of samples:
+    <sigma(a_i), rho(a_j)> is antisymmetric."""
+    p = coordinates(samples)
+    S = D.rho_star(p) @ D.rho(p)
+    return worst_of(0.0, np.abs(S + linear.mT(S)))
 
 
 def _worst_form(forms, samples):
@@ -151,14 +154,10 @@ def _worst_form(forms, samples):
     return worst_of(0.0, *(max_abs(w, samples) for w in forms))
 
 
-def im_conditions_residual(D, phi, samples):
-    """Residuals of the two infinitesimal multiplicativity conditions.
-
-    r1: the isotropy residual max |S + S^T| for S = rho_star . rho.
-    r2: d_A sigma(a,b) - i_{rho(a) ^ rho(b)} phi, where
-        d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
-                         + d<sigma(b), rho(a)>   (L_a means L_{rho(a)}).
-    """
+def im_totals(D, phi):
+    """The 1-forms d_A sigma(a_i, a_j) - i_{rho(a_i) ^ rho(a_j)} phi for
+    i < j, where d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
+    + d<sigma(b), rho(a)>   (L_a means L_{rho(a)})."""
     totals = []
     for i, j in combinations(range(D.rank), 2):
         X, Y = D.anchor(i), D.anchor(j)
@@ -167,7 +166,17 @@ def im_conditions_residual(D, phi, samples):
         if phi is not None:
             total = total - interior(Y, interior(X, phi))
         totals.append(total)
-    return _isotropy_residual(D, samples), _worst_form(totals, samples)
+    return totals
+
+
+def im_conditions_residual(D, phi, samples):
+    """Residuals of the two infinitesimal multiplicativity conditions.
+
+    r1: the isotropy residual max |S + S^T| for S = rho_star . rho.
+    r2: the largest component of the im_totals.
+    """
+    return _isotropy_residual(D, samples), \
+        _worst_form(im_totals(D, phi), samples)
 
 
 def cartan_closed_residual(D, phi, samples):

@@ -102,13 +102,15 @@ def classifying_rep(fol, extension, phi=None):
     """The conormal-valued curvature of the splitting: transverse
     components of the (twisted) bracket defect of the lifted leaf frame,
     as the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
-    so the defect is just the bracket of the lifted sections."""
+    so the defect is just the bracket of the lifted sections.  ([()] takes
+    the entry out of the 0-d array that [..., m] leaves at one point.)"""
     secs = splitting_sections(fol, extension)
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
         br = courant_bracket(secs[i], secs[j], phi)
         for m in fol.transverse:
-            out[(i, j, m)] = lambda p, br=br, m=m: br.xi.components(p)[m]
+            out[(i, j, m)] = lambda p, br=br, m=m: \
+                br.xi.components(p)[..., m][()]
     return Form.from_components(fol.chart, 3, out)
 
 

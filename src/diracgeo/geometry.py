@@ -102,12 +102,15 @@ def dot(cov, vec):
     return total
 
 
-def _contract(v, C):
-    """Contract the first index of the component array C with the vector v;
-    generic over floats and jets."""
-    if C.ndim == 1:
-        return dot(v, C)
-    return (np.asarray(v) @ C.reshape(len(v), -1)).reshape(C.shape[1:])
+def _contract(v, C, k):
+    """Contract the first of the k trailing component axes of C with the
+    vector v, a list of components; generic over floats, arrays over a
+    batch (C batch-first or constant) and jets."""
+    if k == 1:
+        return dot(v, np.moveaxis(C, -1, 0))
+    V = np.stack(np.broadcast_arrays(*v), axis=-1)[..., None, :]
+    out = (V @ C.reshape(C.shape[:C.ndim - k] + (len(v), -1)))[..., 0, :]
+    return out.reshape(out.shape[:-1] + C.shape[C.ndim - k + 1:])
 
 
 class Form:
@@ -182,8 +185,8 @@ class Form:
             raise ValueError(f"degree-{self.degree} form applied to "
                              f"{len(vs)} vectors")
         C = self.components(p)
-        for v in vs:
-            C = _contract(v, C)
+        for k, v in zip(range(self.degree, 0, -1), vs):
+            C = _contract(v, C, k)
         return C
 
     def at(self, p):
@@ -258,7 +261,7 @@ def interior(X, w):
     if w.degree == 0:
         raise ValueError("cannot contract a function")
     return Form(w.chart, w.degree - 1,
-                lambda p: _contract(X(p), w.components(p)))
+                lambda p: _contract(X(p), w.components(p), w.degree))
 
 
 def lie_derivative(X, w):

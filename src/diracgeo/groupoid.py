@@ -6,14 +6,13 @@ nondegenerate), rho*-extraction at units, induced Dirac structures, and
 gauge transformations.  Each check draws all its samples first and then
 evaluates them as one (B, n) stack of points."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets, linear
-from .linear import (mT, padded_contained, padded_intersect, padded_kernel,
-                     padded_null, padded_orth, padded_span_gap)
+from .linear import (kernel_svd, mT, padded_contained, padded_intersect,
+                     padded_kernel, padded_null, padded_orth, padded_span_gap)
 from .geometry import Form, ChartMap, block, coordinates, ext_d, pullback
 
 
@@ -29,16 +28,13 @@ def worst_of(*values):
     """The largest residual among scalars and arrays of residuals, or NaN
     when any residual is NaN (the built-in max drops a NaN that is not its
     first argument)."""
-    if any(isinstance(v, np.ndarray) for v in values):
-        return float(np.concatenate([np.ravel(v) for v in values]).max())
-    values = [float(v) for v in values]
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
+    return float(np.concatenate([np.ravel(v) for v in values]).max())
 
 
 def max_abs(w, samples):
-    """Largest |component| of the form w over the samples (NaN if any is
-    NaN)."""
-    return worst_of(*(np.max(np.abs(w.at(p))) for p in samples))
+    """Largest |component| of the form w over the samples, evaluated as
+    one stack (NaN if any is NaN)."""
+    return worst_of(0.0, np.abs(w.at(np.asarray(samples, dtype=float))))
 
 
 def draw(sampler, rng, n):
@@ -222,13 +218,6 @@ def _jac(f, p):
     return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
 
 
-def _label(where, points, i):
-    """Where a matrix of a stack came from: its point, if known, and its
-    index."""
-    point = "" if points is None else f" {[float(c) for c in points[i]]}"
-    return f"{where}{point} (sample {i})"
-
-
 def kernel_of_form(Om, where="omega", points=None):
     """Kernel of Om (a component matrix of omega, or a Jacobian, or a
     stack of them with their points) as a padded basis, its dimension, and
@@ -237,8 +226,7 @@ def kernel_of_form(Om, where="omega", points=None):
     decide, raises."""
     Om = np.asarray(Om, dtype=float)
     finite = np.all(np.isfinite(Om), axis=(-2, -1))
-    _, s, Vt = np.linalg.svd(np.where(finite[..., None, None], Om, 0.0))
-    cut = 1e-9 * np.maximum(s[..., :1], 1.0)
+    s, cut, Vt = kernel_svd(np.where(finite[..., None, None], Om, 0.0), 1.0)
     kept = s > cut
     r = np.sum(kept, axis=-1)
     small = np.max(np.where(kept, 0.0, s), axis=-1, initial=0.0)
@@ -249,7 +237,8 @@ def kernel_of_form(Om, where="omega", points=None):
     bad = ~finite | unstable
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
-        at = _label(where, points, i[0]) if i else where
+        at = where if points is None else f"{where} {points[i].tolist()}"
+        at += jets.at_sample(bad)
         if not finite[i]:
             raise NonFiniteFormError(f"omega is not finite at {at}")
         raise RankInstabilityError(

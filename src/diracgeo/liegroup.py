@@ -17,7 +17,7 @@ import numpy as np
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
-from .geometry import Chart, Form, block, dot, ext_d, pull
+from .geometry import Chart, Form, block, coordinates, dot, ext_d, pull
 from .groupoid import GroupoidForm, action_groupoid
 from .linear import mT
 
@@ -276,23 +276,29 @@ def chart_metric(Gp, u):
     return mT(L) @ Gp.metric @ L
 
 
-def cartan_dirac(Gp, u):
-    """L_g = span of (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis."""
+def cartan_frame(Gp, u):
+    """The frame (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis,
+    batch-first at a batch of points."""
     R = Gp.right_matrix(u)
     L = Gp.left_matrix(u)
-    span = np.vstack([R - L, chart_metric(Gp, u) @ (0.5 * (R + L))])
-    return linear.LinearDirac.from_span(span)
+    return block([[R - L], [chart_metric(Gp, u) @ (0.5 * (R + L))]])
+
+
+def cartan_dirac(Gp, u):
+    """L_g = span of the Cartan frame at u."""
+    return linear.LinearDirac.from_span(cartan_frame(Gp, u))
 
 
 def cartan_dirac_field(Gp):
-    """The Cartan-Dirac structure as target data: dirac_at plus the 3-form."""
+    """The Cartan-Dirac structure as target data: its frame at a point or a
+    (B, m) stack of points, plus the 3-form."""
 
     class _Target:
         phi = cartan_form(Gp)
 
         @staticmethod
-        def dirac_at(y):
-            return cartan_dirac(Gp, [float(c) for c in y])
+        def frame(y):
+            return cartan_frame(Gp, coordinates(y))
 
     return _Target()
 

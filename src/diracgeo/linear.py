@@ -17,69 +17,15 @@ class DegenerateRankError(ValueError):
     """Numerical rank of a pushed/pulled subspace is not the expected one."""
 
 
-# -- subspace utilities ---------------------------------------------------
-
-def orth_basis(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of the column span, rank decided at tol relative."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0 or M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[0], 0))
-    r = int(np.sum(s > tol * s[0]))
-    return U[:, :r]
-
-
-def null_basis(M):
-    """Orthonormal basis of the kernel of M (rows = constraints)."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    m, n = M.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    U, s, Vt = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n)
-    r = int(np.sum(s > DEFAULT_TOL * s[0]))
-    return Vt[r:].T
-
-
-def spans_equal(A, B):
-    """Equal column spans: the sine of the largest principal angle between
-    them is at most 1e-9."""
-    return span_gap(orth_basis(A), orth_basis(B)) <= 1e-9
-
-
-def span_gap(A, B):
-    """sin of the largest principal angle between the column spans; 1.0
-    when their dimensions differ.  The sines of the principal angles are
-    the singular values of the part of one orthonormal basis that lies
-    outside the other span."""
-    if A.shape[1] == 0 and B.shape[1] == 0:
-        return 0.0
-    if A.shape[1] != B.shape[1]:
-        return 1.0
-    QA, QB = (orth_basis(M, np.finfo(float).eps * max(M.shape))
-              for M in (A, B))
-    if QA.shape[1] < QB.shape[1]:
-        QA, QB = QB, QA
-    if QB.shape[1] == 0:
-        return 0.0
-    return min(1.0, float(np.linalg.norm(QB - QA @ (QA.T @ QB), 2)))
-
-
 # -- subspaces over a stack of matrices -----------------------------------
-# The same operations on a stack of matrices (leading batch axes), one
-# stacked SVD per rank decision.  A subspace at each matrix of the stack is
-# a padded basis: an array (..., N, k) whose first columns are orthonormal
-# and span it and whose columns past its dimension are zeroed, so that
-# subspaces whose dimensions differ across the stack share one shape.
-# (Zero columns in front would make zero rows in front of the products
-# whose kernels are taken, and LAPACK loses digits on those.)  They are
-# kept apart from the one-matrix functions above, which the per-point loops
-# of realization call thousands of times: through the padding, null_basis
-# of a 4x6 matrix took 2.5 times as long and span_gap of two 6x3 frames
-# 1.7 times.
+# One SVD-based implementation per operation, for a matrix or a stack of
+# matrices (leading batch axes), one stacked SVD per rank decision.  A
+# subspace at each matrix is a padded basis: an array (..., N, k) whose
+# first columns are orthonormal and span it and whose columns past its
+# dimension are zeroed, so that subspaces whose dimensions differ across
+# the stack share one shape; at one matrix, `trim` cuts it to its
+# dimension.  (Zero columns in front would make zero rows in front of the
+# products whose kernels are taken, and LAPACK loses digits on those.)
 
 def mT(M):
     """The matrices of a stack transposed (numpy >= 2 spells it M.mT)."""
@@ -110,11 +56,26 @@ def padded_kernel(Vt, r):
                  dim), dim
 
 
+def kernel_svd(M, floor=0.0):
+    """The singular values s, the rank cut and the right singular vectors
+    Vt of each matrix: the rank counts the singular values above the cut,
+    1e-9 times the largest or times floor where that is larger."""
+    _, s, Vt = np.linalg.svd(M)
+    return s, DEFAULT_TOL * np.maximum(s[..., :1], floor), Vt
+
+
 def padded_null(M):
     """Padded orthonormal bases of the kernels (rows are constraints) and
     their dimensions."""
-    _, s, Vt = np.linalg.svd(M)
-    return padded_kernel(Vt, np.sum(s > DEFAULT_TOL * s[..., :1], axis=-1))
+    s, cut, Vt = kernel_svd(M)
+    return padded_kernel(Vt, np.sum(s > cut, axis=-1))
+
+
+def trim(padded):
+    """The basis of one matrix's subspace from its padded basis and
+    dimension."""
+    B, dim = padded
+    return B[:, :dim]
 
 
 def padded_intersect(A, B):
@@ -135,12 +96,23 @@ def padded_span_gap(A, da, B, db):
     eps = np.finfo(float).eps
     QA, ra = padded_orth(A, eps * max(A.shape[-2:]))
     QB, rb = padded_orth(B, eps * max(B.shape[-2:]))
+    # pad the narrower basis with zero columns, so that the two share one
+    # shape
+    k = max(QA.shape[-1], QB.shape[-1])
+    QA, QB = (np.concatenate([Q, np.zeros(Q.shape[:-1] + (k - Q.shape[-1],))],
+                             axis=-1) for Q in (QA, QB))
     swap = (ra < rb)[..., None, None]
     QA, QB = np.where(swap, QB, QA), np.where(swap, QA, QB)
     gap = np.minimum(1.0, np.linalg.norm(QB - QA @ (mT(QA) @ QB), 2,
                                          axis=(-2, -1)))
     return np.where(da != db, 1.0,
                     np.where(np.minimum(ra, rb) == 0, 0.0, gap))
+
+
+def spans_equal(A, B):
+    """Equal column spans: the sine of the largest principal angle between
+    them is at most 1e-9."""
+    return padded_span_gap(*padded_orth(A), *padded_orth(B)) <= 1e-9
 
 
 def padded_contained(A, B):
@@ -173,10 +145,10 @@ class LinearDirac:
         if span.ndim != 2 or span.shape[0] % 2 != 0:
             raise ValueError("span must be a 2n x k matrix")
         n = span.shape[0] // 2
-        B = orth_basis(span)
-        if B.shape[1] != n:
-            raise DegenerateRankError(
-                f"span has rank {B.shape[1]}, expected {n}")
+        B, rank = padded_orth(span)
+        if rank != n:
+            raise DegenerateRankError(f"span has rank {rank}, expected {n}")
+        B = B[:, :n]
         iso = np.max(np.abs(B.T @ _pairing_matrix(n) @ B))
         if iso > 1e-7:
             raise ValueError(f"span is not isotropic (residual {iso:.2e})")
@@ -185,8 +157,12 @@ class LinearDirac:
     def __eq__(self, other):
         if not isinstance(other, LinearDirac):
             return NotImplemented
-        return self.dim == other.dim and \
-            span_gap(self.basis, other.basis) <= 1e-9
+        return self.dim == other.dim and self.gap(other) <= 1e-9
+
+    def gap(self, other):
+        """sin of the largest principal angle between the two spans."""
+        return float(padded_span_gap(self.basis, self.dim, other.basis,
+                                     other.dim))
 
     def contains(self, x, xi):
         """Membership test for (x, xi) via vanishing pairing against L."""
@@ -248,10 +224,9 @@ def induced(L):
     """Range, kernel, and the induced 2-form / bivector of L."""
     n = L.dim
     B = L.basis
-    rng = orth_basis(B[:n])
+    rng = trim(padded_orth(B[:n]))
     # kernel: x-parts of elements with vanishing covector part
-    K = null_basis(B[n:])
-    ker = orth_basis(B[:n] @ K)
+    ker = trim(padded_orth(B[:n] @ trim(padded_null(B[n:]))))
     # theta on the range, extended by the orthogonal projection onto it
     P = rng @ rng.T
     theta = np.zeros((n, n))
@@ -261,7 +236,7 @@ def induced(L):
             theta[i, j] = xis[i] @ P[:, j]
     theta = 0.5 * (theta - theta.T)
     # pi on pr2(L), extended by projection
-    rng2 = orth_basis(B[n:])
+    rng2 = trim(padded_orth(B[n:]))
     P2 = rng2 @ rng2.T
     xs = [_comembership_solve(L, P2[:, j]) for j in range(n)]
     pi = np.zeros((n, n))
@@ -284,7 +259,7 @@ def push_forward(psi, L):
     # constraints: for every basis column (a, alpha) of L,
     # alpha(x) + eta(psi a) = 0  -- unknowns (x, eta) in R^{n+m}
     A, Al = L.basis[:n], L.basis[n:]
-    K = null_basis(np.hstack([Al.T, (psi @ A).T]))
+    K = trim(padded_null(np.hstack([Al.T, (psi @ A).T])))
     return LinearDirac.from_span(np.vstack([psi @ K[:n], K[n:]]))
 
 
@@ -297,7 +272,7 @@ def pull_back(f, L):
         raise ValueError("f codomain dimension mismatch")
     # constraints: for basis (b, beta) of L: xi(b) + beta(f X) = 0
     A, Al = L.basis[:m], L.basis[m:]
-    K = null_basis(np.hstack([(Al.T @ f), A.T]))  # unknowns (X, xi)
+    K = trim(padded_null(np.hstack([(Al.T @ f), A.T])))  # unknowns (X, xi)
     return LinearDirac.from_span(np.vstack([K[:n], f.T @ K[n:]]))
 
 

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, linear
+from . import jets
 from .courant import AnchoredDual
-from .geometry import Chart, ChartMap, Form, ext_d, lie_derivative, pullback
-from .groupoid import max_abs, worst_of
+from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
+                       lie_derivative, pullback)
+from .groupoid import _jac, apply, max_abs, worst_of
 from .liegroup import MatrixGroup, amm_rho_star, cartan_dirac_field, torus
+from .linear import mT, padded_null, padded_orth, padded_span_gap, trim
 
 
 @dataclass
@@ -23,7 +25,7 @@ class RealizationData:
     P: Chart
     eta: Form                # 2-form on P
     mu: ChartMap             # P -> target chart
-    target: object           # has .dirac_at(y), .phi (3-form or None)
+    target: object           # has .frame(y), .phi (3-form or None)
 
     def closedness_residual(self, samples):
         """|d eta + mu* phi| at the samples."""
@@ -37,45 +39,36 @@ class RealizationData:
 
 def realization_check(R, samples):
     """Solve d mu(X) = w, i_X eta = mu* xi for each column (w, xi) of the
-    target's frame.
+    target's frame, at the stack of samples.
 
     Returns a report dict with the solvability residual, the uniqueness
     and kernel-isomorphism flags, and the induced action vectors per
     sample (one X per frame column of the target Dirac space).
     """
-    report = {"kernel_iso_ok": True, "action_vectors": []}
-    solve = 0.0
-    kdim = 0
-    for p in samples:
-        Dmu = np.array(jets.jacobian(R.mu.func, p))
-        H = R.eta.at(p)
-        y = [jets.value_of(c) for c in R.mu(p)]
-        L = R.target.dirac_at(y)
-        m = L.dim
-        A = np.vstack([Dmu, H.T])
-        vecs = []
-        for col in L.span.T:
-            w, xi = col[:m], col[m:]
-            rhs = np.concatenate([w, Dmu.T @ xi])
-            X, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            solve = worst_of(solve, np.linalg.norm(A @ X - rhs, np.inf))
-            vecs.append([float(c) for c in X])
-        report["action_vectors"].append(vecs)
-        kdim = max(kdim, linear.null_basis(A).shape[1])
-        # d mu maps Ker(eta) isomorphically onto Ker(L)
-        ker_eta = linear.null_basis(H)
-        ker_L = linear.induced(L).kernel
-        image = Dmu @ ker_eta if ker_eta.size else np.zeros((len(y), 0))
-        if ker_eta.shape[1] != ker_L.shape[1]:
-            report["kernel_iso_ok"] = False
-        elif ker_eta.shape[1] > 0:
-            if np.linalg.matrix_rank(image, tol=1e-10) < ker_eta.shape[1]:
-                report["kernel_iso_ok"] = False
-            if linear.span_gap(image, ker_L) > 1e-7:
-                report["kernel_iso_ok"] = False
-    report.update(solve_residual=solve, dirac_map=solve <= 1e-8,
-                  kernel_dim_max=kdim, unique=kdim == 0)
-    return report
+    P = np.asarray(samples, dtype=float)
+    Dmu = _jac(R.mu.func, P)
+    H = R.eta.at(P)
+    m = Dmu.shape[-2]
+    frame = R.target.frame(apply(R.mu.func, P))
+    A = block([[Dmu], [mT(H)]])
+    rhs = block([[frame[..., :m, :]], [mT(Dmu) @ frame[..., m:, :]]])
+    X = np.linalg.pinv(A) @ rhs
+    solve = worst_of(0.0, np.abs(A @ X - rhs))
+    kdim = int(np.max(padded_null(A)[1]))
+    # d mu maps Ker(eta) isomorphically onto Ker(L), the tangent parts of
+    # the frame combinations with no covector part: equal dimensions, an
+    # injective image and a zero principal angle
+    ker_eta, dim_eta = padded_null(H)
+    ker_L, dim_L = padded_orth(frame[..., :m, :]
+                               @ padded_null(frame[..., m:, :])[0])
+    image = Dmu @ ker_eta
+    iso = (dim_eta == dim_L) & ((dim_eta == 0) | (
+        (padded_orth(image)[1] == dim_eta)
+        & (padded_span_gap(image, dim_eta, ker_L, dim_L) <= 1e-7)))
+    return {"kernel_iso_ok": bool(np.all(iso)),
+            "action_vectors": mT(X).tolist(), "solve_residual": solve,
+            "dirac_map": solve <= 1e-8, "kernel_dim_max": kdim,
+            "unique": kdim == 0}
 
 
 @dataclass
@@ -94,19 +87,25 @@ class QuasiHamData:
 def equivariance_residual(Q, samples):
     """|d mu(rho_P(v)) - (v_r - v_l) at mu(p)| over the algebra basis."""
     Gp = Q.group
-    worst = 0.0
-    for p in samples:
-        u = [jets.value_of(c) for c in Q.mu(p)]
-        gen = Gp.right_matrix(u) - Gp.left_matrix(u)
-        lhs = np.array(jets.jacobian(Q.mu.func, p)) @ Q.D.rho(p)
-        worst = worst_of(worst, np.max(np.abs(lhs - gen)))
-    return worst
+    P = np.asarray(samples, dtype=float)
+    u = coordinates(apply(Q.mu.func, P))
+    gen = Gp.right_matrix(u) - Gp.left_matrix(u)
+    lhs = _jac(Q.mu.func, P) @ Q.D.rho(coordinates(P))
+    return worst_of(0.0, np.abs(lhs - gen))
+
+
+def moment_residual(Q, samples):
+    """|i_{rho_P(v)} eta - moment 1-form| over the algebra basis: the
+    entries of rho^T H - sigma at the stack of samples."""
+    p = coordinates(samples)
+    return worst_of(0.0, np.abs(mT(Q.D.rho(p)) @ Q.eta.at(samples)
+                                - Q.D.rho_star(p)))
 
 
 def quasi_ham_check(Q, samples):
     """Residuals (r1, r2, r3, r_inv) of the quasi-hamiltonian axioms.
 
-    r1: |d eta + mu* phi|;  r2: |i_{rho_P(v)} eta - moment 1-form|;
+    r1: |d eta + mu* phi|;  r2: the moment_residual;
     r3: span gap between Ker(eta_p) and rho_P(Ker(Ad_{mu(p)} + 1));
     r_inv: |L_{rho_P(v)} eta| (invariance of eta under the action).
     """
@@ -116,16 +115,12 @@ def quasi_ham_check(Q, samples):
     r1 = R.closedness_residual(samples)
     r_inv = worst_of(0.0, *(max_abs(lie_derivative(D.anchor(i), Q.eta),
                                     samples) for i in range(D.rank)))
-    r2 = r3 = 0.0
-    for p in samples:
-        H = Q.eta.at(p)
-        rho = D.rho(p)
-        r2 = worst_of(r2, np.max(np.abs(rho.T @ H - D.rho_star(p))))
-        u = [jets.value_of(c) for c in Q.mu(p)]
-        ker_v = linear.null_basis(Gp.Ad_matrix(u) + np.eye(Gp.dim))
-        image = rho @ ker_v if ker_v.size else np.zeros((D.chart.dim, 0))
-        r3 = worst_of(r3, linear.span_gap(image, linear.null_basis(H)))
-    return r1, r2, r3, r_inv
+    P = np.asarray(samples, dtype=float)
+    ker_v, dim_v = padded_null(
+        Gp.Ad_matrix(coordinates(apply(Q.mu.func, P))) + np.eye(Gp.dim))
+    r3 = worst_of(0.0, padded_span_gap(D.rho(coordinates(P)) @ ker_v, dim_v,
+                                       *padded_null(Q.eta.at(P))))
+    return r1, moment_residual(Q, P), r3, r_inv
 
 
 def equivalence_crosscheck(Q, samples):
@@ -138,11 +133,9 @@ def equivalence_crosscheck(Q, samples):
     """
     R = RealizationData(Q.D.chart, Q.eta, Q.mu, cartan_dirac_field(Q.group))
     report = realization_check(R, samples)
-    mismatch = 0.0
-    for p, vecs in zip(samples, report["action_vectors"]):
-        gap = np.array(vecs).T - Q.D.rho(p)
-        mismatch = worst_of(mismatch, np.max(np.abs(gap)))
-    report["generator_mismatch"] = mismatch
+    gap = mT(np.array(report["action_vectors"])) \
+        - Q.D.rho(coordinates(samples))
+    report["generator_mismatch"] = worst_of(0.0, np.abs(gap))
     return report
 
 
@@ -168,7 +161,7 @@ def action_compatibility_residual(m_P, omega_L, eta, g_dim, p_dim,
         else:
             Ds = np.array(jets.jacobian(s_of_g, list(g)))
             Dmu = np.array(jets.jacobian(mu_of_p, list(p)))
-            basis = linear.null_basis(np.hstack([Ds, -Dmu])).T
+            basis = trim(padded_null(np.hstack([Ds, -Dmu]))).T
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 V, W = basis[a], basis[b]
@@ -192,7 +185,7 @@ def rotation_quasi_ham(factor=0.5):
     mu = ChartMap(ch, Chart(Gp.chart_names()),
                   lambda p: [factor * (p[0] * p[0] + p[1] * p[1])])
     sigma = amm_rho_star(Gp)
-    D = AnchoredDual(ch, lambda p: np.array([[p[1]], [-p[0]]]),
-                     lambda p: sigma(mu(p)) @ np.array(jets.jacobian(mu.func, p)),
-                     -Gp.struct)
+    D = AnchoredDual(ch, lambda p: jets.stack([[p[1]], [-p[0]]]),
+                     lambda p: sigma(mu(p)) @ jets.stack(jets.jacobian(
+                         mu.func, p)), -Gp.struct)
     return QuasiHamData(Gp, D, eta, mu)

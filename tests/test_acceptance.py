@@ -51,8 +51,8 @@ def test_acceptance_1_linear_round_trips():
 
         def proj_gap(A, B):
             # orthogonal-projection distance between the two spans
-            BA = linear.orth_basis(A.span)
-            BB = linear.orth_basis(B.span)
+            BA = linear.trim(linear.padded_orth(A.span))
+            BB = linear.trim(linear.padded_orth(B.span))
             return float(np.max(np.abs(BA @ BA.T - BB @ BB.T)))
 
         back = linear.push_forward(psi, linear.pull_back(psi, L))
@@ -167,7 +167,7 @@ def test_acceptance_4_unit_extraction():
                 sp.rho[:, j] - (vr - vl)))))
         L1 = gr.induced_dirac(G, F, x)
         L2 = lg.cartan_dirac(Gp, x)
-        worst_ind = max(worst_ind, linear.span_gap(L1.basis, L2.basis))
+        worst_ind = max(worst_ind, L1.gap(L2))
     # frame integrability of the group's structure against its 3-form
     from diracgeo.courant import AlmostDiracField, Section
     from diracgeo.geometry import VectorField

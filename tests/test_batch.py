@@ -1,5 +1,6 @@
 """Batched evaluation: a stack of sample points against the per-point loop,
-the number of jet passes a check makes, and sample-indexed errors."""
+the number of jet passes and SVDs a check makes, and sample-indexed
+errors."""
 
 import json
 import re
@@ -8,12 +9,19 @@ import numpy as np
 import pytest
 
 from diracgeo import cli, expr, fixtures, jets
+from diracgeo import foliation as FO
 from diracgeo import groupoid as GR
+from diracgeo import liegroup as LG
+from diracgeo import realization as RZ
+from diracgeo.courant import AnchoredDual, im_totals
+from diracgeo.geometry import Form, chart, lie_derivative
 
-# These fixtures' maps go through sin, cos or atan2, which numpy's array
-# loops and math need not round alike in the last place; everything else is
-# the same arithmetic in the same order, so it must agree to the bit.
-THROUGH_TRANSCENDENTALS = {"amm-so3", "coadjoint-so3", "nondirac-flow"}
+# These fixtures' maps and these checks' forms go through sin, cos or
+# atan2, which numpy's array loops and math need not round alike in the
+# last place; everything else is the same arithmetic in the same order, so
+# it must agree to the bit.
+THROUGH_TRANSCENDENTALS = {"amm-so3", "coadjoint-so3", "nondirac-flow",
+                           "leafwise-d-squared", "twisted-shift"}
 
 
 def _agree(name, batched, single):
@@ -53,35 +61,98 @@ def test_stack_matches_the_per_point_loop(name, size):
         _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
 
 
-def _count_passes(monkeypatch):
+def _so3_anchor(sigma):
+    """The rotation generators on R^3, [a_i, a_j] = -a_k for (i, j, k)
+    cyclic, with the dual sigma."""
+    def rho(p):
+        x, y, z = p
+        return jets.stack([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+
+    c = np.zeros((3, 3, 3))
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        c[i, j, k], c[j, i, k] = -1.0, 1.0
+    return AnchoredDual(chart("x", "y", "z"), rho, sigma, c)
+
+
+@pytest.mark.parametrize("size", [1, 8, 64])
+def test_sampled_forms_match_the_per_point_loop(size):
+    # the forms behind the foliation, quasi-hamiltonian and IM residuals
+    fol, theta, ext, phi = cli._foliation_scenario()
+    P = np.random.default_rng(42).uniform(-1.0, 1.0, (size, 3))
+    f = Form.function(fol.chart, "x3*x1 + sin(x2)")
+    Q = RZ.rotation_quasi_ham(0.5)
+    D = _so3_anchor(lambda p: jets.stack([[p[1], p[0] * p[2], 1.0],
+                                          [0.0, p[2], p[0]],
+                                          [p[1] * p[1], 0.0, p[2]]]))
+    forms = {
+        "leafwise-d-squared": (FO.d_F(fol, FO.d_F(fol, f)), P),
+        "transverse-derivative": (FO.classifying_rep(fol, ext)
+                                  - FO.d_nu(fol, theta, ext, P), P),
+        "twisted-shift": (FO.classifying_rep(fol, ext, phi)
+                          - FO.classifying_rep(fol, ext)
+                          - FO.phi_bar(fol, phi), P),
+        "quasi-ham": (lie_derivative(Q.D.anchor(0), Q.eta), P[:, :2]),
+        "quasi-ham-dual": (lie_derivative(Q.D.anchor(0), Q.D.dual(0)),
+                           P[:, :2])}
+    twist = Form.from_components(D.chart, 3, {(0, 1, 2): "x*y - z"})
+    for i, total in enumerate(im_totals(D, twist)):
+        forms[f"im-total-{i}"] = (total, P)
+    for name, (w, points) in forms.items():
+        _agree(name, w.at(points), [w.at(p) for p in points])
+
+
+def test_stacked_realization_solve_matches_per_point_lstsq():
+    # the stacked pseudo-inverse against numpy's least squares, one point
+    # at a time: the same solution up to rounding
+    Q = RZ.rotation_quasi_ham(0.5)
+    P = cli._annulus_samples(np.random.default_rng(42), 16)
+    rep = RZ.equivalence_crosscheck(Q, P)
+    for p, vecs in zip(P, rep["action_vectors"]):
+        Dmu = np.array(jets.jacobian(Q.mu.func, list(p)))
+        frame = LG.cartan_frame(Q.group, [jets.value_of(c) for c in Q.mu(p)])
+        m = len(Dmu)
+        X, *_ = np.linalg.lstsq(np.vstack([Dmu, Q.eta.at(p).T]),
+                                np.vstack([frame[:m], Dmu.T @ frame[m:]]),
+                                rcond=None)
+        assert np.all(np.abs(np.array(vecs).T - X)
+                      <= 1e-14 * np.maximum(1.0, np.abs(X)))
+
+
+def _count_calls(monkeypatch, module, entries):
     calls = []
-    for entry in ("jacobian", "directional"):
-        real = getattr(jets, entry)
+    for entry in entries:
+        real = getattr(module, entry)
 
-        def counted(*args, real=real):
+        def counted(*args, real=real, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(jets, entry, counted)
+        monkeypatch.setattr(module, entry, counted)
     return calls
 
 
 GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
                    "unit-identities", "kernel-orthogonality", "orbit-form",
                    "classification", "dirac-type"]
+# these checks read no fixture
+SAMPLED_CHECKS = ["quasi-ham", "quasi-ham-negative", "equivalence-crosscheck",
+                  "leafwise-d-squared", "transverse-derivative",
+                  "twisted-shift"]
 
 
 @pytest.mark.parametrize("name", ["twisted-pair-r3", "nondirac-flow"])
 def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
-    calls = _count_passes(monkeypatch)
-    for check in GROUPOID_CHECKS:
+    # nor do the SVDs: every sampled check evaluates its stack at once
+    passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
+    svds = _count_calls(monkeypatch, np.linalg, ("svd",))
+    for check in GROUPOID_CHECKS + SAMPLED_CHECKS:
         counts = []
         for samples in (8, 64):
             fx = fixtures.load(name)
             policy = dict(cli.DEFAULT_POLICY, samples=samples)
-            del calls[:]
+            del passes[:], svds[:]
             cli.CHECKS[check](fx, np.random.default_rng(42), policy)
-            counts.append(len(calls))
+            counts.append((len(passes), len(svds)))
         assert counts[0] == counts[1], (check, counts)
 
 

@@ -56,7 +56,7 @@ def test_run_single_scenario_report_schema(capsys):
     for name, entry in report["checks"].items():
         assert entry["as_expected"] is True
         assert "residual" in entry or name == "classification"
-    assert set(report["versions"]) == {"diracgeo", "numpy", "scipy"}
+    assert set(report["versions"]) == {"diracgeo", "numpy"}
 
 
 def test_deterministic_reports(capsys):

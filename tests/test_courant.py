@@ -4,7 +4,7 @@ their IM and Cartan-closedness conditions."""
 import numpy as np
 import pytest
 
-from diracgeo import liegroup as lg
+from diracgeo import jets, liegroup as lg
 from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
                               anchor_bracket_residual, cartan_closed_residual,
                               courant_bracket, graph_of_form,
@@ -120,8 +120,9 @@ def test_frame_size_validation():
 
 def rotation_pair():
     """Rank-1 pair on R^2: rho = the rotation field, rho* = x dx + y dy."""
-    return AnchoredDual(CH2, lambda p: np.array([[p[1]], [-p[0]]]),
-                        lambda p: np.array([[p[0], p[1]]]), np.zeros((1, 1, 1)))
+    return AnchoredDual(CH2, lambda p: jets.stack([[p[1]], [-p[0]]]),
+                        lambda p: jets.stack([[p[0], p[1]]]),
+                        np.zeros((1, 1, 1)))
 
 
 def so3_anchor(sigma, sign=1.0):
@@ -129,7 +130,7 @@ def so3_anchor(sigma, sign=1.0):
     (i, j, k) cyclic and the dual sigma."""
     def rho(p):
         x, y, z = p
-        return np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+        return jets.stack([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
 
     c = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -157,7 +158,7 @@ def test_im_conditions_rotation_pair():
 def test_im_conditions_detect_bad_dual():
     # rho* = x dy is not antisymmetric against the rotation field
     D = AnchoredDual(CH2, rotation_pair().rho,
-                     lambda p: np.array([[0.0, p[0]]]), np.zeros((1, 1, 1)))
+                     lambda p: jets.stack([[0.0, p[0]]]), np.zeros((1, 1, 1)))
     rng = np.random.default_rng(7)
     r1, _ = im_conditions_residual(D, None, samples(rng, 2))
     assert r1 > 1e-2
@@ -272,7 +273,7 @@ def test_cartan_closedness_is_stronger_than_the_im_conditions():
     # d sigma(e) = dx2 ^ dx1 differs from i_{rho(e)} phi = 0
     D = lg.action_algebroid(lg.torus(1), Chart(("x1", "x2")),
                             lambda u, x: list(x),
-                            lambda x: np.array([[x[1], 0.0]]))
+                            lambda x: jets.stack([[x[1], 0.0]]))
     pts = samples(np.random.default_rng(40), 2, 4, 0.4)
     assert cartan_closed_residual(D, None, pts) == pytest.approx(
         (0.0, 1.0, 0.0))

@@ -1,8 +1,11 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module,
+and the runner needs no more than numpy."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "diracgeo")
@@ -29,3 +32,12 @@ def test_no_unused_imports():
     unused = [u for p in paths if not p.endswith("__init__.py")
               for u in unused_imports(p)]
     assert unused == []
+
+
+def test_runner_does_not_import_scipy():
+    code = "import sys, diracgeo.cli; sys.exit('scipy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [os.path.dirname(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0

@@ -8,6 +8,7 @@ import pytest
 from diracgeo import liegroup as lg
 from diracgeo.geometry import Chart
 from diracgeo.jets import value_of
+from diracgeo.linear import LinearDirac
 
 
 def vals(seq):
@@ -198,8 +199,11 @@ def test_cartan_dirac_field_integrable_against_cartan_form():
 
 def test_cartan_dirac_field_wrapper():
     T = lg.cartan_dirac_field(lg.su2())
-    L = T.dirac_at([0.2, -0.1, 0.3])
-    assert L.dim == 3
+    assert LinearDirac.from_span(T.frame([0.2, -0.1, 0.3])).dim == 3
+    # at a stack of points the frames are batch-first
+    P = np.array([[0.2, -0.1, 0.3], [0.1, 0.4, -0.2]])
+    assert np.allclose(T.frame(P), [T.frame(p) for p in P], rtol=0,
+                       atol=1e-14)
 
 
 # -- AMM and coadjoint forms ------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from diracgeo import linear
 from diracgeo.linear import (DegenerateRankError, LinearDirac, from_bivector,
-                             from_form, induced, is_dirac_map, null_basis,
-                             orth_basis, pull_back, push_forward,
-                             spans_equal)
+                             from_form, induced, is_dirac_map, padded_null,
+                             padded_orth, padded_span_gap, pull_back,
+                             push_forward, spans_equal, trim)
 
 
 def random_skew(rng, n):
@@ -28,8 +28,8 @@ def random_dirac(rng, n):
 def test_orth_and_null_are_complementary():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((3, 5))
-    R = orth_basis(M.T)     # row space
-    K = null_basis(M)
+    R = trim(padded_orth(M.T))     # row space
+    K = trim(padded_null(M))
     assert R.shape[1] + K.shape[1] == 5
     assert np.max(np.abs(M @ K)) < 1e-12
     assert np.allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
@@ -41,6 +41,16 @@ def test_spans_equal_is_basis_independent():
     C = rng.standard_normal((3, 3)) + 2 * np.eye(3)
     assert spans_equal(B, B @ C)
     assert not spans_equal(B, rng.standard_normal((6, 3)))
+
+
+def test_span_gap_of_padded_bases_with_different_widths():
+    # a line against padded bases with one more (zero) column, at a stack
+    # of two matrices: the same line, then an orthogonal one
+    e1 = np.array([[1.0], [0.0], [0.0]])
+    wide = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]])
+    gap = padded_span_gap(e1, 1, wide, np.array([1, 1]))
+    assert np.array_equal(gap, [0.0, 1.0])
 
 
 # -- graphs and canonical equality -----------------------------------------
@@ -152,7 +162,7 @@ def test_random_dirac_is_lagrangian(n, seed):
     """Any constructed structure is isotropic of dimension n and equal to itself."""
     rng = np.random.default_rng(seed)
     L = random_dirac(rng, n)
-    B = orth_basis(L.span)
+    B = trim(padded_orth(L.span))
     assert B.shape[1] == n
     P = np.zeros((2 * n, 2 * n))
     P[:n, n:] = np.eye(n)
@@ -174,4 +184,5 @@ def test_induced_form_descends(n, seed):
     if d.kernel.shape[1]:
         assert np.max(np.abs(d.theta @ d.kernel)) < 1e-8
     # range and kernel dims add up: dim pr1(L) + dim co-kernel part = n
-    assert d.range.shape[1] + null_basis(orth_basis(L.span)[:n].T).shape[1] == n
+    assert d.range.shape[1] + padded_null(
+        trim(padded_orth(L.span))[:n].T)[1] == n

@@ -43,15 +43,17 @@ def test_identity_realization_of_cartan_dirac():
         phi = None
 
         @staticmethod
-        def dirac_at(y):
+        def frame(y):
             from diracgeo import linear
-            return linear.from_form(np.zeros((1, 1)))
+            return linear.from_form(np.zeros((1, 1))).span
 
     R = RealizationData(ch, Form.zero(ch, 2),
                         ChartMap(ch, ch, lambda p: list(p)), ZeroTarget())
     rep = realization_check(R, [[0.3], [-0.8]])
     assert rep["dirac_map"] is True
     assert rep["unique"] is True
+    # Ker(eta) and Ker(L) are both the whole line
+    assert rep["kernel_iso_ok"] is True
     assert rep["solve_residual"] < 1e-12
     # the lift of the frame element (1, 0) is the unit vector itself
     for vecs in rep["action_vectors"]:
@@ -100,6 +102,8 @@ def test_degenerate_moment_map_detected():
     rep = realization_check(R, [[0.5, 0.2]])
     assert rep["unique"] is False
     assert rep["kernel_dim_max"] == 2
+    # Ker(eta) is the plane, Ker(L) is 0
+    assert rep["kernel_iso_ok"] is False
 
 
 def test_closedness_residual_sees_twist():
