@@ -256,13 +256,14 @@ def check_equivalence_crosscheck(fx, rng, policy):
 
 def _annulus_samples(rng, n):
     """The (n, 2) stack of the first n draws from [-1.2, 1.2]^2 outside the
-    disc of radius 0.3."""
-    out = []
+    disc of radius 0.3, drawn in blocks of n; |p| is sqrt(p . p), as
+    np.linalg.norm computes it."""
+    out = np.empty((0, 2))
     while len(out) < n:
-        p = rng.uniform(-1.2, 1.2, 2)
-        if np.linalg.norm(p) > 0.3:
-            out.append(p)
-    return np.array(out)
+        P = rng.uniform(-1.2, 1.2, (n, 2))
+        keep = np.sqrt((P[:, None, :] @ P[:, :, None])[:, 0, 0]) > 0.3
+        out = np.concatenate([out, P[keep]])
+    return out[:n]
 
 
 def _pathspace_scenario():

@@ -15,13 +15,41 @@ import numpy as np
 from . import jets
 from .courant import AnchoredDual
 from .expr import parse
-from .geometry import Chart, Form
+from .geometry import Chart, Form, coordinates
 from .groupoid import worst_of
 
 
 def _trapz(vals, dt):
     vals = np.asarray(vals, dtype=float)
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
+
+
+def _columns(vals, ts):
+    """The (N+1, m) stack of m values on the grid ts, each a float
+    (constant along the grid) or an (N+1,) array."""
+    return np.stack(np.broadcast_arrays(*vals, ts)[:-1], axis=-1)
+
+
+def _mv(M, v):
+    """The stacked matrix-vector products M[i] @ v[i]."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """The stacked dot products u[i] @ v[i]."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _chi(t):
+    """The endpoint cut-off t(1 - t) of a gauge parameter."""
+    return t * (1.0 - t)
+
+
+def _at_grid(path, matrix):
+    """matrix(p) read once at the stack of grid points gamma(t_i), as the
+    (N+1, ., .) stack; a constant matrix is broadcast along the grid."""
+    M = np.asarray(matrix(coordinates(path.gamma)), dtype=float)
+    return np.broadcast_to(M, path.gamma.shape[:1] + M.shape[-2:])
 
 
 @dataclass
@@ -50,17 +78,14 @@ class DiscretizedAPath:
     def times(self):
         return np.linspace(0.0, 1.0, self.N + 1)
 
-    def rho_of_a(self, i):
-        """rho(a(t_i)) at gamma(t_i)."""
-        return self.pres.rho(list(self.gamma[i])) @ self.a[i]
+    def rho_of_a(self):
+        """rho(a(t_i)) at gamma(t_i), the (N+1, n) stack."""
+        return _mv(_at_grid(self, self.pres.rho), self.a)
 
     def apath_residual(self):
         """Max defect of rho(a) against the central-difference velocity."""
-        worst = 0.0
-        for i in range(1, self.N):
-            vel = (self.gamma[i + 1] - self.gamma[i - 1]) / (2 * self.dt)
-            worst = worst_of(worst, np.max(np.abs(self.rho_of_a(i) - vel)))
-        return worst
+        vel = (self.gamma[2:] - self.gamma[:-2]) / (2 * self.dt)
+        return worst_of(0.0, np.abs(self.rho_of_a()[1:-1] - vel))
 
     def shifted(self, s, T):
         return DiscretizedAPath(self.pres, self.gamma + s * T.dgamma,
@@ -81,24 +106,22 @@ class PathTangent:
         self.da = np.asarray(self.da, dtype=float)
 
 
+def _on_grid(exprs, ts):
+    """Expressions in the variable t, each evaluated once on the grid ts,
+    as the (N+1, m) stack."""
+    return _columns([parse(e, ("t",))([ts]) for e in exprs], ts)
+
+
 def sampled_path(pres, gamma_exprs, a_exprs, N):
     """Evaluate curve expressions in the variable t on the uniform grid."""
-    tch = ("t",)
-    gfun = [parse(e, tch) for e in gamma_exprs]
-    afun = [parse(e, tch) for e in a_exprs]
     ts = np.linspace(0.0, 1.0, N + 1)
-    gamma = np.array([[f([t]) for f in gfun] for t in ts])
-    a = np.array([[f([t]) for f in afun] for t in ts])
-    return DiscretizedAPath(pres, gamma, a)
+    return DiscretizedAPath(pres, _on_grid(gamma_exprs, ts),
+                            _on_grid(a_exprs, ts))
 
 
 def sampled_tangent(path, dgamma_exprs, da_exprs):
-    tch = ("t",)
-    gfun = [parse(e, tch) for e in dgamma_exprs]
-    afun = [parse(e, tch) for e in da_exprs]
     ts = path.times
-    return PathTangent(np.array([[f([t]) for f in gfun] for t in ts]),
-                       np.array([[f([t]) for f in afun] for t in ts]))
+    return PathTangent(_on_grid(dgamma_exprs, ts), _on_grid(da_exprs, ts))
 
 
 def fd_step(path, h=None):
@@ -111,18 +134,14 @@ def omega_phi(path, V, W, phi):
     """Quadrature of phi(rho(a), dgamma V, dgamma W) along the path."""
     if phi is None:
         return 0.0
-    vals = []
-    for i in range(path.N + 1):
-        p = list(path.gamma[i])
-        vals.append(jets.value_of(phi(p, list(path.rho_of_a(i)),
-                                      list(V.dgamma[i]), list(W.dgamma[i]))))
-    return _trapz(vals, path.dt)
+    vals = phi(coordinates(path.gamma), *(coordinates(v) for v in (
+        path.rho_of_a(), V.dgamma, W.dgamma)))
+    return _trapz(jets.value_of(vals), path.dt)
 
 
 def sigma_tilde(path, X):
     """Quadrature of <rho*(a), dgamma X> along the path."""
-    vals = [path.a[i] @ (path.pres.rho_star(list(path.gamma[i])) @ X.dgamma[i])
-            for i in range(path.N + 1)]
+    vals = _dot(path.a, _mv(_at_grid(path, path.pres.rho_star), X.dgamma))
     return _trapz(vals, path.dt)
 
 
@@ -152,6 +171,13 @@ class GaugeParameter:
         return [parse(e, names) for e in self.exprs]
 
 
+def _section_on_grid(path, fns):
+    """chi(t) eta(t, gamma(t)) on the grid, the (N+1, r) stack."""
+    ts = path.times
+    z = [ts] + coordinates(path.gamma)
+    return _columns([_chi(ts) * f(z) for f in fns], ts)
+
+
 def gauge_vector(path, eta):
     """First-order gauge direction X_eta at the path.
 
@@ -160,35 +186,23 @@ def gauge_vector(path, eta):
     constant in x.
     """
     pres = path.pres
-    ch = pres.chart
-    n = ch.dim
-    r = pres.rank
-    fns = eta.compiled(ch)
+    fns = eta.compiled(pres.chart)
     ts = path.times
-    dgamma = np.zeros_like(path.gamma)
-    da = np.zeros_like(path.a)
-    e_t = [1.0] + [0.0] * n
-
-    def chi(t):
-        return t * (1.0 - t)
-
-    for i in range(path.N + 1):
-        t = ts[i]
-        p = list(path.gamma[i])
-        z = [t] + p
-        eta_here = np.array([chi(t) * f(z) for f in fns])
-        dgamma[i] = pres.rho(p) @ eta_here
-        rho_a = path.rho_of_a(i)
-        # structure term sum_{i',j'} c^k a_{i'} eta_{j'}
-        da[i] = np.einsum("a,b,abk->k", path.a[i], eta_here, pres.structure)
-        for k in range(r):
-            # time derivative of the section t(1-t) eta_k
-            fk = fns[k]
-            dt_eta = jets.directional(lambda q: chi(q[0]) * fk(q), z, e_t)
-            # spatial derivative paired with rho(xi0) = rho(a)
-            dx_eta = chi(t) * jets.directional(
-                lambda q: fk([t] + q), p, list(rho_a))
-            da[i, k] += dt_eta + dx_eta
+    p = coordinates(path.gamma)
+    z = [ts] + p
+    e_t = [1.0] + [0.0] * pres.chart.dim
+    eta_here = _section_on_grid(path, fns)
+    dgamma = _mv(_at_grid(path, pres.rho), eta_here)
+    rho_a = coordinates(path.rho_of_a())
+    # structure term sum_{i',j'} c^k a_{i'} eta_{j'}
+    da = np.einsum("za,zb,abk->zk", path.a, eta_here, pres.structure)
+    for k, fk in enumerate(fns):
+        # time derivative of the section t(1-t) eta_k
+        dt_eta = jets.directional(lambda q: _chi(q[0]) * fk(q), z, e_t)
+        # spatial derivative paired with rho(xi0) = rho(a)
+        dx_eta = _chi(ts) * jets.directional(
+            lambda q: fk([ts] + q), p, rho_a)
+        da[:, k] += dt_eta + dx_eta
     return PathTangent(dgamma, da)
 
 
@@ -208,18 +222,11 @@ def basicness_residual(path, eta, phi, probes, h=None):
 def sigma_contraction_residual(path, eta):
     """Discrete-exact identity (granted the antisymmetry of <rho*, rho>):
     sigma_tilde(X_eta) = -quadrature of <rho*(eta), rho(a)>."""
-    pres = path.pres
     X_eta = gauge_vector(path, eta)
     lhs = sigma_tilde(path, X_eta)
-    fns = eta.compiled(pres.chart)
-    ts = path.times
-    vals = []
-    for i in range(path.N + 1):
-        t = ts[i]
-        p = list(path.gamma[i])
-        chi = t * (1.0 - t)
-        eta_here = np.array([chi * f([t] + p) for f in fns])
-        vals.append(eta_here @ (pres.rho_star(p) @ path.rho_of_a(i)))
+    eta_here = _section_on_grid(path, eta.compiled(path.pres.chart))
+    vals = _dot(eta_here, _mv(_at_grid(path, path.pres.rho_star),
+                              path.rho_of_a()))
     return abs(lhs + _trapz(vals, path.dt))
 
 
@@ -251,25 +258,21 @@ def path_variation_identity_residual(u_exprs, gamma, X):
 
     def functional(curve):
         vel = velocity(curve)
-        vals = []
-        for i in range(Np + 1):
-            z = [ts[i]] + list(curve[i])
-            vals.append(sum(ufun[j](z) * vel[i, j] for j in range(n)))
-        return _trapz(vals, dt)
+        z = [ts] + coordinates(curve)
+        return _trapz(sum(ufun[j](z) * vel[:, j] for j in range(n)), dt)
 
     h = 1e-5
     lhs1 = (functional(gamma + h * X) - functional(gamma - h * X)) / (2 * h)
     vel = velocity(gamma)
-    vals = []
-    for i in range(Np + 1):
-        z = [ts[i]] + list(gamma[i])
-        grad = np.array(jets.jacobian(
-            lambda q: [f(q) for f in ufun], z))  # grad[j][l] = d u_j / d z_l
-        dt_u = grad[:, 0]
-        dx_u = grad[:, 1:]          # dx_u[j, l] = d u_j / d x_l
-        du_X_gdot = float(X[i] @ dx_u.T @ vel[i] - vel[i] @ dx_u.T @ X[i])
-        vals.append(du_X_gdot - float(dt_u @ X[i]))
-    lhs2 = -_trapz(vals, dt)
+    # grad[i, j, l] = d u_j / d z_l at (t_i, gamma(t_i)), one jet pass
+    grad = jets.stack(jets.jacobian(lambda q: [f(q) for f in ufun],
+                                    [ts] + coordinates(gamma)))
+    grad = np.broadcast_to(grad, (Np + 1,) + grad.shape[-2:])
+    dt_u = grad[..., 0]
+    dx_uT = grad[..., 1:].swapaxes(-1, -2)   # [i, l, j] = d u_j / d x_l
+    du_X_gdot = ((X[:, None, :] @ dx_uT) @ vel[:, :, None]
+                 - (vel[:, None, :] @ dx_uT) @ X[:, :, None])[:, 0, 0]
+    lhs2 = -_trapz(du_X_gdot - _dot(dt_u, X), dt)
     z1 = [1.0] + list(gamma[-1])
     z0 = [0.0] + list(gamma[0])
     boundary = sum(ufun[j](z1) * X[-1, j] for j in range(n)) \
@@ -291,16 +294,12 @@ def relative_closedness_residual(path, U, V, W, phi):
                 - two_form(path.shifted(-h, A), B, C)) / (2 * h)
 
     d_val = deriv(U, V, W) - deriv(V, U, W) + deriv(W, U, V)
-    if phi is None:
-        pulled = 0.0
-    else:
-        p1 = list(path.gamma[-1])
-        p0 = list(path.gamma[0])
-        pulled = jets.value_of(
-            phi(p1, list(U.dgamma[-1]), list(V.dgamma[-1]),
-                list(W.dgamma[-1]))) - jets.value_of(
-            phi(p0, list(U.dgamma[0]), list(V.dgamma[0]),
-                list(W.dgamma[0])))
+    pulled = 0.0
+    if phi is not None:
+        ends = [0, -1]
+        vals = jets.value_of(phi(coordinates(path.gamma[ends]), *(
+            coordinates(T.dgamma[ends]) for T in (U, V, W))))
+        pulled = vals[1] - vals[0]
     return abs(d_val - pulled)
 
 

@@ -156,6 +156,25 @@ def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
         assert counts[0] == counts[1], (check, counts)
 
 
+# these checks read no fixture and no samples: their cost is set by the grid
+PATH_CHECKS = ["basicness", "sigma-contraction", "path-boundary-identity"]
+
+
+def test_jet_passes_and_expression_calls_do_not_grow_with_the_grid(
+        monkeypatch):
+    # every grid quantity is one evaluation on the (N+1, n) stack
+    passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
+    evals = _count_calls(monkeypatch, expr.ScalarExpr, ("__call__",))
+    for check in PATH_CHECKS:
+        counts = []
+        for grid in ([16, 32], [256, 512]):
+            policy = dict(cli.DEFAULT_POLICY, grid=grid)
+            del passes[:], evals[:]
+            cli.CHECKS[check](None, np.random.default_rng(42), policy)
+            counts.append((len(passes), len(evals)))
+        assert counts[0] == counts[1], (check, counts)
+
+
 def test_domain_errors_name_the_first_failing_sample():
     x1 = np.array([1.0, 4.0, -1.0, -9.0])
     with pytest.raises(jets.DomainError,
