@@ -25,8 +25,9 @@ from . import liegroup as LG
 from . import pathspace as PS
 from . import realization as RZ
 from .expr import ExprSyntaxError, UnknownIdentifierError
-from .geometry import Form
+from .geometry import Form, coordinates
 from .jets import DomainError
+from .linear import mT
 
 
 class ScenarioError(ValueError):
@@ -192,14 +193,11 @@ def check_induced_vs_group(fx, rng, policy):
     residual is the sine of the largest principal angle between the two."""
     if fx.get("kind") != "amm":
         return {"pass": True, "skipped": "not a conjugation fixture"}
-    Gp = fx["group"]
-    worst = 0.0
-    for _ in range(policy["samples"]):
-        x = [float(c) for c in fx["groupoid"].sample_unit(rng)]
-        L1 = GR.induced_dirac(fx["groupoid"], fx["form"], x)
-        L2 = LG.cartan_dirac(Gp, x)
-        worst = GR.worst_of(worst, L1.gap(L2))
-    return _residual_entry(worst, policy["tol"])
+    x = GR.draw(fx["groupoid"].sample_unit, rng, policy["samples"])
+    L1 = GR.induced_dirac(fx["groupoid"], fx["form"], x)
+    return _residual_entry(GR.worst_of(0.0, *(
+        L.gap(LG.cartan_dirac(fx["group"], p.tolist()))
+        for p, L in zip(x, L1))), policy["tol"])
 
 
 def check_rho_star_half_flat(fx, rng, policy):
@@ -210,16 +208,12 @@ def check_rho_star_half_flat(fx, rng, policy):
     if fx.get("kind") != "amm":
         return {"pass": True, "skipped": "not a conjugation fixture"}
     d = fx["group"].dim
-    worst = 0.0
-    for _ in range(policy["samples"]):
-        x = [float(c) for c in fx["groupoid"].sample_unit(rng)]
-        sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
-        frame = LG.cartan_dirac(fx["group"], x).span
-        for j in range(sp.A.shape[1]):
-            ref = frame @ sp.A[:d, j]
-            worst = GR.worst_of(worst, np.max(np.abs(sp.A[d:, j])),
-                                np.max(np.abs(sp.rho_star[j] - ref[d:])),
-                                np.max(np.abs(sp.rho[:, j] - ref[:d])))
+    x = GR.draw(fx["groupoid"].sample_unit, rng, policy["samples"])
+    sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
+    ref = LG.cartan_frame(fx["group"], coordinates(x)) @ sp.A[:, :d]
+    worst = GR.worst_of(0.0, np.abs(sp.A[:, d:]),
+                        np.abs(sp.rho_star - mT(ref[:, d:])),
+                        np.abs(sp.rho - ref[:, :d]))
     return _residual_entry(worst, policy["tol"])
 
 

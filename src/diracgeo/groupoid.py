@@ -44,8 +44,8 @@ def draw(sampler, rng, n):
 
 def apply(f, P):
     """The (B, m) stack of the values of the structure map f at a (B, n)
-    stack of points, evaluated once on the coordinate arrays."""
-    return np.stack([np.broadcast_to(c, P.shape[:1])
+    stack of points (the (m,) values at one point), evaluated once."""
+    return np.stack([np.broadcast_to(c, P.shape[:-1])
                      for c in f(coordinates(P))], axis=-1)
 
 
@@ -336,10 +336,8 @@ def check_orbit_form(G, F, theta, rng, n=8):
 
 @dataclass
 class UnitSplitting:
-    """Data of the canonical splitting T_x G = T_x M + A_x at a unit."""
+    """The canonical splitting T_x G = T_x M + A_x at a unit, or stacks."""
 
-    x: np.ndarray          # base point
-    point: np.ndarray      # unit arrow eps(x)
     TM: np.ndarray         # basis of T_xM inside T_{eps(x)}G (d eps columns)
     A: np.ndarray          # basis of A_x = Ker(ds) at eps(x)
     rho: np.ndarray        # dt restricted to A, in base coordinates (n x a)
@@ -348,31 +346,35 @@ class UnitSplitting:
 
 
 def extract_rho_star(G, F, x):
-    """rho*_omega at the unit over x: alpha -> i_alpha(omega)|_{T_xM}."""
-    x = [float(c) for c in x]
-    ex = [float(c) for c in G.unit(x)]
-    Deps = _jac(G.unit, x)
+    """rho*_omega at the unit over x, or over each point of a (B, n)
+    stack: alpha -> i_alpha(omega)|_{T_xM}."""
+    x = np.asarray(x, dtype=float)
+    ex = apply(G.unit, x)
     K, dim, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
-    A = K[:, :dim]
-    if A.shape[1] != G.total_dim - G.base_dim:
+    if np.any(dim != G.total_dim - G.base_dim):
         raise linear.DegenerateRankError("rank defect in ds at the unit")
-    Jt = _jac(G.t, ex)
-    rho = Jt @ A
+    A = K[..., :G.total_dim - G.base_dim]
+    Deps = _jac(G.unit, x)
     Om = F.omega.at(ex)
-    return UnitSplitting(np.array(x), np.array(ex), Deps, A, rho,
-                         A.T @ Om @ Deps, Om)
+    return UnitSplitting(Deps, A, _jac(G.t, ex) @ A, mT(A) @ Om @ Deps, Om)
 
 
 def induced_dirac(G, F, x):
-    """The Dirac structure at x induced on the base by a multiplicative form."""
+    """The Dirac structure induced on the base at x by a multiplicative
+    form, or the list of them over a (B, n) stack, from one splitting."""
     sp = extract_rho_star(G, F, x)
     Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
-    KTM, dim = padded_intersect(Kw, padded_orth(sp.TM)[0])
-    # express Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
-    base_kernel, *_ = np.linalg.lstsq(sp.TM, KTM[:, :dim], rcond=None)
-    # columns (rho(a), rho*(a)) over A and (k, 0) over the base kernel
-    return linear.LinearDirac.from_span(block(
-        [[sp.rho, base_kernel], [sp.rho_star.T, np.zeros((G.base_dim, dim))]]))
+    KTM, dims = padded_intersect(Kw, padded_orth(sp.TM)[0])
+    one = np.ndim(x) < 2
+    fields = (sp.TM, KTM, dims, sp.rho, sp.rho_star)
+    out = []
+    for TM, K, dim, rho, rho_star in zip(*([f] if one else f for f in fields)):
+        # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
+        base_kernel, *_ = np.linalg.lstsq(TM, K[:, :dim], rcond=None)
+        # columns (rho(a), rho*(a)) over A and (k, 0) over the base kernel
+        out.append(linear.LinearDirac.from_span(block(
+            [[rho, base_kernel], [rho_star.T, np.zeros((G.base_dim, dim))]])))
+    return out[0] if one else out
 
 
 # -- classification --------------------------------------------------------

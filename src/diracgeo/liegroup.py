@@ -9,6 +9,7 @@ isomorphism); they differ in the matrix embedding and in global topology,
 neither of which the local checks see.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,22 +53,17 @@ def _small_or(s, cut, series, exact):
     return jets.where(small, series(s), exact(jets.where(small, 1.0, s)))
 
 
-def _half_sinc(s):
-    """sin(sqrt(s)/2)/sqrt(s), analytic in s = |u|^2."""
-    def exact(s):
-        r = sqrt(s)
-        return sin(r / 2.0) / r
-
-    return _small_or(s, 1e-10, lambda s: 0.5 - s / 48.0 + s * s / 3840.0,
-                     exact)
+def _half_angle(s):
+    """(cos(|u|/2), sin(|u|/2)/|u|), analytic in s = |u|^2."""
+    return (_small_or(s, 1e-10, lambda s: 1.0 - s / 8.0 + s * s / 384.0,
+                      lambda s: cos(sqrt(s) / 2.0)),
+            _small_or(s, 1e-10, lambda s: 0.5 - s / 48.0 + s * s / 3840.0,
+                      lambda s: sin(sqrt(s) / 2.0) / sqrt(s)))
 
 
 def _qexp(u):
     """Unit quaternion exp for algebra coordinates u (half-angle |u|/2)."""
-    s = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    f = _half_sinc(s)
-    w = _small_or(s, 1e-10, lambda s: 1.0 - s / 8.0 + s * s / 384.0,
-                  lambda s: cos(sqrt(s) / 2.0))
+    w, f = _half_angle(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     return [w, u[0] * f, u[1] * f, u[2] * f]
 
 
@@ -135,35 +131,7 @@ class MatrixGroup:
                 f"|u| = {math.sqrt(r2.max()):.3f} outside the exp-chart "
                 f"radius{jets.at_sample(out)}")
 
-    # Maurer-Cartan forms, adjoint and translations at u as d x d matrices,
-    # each the Jacobian at 0 of one chart curve v -> ...; generic over jets
-    def _curve_jacobian(self, curve):
-        return jets.stack(jets.jacobian(curve, self.identity()))
-
-    def lam_matrix(self, u):
-        """Left Maurer-Cartan: V -> algebra coords of g^{-1} (d/ds)(exp(u + sV))."""
-        return self._curve_jacobian(
-            lambda v: self.mul(self.inv(u), [a + b for a, b in zip(u, v)]))
-
-    def lam_bar_matrix(self, u):
-        """Right Maurer-Cartan: V -> algebra coords of (d/ds)(exp(u + sV)) g^{-1}."""
-        return self._curve_jacobian(
-            lambda v: self.mul([a + b for a, b in zip(u, v)], self.inv(u)))
-
-    def Ad_matrix(self, u):
-        """Adjoint action of exp(u) on the algebra."""
-        return self._curve_jacobian(
-            lambda v: self.mul(self.mul(u, v), self.inv(u)))
-
-    def left_matrix(self, u):
-        """v -> the left-invariant field v_l at u, tangent of s -> u exp(s v)."""
-        return self._curve_jacobian(lambda v: self.mul(u, v))
-
-    def right_matrix(self, u):
-        """v -> the right-invariant field v_r at u, tangent of s -> exp(s v) u."""
-        return self._curve_jacobian(lambda v: self.mul(v, u))
-
-    # the same maps applied to one vector
+    # each chart defines the d x d matrices; these apply them to one vector
     def lam(self, u, V):
         return self.lam_matrix(u) @ np.asarray(V)
 
@@ -184,26 +152,69 @@ class MatrixGroup:
         raise NotImplementedError
 
 
+def _chart_matrix(alpha, beta):
+    """u -> I + alpha K + beta K^2 entry by entry: K^2 = u u^T - s I, and
+    the coefficients are functions of s = |u|^2 and (w, f) = _half_angle(s)."""
+    def matrix(self, u):
+        sq = [c * c for c in u]
+        s = sq[0] + sq[1] + sq[2]
+        w, f = _half_angle(s)
+        a, b = alpha(s, w, f), beta(s, w, f)
+        K = [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
+        return jets.stack([[1.0 - b * (sq[i - 1] + sq[i - 2]) if i == j
+                            else a * K[i][j] + b * (u[i] * u[j])
+                            for j in range(3)] for i in range(3)])
+
+    return matrix
+
+
+def _series_or(coeffs, exact):
+    """beta(s, w, f): the Taylor series in s below s = 1, exact above."""
+    return lambda s, w, f: _small_or(s, 1.0, lambda s: functools.reduce(
+        lambda acc, c: c + s * acc, coeffs[-2::-1], coeffs[-1]),
+        lambda s: exact(s, w, f))
+
+
+# (th - sin th)/th^3 = (1 - 2wf)/s and 1/th^2 - cot(th/2)/(2 th) =
+# (1 - w/(2f))/s = sum_n |B_2n| s^(n-1)/(2n)! (Bernoulli numbers B_2n) lose
+# digits to cancellation at small s, where their series do not
+_MC_BETA = _series_or([(-1) ** k / math.factorial(2 * k + 3)
+                       for k in range(9)],
+                      lambda s, w, f: (1.0 - 2.0 * w * f) / s)
+_TRANSLATION_BETA = _series_or(
+    [b / math.factorial(2 * n + 2) for n, b in enumerate(
+        (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6,
+         3617 / 510, 43867 / 798, 174611 / 330, 854513 / 138))],
+    lambda s, w, f: (1.0 - w / (2.0 * f)) / s)
+
+
 class _QuaternionChartGroup(MatrixGroup):
+    """[e_i, e_j] = e_k, so ad_u is the cross-product matrix K of u.  The
+    Maurer-Cartan forms V -> g^-1 dg(V) and dg(V) g^-1, Ad and the
+    translations v -> d/ds u exp(sv) and d/ds exp(sv) u have the matrices
+    I + alpha K + beta K^2, where th = |u|, w = cos(th/2), f = sin(th/2)/th:
+
+        matrix          alpha                    beta
+        Ad_matrix       sin th/th = 2wf          (1 - cos th)/th^2 = 2f^2
+        lam_matrix      -(1 - cos th)/th^2       (th - sin th)/th^3
+        lam_bar_matrix  +(1 - cos th)/th^2       (th - sin th)/th^3
+        left_matrix     +1/2                     1/th^2 - cot(th/2)/(2 th)
+        right_matrix    -1/2                     1/th^2 - cot(th/2)/(2 th)
+    """
+
     def mul(self, u, v):
         return _qlog(_qmul(_qexp(u), _qexp(v)))
 
+    Ad_matrix = _chart_matrix(lambda s, w, f: 2.0 * w * f,
+                              lambda s, w, f: 2.0 * f * f)
+    lam_matrix = _chart_matrix(lambda s, w, f: -2.0 * f * f, _MC_BETA)
+    lam_bar_matrix = _chart_matrix(lambda s, w, f: 2.0 * f * f, _MC_BETA)
+    left_matrix = _chart_matrix(lambda s, w, f: 0.5, _TRANSLATION_BETA)
+    right_matrix = _chart_matrix(lambda s, w, f: -0.5, _TRANSLATION_BETA)
+
 
 class _SO3(_QuaternionChartGroup):
-    def embed(self, u):
-        """Rodrigues rotation matrix of exp(u)."""
-        th2 = sum(c * c for c in u)
-        K = np.array([[0.0, -u[2], u[1]],
-                      [u[2], 0.0, -u[0]],
-                      [-u[1], u[0], 0.0]], dtype=object)
-        if value_of(th2) < 1e-12:
-            a = 1.0 - th2 / 6.0
-            b = 0.5 - th2 / 24.0
-        else:
-            th = sqrt(th2)
-            a = sin(th) / th
-            b = (1.0 - cos(th)) / th2
-        return np.eye(3) + a * K + b * (K @ K)
+    embed = _QuaternionChartGroup.Ad_matrix  # rotation = adjoint action
 
 
 class _SU2(_QuaternionChartGroup):
@@ -219,6 +230,11 @@ class _SU2(_QuaternionChartGroup):
 class _Torus(MatrixGroup):
     def mul(self, u, v):
         return [a + b for a, b in zip(u, v)]
+
+    def lam_matrix(self, u):
+        return np.eye(len(u))
+
+    lam_bar_matrix = Ad_matrix = left_matrix = right_matrix = lam_matrix
 
     def embed(self, u):
         d = self.dim

@@ -8,15 +8,18 @@ module establish that gauge directions are in the kernel of
 omega_tilde + omega_phi as the grid and step are refined.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import expr, jets
 from .courant import AnchoredDual
-from .expr import parse
 from .geometry import Chart, Form, coordinates
 from .groupoid import worst_of
+
+# the curve, gauge and functional expressions are parsed once per source
+parse = functools.cache(expr.parse)
 
 
 def _trapz(vals, dt):
@@ -167,8 +170,7 @@ class GaugeParameter:
     exprs: list
 
     def compiled(self, chart):
-        names = ("t",) + chart.names
-        return [parse(e, names) for e in self.exprs]
+        return [parse(e, ("t",) + chart.names) for e in self.exprs]
 
 
 def _section_on_grid(path, fns):

@@ -2,6 +2,7 @@
 the number of jet passes and SVDs a check makes, and sample-indexed
 errors."""
 
+import dataclasses
 import json
 import re
 
@@ -59,6 +60,21 @@ def test_stack_matches_the_per_point_loop(name, size):
     for f, points in ((G.s, P), (G.t, P), (G.inv, P), (G.unit, X),
                       (mul, Z)):
         _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
+
+
+@pytest.mark.parametrize("name", ["amm-so3", "amm-torus2"])
+def test_unit_splitting_stack_matches_the_per_point_loop(name):
+    # one splitting of the unit stack, read by rho-star-half-flat and
+    # induced-dirac, against the splitting at each unit
+    fx = fixtures.load(name)
+    G, F = fx["groupoid"], fx["form"]
+    X = GR.draw(G.sample_unit, np.random.default_rng(42), 8)
+    sp = GR.extract_rho_star(G, F, X)
+    for field in dataclasses.fields(sp):
+        _agree(name, getattr(sp, field.name), [
+            getattr(GR.extract_rho_star(G, F, x), field.name) for x in X])
+    for x, L in zip(X, GR.induced_dirac(G, F, X)):
+        assert L.gap(GR.induced_dirac(G, F, x)) <= 1e-14
 
 
 def _so3_anchor(sigma):
@@ -133,14 +149,15 @@ def _count_calls(monkeypatch, module, entries):
 
 GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
                    "unit-identities", "kernel-orthogonality", "orbit-form",
-                   "classification", "dirac-type"]
+                   "classification", "dirac-type", "rho-star-half-flat"]
 # these checks read no fixture
 SAMPLED_CHECKS = ["quasi-ham", "quasi-ham-negative", "equivalence-crosscheck",
                   "leafwise-d-squared", "transverse-derivative",
                   "twisted-shift"]
 
 
-@pytest.mark.parametrize("name", ["twisted-pair-r3", "nondirac-flow"])
+@pytest.mark.parametrize("name", ["twisted-pair-r3", "nondirac-flow",
+                                  "amm-so3", "amm-torus2", "coadjoint-so3"])
 def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
     # nor do the SVDs: every sampled check evaluates its stack at once
     passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))

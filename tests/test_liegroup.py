@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diracgeo import jets
 from diracgeo import liegroup as lg
 from diracgeo.geometry import Chart
 from diracgeo.jets import value_of
@@ -77,6 +78,79 @@ def test_chart_radius_guard():
 
 
 # -- Maurer-Cartan, adjoint, translations -----------------------------------
+
+MATRICES = ["lam_matrix", "lam_bar_matrix", "Ad_matrix", "left_matrix",
+            "right_matrix"]
+
+
+def reference_matrix(Gp, name, u):
+    """The chart matrix by its definition: the Jacobian at 0 of a chart
+    curve v -> ... through the group law."""
+    moved = lambda v: [a + b for a, b in zip(u, v)]  # noqa: E731
+    curve = {"lam_matrix": lambda v: Gp.mul(Gp.inv(u), moved(v)),
+             "lam_bar_matrix": lambda v: Gp.mul(moved(v), Gp.inv(u)),
+             "Ad_matrix": lambda v: Gp.mul(Gp.mul(u, v), Gp.inv(u)),
+             "left_matrix": lambda v: Gp.mul(u, v),
+             "right_matrix": lambda v: Gp.mul(v, u)}[name]
+    return jets.stack(jets.jacobian(curve, Gp.identity()))
+
+
+def chart_points(d):
+    """A (B, d) stack whose squared norms s lie below, between and above
+    the series cuts (s = 1e-10 and s = 1), up to near the chart radius."""
+    rng = np.random.default_rng(22)
+    s = np.array([0.0, 1e-14, 5e-11, 2e-10, 0.09, 0.5, 0.999, 1.001, 2.0,
+                  6.0, (0.9 * math.pi - 1e-6) ** 2])
+    dirs = rng.standard_normal((len(s), d))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None] * np.sqrt(s)[:, None]
+
+
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+def test_closed_forms_match_the_curve_jacobians(group, name):
+    Gp = lg.GROUPS[group]()
+    P = chart_points(Gp.dim)
+    stacked = getattr(Gp, name)([c for c in P.T])
+    for p, M in zip(P, np.broadcast_to(stacked, (len(P), Gp.dim, Gp.dim))):
+        ref = reference_matrix(Gp, name, p.tolist())
+        assert np.allclose(getattr(Gp, name)(p.tolist()), ref, rtol=0,
+                           atol=1e-14)
+        assert np.allclose(M, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+def test_closed_form_derivatives_match_the_nested_jacobians(group, name):
+    # first derivatives of every entry, at single points and at the stack.
+    # Below s = 1e-6 the reference itself loses digits in the exact branch
+    # of _qlog (up to 1.3e-11 at s = 5e-11, where the closed forms agree
+    # with the Frechet derivative of the matrix exponential to 2.2e-16)
+    Gp = lg.GROUPS[group]()
+    P = chart_points(Gp.dim)[1:]   # the curve Jacobian is not smooth at 0
+    tol = np.where(np.sum(P * P, axis=1) < 1e-6, 1e-10, 1e-13)[:, None, None]
+
+    def entries(f):
+        return lambda q: list(np.ravel(f(q)))
+
+    def both(point):
+        return [jets.stack(jets.jacobian(entries(f), point)) for f in (
+            getattr(Gp, name), lambda q: reference_matrix(Gp, name, q))]
+
+    got, ref = both([c for c in P.T])
+    assert np.all(np.abs(got - ref) <= tol)
+    for p, t in zip(P, tol):
+        got, ref = both(p.tolist())
+        assert np.all(np.abs(got - ref) <= t)
+
+
+def test_amm_form_makes_no_jacobian_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("jets.jacobian called")
+
+    monkeypatch.setattr(jets, "jacobian", refuse)
+    P = np.random.default_rng(23).uniform(-0.4, 0.4, (16, 6))
+    assert lg.amm_omega(lg.so3()).at(P).shape == (16, 6, 6)
+
 
 @pytest.mark.parametrize("name", ["so3", "su2"])
 def test_adjoint_is_orthogonal_algebra_morphism(name):
