@@ -382,10 +382,12 @@ def _read_json(path):
 
 def load_scenario(path):
     data = _read_json(path)
-    if not isinstance(data, dict) or "id" not in data:
-        raise ScenarioError(f"{path}: scenario needs an 'id'")
-    if not isinstance(data.get("suite"), list) or not data["suite"]:
-        raise ScenarioError(f"{path}: scenario needs a non-empty 'suite'")
+    if not isinstance(data, dict) or not isinstance(data.get("id"), str):
+        raise ScenarioError(f"{path}: scenario needs a string 'id'")
+    if not isinstance(data.get("suite"), list) or not data["suite"] \
+            or not all(isinstance(name, str) for name in data["suite"]):
+        raise ScenarioError(
+            f"{path}: scenario needs a non-empty 'suite' of check names")
     for key in ("policy", "expect"):
         if not isinstance(data.get(key, {}), dict):
             raise ScenarioError(f"{path}: {key!r} must be an object")

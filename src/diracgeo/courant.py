@@ -123,19 +123,6 @@ class AnchoredDual:
         return Form(self.chart, 1, lambda p: self.rho_star(p)[..., i, :])
 
 
-def anchor_bracket_residual(D, samples):
-    """|rho([a_i,a_j]) - [rho(a_i), rho(a_j)]| -- the anchor is a morphism."""
-    worst = 0.0
-    for p in samples:
-        R = D.rho(p)
-        for i in range(D.rank):
-            for j in range(D.rank):
-                rhs = lie_bracket(D.anchor(i), D.anchor(j))(p)
-                worst = worst_of(worst, np.max(np.abs(
-                    R @ D.structure[i, j] - rhs)))
-    return worst
-
-
 def _bracket_dual(D, i, j):
     """sigma([a_i, a_j]) as a 1-form."""
     return Form(D.chart, 1, lambda p, c=D.structure[i, j]: c @ D.rho_star(p))

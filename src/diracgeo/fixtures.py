@@ -1,5 +1,6 @@
-"""Built-in fixtures: chart groupoids with multiplicative forms, plus the
-scenario data for realization, path-space, and foliation suites.  Every
+"""Built-in fixtures: chart groupoids with multiplicative forms (pair,
+flow, foliation, conjugation and coadjoint groupoids), by name.  The data
+of the realization, path-space and foliation suites lives in `cli`.  Every
 sampler draws from the supplied generator only, so runs are reproducible
 from the seed."""
 

@@ -166,38 +166,3 @@ def leaf_conormal_dirac(n, k):
         span[n + m, m] = 1.0
     return linear.LinearDirac.from_span(span)
 
-
-def monodromy_groupoid(n, k):
-    """The fiberwise pair groupoid of the foliation itself: coordinates
-    (y, x, q) with multiplication (y,z,q).(z,x,q) = (y,x,q)."""
-    G = fiberwise_pair_groupoid(n, k, 0, _uniform(k), _uniform(n))
-    return G, _groupoid_chart(k, n - k, 0)
-
-
-def exact_multiplicative_form(n, k, sigma):
-    """omega = d(t* sigma - s* sigma) on the monodromy groupoid, for a
-    1-form sigma on the base."""
-    from .geometry import ChartMap, pullback
-    G, ch = monodromy_groupoid(n, k)
-    bch = sigma.chart
-    tmap = ChartMap(ch, bch, G.t)
-    smap = ChartMap(ch, bch, G.s)
-    omega = ext_d(pullback(tmap, sigma) - pullback(smap, sigma))
-    return G, GroupoidForm(omega, None)
-
-
-def c_omega(G, F, fol, x):
-    """The leafwise 2-form c[i, j] = <rho*_omega(a_i), d_j> at the base
-    point x of a multiplicative form on the monodromy groupoid, where a_i
-    is the algebroid element anchored to the leaf direction d_i."""
-    from .groupoid import extract_rho_star
-    sp = extract_rho_star(G, F, x)
-    out = np.zeros((fol.k, fol.k))
-    for i in fol.leaf:
-        e = np.zeros(fol.n)
-        e[i] = 1.0
-        coeff, res, *_ = np.linalg.lstsq(sp.rho, e, rcond=None)
-        cov = coeff @ sp.rho_star
-        for j in fol.leaf:
-            out[i, j] = cov[j]
-    return out

@@ -170,11 +170,6 @@ class Form:
         return Form(ch, degree, components)
 
     @staticmethod
-    def zero(ch, degree):
-        shape = (ch.dim,) * degree
-        return Form(ch, degree, lambda p: np.zeros(shape) if degree else 0.0)
-
-    @staticmethod
     def function(ch, e):
         """Degree-0 form (a scalar function)."""
         e = _as_expr(e, ch)
@@ -302,10 +297,6 @@ class ChartMap:
 
     def __call__(self, p):
         return self.func(p)
-
-    def push(self, p, v):
-        """Differential at p applied to tangent vector v."""
-        return jets.directional(self.func, p, v)
 
 
 def pull(C, J, k):

@@ -55,9 +55,11 @@ def _small_or(s, cut, series, exact):
 
 def _half_angle(s):
     """(cos(|u|/2), sin(|u|/2)/|u|), analytic in s = |u|^2."""
-    return (_small_or(s, 1e-10, lambda s: 1.0 - s / 8.0 + s * s / 384.0,
+    return (_small_or(s, 1e-4, lambda s: 1.0 - s / 8.0 + s * s / 384.0
+                      - s * s * s / 46080.0,
                       lambda s: cos(sqrt(s) / 2.0)),
-            _small_or(s, 1e-10, lambda s: 0.5 - s / 48.0 + s * s / 3840.0,
+            _small_or(s, 1e-4, lambda s: 0.5 - s / 48.0 + s * s / 3840.0
+                      - s * s * s / 645120.0,
                       lambda s: sin(sqrt(s) / 2.0) / sqrt(s)))
 
 
@@ -75,9 +77,14 @@ def _qlog(q):
         r = sqrt(s)
         return atan2(r, w) / r
 
-    # atan2(r, w)/r ~ (1/w)(1 - s/(3w^2) + ...)
-    f = _small_or(x * x + y * y + z * z, 1e-14,
-                  lambda s: (1.0 / w) * (1.0 - s / (3.0 * w * w)), exact)
+    def series(s):
+        # atan2(r, w)/r = arctan(t)/(t w) for t = r/w, w > 0: the series
+        # to t^8/9 in t^2 = s/w^2
+        t2 = s / (w * w)
+        return (1.0 / w) * (1.0 - t2 * (1.0 / 3.0 - t2 * (
+            1.0 / 5.0 - t2 * (1.0 / 7.0 - t2 / 9.0))))
+
+    f = _small_or(x * x + y * y + z * z, 1e-4, series, exact)
     return [2.0 * x * f, 2.0 * y * f, 2.0 * z * f]
 
 

@@ -109,12 +109,6 @@ def padded_span_gap(A, da, B, db):
                     np.where(np.minimum(ra, rb) == 0, 0.0, gap))
 
 
-def spans_equal(A, B):
-    """Equal column spans: the sine of the largest principal angle between
-    them is at most 1e-9."""
-    return padded_span_gap(*padded_orth(A), *padded_orth(B)) <= 1e-9
-
-
 def padded_contained(A, B):
     """Is span A contained in span B, for padded orthonormal bases
     (residual test)?"""
@@ -164,89 +158,18 @@ class LinearDirac:
         return float(padded_span_gap(self.basis, self.dim, other.basis,
                                      other.dim))
 
-    def contains(self, x, xi):
-        """Membership test for (x, xi) via vanishing pairing against L."""
-        v = np.concatenate([np.asarray(x, float), np.asarray(xi, float)])
-        P = _pairing_matrix(self.dim)
-        return bool(np.max(np.abs(self.basis.T @ P @ v), initial=0.0) <= 1e-8)
-
-
-def _check_skew(M, what):
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be square")
-    scale = max(1.0, np.abs(M).max())
-    if np.max(np.abs(M + M.T)) > 1e-9 * scale:
-        raise ValueError(f"{what} must be skew-symmetric")
-    return M
-
 
 def from_form(theta):
     """Graph of the 2-form theta: L = {(x, theta(x, .))}."""
-    theta = _check_skew(theta, "theta")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[0] != theta.shape[1]:
+        raise ValueError("theta must be square")
+    scale = max(1.0, np.abs(theta).max())
+    if np.max(np.abs(theta + theta.T)) > 1e-9 * scale:
+        raise ValueError("theta must be skew-symmetric")
     n = theta.shape[0]
     # column j is (e_j, theta(e_j, .)); theta(e_j, e_i) = theta[j, i]
     return LinearDirac.from_span(np.vstack([np.eye(n), theta.T]))
-
-
-def from_bivector(pi):
-    """Graph of the bivector pi over V*: L = {(pi~(alpha), alpha)},
-    with pi~(alpha)(beta) = pi(beta, alpha)."""
-    pi = _check_skew(pi, "pi")
-    n = pi.shape[0]
-    # column j is (pi~(e_j*), e_j*); pi~(e_j*)_i = pi(e_i, e_j) = pi[i, j]
-    return LinearDirac.from_span(np.vstack([pi, np.eye(n)]))
-
-
-@dataclass(frozen=True)
-class InducedData:
-    range: np.ndarray   # basis of pr1(L)
-    kernel: np.ndarray  # basis of {v : (v, 0) in L}
-    theta: np.ndarray   # theta_L on V, supported on the range
-    pi: np.ndarray      # induced bivector on V (descends to V/Ker)
-
-
-def _membership_solve(L, v):
-    """Find xi with (v, xi) in L; v must lie in pr1(L)."""
-    B = L.basis
-    c, *_ = np.linalg.lstsq(B[:L.dim], np.asarray(v, float), rcond=None)
-    return B[L.dim:] @ c
-
-
-def _comembership_solve(L, xi):
-    """Find x with (x, xi) in L; xi must lie in pr2(L)."""
-    B = L.basis
-    c, *_ = np.linalg.lstsq(B[L.dim:], np.asarray(xi, float), rcond=None)
-    return B[:L.dim] @ c
-
-
-def induced(L):
-    """Range, kernel, and the induced 2-form / bivector of L."""
-    n = L.dim
-    B = L.basis
-    rng = trim(padded_orth(B[:n]))
-    # kernel: x-parts of elements with vanishing covector part
-    ker = trim(padded_orth(B[:n] @ trim(padded_null(B[n:]))))
-    # theta on the range, extended by the orthogonal projection onto it
-    P = rng @ rng.T
-    theta = np.zeros((n, n))
-    xis = [_membership_solve(L, P[:, i]) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            theta[i, j] = xis[i] @ P[:, j]
-    theta = 0.5 * (theta - theta.T)
-    # pi on pr2(L), extended by projection
-    rng2 = trim(padded_orth(B[n:]))
-    P2 = rng2 @ rng2.T
-    xs = [_comembership_solve(L, P2[:, j]) for j in range(n)]
-    pi = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            # pi(e_i*, e_j*) with (x_j, e_j*) in L: pi~(e_j*) = x_j,
-            # pi(e_i*, e_j*) = pi~(e_j*)(e_i*)... = e_i* (x_j)
-            pi[i, j] = xs[j][i]
-    pi = 0.5 * (pi - pi.T)
-    return InducedData(rng, ker, theta, pi)
 
 
 def push_forward(psi, L):
@@ -274,8 +197,3 @@ def pull_back(f, L):
     A, Al = L.basis[:m], L.basis[m:]
     K = trim(padded_null(np.hstack([(Al.T @ f), A.T])))  # unknowns (X, xi)
     return LinearDirac.from_span(np.vstack([K[:n], f.T @ K[n:]]))
-
-
-def is_dirac_map(psi, L_V, L_W):
-    """True iff the forward image of L_V under psi equals L_W."""
-    return push_forward(psi, L_V) == L_W

@@ -17,7 +17,7 @@ from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
                        lie_derivative, pullback)
 from .groupoid import _jac, apply, max_abs, worst_of
 from .liegroup import MatrixGroup, amm_rho_star, cartan_dirac_field, torus
-from .linear import mT, padded_null, padded_orth, padded_span_gap, trim
+from .linear import mT, padded_null, padded_orth, padded_span_gap
 
 
 @dataclass
@@ -137,39 +137,6 @@ def equivalence_crosscheck(Q, samples):
         - Q.D.rho(coordinates(samples))
     report["generator_mismatch"] = worst_of(0.0, np.abs(gap))
     return report
-
-
-def action_compatibility_residual(m_P, omega_L, eta, g_dim, p_dim,
-                                  sample_pairs, rng, n_samples=8,
-                                  s_of_g=None, mu_of_p=None):
-    """Residual of the groupoid-action compatibility on composable pairs:
-    eta pulled back by the action map minus (omega_L on the arrow part plus
-    eta on the base part).
-
-    When the source and moment maps are given, tangent probes are drawn
-    from the tangent space of the composable locus {s(g) = mu(p)};
-    otherwise every pair is treated as composable.
-    """
-    worst = 0.0
-    for _ in range(n_samples):
-        g, p = sample_pairs(rng)
-        z = list(g) + list(p)
-        Dm = np.array(jets.jacobian(lambda q: m_P(q[:g_dim], q[g_dim:]), z))
-        q = [jets.value_of(c) for c in m_P(g, p)]
-        if s_of_g is None:
-            basis = np.eye(g_dim + p_dim)
-        else:
-            Ds = np.array(jets.jacobian(s_of_g, list(g)))
-            Dmu = np.array(jets.jacobian(mu_of_p, list(p)))
-            basis = trim(padded_null(np.hstack([Ds, -Dmu]))).T
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                V, W = basis[a], basis[b]
-                lhs = eta(q, list(Dm @ V), list(Dm @ W))
-                rhs = omega_L(list(g), list(V[:g_dim]), list(W[:g_dim])) \
-                    + eta(list(p), list(V[g_dim:]), list(W[g_dim:]))
-                worst = worst_of(worst, abs(jets.value_of(lhs - rhs)))
-    return worst
 
 
 # -- the plane with a circle action -----------------------------------------

@@ -155,6 +155,18 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     p3.write_text(json.dumps(scn2))
     assert cli.main(["run", str(p3)]) == 2
     capsys.readouterr()
+    # a list is unhashable: as a check name, and as an id that
+    # --expect-file looks up
+    expect = tmp_path / "expect.json"
+    expect.write_text("{}")
+    for scn3 in ({"id": "x", "fixture": "pair-groupoid-r2",
+                  "suite": [["structure"]]},
+                 {"id": ["x"], "fixture": "pair-groupoid-r2",
+                  "suite": ["structure"]}):
+        p3.write_text(json.dumps(scn3))
+        assert cli.main(["run", str(p3), "--expect-file", str(expect)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
     good = os.path.join(SCN, "foliation-x3.json")
     assert cli.main(["run", good, "--expect-file",
                      str(tmp_path / "nope.json")]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from diracgeo import jets, liegroup as lg
 from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
-                              anchor_bracket_residual, cartan_closed_residual,
+                              cartan_closed_residual,
                               courant_bracket, graph_of_form,
                               im_conditions_residual, integrability_residual,
                               pair_sections)
@@ -125,7 +125,7 @@ def rotation_pair():
                         np.zeros((1, 1, 1)))
 
 
-def so3_anchor(sigma, sign=1.0):
+def so3_anchor(sigma, sign):
     """The rotation generators on R^3 with structure c[i, j, k] = -sign for
     (i, j, k) cyclic and the dual sigma."""
     def rho(p):
@@ -136,12 +136,6 @@ def so3_anchor(sigma, sign=1.0):
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         c[i, j, k], c[j, i, k] = -sign, sign
     return AnchoredDual(CH3, rho, sigma, c)
-
-
-def test_anchor_bracket_residual_abelian():
-    D = rotation_pair()
-    rng = np.random.default_rng(5)
-    assert anchor_bracket_residual(D, samples(rng, 2)) < 1e-12
 
 
 def test_im_conditions_rotation_pair():
@@ -184,13 +178,6 @@ def test_im_conditions_so3_anchor(sign, r2):
     rng = np.random.default_rng(9)
     got = im_conditions_residual(D, None, samples(rng, 3))
     assert got == pytest.approx((0.0, r2), abs=1e-12)
-
-
-def test_structure_functions_so3_anchor():
-    # generators of rotations on R^3 with c^k_{ij} the epsilon symbol
-    D = so3_anchor(lambda p: np.zeros((3, 3)))
-    rng = np.random.default_rng(8)
-    assert anchor_bracket_residual(D, samples(rng, 3)) < 1e-12
 
 
 def test_residuals_propagate_nan():

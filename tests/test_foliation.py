@@ -127,23 +127,3 @@ def test_induced_structure_is_leaf_conormal_sum():
     G, F = fo.foliation_groupoid(3, 2)
     L = induced_dirac(G, F, [0.2, -0.4, 0.7])
     assert L == fo.leaf_conormal_dirac(3, 2)
-
-
-def test_c_omega_recovers_leafwise_form():
-    # omega = d(t*sigma - s*sigma) with sigma = -0.3*x2 dx1 gives the
-    # leafwise 2-form with c[0,1] = d_F(sigma|_F)(d1, d2) = -0.3... the
-    # monodromy-groupoid extraction must reproduce it
-    fol = fo.CoordFoliation(3, 2)
-    sigma = Form.from_components(fol.chart, 1, {(0,): "-0.3*x2"})
-    G, F = fo.exact_multiplicative_form(3, 2, sigma)
-    c = fo.c_omega(G, F, fol, [0.4, 0.1, -0.5])
-    # d sigma = 0.3 dx1^dx2 restricted to the leaves... sign fixed by the
-    # orientation convention c[i, j] = <rho*(a_i), d_j>
-    assert c[0, 1] == pytest.approx(-c[1, 0], abs=1e-10)
-    assert abs(c[0, 1]) == pytest.approx(0.3, abs=1e-10)
-
-
-def test_monodromy_groupoid_axioms():
-    G, _ = fo.monodromy_groupoid(4, 2)
-    rng = np.random.default_rng(58)
-    assert max(G.structure_residuals(rng, 6).values()) < 1e-12

@@ -162,7 +162,6 @@ def test_induced_dirac_equals_cartan_dirac_near_an_axis():
     L1 = induced_dirac(fx["groupoid"], fx["form"], x)
     L2 = lg.cartan_dirac(fx["group"], x)
     assert L1 == L2
-    assert linear.spans_equal(L1.span, L2.span)
 
 
 def test_rank_decision_near_the_threshold_is_refused():

@@ -6,7 +6,6 @@ import pytest
 from diracgeo import liegroup as lg
 from diracgeo.geometry import Chart, ChartMap, Form
 from diracgeo.realization import (RealizationData,
-                                  action_compatibility_residual,
                                   equivalence_crosscheck,
                                   equivariance_residual,
                                   quasi_ham_check, realization_check,
@@ -47,7 +46,7 @@ def test_identity_realization_of_cartan_dirac():
             from diracgeo import linear
             return linear.from_form(np.zeros((1, 1))).span
 
-    R = RealizationData(ch, Form.zero(ch, 2),
+    R = RealizationData(ch, Form.from_components(ch, 2, {}),
                         ChartMap(ch, ch, lambda p: list(p)), ZeroTarget())
     rep = realization_check(R, [[0.3], [-0.8]])
     assert rep["dirac_map"] is True
@@ -98,7 +97,8 @@ def test_degenerate_moment_map_detected():
     mu0 = ChartMap(ch, Chart(Gp.chart_names()), lambda p: [0.25])
     from diracgeo.realization import RealizationData
     from diracgeo.liegroup import cartan_dirac_field
-    R = RealizationData(ch, Form.zero(ch, 2), mu0, cartan_dirac_field(Gp))
+    R = RealizationData(ch, Form.from_components(ch, 2, {}), mu0,
+                        cartan_dirac_field(Gp))
     rep = realization_check(R, [[0.5, 0.2]])
     assert rep["unique"] is False
     assert rep["kernel_dim_max"] == 2
@@ -112,43 +112,10 @@ def test_closedness_residual_sees_twist():
     ch = Chart(("a", "b", "c"))
     from diracgeo.liegroup import cartan_dirac_field
     mu = ChartMap(ch, Chart(Gp.chart_names()), lambda p: list(p))
-    R = RealizationData(ch, Form.zero(ch, 2), mu, cartan_dirac_field(Gp))
+    R = RealizationData(ch, Form.from_components(ch, 2, {}), mu,
+                        cartan_dirac_field(Gp))
     r = R.closedness_residual([[0.2, -0.1, 0.3]])
     assert r > 1e-3
-
-
-def test_action_compatibility_rotation():
-    # circle groupoid acting on the plane through the rotation flow;
-    # the AMM-type compatibility on the composable locus
-    Q = rotation_quasi_ham(0.5)
-
-    def m_P(g, p):
-        from diracgeo.jets import cos, sin
-        c, s = cos(g[0]), sin(g[0])
-        return [c * p[0] + s * p[1], -s * p[0] + c * p[1]]
-
-    def omega_L(g, V, W):
-        return 0.0  # 2-forms vanish on the 1-dimensional circle chart
-
-    def eta(q, V, W):
-        return V[0] * W[1] - V[1] * W[0]
-
-    def sample_pairs(rng):
-        p = annulus(rng, 1)[0]
-        return [float(rng.uniform(-1, 1))], p
-
-    rng = np.random.default_rng(43)
-    # the identity holds only on tangents to the composable locus
-    # {s(g) = mu(p)}, so the source and moment maps must be supplied
-    r = action_compatibility_residual(
-        m_P, omega_L, eta, 1, 2, sample_pairs, rng, 5,
-        s_of_g=lambda g: list(g),
-        mu_of_p=lambda p: [0.5 * (p[0] * p[0] + p[1] * p[1])])
-    assert r < 1e-10
-    # without the restriction the full-space probes violate it
-    r_full = action_compatibility_residual(m_P, omega_L, eta, 1, 2,
-                                           sample_pairs, rng, 5)
-    assert r_full > 1e-2
 
 
 def test_quasi_ham_kernel_axiom_nontrivial_case():
