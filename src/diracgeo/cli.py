@@ -450,6 +450,12 @@ def run_scenario(scenario, args):
             raise ScenarioError(f"{args.expect_file}: expectations must be "
                                 "an object per scenario id")
         expect.update(given.get(scenario["id"], {}))
+    for name, expected in expect.items():
+        if name not in CHECKS:
+            raise ScenarioError(f"expectation for unknown check {name!r}")
+        if not isinstance(expected, bool):
+            raise ScenarioError(f"expectation for {name!r} must be true or "
+                                f"false, got {expected!r}")
     checks = {}
     ok = True
     for name in sorted(set(scenario["suite"])):
@@ -470,7 +476,7 @@ def run_scenario(scenario, args):
             entry = {"pass": False, "indeterminate": str(e)}
         expected = expect.get(name, True)
         entry["expected"] = expected
-        entry["as_expected"] = bool(entry["pass"]) == bool(expected)
+        entry["as_expected"] = bool(entry["pass"]) == expected
         ok = ok and entry["as_expected"]
         checks[name] = entry
     report = {

@@ -1,12 +1,14 @@
 """Scalar expressions over chart coordinates.
 
 Recursive-descent parser for a small expression language (variables,
-+ - * /, unary minus, sin cos exp sqrt, integer powers) plus jet-based
-evaluation.  Precedence, tightest first: function application, unary minus,
-power, * /, + -.  An expression evaluates at a point of floats, of arrays of
-shape (B,) (a batch of B points) or of jets over either.
++ - * /, unary minus, sin cos exp sqrt, integer powers), parsed once into
+a closure and its printed form.  Precedence, tightest first: function
+application, unary minus, power, * /, + -.  An expression evaluates at a
+point of floats, of arrays of shape (B,) (a batch of B points) or of jets
+over either.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,60 +32,6 @@ class UnknownIdentifierError(ValueError):
             f"declared variables: {', '.join(variables) or '(none)'}")
         self.name = name
         self.offset = offset
-
-
-# -- AST ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-
-
-def to_str(node):
-    """Pretty-print; reparsing the output gives a structurally identical tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_str(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({to_str(node.left)} {node.op} {to_str(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_str(node.base)}^{node.exponent})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_str(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # -- tokenizer ------------------------------------------------------------
@@ -129,11 +77,67 @@ def _tokenize(src):
     return toks
 
 
-# -- parser ---------------------------------------------------------------
+# -- compilation ----------------------------------------------------------
+#
+# Each production returns (f, text): f(env) evaluates the subexpression at
+# env, and text is its fully parenthesized printed form, which reparses to
+# the same expression.
+
+def _nonzero(x, text):
+    try:
+        jets.require(jets.value_of(x) == 0.0, "division by zero")
+    except DomainError as e:
+        raise DomainError(f"{e} in {text}") from None
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _binop(op, left, right):
+    (f, a), (g, b) = left, right
+    text = f"({a} {op} {b})"
+    fn = _ARITH.get(op)
+    if fn:
+        return (lambda env: fn(f(env), g(env))), text
+
+    def divide(env):
+        num, den = f(env), g(env)
+        _nonzero(den, text)
+        return num / den
+    return divide, text
+
+
+def _pow(base, n):
+    f, b = base
+    text = f"({b}^{n})"
+
+    def power(env):
+        x = f(env)
+        if n < 0:
+            _nonzero(x, text)
+        if isinstance(x, np.ndarray):
+            # a float power raises on overflow; numpy returns inf
+            with np.errstate(over="ignore"):
+                return jets.require_finite(x, x ** n, "power")
+        return x ** n
+    return power, text
+
+
+def _call(name, arg):
+    (f, a), fn = arg, FUNCTIONS[name]
+    text = f"{name}({a})"
+
+    def call(env):
+        x = f(env)
+        try:
+            return fn(x)
+        except DomainError as e:
+            raise DomainError(f"{e} in {text}") from None
+    return call, text
+
 
 class _Parser:
     def __init__(self, src, variables):
-        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
         self.variables = tuple(variables)
@@ -164,14 +168,14 @@ class _Parser:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            node = BinOp(op, node, self.term())
+            node = _binop(op, node, self.term())
         return node
 
     def term(self):
         node = self.power()
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
-            node = BinOp(op, node, self.power())
+            node = _binop(op, node, self.power())
         return node
 
     def power(self):
@@ -185,28 +189,31 @@ class _Parser:
             tok = self.expect("num")
             if "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
                 raise ExprSyntaxError("powers require integer exponents", tok[2])
-            return Pow(base, sign * int(tok[1]))
+            return _pow(base, sign * int(tok[1]))
         return base
 
     def signed(self):
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.signed())
+            f, a = self.signed()
+            return (lambda env: -f(env)), f"(-{a})"
         return self.atom()
 
     def atom(self):
         tok = self.next()
         kind, text, off = tok
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            return (lambda env: value), repr(value)
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(text, arg)
+                return _call(text, arg)
             if text in self.var_index:
-                return Var(self.var_index[text], text)
+                k = self.var_index[text]
+                return (lambda env: env[k]), text
             raise UnknownIdentifierError(text, self.variables, off)
         if kind == "(":
             node = self.expr()
@@ -215,70 +222,26 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected '{text or 'end of input'}'", off)
 
 
-# -- evaluation -----------------------------------------------------------
-
-def _nonzero(x, node):
-    try:
-        jets.require(jets.value_of(x) == 0.0, "division by zero")
-    except DomainError as e:
-        raise DomainError(f"{e} in {to_str(node)}") from None
-
-
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        _nonzero(b, node)
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval(node.base, env)
-        if node.exponent < 0:
-            _nonzero(base, node)
-        if isinstance(base, np.ndarray):
-            # a float power raises on overflow; numpy returns inf
-            with np.errstate(over="ignore"):
-                return jets.require_finite(base, base ** node.exponent,
-                                           "power")
-        return base ** node.exponent
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        try:
-            return FUNCTIONS[node.func](arg)
-        except DomainError as e:
-            raise DomainError(f"{e} in {to_str(node)}") from None
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 @dataclass(frozen=True)
 class ScalarExpr:
-    """A parsed expression together with its declared variable list."""
+    """A parsed expression: its compiled evaluator, its printed form and
+    its declared variable list."""
 
-    ast: object
+    func: object
+    text: str
     variables: tuple
 
     def __str__(self):
-        return to_str(self.ast)
+        return self.text
 
     def __call__(self, point):
         """Evaluate at a point (floats, arrays over a batch, or jets)."""
         if len(point) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} coordinates, got {len(point)}")
-        return _eval(self.ast, point)
+        return self.func(point)
 
 
 def parse(src, variables):
     """Parse src over the declared variable names into a ScalarExpr."""
-    return ScalarExpr(_Parser(src, variables).parse(), tuple(variables))
+    return ScalarExpr(*_Parser(src, variables).parse(), tuple(variables))

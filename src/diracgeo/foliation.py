@@ -12,9 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linear
-from .courant import Section, courant_bracket
-from .geometry import (Chart, Form, VectorField, alternate,
-                       component_jacobian, ext_d, interior)
+from .courant import courant_bracket, graph_of_form
+from .geometry import Chart, Form, alternate, component_jacobian, ext_d
 from .groupoid import GroupoidForm, fiberwise_pair_groupoid, max_abs
 
 
@@ -86,25 +85,14 @@ def d_nu(fol, theta, extension, samples):
     return _block(fol, dext, 1)
 
 
-def splitting_sections(fol, extension):
-    """sigma(d_i) = (d_i, i_{d_i} theta-extension) as sections over the
-    full chart, one per leaf direction."""
-    ch = fol.chart
-    out = []
-    for i in fol.leaf:
-        e = [1.0 if j == i else 0.0 for j in range(fol.n)]
-        X = VectorField(ch, lambda p, e=e: list(e))
-        out.append(Section(X, interior(X, extension)))
-    return out
-
-
 def classifying_rep(fol, extension, phi=None):
     """The conormal-valued curvature of the splitting: transverse
-    components of the (twisted) bracket defect of the lifted leaf frame,
-    as the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
+    components of the (twisted) bracket defect of the lifted leaf frame
+    sigma(d_i) = (d_i, i_{d_i} extension), the graph of the extension, as
+    the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
     so the defect is just the bracket of the lifted sections.  ([()] takes
     the entry out of the 0-d array that [..., m] leaves at one point.)"""
-    secs = splitting_sections(fol, extension)
+    secs = graph_of_form(extension).frame
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
         br = courant_bracket(secs[i], secs[j], phi)

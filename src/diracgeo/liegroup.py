@@ -97,7 +97,6 @@ class MatrixGroup:
     name: str
     dim: int
     struct: np.ndarray   # [i, j, k] coefficient of e_k in [e_i, e_j]
-    metric: np.ndarray   # invariant inner product in the algebra basis
 
     # chart-level multiplication; set by the constructors below
     def mul(self, u, v):
@@ -123,12 +122,8 @@ class MatrixGroup:
         return out
 
     def inner(self, a, b):
-        total = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.metric[i, j]:
-                    total = total + self.metric[i, j] * a[i] * b[j]
-        return total
+        """The invariant inner product; the algebra basis is orthonormal."""
+        return dot(a, b)
 
     def check_radius(self, u):
         r2 = np.asarray(sum(value_of(c) ** 2 for c in u))
@@ -262,15 +257,15 @@ def _eps_struct():
 
 
 def so3():
-    return _SO3("so3", 3, _eps_struct(), np.eye(3))
+    return _SO3("so3", 3, _eps_struct())
 
 
 def su2():
-    return _SU2("su2", 3, _eps_struct(), np.eye(3))
+    return _SU2("su2", 3, _eps_struct())
 
 
 def torus(d=2):
-    return _Torus("torus", d, np.zeros((d, d, d)), np.eye(d))
+    return _Torus("torus", d, np.zeros((d, d, d)))
 
 
 GROUPS = {"so3": so3, "su2": su2, "torus2": lambda: torus(2),
@@ -284,7 +279,7 @@ def cartan_form(Gp):
     phi[p,q,r] = (1/2) lam[a,p] K[a,i,j] lam[i,q] lam[j,r] with
     K[a,i,j] = (e_a, [e_i, e_j])."""
     ch = Chart(Gp.chart_names())
-    K = np.einsum("ab,ijb->aij", Gp.metric, Gp.struct)
+    K = np.moveaxis(Gp.struct, -1, 0)
 
     def components(p):
         Gp.check_radius(p)
@@ -296,7 +291,7 @@ def cartan_form(Gp):
 def chart_metric(Gp, u):
     """Matrix of the bi-invariant metric in chart coordinates at u."""
     L = Gp.lam_matrix(u)
-    return mT(L) @ Gp.metric @ L
+    return mT(L) @ L
 
 
 def cartan_frame(Gp, u):
@@ -341,16 +336,15 @@ def _action_chart(d, base_dim):
 def amm_omega(Gp):
     """The multiplicative 2-form on the conjugation groupoid H x H:
     omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar))),
-    i.e. 1/2 (P^T Ad^T G P - P^T G Ad P + P^T G Q - Q^T G P) with
+    i.e. 1/2 (P^T Ad^T P - P^T Ad P + P^T Q - Q^T P) with
     P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x]."""
     d = Gp.dim
 
     def components(p):
         u, x = p[:d], p[d:]
         L = Gp.lam_matrix(u)
-        GL = Gp.metric @ L
-        X = mT(Gp.Ad_matrix(x) @ L) @ GL
-        top = 0.5 * (mT(GL) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
+        X = mT(Gp.Ad_matrix(x) @ L) @ L
+        top = 0.5 * (mT(L) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
         return block([[0.5 * (X - mT(X)), top], [-mT(top), np.zeros((d, d))]])
 
     return Form(_action_chart(d, d), 2, components)
@@ -406,10 +400,9 @@ def general_action_form(Gp, D):
 
 
 def amm_rho_star(Gp):
-    """rho*_x = (1/2) G (lam + lam_bar) at x: row v is the covector
+    """rho*_x = (1/2)(lam + lam_bar) at x: row v is the covector
     (1/2)((lam + lam_bar)(.), v) on the group chart."""
-    return lambda x: 0.5 * (Gp.metric @ (Gp.lam_matrix(x)
-                                         + Gp.lam_bar_matrix(x)))
+    return lambda x: 0.5 * (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x))
 
 
 def conjugation_action(Gp):

@@ -167,6 +167,17 @@ def test_parse_errors_exit_two(tmp_path, capsys):
         assert cli.main(["run", str(p3), "--expect-file", str(expect)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # an expectation must be a boolean, for a known check; inline and
+    # through --expect-file
+    scn4 = {"id": "x", "fixture": "pair-groupoid-r2", "suite": ["structure"]}
+    for bad in ({"structure": "no"}, {"nosuch": False}):
+        expect.write_text(json.dumps({"x": bad}))
+        for inline, flags in ((bad, []),
+                              ({}, ["--expect-file", str(expect)])):
+            p3.write_text(json.dumps({**scn4, "expect": inline}))
+            assert cli.main(["run", str(p3), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
     good = os.path.join(SCN, "foliation-x3.json")
     assert cli.main(["run", good, "--expect-file",
                      str(tmp_path / "nope.json")]) == 2

@@ -64,15 +64,19 @@ def test_unknown_identifier_lists_variables():
 
 
 def test_domain_errors():
-    f = parse("sqrt(x)", V)
-    with pytest.raises(DomainError):
-        f([-1.0, 0.0, 0.0])
-    g = parse("1.0/x", V)
-    with pytest.raises(DomainError):
-        g([0.0, 0.0, 0.0])
+    # the message names the innermost failing node
+    for src, x, text in [("1.0/x", 0.0, "division by zero in (1.0 / x)"),
+                         ("x^-2", 0.0, "division by zero in (x^-2)"),
+                         ("sin(sqrt(x))", -1.0,
+                          "sqrt of negative value in sqrt(x)")]:
+        with pytest.raises(DomainError) as err:
+            ev(src, x=x)
+        assert str(err.value) == text
 
 
 def test_pretty_print_reparses_to_same_tree():
+    assert str(parse("-x^2 + sin(y)/cos(z)", V)) == \
+        "(((-x)^2) + (sin(y) / cos(z)))"
     for src in ["x + y*z", "-x^2 + sin(y)/cos(z)", "sqrt(x*x + y*y)",
                 "exp(-z) * (x - y)", "x^-3 - 2.0"]:
         e = parse(src, V)
