@@ -23,7 +23,7 @@ def main():
     print("unit / inversion   :", r_eps, r_inv)
 
     rep = gr.classify(G, F, rng, n_units=8, n_arrows=16)
-    print("flags:", rep.flags)
+    print("flags:", rep["flags"])
 
     x = [0.2, -0.3, 0.4]
     sp = gr.extract_rho_star(G, F, x)

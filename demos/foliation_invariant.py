@@ -32,7 +32,7 @@ def main():
 
     G, F = fo.foliation_groupoid(3, 2)
     rep = gr.classify(G, F, rng, 6, 12)
-    print("conormal groupoid flags        :", rep.flags)
+    print("conormal groupoid flags        :", rep["flags"])
     L = gr.induced_dirac(G, F, list(rng.uniform(-1, 1, 3)))
     print("induced = F + conormal(F)      :",
           L == fo.leaf_conormal_dirac(3, 2))

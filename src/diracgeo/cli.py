@@ -1,12 +1,14 @@
 """Scenario-driven batch runner.
 
 Scenarios are JSON files naming a fixture (builtin or inline), a suite of
-named checks, and a numeric policy.  Reports are JSON with one entry per
-check; an expect map lets a scenario assert that a check FAILS (the
-counterexample fixtures ship that way) while the run as a whole exits 0.
+named checks, and a numeric policy.  Reports are strict JSON with one
+entry per check: a check returns plain data, numpy values and non-finite
+floats included, and the runner writes a non-finite float as null.  An
+expect map lets a scenario assert that a check FAILS (the counterexample
+fixtures ship that way) while the run as a whole exits 0.
 
 Exit codes: 0 all checks as expected, 1 check mismatch, 2 usage or parse
-error.
+error, or an --out path that cannot be written.
 """
 
 import argparse
@@ -27,7 +29,7 @@ from . import realization as RZ
 from .expr import ExprSyntaxError, UnknownIdentifierError
 from .geometry import Form, coordinates
 from .jets import DomainError
-from .linear import mT
+from .linear import mT, padded_orth, padded_span_gap
 
 
 class ScenarioError(ValueError):
@@ -110,23 +112,17 @@ def load_fixture(ref):
 
 # -- checks -----------------------------------------------------------------
 
-def _residual_entry(residual, threshold, extra=None):
-    """A non-finite residual fails and is written as null (strict JSON)."""
-    residual = float(residual)
-    entry = {"residual": GR.finite_or_none(residual),
-             "threshold": float(threshold),
-             "pass": bool(np.isfinite(residual)) and residual <= threshold}
-    if extra:
-        entry.update(extra)
-    return entry
+def _residual_entry(residual, threshold, **extra):
+    """A non-finite residual fails."""
+    return {"residual": float(residual), "threshold": float(threshold),
+            "pass": bool(residual <= threshold), **extra}
 
 
 def check_structure(fx, rng, policy):
     G = fx["groupoid"]
     res = G.structure_residuals(rng, policy["samples"])
     return _residual_entry(GR.worst_of(*res.values()), policy["tol"],
-                           {"parts": {k: GR.finite_or_none(v)
-                                      for k, v in res.items()}})
+                           parts=res)
 
 
 def check_multiplicative(fx, rng, policy):
@@ -145,8 +141,7 @@ def check_unit_identities(fx, rng, policy):
     r_eps, r_inv = GR.check_unit_identities(fx["groupoid"], fx["form"], rng,
                                             policy["samples"])
     return _residual_entry(GR.worst_of(r_eps, r_inv), policy["tol"],
-                           {"unit_pullback": GR.finite_or_none(r_eps),
-                            "inversion": GR.finite_or_none(r_inv)})
+                           unit_pullback=r_eps, inversion=r_inv)
 
 
 def check_kernel_orthogonality(fx, rng, policy):
@@ -166,24 +161,23 @@ def check_orbit_form(fx, rng, policy):
 def check_classification(fx, rng, policy):
     rep = GR.classify(fx["groupoid"], fx["form"], rng,
                       policy["samples"], 2 * policy["samples"])
-    expected = fx.get("expected_flags", {})
-    mismatches = {k: {"expected": v, "got": rep.flags.get(k)}
-                  for k, v in expected.items() if rep.flags.get(k) != v}
-    entry = rep.to_json()
-    entry["pass"] = not mismatches and \
-        GR.worst_of(0.0, *rep.residuals.values()) <= policy["tol"]
+    flags = rep["flags"]
+    mismatches = {k: {"expected": v, "got": flags.get(k)}
+                  for k, v in fx.get("expected_flags", {}).items()
+                  if flags.get(k) != v}
+    rep["pass"] = not mismatches and \
+        GR.worst_of(0.0, *rep["residuals"].values()) <= policy["tol"]
     if mismatches:
-        entry["mismatches"] = mismatches
-    return entry
+        rep["mismatches"] = mismatches
+    return rep
 
 
 def check_dirac_type(fx, rng, policy):
     rep = GR.classify(fx["groupoid"], fx["form"], rng,
                       policy["samples"], 2 * policy["samples"])
-    entry = {"pass": bool(rep.flags["is_dirac_type"]),
-             "flags": rep.flags}
-    if "dirac_type" in rep.worst_points:
-        entry["worst_point"] = rep.worst_points["dirac_type"]
+    entry = {"pass": rep["flags"]["is_dirac_type"], "flags": rep["flags"]}
+    if "dirac_type" in rep["worst_points"]:
+        entry["worst_point"] = rep["worst_points"]["dirac_type"]
     return entry
 
 
@@ -193,11 +187,14 @@ def check_induced_vs_group(fx, rng, policy):
     residual is the sine of the largest principal angle between the two."""
     if fx.get("kind") != "amm":
         return {"pass": True, "skipped": "not a conjugation fixture"}
-    x = GR.draw(fx["groupoid"].sample_unit, rng, policy["samples"])
-    L1 = GR.induced_dirac(fx["groupoid"], fx["form"], x)
-    return _residual_entry(GR.worst_of(0.0, *(
-        L.gap(LG.cartan_dirac(fx["group"], p.tolist()))
-        for p, L in zip(x, L1))), policy["tol"])
+    G = fx["groupoid"]
+    x = GR.draw(G.sample_unit, rng, policy["samples"])
+    span, _ = GR.induced_span(G, fx["form"], x)
+    # an induced span of rank below the base dimension reads 1.0
+    gap = padded_span_gap(*padded_orth(span),
+                          LG.cartan_frame(fx["group"], coordinates(x)),
+                          G.base_dim)
+    return _residual_entry(GR.worst_of(0.0, gap), policy["tol"])
 
 
 def check_rho_star_half_flat(fx, rng, policy):
@@ -223,18 +220,15 @@ def check_quasi_ham(fx, rng, policy):
     r1, r2, r3, r_inv = RZ.quasi_ham_check(Q, samples)
     worst = GR.worst_of(r1, r2, r3, r_inv)
     return _residual_entry(worst, policy["tol"],
-                           {"d_eta": GR.finite_or_none(r1),
-                            "moment": GR.finite_or_none(r2),
-                            "kernel_match": GR.finite_or_none(r3),
-                            "invariance": GR.finite_or_none(r_inv)})
+                           d_eta=r1, moment=r2, kernel_match=r3,
+                           invariance=r_inv)
 
 
 def check_quasi_ham_negative(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(1.0)
     samples = _annulus_samples(rng, policy["samples"])
     r2 = RZ.moment_residual(Q, samples)
-    return {"residual": GR.finite_or_none(r2), "threshold": 0.1,
-            "pass": bool(r2 >= 0.1)}
+    return {"residual": r2, "threshold": 0.1, "pass": bool(r2 >= 0.1)}
 
 
 def check_equivalence_crosscheck(fx, rng, policy):
@@ -242,10 +236,9 @@ def check_equivalence_crosscheck(fx, rng, policy):
     samples = _annulus_samples(rng, policy["samples"])
     rep = RZ.equivalence_crosscheck(Q, samples)
     worst = GR.worst_of(rep["solve_residual"], rep["generator_mismatch"])
-    return _residual_entry(worst, policy["tol"],
-                           {"dirac_map": rep["dirac_map"],
-                            "unique": rep["unique"],
-                            "kernel_iso_ok": rep["kernel_iso_ok"]})
+    return _residual_entry(worst, policy["tol"], dirac_map=rep["dirac_map"],
+                           unique=rep["unique"],
+                           kernel_iso_ok=rep["kernel_iso_ok"])
 
 
 def _annulus_samples(rng, n):
@@ -286,10 +279,8 @@ def check_basicness(fx, rng, policy):
                                                policy["fd_step"]))
     order = PS.fitted_order(grid, residuals)
     mid = residuals[min(1, len(residuals) - 1)]
-    entry = _residual_entry(mid, 5e-4, {
-        "grid": list(grid),
-        "convergence": [GR.finite_or_none(r) for r in residuals],
-        "order": GR.finite_or_none(order)})
+    entry = _residual_entry(mid, 5e-4, grid=list(grid),
+                            convergence=residuals, order=order)
     entry["pass"] = entry["pass"] and order >= 1.8
     return entry
 
@@ -439,6 +430,23 @@ def merge_policy(scenario, args):
     return policy
 
 
+def _strict_json(value):
+    """A check's plain data as strict JSON data: numpy scalars and arrays
+    become numbers and lists (an array in one tolist), and every
+    non-finite float becomes None (null)."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        if value.dtype.kind == "f":
+            value = np.where(np.isfinite(value), value.astype(object), None)
+        return value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def run_scenario(scenario, args):
     policy = merge_policy(scenario, args)
     _, fx = load_fixture(scenario.get("fixture", "pair-groupoid-r2"))
@@ -474,6 +482,7 @@ def run_scenario(scenario, args):
             entry = {"pass": False, "error": f"floating-point overflow: {e}"}
         except GR.RankInstabilityError as e:
             entry = {"pass": False, "indeterminate": str(e)}
+        entry = _strict_json(entry)
         expected = expect.get(name, True)
         entry["expected"] = expected
         entry["as_expected"] = bool(entry["pass"]) == expected
@@ -489,14 +498,6 @@ def run_scenario(scenario, args):
         "ok": ok,
     }
     return report, ok
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def main(argv=None):
@@ -544,11 +545,14 @@ def main(argv=None):
         return 2
     payload = {"schema": "v1", "reports": reports,
                "wall_time": round(time.time() - start, 3)}
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      default=_json_default, allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if all_ok else 1

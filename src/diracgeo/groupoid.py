@@ -6,7 +6,7 @@ nondegenerate), rho*-extraction at units, induced Dirac structures, and
 gauge transformations.  Each check draws all its samples first and then
 evaluates them as one (B, n) stack of points."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,53 +359,34 @@ def extract_rho_star(G, F, x):
     return UnitSplitting(Deps, A, _jac(G.t, ex) @ A, mT(A) @ Om @ Deps, Om)
 
 
-def induced_dirac(G, F, x):
-    """The Dirac structure induced on the base at x by a multiplicative
-    form, or the list of them over a (B, n) stack, from one splitting."""
+def induced_span(G, F, x):
+    """The frame of the Dirac structure induced on the base at x by a
+    multiplicative form, or the stack of them over a (B, n) stack, from one
+    splitting, and the number of its leading columns that are not padding:
+    columns (rho(a), rho*(a)) over A, then (k, 0) over the padded basis of
+    Ker(omega) ∩ T_xM."""
     sp = extract_rho_star(G, F, x)
     Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
-    KTM, dims = padded_intersect(Kw, padded_orth(sp.TM)[0])
-    one = np.ndim(x) < 2
-    fields = (sp.TM, KTM, dims, sp.rho, sp.rho_star)
-    out = []
-    for TM, K, dim, rho, rho_star in zip(*([f] if one else f for f in fields)):
-        # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
-        base_kernel, *_ = np.linalg.lstsq(TM, K[:, :dim], rcond=None)
-        # columns (rho(a), rho*(a)) over A and (k, 0) over the base kernel
-        out.append(linear.LinearDirac.from_span(block(
-            [[rho, base_kernel], [rho_star.T, np.zeros((G.base_dim, dim))]])))
-    return out[0] if one else out
+    KTM, dim = padded_intersect(Kw, padded_orth(sp.TM)[0])
+    # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
+    base_kernel = np.linalg.pinv(sp.TM) @ KTM
+    span = block([[sp.rho, base_kernel],
+                  [mT(sp.rho_star), np.zeros_like(base_kernel)]])
+    return span, sp.A.shape[-1] + dim
+
+
+def induced_dirac(G, F, x):
+    """The Dirac structure induced on the base at the point x."""
+    span, width = induced_span(G, F, x)
+    return linear.LinearDirac.from_span(span[:, :width])
 
 
 # -- classification --------------------------------------------------------
 
-@dataclass
-class ClassificationReport:
-    flags: dict
-    dims: dict
-    residuals: dict
-    worst_points: dict = field(default_factory=dict)
-    rank_gaps: dict = field(default_factory=dict)
-
-    def to_json(self):
-        # strict JSON has no Infinity or NaN: a gap with nothing below the
-        # threshold, or a non-finite residual, is written as null
-        return {"flags": self.flags, "dims": self.dims,
-                "residuals": {k: finite_or_none(v)
-                              for k, v in self.residuals.items()},
-                "worst_points": self.worst_points,
-                "rank_gaps": {k: finite_or_none(v)
-                              for k, v in self.rank_gaps.items()}}
-
-
-def finite_or_none(v):
-    """A float for JSON, or None for a non-finite value."""
-    return float(v) if np.isfinite(v) else None
-
-
 def classify(G, F, rng, n_units=8, n_arrows=16):
-    """Dimension/classification suite at sampled units and arrows.  The
-    kernel identities report the sine of the largest principal angle
+    """Dimension/classification suite at sampled units and arrows: the dict
+    of its flags, kernel dimensions, residuals, worst points and rank gaps.
+    The kernel identities report the sine of the largest principal angle
     between the two sides."""
     N, n = G.total_dim, G.base_dim
     x = draw(G.sample_unit, rng, n_units)
@@ -436,10 +417,8 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
                  "kernel_decomp": worst_of(0.0, decomp),
                  "kernel_orth": worst_of(0.0, orth1, orth2)}
     over_symplectic = bool(np.all(padded_contained(Kw, Kst)))
-    dims = {"ker_omega_units": dim_ker.tolist(),
-            "ker_omega_cap_TM": dim_ker_tm.tolist(),
-            "ker_omega_cap_ker_ds": dim_ker_ks.tolist(),
-            "g_x_omega": dim_gx.tolist()}
+    dims = {"ker_omega_units": dim_ker, "ker_omega_cap_TM": dim_ker_tm,
+            "ker_omega_cap_ker_ds": dim_ker_ks, "g_x_omega": dim_gx}
 
     # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
     # dimensions at the units over s(g) and t(g)
@@ -452,11 +431,9 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
     failed = dim_arrow != want
     if failed.any():
         i = int(np.argmax(failed))
-        worst["dirac_type"] = {"arrow": g[i].tolist(), "s": sx[i].tolist(),
-                               "t": tx[i].tolist(),
-                               "dim_ker_arrow": int(dim_arrow[i]),
-                               "expected": float(want[i])}
-    gaps = {"units": gap_units, "arrows": gap_arrows}
+        worst["dirac_type"] = {"arrow": g[i], "s": sx[i], "t": tx[i],
+                               "dim_ker_arrow": dim_arrow[i],
+                               "expected": want[i]}
 
     robust = bool(np.all(dim_gx == N - 2 * n))
     nondegenerate = bool(np.all(dim_gx == 0))
@@ -469,7 +446,9 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
         "is_symplectic": nondegenerate and bool(np.all(dim_ker == 0))
                          and N == 2 * n,
     }
-    return ClassificationReport(flags, dims, residuals, worst, gaps)
+    return {"flags": flags, "dims": dims, "residuals": residuals,
+            "worst_points": worst,
+            "rank_gaps": {"units": gap_units, "arrows": gap_arrows}}
 
 
 # -- gauge transformations -------------------------------------------------

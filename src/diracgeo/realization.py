@@ -66,7 +66,7 @@ def realization_check(R, samples):
         (padded_orth(image)[1] == dim_eta)
         & (padded_span_gap(image, dim_eta, ker_L, dim_L) <= 1e-7)))
     return {"kernel_iso_ok": bool(np.all(iso)),
-            "action_vectors": mT(X).tolist(), "solve_residual": solve,
+            "action_vectors": mT(X), "solve_residual": solve,
             "dirac_map": solve <= 1e-8, "kernel_dim_max": kdim,
             "unique": kdim == 0}
 
@@ -133,8 +133,7 @@ def equivalence_crosscheck(Q, samples):
     """
     R = RealizationData(Q.D.chart, Q.eta, Q.mu, cartan_dirac_field(Q.group))
     report = realization_check(R, samples)
-    gap = mT(np.array(report["action_vectors"])) \
-        - Q.D.rho(coordinates(samples))
+    gap = mT(report["action_vectors"]) - Q.D.rho(coordinates(samples))
     report["generator_mismatch"] = worst_of(0.0, np.abs(gap))
     return report
 

@@ -119,19 +119,19 @@ def test_acceptance_3_groupoid_suite():
             res.append(gr.check_kernel_orthogonality(G, F, rng, 16))
         worst = max(res)
         rep = gr.classify(G, F, rng, n_units=16, n_arrows=64)
-        flags_ok = all(rep.flags[k] == v
+        flags_ok = all(rep["flags"][k] == v
                        for k, v in fx["expected_flags"].items())
         this_ok = worst <= 1e-8 and flags_ok
         if name == "nondirac-flow":
-            w = rep.worst_points.get("dirac_type")
+            w = rep["worst_points"].get("dirac_type")
             wit_ok = w is not None and min(
                 np.linalg.norm(np.array(w["s"]) - [1, 0]),
                 np.linalg.norm(np.array(w["s"]) - [-1, 0]),
                 np.linalg.norm(np.array(w["t"]) - [1, 0]),
                 np.linalg.norm(np.array(w["t"]) - [-1, 0])) < 1e-2
-            this_ok = this_ok and not rep.flags["is_dirac_type"] and wit_ok
+            this_ok = this_ok and not rep["flags"]["is_dirac_type"] and wit_ok
         else:
-            this_ok = this_ok and max(rep.residuals.values()) <= 1e-8
+            this_ok = this_ok and max(rep["residuals"].values()) <= 1e-8
         ok = ok and this_ok
         details.append(f"{name} {'ok' if this_ok else 'BAD'} ({worst:.1e})")
     elapsed = time.time() - start
@@ -280,7 +280,7 @@ def test_acceptance_7_foliation():
     r_shift = fo.twisted_shift_residual(fol, ext, phi, pts)
     report("foliation",
            r_dd == 0.0 and r_dnu <= 1e-9
-           and rep.flags["is_presymplectic"] and ind_ok
+           and rep["flags"]["is_presymplectic"] and ind_ok
            and r_shift <= 1e-9,
            f"d_F^2 {r_dd:.1e}, d_nu {r_dnu:.1e}, shift {r_shift:.1e}")
 

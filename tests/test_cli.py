@@ -6,6 +6,7 @@ import os
 import tempfile
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,13 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def _strict(text):
+    """Parse text as JSON that has no NaN or infinite literal."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON literal {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def scrub(payload):
@@ -216,6 +224,18 @@ def test_out_file_written(tmp_path, capsys):
     assert payload["reports"][0]["ok"] is True
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a missing directory and a path that is a directory: one error line
+    # and the exit code of a usage error, not a traceback
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        code = cli.main(["run", os.path.join(SCN, "foliation-x3.json"),
+                         "--samples", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
+
 def test_grid_flag_overrides_policy(capsys):
     code, out = run_cli(
         ["run", os.path.join(SCN, "pathspace-pair.json"),
@@ -237,6 +257,22 @@ def test_induced_dirac_compares_spans_by_angle(capsys):
     assert code == 0
 
 
+def test_rank_deficient_induced_span_reads_one(capsys, monkeypatch):
+    # a span of rank below the base dimension is no Dirac structure: the
+    # check fails with the largest gap instead of raising
+    induced_span = GR.induced_span
+
+    def deficient(G, F, x):
+        span, width = induced_span(G, F, x)
+        return span * (np.arange(span.shape[-1]) > 0), width
+
+    monkeypatch.setattr(GR, "induced_span", deficient)
+    code, out = run_cli(["run", os.path.join(SCN, "amm-so3.json")], capsys)
+    assert code == 1
+    entry = _strict(out)["reports"][0]["checks"]["induced-dirac"]
+    assert entry["residual"] == 1.0 and entry["pass"] is False
+
+
 def test_flow_samples_do_not_depend_on_suite(tmp_path, capsys):
     scn = json.load(open(os.path.join(SCN, "nondirac-flow.json")))
     _, out = run_cli(["run", os.path.join(SCN, "nondirac-flow.json"),
@@ -251,15 +287,40 @@ def test_flow_samples_do_not_depend_on_suite(tmp_path, capsys):
 
 
 def test_reports_are_strict_json(capsys):
-    def reject(constant):
-        raise ValueError(f"non-finite constant {constant}")
-
     for name in ("pair-groupoid-r2", "nondirac-flow"):
         _, out = run_cli(["run", os.path.join(SCN, f"{name}.json"),
                           "--samples", "4"], capsys)
-        report = json.loads(out, parse_constant=reject)["reports"][0]
+        report = _strict(out)["reports"][0]
         gaps = report["checks"]["classification"]["rank_gaps"]
         assert set(gaps) == {"units", "arrows"}
+
+
+def test_runner_makes_each_entry_strict_json(tmp_path, capsys,
+                                             monkeypatch):
+    # a check returns plain data: non-finite floats in a dict, a list and
+    # an array, and numpy scalars; the runner alone makes it strict JSON
+    def check(fx, rng, policy):
+        return {"pass": np.bool_(False), "residual": np.float64(np.nan),
+                "parts": {"a": np.inf, "b": 0.5},
+                "series": [1.0, -np.inf, np.nan],
+                "array": np.array([[1.0, np.nan], [np.inf, -2.0]]),
+                "dims": np.array([0, 2]), "count": np.int64(3),
+                "flag": np.bool_(True)}
+
+    monkeypatch.setitem(cli.CHECKS, "structure", check)
+    p = tmp_path / "plain.json"
+    p.write_text(json.dumps({"id": "plain", "suite": ["structure"]}))
+    code, out = run_cli(["run", str(p)], capsys)
+    assert code == 1
+    entry = _strict(out)["reports"][0]["checks"]["structure"]
+    assert entry == {"pass": False, "residual": None,
+                     "parts": {"a": None, "b": 0.5},
+                     "series": [1.0, None, None],
+                     "array": [[1.0, None], [None, -2.0]], "dims": [0, 2],
+                     "count": 3, "flag": True,
+                     "expected": True, "as_expected": False}
+    assert type(entry["count"]) is int and entry["flag"] is True
+    assert entry["pass"] is False
 
 
 def test_nan_residuals_fail_and_stay_strict_json(tmp_path, capsys):
@@ -272,15 +333,11 @@ def test_nan_residuals_fail_and_stay_strict_json(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text(json.dumps(scn))
 
-    def reject(constant):
-        raise ValueError(f"non-finite constant {constant}")
-
     code = cli.main(["run", str(p), "--samples", "4"])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    checks = json.loads(captured.out, parse_constant=reject)[
-        "reports"][0]["checks"]
+    checks = _strict(captured.out)["reports"][0]["checks"]
     assert set(checks) == set(scn["suite"])
     for name, entry in checks.items():
         assert entry["pass"] is False, name
@@ -312,16 +369,12 @@ def test_classification_fails_on_non_finite_omega(tmp_path, capsys):
 def test_non_finite_basicness_fails_and_stays_strict_json(capsys):
     # a step of 1e308 overflows the shifted paths, so every grid residual
     # is NaN; the fold must keep the NaN and the report must stay strict
-    def reject(constant):
-        raise ValueError(f"non-finite constant {constant}")
-
     code = cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
                      "--fd-step", "1e308"])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    entry = json.loads(captured.out, parse_constant=reject)[
-        "reports"][0]["checks"]["basicness"]
+    entry = _strict(captured.out)["reports"][0]["checks"]["basicness"]
     assert entry["pass"] is False
     assert entry["residual"] is None
     assert entry["order"] is None
@@ -342,13 +395,6 @@ def test_malformed_inline_fixture_exits_two(tmp_path, capsys, change):
     assert cli.main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-
-def _strict(text):
-    """Parse text as JSON that has no NaN or infinite literal."""
-    def reject(name):
-        raise ValueError(f"non-strict JSON literal {name}")
-    return json.loads(text, parse_constant=reject)
 
 
 def _run_inline(inline, suite):

@@ -118,8 +118,8 @@ def test_foliation_groupoid_structure_and_form():
     assert max(G.structure_residuals(rng, 6).values()) < 1e-12
     assert check_multiplicative(G, F, rng, 6) < 1e-10
     rep = classify(G, F, rng, 5, 10)
-    assert rep.flags["is_presymplectic"] is True
-    assert rep.flags["is_symplectic"] is False
+    assert rep["flags"]["is_presymplectic"] is True
+    assert rep["flags"]["is_symplectic"] is False
 
 
 def test_induced_structure_is_leaf_conormal_sum():

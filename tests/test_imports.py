@@ -13,29 +13,42 @@ SRC = os.path.join(ROOT, "src", "diracgeo")
 
 # public names that only the tests reach, each with the reason it stays
 TEST_ONLY = {
-    "integrability_residual": "acceptance test 2 checks the graph's "
-                              "twisted integrability",
-    "im_conditions_residual": "the IM conditions, for the im-conditions "
-                              "check (ROADMAP item 3)",
-    "cartan_closed_residual": "Cartan closedness, for the cartan-closed "
-                              "check (ROADMAP item 3)",
-    "gauge": "B-field gauge transformation, for the gauge-covariance check "
-             "(ROADMAP item 4)",
-    "apath_residual": "the A-path defect, for action algebroids "
-                      "(ROADMAP item 5)",
-    "relative_closedness_residual": "path-space relative closedness, for "
-                                    "the path-rel-closed check (ROADMAP "
-                                    "item 5)",
-    "canonical_cotangent_form": "the reference for the coadjoint "
-                                "groupoid's canonical symplectic form",
-    "equivariance_residual": "an AMM axiom that quasi-ham does not report; "
-                             "adding it would change reports",
-    "left_translate": "one-vector form of left_matrix, against which the "
-                      "tests check the chart translations",
-    "right_translate": "one-vector form of right_matrix, against which the "
-                       "tests check the chart translations",
-    "embed": "the matrix representation of a chart group, against which "
-             "the tests check mul",
+    "courant.integrability_residual": "acceptance test 2 checks the "
+                                      "graph's twisted integrability",
+    "courant.im_conditions_residual": "the IM conditions, for the "
+                                      "im-conditions check (ROADMAP item 3)",
+    "courant.cartan_closed_residual": "Cartan closedness, for the "
+                                      "cartan-closed check (ROADMAP item 3)",
+    "groupoid.gauge": "B-field gauge transformation, for the "
+                      "gauge-covariance check (ROADMAP item 4)",
+    "DiscretizedAPath.apath_residual": "the A-path defect, for action "
+                                       "algebroids (ROADMAP item 5)",
+    "pathspace.relative_closedness_residual": "path-space relative "
+                                              "closedness, for the "
+                                              "path-rel-closed check "
+                                              "(ROADMAP item 5)",
+    "liegroup.canonical_cotangent_form": "the reference for the coadjoint "
+                                         "groupoid's canonical symplectic "
+                                         "form",
+    "realization.equivariance_residual": "an AMM axiom that quasi-ham does "
+                                         "not report; adding it would "
+                                         "change reports",
+    "MatrixGroup.left_translate": "one-vector form of left_matrix, against "
+                                  "which the tests check the chart "
+                                  "translations",
+    "MatrixGroup.right_translate": "one-vector form of right_matrix, "
+                                   "against which the tests check the "
+                                   "chart translations",
+    **{f"{group}.embed": "the matrix representation of a chart group, "
+                         "against which the tests check mul"
+       for group in ("MatrixGroup", "_SU2", "_Torus")},
+    "VectorField.from_components": "builds the expression-defined vector "
+                                   "fields of the geometry and Courant "
+                                   "tests",
+    "ChartMap.from_components": "builds the expression-defined maps of the "
+                                "geometry tests",
+    "geometry.chart": "builds the charts of the tests from their "
+                      "coordinate names",
 }
 
 
@@ -62,39 +75,74 @@ def test_no_unused_imports():
     assert unused == []
 
 
+MODULES = {os.path.basename(p)[:-3]
+           for p in glob.glob(os.path.join(SRC, "*.py"))}
+
+
+def _parse(path):
+    return ast.parse(open(path).read(), path)
+
+
 def public_definitions(path):
-    """The public module-level functions and classes of a module, and the
-    public methods of its classes."""
+    """The public module-level functions and classes of a module, as
+    'module.name', and the public methods of its classes, as
+    'Class.name'."""
+    module = os.path.basename(path)[:-3]
     out = []
-    for node in ast.parse(open(path).read(), path).body:
+    for node in _parse(path).body:
         if isinstance(node, ast.ClassDef):
-            out += [m.name for m in node.body
-                    if isinstance(m, ast.FunctionDef)]
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append(node.name)
-    return [name for name in out if not name.startswith("_")]
+            out += [f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not m.name.startswith("_")]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            out.append(f"{module}.{node.name}")
+    return out
 
 
 def referenced_names(dirs):
-    """Every name read, attribute taken or name imported in the Python
-    files under dirs.  An assigned name is not a reference.
+    """The definitions that the Python files under dirs reach, as
+    'owner.name'.  A module's name is reached by an import from the
+    module, by a read in the module itself, or as an attribute of the
+    module; a method is reached as an attribute of its class, so
+    Form.from_components does not reach VectorField.from_components.  An
+    assigned name is not a reference.
 
-    Methods are matched by name alone, so a same-named reference elsewhere
-    hides an unreached one: Form.from_components hides the test-only
-    VectorField.from_components and ChartMap.from_components, and .chart
-    hides geometry.chart."""
+    The class of any other value is not known, so an attribute of it
+    reaches every method of that name (but no module function: fol.chart
+    does not reach geometry.chart).  That is the blind spot that remains:
+    perfbench's own MatrixModel.bracket hides MatrixGroup.bracket."""
+    classes = {node.name for p in glob.glob(os.path.join(SRC, "*.py"))
+               for node in _parse(p).body if isinstance(node, ast.ClassDef)}
     names = set()
     for d in dirs:
         for path in glob.glob(os.path.join(ROOT, d, "**", "*.py"),
                               recursive=True):
-            for node in ast.walk(ast.parse(open(path).read(), path)):
-                if isinstance(node, ast.Name):
-                    if not isinstance(node.ctx, ast.Store):
-                        names.add(node.id)
+            tree = _parse(path)
+            own = os.path.basename(path)[:-3] \
+                if os.path.dirname(path) == SRC else None
+            modules = {}   # the module each imported module name binds
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                source = (getattr(node, "module", None) or "").split(".")[-1]
+                for alias in node.names:
+                    if source in MODULES:
+                        names.add(f"{source}.{alias.name}")
+                    else:
+                        modules[alias.asname or alias.name] = \
+                            alias.name.split(".")[-1]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and own \
+                        and not isinstance(node.ctx, ast.Store):
+                    names.add(f"{own}.{node.id}")
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.split(".")[-1])
+                    owner = node.value
+                    key = modules.get(owner.id, owner.id) \
+                        if isinstance(owner, ast.Name) \
+                        else getattr(owner, "attr", None)
+                    owners = [key] if key in MODULES | classes else classes
+                    names.update(f"{c}.{node.attr}" for c in owners)
     return names
 
 
