@@ -14,6 +14,7 @@ error, or an --out path that cannot be written.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -82,19 +83,14 @@ def _inline_fixture(spec):
         raise ScenarioError("inline fixture 'box' must be a finite "
                             "positive number")
 
-    def sample_point(rng):
-        return list(rng.uniform(-box, box, n))
-
     omega = _components(spec["omega"], "omega", 2, n)
     phi = None
     if spec.get("phi") is not None:
         phi = _components(spec["phi"], "phi", 3, n) or None
     try:
-        F, theta = fx_mod._pair_form(n, omega, phi)
+        return fx_mod.pair_fixture(n, GR.uniform(-box, box, n), omega, phi)
     except (ExprSyntaxError, UnknownIdentifierError) as e:
         raise ScenarioError(f"inline expression: {e}")
-    G = GR.fiberwise_pair_groupoid(n, n, 0, sample_point, sample_point)
-    return {"groupoid": G, "form": F, "theta": theta, "expected_flags": {}}
 
 
 def load_fixture(ref):
@@ -188,7 +184,7 @@ def check_induced_vs_group(fx, rng, policy):
     if fx.get("kind") != "amm":
         return {"pass": True, "skipped": "not a conjugation fixture"}
     G = fx["groupoid"]
-    x = GR.draw(G.sample_unit, rng, policy["samples"])
+    x = G.units.draw(rng, policy["samples"])
     span, _ = GR.induced_span(G, fx["form"], x)
     # an induced span of rank below the base dimension reads 1.0
     gap = padded_span_gap(*padded_orth(span),
@@ -205,7 +201,7 @@ def check_rho_star_half_flat(fx, rng, policy):
     if fx.get("kind") != "amm":
         return {"pass": True, "skipped": "not a conjugation fixture"}
     d = fx["group"].dim
-    x = GR.draw(fx["groupoid"].sample_unit, rng, policy["samples"])
+    x = fx["groupoid"].units.draw(rng, policy["samples"])
     sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
     ref = LG.cartan_frame(fx["group"], coordinates(x)) @ sp.A[:, :d]
     worst = GR.worst_of(0.0, np.abs(sp.A[:, d:]),
@@ -480,6 +476,8 @@ def run_scenario(scenario, args):
             entry = {"pass": False, "error": str(e)}
         except OverflowError as e:
             entry = {"pass": False, "error": f"floating-point overflow: {e}"}
+        except MemoryError as e:
+            entry = {"pass": False, "error": f"out of memory: {e}"}
         except GR.RankInstabilityError as e:
             entry = {"pass": False, "indeterminate": str(e)}
         entry = _strict_json(entry)
@@ -531,6 +529,12 @@ def main(argv=None):
         parser.print_usage()
         return 2
 
+    # a target that cannot be a file is refused before any check runs
+    if args.out and (os.path.isdir(args.out) or
+                     not os.path.isdir(os.path.dirname(args.out) or ".")):
+        print(f"error: cannot write {args.out}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return 2
     reports = []
     all_ok = True
     start = time.time()

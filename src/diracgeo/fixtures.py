@@ -1,21 +1,31 @@
 """Built-in fixtures: chart groupoids with multiplicative forms (pair,
 flow, foliation, conjugation and coadjoint groupoids), by name.  The data
 of the realization, path-space and foliation suites lives in `cli`.  Every
-sampler draws from the supplied generator only, so runs are reproducible
-from the seed."""
+sampler maps a block of uniform doubles from the supplied generator to its
+points (`groupoid.Sampler`), so runs are reproducible from the seed."""
 
-import math
+import numpy as np
 
 from . import liegroup as lg
 from .foliation import foliation_groupoid
 from .geometry import Chart, ChartMap, Form, pullback
-from .groupoid import GroupoidForm, action_groupoid, fiberwise_pair_groupoid
+from .groupoid import (GroupoidForm, Sampler, action_groupoid, concat,
+                       fiberwise_pair_groupoid, uniform)
 from .jets import cos, sin
+
+
+# the classification of every fixture but the rotation flow: a robust,
+# nondegenerate presymplectic groupoid of Dirac type
+_PRESYMPLECTIC = {"is_dirac_type": True, "is_robust": True,
+                 "is_presymplectic": True, "is_nondegenerate": True}
 
 
 # -- pair groupoids ---------------------------------------------------------
 
-def _pair_form(n, omega_comps, phi_comps=None):
+def pair_fixture(n, point, omega_comps, phi_comps=None):
+    """The pair groupoid of R^n, both ends of an arrow drawn by the sampler
+    point, with the form pr1*omega_M - pr2*omega_M of the 2-form given by
+    omega_comps and the background 3-form given by phi_comps."""
     bch = Chart(tuple(f"x{i+1}" for i in range(n)))
     ch = Chart(tuple(f"p{i+1}" for i in range(n))
                + tuple(f"q{i+1}" for i in range(n)))
@@ -26,22 +36,22 @@ def _pair_form(n, omega_comps, phi_comps=None):
     phi = None
     if phi_comps is not None:
         phi = Form.from_components(bch, 3, phi_comps)
-    return GroupoidForm(omega, phi), omega_M
+    return {"groupoid": fiberwise_pair_groupoid(n, n, 0, point, point),
+            "form": GroupoidForm(omega, phi), "theta": omega_M}
+
+
+def _signed(lo, hi):
+    """A coordinate of magnitude uniform in [lo, hi), then a fair sign."""
+    return concat(uniform(lo, hi, 1),
+                  Sampler(1, lambda U: np.where(U < 0.5, 1.0, -1.0)),
+                  build=np.multiply)
 
 
 def pair_groupoid_r2():
     """The pair groupoid of the symplectic plane."""
-
-    def sample_point(rng):
-        return list(rng.uniform(-1.0, 1.0, 2))
-
-    G = fiberwise_pair_groupoid(2, 2, 0, sample_point, sample_point)
-    F, omega_M = _pair_form(2, {(0, 1): "1.0"})
-    return {"groupoid": G, "form": F, "theta": omega_M,
-            "expected_flags": {"is_dirac_type": True, "is_robust": True,
-                               "is_presymplectic": True,
-                               "is_over_symplectic": True,
-                               "is_nondegenerate": True,
+    fx = pair_fixture(2, uniform(-1.0, 1.0, 2), {(0, 1): "1.0"})
+    return {**fx,
+            "expected_flags": {**_PRESYMPLECTIC, "is_over_symplectic": True,
                                "is_symplectic": True}}
 
 
@@ -49,19 +59,10 @@ def twisted_pair_r3():
     """Pair groupoid of R^3 with the form built from z dx^dy; the matching
     background 3-form is -dx^dy^dz.  Points keep |z| away from 0 so the
     kernel rank is stable."""
-
-    def sample_point(rng):
-        p = list(rng.uniform(-1.0, 1.0, 2))
-        z = rng.uniform(0.3, 1.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        return p + [z]
-
-    G = fiberwise_pair_groupoid(3, 3, 0, sample_point, sample_point)
-    F, omega_M = _pair_form(3, {(0, 1): "x3"}, {(0, 1, 2): "-1.0"})
-    return {"groupoid": G, "form": F, "theta": omega_M,
-            "expected_flags": {"is_dirac_type": True, "is_robust": True,
-                               "is_presymplectic": True,
-                               "is_over_symplectic": False,
-                               "is_nondegenerate": True,
+    point = concat(uniform(-1.0, 1.0, 2), _signed(0.3, 1.0))
+    fx = pair_fixture(3, point, {(0, 1): "x3"}, {(0, 1, 2): "-1.0"})
+    return {**fx,
+            "expected_flags": {**_PRESYMPLECTIC, "is_over_symplectic": False,
                                "is_symplectic": False}}
 
 
@@ -87,25 +88,23 @@ def flow_groupoid():
 
     state = {"rng": None, "count": 0}
 
-    def circle_point(rng):
+    def schedule(rng, m):
         # the forcing schedule restarts for each new generator, so that a
-        # check's samples do not depend on the checks that ran before it
+        # check's samples do not depend on the checks that ran before it;
+        # the angles 0 and pi are 2 pi u at u = 0 and 0.5
         if rng is not state["rng"]:
             state["rng"], state["count"] = rng, 0
-        forced = [0.0, math.pi]
-        i = state["count"]
-        state["count"] += 1
-        if i % 4 < 2:
-            ang = forced[i % 4]
-        else:
-            ang = rng.uniform(0.0, 2 * math.pi)
-        return [math.cos(ang), math.sin(ang)]
+        i = (state["count"] + np.arange(m)) % 4
+        state["count"] += m
+        return np.where(i < 2, 0.5 * i, np.nan)
 
-    def sample_tau(rng):
-        return [rng.uniform(0.3, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)]
+    def circle(U):
+        ang = 2 * np.pi * U   # numpy's uniform(0, 2 pi), to the bit
+        return np.hstack([np.cos(ang), np.sin(ang)])
 
-    G = action_groupoid(lg.torus(1), 2, rotate, sample_tau, circle_point,
-                        sample_tau)
+    tau = _signed(0.3, 2.0)
+    G = action_groupoid(lg.torus(1), 2, rotate, tau,
+                        Sampler(1, circle, (0,), schedule), tau)
     theta = Form.from_components(bch, 2, {(0, 1): "x2"})
     tmap = ChartMap(ch, bch, G.t)
     smap = ChartMap(ch, bch, G.s)
@@ -119,32 +118,17 @@ def flow_groupoid():
 def foliated_r3():
     G, F = foliation_groupoid(3, 2)
     return {"groupoid": G, "form": F, "theta": None,
-            "expected_flags": {"is_dirac_type": True, "is_robust": True,
-                               "is_presymplectic": True,
-                               "is_nondegenerate": True,
-                               "is_symplectic": False}}
+            "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": False}}
 
 
-def amm(group_name):
+def chart_group(kind, builder, group_name):
+    """The groupoid that builder makes of a chart group: the conjugation
+    groupoid for kind "amm", T*H for kind "coadjoint"."""
     Gp = lg.GROUPS[group_name]()
-    G, F = lg.amm_groupoid(Gp)
+    G, F = builder(Gp)
     return {"groupoid": G, "form": F, "theta": None, "group": Gp,
-            "kind": "amm",
-            "expected_flags": {"is_dirac_type": True, "is_robust": True,
-                               "is_presymplectic": True,
-                               "is_nondegenerate": True,
-                               "is_symplectic": True}}
-
-
-def coadjoint(group_name):
-    Gp = lg.GROUPS[group_name]()
-    G, F = lg.coadjoint_groupoid(Gp)
-    return {"groupoid": G, "form": F, "theta": None, "group": Gp,
-            "kind": "coadjoint",
-            "expected_flags": {"is_dirac_type": True, "is_robust": True,
-                               "is_presymplectic": True,
-                               "is_nondegenerate": True,
-                               "is_symplectic": True}}
+            "kind": kind,
+            "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": True}}
 
 
 FIXTURES = {
@@ -152,9 +136,10 @@ FIXTURES = {
     "twisted-pair-r3": twisted_pair_r3,
     "nondirac-flow": flow_groupoid,
     "foliated-r3": foliated_r3,
-    "amm-so3": lambda: amm("so3"),
-    "amm-torus2": lambda: amm("torus2"),
-    "coadjoint-so3": lambda: coadjoint("so3"),
+    "amm-so3": lambda: chart_group("amm", lg.amm_groupoid, "so3"),
+    "amm-torus2": lambda: chart_group("amm", lg.amm_groupoid, "torus2"),
+    "coadjoint-so3": lambda: chart_group("coadjoint", lg.coadjoint_groupoid,
+                                         "so3"),
 }
 
 

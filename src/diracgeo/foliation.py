@@ -14,7 +14,8 @@ import numpy as np
 from . import linear
 from .courant import courant_bracket, graph_of_form
 from .geometry import Chart, Form, alternate, component_jacobian, ext_d
-from .groupoid import GroupoidForm, fiberwise_pair_groupoid, max_abs
+from .groupoid import (GroupoidForm, fiberwise_pair_groupoid, max_abs,
+                       uniform)
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,6 @@ def twisted_shift_residual(fol, extension, phi, samples):
 
 # -- groupoid fixtures ------------------------------------------------------
 
-def _uniform(size):
-    return lambda rng: list(rng.uniform(-1.0, 1.0, size))
-
-
 def _groupoid_chart(k, m, r):
     return Chart(tuple(f"y{i+1}" for i in range(k))
                  + tuple(f"x{i+1}" for i in range(k))
@@ -136,7 +133,8 @@ def foliation_groupoid(n, k):
     just adds.  The attached form is sum_m dv_m ^ dq_m.
     """
     m = n - k
-    G = fiberwise_pair_groupoid(n, k, m, _uniform(k), _uniform(n))
+    G = fiberwise_pair_groupoid(n, k, m, uniform(-1.0, 1.0, k),
+                                uniform(-1.0, 1.0, n))
     Om = np.zeros((2 * n, 2 * n))
     for i in range(m):
         q, v = 2 * k + i, 2 * k + m + i

@@ -3,8 +3,8 @@ numerical checks for multiplicative 2-forms: multiplicativity, relative
 closedness, unit/inversion identities, kernel dimension identities,
 classification (Dirac type / robust / presymplectic / over-symplectic /
 nondegenerate), rho*-extraction at units, induced Dirac structures, and
-gauge transformations.  Each check draws all its samples first and then
-evaluates them as one (B, n) stack of points."""
+gauge transformations.  Each check draws all its samples as one block of
+uniform doubles (`Sampler`) and evaluates them as one (B, n) stack."""
 
 from dataclasses import dataclass
 
@@ -37,16 +37,64 @@ def max_abs(w, samples):
     return worst_of(0.0, np.abs(w.at(np.asarray(samples, dtype=float))))
 
 
-def draw(sampler, rng, n):
-    """The (n, dim) stack of n points drawn one after another."""
-    return np.array([sampler(rng) for _ in range(n)], dtype=float)
-
-
 def apply(f, P):
     """The (B, m) stack of the values of the structure map f at a (B, n)
     stack of points (the (m,) values at one point), evaluated once."""
     return np.stack([np.broadcast_to(c, P.shape[:-1])
                      for c in f(coordinates(P))], axis=-1)
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """build maps an (n, width) block of uniform doubles in [0, 1) to the
+    (n, dim) stack of n points, row i to point i.  schedule(rng, m) gives
+    the next m entries of the forced columns drawn from rng, in row-major
+    order: the value of an entry that is not drawn, NaN for one that is."""
+
+    width: int
+    build: object
+    forced: tuple = ()
+    schedule: object = None
+
+    def draw(self, rng, n):
+        """The (n, dim) stack, its block filled row by row, the order of n
+        draws of one point each."""
+        B = np.full((n, self.width), np.nan)
+        if self.schedule is not None:
+            B[:, list(self.forced)] = self.schedule(
+                rng, n * len(self.forced)).reshape(n, -1)
+        free = np.isnan(B)
+        B[free] = rng.random(int(free.sum()))
+        return self.build(B)
+
+
+def uniform(lo, hi, d, scale=1.0):
+    """d coordinates uniform in [lo, hi), times scale: numpy's uniform,
+    lo + (hi - lo) * u, to the bit."""
+    lo, hi = float(lo), float(hi)
+
+    def build(U):
+        if not np.isfinite(hi - lo):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return (lo + (hi - lo) * U) * scale
+
+    return Sampler(d, build)
+
+
+def concat(*parts, build=None):
+    """The sampler whose row lays the rows of parts side by side; build
+    maps the parts' stacks to the points (default: side by side too).  The
+    parts follow at most one schedule."""
+    cuts = np.cumsum([0] + [p.width for p in parts]).tolist()
+
+    def run(B):
+        stacks = [p.build(B[:, a:b])
+                  for p, a, b in zip(parts, cuts, cuts[1:])]
+        return np.hstack(stacks) if build is None else build(*stacks)
+
+    return Sampler(cuts[-1], run,
+                   tuple(a + c for p, a in zip(parts, cuts) for c in p.forced),
+                   next((p.schedule for p in parts if p.schedule), None))
 
 
 @dataclass
@@ -55,8 +103,10 @@ class ChartGroupoid:
 
     All structure maps are evaluators over generic scalars so that jets can
     differentiate through them.  Composable pairs/triples come from the
-    fixture's own samplers (never from root-finding).  Build one with
-    `action_groupoid` or `fiberwise_pair_groupoid`.
+    fixture's own samplers (never from root-finding): a pair is the stack
+    row (g, h) with s(g) = t(h), a triple (g, h, k) with s(g) = t(h) and
+    s(h) = t(k).  Build one with `action_groupoid` or
+    `fiberwise_pair_groupoid`.
     """
 
     total_dim: int
@@ -66,20 +116,18 @@ class ChartGroupoid:
     unit: object
     inv: object
     mul: object
-    sample_unit: object    # rng -> base point
-    sample_arrow: object   # rng -> arrow
-    sample_pair: object    # rng -> (g, h) with s(g) = t(h)
-    sample_triple: object  # rng -> (g, h, k) with s(g) = t(h), s(h) = t(k)
+    units: Sampler     # base points
+    arrows: Sampler
+    pairs: Sampler
+    triples: Sampler
 
     def structure_residuals(self, rng, n=8):
         """Sanity residuals of the groupoid axioms at sampled points: a
         unit, a composable pair and a composable triple per sample, drawn
         in that order."""
-        drawn = [(self.sample_unit(rng), self.sample_pair(rng),
-                  self.sample_triple(rng)) for _ in range(n)]
-        x = coordinates(np.array([u for u, _, _ in drawn], dtype=float))
-        g, h, a, b, c = (coordinates(np.array(P, dtype=float)) for P in
-                         zip(*(pair + triple for _, pair, triple in drawn)))
+        S = concat(self.units, self.pairs, self.triples).draw(rng, n)
+        x, g, h, a, b, c = (coordinates(P) for P in np.split(
+            S, self.base_dim + self.total_dim * np.arange(5), axis=1))
         ex = self.unit(x)
         gh = self.mul(g, h)
         return {"unit": worst_of(0.0, _dist(self.s(ex), x),
@@ -94,16 +142,15 @@ class ChartGroupoid:
                     _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))}
 
 
-def action_groupoid(Gp, base_dim, act, sample_group, sample_base,
-                    sample_group_near):
+def action_groupoid(Gp, base_dim, act, group, base, group_near):
     """The action groupoid H x M of a left action act(u, x) of the chart
     group Gp on a base chart of dimension base_dim.  An arrow (u, x) goes
     from x to act(u, x), and (u, act(v, x)).(v, x) = (uv, x).
 
-    sample_group(rng) and sample_base(rng) draw the two parts of an arrow;
-    the group parts that extend an arrow to a pair come from sample_group,
-    those that extend it to a triple from sample_group_near, which may stay
-    closer to the identity so that the products remain inside the chart.
+    The samplers group and base draw the two parts of an arrow; the group
+    parts that extend an arrow to a pair come from group, those that
+    extend it to a triple from group_near, which may stay closer to the
+    identity so that the products remain inside the chart.
     """
     d = Gp.dim
 
@@ -122,31 +169,26 @@ def action_groupoid(Gp, base_dim, act, sample_group, sample_base,
     def mul(g, h):
         return Gp.mul(g[:d], h[:d]) + list(h[d:])
 
-    def sample_arrow(rng):
-        return sample_group(rng) + sample_base(rng)
+    def extend(P, u):
+        # the arrows (u, t(g)) for the first arrows g of P, put before P
+        return np.hstack([u, apply(t, P[:, :d + base_dim]), P])
 
-    def sample_pair(rng):
-        g2 = sample_arrow(rng)
-        return sample_group(rng) + t(g2), g2
-
-    def sample_triple(rng):
-        g3 = sample_arrow(rng)
-        g2 = sample_group_near(rng) + t(g3)
-        return sample_group_near(rng) + t(g2), g2, g3
-
-    return ChartGroupoid(d + base_dim, base_dim, s, t, unit, inv, mul,
-                         sample_base, sample_arrow, sample_pair,
-                         sample_triple)
+    arrows = concat(group, base)
+    return ChartGroupoid(
+        d + base_dim, base_dim, s, t, unit, inv, mul, base, arrows,
+        concat(arrows, group, build=extend),
+        concat(concat(arrows, group_near, build=extend), group_near,
+               build=extend))
 
 
-def fiberwise_pair_groupoid(n, k, r, sample_leaf, sample_point):
+def fiberwise_pair_groupoid(n, k, r, leaf, point):
     """The fiberwise pair groupoid of the foliation of R^n by the first k
     coordinates, with an additive slot of r conormal coordinates.
 
     Arrows are (y, x, q, v) with y, x leafwise, q transverse and v in the
     slot; (y,z,q,v).(z,x,q,w) = (y,x,q,v+w).  k = n, r = 0 is the pair
-    groupoid of R^n.  sample_point(rng) draws a base point (x, q) and
-    sample_leaf(rng) a leafwise part y; slot entries are uniform in [-1, 1].
+    groupoid of R^n.  The sampler point draws a base point (x, q) and leaf
+    a leafwise part y; slot entries are uniform in [-1, 1].
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -169,29 +211,17 @@ def fiberwise_pair_groupoid(n, k, r, sample_leaf, sample_point):
         return list(g[:k]) + list(h[k:j]) \
             + [a + b for a, b in zip(g[j:], h[j:])]
 
-    def sample_arrow(rng):
-        return sample_leaf(rng) + sample_point(rng) \
-            + list(rng.uniform(-1.0, 1.0, r))
+    def extend(y, P, v):
+        # the arrows (y, t(g), v) for the first arrows g of P, put before P
+        return np.hstack([y, apply(t, P[:, :j + r]), v, P])
 
-    def left_of(g, y, rng):
-        """An arrow from t(g) to the leafwise part y, composable with g."""
-        return y + t(g) + list(rng.uniform(-1.0, 1.0, r))
-
-    # y is drawn before the arrow it extends, so that the pair groupoid
+    # y is drawn before the arrows it extends, so that the pair groupoid
     # samples its pairs as (x, y), (y, z) from points drawn in that order
-    def sample_pair(rng):
-        y = sample_leaf(rng)
-        g2 = sample_arrow(rng)
-        return left_of(g2, y, rng), g2
-
-    def sample_triple(rng):
-        y = sample_leaf(rng)
-        g2, g3 = sample_pair(rng)
-        return left_of(g2, y, rng), g2, g3
-
-    return ChartGroupoid(j + r, n, s, t, unit, inv, mul,
-                         sample_point, sample_arrow, sample_pair,
-                         sample_triple)
+    slot = uniform(-1.0, 1.0, r)
+    arrows = concat(leaf, point, slot)
+    pairs = concat(leaf, arrows, slot, build=extend)
+    return ChartGroupoid(j + r, n, s, t, unit, inv, mul, point, arrows,
+                         pairs, concat(leaf, pairs, slot, build=extend))
 
 
 def _dist(a, b):
@@ -274,11 +304,11 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     def mul(z):
         return G.mul(z[:N], z[N:])
 
-    pairs = [G.sample_pair(rng) for _ in range(n_pairs)]
-    g, h = (np.array(P, dtype=float) for P in zip(*pairs))
-    gh = apply(mul, np.hstack([g, h]))
+    Z = G.pairs.draw(rng, n_pairs)
+    g, h = Z[:, :N], Z[:, N:]
+    gh = apply(mul, Z)
     B = composable_tangents(G, g, h)
-    Dm = _jac(mul, np.hstack([g, h]))
+    Dm = _jac(mul, Z)
     DmB, B1, B2 = Dm @ B, B[..., :N, :], B[..., N:, :]
     D = mT(DmB) @ F.omega.at(gh) @ DmB - mT(B1) @ F.omega.at(g) @ B1 \
         - mT(B2) @ F.omega.at(h) @ B2
@@ -293,16 +323,15 @@ def check_rel_closed(G, F, rng, n_points=8):
         ch, bch = F.omega.chart, F.phi.chart
         total = total - pullback(ChartMap(ch, bch, G.s), F.phi) \
             + pullback(ChartMap(ch, bch, G.t), F.phi)
-    return worst_of(0.0, np.abs(total.at(draw(G.sample_arrow, rng,
-                                               n_points))))
+    return worst_of(0.0, np.abs(total.at(G.arrows.draw(rng, n_points))))
 
 
 def check_unit_identities(G, F, rng, n=8):
     """(max |eps* omega| at units, max |i* omega + omega| at arrows)."""
-    x = draw(G.sample_unit, rng, n)
+    x = G.units.draw(rng, n)
     Deps = _jac(G.unit, x)
     r_eps = _upper_max(mT(Deps) @ F.omega.at(apply(G.unit, x)) @ Deps)
-    g = draw(G.sample_arrow, rng, n)
+    g = G.arrows.draw(rng, n)
     Dinv = _jac(G.inv, g)
     r_inv = _upper_max(mT(Dinv) @ F.omega.at(apply(G.inv, g)) @ Dinv
                        + F.omega.at(g))
@@ -312,7 +341,7 @@ def check_unit_identities(G, F, rng, n=8):
 def check_kernel_orthogonality(G, F, rng, n=8):
     """Ker(ds) + Ker(omega) is omega-orthogonal to Ker(dt) at arrows.  A
     non-finite omega gives a NaN residual."""
-    g = draw(G.sample_arrow, rng, n)
+    g = G.arrows.draw(rng, n)
     Om = F.omega.at(g)
     finite = np.all(np.isfinite(Om), axis=(-2, -1))
     Om = np.where(finite[:, None, None], Om, 0.0)
@@ -329,7 +358,7 @@ def check_orbit_form(G, F, theta, rng, n=8):
     bch = theta.chart
     diff = F.omega - (pullback(ChartMap(ch, bch, G.t), theta)
                       - pullback(ChartMap(ch, bch, G.s), theta))
-    return _upper_max(diff.at(draw(G.sample_arrow, rng, n)))
+    return _upper_max(diff.at(G.arrows.draw(rng, n)))
 
 
 # -- units: splitting, rho*, induced Dirac --------------------------------
@@ -389,7 +418,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
     The kernel identities report the sine of the largest principal angle
     between the two sides."""
     N, n = G.total_dim, G.base_dim
-    x = draw(G.sample_unit, rng, n_units)
+    x = G.units.draw(rng, n_units)
     ex = apply(G.unit, x)
     Om = F.omega.at(ex)
     Kw, dim_ker, gap_units = kernel_of_form(Om, "unit", x)
@@ -422,7 +451,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
 
     # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
     # dimensions at the units over s(g) and t(g)
-    g = draw(G.sample_arrow, rng, n_arrows)
+    g = G.arrows.draw(rng, n_arrows)
     _, dim_arrow, gap_arrows = kernel_of_form(F.omega.at(g), "arrow", g)
     sx, tx = apply(G.s, g), apply(G.t, g)
     want = 0.5 * sum(kernel_of_form(F.omega.at(apply(G.unit, y)), "unit",

@@ -19,7 +19,7 @@ from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
 from .geometry import Chart, Form, block, coordinates, dot, ext_d, pull
-from .groupoid import GroupoidForm, action_groupoid
+from .groupoid import GroupoidForm, action_groupoid, uniform
 from .linear import mT
 
 
@@ -353,12 +353,9 @@ def amm_omega(Gp):
 def amm_groupoid(Gp):
     """The conjugation groupoid H x H with the AMM form and Cartan 3-form."""
     d = Gp.dim
-
-    def sample(rng):
-        return list(rng.uniform(-0.7, 0.7, d) * 0.5)
-
-    G = action_groupoid(Gp, d, conjugation_action(Gp), sample, sample,
-                        lambda rng: list(rng.uniform(-0.7, 0.7, d) * 0.4))
+    point = uniform(-0.7, 0.7, d, 0.5)
+    G = action_groupoid(Gp, d, conjugation_action(Gp), point, point,
+                        uniform(-0.7, 0.7, d, 0.4))
     return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
 
 
@@ -427,11 +424,8 @@ def coadjoint_groupoid(Gp):
     """T*H presented as the action groupoid H x h* with the canonical form."""
     d = Gp.dim
     act = coadjoint_action(Gp)
-    G = action_groupoid(
-        Gp, d, act,
-        lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.5),
-        lambda rng: list(rng.uniform(-1.0, 1.0, d)),
-        lambda rng: list(rng.uniform(-0.8, 0.8, d) * 0.4))
+    G = action_groupoid(Gp, d, act, uniform(-0.8, 0.8, d, 0.5),
+                        uniform(-1.0, 1.0, d), uniform(-0.8, 0.8, d, 0.4))
     D = action_algebroid(Gp, Chart(tuple(f"x{i+1}" for i in range(d))), act,
                          lambda x: np.eye(d))
     return G, GroupoidForm(general_action_form(Gp, D), None)

@@ -152,8 +152,7 @@ def test_acceptance_4_unit_extraction():
     d = Gp.dim
     worst_star = 0.0
     worst_ind = 0.0
-    for _ in range(32):
-        x = [float(c) for c in G.sample_unit(rng)]
+    for x in G.units.draw(rng, 32).tolist():
         sp = gr.extract_rho_star(G, F, x)
         Gm = lg.chart_metric(Gp, x)
         for j in range(sp.A.shape[1]):

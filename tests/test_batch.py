@@ -45,10 +45,9 @@ def test_stack_matches_the_per_point_loop(name, size):
     fx = fixtures.load(name)
     G, F = fx["groupoid"], fx["form"]
     rng = np.random.default_rng(42)
-    P = GR.draw(G.sample_arrow, rng, size)
+    P = G.arrows.draw(rng, size)
     X = GR.apply(G.s, P)
-    pairs = [G.sample_pair(rng) for _ in range(size)]
-    Z = np.array([list(g) + list(h) for g, h in pairs], dtype=float)
+    Z = G.pairs.draw(rng, size)
     N = G.total_dim
 
     def mul(z):
@@ -68,13 +67,136 @@ def test_unit_splitting_stack_matches_the_per_point_loop(name):
     # induced-dirac, against the splitting at each unit
     fx = fixtures.load(name)
     G, F = fx["groupoid"], fx["form"]
-    X = GR.draw(G.sample_unit, np.random.default_rng(42), 8)
+    X = G.units.draw(np.random.default_rng(42), 8)
     sp = GR.extract_rho_star(G, F, X)
     for field in dataclasses.fields(sp):
         _agree(name, getattr(sp, field.name), [
             getattr(GR.extract_rho_star(G, F, x), field.name) for x in X])
     _agree(name, GR.induced_span(G, F, X)[0],
            [GR.induced_span(G, F, x)[0] for x in X])
+
+
+# -- the draw order: each stack against the per-point draws ---------------
+
+def _signed(rng, lo, hi):
+    return rng.uniform(lo, hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
+
+
+def _flow_circle():
+    """The flow's base point, one per call: the i-th call on a generator
+    is forced to the angle 0 or pi where i % 4 < 2 and draws nothing."""
+    state = {"rng": None, "count": 0}
+
+    def circle(rng):
+        if rng is not state["rng"]:
+            state["rng"], state["count"] = rng, 0
+        i = state["count"]
+        state["count"] += 1
+        ang = [0.0, np.pi][i % 4] if i % 4 < 2 \
+            else rng.uniform(0.0, 2 * np.pi)
+        return [np.cos(ang), np.sin(ang)]
+
+    return circle
+
+
+def _u(lo, hi, d, scale=1.0):
+    return lambda rng: list(rng.uniform(lo, hi, d) * scale)
+
+
+def _action(G, group, base, near):
+    def t(g):
+        return [float(jets.value_of(c)) for c in G.t(g)]
+
+    def arrow(rng):
+        return group(rng) + base(rng)
+
+    def pair(rng):
+        g2 = arrow(rng)
+        return group(rng) + t(g2) + g2
+
+    def triple(rng):
+        g3 = arrow(rng)
+        g2 = near(rng) + t(g3)
+        return near(rng) + t(g2) + g2 + g3
+
+    return base, arrow, pair, triple
+
+
+def _fiberwise(G, r, leaf, point):
+    N = G.total_dim
+
+    def arrow(rng):
+        return leaf(rng) + point(rng) + list(rng.uniform(-1.0, 1.0, r))
+
+    def left_of(g, y, rng):
+        return y + list(G.t(g)) + list(rng.uniform(-1.0, 1.0, r))
+
+    def pair(rng):
+        y = leaf(rng)
+        g2 = arrow(rng)
+        return left_of(g2, y, rng) + g2
+
+    def triple(rng):
+        y = leaf(rng)
+        g23 = pair(rng)
+        return left_of(g23[:N], y, rng) + g23
+
+    return point, arrow, pair, triple
+
+
+def _per_point(name, G):
+    """The unit, arrow, pair and triple samplers of a fixture as they drew
+    one point per call, with their rng.uniform calls in that order."""
+    if name == "nondirac-flow":
+        def tau(rng):
+            return [_signed(rng, 0.3, 2.0)]
+        return _action(G, tau, _flow_circle(), tau)
+    if name == "coadjoint-so3":
+        return _action(G, _u(-0.8, 0.8, 3, 0.5), _u(-1.0, 1.0, 3),
+                       _u(-0.8, 0.8, 3, 0.4))
+    if name.startswith("amm-"):
+        d = G.base_dim
+        return _action(G, _u(-0.7, 0.7, d, 0.5), _u(-0.7, 0.7, d, 0.5),
+                       _u(-0.7, 0.7, d, 0.4))
+    if name == "foliated-r3":
+        return _fiberwise(G, 1, _u(-1.0, 1.0, 2), _u(-1.0, 1.0, 3))
+    if name == "twisted-pair-r3":
+        def point(rng):
+            return list(rng.uniform(-1.0, 1.0, 2)) + [_signed(rng, 0.3, 1.0)]
+        return _fiberwise(G, 0, point, point)
+    return _fiberwise(G, 0, _u(-1.0, 1.0, 2), _u(-1.0, 1.0, 2))
+
+
+SAMPLERS = ("units", "arrows", "pairs", "triples")
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacks_draw_in_the_per_point_order(name, n):
+    G = fixtures.load(name)["groupoid"]
+    for field, one in zip(SAMPLERS, _per_point(name, G)):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        _agree(name, getattr(G, field).draw(rng, n),
+               [one(ref) for _ in range(n)])
+        # and the generator is left where the per-point draws leave it
+        assert rng.random() == ref.random()
+    assert set(SAMPLERS) == {f.name for f in dataclasses.fields(G)
+                             if isinstance(getattr(G, f.name), GR.Sampler)}
+
+
+def test_flow_schedule_carries_across_draws_on_one_generator():
+    # 3 units leave the schedule at an offset that is not a multiple of 4,
+    # where the arrows go on; a fresh generator starts it again
+    G = fixtures.load("nondirac-flow")["groupoid"]
+    unit, arrow, pair, triple = _per_point("nondirac-flow", G)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for sampler, one, n in ((G.units, unit, 3), (G.arrows, arrow, 6)):
+        _agree("nondirac-flow", sampler.draw(rng, n),
+               [one(ref) for _ in range(n)])
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    _agree("nondirac-flow", G.triples.draw(rng, 5),
+           [triple(ref) for _ in range(5)])
+    assert rng.random() == ref.random()
 
 
 def _so3_anchor(sigma):
@@ -234,6 +356,6 @@ def test_inline_domain_error_names_the_sample(omega, reason, tmp_path,
     # two coordinates of an arrow first
     fx = cli.load_fixture(scn["fixture"])[1]
     rng = np.random.default_rng([42] + list(b"rel-closed"))
-    arrows = GR.draw(fx["groupoid"].sample_arrow, rng, 8)
+    arrows = fx["groupoid"].arrows.draw(rng, 8)
     bad = arrows[:, 0] < 0 if omega == "sqrt(x1)" else np.ones(8, bool)
     assert int(found.group(1)) == int(np.argmax(bad))

@@ -83,8 +83,7 @@ def test_seed_changes_sampled_residuals(capsys, monkeypatch):
     real = GR.check_multiplicative
 
     def spy(G, F, rng, *args):
-        g, h = G.sample_pair(copy.deepcopy(rng))
-        sampled.append(list(g) + list(h))
+        sampled.append(G.pairs.draw(copy.deepcopy(rng), 1)[0].tolist())
         return real(G, F, rng, *args)
 
     monkeypatch.setattr(GR, "check_multiplicative", spy)
@@ -224,16 +223,40 @@ def test_out_file_written(tmp_path, capsys):
     assert payload["reports"][0]["ok"] is True
 
 
-def test_unwritable_out_exits_two(tmp_path, capsys):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch):
     # a missing directory and a path that is a directory: one error line
-    # and the exit code of a usage error, not a traceback
+    # and the exit code of a usage error, not a traceback, before any
+    # check runs
+    calls = []
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, lambda *a, check=check:
+                            calls.append(1) or check(*a))
     for out in (tmp_path / "missing" / "report.json", tmp_path):
-        code = cli.main(["run", os.path.join(SCN, "foliation-x3.json"),
+        code = cli.main(["run", os.path.join(SCN, "pair-groupoid-r2.json"),
                          "--samples", "2", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: cannot write {out}: ")
         assert len(err.splitlines()) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("args", [
+    [os.path.join(SCN, "foliation-x3.json"), "--samples", "10000000000000"],
+    [os.path.join(SCN, "pair-groupoid-r2.json"),
+     "--samples", "10000000000000"],
+    [os.path.join(SCN, "pathspace-pair.json"), "--grid", "2,10000000000000"]])
+def test_refused_allocation_fails_its_checks(args, capsys):
+    # stacks of 1e13 samples are far past any memory, so the allocator
+    # refuses them outright; each check reports that, with no traceback
+    code = cli.main(["run", *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    checks = json.loads(captured.out)["reports"][0]["checks"]
+    assert checks and all(e["pass"] is False
+                          and e["error"].startswith("out of memory: ")
+                          for e in checks.values())
 
 
 def test_grid_flag_overrides_policy(capsys):
@@ -415,12 +438,15 @@ RANK = ({"n": 4, "omega": {"0,1": "5e-9", "2,3": "5e-10"}},
 EXP = ({"n": 2, "omega": {"0,1": "exp(800*x1)"}}, ["multiplicative"])
 POW = ({"n": 2, "omega": {"0,1": "x1^200"}, "box": 1000.0},
        ["multiplicative"])
+# 2 * box overflows, and numpy's uniform refuses such a range at each draw
+BOX = ({"n": 2, "omega": {"0,1": "1.0"}, "box": 1e308}, ["structure"])
 
 
 @pytest.mark.parametrize("inline, suite, key, reason", [
     (*RANK, "indeterminate", "straddle the threshold"),
     (*EXP, "error", "overflow"),
-    (*POW, "error", "overflow")])
+    (*POW, "error", "overflow"),
+    (*BOX, "error", "range exceeds valid bounds")])
 def test_overflow_and_ambiguous_rank_fail_without_traceback(
         inline, suite, key, reason, capsys):
     code, text = _run_inline(inline, suite)

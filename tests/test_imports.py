@@ -39,6 +39,9 @@ TEST_ONLY = {
     "MatrixGroup.right_translate": "one-vector form of right_matrix, "
                                    "against which the tests check the "
                                    "chart translations",
+    "MatrixGroup.bracket": "the bracket from the structure constants, "
+                           "against which the tests check that Ad is an "
+                           "algebra morphism and the metric ad-invariant",
     **{f"{group}.embed": "the matrix representation of a chart group, "
                          "against which the tests check mul"
        for group in ("MatrixGroup", "_SU2", "_Torus")},
@@ -108,10 +111,12 @@ def referenced_names(dirs):
     Form.from_components does not reach VectorField.from_components.  An
     assigned name is not a reference.
 
-    The class of any other value is not known, so an attribute of it
-    reaches every method of that name (but no module function: fol.chart
-    does not reach geometry.chart).  That is the blind spot that remains:
-    perfbench's own MatrixModel.bracket hides MatrixGroup.bracket."""
+    The class of any other value is not known.  An attribute of it
+    reaches the methods of that name that its own file defines, so
+    perfbench's M.bracket reaches its own MatrixModel.bracket and not
+    MatrixGroup.bracket; where its file defines none, it reaches every
+    method of that name (but no module function: fol.chart does not reach
+    geometry.chart)."""
     classes = {node.name for p in glob.glob(os.path.join(SRC, "*.py"))
                for node in _parse(p).body if isinstance(node, ast.ClassDef)}
     names = set()
@@ -121,6 +126,12 @@ def referenced_names(dirs):
             tree = _parse(path)
             own = os.path.basename(path)[:-3] \
                 if os.path.dirname(path) == SRC else None
+            defined = {}   # the classes of this file that define a method
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    for m in node.body:
+                        if isinstance(m, ast.FunctionDef):
+                            defined.setdefault(m.name, []).append(node.name)
             modules = {}   # the module each imported module name binds
             for node in ast.walk(tree):
                 if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -141,7 +152,8 @@ def referenced_names(dirs):
                     key = modules.get(owner.id, owner.id) \
                         if isinstance(owner, ast.Name) \
                         else getattr(owner, "attr", None)
-                    owners = [key] if key in MODULES | classes else classes
+                    owners = [key] if key in MODULES | classes \
+                        else defined.get(node.attr, classes)
                     names.update(f"{c}.{node.attr}" for c in owners)
     return names
 
