@@ -412,42 +412,47 @@ def induced_dirac(G, F, x):
 
 # -- classification --------------------------------------------------------
 
-def classify(G, F, rng, n_units=8, n_arrows=16):
+def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
     """Dimension/classification suite at sampled units and arrows: the dict
     of its flags, kernel dimensions, residuals, worst points and rank gaps.
     The kernel identities report the sine of the largest principal angle
-    between the two sides."""
+    between the two sides.  With residuals False the dict keeps only the
+    flags, worst points and rank gaps, from the same draws."""
     N, n = G.total_dim, G.base_dim
     x = G.units.draw(rng, n_units)
     ex = apply(G.unit, x)
     Om = F.omega.at(ex)
     Kw, dim_ker, gap_units = kernel_of_form(Om, "unit", x)
-    TM, _ = padded_orth(_jac(G.unit, x))
     Ks, _ = padded_null(_jac(G.s, ex))
     Kt, _ = padded_null(_jac(G.t, ex))
     Kst, _ = padded_intersect(Ks, Kt)
-    KwTM, dim_ker_tm = padded_intersect(Kw, TM)
-    KwKs, dim_ker_ks = padded_intersect(Kw, Ks)
     _, dim_gx = padded_intersect(Kw, Kst)
-    # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
-    # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
-    orth1 = padded_span_gap(*padded_orth(block([[Ks, Kw]])),
-                            *padded_null(mT(Kt) @ Om))
-    orth2 = padded_span_gap(*padded_orth(block([[TM, Kw]])),
-                            *padded_null(mT(TM) @ Om))
-    # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
-    decomp = padded_span_gap(*padded_orth(block([[KwKs, KwTM]])), Kw,
-                             dim_ker)
-    # dimension formulas
-    want_tm = 0.5 * (dim_ker + 2 * n - N)
-    want_ks = 0.5 * (dim_ker - 2 * n + N)
-    dim_err = np.maximum(abs(dim_ker_tm - want_tm), abs(dim_ker_ks - want_ks))
-    residuals = {"kernel_dim_sum": worst_of(0.0, dim_err),
-                 "kernel_decomp": worst_of(0.0, decomp),
-                 "kernel_orth": worst_of(0.0, orth1, orth2)}
     over_symplectic = bool(np.all(padded_contained(Kw, Kst)))
-    dims = {"ker_omega_units": dim_ker, "ker_omega_cap_TM": dim_ker_tm,
-            "ker_omega_cap_ker_ds": dim_ker_ks, "g_x_omega": dim_gx}
+    rep = {}
+    if residuals:
+        TM, _ = padded_orth(_jac(G.unit, x))
+        KwTM, dim_ker_tm = padded_intersect(Kw, TM)
+        KwKs, dim_ker_ks = padded_intersect(Kw, Ks)
+        # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
+        # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
+        orth1 = padded_span_gap(*padded_orth(block([[Ks, Kw]])),
+                                *padded_null(mT(Kt) @ Om))
+        orth2 = padded_span_gap(*padded_orth(block([[TM, Kw]])),
+                                *padded_null(mT(TM) @ Om))
+        # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
+        decomp = padded_span_gap(*padded_orth(block([[KwKs, KwTM]])), Kw,
+                                 dim_ker)
+        # dimension formulas
+        want_tm = 0.5 * (dim_ker + 2 * n - N)
+        want_ks = 0.5 * (dim_ker - 2 * n + N)
+        dim_err = np.maximum(abs(dim_ker_tm - want_tm),
+                             abs(dim_ker_ks - want_ks))
+        rep["residuals"] = {"kernel_dim_sum": worst_of(0.0, dim_err),
+                            "kernel_decomp": worst_of(0.0, decomp),
+                            "kernel_orth": worst_of(0.0, orth1, orth2)}
+        rep["dims"] = {"ker_omega_units": dim_ker, "g_x_omega": dim_gx,
+                       "ker_omega_cap_TM": dim_ker_tm,
+                       "ker_omega_cap_ker_ds": dim_ker_ks}
 
     # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
     # dimensions at the units over s(g) and t(g)
@@ -475,9 +480,8 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
         "is_symplectic": nondegenerate and bool(np.all(dim_ker == 0))
                          and N == 2 * n,
     }
-    return {"flags": flags, "dims": dims, "residuals": residuals,
-            "worst_points": worst,
-            "rank_gaps": {"units": gap_units, "arrows": gap_arrows}}
+    return {"flags": flags, "worst_points": worst,
+            "rank_gaps": {"units": gap_units, "arrows": gap_arrows}, **rep}
 
 
 # -- gauge transformations -------------------------------------------------

@@ -37,11 +37,24 @@ def _keep(M, dim):
     return M * (np.arange(M.shape[-1]) < dim[..., None])[..., None, :]
 
 
+def svd(M, full_matrices=True, compute_uv=True):
+    """np.linalg.svd of a matrix or stack; a stack of byte-equal matrices
+    (-0.0 is not 0.0) is decomposed once, its factors broadcast over it."""
+    M = np.ascontiguousarray(M, dtype=float)
+    bits, head = M.view(np.uint64), (0,) * (M.ndim - 2)
+    if M.ndim == 2 or not M.size or np.any(bits != bits[head]):
+        return np.linalg.svd(M, full_matrices, compute_uv)
+    one = np.linalg.svd(M[head], full_matrices, compute_uv)
+    if not compute_uv:
+        return np.broadcast_to(one, M.shape[:-2] + one.shape)
+    return tuple(np.broadcast_to(f, M.shape[:-2] + f.shape) for f in one)
+
+
 def padded_orth(M, tol=DEFAULT_TOL):
     """Padded orthonormal bases of the column spans and their dimensions:
     the rank counts the singular values above tol times the largest (none
     for a zero matrix)."""
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = svd(M, full_matrices=False)
     r = np.sum(s > tol * s[..., :1], axis=-1)
     return _keep(U, r), r
 
@@ -60,7 +73,7 @@ def kernel_svd(M, floor=0.0):
     """The singular values s, the rank cut and the right singular vectors
     Vt of each matrix: the rank counts the singular values above the cut,
     1e-9 times the largest or times floor where that is larger."""
-    _, s, Vt = np.linalg.svd(M)
+    _, s, Vt = svd(M)
     return s, DEFAULT_TOL * np.maximum(s[..., :1], floor), Vt
 
 
@@ -103,8 +116,9 @@ def padded_span_gap(A, da, B, db):
                              axis=-1) for Q in (QA, QB))
     swap = (ra < rb)[..., None, None]
     QA, QB = np.where(swap, QB, QA), np.where(swap, QA, QB)
-    gap = np.minimum(1.0, np.linalg.norm(QB - QA @ (mT(QA) @ QB), 2,
-                                         axis=(-2, -1)))
+    # the spectral norm, the largest singular value
+    gap = np.minimum(1.0, svd(QB - QA @ (mT(QA) @ QB),
+                              compute_uv=False)[..., 0])
     return np.where(da != db, 1.0,
                     np.where(np.minimum(ra, rb) == 0, 0.0, gap))
 

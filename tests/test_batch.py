@@ -1,6 +1,6 @@
 """Batched evaluation: a stack of sample points against the per-point loop,
-the number of jet passes and SVDs a check makes, and sample-indexed
-errors."""
+the number of jet passes and SVDs a check makes, one SVD per stack of
+byte-equal matrices, and sample-indexed errors."""
 
 import dataclasses
 import json
@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from diracgeo import cli, expr, fixtures, jets
+from diracgeo import cli, expr, fixtures, jets, linear
 from diracgeo import foliation as FO
 from diracgeo import groupoid as GR
 from diracgeo import liegroup as LG
@@ -359,3 +359,112 @@ def test_inline_domain_error_names_the_sample(omega, reason, tmp_path,
     arrows = fx["groupoid"].arrows.draw(rng, 8)
     bad = arrows[:, 0] < 0 if omega == "sqrt(x1)" else np.ones(8, bool)
     assert int(found.group(1)) == int(np.argmax(bad))
+
+
+# -- one SVD per stack of byte-equal matrices -----------------------------
+
+def _svd_stacks():
+    rng = np.random.default_rng(7)
+    one = rng.standard_normal((5, 3))
+    mixed = rng.standard_normal((6, 5, 3))
+    signed = np.zeros((4, 5, 3))
+    signed[2, 1, 1] = -0.0
+    signed[:, 0, 0] = 1.0
+    return {"constant": np.broadcast_to(one, (8, 5, 3)),
+            "constant copy": np.repeat(one[None], 8, axis=0),
+            "two axes": np.broadcast_to(one, (2, 3, 5, 3)),
+            "mixed": mixed,
+            "half constant": np.concatenate([mixed, np.repeat(
+                one[None], 6, axis=0)]),
+            "one": mixed[:1],
+            "one matrix": one,
+            "wide": np.broadcast_to(one.T, (4, 3, 5)),
+            "-0.0 and 0.0": signed}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(_svd_stacks()))
+@pytest.mark.parametrize("form", [
+    {}, {"full_matrices": False}, {"compute_uv": False}])
+def test_svd_matches_each_matrix_to_the_bit(name, form):
+    M = _svd_stacks()[name]
+    got = linear.svd(M, **form)
+    per = [np.linalg.svd(m, **form)
+           for m in np.reshape(M, (-1,) + M.shape[-2:])]
+    if form.get("compute_uv", True):
+        for k, factor in enumerate(got):
+            _same_bits(factor, np.reshape([f[k] for f in per],
+                                          factor.shape))
+    else:
+        _same_bits(got, np.reshape(per, got.shape))
+        # the first singular value is the spectral norm
+        _same_bits(got[..., 0], np.linalg.norm(M, 2, axis=(-2, -1)))
+
+
+def test_svd_keeps_the_sign_of_zero_apart(monkeypatch):
+    # the matrices differ only in the sign of one zero entry, so they are
+    # decomposed as a stack; without it, one matrix is decomposed
+    M = _svd_stacks()["-0.0 and 0.0"]
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda A, *args: shapes.append(
+        np.shape(A)) or real(A, *args))
+    linear.svd(M)
+    linear.svd(np.abs(M))
+    assert shapes == [M.shape, M.shape[-2:]]
+
+
+@pytest.mark.parametrize("stack", ["constant", "mixed"])
+def test_svd_of_a_nan_matrix_raises(stack):
+    M = np.array(_svd_stacks()[stack])
+    M[-1, 0, 0] = np.nan
+    if stack == "constant":
+        M[:] = M[-1]
+    for form in ({}, {"full_matrices": False}, {"compute_uv": False}):
+        with pytest.raises(np.linalg.LinAlgError):
+            linear.svd(M, **form)
+
+
+def _groupoid_reports(tmp_path, capsys):
+    paths = []
+    for name in sorted(fixtures.FIXTURES):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"id": name, "fixture": name, "suite":
+                                 GROUPOID_CHECKS + ["induced-dirac"]}))
+        paths.append(str(p))
+    cli.main(["run", *paths, "--samples", "64", "--seed", "1"])
+    return json.loads(capsys.readouterr().out)["reports"]
+
+
+def test_groupoid_reports_match_the_plain_stacked_svd(tmp_path, capsys,
+                                                      monkeypatch):
+    # every entry of every groupoid check on every fixture, with the one
+    # SVD per constant stack and with numpy's stacked SVD throughout
+    shared = _groupoid_reports(tmp_path, capsys)
+    monkeypatch.setattr(linear, "svd", lambda M, full_matrices=True,
+                        compute_uv=True: np.linalg.svd(M, full_matrices,
+                                                       compute_uv))
+    assert _groupoid_reports(tmp_path, capsys) == shared
+    assert len(shared) == 7
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_dirac_type_matches_a_full_classify(name, monkeypatch):
+    # dirac-type skips the kernel-identity residuals; its entry is the one
+    # a full classify gives
+    fx = fixtures.load(name)
+    policy = dict(cli.DEFAULT_POLICY, samples=64)
+
+    def entry():
+        rng = np.random.default_rng([1] + list(b"dirac-type"))
+        return cli._strict_json(cli.check_dirac_type(fx, rng, policy))
+
+    lean = entry()
+    full = GR.classify
+    monkeypatch.setattr(GR, "classify", lambda *a, residuals: full(*a))
+    assert entry() == lean

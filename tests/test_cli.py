@@ -245,18 +245,62 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch):
     [os.path.join(SCN, "foliation-x3.json"), "--samples", "10000000000000"],
     [os.path.join(SCN, "pair-groupoid-r2.json"),
      "--samples", "10000000000000"],
-    [os.path.join(SCN, "pathspace-pair.json"), "--grid", "2,10000000000000"]])
+    [os.path.join(SCN, "pathspace-pair.json"), "--grid", "2,10000000000000"],
+    [os.path.join(SCN, "foliation-x3.json"),
+     "--samples", "100000000000000000000"],
+    [os.path.join(SCN, "rotation-quasi-ham.json"),
+     "--samples", "100000000000000000000"],
+    [os.path.join(SCN, "pair-groupoid-r2.json"),
+     "--samples", "100000000000000000000"],
+    [os.path.join(SCN, "pathspace-pair.json"),
+     "--grid", "2,100000000000000000000"]])
 def test_refused_allocation_fails_its_checks(args, capsys):
     # stacks of 1e13 samples are far past any memory, so the allocator
-    # refuses them outright; each check reports that, with no traceback
+    # refuses them outright, and numpy refuses a shape of 1e20, past its
+    # index range, before it allocates; each check reports that, with no
+    # traceback
+    size = int(args[-1].split(",")[-1])
+    reason = "cannot allocate: " if size > np.iinfo(np.intp).max \
+        else "out of memory: "
     code = cli.main(["run", *args])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
     checks = json.loads(captured.out)["reports"][0]["checks"]
     assert checks and all(e["pass"] is False
-                          and e["error"].startswith("out of memory: ")
+                          and e["error"].startswith(reason)
                           for e in checks.values())
+
+
+def test_unrelated_value_error_is_not_an_entry(tmp_path, monkeypatch):
+    # only numpy's refusals of a size become entries: any other ValueError
+    # is a fault of the program and keeps its traceback
+    def broken(fx, rng, policy):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(cli.CHECKS, "structure", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main(["run", os.path.join(SCN, "pair-groupoid-r2.json"),
+                  "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("key", ["box", "tol", "fd_step"])
+def test_integer_past_the_float_range_exits_two(key, tmp_path, capsys):
+    # JSON integers are unbounded: 10**400 has no float, so it is refused
+    # like the literal 1e400, with one error line
+    inline = {"n": 2, "omega": {"0,1": "1.0"}}
+    scn = {"id": "huge", "fixture": {"inline": inline},
+           "suite": ["structure"]}
+    if key == "box":
+        inline["box"] = 10 ** 400
+    else:
+        scn["policy"] = {key: 10 ** 400}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(scn))
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert len(err.splitlines()) == 1
 
 
 def test_grid_flag_overrides_policy(capsys):
