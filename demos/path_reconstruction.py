@@ -6,11 +6,12 @@ of the reconstruction 2-form against it over a refining grid.  The decay
 is second order in the grid size.
 """
 
+from diracgeo import fixtures
 from diracgeo import pathspace as ps
 
 
 def main():
-    pres = ps.tangent_presentation({(0, 1): "1.0"}, 2)
+    pres = ps.tangent_presentation(fixtures.load("pair-groupoid-r2")["theta"])
     eta = ps.GaugeParameter(["1.0 + x2", "t - x1*x1"])
 
     print(f"{'N':>5}  {'basicness':>12}  {'sigma-contraction':>18}")

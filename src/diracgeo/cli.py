@@ -186,8 +186,6 @@ def check_induced_vs_group(fx, rng, policy):
     """Conjugation fixtures: the base Dirac structure induced at sampled
     units must be the group's own two-sided-translate structure.  The
     residual is the sine of the largest principal angle between the two."""
-    if fx.get("kind") != "amm":
-        return {"pass": True, "skipped": "not a conjugation fixture"}
     G = fx["groupoid"]
     x = G.units.draw(rng, policy["samples"])
     span, _ = GR.induced_span(G, fx["form"], x)
@@ -203,8 +201,6 @@ def check_rho_star_half_flat(fx, rng, policy):
     Cartan-Dirac frame element (v_r - v_l, ((v_r + v_l)/2)-flat) of the
     algebra vector v carried by each Ker(ds) basis element (at a unit those
     live purely in the arrow slot)."""
-    if fx.get("kind") != "amm":
-        return {"pass": True, "skipped": "not a conjugation fixture"}
     d = fx["group"].dim
     x = fx["groupoid"].units.draw(rng, policy["samples"])
     sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
@@ -217,7 +213,7 @@ def check_rho_star_half_flat(fx, rng, policy):
 
 def check_quasi_ham(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(0.5)
-    samples = _annulus_samples(rng, policy["samples"])
+    samples = RZ.annulus_samples(rng, policy["samples"])
     r1, r2, r3, r_inv = RZ.quasi_ham_check(Q, samples)
     worst = GR.worst_of(r1, r2, r3, r_inv)
     return _residual_entry(worst, policy["tol"],
@@ -226,15 +222,14 @@ def check_quasi_ham(fx, rng, policy):
 
 
 def check_quasi_ham_negative(fx, rng, policy):
-    Q = RZ.rotation_quasi_ham(1.0)
-    samples = _annulus_samples(rng, policy["samples"])
-    r2 = RZ.moment_residual(Q, samples)
+    r2 = RZ.moment_residual(RZ.rotation_quasi_ham(1.0),
+                            RZ.annulus_samples(rng, policy["samples"]))
     return {"residual": r2, "threshold": 0.1, "pass": bool(r2 >= 0.1)}
 
 
 def check_equivalence_crosscheck(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(0.5)
-    samples = _annulus_samples(rng, policy["samples"])
+    samples = RZ.annulus_samples(rng, policy["samples"])
     rep = RZ.equivalence_crosscheck(Q, samples)
     worst = GR.worst_of(rep["solve_residual"], rep["generator_mismatch"])
     return _residual_entry(worst, policy["tol"], dirac_map=rep["dirac_map"],
@@ -242,61 +237,26 @@ def check_equivalence_crosscheck(fx, rng, policy):
                            kernel_iso_ok=rep["kernel_iso_ok"])
 
 
-def _annulus_samples(rng, n):
-    """The (n, 2) stack of the first n draws from [-1.2, 1.2]^2 outside the
-    disc of radius 0.3, drawn in blocks of n; |p| is sqrt(p . p), as
-    np.linalg.norm computes it."""
-    out = np.empty((0, 2))
-    while len(out) < n:
-        P = rng.uniform(-1.2, 1.2, (n, 2))
-        keep = np.sqrt((P[:, None, :] @ P[:, :, None])[:, 0, 0]) > 0.3
-        out = np.concatenate([out, P[keep]])
-    return out[:n]
-
-
-def _pathspace_scenario():
-    pres = PS.tangent_presentation({(0, 1): "1.0"}, 2)
-    eta = PS.GaugeParameter(["1.0 + x2", "t - x1*x1"])
-
-    def make(N):
-        path = PS.sampled_path(pres, ["t", "t*t*(1.0-t)"],
-                               ["1.0", "2.0*t - 3.0*t*t"], N)
-        probes = [PS.sampled_tangent(path, ["sin(t)", "t*t"],
-                                     ["cos(t)", "2.0*t"]),
-                  PS.sampled_tangent(path, ["t", "1.0 - t"],
-                                     ["1.0", "-1.0"])]
-        return path, probes
-
-    return eta, make
-
-
 def check_basicness(fx, rng, policy):
-    eta, make = _pathspace_scenario()
     grid = policy["grid"]
-    residuals = []
-    for N in grid:
-        path, probes = make(N)
-        residuals.append(PS.basicness_residual(path, eta, None, probes,
-                                               policy["fd_step"]))
+    residuals = [PS.basicness_residual(path, fx["gauge"], None, probes,
+                                       policy["fd_step"])
+                 for path, probes in map(fx["paths"], grid)]
     order = PS.fitted_order(grid, residuals)
-    mid = residuals[min(1, len(residuals) - 1)]
-    entry = _residual_entry(mid, 5e-4, grid=list(grid),
+    entry = _residual_entry(residuals[1], 5e-4, grid=list(grid),
                             convergence=residuals, order=order)
     entry["pass"] = entry["pass"] and order >= 1.8
     return entry
 
 
 def check_sigma_contraction(fx, rng, policy):
-    eta, make = _pathspace_scenario()
-    path, _ = make(max(policy["grid"]))
-    r = PS.sigma_contraction_residual(path, eta)
+    path, _ = fx["paths"](max(policy["grid"]))
+    r = PS.sigma_contraction_residual(path, fx["gauge"])
     return _residual_entry(r, 1e-10)
 
 
 def check_path_boundary_identity(fx, rng, policy):
-    N = max(policy["grid"])
-    ts = np.linspace(0.0, 1.0, N + 1)
-    gamma = ts.reshape(-1, 1)
+    gamma = PS.grid(max(policy["grid"])).reshape(-1, 1)
     X = np.ones_like(gamma)
     worst = GR.worst_of(
         PS.path_variation_identity_residual(["t"], gamma, X),
@@ -304,36 +264,26 @@ def check_path_boundary_identity(fx, rng, policy):
     return _residual_entry(worst, 1e-6)
 
 
-def _foliation_scenario():
-    fol = FO.CoordFoliation(3, 2)
-    ch = fol.chart
-    theta = Form.from_components(ch, 2, {(0, 1): "x3"})
-    ext = Form.from_components(ch, 2, {(0, 1): "x3"})
-    phi = Form.from_components(ch, 3, {(0, 1, 2): "sin(x3) + x1"})
-    return fol, theta, ext, phi
-
-
 def check_leafwise_d_squared(fx, rng, policy):
-    fol, _, _, _ = _foliation_scenario()
+    fol = fx["foliation"]
     f = Form.function(fol.chart, "x3*x1 + sin(x2)")
-    samples = rng.uniform(-1, 1, (policy["samples"], 3))
+    samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
     r = FO.max_abs(FO.d_F(fol, FO.d_F(fol, f)), samples)
     return _residual_entry(r, 1e-12)
 
 
 def check_transverse_derivative(fx, rng, policy):
-    fol, theta, ext, _ = _foliation_scenario()
-    samples = rng.uniform(-1, 1, (policy["samples"], 3))
-    dn = FO.d_nu(fol, theta, ext, samples)
-    u = FO.classifying_rep(fol, ext)
-    r = FO.max_abs(u - dn, samples)
+    fol, theta = fx["foliation"], fx["leafwise"]
+    samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
+    dn = FO.d_nu(fol, theta, theta, samples)
+    r = FO.max_abs(FO.classifying_rep(fol, theta) - dn, samples)
     return _residual_entry(r, 1e-9)
 
 
 def check_twisted_shift(fx, rng, policy):
-    fol, _, ext, phi = _foliation_scenario()
-    samples = rng.uniform(-1, 1, (policy["samples"], 3))
-    r = FO.twisted_shift_residual(fol, ext, phi, samples)
+    fol = fx["foliation"]
+    samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
+    r = FO.twisted_shift_residual(fol, fx["leafwise"], fx["twist"], samples)
     return _residual_entry(r, 1e-9)
 
 
@@ -358,6 +308,15 @@ CHECKS = {
     "transverse-derivative": check_transverse_derivative,
     "twisted-shift": check_twisted_shift,
 }
+
+# the fixture entries a check reads beyond the groupoid and form of every
+# fixture; the quasi-hamiltonian checks and path-boundary-identity read none
+READS = {"induced-dirac": ("group",), "rho-star-half-flat": ("group",),
+         "basicness": ("paths", "gauge"),
+         "sigma-contraction": ("paths", "gauge"),
+         "leafwise-d-squared": ("foliation",),
+         "transverse-derivative": ("foliation", "leafwise"),
+         "twisted-shift": ("foliation", "leafwise", "twist")}
 
 
 # -- runner -----------------------------------------------------------------
@@ -450,7 +409,12 @@ def _strict_json(value):
 
 def run_scenario(scenario, args):
     policy = merge_policy(scenario, args)
-    _, fx = load_fixture(scenario.get("fixture", "pair-groupoid-r2"))
+    fixture, fx = load_fixture(scenario.get("fixture", "pair-groupoid-r2"))
+    for name in scenario["suite"]:
+        for key in READS.get(name, ()):
+            if key not in fx:
+                raise ScenarioError(f"check {name!r} reads {key!r}, which "
+                                    f"fixture {fixture!r} does not carry")
     expect = dict(scenario.get("expect", {}))
     if args.expect_file:
         given = _read_json(args.expect_file)

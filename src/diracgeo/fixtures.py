@@ -1,13 +1,14 @@
-"""Built-in fixtures: chart groupoids with multiplicative forms (pair,
-flow, foliation, conjugation and coadjoint groupoids), by name.  The data
-of the realization, path-space and foliation suites lives in `cli`.  Every
-sampler maps a block of uniform doubles from the supplied generator to its
-points (`groupoid.Sampler`), so runs are reproducible from the seed."""
+"""Built-in fixtures by name: chart groupoids with multiplicative forms,
+and the data of the path-space, foliation and induced-Dirac checks they
+feed.  Every sampler maps a block of uniform doubles from the supplied
+generator to its points (`groupoid.Sampler`), so runs are reproducible
+from the seed."""
 
 import numpy as np
 
 from . import liegroup as lg
-from .foliation import foliation_groupoid
+from . import pathspace as ps
+from .foliation import CoordFoliation, foliation_groupoid
 from .geometry import Chart, ChartMap, Form, pullback
 from .groupoid import (GroupoidForm, Sampler, action_groupoid, concat,
                        fiberwise_pair_groupoid, uniform)
@@ -48,9 +49,21 @@ def _signed(lo, hi):
 
 
 def pair_groupoid_r2():
-    """The pair groupoid of the symplectic plane."""
+    """The pair groupoid of the symplectic plane, with the path space of
+    its algebroid TM, rho* = theta-flat: a gauge parameter, and for each
+    grid size N a path on the grid with two probe tangents."""
     fx = pair_fixture(2, uniform(-1.0, 1.0, 2), {(0, 1): "1.0"})
-    return {**fx,
+    pres = ps.tangent_presentation(fx["theta"])
+
+    def paths(N):
+        path = ps.sampled_path(pres, ["t", "t*t*(1.0-t)"],
+                               ["1.0", "2.0*t - 3.0*t*t"], N)
+        return path, [ps.sampled_tangent(path, *probe) for probe in (
+            (["sin(t)", "t*t"], ["cos(t)", "2.0*t"]),
+            (["t", "1.0 - t"], ["1.0", "-1.0"]))]
+
+    return {**fx, "gauge": ps.GaugeParameter(["1.0 + x2", "t - x1*x1"]),
+            "paths": paths,
             "expected_flags": {**_PRESYMPLECTIC, "is_over_symplectic": True,
                                "is_symplectic": True}}
 
@@ -116,18 +129,23 @@ def flow_groupoid():
 # -- registry ---------------------------------------------------------------
 
 def foliated_r3():
-    G, F = foliation_groupoid(3, 2)
-    return {"groupoid": G, "form": F, "theta": None,
+    """The conormal groupoid of the planes x3 = const in R^3, with the
+    leafwise form x3 dx1^dx2 (its own extension) and twisted-shift's 3-form."""
+    fol = CoordFoliation(3, 2)
+    G, F = foliation_groupoid(fol.n, fol.k)
+    return {"groupoid": G, "form": F, "foliation": fol,
+            "leafwise": Form.from_components(fol.chart, 2, {(0, 1): "x3"}),
+            "twist": Form.from_components(fol.chart, 3,
+                                          {(0, 1, 2): "sin(x3) + x1"}),
             "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": False}}
 
 
-def chart_group(kind, builder, group_name):
-    """The groupoid that builder makes of a chart group: the conjugation
-    groupoid for kind "amm", T*H for kind "coadjoint"."""
+def chart_group(builder, group_name, group=False):
+    """The groupoid builder makes of a chart group: the conjugation groupoid,
+    carrying the group for the induced-Dirac checks, or T*H."""
     Gp = lg.GROUPS[group_name]()
     G, F = builder(Gp)
-    return {"groupoid": G, "form": F, "theta": None, "group": Gp,
-            "kind": kind,
+    return {"groupoid": G, "form": F, **({"group": Gp} if group else {}),
             "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": True}}
 
 
@@ -136,10 +154,9 @@ FIXTURES = {
     "twisted-pair-r3": twisted_pair_r3,
     "nondirac-flow": flow_groupoid,
     "foliated-r3": foliated_r3,
-    "amm-so3": lambda: chart_group("amm", lg.amm_groupoid, "so3"),
-    "amm-torus2": lambda: chart_group("amm", lg.amm_groupoid, "torus2"),
-    "coadjoint-so3": lambda: chart_group("coadjoint", lg.coadjoint_groupoid,
-                                         "so3"),
+    "amm-so3": lambda: chart_group(lg.amm_groupoid, "so3", group=True),
+    "amm-torus2": lambda: chart_group(lg.amm_groupoid, "torus2", group=True),
+    "coadjoint-so3": lambda: chart_group(lg.coadjoint_groupoid, "so3"),
 }
 
 

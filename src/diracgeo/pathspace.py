@@ -15,7 +15,7 @@ import numpy as np
 
 from . import expr, jets
 from .courant import AnchoredDual
-from .geometry import Chart, Form, coordinates
+from .geometry import coordinates
 from .groupoid import worst_of
 
 # the curve, gauge and functional expressions are parsed once per source
@@ -41,6 +41,13 @@ def _mv(M, v):
 def _dot(u, v):
     """The stacked dot products u[i] @ v[i]."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def grid(N):
+    """The times i/N, i = 0..N, as np.linspace gives them; np.empty first
+    refuses a count past numpy's index range, which linspace would wrap."""
+    np.empty(N + 1)
+    return np.linspace(0.0, 1.0, N + 1)
 
 
 def _chi(t):
@@ -79,7 +86,7 @@ class DiscretizedAPath:
 
     @property
     def times(self):
-        return np.linspace(0.0, 1.0, self.N + 1)
+        return grid(self.N)
 
     def rho_of_a(self):
         """rho(a(t_i)) at gamma(t_i), the (N+1, n) stack."""
@@ -117,7 +124,7 @@ def _on_grid(exprs, ts):
 
 def sampled_path(pres, gamma_exprs, a_exprs, N):
     """Evaluate curve expressions in the variable t on the uniform grid."""
-    ts = np.linspace(0.0, 1.0, N + 1)
+    ts = grid(N)
     return DiscretizedAPath(pres, _on_grid(gamma_exprs, ts),
                             _on_grid(a_exprs, ts))
 
@@ -249,7 +256,7 @@ def path_variation_identity_residual(u_exprs, gamma, X):
     n = gamma.shape[1]
     names = ("t",) + tuple(f"x{i+1}" for i in range(n))
     ufun = [parse(e, names) for e in u_exprs]
-    ts = np.linspace(0.0, 1.0, Np + 1)
+    ts = grid(Np)
 
     def velocity(curve):
         v = np.zeros_like(curve)
@@ -314,10 +321,9 @@ def fitted_order(Ns, residuals):
 
 # -- stock presentations ----------------------------------------------------
 
-def tangent_presentation(omega_comps, n):
-    """A = TM on R^n with rho the identity and rho* the flat map of a
-    2-form given by components {(i, j): expr}."""
-    ch = Chart(tuple(f"x{i+1}" for i in range(n)))
-    omega = Form.from_components(ch, 2, omega_comps)
-    return AnchoredDual(ch, lambda p: np.eye(n), omega.components,
+def tangent_presentation(theta):
+    """A = TM on the chart of the 2-form theta, with rho the identity and
+    rho* the flat map of theta."""
+    n = theta.chart.dim
+    return AnchoredDual(theta.chart, lambda p: np.eye(n), theta.components,
                         np.zeros((n, n, n)))

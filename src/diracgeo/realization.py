@@ -155,3 +155,15 @@ def rotation_quasi_ham(factor=0.5):
                      lambda p: sigma(mu(p)) @ jets.stack(jets.jacobian(
                          mu.func, p)), -Gp.struct)
     return QuasiHamData(Gp, D, eta, mu)
+
+
+def annulus_samples(rng, n):
+    """The (n, 2) stack of the first n draws from [-1.2, 1.2]^2 outside the
+    disc of radius 0.3, drawn in blocks of n; |p| is sqrt(p . p), as
+    np.linalg.norm computes it."""
+    out = np.empty((0, 2))
+    while len(out) < n:
+        P = rng.uniform(-1.2, 1.2, (n, 2))
+        keep = np.sqrt((P[:, None, :] @ P[:, :, None])[:, 0, 0]) > 0.3
+        out = np.concatenate([out, P[keep]])
+    return out[:n]

@@ -227,7 +227,7 @@ def test_acceptance_6_path_space():
     the boundary variation identity holds to 1e-6 at N=128; within
     120 s."""
     start = time.time()
-    pres = ps.tangent_presentation({(0, 1): "1.0"}, 2)
+    pres = ps.tangent_presentation(fixtures.load("pair-groupoid-r2")["theta"])
     eta = ps.GaugeParameter(["1.0 + x2", "t - x1*x1"])
     Ns = [32, 64, 128]
     residuals = []

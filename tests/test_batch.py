@@ -215,7 +215,8 @@ def _so3_anchor(sigma):
 @pytest.mark.parametrize("size", [1, 8, 64])
 def test_sampled_forms_match_the_per_point_loop(size):
     # the forms behind the foliation, quasi-hamiltonian and IM residuals
-    fol, theta, ext, phi = cli._foliation_scenario()
+    fx = fixtures.load("foliated-r3")
+    fol, ext, phi = fx["foliation"], fx["leafwise"], fx["twist"]
     P = np.random.default_rng(42).uniform(-1.0, 1.0, (size, 3))
     f = Form.function(fol.chart, "x3*x1 + sin(x2)")
     Q = RZ.rotation_quasi_ham(0.5)
@@ -225,7 +226,7 @@ def test_sampled_forms_match_the_per_point_loop(size):
     forms = {
         "leafwise-d-squared": (FO.d_F(fol, FO.d_F(fol, f)), P),
         "transverse-derivative": (FO.classifying_rep(fol, ext)
-                                  - FO.d_nu(fol, theta, ext, P), P),
+                                  - FO.d_nu(fol, ext, ext, P), P),
         "twisted-shift": (FO.classifying_rep(fol, ext, phi)
                           - FO.classifying_rep(fol, ext)
                           - FO.phi_bar(fol, phi), P),
@@ -243,7 +244,7 @@ def test_stacked_realization_solve_matches_per_point_lstsq():
     # the stacked pseudo-inverse against numpy's least squares, one point
     # at a time: the same solution up to rounding
     Q = RZ.rotation_quasi_ham(0.5)
-    P = cli._annulus_samples(np.random.default_rng(42), 16)
+    P = RZ.annulus_samples(np.random.default_rng(42), 16)
     rep = RZ.equivalence_crosscheck(Q, P)
     for p, vecs in zip(P, rep["action_vectors"]):
         Dmu = np.array(jets.jacobian(Q.mu.func, list(p)))
@@ -272,19 +273,27 @@ def _count_calls(monkeypatch, module, entries):
 GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
                    "unit-identities", "kernel-orthogonality", "orbit-form",
                    "classification", "dirac-type", "rho-star-half-flat"]
-# these checks read no fixture
 SAMPLED_CHECKS = ["quasi-ham", "quasi-ham-negative", "equivalence-crosscheck",
                   "leafwise-d-squared", "transverse-derivative",
                   "twisted-shift"]
 
 
+def feeds(fx, check):
+    """Whether the fixture carries every entry the check reads."""
+    return all(key in fx for key in cli.READS.get(check, ()))
+
+
 @pytest.mark.parametrize("name", ["twisted-pair-r3", "nondirac-flow",
-                                  "amm-so3", "amm-torus2", "coadjoint-so3"])
+                                  "foliated-r3", "amm-so3", "amm-torus2",
+                                  "coadjoint-so3"])
 def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
     # nor do the SVDs: every sampled check evaluates its stack at once
     passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
     svds = _count_calls(monkeypatch, np.linalg, ("svd",))
+    fed = fixtures.load(name)
     for check in GROUPOID_CHECKS + SAMPLED_CHECKS:
+        if not feeds(fed, check):
+            continue
         counts = []
         for samples in (8, 64):
             fx = fixtures.load(name)
@@ -295,7 +304,7 @@ def test_jet_passes_do_not_grow_with_the_samples(name, monkeypatch):
         assert counts[0] == counts[1], (check, counts)
 
 
-# these checks read no fixture and no samples: their cost is set by the grid
+# these checks read no samples: their cost is set by the grid
 PATH_CHECKS = ["basicness", "sigma-contraction", "path-boundary-identity"]
 
 
@@ -309,7 +318,8 @@ def test_jet_passes_and_expression_calls_do_not_grow_with_the_grid(
         for grid in ([16, 32], [256, 512]):
             policy = dict(cli.DEFAULT_POLICY, grid=grid)
             del passes[:], evals[:]
-            cli.CHECKS[check](None, np.random.default_rng(42), policy)
+            cli.CHECKS[check](fixtures.load("pair-groupoid-r2"),
+                              np.random.default_rng(42), policy)
             counts.append((len(passes), len(evals)))
         assert counts[0] == counts[1], (check, counts)
 
@@ -433,9 +443,10 @@ def test_svd_of_a_nan_matrix_raises(stack):
 def _groupoid_reports(tmp_path, capsys):
     paths = []
     for name in sorted(fixtures.FIXTURES):
+        fx = fixtures.load(name)
         p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps({"id": name, "fixture": name, "suite":
-                                 GROUPOID_CHECKS + ["induced-dirac"]}))
+        p.write_text(json.dumps({"id": name, "fixture": name, "suite": [
+            c for c in GROUPOID_CHECKS + ["induced-dirac"] if feeds(fx, c)]}))
         paths.append(str(p))
     cli.main(["run", *paths, "--samples", "64", "--seed", "1"])
     return json.loads(capsys.readouterr().out)["reports"]

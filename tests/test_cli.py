@@ -1,6 +1,7 @@
 """Scenario runner: loading, determinism, exit codes, report schema."""
 
 import copy
+import glob
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgeo import cli
+from diracgeo import cli, fixtures
 from diracgeo import groupoid as GR
 
 
@@ -223,14 +224,19 @@ def test_out_file_written(tmp_path, capsys):
     assert payload["reports"][0]["ok"] is True
 
 
-def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch):
-    # a missing directory and a path that is a directory: one error line
-    # and the exit code of a usage error, not a traceback, before any
-    # check runs
+def _count_checks(monkeypatch):
     calls = []
     for name, check in cli.CHECKS.items():
         monkeypatch.setitem(cli.CHECKS, name, lambda *a, check=check:
                             calls.append(1) or check(*a))
+    return calls
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch):
+    # a missing directory and a path that is a directory: one error line
+    # and the exit code of a usage error, not a traceback, before any
+    # check runs
+    calls = _count_checks(monkeypatch)
     for out in (tmp_path / "missing" / "report.json", tmp_path):
         code = cli.main(["run", os.path.join(SCN, "pair-groupoid-r2.json"),
                          "--samples", "2", "--out", str(out)])
@@ -301,6 +307,23 @@ def test_integer_past_the_float_range_exits_two(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("N", [2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63,
+                               2 ** 63 + 5])
+def test_grid_count_at_the_index_range_is_refused(N, capsys):
+    # np.linspace wraps N + 1 near 2**63 to a negative size and indexed an
+    # empty array; the path grid is refused as too large before that
+    code = cli.main(["run", os.path.join(SCN, "pathspace-pair.json"),
+                     "--grid", f"2,{N}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    checks = json.loads(captured.out)["reports"][0]["checks"]
+    assert len(checks) == 3
+    assert all(e["pass"] is False
+               and e["error"].startswith("cannot allocate: ")
+               for e in checks.values())
 
 
 def test_grid_flag_overrides_policy(capsys):
@@ -501,10 +524,11 @@ def test_overflow_and_ambiguous_rank_fail_without_traceback(
     assert reason in entry[key]
 
 
+# an inline fixture carries no group, so the induced-Dirac checks are
+# refused on it (test_check_the_fixture_cannot_feed_is_refused)
 GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
                    "unit-identities", "kernel-orthogonality", "orbit-form",
-                   "classification", "dirac-type", "induced-dirac",
-                   "rho-star-half-flat"]
+                   "classification", "dirac-type"]
 EXPRESSIONS = st.one_of(
     st.floats(-5.0, 5.0), st.integers(-3, 3),
     st.sampled_from(["x1", "sqrt(x1)", "1.0/(x1 - x1)", "x1^-3", "1e-9*x1",
@@ -538,3 +562,61 @@ def test_fuzzed_inline_fixtures_exit_cleanly(inline, suite):
     assert code in (0, 1, 2)
     if code != 2:
         _strict(text)
+
+
+# -- a check that the fixture cannot feed -------------------------------------
+
+INLINE = {"inline": {"n": 2, "omega": {"0,1": "1.0"}}}
+
+
+@pytest.mark.parametrize("fixture, check, entry", [
+    (INLINE, "basicness", "paths"),
+    ("amm-so3", "twisted-shift", "foliation"),
+    ("coadjoint-so3", "induced-dirac", "group"),
+    (INLINE, "rho-star-half-flat", "group")])
+def test_check_the_fixture_cannot_feed_is_refused(fixture, check, entry,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    # refused before any check runs, with one line that names the check,
+    # the entry it reads and the fixture
+    calls = _count_checks(monkeypatch)
+    p = tmp_path / "unfed.json"
+    p.write_text(json.dumps({"id": "unfed", "fixture": fixture,
+                             "suite": ["structure", check]}))
+    assert cli.main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    name = fixture if isinstance(fixture, str) else "inline"
+    assert captured.err == (f"error: check {check!r} reads {entry!r}, which "
+                            f"fixture {name!r} does not carry\n")
+
+
+def test_no_shipped_scenario_is_refused(capsys, monkeypatch):
+    paths = sorted(glob.glob(os.path.join(SCN, "*.json"))
+                   + glob.glob(os.path.join(ROOT, "perfbench", "scenarios",
+                                            "*", "*.json")))
+    for name in cli.CHECKS:
+        monkeypatch.setitem(cli.CHECKS, name, lambda *a: {"pass": True})
+    for path in paths:
+        assert cli.main(["run", path]) in (0, 1), path
+        assert capsys.readouterr().err == "", path
+    assert len(paths) == 20
+
+
+def test_every_fixture_and_check_is_refused_or_reported(tmp_path, capsys):
+    # a check runs where its fixture carries what it reads, and gives an
+    # entry; anywhere else the suite is refused
+    for fixture in sorted(fixtures.FIXTURES):
+        fx = fixtures.load(fixture)
+        for check in sorted(cli.CHECKS):
+            p = tmp_path / "pair.json"
+            p.write_text(json.dumps({"id": "pair", "fixture": fixture,
+                                     "suite": [check]}))
+            code = cli.main(["run", str(p), "--samples", "2",
+                             "--grid", "4,8"])
+            captured = capsys.readouterr()
+            fed = all(key in fx for key in cli.READS.get(check, ()))
+            assert code <= 1 if fed else code == 2, (fixture, check)
+            if fed:
+                assert check in _strict(captured.out)["reports"][0]["checks"]
+            assert "Traceback" not in captured.err

@@ -4,7 +4,7 @@ their IM and Cartan-closedness conditions."""
 import numpy as np
 import pytest
 
-from diracgeo import jets, liegroup as lg
+from diracgeo import fixtures, jets, liegroup as lg
 from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
                               cartan_closed_residual,
                               courant_bracket, graph_of_form,
@@ -162,7 +162,7 @@ def test_im_conditions_detect_bad_dual():
 def test_im_conditions_tangent_presentation(phi, r2):
     # rho* = flat of x3 dx1^dx2 has d rho* = dx1^dx2^dx3, which the
     # differential condition matches against -phi
-    D = tangent_presentation({(0, 1): "x3"}, 3)
+    D = tangent_presentation(fixtures.load("twisted-pair-r3")["theta"])
     if phi is not None:
         phi = Form.from_components(D.chart, 3, {(0, 1, 2): str(phi)})
     rng = np.random.default_rng(9)

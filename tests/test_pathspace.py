@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diracgeo import jets
+from diracgeo import fixtures, jets
 from diracgeo import pathspace as ps
 from diracgeo.courant import AnchoredDual
 from diracgeo.expr import parse
@@ -11,13 +11,15 @@ from diracgeo.geometry import Form, chart
 
 
 def pair_pres():
-    return ps.tangent_presentation({(0, 1): "1.0"}, 2)
+    return ps.tangent_presentation(
+        fixtures.load("pair-groupoid-r2")["theta"])
 
 
 def twisted_pres():
-    ch_phi = Form.from_components(chart("x1", "x2", "x3"), 3,
-                                  {(0, 1, 2): "-1.0"})
-    return ps.tangent_presentation({(0, 1): "x3"}, 3), ch_phi
+    # twisted-pair-r3's algebroid: rho* the flat map of x3 dx1^dx2, with
+    # the 3-form -dx1^dx2^dx3
+    fx = fixtures.load("twisted-pair-r3")
+    return ps.tangent_presentation(fx["theta"]), fx["form"].phi
 
 
 def pair_setup(N):
@@ -35,6 +37,14 @@ def test_path_grid_validation():
     pres = pair_pres()
     with pytest.raises(ValueError):
         ps.DiscretizedAPath(pres, np.zeros((5, 2)), np.zeros((4, 2)))
+
+
+def test_grid_is_linspace_and_refuses_a_count_past_the_index_range():
+    for N in (1, 2, 9, 1024, 4095):
+        assert np.array_equal(ps.grid(N), np.linspace(0.0, 1.0, N + 1))
+    for N in (2 ** 63 - 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 5):
+        with pytest.raises(ValueError, match="array is too big|Maximum"):
+            ps.grid(N)
 
 
 def test_apath_residual_consistent_path():
