@@ -8,10 +8,11 @@ is second order in the grid size.
 
 from diracgeo import fixtures
 from diracgeo import pathspace as ps
+from diracgeo.courant import graph_of_form
 
 
 def main():
-    pres = ps.tangent_presentation(fixtures.load("pair-groupoid-r2")["theta"])
+    pres = graph_of_form(fixtures.load("pair-groupoid-r2")["theta"])
     eta = ps.GaugeParameter(["1.0 + x2", "t - x1*x1"])
 
     print(f"{'N':>5}  {'basicness':>12}  {'sigma-contraction':>18}")

@@ -93,7 +93,7 @@ def _inline_fixture(spec):
         phi = _components(spec["phi"], "phi", 3, n) or None
     try:
         return fx_mod.pair_fixture(n, GR.uniform(-box, box, n), omega, phi)
-    except (ExprSyntaxError, UnknownIdentifierError) as e:
+    except (ExprSyntaxError, UnknownIdentifierError, RecursionError) as e:
         raise ScenarioError(f"inline expression: {e}")
 
 
@@ -325,7 +325,7 @@ def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, RecursionError) as e:
         raise ScenarioError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}")
@@ -441,7 +441,7 @@ def run_scenario(scenario, args):
             # warnings about it would only repeat that on stderr
             with np.errstate(all="ignore"):
                 entry = CHECKS[name](fx, rng, policy)
-        except (GR.NonFiniteFormError, DomainError) as e:
+        except (GR.NonFiniteFormError, DomainError, RecursionError) as e:
             entry = {"pass": False, "error": str(e)}
         except OverflowError as e:
             entry = {"pass": False, "error": f"floating-point overflow: {e}"}

@@ -1,6 +1,7 @@
-"""The phi-twisted Courant bracket on sections of TM + T*M, almost-Dirac
-fields given by global frames, and the infinitesimal-multiplicativity and
-Cartan-closedness conditions for anchored dual pairs (rho, rho*)."""
+"""The phi-twisted Courant bracket on sections of TM + T*M and anchored
+dual pairs (rho, sigma), the one presentation of a frame of TM + T*M: the
+graph of a 2-form, the integrability residual of a Dirac frame, and the
+infinitesimal-multiplicativity and Cartan-closedness conditions."""
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -8,91 +9,19 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import jets, linear
-from .geometry import (Chart, Form, VectorField, coordinates, ext_d,
-                       interior, lie_bracket, lie_derivative, _check_chart)
+from .geometry import (Chart, Form, VectorField, block, coordinates, ext_d,
+                       interior, lie_bracket, lie_derivative)
 from .groupoid import max_abs, worst_of
 
 
-@dataclass
-class Section:
-    """A section (X, xi) of TM + T*M over one chart."""
-
-    X: VectorField
-    xi: Form  # degree 1
-
-    def __post_init__(self):
-        _check_chart(self.X.chart, self.xi.chart)
-        if self.xi.degree != 1:
-            raise ValueError("xi must be a 1-form")
-
-    @property
-    def chart(self):
-        return self.X.chart
-
-
 def courant_bracket(a, b, phi=None):
-    """[(X,xi),(Y,eta)]_phi = ([X,Y], L_X eta - i_Y d xi + phi(X,Y,.))."""
-    _check_chart(a.chart, b.chart)
-    Z = lie_bracket(a.X, b.X)
-    zeta = lie_derivative(a.X, b.xi) - interior(b.X, ext_d(a.xi))
+    """[(X,xi),(Y,eta)]_phi = ([X,Y], L_X eta - i_Y d xi + phi(X,Y,.)) for
+    sections given as (vector field, 1-form) pairs."""
+    (X, xi), (Y, eta) = a, b
+    zeta = lie_derivative(X, eta) - interior(Y, ext_d(xi))
     if phi is not None:
-        _check_chart(phi.chart, a.chart)
-        zeta = zeta + interior(b.X, interior(a.X, phi))
-    return Section(Z, zeta)
-
-
-def pair_sections(a, b, p):
-    """<(X,xi),(Y,eta)>_+ = xi(Y) + eta(X) at the point p."""
-    return a.xi(p, b.X(p)) + b.xi(p, a.X(p))
-
-
-@dataclass
-class AlmostDiracField:
-    """Almost-Dirac structure given by a global frame of n sections."""
-
-    frame: list
-
-    def __post_init__(self):
-        ch = self.frame[0].chart
-        for s in self.frame:
-            _check_chart(s.chart, ch)
-        if len(self.frame) != ch.dim:
-            raise ValueError("frame size must equal the chart dimension")
-
-    def dirac_at(self, p):
-        """Evaluate the frame into a LinearDirac at the point p."""
-        cols = [np.concatenate([[jets.value_of(c) for c in s.X(p)],
-                                s.xi.at(p)]) for s in self.frame]
-        return linear.LinearDirac.from_span(np.array(cols).T)
-
-
-def graph_of_form(omega):
-    """The almost-Dirac field {(X, i_X omega)} of a 2-form omega."""
-    ch = omega.chart
-    frame = []
-    for i in range(ch.dim):
-        e = [1.0 if j == i else 0.0 for j in range(ch.dim)]
-        X = VectorField(ch, lambda p, e=e: list(e))
-        frame.append(Section(X, interior(X, omega)))
-    return AlmostDiracField(frame)
-
-
-def integrability_residual(L, phi, samples):
-    """Max pairing of frame brackets against the frame over the samples.
-
-    Vanishing pairing against all of L_p is membership in L_p (maximal
-    isotropy), so this measures closure under the twisted bracket.
-    """
-    brackets = [courant_bracket(a, b, phi)
-                for a, b in combinations(L.frame, 2)]
-    worst = 0.0
-    for p in samples:
-        L.dirac_at(p)  # raises if the frame degenerates here
-        for br in brackets:
-            for s in L.frame:
-                worst = worst_of(worst, abs(jets.value_of(
-                    pair_sections(br, s, p))))
-    return worst
+        zeta = zeta + interior(Y, interior(X, phi))
+    return lie_bracket(X, Y), zeta
 
 
 @dataclass
@@ -121,6 +50,50 @@ class AnchoredDual:
     def dual(self, i):
         """sigma(a_i) as a 1-form."""
         return Form(self.chart, 1, lambda p: self.rho_star(p)[..., i, :])
+
+    def section(self, i):
+        """(rho(a_i), sigma(a_i)) as a section of TM + T*M."""
+        return self.anchor(i), self.dual(i)
+
+    def frame(self, p):
+        """The (2n, r) frame matrix [rho; sigma^T] at p, whose column i is
+        the section a_i; batch-first at a batch of points."""
+        return block([[self.rho(p)], [linear.mT(self.rho_star(p))]])
+
+
+def graph_of_form(theta):
+    """The graph {(X, i_X theta)} of a 2-form theta: A = TM with rho the
+    identity, sigma the flat map of theta and zero structure."""
+    n = theta.chart.dim
+    return AnchoredDual(theta.chart, lambda p: np.eye(n), theta.components,
+                        np.zeros((n, n, n)))
+
+
+def integrability_residual(D, phi, samples):
+    """Largest pairing of the frame brackets [a_i, a_j]_phi against the
+    frame, each bracket evaluated once on the stack of samples.
+
+    Vanishing pairing against all of L_p is membership in L_p (maximal
+    isotropy), so this measures closure under the twisted bracket.  A frame
+    of rank other than n, or one that is not a Dirac structure at a
+    sample, raises.
+    """
+    n = D.chart.dim
+    if D.rank != n:
+        raise ValueError(f"a Dirac frame needs {n} sections, got {D.rank}")
+    P = np.asarray(samples, dtype=float)
+    p = coordinates(P)
+    F = D.frame(p)
+    for Fp in np.broadcast_to(F, (len(P),) + F.shape[-2:]):
+        linear.LinearDirac.from_span(Fp)   # raises where it degenerates
+    worst = 0.0
+    for i, j in combinations(range(n), 2):
+        Z, zeta = courant_bracket(D.section(i), D.section(j), phi)
+        # the row [zeta, Z] of the bracket at each sample, against F
+        row = np.concatenate(np.broadcast_arrays(
+            zeta.at(P)[:, None, :], jets.stack([Z(p)])), axis=-1)
+        worst = worst_of(worst, np.abs(row @ F))
+    return worst
 
 
 def _bracket_dual(D, i, j):

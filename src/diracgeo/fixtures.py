@@ -8,6 +8,7 @@ import numpy as np
 
 from . import liegroup as lg
 from . import pathspace as ps
+from .courant import graph_of_form
 from .foliation import CoordFoliation, foliation_groupoid
 from .geometry import Chart, ChartMap, Form, pullback
 from .groupoid import (GroupoidForm, Sampler, action_groupoid, concat,
@@ -53,7 +54,7 @@ def pair_groupoid_r2():
     its algebroid TM, rho* = theta-flat: a gauge parameter, and for each
     grid size N a path on the grid with two probe tangents."""
     fx = pair_fixture(2, uniform(-1.0, 1.0, 2), {(0, 1): "1.0"})
-    pres = ps.tangent_presentation(fx["theta"])
+    pres = graph_of_form(fx["theta"])
 
     def paths(N):
         path = ps.sampled_path(pres, ["t", "t*t*(1.0-t)"],

@@ -93,13 +93,13 @@ def classifying_rep(fol, extension, phi=None):
     the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
     so the defect is just the bracket of the lifted sections.  ([()] takes
     the entry out of the 0-d array that [..., m] leaves at one point.)"""
-    secs = graph_of_form(extension).frame
+    graph = graph_of_form(extension)
     out = {}
     for (i, j) in combinations(fol.leaf, 2):
-        br = courant_bracket(secs[i], secs[j], phi)
+        _, zeta = courant_bracket(graph.section(i), graph.section(j), phi)
         for m in fol.transverse:
-            out[(i, j, m)] = lambda p, br=br, m=m: \
-                br.xi.components(p)[..., m][()]
+            out[(i, j, m)] = lambda p, zeta=zeta, m=m: \
+                zeta.components(p)[..., m][()]
     return Form.from_components(fol.chart, 3, out)
 
 

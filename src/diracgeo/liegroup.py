@@ -18,7 +18,7 @@ import numpy as np
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
-from .geometry import Chart, Form, block, coordinates, dot, ext_d, pull
+from .geometry import Chart, Form, block, dot, ext_d, pull
 from .groupoid import GroupoidForm, action_groupoid, uniform
 from .linear import mT
 
@@ -307,18 +307,15 @@ def cartan_dirac(Gp, u):
     return linear.LinearDirac.from_span(cartan_frame(Gp, u))
 
 
-def cartan_dirac_field(Gp):
-    """The Cartan-Dirac structure as target data: its frame at a point or a
-    (B, m) stack of points, plus the 3-form."""
-
-    class _Target:
-        phi = cartan_form(Gp)
-
-        @staticmethod
-        def frame(y):
-            return cartan_frame(Gp, coordinates(y))
-
-    return _Target()
+def cartan_dirac_frame(Gp):
+    """The Cartan-Dirac structure as the anchored dual over the algebra
+    basis whose frame(u) is cartan_frame(Gp, u); its bracket is the
+    algebra bracket negated, as for the conjugation action algebroid."""
+    d = Gp.dim
+    return AnchoredDual(Chart(Gp.chart_names()),
+                        lambda u: cartan_frame(Gp, u)[..., :d, :],
+                        lambda u: mT(cartan_frame(Gp, u)[..., d:, :]),
+                        -Gp.struct)
 
 
 # -- conjugation (AMM) groupoid --------------------------------------------

@@ -318,12 +318,3 @@ def fitted_order(Ns, residuals):
     lr = np.log(np.asarray(residuals, dtype=float))
     return float(-np.polyfit(lo, lr, 1)[0])
 
-
-# -- stock presentations ----------------------------------------------------
-
-def tangent_presentation(theta):
-    """A = TM on the chart of the 2-form theta, with rho the identity and
-    rho* the flat map of theta."""
-    n = theta.chart.dim
-    return AnchoredDual(theta.chart, lambda p: np.eye(n), theta.components,
-                        np.zeros((n, n, n)))

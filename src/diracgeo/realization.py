@@ -1,10 +1,11 @@
 """Presymplectic realization and quasi-hamiltonian checkers.
 
-A realization is (P, eta, mu) mapping into a Dirac-structured target; the
-defining property is that each target frame element (w, xi) lifts to a
-unique tangent vector X with d mu(X) = w and i_X eta = mu* xi.  The
-quasi-hamiltonian axioms specialize the target to the Cartan-Dirac
-structure on a group.
+A realization is (P, eta, mu) mapping into a Dirac-structured target,
+given as the AnchoredDual of its frame; the defining property is that each
+target frame element (w, xi) lifts to a unique tangent vector X with
+d mu(X) = w and i_X eta = mu* xi, and that d eta + mu* phi = 0 for the
+target's 3-form phi.  The quasi-hamiltonian axioms specialize the target
+to the Cartan-Dirac structure on a group.
 """
 
 from dataclasses import dataclass
@@ -16,28 +17,18 @@ from .courant import AnchoredDual
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
                        lie_derivative, pullback)
 from .groupoid import _jac, apply, max_abs, worst_of
-from .liegroup import MatrixGroup, amm_rho_star, cartan_dirac_field, torus
+from .liegroup import (MatrixGroup, amm_rho_star, cartan_dirac_frame,
+                       cartan_form, torus)
 from .linear import mT, padded_null, padded_orth, padded_span_gap
 
 
-@dataclass
-class RealizationData:
-    P: Chart
-    eta: Form                # 2-form on P
-    mu: ChartMap             # P -> target chart
-    target: object           # has .frame(y), .phi (3-form or None)
-
-    def closedness_residual(self, samples):
-        """|d eta + mu* phi| at the samples."""
-        if self.P.dim < 3:
-            return 0.0      # no 3-form on a chart of dimension < 3
-        d_eta = ext_d(self.eta)
-        total = d_eta if self.target.phi is None else \
-            d_eta + pullback(self.mu, self.target.phi)
-        return max_abs(total, samples)
+def closedness_residual(eta, mu, phi, samples):
+    """|d eta + mu* phi| at the samples (|d eta| when phi is None)."""
+    total = ext_d(eta) if phi is None else ext_d(eta) + pullback(mu, phi)
+    return max_abs(total, samples)
 
 
-def realization_check(R, samples):
+def realization_check(eta, mu, target, samples):
     """Solve d mu(X) = w, i_X eta = mu* xi for each column (w, xi) of the
     target's frame, at the stack of samples.
 
@@ -46,10 +37,10 @@ def realization_check(R, samples):
     sample (one X per frame column of the target Dirac space).
     """
     P = np.asarray(samples, dtype=float)
-    Dmu = _jac(R.mu.func, P)
-    H = R.eta.at(P)
+    Dmu = _jac(mu.func, P)
+    H = eta.at(P)
     m = Dmu.shape[-2]
-    frame = R.target.frame(apply(R.mu.func, P))
+    frame = target.frame(coordinates(apply(mu.func, P)))
     A = block([[Dmu], [mT(H)]])
     rhs = block([[frame[..., :m, :]], [mT(Dmu) @ frame[..., m:, :]]])
     X = np.linalg.pinv(A) @ rhs
@@ -111,8 +102,7 @@ def quasi_ham_check(Q, samples):
     """
     Gp = Q.group
     D = Q.D
-    R = RealizationData(D.chart, Q.eta, Q.mu, cartan_dirac_field(Gp))
-    r1 = R.closedness_residual(samples)
+    r1 = closedness_residual(Q.eta, Q.mu, cartan_form(Gp), samples)
     r_inv = worst_of(0.0, *(max_abs(lie_derivative(D.anchor(i), Q.eta),
                                     samples) for i in range(D.rank)))
     P = np.asarray(samples, dtype=float)
@@ -131,8 +121,8 @@ def equivalence_crosscheck(Q, samples):
     for the basis vector v = e_j; its realization solve must return
     rho_P(e_j).
     """
-    R = RealizationData(Q.D.chart, Q.eta, Q.mu, cartan_dirac_field(Q.group))
-    report = realization_check(R, samples)
+    report = realization_check(Q.eta, Q.mu, cartan_dirac_frame(Q.group),
+                               samples)
     gap = mT(report["action_vectors"]) - Q.D.rho(coordinates(samples))
     report["generator_mismatch"] = worst_of(0.0, np.abs(gap))
     return report

@@ -168,29 +168,9 @@ def test_acceptance_4_unit_extraction():
         L2 = lg.cartan_dirac(Gp, x)
         worst_ind = max(worst_ind, L1.gap(L2))
     # frame integrability of the group's structure against its 3-form
-    from diracgeo.courant import AlmostDiracField, Section
-    from diracgeo.geometry import VectorField
-    ch = Chart(Gp.chart_names())
-    frame = []
-    for e in np.eye(d):
-        def Xev(p, e=e):
-            vr = Gp.right_translate(p, list(e))
-            vl = Gp.left_translate(p, list(e))
-            return [a - b for a, b in zip(vr, vl)]
-
-        def xiev(p, vs, e=e):
-            vr = Gp.right_translate(p, list(e))
-            vl = Gp.left_translate(p, list(e))
-            half = [(a + b) / 2.0 for a, b in zip(vr, vl)]
-            return Gp.inner(Gp.lam(p, half), Gp.lam(p, vs[0]))
-
-        # components: xiev on the coordinate basis
-        frame.append(Section(VectorField(ch, Xev), Form(
-            ch, 1, lambda p, xiev=xiev: np.array(
-                [xiev(p, [f]) for f in np.eye(d)]))))
-    L = AlmostDiracField(frame)
     pts = [list(rng.uniform(-0.5, 0.5, d)) for _ in range(4)]
-    r_int = integrability_residual(L, lg.cartan_form(Gp), pts)
+    r_int = integrability_residual(lg.cartan_dirac_frame(Gp),
+                                   lg.cartan_form(Gp), pts)
     elapsed = time.time() - start
     report("unit-extraction",
            worst_star <= 1e-9 and worst_ind <= 1e-8 and r_int <= 1e-8,
@@ -227,7 +207,7 @@ def test_acceptance_6_path_space():
     the boundary variation identity holds to 1e-6 at N=128; within
     120 s."""
     start = time.time()
-    pres = ps.tangent_presentation(fixtures.load("pair-groupoid-r2")["theta"])
+    pres = graph_of_form(fixtures.load("pair-groupoid-r2")["theta"])
     eta = ps.GaugeParameter(["1.0 + x2", "t - x1*x1"])
     Ns = [32, 64, 128]
     residuals = []

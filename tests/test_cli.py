@@ -524,6 +524,47 @@ def test_overflow_and_ambiguous_rank_fail_without_traceback(
     assert reason in entry[key]
 
 
+@pytest.mark.parametrize("omega", ["(" * 200 + "x1" + ")" * 200,
+                                   "-" * 990 + "x1"],
+                         ids=["parentheses", "signs"])
+def test_deeply_nested_expression_exits_two(omega, tmp_path, capsys):
+    # the parser recurses once per parenthesis or sign
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"id": "deep", "fixture": {"inline": {
+        "n": 2, "omega": {"0,1": omega}}}, "suite": ["structure"]}))
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_long_sum_fails_its_check_without_traceback(capsys):
+    # a sum of 1000 terms parses, but its evaluation nests 1000 deep
+    code, text = _run_inline(
+        {"n": 2, "omega": {"0,1": "+".join(["x1"] * 1000)}},
+        ["multiplicative"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    entry = _strict(text)["reports"][0]["checks"]["multiplicative"]
+    assert entry["pass"] is False and "recursion" in entry["error"]
+
+
+@pytest.mark.parametrize("where", ["scenario", "expect-file"])
+def test_deeply_nested_json_exits_two(where, tmp_path, capsys):
+    deep = "[" * 1000 + "]" * 1000
+    scn = tmp_path / "scn.json"
+    args = ["run", str(scn)]
+    if where == "scenario":
+        scn.write_text('{"id": "deep", "suite": ["structure"], "policy": '
+                       + deep + "}")
+    else:
+        scn.write_text(json.dumps({"id": "deep", "suite": ["structure"]}))
+        (tmp_path / "expect.json").write_text('{"deep": ' + deep + "}")
+        args += ["--expect-file", str(tmp_path / "expect.json")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # an inline fixture carries no group, so the induced-Dirac checks are
 # refused on it (test_check_the_fixture_cannot_feed_is_refused)
 GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",

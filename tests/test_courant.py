@@ -1,17 +1,15 @@
-"""Twisted Courant bracket, almost-Dirac frames, anchored dual pairs and
-their IM and Cartan-closedness conditions."""
+"""Twisted Courant bracket, anchored dual pairs as frames of TM + T*M,
+the integrability of a Dirac frame, and the IM and Cartan-closedness
+conditions."""
 
 import numpy as np
 import pytest
 
-from diracgeo import fixtures, jets, liegroup as lg
-from diracgeo.courant import (AlmostDiracField, AnchoredDual, Section,
-                              cartan_closed_residual,
+from diracgeo import fixtures, jets, linear, liegroup as lg
+from diracgeo.courant import (AnchoredDual, cartan_closed_residual,
                               courant_bracket, graph_of_form,
-                              im_conditions_residual, integrability_residual,
-                              pair_sections)
+                              im_conditions_residual, integrability_residual)
 from diracgeo.geometry import Chart, Form, VectorField, chart, ext_d
-from diracgeo.pathspace import tangent_presentation
 
 
 CH2 = chart("x", "y")
@@ -19,19 +17,12 @@ CH3 = chart("x", "y", "z")
 
 
 def section(ch, vec, cov):
-    return Section(VectorField.from_components(ch, vec),
-                   Form.from_components(ch, 1,
-                                        {(i,): c for i, c in enumerate(cov)}))
+    return (VectorField.from_components(ch, vec),
+            Form.from_components(ch, 1, {(i,): c for i, c in enumerate(cov)}))
 
 
 def samples(rng, n, k=6, scale=1.0):
     return [list(rng.uniform(-scale, scale, n)) for _ in range(k)]
-
-
-def test_section_validation():
-    with pytest.raises(ValueError):
-        Section(VectorField.from_components(CH2, ["x", "y"]),
-                Form.from_components(CH2, 2, {(0, 1): "1.0"}))
 
 
 def test_untwisted_bracket_on_exact_sections():
@@ -40,16 +31,14 @@ def test_untwisted_bracket_on_exact_sections():
     g = Form.function(CH3, "z^2")
     X = VectorField.from_components(CH3, ["y", "0.0", "x"])
     Y = VectorField.from_components(CH3, ["z", "x", "1.0"])
-    a = Section(X, ext_d(f))
-    b = Section(Y, ext_d(g))
-    br = courant_bracket(a, b)
+    _, zeta = courant_bracket((X, ext_d(f)), (Y, ext_d(g)))
     # oracle: d(X g) - the derivative of g along X differentiated again
     Xg = Form(CH3, 0, lambda p: ext_d(g)(p, X(p)))
     oracle = ext_d(Xg)
     rng = np.random.default_rng(0)
     for p in samples(rng, 3):
         for e in np.eye(3):
-            assert br.xi(p, list(e)) == pytest.approx(
+            assert zeta(p, list(e)) == pytest.approx(
                 oracle(p, list(e)), abs=1e-12)
 
 
@@ -57,23 +46,26 @@ def test_twist_term_is_additive():
     phi = Form.from_components(CH3, 3, {(0, 1, 2): "x + 2.0"})
     a = section(CH3, ["1.0", "y", "0.0"], ["z", "0.0", "x"])
     b = section(CH3, ["0.0", "x", "1.0"], ["y", "x*z", "0.0"])
-    plain = courant_bracket(a, b)
-    twisted = courant_bracket(a, b, phi)
+    _, plain = courant_bracket(a, b)
+    _, twisted = courant_bracket(a, b, phi)
     rng = np.random.default_rng(1)
     for p in samples(rng, 3):
         for e in np.eye(3):
-            diff = twisted.xi(p, list(e)) - plain.xi(p, list(e))
-            assert diff == pytest.approx(phi(p, a.X(p), b.X(p), list(e)),
+            diff = twisted(p, list(e)) - plain(p, list(e))
+            assert diff == pytest.approx(phi(p, a[0](p), b[0](p), list(e)),
                                          abs=1e-13)
 
 
 def test_graph_of_form_evaluates_to_linear_graph():
-    from diracgeo import linear
     omega = Form.from_components(CH2, 2, {(0, 1): "x + 2.0"})
     L = graph_of_form(omega)
     p = [0.5, -0.3]
     theta = np.array([[0.0, 2.5], [-2.5, 0.0]])
-    assert L.dirac_at(p) == linear.from_form(theta)
+    assert linear.LinearDirac.from_span(L.frame(p)) == linear.from_form(theta)
+    # at a stack of points the frames are batch-first
+    P = np.array([p, [0.1, 0.2]])
+    assert L.frame(list(P.T)).shape == (2, 4, 2)
+    assert np.array_equal(L.frame(list(P.T))[0], L.frame(p))
 
 
 def test_closed_form_graph_is_integrable_untwisted():
@@ -100,20 +92,20 @@ def test_twisted_integrability_matches_d_omega():
 
 
 def test_pairing_vanishes_on_isotropic_frame():
+    # <a_i, a_j> = sigma(a_i)(rho a_j) + sigma(a_j)(rho a_i) on the frame
     omega = Form.from_components(CH2, 2, {(0, 1): "sin(x) + 2.0"})
-    L = graph_of_form(omega)
-    rng = np.random.default_rng(4)
-    for p in samples(rng, 2):
-        for a in L.frame:
-            for b in L.frame:
-                assert pair_sections(a, b, p) == pytest.approx(0.0, abs=1e-13)
+    P = np.array(samples(np.random.default_rng(4), 2))
+    F = graph_of_form(omega).frame(list(P.T))
+    S = linear.mT(F[:, 2:]) @ F[:, :2]
+    assert np.max(np.abs(S + linear.mT(S))) <= 1e-13
 
 
 def test_frame_size_validation():
-    omega = Form.from_components(CH2, 2, {(0, 1): "1.0"})
-    L = graph_of_form(omega)
+    # a rank-1 pair on a 2-dimensional chart is not a Dirac frame
+    D = AnchoredDual(CH2, lambda p: np.eye(2)[:, :1],
+                     lambda p: np.array([[0.0, 1.0]]), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
-        AlmostDiracField(L.frame[:1])
+        integrability_residual(D, None, [[0.1, 0.2]])
 
 
 # -- anchored dual pairs ----------------------------------------------------
@@ -160,9 +152,10 @@ def test_im_conditions_detect_bad_dual():
 
 @pytest.mark.parametrize("phi, r2", [(-1.0, 0.0), (1.0, 2.0), (None, 1.0)])
 def test_im_conditions_tangent_presentation(phi, r2):
-    # rho* = flat of x3 dx1^dx2 has d rho* = dx1^dx2^dx3, which the
-    # differential condition matches against -phi
-    D = tangent_presentation(fixtures.load("twisted-pair-r3")["theta"])
+    # the graph of x3 dx1^dx2 (A = TM): rho* = its flat map has
+    # d rho* = dx1^dx2^dx3, which the differential condition matches
+    # against -phi
+    D = graph_of_form(fixtures.load("twisted-pair-r3")["theta"])
     if phi is not None:
         phi = Form.from_components(D.chart, 3, {(0, 1, 2): str(phi)})
     rng = np.random.default_rng(9)

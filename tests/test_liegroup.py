@@ -231,49 +231,49 @@ def test_cartan_dirac_at_identity_is_cotangent():
     assert L == Tstar
 
 
-def test_cartan_dirac_field_integrable_against_cartan_form():
+def test_cartan_dirac_frame_integrable_against_cartan_form():
     # sampled frame-bracket residual of the Cartan-Dirac structure vanishes
     # against the Cartan 3-form
     from diracgeo.courant import integrability_residual
-    from diracgeo.courant import Section
-    from diracgeo.geometry import Chart, Form, VectorField
-    from diracgeo.courant import AlmostDiracField
     Gp = lg.so3()
-    ch = Chart(Gp.chart_names())
-    Gm = lg.chart_metric
-    frame = []
-    for e in np.eye(3):
-        def Xev(p, e=e):
-            vr = Gp.right_translate(p, list(e))
-            vl = Gp.left_translate(p, list(e))
-            return [a - b for a, b in zip(vr, vl)]
-
-        def xiev(p, vs, e=e):
-            vr = Gp.right_translate(p, list(e))
-            vl = Gp.left_translate(p, list(e))
-            half = [(a + b) / 2.0 for a, b in zip(vr, vl)]
-            lam_half = Gp.lam(p, half)
-            lam_v = Gp.lam(p, vs[0])
-            return Gp.inner(lam_half, lam_v)
-
-        # components: xiev on the coordinate basis
-        frame.append(Section(VectorField(ch, Xev), Form(
-            ch, 1, lambda p, xiev=xiev: np.array(
-                [xiev(p, [f]) for f in np.eye(3)]))))
-    L = AlmostDiracField(frame)
-    phi = lg.cartan_form(Gp)
     rng = np.random.default_rng(18)
     pts = [rand_alg(rng, 3, 0.5) for _ in range(4)]
-    assert integrability_residual(L, phi, pts) < 1e-9
+    assert integrability_residual(lg.cartan_dirac_frame(Gp),
+                                  lg.cartan_form(Gp), pts) < 1e-9
 
 
-def test_cartan_dirac_field_wrapper():
-    T = lg.cartan_dirac_field(lg.su2())
-    assert LinearDirac.from_span(T.frame([0.2, -0.1, 0.3])).dim == 3
-    # at a stack of points the frames are batch-first
+def test_cartan_dirac_frame_is_cartan_frame():
     P = np.array([[0.2, -0.1, 0.3], [0.1, 0.4, -0.2]])
-    assert np.allclose(T.frame(P), [T.frame(p) for p in P], rtol=0,
-                       atol=1e-14)
+    for Gp in (lg.so3(), lg.su2()):
+        F = lg.cartan_dirac_frame(Gp).frame(list(P.T))
+        assert np.array_equal(F, lg.cartan_frame(Gp, list(P.T)))
+        assert LinearDirac.from_span(F[0]).dim == 3
+
+
+@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+def test_cartan_dirac_frame_satisfies_the_im_conditions(name):
+    # the pairing of frame brackets cannot see the twist: the tangent parts
+    # v_r - v_l span the conjugacy classes, of dimension 2 on so3, where
+    # every 3-form vanishes; the IM conditions read phi on the anchor
+    from diracgeo.courant import im_conditions_residual
+    Gp = lg.GROUPS[name]()
+    rng = np.random.default_rng(19)
+    pts = [rand_alg(rng, Gp.dim, 0.5) for _ in range(3)]
+    r1, r2 = im_conditions_residual(lg.cartan_dirac_frame(Gp),
+                                    lg.cartan_form(Gp), pts)
+    assert max(r1, r2) <= 1e-12
+
+
+def test_cartan_dirac_frame_im_conditions_see_twist_and_structure():
+    from diracgeo.courant import AnchoredDual, im_conditions_residual
+    Gp = lg.so3()
+    D = lg.cartan_dirac_frame(Gp)
+    rng = np.random.default_rng(19)
+    pts = [rand_alg(rng, 3, 0.5) for _ in range(3)]
+    assert im_conditions_residual(D, None, pts)[1] > 1e-2
+    flipped = AnchoredDual(D.chart, D.rho, D.rho_star, Gp.struct)
+    assert im_conditions_residual(flipped, lg.cartan_form(Gp),
+                                  pts)[1] > 1e-2
 
 
 # -- AMM and coadjoint forms ------------------------------------------------

@@ -5,21 +5,20 @@ import pytest
 
 from diracgeo import fixtures, jets
 from diracgeo import pathspace as ps
-from diracgeo.courant import AnchoredDual
+from diracgeo.courant import AnchoredDual, graph_of_form
 from diracgeo.expr import parse
 from diracgeo.geometry import Form, chart
 
 
 def pair_pres():
-    return ps.tangent_presentation(
-        fixtures.load("pair-groupoid-r2")["theta"])
+    return graph_of_form(fixtures.load("pair-groupoid-r2")["theta"])
 
 
 def twisted_pres():
     # twisted-pair-r3's algebroid: rho* the flat map of x3 dx1^dx2, with
     # the 3-form -dx1^dx2^dx3
     fx = fixtures.load("twisted-pair-r3")
-    return ps.tangent_presentation(fx["theta"]), fx["form"].phi
+    return graph_of_form(fx["theta"]), fx["form"].phi
 
 
 def pair_setup(N):
