@@ -192,7 +192,7 @@ def check_induced_vs_group(fx, rng, policy):
     # an induced span of rank below the base dimension reads 1.0
     gap = padded_span_gap(*padded_orth(span),
                           LG.cartan_frame(fx["group"], coordinates(x)),
-                          G.base_dim)
+                          G.base.dim)
     return _residual_entry(GR.worst_of(0.0, gap), policy["tol"])
 
 
@@ -366,9 +366,13 @@ def _is_positive(v):
 
 def merge_policy(scenario, args):
     policy = dict(DEFAULT_POLICY)
+    unknown = sorted(set(scenario.get("policy", {})) - set(DEFAULT_POLICY))
+    if unknown:
+        raise ScenarioError(f"unknown policy key {unknown[0]!r}; known: "
+                            + ", ".join(sorted(DEFAULT_POLICY)))
     policy.update(scenario.get("policy", {}))
     for key in ("seed", "samples", "tol", "fd_step"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             policy[key] = val
     if getattr(args, "grid", None):

@@ -143,81 +143,81 @@ class _Parser:
         self.variables = tuple(variables)
         self.var_index = {v: k for k, v in enumerate(self.variables)}
 
-    def peek(self):
+    def _peek(self):
         return self.toks[self.pos]
 
-    def next(self):
+    def _next(self):
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.next()
+    def _expect(self, kind):
+        tok = self._next()
         if tok[0] != kind:
             raise ExprSyntaxError(f"expected '{kind}', got '{tok[1] or 'end of input'}'", tok[2])
         return tok
 
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
+    def _parse(self):
+        node = self._expr()
+        tok = self._peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected trailing input '{tok[1]}'", tok[2])
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            node = _binop(op, node, self.term())
+    def _expr(self):
+        node = self._term()
+        while self._peek()[0] in ("+", "-"):
+            op = self._next()[0]
+            node = _binop(op, node, self._term())
         return node
 
-    def term(self):
-        node = self.power()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            node = _binop(op, node, self.power())
+    def _term(self):
+        node = self._power()
+        while self._peek()[0] in ("*", "/"):
+            op = self._next()[0]
+            node = _binop(op, node, self._power())
         return node
 
-    def power(self):
-        base = self.signed()
-        if self.peek()[0] == "^":
-            self.next()
+    def _power(self):
+        base = self._signed()
+        if self._peek()[0] == "^":
+            self._next()
             sign = 1
-            if self.peek()[0] == "-":
-                self.next()
+            if self._peek()[0] == "-":
+                self._next()
                 sign = -1
-            tok = self.expect("num")
+            tok = self._expect("num")
             if "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
                 raise ExprSyntaxError("powers require integer exponents", tok[2])
             return _pow(base, sign * int(tok[1]))
         return base
 
-    def signed(self):
-        if self.peek()[0] == "-":
-            self.next()
-            f, a = self.signed()
+    def _signed(self):
+        if self._peek()[0] == "-":
+            self._next()
+            f, a = self._signed()
             return (lambda env: -f(env)), f"(-{a})"
-        return self.atom()
+        return self._atom()
 
-    def atom(self):
-        tok = self.next()
+    def _atom(self):
+        tok = self._next()
         kind, text, off = tok
         if kind == "num":
             value = float(text)
             return (lambda env: value), repr(value)
         if kind == "name":
             if text in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
+                self._expect("(")
+                arg = self._expr()
+                self._expect(")")
                 return _call(text, arg)
             if text in self.var_index:
                 k = self.var_index[text]
                 return (lambda env: env[k]), text
             raise UnknownIdentifierError(text, self.variables, off)
         if kind == "(":
-            node = self.expr()
-            self.expect(")")
+            node = self._expr()
+            self._expect(")")
             return node
         raise ExprSyntaxError(f"unexpected '{text or 'end of input'}'", off)
 
@@ -244,4 +244,4 @@ class ScalarExpr:
 
 def parse(src, variables):
     """Parse src over the declared variable names into a ScalarExpr."""
-    return ScalarExpr(*_Parser(src, variables).parse(), tuple(variables))
+    return ScalarExpr(*_Parser(src, variables)._parse(), tuple(variables))

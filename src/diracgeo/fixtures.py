@@ -10,9 +10,9 @@ from . import liegroup as lg
 from . import pathspace as ps
 from .courant import graph_of_form
 from .foliation import CoordFoliation, foliation_groupoid
-from .geometry import Chart, ChartMap, Form, pullback
-from .groupoid import (GroupoidForm, Sampler, action_groupoid, concat,
-                       fiberwise_pair_groupoid, uniform)
+from .geometry import Chart, Form
+from .groupoid import (GroupoidForm, Sampler, action_groupoid, coboundary,
+                       concat, fiberwise_pair_groupoid, uniform)
 from .jets import cos, sin
 
 
@@ -26,20 +26,15 @@ _PRESYMPLECTIC = {"is_dirac_type": True, "is_robust": True,
 
 def pair_fixture(n, point, omega_comps, phi_comps=None):
     """The pair groupoid of R^n, both ends of an arrow drawn by the sampler
-    point, with the form pr1*omega_M - pr2*omega_M of the 2-form given by
+    point, with the form t*omega_M - s*omega_M of the 2-form given by
     omega_comps and the background 3-form given by phi_comps."""
-    bch = Chart(tuple(f"x{i+1}" for i in range(n)))
-    ch = Chart(tuple(f"p{i+1}" for i in range(n))
-               + tuple(f"q{i+1}" for i in range(n)))
-    omega_M = Form.from_components(bch, 2, omega_comps)
-    pr1 = ChartMap(ch, bch, lambda p: list(p[:n]))
-    pr2 = ChartMap(ch, bch, lambda p: list(p[n:]))
-    omega = pullback(pr1, omega_M) - pullback(pr2, omega_M)
+    G = fiberwise_pair_groupoid(n, n, 0, point, point)
+    omega_M = Form.from_components(G.base, 2, omega_comps)
     phi = None
     if phi_comps is not None:
-        phi = Form.from_components(bch, 3, phi_comps)
-    return {"groupoid": fiberwise_pair_groupoid(n, n, 0, point, point),
-            "form": GroupoidForm(omega, phi), "theta": omega_M}
+        phi = Form.from_components(G.base, 3, phi_comps)
+    return {"groupoid": G, "form": GroupoidForm(coboundary(G, omega_M), phi),
+            "theta": omega_M}
 
 
 def _signed(lo, hi):
@@ -93,9 +88,6 @@ def flow_groupoid():
     points break the constant-rank pattern that holds elsewhere on the
     circle.
     """
-    bch = Chart(("x1", "x2"))
-    ch = Chart(("tau", "x1", "x2"))
-
     def rotate(u, x):
         c, sn = cos(u[0]), sin(u[0])
         return [c * x[0] - sn * x[1], sn * x[0] + c * x[1]]
@@ -117,13 +109,11 @@ def flow_groupoid():
         return np.hstack([np.cos(ang), np.sin(ang)])
 
     tau = _signed(0.3, 2.0)
-    G = action_groupoid(lg.torus(1), 2, rotate, tau,
+    G = action_groupoid(lg.torus(1), Chart.numbered(x=2), rotate, tau,
                         Sampler(1, circle, (0,), schedule), tau)
-    theta = Form.from_components(bch, 2, {(0, 1): "x2"})
-    tmap = ChartMap(ch, bch, G.t)
-    smap = ChartMap(ch, bch, G.s)
-    omega = pullback(tmap, theta) - pullback(smap, theta)
-    return {"groupoid": G, "form": GroupoidForm(omega, None), "theta": theta,
+    theta = Form.from_components(G.base, 2, {(0, 1): "x2"})
+    return {"groupoid": G, "form": GroupoidForm(coboundary(G, theta), None),
+            "theta": theta,
             "expected_flags": {"is_dirac_type": False}}
 
 

@@ -32,7 +32,7 @@ class CoordFoliation:
 
     @property
     def chart(self):
-        return Chart(tuple(f"x{i+1}" for i in range(self.n)))
+        return Chart.numbered(x=self.n)
 
     @property
     def leaf(self):
@@ -117,13 +117,6 @@ def twisted_shift_residual(fol, extension, phi, samples):
 
 # -- groupoid fixtures ------------------------------------------------------
 
-def _groupoid_chart(k, m, r):
-    return Chart(tuple(f"y{i+1}" for i in range(k))
-                 + tuple(f"x{i+1}" for i in range(k))
-                 + tuple(f"q{i+1}" for i in range(m))
-                 + tuple(f"v{i+1}" for i in range(r)))
-
-
 def foliation_groupoid(n, k):
     """The fiberwise pair groupoid of the foliation acting on the conormal
     bundle: coordinates (y, x, q, v) with y, x leafwise, q transverse, and
@@ -139,8 +132,7 @@ def foliation_groupoid(n, k):
     for i in range(m):
         q, v = 2 * k + i, 2 * k + m + i
         Om[v, q], Om[q, v] = 1.0, -1.0
-    return G, GroupoidForm(Form(_groupoid_chart(k, m, m), 2, lambda p: Om),
-                           None)
+    return G, GroupoidForm(Form(G.chart, 2, lambda p: Om), None)
 
 
 def leaf_conormal_dirac(n, k):

@@ -36,6 +36,12 @@ class Chart:
     def dim(self):
         return len(self.names)
 
+    @staticmethod
+    def numbered(**counts):
+        """numbered(y=1, x=2) is the chart (y1, x1, x2)."""
+        return Chart(tuple(f"{a}{i+1}" for a, n in counts.items()
+                           for i in range(n)))
+
 
 def chart(*names):
     return Chart(tuple(names))

@@ -13,7 +13,8 @@ import numpy as np
 from . import jets, linear
 from .linear import (kernel_svd, mT, padded_contained, padded_intersect,
                      padded_kernel, padded_null, padded_orth, padded_span_gap)
-from .geometry import Form, ChartMap, block, coordinates, ext_d, pullback
+from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
+                       pullback)
 
 
 class RankInstabilityError(ValueError):
@@ -99,9 +100,10 @@ def concat(*parts, build=None):
 
 @dataclass
 class ChartGroupoid:
-    """Groupoid on global coordinate charts.
+    """Groupoid on global coordinate charts: arrows on chart, units on base.
 
-    All structure maps are evaluators over generic scalars so that jets can
+    s and t are ChartMaps from chart to base and unit one back; all
+    structure maps are evaluators over generic scalars so that jets can
     differentiate through them.  Composable pairs/triples come from the
     fixture's own samplers (never from root-finding): a pair is the stack
     row (g, h) with s(g) = t(h), a triple (g, h, k) with s(g) = t(h) and
@@ -109,11 +111,11 @@ class ChartGroupoid:
     `fiberwise_pair_groupoid`.
     """
 
-    total_dim: int
-    base_dim: int
-    s: object
-    t: object
-    unit: object
+    chart: Chart
+    base: Chart
+    s: ChartMap
+    t: ChartMap
+    unit: ChartMap
     inv: object
     mul: object
     units: Sampler     # base points
@@ -127,7 +129,7 @@ class ChartGroupoid:
         in that order."""
         S = concat(self.units, self.pairs, self.triples).draw(rng, n)
         x, g, h, a, b, c = (coordinates(P) for P in np.split(
-            S, self.base_dim + self.total_dim * np.arange(5), axis=1))
+            S, self.base.dim + self.chart.dim * np.arange(5), axis=1))
         ex = self.unit(x)
         gh = self.mul(g, h)
         return {"unit": worst_of(0.0, _dist(self.s(ex), x),
@@ -142,17 +144,28 @@ class ChartGroupoid:
                     _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))}
 
 
-def action_groupoid(Gp, base_dim, act, group, base, group_near):
-    """The action groupoid H x M of a left action act(u, x) of the chart
-    group Gp on a base chart of dimension base_dim.  An arrow (u, x) goes
-    from x to act(u, x), and (u, act(v, x)).(v, x) = (uv, x).
+def coboundary(G, theta):
+    """t*theta - s*theta for a form theta on the base."""
+    return pullback(G.t, theta) - pullback(G.s, theta)
 
-    The samplers group and base draw the two parts of an arrow; the group
+
+def action_chart(Gp, base):
+    """The arrows (g1..gd, base) of an action of Gp on the chart base."""
+    return Chart(Chart.numbered(g=Gp.dim).names + base.names)
+
+
+def action_groupoid(Gp, base, act, group, point, group_near):
+    """The action groupoid H x M of a left action act(u, x) of the chart
+    group Gp on the chart base.  An arrow (u, x) goes from x to act(u, x),
+    and (u, act(v, x)).(v, x) = (uv, x).
+
+    The samplers group and point draw the two parts of an arrow; the group
     parts that extend an arrow to a pair come from group, those that
     extend it to a triple from group_near, which may stay closer to the
     identity so that the products remain inside the chart.
     """
     d = Gp.dim
+    ch = action_chart(Gp, base)
 
     def s(p):
         return list(p[d:])
@@ -171,11 +184,12 @@ def action_groupoid(Gp, base_dim, act, group, base, group_near):
 
     def extend(P, u):
         # the arrows (u, t(g)) for the first arrows g of P, put before P
-        return np.hstack([u, apply(t, P[:, :d + base_dim]), P])
+        return np.hstack([u, apply(t, P[:, :ch.dim]), P])
 
-    arrows = concat(group, base)
+    arrows = concat(group, point)
     return ChartGroupoid(
-        d + base_dim, base_dim, s, t, unit, inv, mul, base, arrows,
+        ch, base, ChartMap(ch, base, s), ChartMap(ch, base, t),
+        ChartMap(base, ch, unit), inv, mul, point, arrows,
         concat(arrows, group, build=extend),
         concat(concat(arrows, group_near, build=extend), group_near,
                build=extend))
@@ -193,6 +207,7 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     j = k + n   # end of the transverse block q
+    ch, base = Chart.numbered(y=k, x=k, q=n - k, v=r), Chart.numbered(x=n)
 
     def s(p):
         return list(p[k:2 * k]) + list(p[2 * k:j])
@@ -220,8 +235,10 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     slot = uniform(-1.0, 1.0, r)
     arrows = concat(leaf, point, slot)
     pairs = concat(leaf, arrows, slot, build=extend)
-    return ChartGroupoid(j + r, n, s, t, unit, inv, mul, point, arrows,
-                         pairs, concat(leaf, pairs, slot, build=extend))
+    return ChartGroupoid(ch, base, ChartMap(ch, base, s),
+                         ChartMap(ch, base, t), ChartMap(base, ch, unit),
+                         inv, mul, point, arrows, pairs,
+                         concat(leaf, pairs, slot, build=extend))
 
 
 def _dist(a, b):
@@ -299,7 +316,7 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     and tangent-basis pairs: the entries i < j of (Dm B)^T omega(gh) (Dm B)
     - B1^T omega(g) B1 - B2^T omega(h) B2, with B = [B1; B2] a basis of the
     composable tangents."""
-    N = G.total_dim
+    N = G.chart.dim
 
     def mul(z):
         return G.mul(z[:N], z[N:])
@@ -320,9 +337,7 @@ def check_rel_closed(G, F, rng, n_points=8):
     arrows."""
     total = ext_d(F.omega)
     if F.phi is not None:
-        ch, bch = F.omega.chart, F.phi.chart
-        total = total - pullback(ChartMap(ch, bch, G.s), F.phi) \
-            + pullback(ChartMap(ch, bch, G.t), F.phi)
+        total = total - pullback(G.s, F.phi) + pullback(G.t, F.phi)
     return worst_of(0.0, np.abs(total.at(G.arrows.draw(rng, n_points))))
 
 
@@ -354,10 +369,7 @@ def check_kernel_orthogonality(G, F, rng, n=8):
 
 def check_orbit_form(G, F, theta, rng, n=8):
     """|omega - (t*theta - s*theta)| on transitive fixtures."""
-    ch = F.omega.chart
-    bch = theta.chart
-    diff = F.omega - (pullback(ChartMap(ch, bch, G.t), theta)
-                      - pullback(ChartMap(ch, bch, G.s), theta))
+    diff = F.omega - coboundary(G, theta)
     return _upper_max(diff.at(G.arrows.draw(rng, n)))
 
 
@@ -380,9 +392,9 @@ def extract_rho_star(G, F, x):
     x = np.asarray(x, dtype=float)
     ex = apply(G.unit, x)
     K, dim, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
-    if np.any(dim != G.total_dim - G.base_dim):
+    if np.any(dim != G.chart.dim - G.base.dim):
         raise linear.DegenerateRankError("rank defect in ds at the unit")
-    A = K[..., :G.total_dim - G.base_dim]
+    A = K[..., :G.chart.dim - G.base.dim]
     Deps = _jac(G.unit, x)
     Om = F.omega.at(ex)
     return UnitSplitting(Deps, A, _jac(G.t, ex) @ A, mT(A) @ Om @ Deps, Om)
@@ -418,7 +430,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
     The kernel identities report the sine of the largest principal angle
     between the two sides.  With residuals False the dict keeps only the
     flags, worst points and rank gaps, from the same draws."""
-    N, n = G.total_dim, G.base_dim
+    N, n = G.chart.dim, G.base.dim
     x = G.units.draw(rng, n_units)
     ex = apply(G.unit, x)
     Om = F.omega.at(ex)
@@ -488,10 +500,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
 
 def gauge(G, F, B):
     """tau_B: omega -> omega + t*B - s*B, phi -> phi - dB."""
-    ch = F.omega.chart
-    bch = B.chart
-    omega2 = F.omega + pullback(ChartMap(ch, bch, G.t), B) \
-                     - pullback(ChartMap(ch, bch, G.s), B)
+    omega2 = F.omega + coboundary(G, B)
     dB = ext_d(B)
     phi2 = (-dB) if F.phi is None else (F.phi - dB)
     return GroupoidForm(omega2, phi2)

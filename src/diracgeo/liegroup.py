@@ -19,7 +19,7 @@ from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
 from .geometry import Chart, Form, block, dot, ext_d, pull
-from .groupoid import GroupoidForm, action_groupoid, uniform
+from .groupoid import GroupoidForm, action_chart, action_groupoid, uniform
 from .linear import mT
 
 
@@ -108,8 +108,9 @@ class MatrixGroup:
     def identity(self):
         return [0.0] * self.dim
 
-    def chart_names(self):
-        return tuple(f"u{i+1}" for i in range(self.dim))
+    @property
+    def chart(self):
+        return Chart.numbered(u=self.dim)
 
     def bracket(self, a, b):
         out = [0.0] * self.dim
@@ -278,14 +279,13 @@ def cartan_form(Gp):
     """The bi-invariant 3-form: phi(V1,V2,V3) = (1/2)(lam V1, [lam V2, lam V3]),
     phi[p,q,r] = (1/2) lam[a,p] K[a,i,j] lam[i,q] lam[j,r] with
     K[a,i,j] = (e_a, [e_i, e_j])."""
-    ch = Chart(Gp.chart_names())
     K = np.moveaxis(Gp.struct, -1, 0)
 
     def components(p):
         Gp.check_radius(p)
         return 0.5 * pull(K, Gp.lam_matrix(p), 3)
 
-    return Form(ch, 3, components)
+    return Form(Gp.chart, 3, components)
 
 
 def chart_metric(Gp, u):
@@ -312,7 +312,7 @@ def cartan_dirac_frame(Gp):
     basis whose frame(u) is cartan_frame(Gp, u); its bracket is the
     algebra bracket negated, as for the conjugation action algebroid."""
     d = Gp.dim
-    return AnchoredDual(Chart(Gp.chart_names()),
+    return AnchoredDual(Gp.chart,
                         lambda u: cartan_frame(Gp, u)[..., :d, :],
                         lambda u: mT(cartan_frame(Gp, u)[..., d:, :]),
                         -Gp.struct)
@@ -323,11 +323,6 @@ def cartan_dirac_frame(Gp):
 def conjugate(Gp, u, x):
     """Chart coordinates of exp(u) exp(x) exp(-u)."""
     return Gp.mul(Gp.mul(u, x), Gp.inv(u))
-
-
-def _action_chart(d, base_dim):
-    return Chart(tuple(f"g{i+1}" for i in range(d))
-                 + tuple(f"x{i+1}" for i in range(base_dim)))
 
 
 def amm_omega(Gp):
@@ -344,14 +339,15 @@ def amm_omega(Gp):
         top = 0.5 * (mT(L) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
         return block([[0.5 * (X - mT(X)), top], [-mT(top), np.zeros((d, d))]])
 
-    return Form(_action_chart(d, d), 2, components)
+    return Form(action_chart(Gp, Gp.chart), 2, components)
 
 
 def amm_groupoid(Gp):
-    """The conjugation groupoid H x H with the AMM form and Cartan 3-form."""
+    """The conjugation groupoid H x H, over the group chart, with the AMM
+    form and the Cartan 3-form."""
     d = Gp.dim
     point = uniform(-0.7, 0.7, d, 0.5)
-    G = action_groupoid(Gp, d, conjugation_action(Gp), point, point,
+    G = action_groupoid(Gp, Gp.chart, conjugation_action(Gp), point, point,
                         uniform(-0.7, 0.7, d, 0.4))
     return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
 
@@ -390,7 +386,7 @@ def general_action_form(Gp, D):
         return block([[mT(S) @ (D.rho(x) @ L), mT(S)],
                       [-S, np.zeros((m, m))]])
 
-    return Form(_action_chart(d, m), 2, components)
+    return Form(action_chart(Gp, D.chart), 2, components)
 
 
 def amm_rho_star(Gp):
@@ -421,10 +417,10 @@ def coadjoint_groupoid(Gp):
     """T*H presented as the action groupoid H x h* with the canonical form."""
     d = Gp.dim
     act = coadjoint_action(Gp)
-    G = action_groupoid(Gp, d, act, uniform(-0.8, 0.8, d, 0.5),
-                        uniform(-1.0, 1.0, d), uniform(-0.8, 0.8, d, 0.4))
-    D = action_algebroid(Gp, Chart(tuple(f"x{i+1}" for i in range(d))), act,
-                         lambda x: np.eye(d))
+    G = action_groupoid(Gp, Chart.numbered(x=d), act,
+                        uniform(-0.8, 0.8, d, 0.5), uniform(-1.0, 1.0, d),
+                        uniform(-0.8, 0.8, d, 0.4))
+    D = action_algebroid(Gp, G.base, act, lambda x: np.eye(d))
     return G, GroupoidForm(general_action_form(Gp, D), None)
 
 
@@ -439,4 +435,4 @@ def canonical_cotangent_form(Gp):
         return jets.stack([[dot(L[..., :, i].T, xi) for i in range(d)]
                            + [0.0] * d])[..., 0, :]
 
-    return -ext_d(Form(_action_chart(d, d), 1, sigma))
+    return -ext_d(Form(action_chart(Gp, Chart.numbered(x=d)), 1, sigma))

@@ -138,7 +138,7 @@ def rotation_quasi_ham(factor=0.5):
     ch = Chart(("x", "y"))
     Gp = torus(1)
     eta = Form.from_components(ch, 2, {(0, 1): "1.0"})
-    mu = ChartMap(ch, Chart(Gp.chart_names()),
+    mu = ChartMap(ch, Gp.chart,
                   lambda p: [factor * (p[0] * p[0] + p[1] * p[1])])
     sigma = amm_rho_star(Gp)
     D = AnchoredDual(ch, lambda p: jets.stack([[p[1]], [-p[0]]]),

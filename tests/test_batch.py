@@ -48,7 +48,7 @@ def test_stack_matches_the_per_point_loop(name, size):
     P = G.arrows.draw(rng, size)
     X = GR.apply(G.s, P)
     Z = G.pairs.draw(rng, size)
-    N = G.total_dim
+    N = G.chart.dim
 
     def mul(z):
         return G.mul(z[:N], z[N:])
@@ -123,7 +123,7 @@ def _action(G, group, base, near):
 
 
 def _fiberwise(G, r, leaf, point):
-    N = G.total_dim
+    N = G.chart.dim
 
     def arrow(rng):
         return leaf(rng) + point(rng) + list(rng.uniform(-1.0, 1.0, r))
@@ -155,7 +155,7 @@ def _per_point(name, G):
         return _action(G, _u(-0.8, 0.8, 3, 0.5), _u(-1.0, 1.0, 3),
                        _u(-0.8, 0.8, 3, 0.4))
     if name.startswith("amm-"):
-        d = G.base_dim
+        d = G.base.dim
         return _action(G, _u(-0.7, 0.7, d, 0.5), _u(-0.7, 0.7, d, 0.5),
                        _u(-0.7, 0.7, d, 0.4))
     if name == "foliated-r3":

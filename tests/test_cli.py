@@ -198,6 +198,7 @@ def test_bad_policy_rejected(tmp_path, capsys):
     # "tol": 1e400 is valid JSON that reads as inf
     for policy in ({"samples": 0}, {"samples": "8"}, {"tol": "1e-8"},
                    {"grid": [4, 4]}, {"seed": -1}, {"fd_step": "x"}, [8],
+                   {"sample": 8},
                    "{\"tol\": 1e400}", "{\"fd_step\": 1e400}"):
         text = policy if isinstance(policy, str) else json.dumps(policy)
         p = tmp_path / "policy.json"
@@ -212,6 +213,18 @@ def test_bad_policy_rejected(tmp_path, capsys):
                          *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_unknown_policy_key_is_named(tmp_path, capsys):
+    # a misspelt key would otherwise run at the default and be copied into
+    # the report
+    p = tmp_path / "policy.json"
+    p.write_text('{"id": "typo", "suite": ["structure"], '
+                 '"policy": {"samplez": 3}}')
+    assert cli.main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown policy key 'samplez'")
+    assert len(err.splitlines()) == 1
 
 
 def test_out_file_written(tmp_path, capsys):

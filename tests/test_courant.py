@@ -192,7 +192,7 @@ def amm_algebroid(name="so3", rho_star=None):
     """The conjugation action algebroid with the dual amm_rho_star (or the
     given one) and the Cartan 3-form."""
     Gp = lg.GROUPS[name]()
-    D = lg.action_algebroid(Gp, Chart(Gp.chart_names()),
+    D = lg.action_algebroid(Gp, Gp.chart,
                             lg.conjugation_action(Gp),
                             rho_star or lg.amm_rho_star(Gp))
     return D, lg.cartan_form(Gp)
@@ -201,7 +201,7 @@ def amm_algebroid(name="so3", rho_star=None):
 def coadjoint_algebroid(name="so3"):
     Gp = lg.GROUPS[name]()
     return lg.action_algebroid(
-        Gp, Chart(tuple(f"x{i+1}" for i in range(Gp.dim))),
+        Gp, Chart.numbered(x=Gp.dim),
         lg.coadjoint_action(Gp), lambda x: np.eye(Gp.dim))
 
 

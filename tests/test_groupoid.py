@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracgeo import fixtures, linear
-from diracgeo.geometry import Form, chart
+from diracgeo.geometry import Form, chart, pullback
 from diracgeo.groupoid import (RankInstabilityError,
                                check_kernel_orthogonality,
                                check_multiplicative, check_orbit_form,
@@ -22,6 +22,28 @@ def test_structure_residuals_all_fixtures():
         fx = fixtures.load(name)
         res = fx["groupoid"].structure_residuals(rng_for(name), n=6)
         assert max(res.values()) < 1e-9, (name, res)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_fixture_forms_live_on_the_groupoid_charts(name):
+    # omega on the arrows; phi, every base form, the path-space algebroid
+    # and the group on the units; phi pulls back along s and t
+    fx = fixtures.load(name)
+    G, F = fx["groupoid"], fx["form"]
+    assert (G.s.source, G.s.target, G.t.source, G.t.target) == \
+        (G.chart, G.base) * 2
+    assert (G.unit.source, G.unit.target) == (G.base, G.chart)
+    assert F.omega.chart == G.chart
+    on_base = [fx[k] for k in ("theta", "leafwise", "twist", "group")
+               if k in fx]
+    if "paths" in fx:
+        on_base.append(fx["paths"](2)[0].pres)
+    for w in on_base + [F.phi] * (F.phi is not None):
+        assert w.chart == G.base, (name, w)
+    if F.phi is not None:
+        g = G.arrows.draw(rng_for(name), 2)
+        for f in (G.s, G.t):
+            assert pullback(f, F.phi).at(g).shape == (2,) + (G.chart.dim,) * 3
 
 
 def test_multiplicativity_all_fixtures():

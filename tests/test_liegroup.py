@@ -7,7 +7,6 @@ import pytest
 
 from diracgeo import jets
 from diracgeo import liegroup as lg
-from diracgeo.geometry import Chart
 from diracgeo.jets import value_of
 from diracgeo.linear import LinearDirac
 
@@ -281,7 +280,7 @@ def test_cartan_dirac_frame_im_conditions_see_twist_and_structure():
 def test_amm_omega_equals_general_action_form():
     Gp = lg.so3()
     omega = lg.amm_omega(Gp)
-    D = lg.action_algebroid(Gp, Chart(Gp.chart_names()),
+    D = lg.action_algebroid(Gp, Gp.chart,
                             lg.conjugation_action(Gp), lg.amm_rho_star(Gp))
     built = lg.general_action_form(Gp, D)
     rng = np.random.default_rng(19)

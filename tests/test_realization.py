@@ -86,7 +86,7 @@ def test_degenerate_moment_map_detected():
     Q = rotation_quasi_ham(0.5)
     Gp = Q.group
     ch = Q.D.chart
-    mu0 = ChartMap(ch, Chart(Gp.chart_names()), lambda p: [0.25])
+    mu0 = ChartMap(ch, Gp.chart, lambda p: [0.25])
     rep = realization_check(Form.from_components(ch, 2, {}), mu0,
                             lg.cartan_dirac_frame(Gp), [[0.5, 0.2]])
     assert rep["unique"] is False
@@ -99,7 +99,7 @@ def test_closedness_residual_sees_twist():
     # eta = 0 into a twisted target: |d eta + mu* phi| = |mu* phi|
     Gp = lg.so3()
     ch = Chart(("a", "b", "c"))
-    mu = ChartMap(ch, Chart(Gp.chart_names()), lambda p: list(p))
+    mu = ChartMap(ch, Gp.chart, lambda p: list(p))
     r = closedness_residual(Form.from_components(ch, 2, {}), mu,
                             lg.cartan_form(Gp), [[0.2, -0.1, 0.3]])
     assert r > 1e-3
