@@ -31,12 +31,14 @@ class AnchoredDual:
     n x r anchor matrix, rho_star(p) the r x n matrix of sigma (both
     generic over jets, batch-first (..., n, r) and (..., r, n) at a batch
     of points, or constant) and structure[i, j, k] the constant
-    coefficient of a_k in [a_i, a_j] (zeros when A is abelian)."""
+    coefficient of a_k in [a_i, a_j] (zeros when A is abelian); whole,
+    if given, is the frame function whose slices rho and rho_star are."""
 
     chart: Chart
     rho: object
     rho_star: object
     structure: np.ndarray
+    whole: object = None
 
     @property
     def rank(self):
@@ -58,7 +60,8 @@ class AnchoredDual:
     def frame(self, p):
         """The (2n, r) frame matrix [rho; sigma^T] at p, whose column i is
         the section a_i; batch-first at a batch of points."""
-        return block([[self.rho(p)], [linear.mT(self.rho_star(p))]])
+        return self.whole(p) if self.whole is not None else block(
+            [[self.rho(p)], [linear.mT(self.rho_star(p))]])
 
 
 def graph_of_form(theta):

@@ -7,6 +7,7 @@ gauge transformations.  Each check draws all its samples as one block of
 uniform doubles (`Sampler`) and evaluates them as one (B, n) stack."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from . import jets, linear
 from .linear import (kernel_svd, mT, padded_contained, padded_intersect,
                      padded_kernel, padded_null, padded_orth, padded_span_gap)
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
-                       pullback)
+                       pull, pullback)
 
 
 class RankInstabilityError(ValueError):
@@ -41,8 +42,27 @@ def max_abs(w, samples):
 def apply(f, P):
     """The (B, m) stack of the values of the structure map f at a (B, n)
     stack of points (the (m,) values at one point), evaluated once."""
-    return np.stack([np.broadcast_to(c, P.shape[:-1])
-                     for c in f(coordinates(P))], axis=-1)
+    values = f(coordinates(P))
+    out = np.empty(P.shape[:-1] + (len(values),))
+    for i, c in enumerate(values):
+        out[..., i] = c
+    return out
+
+
+def each(f, *stacks):
+    """[f(*S) for S in stacks], S a stack P or (P, *args), split back from
+    one evaluation f(P) on the concatenation of the P (f acts sample by
+    sample and gives arrays, batch-first).  Where that raises, f(*S) runs
+    stack by stack: the first stack that fails raises its own error."""
+    parts = [P if isinstance(P, tuple) else (P,) for P in stacks]
+    try:
+        out = f(np.concatenate([P for P, *_ in parts]))
+    except (ArithmeticError, ValueError, MemoryError):
+        return [f(*part) for part in parts]
+    cuts = np.cumsum([0] + [len(P) for P, *_ in parts]).tolist()
+    split = [[o[a:b] for a, b in zip(cuts, cuts[1:])]
+             for o in (out if isinstance(out, tuple) else (out,))]
+    return list(zip(*split)) if isinstance(out, tuple) else split[0]
 
 
 @dataclass(frozen=True)
@@ -128,20 +148,23 @@ class ChartGroupoid:
         unit, a composable pair and a composable triple per sample, drawn
         in that order."""
         S = concat(self.units, self.pairs, self.triples).draw(rng, n)
-        x, g, h, a, b, c = (coordinates(P) for P in np.split(
-            S, self.base.dim + self.chart.dim * np.arange(5), axis=1))
-        ex = self.unit(x)
-        gh = self.mul(g, h)
-        return {"unit": worst_of(0.0, _dist(self.s(ex), x),
-                                 _dist(self.t(ex), x)),
-                "source_target": worst_of(0.0, _dist(self.s(gh), self.s(h)),
-                                          _dist(self.t(gh), self.t(g))),
-                "associativity": worst_of(
-                    0.0, _dist(self.mul(self.mul(a, b), c),
-                               self.mul(a, self.mul(b, c)))),
-                "inverse": worst_of(
-                    0.0, _dist(self.inv(self.inv(g)), g),
-                    _dist(self.mul(g, self.inv(g)), self.unit(self.t(g))))}
+        N = self.chart.dim
+        x, g, h, a, b, c = np.split(S, self.base.dim + N * np.arange(5), 1)
+        s, t, unit, inv = (partial(apply, f)
+                           for f in (self.s, self.t, self.unit, self.inv))
+        mul = partial(each, partial(apply, lambda z: self.mul(z[:N], z[N:])))
+        ex, ig = unit(x), inv(g)
+        gh, ab, bc, g_ig = mul(*map(np.hstack, [(g, h), (a, b), (b, c),
+                                                (g, ig)]))
+        ab_c, a_bc = mul(np.hstack([ab, c]), np.hstack([a, bc]))
+        s_ex, s_gh, s_h = each(s, ex, gh, h)
+        t_ex, t_gh, t_g = each(t, ex, gh, g)
+        return {"unit": worst_of(0.0, abs(s_ex - x), abs(t_ex - x)),
+                "source_target": worst_of(0.0, abs(s_gh - s_h),
+                                          abs(t_gh - t_g)),
+                "associativity": worst_of(0.0, abs(ab_c - a_bc)),
+                "inverse": worst_of(0.0, abs(inv(ig) - g),
+                                    abs(g_ig - unit(t_g)))}
 
 
 def coboundary(G, theta):
@@ -241,11 +264,6 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
                          concat(leaf, pairs, slot, build=extend))
 
 
-def _dist(a, b):
-    return worst_of(*(abs(jets.value_of(x) - jets.value_of(y))
-                      for x, y in zip(a, b)))
-
-
 @dataclass
 class GroupoidForm:
     """A 2-form on the total space plus the background 3-form on the base."""
@@ -268,7 +286,7 @@ def _jac(f, p):
 def kernel_of_form(Om, where="omega", points=None):
     """Kernel of Om (a component matrix of omega, or a Jacobian, or a
     stack of them with their points) as a padded basis, its dimension, and
-    the rank gap (the smallest over a stack).  The first sample whose
+    the rank gap, each per sample of a stack.  The first sample whose
     matrix is not finite, or whose rank sits too close to the threshold to
     decide, raises."""
     Om = np.asarray(Om, dtype=float)
@@ -292,17 +310,10 @@ def kernel_of_form(Om, where="omega", points=None):
             f"indeterminate rank at {at}: singular values "
             f"{small[i]:.1e} and {least[i]:.1e} straddle the "
             f"threshold {cut[i][0]:.1e}")
-    return (*padded_kernel(Vt, r), float(np.min(gap, initial=np.inf)))
+    return (*padded_kernel(Vt, r), gap)
 
 
 # -- the multiplicative-form checks ---------------------------------------
-
-def composable_tangents(G, g, h):
-    """Padded basis of the tangent space to the composable-pair set at
-    (g, h) (or at stacks of pairs): pairs (u, v) with ds_g u = dt_h v."""
-    C = np.concatenate([_jac(G.s, g), -_jac(G.t, h)], axis=-1)
-    return padded_null(C)[0]
-
 
 def _upper_max(M):
     """Largest |M[..., i, j]| over i < j (and over a stack), NaN-
@@ -315,7 +326,7 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     """Max |m*omega - pr1*omega - pr2*omega| over sampled composable pairs
     and tangent-basis pairs: the entries i < j of (Dm B)^T omega(gh) (Dm B)
     - B1^T omega(g) B1 - B2^T omega(h) B2, with B = [B1; B2] a basis of the
-    composable tangents."""
+    composable tangents (u, v), ds_g u = dt_h v."""
     N = G.chart.dim
 
     def mul(z):
@@ -323,34 +334,32 @@ def check_multiplicative(G, F, rng, n_pairs=8):
 
     Z = G.pairs.draw(rng, n_pairs)
     g, h = Z[:, :N], Z[:, N:]
-    gh = apply(mul, Z)
-    B = composable_tangents(G, g, h)
+    B, _ = padded_null(np.concatenate([_jac(G.s, g), -_jac(G.t, h)], -1))
     Dm = _jac(mul, Z)
     DmB, B1, B2 = Dm @ B, B[..., :N, :], B[..., N:, :]
-    D = mT(DmB) @ F.omega.at(gh) @ DmB - mT(B1) @ F.omega.at(g) @ B1 \
-        - mT(B2) @ F.omega.at(h) @ B2
-    return _upper_max(D)
+    W, Wg, Wh = each(F.omega.at, apply(mul, Z), g, h)
+    return _upper_max(mT(DmB) @ W @ DmB - mT(B1) @ Wg @ B1
+                      - mT(B2) @ Wh @ B2)
 
 
 def check_rel_closed(G, F, rng, n_points=8):
     """Max |d omega - s*phi + t*phi| over the components at sampled
-    arrows."""
-    total = ext_d(F.omega)
+    arrows, phi evaluated once at their sources and targets."""
+    P = G.arrows.draw(rng, n_points)
+    total = ext_d(F.omega).at(P)
     if F.phi is not None:
-        total = total - pullback(G.s, F.phi) + pullback(G.t, F.phi)
-    return worst_of(0.0, np.abs(total.at(G.arrows.draw(rng, n_points))))
+        Ps, Pt = each(F.phi.at, apply(G.s, P), apply(G.t, P))
+        total = total + -pull(Ps, _jac(G.s, P), 3) + pull(Pt, _jac(G.t, P), 3)
+    return worst_of(0.0, np.abs(total))
 
 
 def check_unit_identities(G, F, rng, n=8):
     """(max |eps* omega| at units, max |i* omega + omega| at arrows)."""
-    x = G.units.draw(rng, n)
-    Deps = _jac(G.unit, x)
-    r_eps = _upper_max(mT(Deps) @ F.omega.at(apply(G.unit, x)) @ Deps)
-    g = G.arrows.draw(rng, n)
-    Dinv = _jac(G.inv, g)
-    r_inv = _upper_max(mT(Dinv) @ F.omega.at(apply(G.inv, g)) @ Dinv
-                       + F.omega.at(g))
-    return r_eps, r_inv
+    x, g = G.units.draw(rng, n), G.arrows.draw(rng, n)
+    Deps, Dinv = _jac(G.unit, x), _jac(G.inv, g)
+    We, Wi, Wg = each(F.omega.at, apply(G.unit, x), apply(G.inv, g), g)
+    return (_upper_max(mT(Deps) @ We @ Deps),
+            _upper_max(mT(Dinv) @ Wi @ Dinv + Wg))
 
 
 def check_kernel_orthogonality(G, F, rng, n=8):
@@ -431,10 +440,20 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
     between the two sides.  With residuals False the dict keeps only the
     flags, worst points and rank gaps, from the same draws."""
     N, n = G.chart.dim, G.base.dim
-    x = G.units.draw(rng, n_units)
-    ex = apply(G.unit, x)
-    Om = F.omega.at(ex)
-    Kw, dim_ker, gap_units = kernel_of_form(Om, "unit", x)
+    x, g = G.units.draw(rng, n_units), G.arrows.draw(rng, n_arrows)
+    sx, tx = apply(G.s, g), apply(G.t, g)
+    ex, esx, etx = each(partial(apply, G.unit), x, sx, tx)
+
+    def kernel(P, *at):   # omega at P, and its kernel
+        Om = F.omega.at(P)
+        return (Om, *kernel_of_form(Om, *at))
+
+    # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
+    # dimensions at the units over s(g) and t(g)
+    (Om, Kw, dim_ker, gap_units), (_, _, dim_arrow, gap_arrows), \
+        (_, _, dim_s, _), (_, _, dim_t, _) = each(
+            kernel, (ex, "unit", x), (g, "arrow", g), (esx, "unit", sx),
+            (etx, "unit", tx))
     Ks, _ = padded_null(_jac(G.s, ex))
     Kt, _ = padded_null(_jac(G.t, ex))
     Kst, _ = padded_intersect(Ks, Kt)
@@ -466,13 +485,7 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
                        "ker_omega_cap_TM": dim_ker_tm,
                        "ker_omega_cap_ker_ds": dim_ker_ks}
 
-    # Dirac type at arrows: dim Ker(omega_g) is the mean of the kernel
-    # dimensions at the units over s(g) and t(g)
-    g = G.arrows.draw(rng, n_arrows)
-    _, dim_arrow, gap_arrows = kernel_of_form(F.omega.at(g), "arrow", g)
-    sx, tx = apply(G.s, g), apply(G.t, g)
-    want = 0.5 * sum(kernel_of_form(F.omega.at(apply(G.unit, y)), "unit",
-                                    y)[1] for y in (sx, tx))
+    want = 0.5 * (dim_s + dim_t)
     worst = {}
     failed = dim_arrow != want
     if failed.any():
@@ -493,7 +506,8 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
                          and N == 2 * n,
     }
     return {"flags": flags, "worst_points": worst,
-            "rank_gaps": {"units": gap_units, "arrows": gap_arrows}, **rep}
+            "rank_gaps": {"units": float(gap_units.min()),
+                          "arrows": float(gap_arrows.min())}, **rep}
 
 
 # -- gauge transformations -------------------------------------------------

@@ -308,14 +308,12 @@ def cartan_dirac(Gp, u):
 
 
 def cartan_dirac_frame(Gp):
-    """The Cartan-Dirac structure as the anchored dual over the algebra
-    basis whose frame(u) is cartan_frame(Gp, u); its bracket is the
-    algebra bracket negated, as for the conjugation action algebroid."""
-    d = Gp.dim
-    return AnchoredDual(Gp.chart,
-                        lambda u: cartan_frame(Gp, u)[..., :d, :],
-                        lambda u: mT(cartan_frame(Gp, u)[..., d:, :]),
-                        -Gp.struct)
+    """The Cartan-Dirac structure: the anchored dual over the algebra basis
+    whose frame(u) is one cartan_frame(Gp, u), sliced into rho and rho_star,
+    with the algebra bracket negated, as for the conjugation algebroid."""
+    d, frame = Gp.dim, functools.partial(cartan_frame, Gp)
+    return AnchoredDual(Gp.chart, lambda u: frame(u)[..., :d, :],
+                        lambda u: mT(frame(u)[..., d:, :]), -Gp.struct, frame)
 
 
 # -- conjugation (AMM) groupoid --------------------------------------------

@@ -440,7 +440,7 @@ def test_svd_of_a_nan_matrix_raises(stack):
             linear.svd(M, **form)
 
 
-def _groupoid_reports(tmp_path, capsys):
+def _groupoid_reports(tmp_path, capsys, samples=64):
     paths = []
     for name in sorted(fixtures.FIXTURES):
         fx = fixtures.load(name)
@@ -448,7 +448,7 @@ def _groupoid_reports(tmp_path, capsys):
         p.write_text(json.dumps({"id": name, "fixture": name, "suite": [
             c for c in GROUPOID_CHECKS + ["induced-dirac"] if feeds(fx, c)]}))
         paths.append(str(p))
-    cli.main(["run", *paths, "--samples", "64", "--seed", "1"])
+    cli.main(["run", *paths, "--samples", str(samples), "--seed", "1"])
     return json.loads(capsys.readouterr().out)["reports"]
 
 
@@ -479,3 +479,136 @@ def test_dirac_type_matches_a_full_classify(name, monkeypatch):
     full = GR.classify
     monkeypatch.setattr(GR, "classify", lambda *a, residuals: full(*a))
     assert entry() == lean
+
+
+# -- one evaluation per check over the concatenation of its stacks --------
+
+def _per_stack(f, *stacks):
+    """groupoid.each as a loop: f at each stack on its own, in order."""
+    return [f(*(S if isinstance(S, tuple) else (S,))) for S in stacks]
+
+
+@pytest.mark.parametrize("samples", [1, 3, 64])
+def test_groupoid_entries_match_the_per_stack_evaluation(samples, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+    # every entry of every groupoid check on every fixture, to the bit
+    # (the JSON text keeps every digit and the sign of a zero)
+    merged = _groupoid_reports(tmp_path, capsys, samples)
+    monkeypatch.setattr(GR, "each", _per_stack)
+    looped = _groupoid_reports(tmp_path, capsys, samples)
+    assert json.dumps(looped) == json.dumps(merged)
+    assert len(merged) == 7
+
+
+def _count_components(form, calls, key):
+    real = form.components
+
+    def counted(p):
+        calls[key] = calls.get(key, 0) + 1
+        return real(p)
+
+    form.components = counted
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_each_check_evaluates_omega_and_phi_once(name):
+    # one evaluation of the fixture's omega per check, on the concatenation
+    # of the check's stacks; rel-closed evaluates d omega once and phi once
+    for check in ["multiplicative", "unit-identities", "classification",
+                  "dirac-type", "kernel-orthogonality", "rel-closed"]:
+        fx = fixtures.load(name)
+        F, calls = fx["form"], {}
+        _count_components(F.omega, calls, "omega")
+        if F.phi is not None:
+            _count_components(F.phi, calls, "phi")
+        cli.CHECKS[check](fx, np.random.default_rng(42), cli.DEFAULT_POLICY)
+        want = {"omega": 1}
+        if check == "rel-closed" and F.phi is not None:
+            want["phi"] = 1
+        assert calls == want, check
+
+
+def _arrow_pair(n, omega, phi=None):
+    """The pair groupoid of R^n on [-1, 1]^n with omega given by its
+    components on the arrow chart (y1..yn, x1..xn) and phi on the base."""
+    fx = fixtures.pair_fixture(n, GR.uniform(-1.0, 1.0, n), {}, phi)
+    fx["form"].omega = Form.from_components(fx["groupoid"].chart, 2, omega)
+    return fx
+
+
+def _raised(fx, check):
+    """The exception a check raises at the runner's generator, as (type,
+    message)."""
+    rng = np.random.default_rng([42] + list(check.encode()))
+    with pytest.raises((ArithmeticError, ValueError)) as caught:
+        cli.CHECKS[check](fx, rng, cli.DEFAULT_POLICY)
+    return type(caught.value), str(caught.value)
+
+
+def _draws(fx, check, *counts):
+    """The units and arrows a check draws, in its order."""
+    rng = np.random.default_rng([42] + list(check.encode()))
+    G = fx["groupoid"]
+    return [S.draw(rng, k) for S, k in zip((G.units, G.arrows), counts)]
+
+
+FAILING = {
+    # 0 at the units (y = x), a domain error at arrows with y1 < x1
+    "arrows": lambda: _arrow_pair(2, {(0, 2): "sqrt(y1 - x1)"}),
+    # a domain error at units and arrows with x1 < 0
+    "units": lambda: _arrow_pair(2, {(0, 2): "sqrt(x1)"}),
+    # every unit's rank is indeterminate (singular values 2e-9 and 5e-10
+    # around the 1e-9 cut), and arrows with y1 < x1 fail
+    "unstable": lambda: _arrow_pair(3, {(0, 1): "1.0", (2, 3): "2e-9",
+                                        (4, 5): "5e-10 + 0*sqrt(y1 - x1)"}),
+    # phi fails at sources and targets with x1 < -0.5
+    "phi": lambda: _arrow_pair(3, {(0, 1): "1.0"},
+                               {(0, 1, 2): "sqrt(x1 + 0.5)"}),
+}
+FAILING_CHECKS = {"arrows": ["multiplicative", "unit-identities",
+                             "kernel-orthogonality", "classification",
+                             "dirac-type"],
+                  "units": ["unit-identities", "classification",
+                            "dirac-type"],
+                  "unstable": ["classification", "dirac-type"],
+                  "phi": ["rel-closed"]}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_merged_errors_are_the_per_stack_errors(case, monkeypatch):
+    # the first stack that fails, in the order the stacks are evaluated
+    # one by one, names its own error at its own sample index
+    for check in FAILING_CHECKS[case]:
+        merged = _raised(FAILING[case](), check)
+        with monkeypatch.context() as m:
+            m.setattr(GR, "each", _per_stack)
+            assert _raised(FAILING[case](), check) == merged, check
+
+
+def _first(bad):
+    assert bad.any()
+    return f"at sample {int(np.argmax(bad))} "
+
+
+def test_merged_errors_name_the_stack_and_sample():
+    fx = FAILING["arrows"]()
+    # classify's units pass; its arrows (y1, y2, x1, x2) come next
+    _, g = _draws(fx, "classification", 8, 16)
+    assert _first(g[:, 0] < g[:, 2]) in _raised(fx, "classification")[1]
+    # unit-identities evaluates omega at eps(x), then at i(g) = (x, y),
+    # then at g
+    _, g = _draws(fx, "unit-identities", 8, 8)
+    assert _first(g[:, 2] < g[:, 0]) in _raised(fx, "unit-identities")[1]
+    x, _ = _draws(FAILING["units"](), "classification", 8, 16)
+    kind, message = _raised(FAILING["units"](), "classification")
+    assert kind is jets.DomainError and _first(x[:, 0] < 0) in message
+    # the unit kernel is decided before omega at the arrows is read
+    kind, message = _raised(FAILING["unstable"](), "classification")
+    assert kind is GR.RankInstabilityError
+    assert message.startswith("indeterminate rank at unit [")
+    assert " at sample 0: " in message
+    # rel-closed draws arrows only; phi at their sources s(P) = (x1, x2,
+    # x3) comes before the targets
+    _, P = _draws(FAILING["phi"](), "rel-closed", 0, 8)
+    assert _first(P[:, 3] < -0.5) in _raised(FAILING["phi"](), "rel-closed")[1]

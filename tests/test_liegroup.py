@@ -241,12 +241,29 @@ def test_cartan_dirac_frame_integrable_against_cartan_form():
                                   lg.cartan_form(Gp), pts) < 1e-9
 
 
-def test_cartan_dirac_frame_is_cartan_frame():
-    P = np.array([[0.2, -0.1, 0.3], [0.1, 0.4, -0.2]])
-    for Gp in (lg.so3(), lg.su2()):
-        F = lg.cartan_dirac_frame(Gp).frame(list(P.T))
-        assert np.array_equal(F, lg.cartan_frame(Gp, list(P.T)))
-        assert LinearDirac.from_span(F[0]).dim == 3
+def test_cartan_dirac_frame_is_cartan_frame(monkeypatch):
+    # the frame is one cartan_frame call, to the bit, and rho and rho_star
+    # are its slices
+    calls = []
+    real = lg.cartan_frame
+    monkeypatch.setattr(lg, "cartan_frame",
+                        lambda *a: calls.append(1) or real(*a))
+    for name in ("so3", "su2", "torus2"):
+        Gp = lg.GROUPS[name]()
+        u = list(np.random.default_rng(3).uniform(-0.5, 0.5, (Gp.dim, 4)))
+        want = real(Gp, u)
+        D = lg.cartan_dirac_frame(Gp)
+        del calls[:]
+        F = D.frame(u)
+        assert len(calls) == 1
+        assert F.shape == want.shape
+        assert np.array_equal(F.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(D.rho(u), want[..., :Gp.dim, :])
+        assert np.array_equal(D.rho_star(u),
+                              np.swapaxes(want[..., Gp.dim:, :], -1, -2))
+        # the torus frame is constant, with no batch axis
+        one = F.reshape((-1,) + F.shape[-2:])[0]
+        assert LinearDirac.from_span(one).dim == Gp.dim
 
 
 @pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
