@@ -95,6 +95,8 @@ def _inline_fixture(spec):
         return fx_mod.pair_fixture(n, GR.uniform(-box, box, n), omega, phi)
     except (ExprSyntaxError, UnknownIdentifierError, RecursionError) as e:
         raise ScenarioError(f"inline expression: {e}")
+    except MemoryError:
+        raise ScenarioError(f"inline fixture too large to build (n = {n})")
 
 
 def load_fixture(ref):
@@ -105,57 +107,43 @@ def load_fixture(ref):
             raise ScenarioError(str(e))
     if isinstance(ref, dict) and "inline" in ref:
         return "inline", _inline_fixture(ref["inline"])
-    if isinstance(ref, dict) and "builtin" in ref:
-        return load_fixture(ref["builtin"])
     raise ScenarioError("fixture must be a builtin name or {'inline': ...}")
 
 
 # -- checks -----------------------------------------------------------------
 
-def _residual_entry(residual, threshold, **extra):
-    """A non-finite residual fails."""
-    return {"residual": float(residual), "threshold": float(threshold),
-            "pass": bool(residual <= threshold), **extra}
-
-
 def check_structure(fx, rng, policy):
-    G = fx["groupoid"]
-    res = G.structure_residuals(rng, policy["samples"])
-    return _residual_entry(GR.worst_of(*res.values()), policy["tol"],
-                           parts=res)
+    res = fx["groupoid"].structure_residuals(rng, policy["samples"])
+    return GR.worst_of(*res.values()), {"parts": res}
 
 
 def check_multiplicative(fx, rng, policy):
-    r = GR.check_multiplicative(fx["groupoid"], fx["form"], rng,
-                                policy["samples"])
-    return _residual_entry(r, policy["tol"])
+    return GR.check_multiplicative(fx["groupoid"], fx["form"], rng,
+                                   policy["samples"])
 
 
 def check_rel_closed(fx, rng, policy):
-    r = GR.check_rel_closed(fx["groupoid"], fx["form"], rng,
-                            policy["samples"])
-    return _residual_entry(r, policy["tol"])
+    return GR.check_rel_closed(fx["groupoid"], fx["form"], rng,
+                               policy["samples"])
 
 
 def check_unit_identities(fx, rng, policy):
     r_eps, r_inv = GR.check_unit_identities(fx["groupoid"], fx["form"], rng,
                                             policy["samples"])
-    return _residual_entry(GR.worst_of(r_eps, r_inv), policy["tol"],
-                           unit_pullback=r_eps, inversion=r_inv)
+    return GR.worst_of(r_eps, r_inv), {"unit_pullback": r_eps,
+                                       "inversion": r_inv}
 
 
 def check_kernel_orthogonality(fx, rng, policy):
-    r = GR.check_kernel_orthogonality(fx["groupoid"], fx["form"], rng,
-                                      policy["samples"])
-    return _residual_entry(r, policy["tol"])
+    return GR.check_kernel_orthogonality(fx["groupoid"], fx["form"], rng,
+                                         policy["samples"])
 
 
 def check_orbit_form(fx, rng, policy):
     if fx.get("theta") is None:
         return {"pass": True, "skipped": "fixture has no base 2-form"}
-    r = GR.check_orbit_form(fx["groupoid"], fx["form"], fx["theta"], rng,
-                            policy["samples"])
-    return _residual_entry(r, policy["tol"])
+    return GR.check_orbit_form(fx["groupoid"], fx["form"], fx["theta"], rng,
+                               policy["samples"])
 
 
 def check_classification(fx, rng, policy):
@@ -193,7 +181,7 @@ def check_induced_vs_group(fx, rng, policy):
     gap = padded_span_gap(*padded_orth(span),
                           LG.cartan_frame(fx["group"], coordinates(x)),
                           G.base.dim)
-    return _residual_entry(GR.worst_of(0.0, gap), policy["tol"])
+    return GR.worst_of(0.0, gap)
 
 
 def check_rho_star_half_flat(fx, rng, policy):
@@ -205,20 +193,17 @@ def check_rho_star_half_flat(fx, rng, policy):
     x = fx["groupoid"].units.draw(rng, policy["samples"])
     sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
     ref = LG.cartan_frame(fx["group"], coordinates(x)) @ sp.A[:, :d]
-    worst = GR.worst_of(0.0, np.abs(sp.A[:, d:]),
-                        np.abs(sp.rho_star - mT(ref[:, d:])),
-                        np.abs(sp.rho - ref[:, :d]))
-    return _residual_entry(worst, policy["tol"])
+    return GR.worst_of(0.0, np.abs(sp.A[:, d:]),
+                       np.abs(sp.rho_star - mT(ref[:, d:])),
+                       np.abs(sp.rho - ref[:, :d]))
 
 
 def check_quasi_ham(fx, rng, policy):
     Q = RZ.rotation_quasi_ham(0.5)
     samples = RZ.annulus_samples(rng, policy["samples"])
     r1, r2, r3, r_inv = RZ.quasi_ham_check(Q, samples)
-    worst = GR.worst_of(r1, r2, r3, r_inv)
-    return _residual_entry(worst, policy["tol"],
-                           d_eta=r1, moment=r2, kernel_match=r3,
-                           invariance=r_inv)
+    return GR.worst_of(r1, r2, r3, r_inv), {
+        "d_eta": r1, "moment": r2, "kernel_match": r3, "invariance": r_inv}
 
 
 def check_quasi_ham_negative(fx, rng, policy):
@@ -232,9 +217,8 @@ def check_equivalence_crosscheck(fx, rng, policy):
     samples = RZ.annulus_samples(rng, policy["samples"])
     rep = RZ.equivalence_crosscheck(Q, samples)
     worst = GR.worst_of(rep["solve_residual"], rep["generator_mismatch"])
-    return _residual_entry(worst, policy["tol"], dirac_map=rep["dirac_map"],
-                           unique=rep["unique"],
-                           kernel_iso_ok=rep["kernel_iso_ok"])
+    return worst, {k: rep[k] for k in ("dirac_map", "unique",
+                                       "kernel_iso_ok")}
 
 
 def check_basicness(fx, rng, policy):
@@ -243,80 +227,73 @@ def check_basicness(fx, rng, policy):
                                        policy["fd_step"])
                  for path, probes in map(fx["paths"], grid)]
     order = PS.fitted_order(grid, residuals)
-    entry = _residual_entry(residuals[1], 5e-4, grid=list(grid),
-                            convergence=residuals, order=order)
-    entry["pass"] = entry["pass"] and order >= 1.8
-    return entry
+    return residuals[1], {"grid": list(grid), "convergence": residuals,
+                          "order": order, "pass": order >= 1.8}
 
 
 def check_sigma_contraction(fx, rng, policy):
     path, _ = fx["paths"](max(policy["grid"]))
-    r = PS.sigma_contraction_residual(path, fx["gauge"])
-    return _residual_entry(r, 1e-10)
+    return PS.sigma_contraction_residual(path, fx["gauge"])
 
 
 def check_path_boundary_identity(fx, rng, policy):
     gamma = PS.grid(max(policy["grid"])).reshape(-1, 1)
     X = np.ones_like(gamma)
-    worst = GR.worst_of(
-        PS.path_variation_identity_residual(["t"], gamma, X),
-        PS.path_variation_identity_residual(["x1"], gamma, X))
-    return _residual_entry(worst, 1e-6)
+    return GR.worst_of(PS.path_variation_identity_residual(["t"], gamma, X),
+                       PS.path_variation_identity_residual(["x1"], gamma, X))
 
 
 def check_leafwise_d_squared(fx, rng, policy):
     fol = fx["foliation"]
     f = Form.function(fol.chart, "x3*x1 + sin(x2)")
     samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
-    r = FO.max_abs(FO.d_F(fol, FO.d_F(fol, f)), samples)
-    return _residual_entry(r, 1e-12)
+    return FO.max_abs(FO.d_F(fol, FO.d_F(fol, f)), samples)
 
 
 def check_transverse_derivative(fx, rng, policy):
     fol, theta = fx["foliation"], fx["leafwise"]
     samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
     dn = FO.d_nu(fol, theta, theta, samples)
-    r = FO.max_abs(FO.classifying_rep(fol, theta) - dn, samples)
-    return _residual_entry(r, 1e-9)
+    return FO.max_abs(FO.classifying_rep(fol, theta) - dn, samples)
 
 
 def check_twisted_shift(fx, rng, policy):
     fol = fx["foliation"]
     samples = rng.uniform(-1, 1, (policy["samples"], fol.n))
-    r = FO.twisted_shift_residual(fol, fx["leafwise"], fx["twist"], samples)
-    return _residual_entry(r, 1e-9)
+    return FO.twisted_shift_residual(fol, fx["leafwise"], fx["twist"],
+                                     samples)
 
 
-CHECKS = {
-    "structure": check_structure,
-    "multiplicative": check_multiplicative,
-    "rel-closed": check_rel_closed,
-    "unit-identities": check_unit_identities,
-    "kernel-orthogonality": check_kernel_orthogonality,
-    "orbit-form": check_orbit_form,
-    "classification": check_classification,
-    "dirac-type": check_dirac_type,
-    "induced-dirac": check_induced_vs_group,
-    "rho-star-half-flat": check_rho_star_half_flat,
-    "quasi-ham": check_quasi_ham,
-    "quasi-ham-negative": check_quasi_ham_negative,
-    "equivalence-crosscheck": check_equivalence_crosscheck,
-    "basicness": check_basicness,
-    "sigma-contraction": check_sigma_contraction,
-    "path-boundary-identity": check_path_boundary_identity,
-    "leafwise-d-squared": check_leafwise_d_squared,
-    "transverse-derivative": check_transverse_derivative,
-    "twisted-shift": check_twisted_shift,
+# One row per check, name: (check, threshold, the fixture entries it reads
+# beyond the groupoid and form).  A check (fx, rng, policy) returns its
+# residual, or (residual, fields), which the runner compares with the
+# threshold (None: the policy's tol); a "pass" among the fields is a further
+# condition.  A check that decides its own pass returns its whole entry.
+TABLE = {
+    "structure": (check_structure, None, ()),
+    "multiplicative": (check_multiplicative, None, ()),
+    "rel-closed": (check_rel_closed, None, ()),
+    "unit-identities": (check_unit_identities, None, ()),
+    "kernel-orthogonality": (check_kernel_orthogonality, None, ()),
+    "orbit-form": (check_orbit_form, None, ()),
+    "classification": (check_classification, None, ()),
+    "dirac-type": (check_dirac_type, None, ()),
+    "induced-dirac": (check_induced_vs_group, None, ("group",)),
+    "rho-star-half-flat": (check_rho_star_half_flat, None, ("group",)),
+    "quasi-ham": (check_quasi_ham, None, ()),
+    "quasi-ham-negative": (check_quasi_ham_negative, None, ()),
+    "equivalence-crosscheck": (check_equivalence_crosscheck, None, ()),
+    "basicness": (check_basicness, 5e-4, ("paths", "gauge")),
+    "sigma-contraction": (check_sigma_contraction, 1e-10, ("paths", "gauge")),
+    "path-boundary-identity": (check_path_boundary_identity, 1e-6, ()),
+    "leafwise-d-squared": (check_leafwise_d_squared, 1e-12, ("foliation",)),
+    "transverse-derivative": (check_transverse_derivative, 1e-9,
+                              ("foliation", "leafwise")),
+    "twisted-shift": (check_twisted_shift, 1e-9,
+                      ("foliation", "leafwise", "twist")),
 }
-
-# the fixture entries a check reads beyond the groupoid and form of every
-# fixture; the quasi-hamiltonian checks and path-boundary-identity read none
-READS = {"induced-dirac": ("group",), "rho-star-half-flat": ("group",),
-         "basicness": ("paths", "gauge"),
-         "sigma-contraction": ("paths", "gauge"),
-         "leafwise-d-squared": ("foliation",),
-         "transverse-derivative": ("foliation", "leafwise"),
-         "twisted-shift": ("foliation", "leafwise", "twist")}
+# the runner calls each check through CHECKS, which profilers and tests wrap
+CHECKS = {name: row[0] for name, row in TABLE.items()}
 
 
 # -- runner -----------------------------------------------------------------
@@ -411,11 +388,24 @@ def _strict_json(value):
     return value
 
 
+def _entry(result, threshold, policy):
+    """A check's entry: a whole entry as it is, else its residual against
+    the threshold (None: the policy's tol), where a non-finite residual
+    fails, with its fields."""
+    if isinstance(result, dict):
+        return result
+    residual, fields = result if isinstance(result, tuple) else (result, {})
+    threshold = policy["tol"] if threshold is None else threshold
+    return {**fields, "residual": float(residual),
+            "threshold": float(threshold),
+            "pass": bool(residual <= threshold and fields.get("pass", True))}
+
+
 def run_scenario(scenario, args):
     policy = merge_policy(scenario, args)
     fixture, fx = load_fixture(scenario.get("fixture", "pair-groupoid-r2"))
     for name in scenario["suite"]:
-        for key in READS.get(name, ()):
+        for key in TABLE[name][2]:
             if key not in fx:
                 raise ScenarioError(f"check {name!r} reads {key!r}, which "
                                     f"fixture {fixture!r} does not carry")
@@ -444,7 +434,8 @@ def run_scenario(scenario, args):
             # a non-finite value fails its check in the report, so numpy's
             # warnings about it would only repeat that on stderr
             with np.errstate(all="ignore"):
-                entry = CHECKS[name](fx, rng, policy)
+                entry = _entry(CHECKS[name](fx, rng, policy), TABLE[name][1],
+                               policy)
         except (GR.NonFiniteFormError, DomainError, RecursionError) as e:
             entry = {"pass": False, "error": str(e)}
         except OverflowError as e:

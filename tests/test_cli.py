@@ -1,9 +1,13 @@
 """Scenario runner: loading, determinism, exit codes, report schema."""
 
+import argparse
 import copy
 import glob
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 
@@ -561,6 +565,52 @@ def test_long_sum_fails_its_check_without_traceback(capsys):
     assert entry["pass"] is False and "recursion" in entry["error"]
 
 
+def _run_process(scenario, tmp_path, limit=None):
+    """The runner on a scenario in a fresh interpreter, as from the command
+    line, with its address space limited to limit bytes if given."""
+    p = tmp_path / "process.json"
+    p.write_text(scenario)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               OPENBLAS_NUM_THREADS="1")
+
+    def limit_address_space():
+        if limit is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "diracgeo.cli", "run", str(p)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_address_space)
+
+
+def test_builtin_reference_is_not_a_fixture(tmp_path, capsys):
+    # a fixture is a builtin name or {"inline": ...}; {"builtin": name} is
+    # refused, also nested 980 deep, where following it overflowed the
+    # stack while the scenario's JSON still parses
+    refused = "error: fixture must be a builtin name or {'inline': ...}\n"
+    p = tmp_path / "ref.json"
+    p.write_text(json.dumps({"id": "ref", "suite": ["structure"], "fixture":
+                             {"builtin": "pair-groupoid-r2"}}))
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == refused
+    proc = _run_process('{"id": "ref", "suite": ["structure"], "fixture": '
+                        + '{"builtin": ' * 980 + '"pair-groupoid-r2"'
+                        + "}" * 980 + "}", tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refused)
+
+
+def test_fixture_too_large_to_build_exits_two(tmp_path):
+    # the chart of a 10^9-dimensional pair groupoid does not fit in the
+    # limited address space; never run this input without the limit
+    proc = _run_process(json.dumps({"id": "big", "suite": ["structure"],
+                                    "fixture": {"inline": {
+                                        "n": 10**9, "omega": {"0,1": "1"}}}}),
+                        tmp_path, limit=512 * 2**20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: inline fixture too large to build "
+                           "(n = 1000000000)\n")
+
+
 @pytest.mark.parametrize("where", ["scenario", "expect-file"])
 def test_deeply_nested_json_exits_two(where, tmp_path, capsys):
     deep = "[" * 1000 + "]" * 1000
@@ -596,6 +646,11 @@ def inline_fixtures(draw):
     keys = draw(st.lists(st.sampled_from(pairs), unique=True,
                          max_size=3)) if pairs else []
     inline = {"n": n, "omega": {k: draw(EXPRESSIONS) for k in keys}}
+    triples = [",".join(map(str, c)) for c in combinations(range(n), 3)]
+    if triples and draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(triples), unique=True,
+                             max_size=2))
+        inline["phi"] = {k: draw(EXPRESSIONS) for k in keys}
     if draw(st.booleans()):
         inline["box"] = draw(st.sampled_from([0.5, 1000.0]))
     return inline
@@ -669,8 +724,53 @@ def test_every_fixture_and_check_is_refused_or_reported(tmp_path, capsys):
             code = cli.main(["run", str(p), "--samples", "2",
                              "--grid", "4,8"])
             captured = capsys.readouterr()
-            fed = all(key in fx for key in cli.READS.get(check, ()))
+            fed = all(key in fx for key in cli.TABLE[check][2])
             assert code <= 1 if fed else code == 2, (fixture, check)
             if fed:
                 assert check in _strict(captured.out)["reports"][0]["checks"]
             assert "Traceback" not in captured.err
+
+
+# -- the table of checks ------------------------------------------------------
+
+def test_every_row_is_run_by_a_shipped_scenario():
+    suites = set()
+    for path in glob.glob(os.path.join(SCN, "*.json")):
+        suites.update(cli.load_scenario(path)["suite"])
+    assert set(cli.TABLE) <= suites
+
+
+def test_residual_entries_carry_their_rows_threshold(monkeypatch):
+    # on each fixture that feeds it, a check that returns a residual is
+    # judged by its row's threshold, or by the policy's tol where the row
+    # has None; classification, dirac-type, quasi-ham-negative and a
+    # skipped orbit-form return their whole entry
+    returned = {}
+
+    def spy(name, check):
+        def run(fx, rng, policy):
+            returned[name] = check(fx, rng, policy)
+            return returned[name]
+        return run
+
+    for name, check in cli.CHECKS.items():
+        monkeypatch.setitem(cli.CHECKS, name, spy(name, check))
+    args = argparse.Namespace(samples=2, grid=[4, 8], tol=3e-8,
+                              expect_file=None)
+    judged = set()
+    for fixture in sorted(fixtures.FIXTURES):
+        fx = fixtures.load(fixture)
+        for name, (_, threshold, reads) in cli.TABLE.items():
+            if not all(key in fx for key in reads):
+                continue
+            returned.clear()
+            report, _ = cli.run_scenario(
+                {"id": "row", "fixture": fixture, "suite": [name]}, args)
+            if isinstance(returned.get(name, {}), dict):
+                continue
+            judged.add(name)
+            entry = report["checks"][name]
+            assert entry["threshold"] == (3e-8 if threshold is None
+                                          else threshold), (fixture, name)
+    assert judged == set(cli.TABLE) - {"classification", "dirac-type",
+                                       "quasi-ham-negative"}
