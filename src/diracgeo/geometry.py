@@ -287,12 +287,16 @@ def lie_bracket(X, Y):
 
 
 class ChartMap:
-    """Differentiable map between charts, evaluator point -> point."""
+    """Differentiable map between charts, evaluator point -> point.  An
+    optional jacobian gives its Jacobian in closed form: the (B, m, n)
+    stack at a (B, n) stack of points, the (m, n) matrix at one point (or
+    at any point, where it is constant)."""
 
-    def __init__(self, source, target, func):
+    def __init__(self, source, target, func, jacobian=None):
         self.source = source
         self.target = target
         self.func = func
+        self.jacobian = jacobian
 
     @staticmethod
     def from_components(source, target, comps):

@@ -122,13 +122,14 @@ def concat(*parts, build=None):
 class ChartGroupoid:
     """Groupoid on global coordinate charts: arrows on chart, units on base.
 
-    s and t are ChartMaps from chart to base and unit one back; all
-    structure maps are evaluators over generic scalars so that jets can
-    differentiate through them.  Composable pairs/triples come from the
-    fixture's own samplers (never from root-finding): a pair is the stack
-    row (g, h) with s(g) = t(h), a triple (g, h, k) with s(g) = t(h) and
-    s(h) = t(k).  Build one with `action_groupoid` or
-    `fiberwise_pair_groupoid`.
+    s and t are ChartMaps from chart to base, unit one back, inv from
+    chart to chart and mul from the pairs (g, h), 2N coordinates, to
+    chart; all are evaluators over generic scalars so that jets can
+    differentiate through them, where a map gives no Jacobian in closed
+    form.  Composable pairs/triples come from the fixture's own samplers
+    (never from root-finding): a pair is the stack row (g, h) with
+    s(g) = t(h), a triple (g, h, k) with s(g) = t(h) and s(h) = t(k).
+    Build one with `action_groupoid` or `fiberwise_pair_groupoid`.
     """
 
     chart: Chart
@@ -136,8 +137,8 @@ class ChartGroupoid:
     s: ChartMap
     t: ChartMap
     unit: ChartMap
-    inv: object
-    mul: object
+    inv: ChartMap
+    mul: ChartMap
     units: Sampler     # base points
     arrows: Sampler
     pairs: Sampler
@@ -152,7 +153,7 @@ class ChartGroupoid:
         x, g, h, a, b, c = np.split(S, self.base.dim + N * np.arange(5), 1)
         s, t, unit, inv = (partial(apply, f)
                            for f in (self.s, self.t, self.unit, self.inv))
-        mul = partial(each, partial(apply, lambda z: self.mul(z[:N], z[N:])))
+        mul = partial(each, partial(apply, self.mul))
         ex, ig = unit(x), inv(g)
         gh, ab, bc, g_ig = mul(*map(np.hstack, [(g, h), (a, b), (b, c),
                                                 (g, ig)]))
@@ -177,7 +178,13 @@ def action_chart(Gp, base):
     return Chart(Chart.numbered(g=Gp.dim).names + base.names)
 
 
-def action_groupoid(Gp, base, act, group, point, group_near):
+def pair_chart(ch):
+    """The chart of the pairs (g, h) of points of ch, h's names primed."""
+    return Chart(ch.names + tuple(c + "'" for c in ch.names))
+
+
+def action_groupoid(Gp, base, act, group, point, group_near,
+                    act_jacobian=None):
     """The action groupoid H x M of a left action act(u, x) of the chart
     group Gp on the chart base.  An arrow (u, x) goes from x to act(u, x),
     and (u, act(v, x)).(v, x) = (uv, x).
@@ -186,9 +193,15 @@ def action_groupoid(Gp, base, act, group, point, group_near):
     parts that extend an arrow to a pair come from group, those that
     extend it to a triple from group_near, which may stay closer to the
     identity so that the products remain inside the chart.
+
+    act_jacobian(u, y), given the group coordinates u of a point (u, x)
+    or of a stack and y = act(u, x) there as an array, is the pair
+    (D_u act, D_x act); the structure maps then have their Jacobians in
+    closed form, and are differentiated by jets otherwise.
     """
-    d = Gp.dim
+    d, m = Gp.dim, base.dim
     ch = action_chart(Gp, base)
+    N = ch.dim
 
     def s(p):
         return list(p[d:])
@@ -202,17 +215,35 @@ def action_groupoid(Gp, base, act, group, point, group_near):
     def inv(p):
         return Gp.inv(p[:d]) + t(p)
 
-    def mul(g, h):
-        return Gp.mul(g[:d], h[:d]) + list(h[d:])
+    def mul(z):
+        return Gp.mul(z[:d], z[N:N + d]) + list(z[N + d:])
+
+    # Ds = [0 | I], D unit = [0; I], D inv = [-I, 0; Dt] and, on (u, x_g,
+    # v, x_h), D mul = [D_u w, 0, D_v w, 0; 0, 0, 0, I] for w = uv
+    def Dt(P):
+        return block([list(act_jacobian(coordinates(P[..., :d]),
+                                        apply(t, P)))])
+
+    def Dmul(Z):
+        Du, Dv = Gp.mul_jacobian(coordinates(Z[..., :d]),
+                                 coordinates(Z[..., N:N + d]),
+                                 coordinates(apply(mul, Z)[..., :d]))
+        zero = np.zeros((d, m))
+        return block([[Du, zero, Dv, zero], [np.eye(m, 2 * N, 2 * N - m)]])
+
+    D = (None,) * 5 if act_jacobian is None else (
+        lambda P: np.eye(m, N, d), Dt, lambda X: np.eye(N, m, -d),
+        lambda P: block([[-np.eye(d, N)], [Dt(P)]]), Dmul)
 
     def extend(P, u):
         # the arrows (u, t(g)) for the first arrows g of P, put before P
-        return np.hstack([u, apply(t, P[:, :ch.dim]), P])
+        return np.hstack([u, apply(t, P[:, :N]), P])
 
     arrows = concat(group, point)
     return ChartGroupoid(
-        ch, base, ChartMap(ch, base, s), ChartMap(ch, base, t),
-        ChartMap(base, ch, unit), inv, mul, point, arrows,
+        ch, base, ChartMap(ch, base, s, D[0]), ChartMap(ch, base, t, D[1]),
+        ChartMap(base, ch, unit, D[2]), ChartMap(ch, ch, inv, D[3]),
+        ChartMap(pair_chart(ch), ch, mul, D[4]), point, arrows,
         concat(arrows, group, build=extend),
         concat(concat(arrows, group_near, build=extend), group_near,
                build=extend))
@@ -231,6 +262,7 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
         raise ValueError("need 0 <= k <= n")
     j = k + n   # end of the transverse block q
     ch, base = Chart.numbered(y=k, x=k, q=n - k, v=r), Chart.numbered(x=n)
+    N = ch.dim
 
     def s(p):
         return list(p[k:2 * k]) + list(p[2 * k:j])
@@ -245,9 +277,9 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
         return list(p[k:2 * k]) + list(p[:k]) + list(p[2 * k:j]) \
             + [-c for c in p[j:]]
 
-    def mul(g, h):
-        return list(g[:k]) + list(h[k:j]) \
-            + [a + b for a, b in zip(g[j:], h[j:])]
+    def mul(z):
+        return list(z[:k]) + list(z[N + k:N + j]) \
+            + [a + b for a, b in zip(z[j:N], z[N + j:])]
 
     def extend(y, P, v):
         # the arrows (y, t(g), v) for the first arrows g of P, put before P
@@ -260,8 +292,9 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     pairs = concat(leaf, arrows, slot, build=extend)
     return ChartGroupoid(ch, base, ChartMap(ch, base, s),
                          ChartMap(ch, base, t), ChartMap(base, ch, unit),
-                         inv, mul, point, arrows, pairs,
-                         concat(leaf, pairs, slot, build=extend))
+                         ChartMap(ch, ch, inv),
+                         ChartMap(pair_chart(ch), ch, mul), point, arrows,
+                         pairs, concat(leaf, pairs, slot, build=extend))
 
 
 @dataclass
@@ -277,9 +310,11 @@ class GroupoidForm:
 
 def _jac(f, p):
     """Jacobian of f at a float point, or the (B, m, n) stack of its
-    Jacobians at a (B, n) stack of points: one jet pass either way."""
+    Jacobians at a (B, n) stack of points: the closed form of a ChartMap
+    that has one, one jet pass otherwise."""
     P = np.asarray(p, dtype=float)
-    J = jets.stack(jets.jacobian(f, coordinates(P)))
+    J = (jets.stack(jets.jacobian(f, coordinates(P)))
+         if getattr(f, "jacobian", None) is None else f.jacobian(P))
     return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
 
 
@@ -328,16 +363,12 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     - B1^T omega(g) B1 - B2^T omega(h) B2, with B = [B1; B2] a basis of the
     composable tangents (u, v), ds_g u = dt_h v."""
     N = G.chart.dim
-
-    def mul(z):
-        return G.mul(z[:N], z[N:])
-
     Z = G.pairs.draw(rng, n_pairs)
     g, h = Z[:, :N], Z[:, N:]
     B, _ = padded_null(np.concatenate([_jac(G.s, g), -_jac(G.t, h)], -1))
-    Dm = _jac(mul, Z)
+    Dm = _jac(G.mul, Z)
     DmB, B1, B2 = Dm @ B, B[..., :N, :], B[..., N:, :]
-    W, Wg, Wh = each(F.omega.at, apply(mul, Z), g, h)
+    W, Wg, Wh = each(F.omega.at, apply(G.mul, Z), g, h)
     return _upper_max(mT(DmB) @ W @ DmB - mT(B1) @ Wg @ B1
                       - mT(B2) @ Wh @ B2)
 

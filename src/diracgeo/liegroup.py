@@ -150,6 +150,22 @@ class MatrixGroup:
     def right_translate(self, u, v):
         return self.right_matrix(u) @ np.asarray(v)
 
+    # derivatives from the matrices above, at the chart coordinates u, v
+    # and w of a point or of a stack
+    def mul_jacobian(self, u, v, w):
+        """(D_u w, D_v w) for the product w = log(exp(u) exp(v))."""
+        return (self.right_matrix(w) @ self.lam_bar_matrix(u),
+                self.left_matrix(w) @ self.lam_matrix(v))
+
+    def ad_matrix(self, y):
+        """The matrix of [y, .] at an array y of algebra coordinates."""
+        return np.einsum("...i,ijk->...kj", y, self.struct)
+
+    def Ad_derivative(self, u, y):
+        """D_u of Ad_exp(u) x, given the array y = Ad_exp(u) x: V ->
+        [lam_bar(u) V, y] = ad_(-y) lam_bar(u) V."""
+        return self.ad_matrix(-y) @ self.lam_bar_matrix(u)
+
     def embed(self, u):
         """Matrix of exp(u) in the defining representation."""
         raise NotImplementedError
@@ -238,6 +254,9 @@ class _Torus(MatrixGroup):
         return np.eye(len(u))
 
     lam_bar_matrix = Ad_matrix = left_matrix = right_matrix = lam_matrix
+
+    def ad_matrix(self, y):
+        return np.zeros(np.shape(y)[-1:] * 2)   # the algebra is abelian
 
     def embed(self, u):
         d = self.dim
@@ -345,8 +364,10 @@ def amm_groupoid(Gp):
     form and the Cartan 3-form."""
     d = Gp.dim
     point = uniform(-0.7, 0.7, d, 0.5)
+    # conjugation is Ad_exp(u) x in the exponential chart
     G = action_groupoid(Gp, Gp.chart, conjugation_action(Gp), point, point,
-                        uniform(-0.7, 0.7, d, 0.4))
+                        uniform(-0.7, 0.7, d, 0.4), lambda u, y: (
+                            Gp.Ad_derivative(u, y), Gp.Ad_matrix(u)))
     return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
 
 
@@ -415,9 +436,13 @@ def coadjoint_groupoid(Gp):
     """T*H presented as the action groupoid H x h* with the canonical form."""
     d = Gp.dim
     act = coadjoint_action(Gp)
+    # on an orthonormal basis of a compact group's algebra the coadjoint
+    # action is Ad_exp(u) xi
     G = action_groupoid(Gp, Chart.numbered(x=d), act,
                         uniform(-0.8, 0.8, d, 0.5), uniform(-1.0, 1.0, d),
-                        uniform(-0.8, 0.8, d, 0.4))
+                        uniform(-0.8, 0.8, d, 0.4), lambda u, y: (
+                            Gp.Ad_derivative(u, y),
+                            mT(Gp.Ad_matrix(Gp.inv(u)))))
     D = action_algebroid(Gp, G.base, act, lambda x: np.eye(d))
     return G, GroupoidForm(general_action_form(Gp, D), None)
 

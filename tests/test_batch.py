@@ -15,14 +15,15 @@ from diracgeo import groupoid as GR
 from diracgeo import liegroup as LG
 from diracgeo import realization as RZ
 from diracgeo.courant import AnchoredDual, im_totals
-from diracgeo.geometry import Form, chart, lie_derivative
+from diracgeo.geometry import Form, chart, coordinates, lie_derivative
 
 # These fixtures' maps and these checks' forms go through sin, cos or
 # atan2, which numpy's array loops and math need not round alike in the
 # last place; everything else is the same arithmetic in the same order, so
 # it must agree to the bit.
-THROUGH_TRANSCENDENTALS = {"amm-so3", "coadjoint-so3", "nondirac-flow",
-                           "leafwise-d-squared", "twisted-shift"}
+THROUGH_TRANSCENDENTALS = {"amm-so3", "amm-su2", "coadjoint-so3",
+                           "nondirac-flow", "leafwise-d-squared",
+                           "twisted-shift"}
 
 
 def _agree(name, batched, single):
@@ -48,17 +49,91 @@ def test_stack_matches_the_per_point_loop(name, size):
     P = G.arrows.draw(rng, size)
     X = GR.apply(G.s, P)
     Z = G.pairs.draw(rng, size)
-    N = G.chart.dim
-
-    def mul(z):
-        return G.mul(z[:N], z[N:])
-
     _agree(name, F.omega.at(P), [F.omega.at(p) for p in P])
     if F.phi is not None:
         _agree(name, F.phi.at(X), [F.phi.at(x) for x in X])
     for f, points in ((G.s, P), (G.t, P), (G.inv, P), (G.unit, X),
-                      (mul, Z)):
+                      (G.mul, Z)):
         _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
+
+
+# -- closed-form Jacobians of the chart-group groupoids' structure maps ----
+
+CHART_GROUPS = ["amm-so3", "amm-torus2", "coadjoint-so3"]
+# |u| on both sides of the cuts in |u|^2 at 1e-4 and 1 and near the chart
+# radius 0.9 pi
+NORMS = [1e-9, 5e-3, 0.0099, 0.0101, 0.5, 0.999, 1.001, 2.0, 2.7]
+
+
+def _chart_group_groupoid(name):
+    if name == "amm-su2":
+        return LG.amm_groupoid(LG.su2())[0]
+    return fixtures.load(name)["groupoid"]
+
+
+def _group_norm(M, G, r):
+    """M with the group coordinates of each of its arrows scaled to |u| = r."""
+    d, N = G.chart.dim - G.base.dim, G.chart.dim
+    M = M.copy()
+    for a in range(0, M.shape[1], N):
+        u = M[:, a:a + d]
+        M[:, a:a + d] = u * (r / np.linalg.norm(u, axis=1, keepdims=True))
+    return M
+
+
+@pytest.mark.parametrize("name", CHART_GROUPS + ["amm-su2"])
+@pytest.mark.parametrize("size", [None, 1, 8, 64])
+def test_closed_form_jacobians_match_the_jet_pass(name, size):
+    # at one float point (size None) and at stacks; on the torus to the bit
+    G = _chart_group_groupoid(name)
+    rng = np.random.default_rng(3)
+    for r in NORMS:
+        P, Z = (_group_norm(S.draw(rng, size or 1), G, r)
+                for S in (G.arrows, G.pairs))
+        X = G.units.draw(rng, size or 1)
+        for f, points in ((G.s, P), (G.t, P), (G.unit, X), (G.inv, P),
+                          (G.mul, Z)):
+            points = points if size else points[0]
+            J = jets.stack(jets.jacobian(f.func, coordinates(points)))
+            J = np.broadcast_to(J, points.shape[:-1] + J.shape[-2:])
+            closed = GR._jac(f, points)
+            assert f.jacobian is not None
+            _agree(name, closed, J)
+            if name not in THROUGH_TRANSCENDENTALS:   # the sign of 0.0 too
+                assert np.ascontiguousarray(closed).tobytes() \
+                    == np.ascontiguousarray(J).tobytes()
+
+
+@pytest.mark.parametrize("name", CHART_GROUPS)
+def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
+    # rel-closed's d omega and coadjoint-so3's anchor inside omega keep
+    # their jet passes; no check differentiates s, t, unit, inv or mul
+    passes = _count_calls(monkeypatch, jets, ("jacobian",))
+    fx = fixtures.load(name)
+    G = fx["groupoid"]
+    maps = [G.s, G.t, G.unit, G.inv, G.mul]
+    for check in ["structure", "multiplicative", "unit-identities",
+                  "kernel-orthogonality", "classification",
+                  "rho-star-half-flat"]:
+        if feeds(fx, check):
+            cli.CHECKS[check](fx, np.random.default_rng(42),
+                              cli.DEFAULT_POLICY)
+    assert not [f for f, _ in passes
+                if any(f is m or f is m.func for m in maps)]
+
+
+@pytest.mark.parametrize("name", ["amm-so3", "coadjoint-so3"])
+def test_checks_fail_on_a_wrong_sign_in_the_action_derivative(
+        name, monkeypatch):
+    # the checks read the closed forms: D_u t negated breaks them
+    real = LG.MatrixGroup.Ad_derivative
+    monkeypatch.setattr(LG.MatrixGroup, "Ad_derivative",
+                        lambda Gp, u, y: -real(Gp, u, y))
+    fx = fixtures.load(name)
+    for check in ["multiplicative", "kernel-orthogonality"]:
+        residual = cli.CHECKS[check](fx, np.random.default_rng(42),
+                                     cli.DEFAULT_POLICY)
+        assert residual > 1e-2, check
 
 
 @pytest.mark.parametrize("name", ["amm-so3", "amm-torus2"])
@@ -258,12 +333,13 @@ def test_stacked_realization_solve_matches_per_point_lstsq():
 
 
 def _count_calls(monkeypatch, module, entries):
+    """The list of the arguments of every call of the entries from now on."""
     calls = []
     for entry in entries:
         real = getattr(module, entry)
 
         def counted(*args, real=real, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, entry, counted)
