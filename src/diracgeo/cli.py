@@ -146,9 +146,29 @@ def check_orbit_form(fx, rng, policy):
                                policy["samples"])
 
 
+def stream(policy, name):
+    """The check's own generator, from the seed and the name bytes."""
+    return np.random.default_rng([policy["seed"]] + list(name.encode()))
+
+
+def _classified(fx, policy):
+    """The scenario's one classify (or its error) from the classification
+    stream, kept in the fixture, which each scenario loads for itself."""
+    key = ("classify", policy["seed"], policy["samples"])
+    if key not in fx:
+        try:
+            fx[key] = GR.classify(fx["groupoid"], fx["form"],
+                                  stream(policy, "classification"),
+                                  policy["samples"], 2 * policy["samples"])
+        except Exception as e:
+            fx[key] = e
+    if isinstance(fx[key], Exception):
+        raise fx[key]
+    return fx[key]
+
+
 def check_classification(fx, rng, policy):
-    rep = GR.classify(fx["groupoid"], fx["form"], rng,
-                      policy["samples"], 2 * policy["samples"])
+    rep = dict(_classified(fx, policy))
     flags = rep["flags"]
     mismatches = {k: {"expected": v, "got": flags.get(k)}
                   for k, v in fx.get("expected_flags", {}).items()
@@ -161,9 +181,7 @@ def check_classification(fx, rng, policy):
 
 
 def check_dirac_type(fx, rng, policy):
-    rep = GR.classify(fx["groupoid"], fx["form"], rng,
-                      policy["samples"], 2 * policy["samples"],
-                      residuals=False)
+    rep = _classified(fx, policy)
     entry = {"pass": rep["flags"]["is_dirac_type"], "flags": rep["flags"]}
     if "dirac_type" in rep["worst_points"]:
         entry["worst_point"] = rep["worst_points"]["dirac_type"]
@@ -426,10 +444,7 @@ def run_scenario(scenario, args):
     checks = {}
     ok = True
     for name in sorted(set(scenario["suite"])):
-        # derive the stream from the check name bytes so each check is
-        # reproducible independently of suite order
-        rng = np.random.default_rng(
-            [policy["seed"]] + list(name.encode()))
+        rng = stream(policy, name)
         try:
             # a non-finite value fails its check in the report, so numpy's
             # warnings about it would only repeat that on stderr

@@ -12,8 +12,8 @@ from functools import partial
 import numpy as np
 
 from . import jets, linear
-from .linear import (kernel_svd, mT, padded_contained, padded_intersect,
-                     padded_kernel, padded_null, padded_orth, padded_span_gap)
+from .linear import (kernel_svd, mT, padded_contained, padded_kernel,
+                     padded_null, padded_orth, padded_span_gap, projections)
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
                        pull, pullback)
 
@@ -400,8 +400,7 @@ def check_kernel_orthogonality(G, F, rng, n=8):
     Om = F.omega.at(g)
     finite = np.all(np.isfinite(Om), axis=(-2, -1))
     Om = np.where(finite[:, None, None], Om, 0.0)
-    Ks, _ = padded_null(_jac(G.s, g))
-    Kt, _ = padded_null(_jac(G.t, g))
+    (Ks, _), (Kt, _) = each(padded_null, _jac(G.s, g), _jac(G.t, g))
     span, _ = padded_orth(block([[Ks, padded_null(Om)[0]]]))
     worst = np.max(np.abs(mT(span) @ Om @ Kt), axis=(-2, -1))
     return worst_of(0.0, np.where(finite, worst, np.nan))
@@ -448,7 +447,7 @@ def induced_span(G, F, x):
     Ker(omega) ∩ T_xM."""
     sp = extract_rho_star(G, F, x)
     Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
-    KTM, dim = padded_intersect(Kw, padded_orth(sp.TM)[0])
+    KTM, dim = padded_null(projections(Kw, padded_orth(sp.TM)[0]))
     # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
     base_kernel = np.linalg.pinv(sp.TM) @ KTM
     span = block([[sp.rho, base_kernel],
@@ -464,12 +463,12 @@ def induced_dirac(G, F, x):
 
 # -- classification --------------------------------------------------------
 
-def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
+def classify(G, F, rng, n_units=8, n_arrows=16):
     """Dimension/classification suite at sampled units and arrows: the dict
     of its flags, kernel dimensions, residuals, worst points and rank gaps.
     The kernel identities report the sine of the largest principal angle
-    between the two sides.  With residuals False the dict keeps only the
-    flags, worst points and rank gaps, from the same draws."""
+    between the two sides.  Rank decisions of one shape that do not depend
+    on each other are one SVD of their concatenation."""
     N, n = G.chart.dim, G.base.dim
     x, g = G.units.draw(rng, n_units), G.arrows.draw(rng, n_arrows)
     sx, tx = apply(G.s, g), apply(G.t, g)
@@ -485,37 +484,26 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
         (_, _, dim_s, _), (_, _, dim_t, _) = each(
             kernel, (ex, "unit", x), (g, "arrow", g), (esx, "unit", sx),
             (etx, "unit", tx))
-    Ks, _ = padded_null(_jac(G.s, ex))
-    Kt, _ = padded_null(_jac(G.t, ex))
-    Kst, _ = padded_intersect(Ks, Kt)
-    _, dim_gx = padded_intersect(Kw, Kst)
+    (Ks, _), (Kt, _) = each(padded_null, _jac(G.s, ex), _jac(G.t, ex))
+    Kst, _ = padded_null(projections(Ks, Kt))
+    TM, _ = padded_orth(_jac(G.unit, x))
+    # Ker(omega) meets Ker ds ∩ Ker dt, T_xM and Ker ds
+    (_, dim_gx), (KwTM, dim_ker_tm), (KwKs, dim_ker_ks) = each(
+        padded_null, *(projections(Kw, K) for K in (Kst, TM, Ks)))
     over_symplectic = bool(np.all(padded_contained(Kw, Kst)))
-    rep = {}
-    if residuals:
-        TM, _ = padded_orth(_jac(G.unit, x))
-        KwTM, dim_ker_tm = padded_intersect(Kw, TM)
-        KwKs, dim_ker_ks = padded_intersect(Kw, Ks)
-        # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
-        # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities)
-        orth1 = padded_span_gap(*padded_orth(block([[Ks, Kw]])),
-                                *padded_null(mT(Kt) @ Om))
-        orth2 = padded_span_gap(*padded_orth(block([[TM, Kw]])),
-                                *padded_null(mT(TM) @ Om))
-        # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
-        decomp = padded_span_gap(*padded_orth(block([[KwKs, KwTM]])), Kw,
-                                 dim_ker)
-        # dimension formulas
-        want_tm = 0.5 * (dim_ker + 2 * n - N)
-        want_ks = 0.5 * (dim_ker - 2 * n + N)
-        dim_err = np.maximum(abs(dim_ker_tm - want_tm),
-                             abs(dim_ker_ks - want_ks))
-        rep["residuals"] = {"kernel_dim_sum": worst_of(0.0, dim_err),
-                            "kernel_decomp": worst_of(0.0, decomp),
-                            "kernel_orth": worst_of(0.0, orth1, orth2)}
-        rep["dims"] = {"ker_omega_units": dim_ker, "g_x_omega": dim_gx,
-                       "ker_omega_cap_TM": dim_ker_tm,
-                       "ker_omega_cap_ker_ds": dim_ker_ks}
-
+    # Ker(ds) + Ker(omega) = omega-orthogonal of Ker(dt), and
+    # T_xM + Ker(omega) = omega-orthogonal of T_xM  (kernel identities);
+    # decomposition Ker(omega) = (Ker ∩ Ker ds) + (Ker ∩ TM)
+    (KsKw, r1), (KwKsTM, r3) = each(padded_orth, block([[Ks, Kw]]),
+                                    block([[KwKs, KwTM]]))
+    sides = [(KsKw, r1, *padded_null(mT(Kt) @ Om)),
+             (*padded_orth(block([[TM, Kw]])), *padded_null(mT(TM) @ Om)),
+             (KwKsTM, r3, Kw, dim_ker)]
+    orth1, orth2, decomp = np.split(
+        padded_span_gap(*map(np.concatenate, zip(*sides))), 3)
+    # dimension formulas
+    dim_err = np.maximum(abs(dim_ker_tm - 0.5 * (dim_ker + 2 * n - N)),
+                         abs(dim_ker_ks - 0.5 * (dim_ker - 2 * n + N)))
     want = 0.5 * (dim_s + dim_t)
     worst = {}
     failed = dim_arrow != want
@@ -538,7 +526,13 @@ def classify(G, F, rng, n_units=8, n_arrows=16, residuals=True):
     }
     return {"flags": flags, "worst_points": worst,
             "rank_gaps": {"units": float(gap_units.min()),
-                          "arrows": float(gap_arrows.min())}, **rep}
+                          "arrows": float(gap_arrows.min())},
+            "residuals": {"kernel_dim_sum": worst_of(0.0, dim_err),
+                          "kernel_decomp": worst_of(0.0, decomp),
+                          "kernel_orth": worst_of(0.0, orth1, orth2)},
+            "dims": {"ker_omega_units": dim_ker, "g_x_omega": dim_gx,
+                     "ker_omega_cap_TM": dim_ker_tm,
+                     "ker_omega_cap_ker_ds": dim_ker_ks}}
 
 
 # -- gauge transformations -------------------------------------------------

@@ -433,7 +433,8 @@ def coadjoint_action(Gp):
 
 
 def coadjoint_groupoid(Gp):
-    """T*H presented as the action groupoid H x h* with the canonical form."""
+    """T*H presented as the action groupoid H x h* with the canonical form,
+    for H = SO(3) or SU(2)."""
     d = Gp.dim
     act = coadjoint_action(Gp)
     # on an orthonormal basis of a compact group's algebra the coadjoint
@@ -443,7 +444,10 @@ def coadjoint_groupoid(Gp):
                         uniform(-0.8, 0.8, d, 0.4), lambda u, y: (
                             Gp.Ad_derivative(u, y),
                             mT(Gp.Ad_matrix(Gp.inv(u)))))
-    D = action_algebroid(Gp, G.base, act, lambda x: np.eye(d))
+    # the anchor is the matrix of [., xi] ([e_i, e_j] = e_k, cyclic)
+    D = AnchoredDual(G.base, lambda xi: jets.stack([
+        [0.0, xi[2], -xi[1]], [-xi[2], 0.0, xi[0]], [xi[1], -xi[0], 0.0]]),
+        lambda x: np.eye(d), -Gp.struct)
     return G, GroupoidForm(general_action_form(Gp, D), None)
 
 

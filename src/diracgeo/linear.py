@@ -38,16 +38,29 @@ def _keep(M, dim):
 
 
 def svd(M, full_matrices=True, compute_uv=True):
-    """np.linalg.svd of a matrix or stack; a stack of byte-equal matrices
-    (-0.0 is not 0.0) is decomposed once, its factors broadcast over it."""
+    """np.linalg.svd of a matrix or stack; a run of consecutive byte-equal
+    matrices (-0.0 is not 0.0) is decomposed once, at its head."""
     M = np.ascontiguousarray(M, dtype=float)
-    bits, head = M.view(np.uint64), (0,) * (M.ndim - 2)
-    if M.ndim == 2 or not M.size or np.any(bits != bits[head]):
+    if M.ndim == 2 or not M.size:
         return np.linalg.svd(M, full_matrices, compute_uv)
-    one = np.linalg.svd(M[head], full_matrices, compute_uv)
-    if not compute_uv:
-        return np.broadcast_to(one, M.shape[:-2] + one.shape)
-    return tuple(np.broadcast_to(f, M.shape[:-2] + f.shape) for f in one)
+    flat, batch = M.reshape((-1,) + M.shape[-2:]), M.shape[:-2]
+    bits = flat.view(np.uint64)
+    if not np.any(bits != bits[0]):   # one run: one matrix, broadcast
+        one = np.linalg.svd(flat[0], full_matrices, compute_uv)
+
+        def spread(f):
+            return np.broadcast_to(f, batch + f.shape)
+    else:
+        new = np.any(bits[1:] != bits[:-1], axis=(1, 2))
+        if new.all():
+            return np.linalg.svd(M, full_matrices, compute_uv)
+        heads = np.flatnonzero(np.concatenate([[True], new]))
+        one = np.linalg.svd(flat[heads], full_matrices, compute_uv)
+        runs = np.diff(heads, append=len(flat))
+
+        def spread(f):
+            return np.repeat(f, runs, axis=0).reshape(batch + f.shape[1:])
+    return tuple(map(spread, one)) if compute_uv else spread(one)
 
 
 def padded_orth(M, tol=DEFAULT_TOL):
@@ -91,14 +104,13 @@ def trim(padded):
     return B[:, :dim]
 
 
-def padded_intersect(A, B):
-    """Padded bases of (span A) ∩ (span B) for padded orthonormal bases A
-    and B, and their dimensions: the common kernel of the projections
-    I - A A^T and I - B B^T, on which the padding columns have no
-    weight."""
+def projections(A, B):
+    """The projections I - A A^T over I - B B^T for padded orthonormal
+    bases A and B, on which the padding columns have no weight: their
+    common kernel, padded_null(projections(A, B)), is (span A) ∩ (span B)."""
     eye = np.eye(A.shape[-2])
-    return padded_null(np.concatenate(
-        np.broadcast_arrays(eye - A @ mT(A), eye - B @ mT(B)), axis=-2))
+    return np.concatenate(
+        np.broadcast_arrays(eye - A @ mT(A), eye - B @ mT(B)), axis=-2)
 
 
 def padded_span_gap(A, da, B, db):

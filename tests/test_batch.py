@@ -1,6 +1,7 @@
 """Batched evaluation: a stack of sample points against the per-point loop,
-the number of jet passes and SVDs a check makes, one SVD per stack of
-byte-equal matrices, and sample-indexed errors."""
+the number of jet passes and SVDs a check makes, one SVD per run of
+byte-equal matrices, one classify per scenario, and sample-indexed
+errors."""
 
 import dataclasses
 import json
@@ -32,8 +33,9 @@ def _agree(name, batched, single):
     if name in THROUGH_TRANSCENDENTALS:
         assert np.all(np.abs(batched - single)
                       <= 1e-14 * np.maximum(1.0, np.abs(single)))
-    else:
-        assert np.array_equal(batched, single)
+    else:   # the sign of 0.0 too
+        assert np.array_equal(*(np.ascontiguousarray(a, float).view(
+            np.uint64) for a in (batched, single)))
 
 
 def _jacobians_one_by_one(f, P):
@@ -106,8 +108,9 @@ def test_closed_form_jacobians_match_the_jet_pass(name, size):
 
 @pytest.mark.parametrize("name", CHART_GROUPS)
 def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
-    # rel-closed's d omega and coadjoint-so3's anchor inside omega keep
-    # their jet passes; no check differentiates s, t, unit, inv or mul
+    # rel-closed's d omega keeps its jet pass (coadjoint-so3's anchor
+    # inside omega has a closed form); no check differentiates s, t, unit,
+    # inv or mul
     passes = _count_calls(monkeypatch, jets, ("jacobian",))
     fx = fixtures.load(name)
     G = fx["groupoid"]
@@ -447,7 +450,7 @@ def test_inline_domain_error_names_the_sample(omega, reason, tmp_path,
     assert int(found.group(1)) == int(np.argmax(bad))
 
 
-# -- one SVD per stack of byte-equal matrices -----------------------------
+# -- one SVD per run of byte-equal matrices -------------------------------
 
 def _svd_stacks():
     rng = np.random.default_rng(7)
@@ -456,7 +459,13 @@ def _svd_stacks():
     signed = np.zeros((4, 5, 3))
     signed[2, 1, 1] = -0.0
     signed[:, 0, 0] = 1.0
+    other = rng.standard_normal((5, 3))
+    broken = np.repeat(np.where(one > 0, one, 0.0)[None], 5, axis=0)
+    broken[2][broken[2] == 0.0] = -0.0
     return {"constant": np.broadcast_to(one, (8, 5, 3)),
+            "two runs": np.stack([one] * 3 + [other] * 3),
+            "A B A": np.stack([one, other, one]),
+            "run broken by -0.0": broken,
             "constant copy": np.repeat(one[None], 8, axis=0),
             "two axes": np.broadcast_to(one, (2, 3, 5, 3)),
             "mixed": mixed,
@@ -493,16 +502,27 @@ def test_svd_matches_each_matrix_to_the_bit(name, form):
 
 
 def test_svd_keeps_the_sign_of_zero_apart(monkeypatch):
-    # the matrices differ only in the sign of one zero entry, so they are
-    # decomposed as a stack; without it, one matrix is decomposed
+    # the third matrix differs from its neighbours only in the sign of one
+    # zero entry, so the stack is three runs, decomposed as a stack of
+    # three; without it, the stack is one run and one matrix is decomposed
     M = _svd_stacks()["-0.0 and 0.0"]
-    shapes = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda A, *args: shapes.append(
-        np.shape(A)) or real(A, *args))
+    calls = _count_calls(monkeypatch, np.linalg, ("svd",))
     linear.svd(M)
     linear.svd(np.abs(M))
-    assert shapes == [M.shape, M.shape[-2:]]
+    assert [A.shape for A, *_ in calls] == [(3,) + M.shape[-2:],
+                                            M.shape[-2:]]
+
+
+def test_svd_decomposes_each_run_once(monkeypatch):
+    # a run is decomposed at its head only; a stack with no repeats is
+    # one stacked call on the stack itself
+    calls = _count_calls(monkeypatch, np.linalg, ("svd",))
+    stacks = _svd_stacks()
+    for name in ["two runs", "A B A", "run broken by -0.0", "mixed",
+                 "half constant"]:
+        linear.svd(stacks[name], False)
+    assert [A.shape for A, *_ in calls] == [(2, 5, 3), (3, 5, 3), (3, 5, 3),
+                                            (6, 5, 3), (7, 5, 3)]
 
 
 @pytest.mark.parametrize("stack", ["constant", "mixed"])
@@ -541,20 +561,63 @@ def test_groupoid_reports_match_the_plain_stacked_svd(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
-def test_dirac_type_matches_a_full_classify(name, monkeypatch):
-    # dirac-type skips the kernel-identity residuals; its entry is the one
-    # a full classify gives
+def test_dirac_type_matches_a_full_classify(name):
+    # dirac-type's entry is the flags and witness of a full classify on a
+    # fixture of its own, drawn from the classification stream
+    policy = dict(cli.DEFAULT_POLICY, samples=64, seed=1)
+    entry = cli.check_dirac_type(fixtures.load(name), None, policy)
     fx = fixtures.load(name)
-    policy = dict(cli.DEFAULT_POLICY, samples=64)
+    full = GR.classify(fx["groupoid"], fx["form"],
+                       np.random.default_rng([1] + list(b"classification")),
+                       64, 128)
+    assert "dims" in full and "residuals" in full
+    assert cli._strict_json(entry) == cli._strict_json(
+        {"pass": full["flags"]["is_dirac_type"], "flags": full["flags"],
+         **({"worst_point": full["worst_points"]["dirac_type"]}
+            if "dirac_type" in full["worst_points"] else {})})
 
-    def entry():
-        rng = np.random.default_rng([1] + list(b"dirac-type"))
-        return cli._strict_json(cli.check_dirac_type(fx, rng, policy))
 
-    lean = entry()
-    full = GR.classify
-    monkeypatch.setattr(GR, "classify", lambda *a, residuals: full(*a))
-    assert entry() == lean
+def test_dirac_type_reads_the_classification_of_its_scenario(tmp_path,
+                                                             capsys):
+    # in one report, dirac-type's flags and witness are classification's
+    reports = _groupoid_reports(tmp_path, capsys)
+    for report in reports:
+        entry, full = (report["checks"][c]
+                       for c in ("dirac-type", "classification"))
+        assert entry["flags"] == full["flags"]
+        assert entry.get("worst_point") == \
+            full["worst_points"].get("dirac_type")
+    assert any("worst_point" in r["checks"]["dirac-type"] for r in reports)
+
+
+def test_one_classify_per_scenario(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, GR, ("classify",))
+    assert len(_groupoid_reports(tmp_path, capsys)) == len(calls) == 7
+
+
+def test_a_classify_error_is_the_error_of_both_entries(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = _count_calls(monkeypatch, GR, ("classify",))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({
+        "id": "bad", "suite": ["classification", "dirac-type"],
+        "fixture": {"inline": {"n": 2, "omega": {"0,1": "sqrt(x1)"}}}}))
+    assert cli.main(["run", str(p)]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    error = checks["classification"]["error"]
+    assert "sqrt of negative value" in error and " at sample " in error
+    assert checks["dirac-type"]["error"] == error and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("samples", [8, 64])
+def test_classify_makes_at_most_twelve_svds(name, samples, monkeypatch):
+    # independent rank decisions of one shape are one stacked SVD
+    svds = _count_calls(monkeypatch, np.linalg, ("svd",))
+    fx = fixtures.load(name)
+    GR.classify(fx["groupoid"], fx["form"], np.random.default_rng(42),
+                samples, 2 * samples)
+    assert len(svds) <= 12
 
 
 # -- one evaluation per check over the concatenation of its stacks --------

@@ -27,6 +27,9 @@ TEST_ONLY = {
                                               "closedness, for the "
                                               "path-rel-closed check "
                                               "(ROADMAP item 5)",
+    "liegroup.action_algebroid": "the anchor by a jet pass, the reference "
+                                 "for the coadjoint groupoid's closed-form "
+                                 "anchor",
     "liegroup.canonical_cotangent_form": "the reference for the coadjoint "
                                          "groupoid's canonical symplectic "
                                          "form",

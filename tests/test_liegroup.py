@@ -7,6 +7,7 @@ import pytest
 
 from diracgeo import jets
 from diracgeo import liegroup as lg
+from diracgeo.geometry import ext_d
 from diracgeo.jets import value_of
 from diracgeo.linear import LinearDirac
 
@@ -199,7 +200,6 @@ def test_metric_is_bi_invariant():
 def test_cartan_form_closed_and_bi_invariant():
     Gp = lg.so3()
     phi = lg.cartan_form(Gp)
-    from diracgeo.geometry import ext_d
     rng = np.random.default_rng(16)
     p = rand_alg(rng, 3, 0.5)
     for _ in range(3):
@@ -318,6 +318,23 @@ def test_coadjoint_form_is_canonical_symplectic():
         u, v = rng.standard_normal((2, 6))
         assert value_of(F.omega(p, u, v)) == pytest.approx(
             value_of(can(p, u, v)), abs=1e-12)
+
+
+@pytest.mark.parametrize("group", ["so3", "su2"])
+def test_coadjoint_anchor_matches_the_jet_anchor(group):
+    # the closed-form anchor [., xi] against the Jacobian of the coadjoint
+    # action at the identity: omega at a point and at a stack, and d omega,
+    # which differentiates the anchor, to the bit
+    Gp = getattr(lg, group)()
+    G, F = lg.coadjoint_groupoid(Gp)
+    D = lg.action_algebroid(Gp, G.base, lg.coadjoint_action(Gp),
+                            lambda x: np.eye(3))
+    ref = lg.general_action_form(Gp, D)
+    P = G.arrows.draw(np.random.default_rng(21), 16)
+    for got, want in ((F.omega.at(P), ref.at(P)),
+                      (F.omega.at(P[0]), ref.at(P[0])),
+                      (ext_d(F.omega).at(P), ext_d(ref).at(P))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_coadjoint_action_preserves_pairing():
