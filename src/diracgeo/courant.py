@@ -1,27 +1,20 @@
-"""The phi-twisted Courant bracket on sections of TM + T*M and anchored
-dual pairs (rho, sigma), the one presentation of a frame of TM + T*M: the
-graph of a 2-form, the integrability residual of a Dirac frame, and the
-infinitesimal-multiplicativity and Cartan-closedness conditions."""
+"""Anchored dual pairs (rho, sigma), the one presentation of a frame of
+TM + T*M: the graph of a 2-form, the phi-twisted frame brackets, the
+integrability of a Dirac frame, and the IM and Cartan-closedness
+conditions.  All are first order in the frame: each reads one frame jet
+(AnchoredDual.jet) with (d sigma_j)_am = d_a sigma_jm - d_m sigma_ja,
+(L_X alpha)_m = X^l d_l alpha_m + alpha_l d_m X^l and [X, Y]^k =
+X^l d_l Y^k - Y^l d_l X^k (rho_i = rho(a_i), sigma_i = sigma(a_i)); a
+quantity of pairs (a_p, b_p) of frame elements is (..., P, n)."""
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
-from . import jets, linear
-from .geometry import (Chart, Form, VectorField, block, coordinates, ext_d,
-                       interior, lie_bracket, lie_derivative)
-from .groupoid import max_abs, worst_of
-
-
-def courant_bracket(a, b, phi=None):
-    """[(X,xi),(Y,eta)]_phi = ([X,Y], L_X eta - i_Y d xi + phi(X,Y,.)) for
-    sections given as (vector field, 1-form) pairs."""
-    (X, xi), (Y, eta) = a, b
-    zeta = lie_derivative(X, eta) - interior(Y, ext_d(xi))
-    if phi is not None:
-        zeta = zeta + interior(Y, interior(X, phi))
-    return lie_bracket(X, Y), zeta
+from . import jets
+from .geometry import Chart, VectorField, block, coordinates
+from .groupoid import worst_of
+from .linear import LinearDirac, mT, mv
 
 
 @dataclass
@@ -49,19 +42,33 @@ class AnchoredDual:
         return VectorField(self.chart, lambda p: list(
             np.moveaxis(self.rho(p)[..., i], -1, 0)))
 
-    def dual(self, i):
-        """sigma(a_i) as a 1-form."""
-        return Form(self.chart, 1, lambda p: self.rho_star(p)[..., i, :])
-
-    def section(self, i):
-        """(rho(a_i), sigma(a_i)) as a section of TM + T*M."""
-        return self.anchor(i), self.dual(i)
-
     def frame(self, p):
         """The (2n, r) frame matrix [rho; sigma^T] at p, whose column i is
         the section a_i; batch-first at a batch of points."""
         return self.whole(p) if self.whole is not None else block(
-            [[self.rho(p)], [linear.mT(self.rho_star(p))]])
+            [[self.rho(p)], [mT(self.rho_star(p))]])
+
+    def jet(self, p):
+        """(rho, sigma, d rho, d sigma) at p from one jet pass over the flat
+        frame: rho[..., i, k] = rho_i^k, d rho[..., i, k, l] = d_l rho_i^k,
+        and so for sigma; batch-first at a stack unless constant (each of
+        the four on its own), object arrays of jets where p carries jets."""
+        n, r, values = self.chart.dim, self.rank, []
+
+        def f(q):
+            flat, tag = list(np.ravel(self.frame(q))), q[0].tag
+            # each value is its entry without this pass's jet layer
+            values[:] = [[c.value if isinstance(c, jets.Jet) and c.tag == tag
+                          else c] for c in flat]
+            return flat
+
+        def half(rows, h, k):    # the entries of the (n, r) block h
+            A = jets.stack(rows[h * n * r:(h + 1) * n * r])
+            return np.swapaxes(A.reshape(A.shape[:-2] + (n, r, k)), -3, -2)
+
+        rows = jets.jacobian(f, p)
+        return (half(values, 0, 1)[..., 0], half(values, 1, 1)[..., 0],
+                half(rows, 0, n), half(rows, 1, n))
 
 
 def graph_of_form(theta):
@@ -72,81 +79,77 @@ def graph_of_form(theta):
                         np.zeros((n, n, n)))
 
 
-def integrability_residual(D, phi, samples):
-    """Largest pairing of the frame brackets [a_i, a_j]_phi against the
-    frame, each bracket evaluated once on the stack of samples.
+def _lie(J, a, b):
+    """L_{rho_a} sigma_b."""
+    rho, sigma, drho, dsigma = J
+    return mv(dsigma[..., b, :, :], rho[..., a, :]) \
+        + mv(mT(drho[..., a, :, :]), sigma[..., b, :])
 
-    Vanishing pairing against all of L_p is membership in L_p (maximal
-    isotropy), so this measures closure under the twisted bracket.  A frame
-    of rank other than n, or one that is not a Dirac structure at a
-    sample, raises.
-    """
+
+def frame_brackets(J, Phi, a, b):
+    """The twisted brackets [a_i, a_j]_phi of the frame elements for the
+    pairs (i, j) of the index arrays a, b, from the frame jet J and the
+    components Phi of phi (None for no twist): the vector parts
+    [rho_i, rho_j] and the covector parts L_{rho_i} sigma_j
+    - i_{rho_j} d sigma_i + phi(rho_i, rho_j, .)."""
+    rho, _, drho, dsigma = J
+    X, Y, ds = rho[..., a, :], rho[..., b, :], dsigma[..., a, :, :]
+    Z = mv(drho[..., b, :, :], X) - mv(drho[..., a, :, :], Y)
+    # i_Y d sigma_i = (d sigma_i)^T Y, and phi(X, Y, .) is Phi contracted
+    # with Y and then X in its last slots
+    zeta = _lie(J, a, b) - mv(ds - mT(ds), Y)
+    if Phi is not None:
+        zeta = zeta + mv(mv(Phi[..., None, :, :, :], Y[..., None, :]), X)
+    return Z, zeta
+
+
+def integrability_residual(D, phi, samples):
+    """Largest pairing of the frame brackets [a_i, a_j]_phi, i < j, against
+    the frame.  Vanishing pairing against all of L_p is membership in L_p
+    (maximal isotropy), so this measures closure under the twisted
+    bracket.  A frame of rank other than n, or one that is not a Dirac
+    structure at a sample, raises."""
     n = D.chart.dim
     if D.rank != n:
         raise ValueError(f"a Dirac frame needs {n} sections, got {D.rank}")
     P = np.asarray(samples, dtype=float)
-    p = coordinates(P)
-    F = D.frame(p)
+    J, Phi = D.jet(coordinates(P)), None if phi is None else phi.at(P)
+    rho, sigma = J[:2]
+    F = block([[mT(rho)], [mT(sigma)]])
     for Fp in np.broadcast_to(F, (len(P),) + F.shape[-2:]):
-        linear.LinearDirac.from_span(Fp)   # raises where it degenerates
-    worst = 0.0
-    for i, j in combinations(range(n), 2):
-        Z, zeta = courant_bracket(D.section(i), D.section(j), phi)
-        # the row [zeta, Z] of the bracket at each sample, against F
-        row = np.concatenate(np.broadcast_arrays(
-            zeta.at(P)[:, None, :], jets.stack([Z(p)])), axis=-1)
-        worst = worst_of(worst, np.abs(row @ F))
-    return worst
+        LinearDirac.from_span(Fp)   # raises where it degenerates
+    Z, zeta = frame_brackets(J, Phi, *np.triu_indices(n, 1))
+    return worst_of(0.0, np.abs(zeta @ mT(rho) + Z @ mT(sigma)))
 
 
-def _bracket_dual(D, i, j):
-    """sigma([a_i, a_j]) as a 1-form."""
-    return Form(D.chart, 1, lambda p, c=D.structure[i, j]: c @ D.rho_star(p))
+def _isotropy_residual(J):
+    """max |S + S^T| for S_ij = <sigma(a_i), rho(a_j)>."""
+    S = J[1] @ mT(J[0])
+    return worst_of(0.0, np.abs(S + mT(S)))
 
 
-def _isotropy_residual(D, samples):
-    """max |S + S^T| for S = rho_star . rho on the stack of samples:
-    <sigma(a_i), rho(a_j)> is antisymmetric."""
-    p = coordinates(samples)
-    S = D.rho_star(p) @ D.rho(p)
-    return worst_of(0.0, np.abs(S + linear.mT(S)))
-
-
-def _worst_form(forms, samples):
-    """The largest max_abs of the forms (0 when there are none)."""
-    return worst_of(0.0, *(max_abs(w, samples) for w in forms))
-
-
-def im_totals(D, phi):
-    """The 1-forms d_A sigma(a_i, a_j) - i_{rho(a_i) ^ rho(a_j)} phi for
-    i < j, where d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
-    + d<sigma(b), rho(a)>   (L_a means L_{rho(a)})."""
-    totals = []
-    for i, j in combinations(range(D.rank), 2):
-        X, Y = D.anchor(i), D.anchor(j)
-        total = _bracket_dual(D, i, j) - lie_derivative(X, D.dual(j)) \
-            + lie_derivative(Y, D.dual(i)) + ext_d(interior(X, D.dual(j)))
-        if phi is not None:
-            total = total - interior(Y, interior(X, phi))
-        totals.append(total)
-    return totals
+def _im_totals(D, J, Phi):
+    """The 1-forms d_A sigma(a_i, a_j) - i_{rho_i ^ rho_j} phi, i < j, by
+    the Cartan formula c_ij . sigma - i_{rho_i} d sigma_j + L_{rho_j}
+    sigma_i - phi(rho_i, rho_j, .): c_ij . sigma + pr_T* [a_j, a_i]_phi."""
+    a, b = np.triu_indices(D.rank, 1)
+    return D.structure[a, b] @ J[1] + frame_brackets(J, Phi, b, a)[1]
 
 
 def im_conditions_residual(D, phi, samples):
-    """Residuals of the two infinitesimal multiplicativity conditions.
-
-    r1: the isotropy residual max |S + S^T| for S = rho_star . rho.
-    r2: the largest component of the im_totals.
-    """
-    return _isotropy_residual(D, samples), \
-        _worst_form(im_totals(D, phi), samples)
+    """Residuals of the two infinitesimal multiplicativity conditions:
+    r1 the isotropy residual, r2 the largest component of the IM totals."""
+    P = np.asarray(samples, dtype=float)
+    J, Phi = D.jet(coordinates(P)), None if phi is None else phi.at(P)
+    return _isotropy_residual(J), \
+        worst_of(0.0, np.abs(_im_totals(D, J, Phi)))
 
 
 def cartan_closed_residual(D, phi, samples):
     """Residuals of the three pointwise conditions on (rho*, phi) for the
     action algebroid D.
 
-    r1: the isotropy residual, as in im_conditions_residual.
+    r1: the isotropy residual.
     r2: |i_{rho(a_i)} phi - d(rho*(a_i))| over the frame.
     r3: |L_{rho(a_i)} rho*(a_j) - rho*([a_i, a_j])| -- infinitesimal
         invariance of rho* under the action (the algebroid bracket is the
@@ -157,12 +160,12 @@ def cartan_closed_residual(D, phi, samples):
     liegroup.general_action_form built from D is closed, while the IM
     conditions only say that some relatively closed form exists.
     """
-    closed = []
-    for i in range(D.rank):
-        w = -ext_d(D.dual(i))
-        closed.append(w if phi is None else w + interior(D.anchor(i), phi))
-    invariant = [lie_derivative(D.anchor(i), D.dual(j))
-                 - _bracket_dual(D, i, j)
-                 for i, j in permutations(range(D.rank), 2)]
-    return (_isotropy_residual(D, samples), _worst_form(closed, samples),
-            _worst_form(invariant, samples))
+    P = np.asarray(samples, dtype=float)
+    J, Phi = D.jet(coordinates(P)), None if phi is None else phi.at(P)
+    closed = J[3] - mT(J[3])        # -d sigma_i
+    if Phi is not None:             # i_{rho_i} phi, its last slot rho_i
+        closed = closed + mv(Phi[..., None, :, :, :], J[0][..., None, :])
+    a, b = np.nonzero(~np.eye(D.rank, dtype=bool))     # all pairs i != j
+    invariant = _lie(J, a, b) - D.structure[a, b] @ J[1]
+    return (_isotropy_residual(J), worst_of(0.0, np.abs(closed)),
+            worst_of(0.0, np.abs(invariant)))

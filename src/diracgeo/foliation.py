@@ -7,12 +7,11 @@ leafwise p-form has p leaf indices, a conormal-valued one one more index,
 which is transverse."""
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import linear
-from .courant import courant_bracket, graph_of_form
+from .courant import frame_brackets, graph_of_form
 from .geometry import Chart, Form, alternate, component_jacobian, ext_d
 from .groupoid import (GroupoidForm, fiberwise_pair_groupoid, max_abs,
                        uniform)
@@ -33,10 +32,6 @@ class CoordFoliation:
     @property
     def chart(self):
         return Chart.numbered(x=self.n)
-
-    @property
-    def leaf(self):
-        return tuple(range(self.k))
 
     @property
     def transverse(self):
@@ -90,17 +85,24 @@ def classifying_rep(fol, extension, phi=None):
     """The conormal-valued curvature of the splitting: transverse
     components of the (twisted) bracket defect of the lifted leaf frame
     sigma(d_i) = (d_i, i_{d_i} extension), the graph of the extension, as
-    the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute,
-    so the defect is just the bracket of the lifted sections.  ([()] takes
-    the entry out of the 0-d array that [..., m] leaves at one point.)"""
-    graph = graph_of_form(extension)
-    out = {}
-    for (i, j) in combinations(fol.leaf, 2):
-        _, zeta = courant_bracket(graph.section(i), graph.section(j), phi)
-        for m in fol.transverse:
-            out[(i, j, m)] = lambda p, zeta=zeta, m=m: \
-                zeta.components(p)[..., m][()]
-    return Form.from_components(fol.chart, 3, out)
+    the block u[i, j, m] of a 3-form.  Leaf coordinate fields commute, so
+    the defect is the covector part L_{d_i} sigma_j - i_{d_j} d sigma_i +
+    phi(d_i, d_j, .) of the bracket of the lifted sections, read for the
+    leaf pairs only from one frame jet of the graph."""
+    graph, (a, b) = graph_of_form(extension), np.triu_indices(fol.k, 1)
+
+    def components(p):
+        Phi = None if phi is None else phi.components(p)
+        _, zeta = frame_brackets(graph.jet(p), Phi, a, b)
+        C = np.zeros(zeta.shape[:-2] + (fol.n,) * 3, dtype=zeta.dtype)
+        for k, (i, j) in enumerate(zip(a, b)):
+            for m in fol.transverse:    # u[i, j, m], alternated
+                v = zeta[..., k, m]
+                C[..., i, j, m] = C[..., j, m, i] = C[..., m, i, j] = v
+                C[..., j, i, m] = C[..., i, m, j] = C[..., m, j, i] = -v
+        return C
+
+    return Form(fol.chart, 3, components)
 
 
 def phi_bar(fol, phi):

@@ -272,20 +272,6 @@ def lie_derivative(X, w):
     return ext_d(interior(X, w)) + interior(X, ext_d(w))
 
 
-def lie_bracket(X, Y):
-    """[X, Y] = DY.X - DX.Y, via jets."""
-    _check_chart(X.chart, Y.chart)
-
-    def ev(p):
-        xp = X(p)
-        yp = Y(p)
-        dY = jets.directional(Y, p, xp)
-        dX = jets.directional(X, p, yp)
-        return [a - b for a, b in zip(dY, dX)]
-
-    return VectorField(X.chart, ev)
-
-
 class ChartMap:
     """Differentiable map between charts, evaluator point -> point.  An
     optional jacobian gives its Jacobian in closed form: the (B, m, n)

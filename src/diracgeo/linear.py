@@ -32,6 +32,11 @@ def mT(M):
     return np.swapaxes(M, -1, -2)
 
 
+def mv(M, v):
+    """The stacked matrix-vector products M[i] @ v[i]."""
+    return (M @ v[..., None])[..., 0]
+
+
 def _keep(M, dim):
     """M with its columns from dim on zeroed."""
     return M * (np.arange(M.shape[-1]) < dim[..., None])[..., None, :]

@@ -17,6 +17,7 @@ from . import expr, jets
 from .courant import AnchoredDual
 from .geometry import coordinates
 from .groupoid import worst_of
+from .linear import mv
 
 # the curve, gauge and functional expressions are parsed once per source
 parse = functools.cache(expr.parse)
@@ -31,11 +32,6 @@ def _columns(vals, ts):
     """The (N+1, m) stack of m values on the grid ts, each a float
     (constant along the grid) or an (N+1,) array."""
     return np.stack(np.broadcast_arrays(*vals, ts)[:-1], axis=-1)
-
-
-def _mv(M, v):
-    """The stacked matrix-vector products M[i] @ v[i]."""
-    return (M @ v[..., None])[..., 0]
 
 
 def _dot(u, v):
@@ -90,7 +86,7 @@ class DiscretizedAPath:
 
     def rho_of_a(self):
         """rho(a(t_i)) at gamma(t_i), the (N+1, n) stack."""
-        return _mv(_at_grid(self, self.pres.rho), self.a)
+        return mv(_at_grid(self, self.pres.rho), self.a)
 
     def apath_residual(self):
         """Max defect of rho(a) against the central-difference velocity."""
@@ -151,7 +147,7 @@ def omega_phi(path, V, W, phi):
 
 def sigma_tilde(path, X):
     """Quadrature of <rho*(a), dgamma X> along the path."""
-    vals = _dot(path.a, _mv(_at_grid(path, path.pres.rho_star), X.dgamma))
+    vals = _dot(path.a, mv(_at_grid(path, path.pres.rho_star), X.dgamma))
     return _trapz(vals, path.dt)
 
 
@@ -201,7 +197,7 @@ def gauge_vector(path, eta):
     z = [ts] + p
     e_t = [1.0] + [0.0] * pres.chart.dim
     eta_here = _section_on_grid(path, fns)
-    dgamma = _mv(_at_grid(path, pres.rho), eta_here)
+    dgamma = mv(_at_grid(path, pres.rho), eta_here)
     rho_a = coordinates(path.rho_of_a())
     # structure term sum_{i',j'} c^k a_{i'} eta_{j'}
     da = np.einsum("za,zb,abk->zk", path.a, eta_here, pres.structure)
@@ -234,8 +230,8 @@ def sigma_contraction_residual(path, eta):
     X_eta = gauge_vector(path, eta)
     lhs = sigma_tilde(path, X_eta)
     eta_here = _section_on_grid(path, eta.compiled(path.pres.chart))
-    vals = _dot(eta_here, _mv(_at_grid(path, path.pres.rho_star),
-                              path.rho_of_a()))
+    vals = _dot(eta_here, mv(_at_grid(path, path.pres.rho_star),
+                             path.rho_of_a()))
     return abs(lhs + _trapz(vals, path.dt))
 
 

@@ -15,7 +15,8 @@ from diracgeo import foliation as FO
 from diracgeo import groupoid as GR
 from diracgeo import liegroup as LG
 from diracgeo import realization as RZ
-from diracgeo.courant import AnchoredDual, im_totals
+from diracgeo import courant
+from diracgeo.courant import AnchoredDual
 from diracgeo.geometry import Form, chart, coordinates, lie_derivative
 
 # These fixtures' maps and these checks' forms go through sin, cos or
@@ -309,13 +310,17 @@ def test_sampled_forms_match_the_per_point_loop(size):
                           - FO.classifying_rep(fol, ext)
                           - FO.phi_bar(fol, phi), P),
         "quasi-ham": (lie_derivative(Q.D.anchor(0), Q.eta), P[:, :2]),
-        "quasi-ham-dual": (lie_derivative(Q.D.anchor(0), Q.D.dual(0)),
-                           P[:, :2])}
-    twist = Form.from_components(D.chart, 3, {(0, 1, 2): "x*y - z"})
-    for i, total in enumerate(im_totals(D, twist)):
-        forms[f"im-total-{i}"] = (total, P)
+        "quasi-ham-dual": (lie_derivative(Q.D.anchor(0), Form(
+            Q.D.chart, 1, lambda p: Q.D.rho_star(p)[..., 0, :])), P[:, :2])}
     for name, (w, points) in forms.items():
         _agree(name, w.at(points), [w.at(p) for p in points])
+    twist = Form.from_components(D.chart, 3, {(0, 1, 2): "x*y - z"})
+
+    def im_totals(points):
+        return courant._im_totals(D, D.jet(coordinates(points)),
+                                  twist.at(points))
+
+    _agree("im-totals", im_totals(P), [im_totals(p) for p in P])
 
 
 def test_stacked_realization_solve_matches_per_point_lstsq():

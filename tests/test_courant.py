@@ -1,19 +1,116 @@
 """Twisted Courant bracket, anchored dual pairs as frames of TM + T*M,
 the integrability of a Dirac frame, and the IM and Cartan-closedness
-conditions."""
+conditions.  The package reads all of them from one frame jet; the
+composite bracket below, built from the lazy Lie derivative, interior
+product and exterior derivative of geometry, is the reference they are
+compared with."""
+
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from diracgeo import fixtures, jets, linear, liegroup as lg
+from diracgeo import courant, fixtures, jets, linear, liegroup as lg
+from diracgeo import foliation as fo
 from diracgeo.courant import (AnchoredDual, cartan_closed_residual,
-                              courant_bracket, graph_of_form,
+                              frame_brackets, graph_of_form,
                               im_conditions_residual, integrability_residual)
-from diracgeo.geometry import Chart, Form, VectorField, chart, ext_d
+from diracgeo.geometry import (Chart, Form, VectorField, chart, coordinates,
+                               ext_d, interior, lie_derivative)
+from diracgeo.groupoid import max_abs, worst_of
 
 
 CH2 = chart("x", "y")
 CH3 = chart("x", "y", "z")
+
+
+# -- the composite reference ------------------------------------------------
+
+def lie_bracket(X, Y):
+    """[X, Y] = DY.X - DX.Y, two directional jet passes."""
+    def ev(p):
+        dY = jets.directional(Y, p, X(p))
+        dX = jets.directional(X, p, Y(p))
+        return [a - b for a, b in zip(dY, dX)]
+
+    return VectorField(X.chart, ev)
+
+
+def courant_bracket(a, b, phi=None):
+    """[(X,xi),(Y,eta)]_phi = ([X,Y], L_X eta - i_Y d xi + phi(X,Y,.)) for
+    sections given as (vector field, 1-form) pairs."""
+    (X, xi), (Y, eta) = a, b
+    zeta = lie_derivative(X, eta) - interior(Y, ext_d(xi))
+    if phi is not None:
+        zeta = zeta + interior(Y, interior(X, phi))
+    return lie_bracket(X, Y), zeta
+
+
+def dual(D, i):
+    """sigma(a_i) as a 1-form."""
+    return Form(D.chart, 1, lambda p: D.rho_star(p)[..., i, :])
+
+
+def frame_section(D, i):
+    """(rho(a_i), sigma(a_i)) as a section of TM + T*M."""
+    return D.anchor(i), dual(D, i)
+
+
+def bracket_dual(D, i, j):
+    """sigma([a_i, a_j]) as a 1-form."""
+    return Form(D.chart, 1, lambda p, c=D.structure[i, j]: c @ D.rho_star(p))
+
+
+def reference_im_totals(D, phi):
+    """d_A sigma(a_i, a_j) - i_{rho(a_i) ^ rho(a_j)} phi for i < j, with
+    d_A sigma(a,b) = sigma([a,b]) - L_a sigma(b) + L_b sigma(a)
+    + d<sigma(b), rho(a)>."""
+    totals = []
+    for i, j in combinations(range(D.rank), 2):
+        X, Y = D.anchor(i), D.anchor(j)
+        total = bracket_dual(D, i, j) - lie_derivative(X, dual(D, j)) \
+            + lie_derivative(Y, dual(D, i)) + ext_d(interior(X, dual(D, j)))
+        if phi is not None:
+            total = total - interior(Y, interior(X, phi))
+        totals.append(total)
+    return totals
+
+
+def reference_isotropy(D, P):
+    S = D.rho_star(coordinates(P)) @ D.rho(coordinates(P))
+    return worst_of(0.0, np.abs(S + linear.mT(S)))
+
+
+def reference_im_conditions(D, phi, P):
+    return reference_isotropy(D, P), worst_of(
+        0.0, *(max_abs(w, P) for w in reference_im_totals(D, phi)))
+
+
+def reference_cartan_closed(D, phi, P):
+    closed = []
+    for i in range(D.rank):
+        w = -ext_d(dual(D, i))
+        closed.append(w if phi is None else w + interior(D.anchor(i), phi))
+    invariant = [lie_derivative(D.anchor(i), dual(D, j)) - bracket_dual(D, i, j)
+                 for i, j in permutations(range(D.rank), 2)]
+    return (reference_isotropy(D, P),
+            worst_of(0.0, *(max_abs(w, P) for w in closed)),
+            worst_of(0.0, *(max_abs(w, P) for w in invariant)))
+
+
+def reference_integrability(D, phi, P):
+    F = D.frame(coordinates(P))
+    for Fp in np.broadcast_to(F, (len(P),) + F.shape[-2:]):
+        linear.LinearDirac.from_span(Fp)   # raises where it degenerates
+    worst = 0.0
+    for i, j in combinations(range(D.rank), 2):
+        Z, zeta = courant_bracket(frame_section(D, i), frame_section(D, j),
+                                  phi)
+        row = np.concatenate(np.broadcast_arrays(
+            zeta.at(P)[:, None, :], jets.stack([Z(coordinates(P))])),
+            axis=-1)
+        worst = worst_of(worst, np.abs(row @ F))
+    return worst
 
 
 def section(ch, vec, cov):
@@ -281,3 +378,136 @@ def test_im_conditions_reject_negated_dual_and_missing_twist():
                            D.structure)
     assert im_conditions_residual(negated, phi, pts)[1] > 1e-2
     assert im_conditions_residual(D, None, pts)[1] > 1e-2
+
+
+# -- the frame jet against the composite reference --------------------------
+
+def polynomial_sigma(p):
+    return jets.stack([[p[1], p[0] * p[2], 1.0], [0.0, p[2], p[0]],
+                       [p[1] * p[1], 0.0, p[2]]])
+
+
+def cartan_dirac(name):
+    Gp = lg.GROUPS[name]()
+    return lg.cartan_dirac_frame(Gp), lg.cartan_form(Gp)
+
+
+def fixture_graph(name, entry, twist):
+    fx = fixtures.load(name)
+    return graph_of_form(fx[entry]), twist(fx)
+
+
+# name: () -> (anchored dual, twist or None)
+ALGEBROIDS = {
+    **{f"conjugation-{g}": lambda g=g: amm_algebroid(g)
+       for g in ("so3", "su2", "torus2")},
+    "coadjoint-so3": lambda: (coadjoint_algebroid(), None),
+    **{f"so3-anchor{s:+.0f}": lambda s=s: (
+        so3_anchor(polynomial_sigma, s),
+        Form.from_components(CH3, 3, {(0, 1, 2): "x*y - z"}))
+       for s in (1.0, -1.0)},
+    "twisted-pair-r3": lambda: fixture_graph(
+        "twisted-pair-r3", "theta", lambda fx: fx["form"].phi),
+    **{f"cartan-dirac-{g}": lambda g=g: cartan_dirac(g)
+       for g in ("so3", "su2", "torus2")},
+    "foliated-r3": lambda: fixture_graph(
+        "foliated-r3", "leafwise", lambda fx: fx["twist"]),
+}
+
+
+def assert_close(got, ref):
+    """Elementwise within 1e-14 max(1, |ref|), as the stacked evaluations
+    that go through transcendentals are held to the per-point ones."""
+    got, ref = np.broadcast_arrays(np.asarray(got, float),
+                                   np.asarray(ref, float))
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def vectors(X, P):
+    """The (B, n) values of a vector field at the stack P."""
+    v = jets.stack([X(coordinates(P))])[..., 0, :]
+    return np.broadcast_to(v, (len(P), v.shape[-1]))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_frame_jet_matches_the_composite_reference(name):
+    D, phi = ALGEBROIDS[name]()
+    P = np.random.default_rng(43).uniform(-0.4, 0.4, (4, D.chart.dim))
+    J = D.jet(coordinates(P))
+    Phi = None if phi is None else phi.at(P)
+    a, b = np.triu_indices(D.rank, 1)     # the pairs i < j in order
+    Z, zeta = frame_brackets(J, Phi, a, b)
+    totals = courant._im_totals(D, J, Phi)
+    references = reference_im_totals(D, phi)
+    for k, (i, j) in enumerate(zip(a, b)):
+        ref_Z, ref_zeta = courant_bracket(frame_section(D, i),
+                                          frame_section(D, j), phi)
+        assert_close(Z[..., k, :], vectors(ref_Z, P))
+        assert_close(zeta[..., k, :], ref_zeta.at(P))
+        assert_close(totals[..., k, :], references[k].at(P))
+    assert_close(im_conditions_residual(D, phi, P),
+                 reference_im_conditions(D, phi, P))
+    assert_close(cartan_closed_residual(D, phi, P),
+                 reference_cartan_closed(D, phi, P))
+    if D.rank != D.chart.dim:
+        return
+    try:
+        ref = reference_integrability(D, phi, P)
+    except ValueError:      # not a Dirac frame at a sample
+        with pytest.raises(ValueError):
+            integrability_residual(D, phi, P)
+    else:
+        assert_close(integrability_residual(D, phi, P), ref)
+
+
+# -- one frame jet per call --------------------------------------------------
+
+def counted_passes(monkeypatch):
+    """The nesting depth of every jet pass from now on: 0 for a pass that
+    runs inside no other pass."""
+    depths, depth = [], [0]
+    for entry in ("jacobian", "directional"):
+        real = getattr(jets, entry)
+
+        def counted(*args, real=real):
+            depths.append(depth[0])
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(jets, entry, counted)
+    return depths
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_each_residual_makes_one_frame_jet_pass(name, monkeypatch):
+    # one pass over the frame, plus the passes that evaluating the frame
+    # makes on its own (the jet pass of action_algebroid's anchor)
+    D, phi = ALGEBROIDS[name]()
+    P = np.random.default_rng(44).uniform(-0.4, 0.4, (8, D.chart.dim))
+    residuals = [im_conditions_residual, cartan_closed_residual]
+    try:
+        integrability_residual(D, phi, P)
+        residuals.append(integrability_residual)
+    except ValueError:      # not a Dirac frame
+        pass
+    depths = counted_passes(monkeypatch)
+    D.frame(coordinates(P))
+    own = len(depths)
+    for residual in residuals:
+        del depths[:]
+        residual(D, phi, P)
+        assert (depths.count(0), len(depths)) == (1, 1 + own), residual
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_classifying_rep_makes_one_jet_pass(twisted, monkeypatch):
+    fx = fixtures.load("foliated-r3")
+    u = fo.classifying_rep(fx["foliation"], fx["leafwise"],
+                           fx["twist"] if twisted else None)
+    P = np.random.default_rng(45).uniform(-1.0, 1.0, (8, 3))
+    depths = counted_passes(monkeypatch)
+    u.at(P)
+    assert depths == [0]

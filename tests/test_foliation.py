@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracgeo import foliation as fo
-from diracgeo.geometry import Form
+from diracgeo.geometry import Form, component_jacobian, coordinates
 
 
 FOL = fo.CoordFoliation(3, 2)
@@ -17,7 +17,6 @@ def samples(rng, n=3, k=6):
 def test_foliation_validation():
     with pytest.raises(ValueError):
         fo.CoordFoliation(2, 3)
-    assert FOL.leaf == (0, 1)
     assert FOL.transverse == (2,)
 
 
@@ -95,6 +94,20 @@ def test_classifying_rep_matches_d_nu():
     u = fo.classifying_rep(FOL, ext)
     dn = fo.d_nu(FOL, theta, ext, pts)
     assert fo.max_abs(u - dn, pts) < 1e-12
+
+
+def test_classifying_rep_is_generic_over_jets():
+    # its components differentiate like those of any form: at jets it has
+    # the component Jacobian of the transverse derivative
+    fol = fo.CoordFoliation(4, 2)
+    ext = Form.from_components(fol.chart, 2, {(0, 1): "x3*sin(x4) + x1*x2*x3",
+                                              (0, 2): "x2*x4",
+                                              (1, 3): "x1^2*x4"})
+    P = np.random.default_rng(58).uniform(-1.0, 1.0, (5, 4))
+    got = component_jacobian(fo.classifying_rep(fol, ext), coordinates(P))
+    want = component_jacobian(fo.d_nu(fol, ext, ext, P), coordinates(P))
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_closed_extension_gives_zero_class():

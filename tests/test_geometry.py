@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracgeo import jets, linear
+from diracgeo.courant import AnchoredDual, frame_brackets
 from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, chart,
-                               ext_d, interior, lie_bracket, lie_derivative,
-                               pullback)
+                               ext_d, interior, lie_derivative, pullback)
 
 
 CH3 = chart("x", "y", "z")
@@ -84,6 +85,17 @@ def test_interior_product():
     assert iw(p, [0.0, 1.0, 0.0]) == pytest.approx(X(p)[0])
     with pytest.raises(ValueError):
         interior(X, Form.function(CH3, "x"))
+
+
+def lie_bracket(X, Y):
+    """[X, Y] as a vector field: the vector part of the frame bracket of
+    the anchored dual whose anchor columns are X and Y, with sigma = 0
+    (generic over jets, so brackets nest)."""
+    D = AnchoredDual(X.chart, lambda q: linear.mT(jets.stack([X(q), Y(q)])),
+                     lambda q: np.zeros((2, X.chart.dim)),
+                     np.zeros((2, 2, 2)))
+    return VectorField(X.chart, lambda q: list(
+        frame_brackets(D.jet(q), None, [0], [1])[0][..., 0, :]))
 
 
 def test_lie_bracket_matches_closed_form():
