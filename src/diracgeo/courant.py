@@ -14,7 +14,7 @@ import numpy as np
 from . import jets
 from .geometry import Chart, VectorField, block, coordinates
 from .groupoid import worst_of
-from .linear import LinearDirac, mT, mv
+from .linear import dirac_basis, mT, mv
 
 
 @dataclass
@@ -116,8 +116,7 @@ def integrability_residual(D, phi, samples):
     J, Phi = D.jet(coordinates(P)), None if phi is None else phi.at(P)
     rho, sigma = J[:2]
     F = block([[mT(rho)], [mT(sigma)]])
-    for Fp in np.broadcast_to(F, (len(P),) + F.shape[-2:]):
-        LinearDirac.from_span(Fp)   # raises where it degenerates
+    dirac_basis(np.broadcast_to(F, (len(P),) + F.shape[-2:]))  # or raises
     Z, zeta = frame_brackets(J, Phi, *np.triu_indices(n, 1))
     return worst_of(0.0, np.abs(zeta @ mT(rho) + Z @ mT(sigma)))
 

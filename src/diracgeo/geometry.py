@@ -5,7 +5,8 @@ tensor at a point, an antisymmetric array of shape (n,)*k.  Derived
 operators compose lazily: the exterior derivative is the antisymmetrized
 Jacobian of the components, the interior product a contraction, the
 pullback J^T.w.J.  Derivatives come from jets, so they stay exact for the
-supported function basis and nest for second derivatives.
+supported function basis and nest for second derivatives, unless a form
+or chart map gives its Jacobian in closed form for float points.
 
 A point may also be a batch: coordinates that are arrays of shape (B,).
 The components are then batch-first, (B,) + (n,)*k, or an object array of
@@ -126,12 +127,17 @@ class Form:
 
     A form may also be given by its values on vectors, a function
     (p, vectors) -> scalar; its components are then read on the coordinate
-    basis, one value per increasing index tuple."""
+    basis, one value per increasing index tuple.
 
-    def __init__(self, ch, degree, components):
+    An optional jacobian gives the Jacobian of the components in closed
+    form, at float points and float stacks: jacobian(p) is what
+    component_jacobian(w, p) returns.  Derived forms carry none."""
+
+    def __init__(self, ch, degree, components, jacobian=None):
         self.chart = ch
         self.degree = degree
         self.components = components
+        self.jacobian = jacobian
         if isinstance(components, FunctionType) and 2 == (
                 components.__code__.co_argcount
                 - len(components.__defaults__ or ())):
@@ -216,8 +222,12 @@ class Form:
 
 def component_jacobian(w, p):
     """D[..., l] = d w[...] / d p_l, the Jacobian of the components of the
-    form w at p: one jet pass with n partials, nesting-safe, batch-first
-    at a batch of points."""
+    form w at p, batch-first at a batch of points: w's closed form where
+    it has one and p holds floats or float stacks, one jet pass with n
+    partials otherwise (nesting-safe)."""
+    if w.jacobian is not None and not any(isinstance(c, jets.Jet)
+                                          for c in p):
+        return w.jacobian(p)
     n, k = len(p), w.degree
 
     def flat(q):
@@ -249,7 +259,8 @@ def _to_slot(D, k, a):
 
 
 def ext_d(w):
-    """Exterior derivative: the alternated Jacobian of the components."""
+    """Exterior derivative: the alternated Jacobian of the components,
+    from a jet pass only where w has no closed-form Jacobian."""
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
     return Form(w.chart, w.degree + 1,

@@ -1,7 +1,9 @@
 """Compact matrix groups in exponential charts: SO(3), SU(2) (real 4x4
 quaternion embedding), and tori; Maurer-Cartan forms, adjoint action, the
 bi-invariant Cartan 3-form, the Cartan-Dirac structure, and the conjugation
-(AMM) groupoid with its multiplicative 2-form.
+(AMM) groupoid with its multiplicative 2-form.  The chart matrices that a
+form differentiates give their derivatives in closed form, so the AMM and
+action forms carry closed-form Jacobians.
 
 SO(3) and SU(2) share structure constants [e_i, e_j] = e_k (cyclic), so
 their chart-level group operations coincide (the covering is a local
@@ -171,40 +173,66 @@ class MatrixGroup:
         raise NotImplementedError
 
 
-def _chart_matrix(alpha, beta):
+def _chart_matrix(alpha, beta, dalpha=None, dbeta=None):
     """u -> I + alpha K + beta K^2 entry by entry: K^2 = u u^T - s I, and
-    the coefficients are functions of s = |u|^2 and (w, f) = _half_angle(s)."""
-    def matrix(self, u):
+    the coefficients are functions of s = |u|^2 and (w, f) = _half_angle(s).
+    With the derivatives dalpha and dbeta in s, functions of (s, w, f, f'),
+    also u -> (M, dM) at float coordinates or a float stack, dM[..., i, j,
+    l] = d_l M_ij = 2 u_l (alpha' K + beta' K^2) + alpha E_l + beta (e_l u^T
+    + u e_l^T - 2 u_l I), E_l = dK/du_l (None without them)."""
+    def matrix(self, u, derivative=False):
         sq = [c * c for c in u]
         s = sq[0] + sq[1] + sq[2]
         w, f = _half_angle(s)
         a, b = alpha(s, w, f), beta(s, w, f)
         K = [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
-        return jets.stack([[1.0 - b * (sq[i - 1] + sq[i - 2]) if i == j
-                            else a * K[i][j] + b * (u[i] * u[j])
-                            for j in range(3)] for i in range(3)])
+        M = jets.stack([[1.0 - b * (sq[i - 1] + sq[i - 2]) if i == j
+                         else a * K[i][j] + b * (u[i] * u[j])
+                         for j in range(3)] for i in range(3)])
+        if not derivative:
+            return M
+        df = _F_PRIME(s, w, f)
+        s, a, b, da, db = (np.asarray(c)[..., None, None, None] for c in (
+            s, a, b, dalpha(s, w, f, df), dbeta(s, w, f, df)))
+        v = np.stack(np.broadcast_arrays(*u), axis=-1)
+        # u_i, u_j and u_l on the axes i, j and l of dM
+        ui, uj, ul = (v[..., :, None, None], v[..., None, :, None],
+                      v[..., None, None, :])
+        K = np.einsum("ijl,...l->...ij", _E, v)[..., None]
+        return M, (2.0 * ul * (da * K + db * (ui * uj - s * _I3[..., None]))
+                   + a * _E + b * (_I3[:, None] * uj + ui * _I3
+                                   - 2.0 * ul * _I3[..., None]))
 
-    return matrix
+    return matrix if dalpha is None else (
+        matrix, lambda self, u: matrix(self, u, True))
 
 
 def _series_or(coeffs, exact):
-    """beta(s, w, f): the Taylor series in s below s = 1, exact above."""
-    return lambda s, w, f: _small_or(s, 1.0, lambda s: functools.reduce(
+    """beta(s, ...): the Taylor series in s below s = 1, exact above."""
+    return lambda s, *args: _small_or(s, 1.0, lambda s: functools.reduce(
         lambda acc, c: c + s * acc, coeffs[-2::-1], coeffs[-1]),
-        lambda s: exact(s, w, f))
+        lambda s: exact(s, *args))
 
 
 # (th - sin th)/th^3 = (1 - 2wf)/s and 1/th^2 - cot(th/2)/(2 th) =
 # (1 - w/(2f))/s = sum_n |B_2n| s^(n-1)/(2n)! (Bernoulli numbers B_2n) lose
-# digits to cancellation at small s, where their series do not
-_MC_BETA = _series_or([(-1) ** k / math.factorial(2 * k + 3)
-                       for k in range(9)],
-                      lambda s, w, f: (1.0 - 2.0 * w * f) / s)
+# digits to cancellation at small s, where their series do not; so do the
+# derivatives f' = (w - 2f)/(4s) (w' = -f/4) and beta' of the first
+_MC_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(9)]
+_MC_BETA = _series_or(_MC_SERIES, lambda s, w, f: (1.0 - 2.0 * w * f) / s)
 _TRANSLATION_BETA = _series_or(
     [b / math.factorial(2 * n + 2) for n, b in enumerate(
         (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730, 7 / 6,
          3617 / 510, 43867 / 798, 174611 / 330, 854513 / 138))],
     lambda s, w, f: (1.0 - w / (2.0 * f)) / s)
+_F_PRIME = _series_or([(-1) ** k * k / (2 ** (2 * k + 1)
+                                         * math.factorial(2 * k + 1))
+                       for k in range(1, 10)],
+                      lambda s, w, f: (w - 2.0 * f) / (4.0 * s))
+_MC_BETA_PRIME = _series_or(
+    [k * c for k, c in enumerate(_MC_SERIES)][1:], lambda s, w, f, df: (
+        0.5 * f * f - 2.0 * w * df - (1.0 - 2.0 * w * f) / s) / s)
+_I3 = np.eye(3)
 
 
 class _QuaternionChartGroup(MatrixGroup):
@@ -219,15 +247,27 @@ class _QuaternionChartGroup(MatrixGroup):
         lam_bar_matrix  +(1 - cos th)/th^2       (th - sin th)/th^3
         left_matrix     +1/2                     1/th^2 - cot(th/2)/(2 th)
         right_matrix    -1/2                     1/th^2 - cot(th/2)/(2 th)
+
+    Ad_jet, lam_jet and lam_bar_jet give the matrix with its derivative in
+    closed form, from the derivatives in s = th^2 of the coefficients: w'
+    = -f/4, f' = (w - 2f)/(4s) and, for (th - sin th)/th^3 = (1 - 2wf)/s,
+    beta' = (f^2/2 - 2wf' - beta)/s; f' and beta' are their series below
+    s = 1.
     """
 
     def mul(self, u, v):
         return _qlog(_qmul(_qexp(u), _qexp(v)))
 
-    Ad_matrix = _chart_matrix(lambda s, w, f: 2.0 * w * f,
-                              lambda s, w, f: 2.0 * f * f)
-    lam_matrix = _chart_matrix(lambda s, w, f: -2.0 * f * f, _MC_BETA)
-    lam_bar_matrix = _chart_matrix(lambda s, w, f: 2.0 * f * f, _MC_BETA)
+    Ad_matrix, Ad_jet = _chart_matrix(
+        lambda s, w, f: 2.0 * w * f, lambda s, w, f: 2.0 * f * f,
+        lambda s, w, f, df: 2.0 * w * df - 0.5 * f * f,
+        lambda s, w, f, df: 4.0 * f * df)
+    lam_matrix, lam_jet = _chart_matrix(
+        lambda s, w, f: -2.0 * f * f, _MC_BETA,
+        lambda s, w, f, df: -4.0 * f * df, _MC_BETA_PRIME)
+    lam_bar_matrix, lam_bar_jet = _chart_matrix(
+        lambda s, w, f: 2.0 * f * f, _MC_BETA,
+        lambda s, w, f, df: 4.0 * f * df, _MC_BETA_PRIME)
     left_matrix = _chart_matrix(lambda s, w, f: 0.5, _TRANSLATION_BETA)
     right_matrix = _chart_matrix(lambda s, w, f: -0.5, _TRANSLATION_BETA)
 
@@ -255,6 +295,11 @@ class _Torus(MatrixGroup):
 
     lam_bar_matrix = Ad_matrix = left_matrix = right_matrix = lam_matrix
 
+    def lam_jet(self, u):
+        return np.eye(len(u)), np.zeros((len(u),) * 3)
+
+    lam_bar_jet = Ad_jet = lam_jet
+
     def ad_matrix(self, y):
         return np.zeros(np.shape(y)[-1:] * 2)   # the algebra is abelian
 
@@ -274,6 +319,9 @@ def _eps_struct():
     c[0, 1, 2] = c[1, 2, 0] = c[2, 0, 1] = 1.0
     c[1, 0, 2] = c[2, 1, 0] = c[0, 2, 1] = -1.0
     return c
+
+
+_E = -_eps_struct()   # E[i, j, l] = dK_ij/du_l
 
 
 def so3():
@@ -346,7 +394,8 @@ def amm_omega(Gp):
     """The multiplicative 2-form on the conjugation groupoid H x H:
     omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar))),
     i.e. 1/2 (P^T Ad^T P - P^T Ad P + P^T Q - Q^T P) with
-    P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x]."""
+    P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x].  Its Jacobian is the
+    product rule over lam_g, Ad_x and lam_x + lam_bar_x."""
     d = Gp.dim
 
     def components(p):
@@ -356,7 +405,37 @@ def amm_omega(Gp):
         top = 0.5 * (mT(L) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
         return block([[0.5 * (X - mT(X)), top], [-mT(top), np.zeros((d, d))]])
 
-    return Form(action_chart(Gp, Gp.chart), 2, components)
+    def jacobian(p):
+        # the partials of the components are B - B^T for B = [[dX/2,
+        # d top], [0, 0]], which keeps the sign of their zeros
+        u, x = p[:d], p[d:]
+        (L, dL), (A, dA) = _partials(Gp.lam_jet(u)), _partials(Gp.Ad_jet(x))
+        Q, dQ = (a + b for a, b in zip(_partials(Gp.lam_jet(x)),
+                                       _partials(Gp.lam_bar_jet(x))))
+        zero = np.zeros((d, d))
+        B = _jacobian(
+            [[0.5 * (mT(dL) @ mT(A) @ L + mT(A @ L) @ dL),
+              0.5 * (mT(dL) @ Q)], [zero, zero]],
+            [[0.5 * (mT(L) @ mT(dA) @ L), 0.5 * (mT(L) @ dQ)], [zero, zero]])
+        return B - np.swapaxes(B, -3, -2)
+
+    return Form(action_chart(Gp, Gp.chart), 2, components, jacobian)
+
+
+def _partials(jet):
+    """(M, dM) of a chart matrix, or of a slice of a frame jet, with the
+    partial axis of dM moved in front of its matrix axes and M given an
+    axis of length 1 there."""
+    M, dM = jet
+    return M[..., None, :, :], np.moveaxis(dM, -1, -3)
+
+
+def _jacobian(*partials):
+    """D[..., i, j, l] = d_l C_ij from the block rows of the partials of C,
+    those in the group coordinates and then those in the base, each with
+    its partial axis in front of its matrix axes."""
+    return np.moveaxis(np.concatenate([block(rows) for rows in partials],
+                                      axis=-3), -3, -1)
 
 
 def amm_groupoid(Gp):
@@ -393,7 +472,8 @@ def general_action_form(Gp, D):
     - <rho*_x(lam_g V'), X>.
 
     With S = rho*_x^T lam_g the components are
-    [[S^T rho_x lam_g, S^T], [-S, 0]].
+    [[S^T rho_x lam_g, S^T], [-S, 0]].  Its Jacobian is the product rule
+    over lam_g and the frame jet of D at x.
     """
     d = Gp.dim
     m = D.chart.dim
@@ -405,7 +485,20 @@ def general_action_form(Gp, D):
         return block([[mT(S) @ (D.rho(x) @ L), mT(S)],
                       [-S, np.zeros((m, m))]])
 
-    return Form(action_chart(Gp, D.chart), 2, components)
+    def jacobian(p):
+        # R = rho_x; St = S^T = lam_g^T rho*_x has the partials dSu, dSx
+        u, x = p[:d], p[d:]
+        L, dL = _partials(Gp.lam_jet(u))
+        rho, sigma, drho, dsigma = D.jet(x)
+        R, dR = _partials((mT(rho), np.swapaxes(drho, -3, -2)))
+        Sig, dSig = _partials((sigma, dsigma))
+        St, zero = mT(L) @ Sig, np.zeros((m, m))
+        dSu, dSx = mT(dL) @ Sig, mT(L) @ dSig
+        return _jacobian(
+            [[dSu @ (R @ L) + St @ R @ dL, dSu], [-mT(dSu), zero]],
+            [[dSx @ (R @ L) + St @ dR @ L, dSx], [-mT(dSx), zero]])
+
+    return Form(action_chart(Gp, D.chart), 2, components, jacobian)
 
 
 def amm_rho_star(Gp):

@@ -155,6 +155,29 @@ def _pairing_matrix(n):
     return P
 
 
+def dirac_basis(span):
+    """The orthonormal basis of the span of a 2n x k frame, or of each
+    frame of a stack, from one stacked SVD.  The first frame whose span is
+    not maximal isotropic raises, the sample named at a stack."""
+    span = np.asarray(span, dtype=float)
+    if span.ndim < 2 or span.shape[-2] % 2 != 0:
+        raise ValueError("span must be a 2n x k matrix")
+    n = span.shape[-2] // 2
+    B, rank = padded_orth(span)
+    B = B[..., :n]
+    iso = np.max(np.abs(mT(B) @ _pairing_matrix(n) @ B), axis=(-2, -1))
+    bad = np.ravel((rank != n) | (iso > 1e-7))
+    if bad.any():
+        i = int(np.argmax(bad))
+        rank, iso = np.ravel(rank)[i], np.ravel(iso)[i]
+        at = f" at sample {i}" if span.ndim > 2 else ""
+        if rank != n:
+            raise DegenerateRankError(
+                f"span has rank {rank}, expected {n}{at}")
+        raise ValueError(f"span is not isotropic (residual {iso:.2e}){at}")
+    return B
+
+
 @dataclass(frozen=True, eq=False)
 class LinearDirac:
     """Maximal isotropic subspace of V + V*: its frame `span` and an
@@ -167,17 +190,9 @@ class LinearDirac:
     @staticmethod
     def from_span(span):
         span = np.asarray(span, dtype=float)
-        if span.ndim != 2 or span.shape[0] % 2 != 0:
+        if span.ndim != 2:
             raise ValueError("span must be a 2n x k matrix")
-        n = span.shape[0] // 2
-        B, rank = padded_orth(span)
-        if rank != n:
-            raise DegenerateRankError(f"span has rank {rank}, expected {n}")
-        B = B[:, :n]
-        iso = np.max(np.abs(B.T @ _pairing_matrix(n) @ B))
-        if iso > 1e-7:
-            raise ValueError(f"span is not isotropic (residual {iso:.2e})")
-        return LinearDirac(n, span, B)
+        return LinearDirac(span.shape[0] // 2, span, dirac_basis(span))
 
     def __eq__(self, other):
         if not isinstance(other, LinearDirac):

@@ -109,9 +109,7 @@ def test_closed_form_jacobians_match_the_jet_pass(name, size):
 
 @pytest.mark.parametrize("name", CHART_GROUPS)
 def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
-    # rel-closed's d omega keeps its jet pass (coadjoint-so3's anchor
-    # inside omega has a closed form); no check differentiates s, t, unit,
-    # inv or mul
+    # no check differentiates s, t, unit, inv or mul
     passes = _count_calls(monkeypatch, jets, ("jacobian",))
     fx = fixtures.load(name)
     G = fx["groupoid"]
@@ -124,6 +122,26 @@ def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
                               cli.DEFAULT_POLICY)
     assert not [f for f, _ in passes
                 if any(f is m or f is m.func for m in maps)]
+
+
+# the frame jet of coadjoint-so3's algebroid, read by its omega's Jacobian
+FRAME_JETS = {"amm-so3": 0, "amm-torus2": 0, "coadjoint-so3": 1}
+
+
+@pytest.mark.parametrize("name", CHART_GROUPS)
+def test_group_checks_make_no_jet_pass_but_the_frame_jet(name,
+                                                        monkeypatch):
+    # d omega reads omega's closed-form Jacobian: no jet pass goes through
+    # the quaternion chart in any of the 7 group checks
+    fx = fixtures.load(name)
+    passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
+    for check in GROUP_CHECKS:
+        if feeds(fx, check):
+            cli.CHECKS[check](fx, np.random.default_rng(42),
+                              cli.DEFAULT_POLICY)
+    assert len(passes) == FRAME_JETS[name]
+    assert all(f.__qualname__ == "AnchoredDual.jet.<locals>.f"
+               for f, _ in passes)
 
 
 @pytest.mark.parametrize("name", ["amm-so3", "coadjoint-so3"])
@@ -354,9 +372,10 @@ def _count_calls(monkeypatch, module, entries):
     return calls
 
 
-GROUPOID_CHECKS = ["structure", "multiplicative", "rel-closed",
-                   "unit-identities", "kernel-orthogonality", "orbit-form",
-                   "classification", "dirac-type", "rho-star-half-flat"]
+GROUP_CHECKS = ["structure", "multiplicative", "rel-closed",
+                "unit-identities", "kernel-orthogonality", "orbit-form",
+                "classification"]
+GROUPOID_CHECKS = GROUP_CHECKS + ["dirac-type", "rho-star-half-flat"]
 SAMPLED_CHECKS = ["quasi-ham", "quasi-ham-negative", "equivalence-crosscheck",
                   "leafwise-d-squared", "transverse-derivative",
                   "twisted-shift"]
@@ -646,19 +665,23 @@ def test_groupoid_entries_match_the_per_stack_evaluation(samples, tmp_path,
 
 
 def _count_components(form, calls, key):
-    real = form.components
+    # an evaluation of the components or of their closed-form Jacobian
+    for entry in ("components", "jacobian"):
+        real = getattr(form, entry)
 
-    def counted(p):
-        calls[key] = calls.get(key, 0) + 1
-        return real(p)
+        def counted(p, real=real):
+            calls[key] = calls.get(key, 0) + 1
+            return real(p)
 
-    form.components = counted
+        if real is not None:
+            setattr(form, entry, counted)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_each_check_evaluates_omega_and_phi_once(name):
     # one evaluation of the fixture's omega per check, on the concatenation
-    # of the check's stacks; rel-closed evaluates d omega once and phi once
+    # of the check's stacks; rel-closed evaluates d omega once (omega's
+    # closed-form Jacobian, or its components in one jet pass) and phi once
     for check in ["multiplicative", "unit-identities", "classification",
                   "dirac-type", "kernel-orthogonality", "rel-closed"]:
         fx = fixtures.load(name)

@@ -205,6 +205,29 @@ def test_frame_size_validation():
         integrability_residual(D, None, [[0.1, 0.2]])
 
 
+@pytest.mark.parametrize("rows, error, i", [
+    ([[0.5, 0.0], [0.0, 0.0], [0.5, 0.3], [0.0, 0.0]],
+     linear.DegenerateRankError, 1),
+    ([[0.5, 0.0], [0.5, 0.3], [0.0, 0.0], [0.5, 0.3]], ValueError, 1),
+    ([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0]],
+     linear.DegenerateRankError, 3)])
+def test_frame_validation_names_the_first_failing_sample(rows, error, i):
+    # rho = diag(1, x), sigma = diag(0, y): rank 1 where x = y = 0, and
+    # <a_2, a_2> = 2xy; the stacked validation raises the error of the
+    # per-sample loop, at its sample
+    D = AnchoredDual(CH2, lambda p: jets.stack([[1.0, 0.0], [0.0, p[0]]]),
+                     lambda p: jets.stack([[0.0, 0.0], [0.0, p[1]]]),
+                     np.zeros((2, 2, 2)))
+    P = np.array(rows)
+    with pytest.raises(error) as looped:
+        for p in P:
+            linear.LinearDirac.from_span(D.frame(p.tolist()))
+    with pytest.raises(error, match=f" at sample {i}$") as stacked:
+        integrability_residual(D, None, P)
+    assert type(stacked.value) is type(looped.value)
+    assert str(stacked.value) == f"{looped.value} at sample {i}"
+
+
 # -- anchored dual pairs ----------------------------------------------------
 
 def rotation_pair():

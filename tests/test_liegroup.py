@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from diracgeo import jets
+from diracgeo import cli, fixtures, jets
 from diracgeo import liegroup as lg
-from diracgeo.geometry import ext_d
+from diracgeo.geometry import Form, component_jacobian, coordinates, ext_d
 from diracgeo.jets import value_of
 from diracgeo.linear import LinearDirac
 
@@ -137,6 +137,94 @@ def test_closed_form_derivatives_match_the_nested_jacobians(group, name):
     for p in P:
         got, ref = both(p.tolist())
         assert np.all(np.abs(got - ref) <= 1e-13)
+
+
+# -- closed-form derivatives against the jet pass ---------------------------
+
+def _close(got, ref, exact):
+    """Within 1e-14 max(1, |v|), or byte for byte where exact (and the
+    same shape either way)."""
+    assert np.shape(got) == np.shape(ref)
+    if exact:
+        assert np.ascontiguousarray(got).tobytes() \
+            == np.ascontiguousarray(ref).tobytes()
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def _jet_derivative(matrix, d, point):
+    """dM[..., i, j, l] = d_l M_ij from one jet pass."""
+    D = jets.stack(jets.jacobian(lambda q: list(np.ravel(matrix(q))), point))
+    return D.reshape(D.shape[:-2] + (d,) * 3)
+
+
+@pytest.mark.parametrize("name", ["lam", "lam_bar", "Ad"])
+@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
+    # at each point as floats, at the stacks of the series (s < 1e-4) and
+    # of the exact branch (s > 1), and at the stack that mixes both; on
+    # the tori to the bit
+    Gp = lg.GROUPS[group]()
+    matrix, jet = (getattr(Gp, name + k) for k in ("_matrix", "_jet"))
+    P = chart_points(Gp.dim)
+    s = np.sum(P * P, axis=1)
+    for point in [p.tolist() for p in P] + [
+            list(Q.T) for Q in (P[s < 1e-4], P[s > 1.0], P)]:
+        M, dM = jet(point)
+        assert np.asarray(M).tobytes() == np.asarray(matrix(point)).tobytes()
+        _close(dM, _jet_derivative(matrix, Gp.dim, point),
+               group.startswith("torus"))
+
+
+FORMS = {"amm-so3": lambda: lg.amm_omega(lg.so3()),
+         "amm-su2": lambda: lg.amm_omega(lg.su2()),
+         "amm-torus2": lambda: lg.amm_omega(lg.torus(2)),
+         "coadjoint-so3": lambda: lg.coadjoint_groupoid(lg.so3())[1].omega,
+         "coadjoint-su2": lambda: lg.coadjoint_groupoid(lg.su2())[1].omega}
+
+
+def _jet_form(w):
+    """w without its closed-form Jacobian: d w by a jet pass."""
+    return Form(w.chart, w.degree, w.components)
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+@pytest.mark.parametrize("size", [None, 1, 8, 64])
+def test_form_jacobians_match_the_jet_pass(name, size):
+    # at one float point (size None) and at stacks; on the torus to the bit
+    w = FORMS[name]()
+    P = np.random.default_rng(24).uniform(-0.7, 0.7,
+                                          (size or 1, w.chart.dim))
+    p = coordinates(P if size else P[0])
+    assert w.jacobian is not None
+    _close(component_jacobian(w, p), component_jacobian(_jet_form(w), p),
+           name == "amm-torus2")
+    _close(ext_d(w).at(P), ext_d(_jet_form(w)).at(P), name == "amm-torus2")
+
+
+def test_second_derivative_of_amm_form_keeps_the_nested_pass():
+    # at jet points the closed form stands aside: d omega differentiated
+    # once more is the nested jet pass, to the bit
+    w = FORMS["amm-so3"]()
+    P = np.random.default_rng(25).uniform(-0.7, 0.7, (8, 6))
+    got, ref = (component_jacobian(ext_d(f), coordinates(P))
+                for f in (w, _jet_form(w)))
+    assert got.shape == (8, 6, 6, 6, 6)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["amm-so3", "coadjoint-so3"])
+@pytest.mark.parametrize("defect", ["_E", "_F_PRIME"])
+def test_rel_closed_fails_on_a_wrong_sign_in_the_closed_form(
+        name, defect, monkeypatch):
+    # rel-closed reads d omega from the closed form: dK/du_l (the terms
+    # 2 u_l alpha' K and alpha E_l) or df/ds negated breaks it
+    real = getattr(lg, defect)
+    monkeypatch.setattr(lg, defect, -real if defect == "_E"
+                        else lambda *args: -real(*args))
+    residual = cli.CHECKS["rel-closed"](fixtures.load(name),
+                                        np.random.default_rng(42),
+                                        cli.DEFAULT_POLICY)
+    assert residual > 1e-2
 
 
 def test_amm_form_makes_no_jacobian_pass(monkeypatch):
