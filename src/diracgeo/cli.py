@@ -30,7 +30,7 @@ from . import realization as RZ
 from .expr import ExprSyntaxError, UnknownIdentifierError
 from .geometry import Form, coordinates
 from .jets import DomainError
-from .linear import mT, padded_orth, padded_span_gap
+from .linear import DegenerateRankError, mT, padded_orth, padded_span_gap
 
 
 class ScenarioError(ValueError):
@@ -147,8 +147,12 @@ def check_orbit_form(fx, rng, policy):
 
 
 def stream(policy, name):
-    """The check's own generator, from the seed and the name bytes."""
-    return np.random.default_rng([policy["seed"]] + list(name.encode()))
+    """The check's own generator, from one uint32 array: the seed's 32-bit
+    words, lowest first, then the name bytes, as SeedSequence reads them."""
+    words = [policy["seed"] >> i & 0xFFFFFFFF
+             for i in range(0, policy["seed"].bit_length() or 1, 32)]
+    return np.random.default_rng(np.array(words + list(name.encode()),
+                                          np.uint32))
 
 
 def _classified(fx, policy):
@@ -451,7 +455,8 @@ def run_scenario(scenario, args):
             with np.errstate(all="ignore"):
                 entry = _entry(CHECKS[name](fx, rng, policy), TABLE[name][1],
                                policy)
-        except (GR.NonFiniteFormError, DomainError, RecursionError) as e:
+        except (GR.NonFiniteFormError, DomainError, RecursionError,
+                LG.ChartRadiusError, DegenerateRankError) as e:
             entry = {"pass": False, "error": str(e)}
         except OverflowError as e:
             entry = {"pass": False, "error": f"floating-point overflow: {e}"}

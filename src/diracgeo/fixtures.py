@@ -13,7 +13,7 @@ from .foliation import CoordFoliation, foliation_groupoid
 from .geometry import Chart, Form
 from .groupoid import (GroupoidForm, Sampler, action_groupoid, coboundary,
                        concat, fiberwise_pair_groupoid, uniform)
-from .jets import cos, sin
+from .jets import cos, sin, stack
 
 
 # the classification of every fixture but the rotation flow: a robust,
@@ -92,6 +92,12 @@ def flow_groupoid():
         c, sn = cos(u[0]), sin(u[0])
         return [c * x[0] - sn * x[1], sn * x[0] + c * x[1]]
 
+    def drotate(u, y):
+        # D_u = (-y2, y1)^T and D_x = R(u)
+        c, sn = cos(u[0]), sin(u[0])
+        return (np.stack([-y[..., 1], y[..., 0]], -1)[..., None],
+                stack([[c, -sn], [sn, c]]))
+
     state = {"rng": None, "count": 0}
 
     def schedule(rng, m):
@@ -110,7 +116,7 @@ def flow_groupoid():
 
     tau = _signed(0.3, 2.0)
     G = action_groupoid(lg.torus(1), Chart.numbered(x=2), rotate, tau,
-                        Sampler(1, circle, (0,), schedule), tau)
+                        Sampler(1, circle, (0,), schedule), tau, drotate)
     theta = Form.from_components(G.base, 2, {(0, 1): "x2"})
     return {"groupoid": G, "form": GroupoidForm(coboundary(G, theta), None),
             "theta": theta,

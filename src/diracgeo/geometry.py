@@ -4,9 +4,10 @@ Vector fields are evaluators over a single chart; a k-form is its component
 tensor at a point, an antisymmetric array of shape (n,)*k.  Derived
 operators compose lazily: the exterior derivative is the antisymmetrized
 Jacobian of the components, the interior product a contraction, the
-pullback J^T.w.J.  Derivatives come from jets, so they stay exact for the
-supported function basis and nest for second derivatives, unless a form
-or chart map gives its Jacobian in closed form for float points.
+pullback J^T.w.J, and d goes through sums and pullbacks, d(f*w) = f*(dw).
+Derivatives come from jets, so they stay exact for the supported function
+basis and nest for second derivatives, unless a form or chart map gives its
+Jacobian in closed form for float points.
 
 A point may also be a batch: coordinates that are arrays of shape (B,).
 The components are then batch-first, (B,) + (n,)*k, or an object array of
@@ -131,13 +132,15 @@ class Form:
 
     An optional jacobian gives the Jacobian of the components in closed
     form, at float points and float stacks: jacobian(p) is what
-    component_jacobian(w, p) returns.  Derived forms carry none."""
+    component_jacobian(w, p) returns.  Derived forms carry none; a sum, a
+    negative and a pullback carry exterior(), d from the d of their parts."""
 
-    def __init__(self, ch, degree, components, jacobian=None):
+    def __init__(self, ch, degree, components, jacobian=None, exterior=None):
         self.chart = ch
         self.degree = degree
         self.components = components
         self.jacobian = jacobian
+        self.exterior = exterior
         if isinstance(components, FunctionType) and 2 == (
                 components.__code__.co_argcount
                 - len(components.__defaults__ or ())):
@@ -211,13 +214,15 @@ class Form:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         return Form(self.chart, self.degree,
-                    lambda p: self.components(p) + other.components(p))
+                    lambda p: self.components(p) + other.components(p),
+                    exterior=lambda: ext_d(self) + ext_d(other))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.chart, self.degree, lambda p: -self.components(p))
+        return Form(self.chart, self.degree, lambda p: -self.components(p),
+                    exterior=lambda: -ext_d(self))
 
 
 def component_jacobian(w, p):
@@ -259,10 +264,12 @@ def _to_slot(D, k, a):
 
 
 def ext_d(w):
-    """Exterior derivative: the alternated Jacobian of the components,
-    from a jet pass only where w has no closed-form Jacobian."""
+    """Exterior derivative: w.exterior() where w has it, else the alternated
+    Jacobian of the components, a jet pass where w has no closed form."""
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
+    if w.exterior is not None:
+        return w.exterior()
     return Form(w.chart, w.degree + 1,
                 lambda p: alternate(component_jacobian(w, p), w.degree))
 
@@ -285,9 +292,10 @@ def lie_derivative(X, w):
 
 class ChartMap:
     """Differentiable map between charts, evaluator point -> point.  An
-    optional jacobian gives its Jacobian in closed form: the (B, m, n)
-    stack at a (B, n) stack of points, the (m, n) matrix at one point (or
-    at any point, where it is constant)."""
+    optional jacobian gives its Jacobian in closed form: the (m, n) matrix
+    where it is constant, else jacobian(P, Y), the matrix at a float point
+    P, the (B, m, n) stack at a (B, n) stack; Y is f(P) where held, else
+    None."""
 
     def __init__(self, source, target, func, jacobian=None):
         self.source = source
@@ -323,14 +331,22 @@ def pull(C, J, k):
 def pullback(f, w):
     """f* w for a chart map f and a form w on the target chart: every slot
     of the components at f(p) is contracted with the Jacobian J of f at p,
-    J^T.w.J for a 2-form."""
+    J^T.w.J for a 2-form.  J is f's closed form at float points and float
+    stacks, where f has one, a jet pass otherwise; d(f* w) is f*(dw)."""
     _check_chart(f.target, w.chart)
 
     def components(p):
-        J = jets.stack(jets.jacobian(f.func, p))
-        return pull(w.components(f(p)), J, w.degree)
+        q = f(p)
+        J = f.jacobian
+        if J is None or any(isinstance(c, jets.Jet) for c in p):
+            J = jets.stack(jets.jacobian(f.func, p))
+        elif callable(J):
+            J = J(*(np.stack(np.broadcast_arrays(*c), axis=-1)
+                    for c in (p, q)))
+        return pull(w.components(q), J, w.degree)
 
-    return Form(f.source, w.degree, components)
+    return Form(f.source, w.degree, components,
+                exterior=lambda: pullback(f, ext_d(w)))
 
 
 def block(rows):

@@ -4,7 +4,9 @@ closedness, unit/inversion identities, kernel dimension identities,
 classification (Dirac type / robust / presymplectic / over-symplectic /
 nondegenerate), rho*-extraction at units, induced Dirac structures, and
 gauge transformations.  Each check draws all its samples as one block of
-uniform doubles (`Sampler`) and evaluates them as one (B, n) stack."""
+uniform doubles (`Sampler`) and evaluates them as one (B, n) stack.  The
+structure maps carry their Jacobians in closed form, and d goes through
+the pullbacks: d(t*theta - s*theta) = t*d theta - s*d theta."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -124,10 +126,10 @@ class ChartGroupoid:
 
     s and t are ChartMaps from chart to base, unit one back, inv from
     chart to chart and mul from the pairs (g, h), 2N coordinates, to
-    chart; all are evaluators over generic scalars so that jets can
-    differentiate through them, where a map gives no Jacobian in closed
-    form.  Composable pairs/triples come from the fixture's own samplers
-    (never from root-finding): a pair is the stack row (g, h) with
+    chart; each carries its Jacobian in closed form, and all are
+    evaluators over generic scalars, so that jets differentiate through
+    them at jet points.  Composable pairs/triples come from the fixture's
+    own samplers (never from root-finding): a pair is the stack row (g, h) with
     s(g) = t(h), a triple (g, h, k) with s(g) = t(h) and s(h) = t(k).
     Build one with `action_groupoid` or `fiberwise_pair_groupoid`.
     """
@@ -173,6 +175,12 @@ def coboundary(G, theta):
     return pullback(G.t, theta) - pullback(G.s, theta)
 
 
+def linear_map(source, target, f):
+    """The ChartMap of a linear map f, its matrix as its Jacobian: the
+    images of the basis vectors (-0.0 where f negates 0.0)."""
+    return ChartMap(source, target, f, apply(f, np.eye(source.dim)).T)
+
+
 def action_chart(Gp, base):
     """The arrows (g1..gd, base) of an action of Gp on the chart base."""
     return Chart(Chart.numbered(g=Gp.dim).names + base.names)
@@ -183,8 +191,7 @@ def pair_chart(ch):
     return Chart(ch.names + tuple(c + "'" for c in ch.names))
 
 
-def action_groupoid(Gp, base, act, group, point, group_near,
-                    act_jacobian=None):
+def action_groupoid(Gp, base, act, group, point, group_near, act_jacobian):
     """The action groupoid H x M of a left action act(u, x) of the chart
     group Gp on the chart base.  An arrow (u, x) goes from x to act(u, x),
     and (u, act(v, x)).(v, x) = (uv, x).
@@ -196,8 +203,8 @@ def action_groupoid(Gp, base, act, group, point, group_near,
 
     act_jacobian(u, y), given the group coordinates u of a point (u, x)
     or of a stack and y = act(u, x) there as an array, is the pair
-    (D_u act, D_x act); the structure maps then have their Jacobians in
-    closed form, and are differentiated by jets otherwise.
+    (D_u act, D_x act), from which the structure maps have their
+    Jacobians in closed form.
     """
     d, m = Gp.dim, base.dim
     ch = action_chart(Gp, base)
@@ -218,22 +225,19 @@ def action_groupoid(Gp, base, act, group, point, group_near,
     def mul(z):
         return Gp.mul(z[:d], z[N:N + d]) + list(z[N + d:])
 
-    # Ds = [0 | I], D unit = [0; I], D inv = [-I, 0; Dt] and, on (u, x_g,
-    # v, x_h), D mul = [D_u w, 0, D_v w, 0; 0, 0, 0, I] for w = uv
-    def Dt(P):
+    # D inv = [-I, 0; Dt] and, on (u, x_g, v, x_h), D mul = [D_u w, 0,
+    # D_v w, 0; 0, 0, 0, I] for w = uv; they read the values Y of t, inv
+    # (whose base part is t's) and mul where the caller holds them
+    def Dt(P, Y):
         return block([list(act_jacobian(coordinates(P[..., :d]),
-                                        apply(t, P)))])
+                                        apply(t, P) if Y is None else Y))])
 
-    def Dmul(Z):
-        Du, Dv = Gp.mul_jacobian(coordinates(Z[..., :d]),
-                                 coordinates(Z[..., N:N + d]),
-                                 coordinates(apply(mul, Z)[..., :d]))
+    def Dmul(Z, Y):
+        Du, Dv = Gp.mul_jacobian(
+            coordinates(Z[..., :d]), coordinates(Z[..., N:N + d]),
+            coordinates((apply(mul, Z) if Y is None else Y)[..., :d]))
         zero = np.zeros((d, m))
         return block([[Du, zero, Dv, zero], [np.eye(m, 2 * N, 2 * N - m)]])
-
-    D = (None,) * 5 if act_jacobian is None else (
-        lambda P: np.eye(m, N, d), Dt, lambda X: np.eye(N, m, -d),
-        lambda P: block([[-np.eye(d, N)], [Dt(P)]]), Dmul)
 
     def extend(P, u):
         # the arrows (u, t(g)) for the first arrows g of P, put before P
@@ -241,9 +245,10 @@ def action_groupoid(Gp, base, act, group, point, group_near,
 
     arrows = concat(group, point)
     return ChartGroupoid(
-        ch, base, ChartMap(ch, base, s, D[0]), ChartMap(ch, base, t, D[1]),
-        ChartMap(base, ch, unit, D[2]), ChartMap(ch, ch, inv, D[3]),
-        ChartMap(pair_chart(ch), ch, mul, D[4]), point, arrows,
+        ch, base, linear_map(ch, base, s), ChartMap(ch, base, t, Dt),
+        linear_map(base, ch, unit), ChartMap(ch, ch, inv, lambda P, Y: block(
+            [[-np.eye(d, N)], [Dt(P, Y if Y is None else Y[..., d:])]])),
+        ChartMap(pair_chart(ch), ch, mul, Dmul), point, arrows,
         concat(arrows, group, build=extend),
         concat(concat(arrows, group_near, build=extend), group_near,
                build=extend))
@@ -290,11 +295,11 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     slot = uniform(-1.0, 1.0, r)
     arrows = concat(leaf, point, slot)
     pairs = concat(leaf, arrows, slot, build=extend)
-    return ChartGroupoid(ch, base, ChartMap(ch, base, s),
-                         ChartMap(ch, base, t), ChartMap(base, ch, unit),
-                         ChartMap(ch, ch, inv),
-                         ChartMap(pair_chart(ch), ch, mul), point, arrows,
-                         pairs, concat(leaf, pairs, slot, build=extend))
+    # the maps select, negate and add coordinates
+    return ChartGroupoid(ch, base, *(linear_map(*m) for m in (
+        (ch, base, s), (ch, base, t), (base, ch, unit), (ch, ch, inv),
+        (pair_chart(ch), ch, mul))), point, arrows, pairs,
+        concat(leaf, pairs, slot, build=extend))
 
 
 @dataclass
@@ -308,13 +313,12 @@ class GroupoidForm:
 # -- jacobians, kernels and rank decisions over stacks ---------------------
 # Subspaces at a stack of samples are linear's padded bases.
 
-def _jac(f, p):
-    """Jacobian of f at a float point, or the (B, m, n) stack of its
-    Jacobians at a (B, n) stack of points: the closed form of a ChartMap
-    that has one, one jet pass otherwise."""
+def _jac(f, p, values=None):
+    """The closed-form Jacobian of the structure map f at a float point,
+    or the (B, m, n) stack of its Jacobians at a (B, n) stack of points;
+    values are f's values there, where the caller holds them."""
     P = np.asarray(p, dtype=float)
-    J = (jets.stack(jets.jacobian(f, coordinates(P)))
-         if getattr(f, "jacobian", None) is None else f.jacobian(P))
+    J = f.jacobian(P, values) if callable(f.jacobian) else f.jacobian
     return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
 
 
@@ -365,10 +369,12 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     N = G.chart.dim
     Z = G.pairs.draw(rng, n_pairs)
     g, h = Z[:, :N], Z[:, N:]
-    B, _ = padded_null(np.concatenate([_jac(G.s, g), -_jac(G.t, h)], -1))
-    Dm = _jac(G.mul, Z)
-    DmB, B1, B2 = Dm @ B, B[..., :N, :], B[..., N:, :]
-    W, Wg, Wh = each(F.omega.at, apply(G.mul, Z), g, h)
+    # t(h) is s(g) on a composable pair
+    B, _ = padded_null(np.concatenate(
+        [_jac(G.s, g), -_jac(G.t, h, apply(G.s, g))], -1))
+    gh = apply(G.mul, Z)
+    DmB, B1, B2 = _jac(G.mul, Z, gh) @ B, B[..., :N, :], B[..., N:, :]
+    W, Wg, Wh = each(F.omega.at, gh, g, h)
     return _upper_max(mT(DmB) @ W @ DmB - mT(B1) @ Wg @ B1
                       - mT(B2) @ Wh @ B2)
 
@@ -379,16 +385,19 @@ def check_rel_closed(G, F, rng, n_points=8):
     P = G.arrows.draw(rng, n_points)
     total = ext_d(F.omega).at(P)
     if F.phi is not None:
-        Ps, Pt = each(F.phi.at, apply(G.s, P), apply(G.t, P))
-        total = total + -pull(Ps, _jac(G.s, P), 3) + pull(Pt, _jac(G.t, P), 3)
+        T = apply(G.t, P)
+        Ps, Pt = each(F.phi.at, apply(G.s, P), T)
+        total = total + -pull(Ps, _jac(G.s, P), 3) \
+            + pull(Pt, _jac(G.t, P, T), 3)
     return worst_of(0.0, np.abs(total))
 
 
 def check_unit_identities(G, F, rng, n=8):
     """(max |eps* omega| at units, max |i* omega + omega| at arrows)."""
     x, g = G.units.draw(rng, n), G.arrows.draw(rng, n)
-    Deps, Dinv = _jac(G.unit, x), _jac(G.inv, g)
-    We, Wi, Wg = each(F.omega.at, apply(G.unit, x), apply(G.inv, g), g)
+    ig = apply(G.inv, g)
+    Deps, Dinv = _jac(G.unit, x), _jac(G.inv, g, ig)
+    We, Wi, Wg = each(F.omega.at, apply(G.unit, x), ig, g)
     return (_upper_max(mT(Deps) @ We @ Deps),
             _upper_max(mT(Dinv) @ Wi @ Dinv + Wg))
 

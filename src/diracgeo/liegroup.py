@@ -395,7 +395,7 @@ def amm_omega(Gp):
     omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar))),
     i.e. 1/2 (P^T Ad^T P - P^T Ad P + P^T Q - Q^T P) with
     P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x].  Its Jacobian is the
-    product rule over lam_g, Ad_x and lam_x + lam_bar_x."""
+    product rule over lam_g, Ad_x and lam_x + lam_bar_x (zero on a torus)."""
     d = Gp.dim
 
     def components(p):
@@ -419,7 +419,9 @@ def amm_omega(Gp):
             [[0.5 * (mT(L) @ mT(dA) @ L), 0.5 * (mT(L) @ dQ)], [zero, zero]])
         return B - np.swapaxes(B, -3, -2)
 
-    return Form(action_chart(Gp, Gp.chart), 2, components, jacobian)
+    zero = np.zeros((2 * d,) * 3)
+    return Form(action_chart(Gp, Gp.chart), 2, components,
+                (lambda p: zero) if isinstance(Gp, _Torus) else jacobian)
 
 
 def _partials(jet):

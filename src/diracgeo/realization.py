@@ -16,7 +16,7 @@ from . import jets
 from .courant import AnchoredDual
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
                        lie_derivative, pullback)
-from .groupoid import _jac, apply, max_abs, worst_of
+from .groupoid import apply, max_abs, worst_of
 from .liegroup import (MatrixGroup, amm_rho_star, cartan_dirac_frame,
                        cartan_form, torus)
 from .linear import mT, padded_null, padded_orth, padded_span_gap
@@ -37,7 +37,7 @@ def realization_check(eta, mu, target, samples):
     sample (one X per frame column of the target Dirac space).
     """
     P = np.asarray(samples, dtype=float)
-    Dmu = _jac(mu.func, P)
+    Dmu = jets.stack(jets.jacobian(mu.func, coordinates(P)))
     H = eta.at(P)
     m = Dmu.shape[-2]
     frame = target.frame(coordinates(apply(mu.func, P)))
@@ -81,7 +81,8 @@ def equivariance_residual(Q, samples):
     P = np.asarray(samples, dtype=float)
     u = coordinates(apply(Q.mu.func, P))
     gen = Gp.right_matrix(u) - Gp.left_matrix(u)
-    lhs = _jac(Q.mu.func, P) @ Q.D.rho(coordinates(P))
+    lhs = jets.stack(jets.jacobian(Q.mu.func, coordinates(P))) \
+        @ Q.D.rho(coordinates(P))
     return worst_of(0.0, np.abs(lhs - gen))
 
 

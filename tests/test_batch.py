@@ -17,7 +17,8 @@ from diracgeo import liegroup as LG
 from diracgeo import realization as RZ
 from diracgeo import courant
 from diracgeo.courant import AnchoredDual
-from diracgeo.geometry import Form, chart, coordinates, lie_derivative
+from diracgeo.geometry import (Form, chart, component_jacobian, coordinates,
+                               ext_d, lie_derivative)
 
 # These fixtures' maps and these checks' forms go through sin, cos or
 # atan2, which numpy's array loops and math need not round alike in the
@@ -60,9 +61,11 @@ def test_stack_matches_the_per_point_loop(name, size):
         _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
 
 
-# -- closed-form Jacobians of the chart-group groupoids' structure maps ----
+# -- closed-form Jacobians of the groupoids' structure maps ----------------
 
 CHART_GROUPS = ["amm-so3", "amm-torus2", "coadjoint-so3"]
+COORDINATE = ["foliated-r3", "nondirac-flow", "pair-groupoid-r2",
+              "twisted-pair-r3"]
 # |u| on both sides of the cuts in |u|^2 at 1e-4 and 1 and near the chart
 # radius 0.9 pi
 NORMS = [1e-9, 5e-3, 0.0099, 0.0101, 0.5, 0.999, 1.001, 2.0, 2.7]
@@ -84,15 +87,18 @@ def _group_norm(M, G, r):
     return M
 
 
-@pytest.mark.parametrize("name", CHART_GROUPS + ["amm-su2"])
+@pytest.mark.parametrize("name", CHART_GROUPS + ["amm-su2"] + COORDINATE)
 @pytest.mark.parametrize("size", [None, 1, 8, 64])
 def test_closed_form_jacobians_match_the_jet_pass(name, size):
-    # at one float point (size None) and at stacks; on the torus to the bit
+    # at one float point (size None) and at stacks, with and without the
+    # map's values; to the bit where no transcendental is involved, the
+    # sign of 0.0 too (inv negates foliated-r3's slot rows, zeros included)
     G = _chart_group_groupoid(name)
     rng = np.random.default_rng(3)
-    for r in NORMS:
-        P, Z = (_group_norm(S.draw(rng, size or 1), G, r)
-                for S in (G.arrows, G.pairs))
+    for r in NORMS if name in CHART_GROUPS + ["amm-su2"] else [None]:
+        P, Z = (S.draw(rng, size or 1) for S in (G.arrows, G.pairs))
+        if r is not None:
+            P, Z = _group_norm(P, G, r), _group_norm(Z, G, r)
         X = G.units.draw(rng, size or 1)
         for f, points in ((G.s, P), (G.t, P), (G.unit, X), (G.inv, P),
                           (G.mul, Z)):
@@ -100,23 +106,23 @@ def test_closed_form_jacobians_match_the_jet_pass(name, size):
             J = jets.stack(jets.jacobian(f.func, coordinates(points)))
             J = np.broadcast_to(J, points.shape[:-1] + J.shape[-2:])
             closed = GR._jac(f, points)
-            assert f.jacobian is not None
             _agree(name, closed, J)
-            if name not in THROUGH_TRANSCENDENTALS:   # the sign of 0.0 too
+            assert GR._jac(f, points, GR.apply(f, points)).tobytes() \
+                == closed.tobytes()
+            if name not in THROUGH_TRANSCENDENTALS:
                 assert np.ascontiguousarray(closed).tobytes() \
                     == np.ascontiguousarray(J).tobytes()
 
 
-@pytest.mark.parametrize("name", CHART_GROUPS)
+@pytest.mark.parametrize("name", CHART_GROUPS + COORDINATE)
 def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
-    # no check differentiates s, t, unit, inv or mul
+    # no check differentiates s, t, unit, inv or mul, nor pulls back along
+    # them by a jet pass
     passes = _count_calls(monkeypatch, jets, ("jacobian",))
     fx = fixtures.load(name)
     G = fx["groupoid"]
     maps = [G.s, G.t, G.unit, G.inv, G.mul]
-    for check in ["structure", "multiplicative", "unit-identities",
-                  "kernel-orthogonality", "classification",
-                  "rho-star-half-flat"]:
+    for check in GROUPOID_CHECKS:
         if feeds(fx, check):
             cli.CHECKS[check](fx, np.random.default_rng(42),
                               cli.DEFAULT_POLICY)
@@ -156,6 +162,83 @@ def test_checks_fail_on_a_wrong_sign_in_the_action_derivative(
         residual = cli.CHECKS[check](fx, np.random.default_rng(42),
                                      cli.DEFAULT_POLICY)
         assert residual > 1e-2, check
+
+
+def test_multiplicative_fails_on_a_wrong_sign_in_the_rotation_derivative(
+        monkeypatch):
+    # nondirac-flow's structure maps with the rotation's D_u negated, under
+    # the form pulled back along the true rotation, break multiplicative.
+    # A form pulled back along the same wrong t would make the defect the
+    # tangent reflection u -> -u, to which every first-order check is blind
+    fx = fixtures.load("nondirac-flow")
+    real = fixtures.action_groupoid
+
+    def planted(*args):
+        *rest, act_jacobian = args
+
+        def negated(u, y):
+            Du, Dx = act_jacobian(u, y)
+            return -Du, Dx
+
+        return real(*rest, negated)
+
+    monkeypatch.setattr(fixtures, "action_groupoid", planted)
+    fx["groupoid"] = fixtures.load("nondirac-flow")["groupoid"]
+    residual = cli.CHECKS["multiplicative"](fx, np.random.default_rng(42),
+                                            cli.DEFAULT_POLICY)
+    assert residual > 1e-2
+
+
+def test_rel_closed_fails_on_a_wrong_sign_of_phi():
+    # d omega, now t*d theta - s*d theta, against s*phi - t*phi
+    fx = fixtures.load("twisted-pair-r3")
+    fx["form"].phi = -fx["form"].phi
+    residual = cli.CHECKS["rel-closed"](fx, np.random.default_rng(42),
+                                        cli.DEFAULT_POLICY)
+    assert residual > 1e-2
+
+
+@pytest.mark.parametrize("name", COORDINATE)
+def test_d_through_the_pullbacks_matches_the_jet_pass(name):
+    # d(t*theta - s*theta) = t*d theta - s*d theta against the alternated
+    # jet pass over the components, which nests a pass through s and t:
+    # at a float stack, and differentiated once more at jet points, where
+    # the pullbacks' own jet passes still nest; foliated-r3 gets a base
+    # 2-form of its own, since its omega is no coboundary
+    fx = fixtures.load(name)
+    G = fx["groupoid"]
+    theta = fx.get("theta") or Form.from_components(
+        G.base, 2, {(0, 1): "x3*x1", (0, 2): "sin(x2)"})
+    w = GR.coboundary(G, theta)
+    plain = Form(w.chart, w.degree, w.components)
+    P = G.arrows.draw(np.random.default_rng(6), 16)
+    for got, ref in ((ext_d(w).at(P), ext_d(plain).at(P)),
+                     *[[component_jacobian(ext_d(f), p) for f in (w, plain)]
+                       for p in (coordinates(P), coordinates(P[0]))]):
+        got, ref = np.asarray(got, float), np.asarray(ref, float)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0,
+                                                              np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", CHART_GROUPS)
+def test_no_check_repeats_a_chart_product(name, monkeypatch):
+    # a Jacobian takes the values of t, inv and mul that its check holds,
+    # so no check multiplies the same stacks twice
+    products = []
+    for cls in (LG._QuaternionChartGroup, LG._Torus):
+        def counted(Gp, u, v, real=cls.mul):
+            products.append(np.stack(np.broadcast_arrays(*u, *v)).tobytes())
+            return real(Gp, u, v)
+
+        monkeypatch.setattr(cls, "mul", counted)
+    fx = fixtures.load(name)
+    for check in GROUPOID_CHECKS:
+        if feeds(fx, check):
+            del products[:]
+            cli.CHECKS[check](fx, np.random.default_rng(42),
+                              cli.DEFAULT_POLICY)
+            assert len(set(products)) == len(products), check
 
 
 @pytest.mark.parametrize("name", ["amm-so3", "amm-torus2"])
@@ -665,13 +748,14 @@ def test_groupoid_entries_match_the_per_stack_evaluation(samples, tmp_path,
 
 
 def _count_components(form, calls, key):
-    # an evaluation of the components or of their closed-form Jacobian
-    for entry in ("components", "jacobian"):
+    # an evaluation of the components, of their closed-form Jacobian or of
+    # the closed-form d of a sum or pullback (d through its parts)
+    for entry in ("components", "jacobian", "exterior"):
         real = getattr(form, entry)
 
-        def counted(p, real=real):
+        def counted(*p, real=real):
             calls[key] = calls.get(key, 0) + 1
-            return real(p)
+            return real(*p)
 
         if real is not None:
             setattr(form, entry, counted)
@@ -681,7 +765,8 @@ def _count_components(form, calls, key):
 def test_each_check_evaluates_omega_and_phi_once(name):
     # one evaluation of the fixture's omega per check, on the concatenation
     # of the check's stacks; rel-closed evaluates d omega once (omega's
-    # closed-form Jacobian, or its components in one jet pass) and phi once
+    # closed-form Jacobian, t*d theta - s*d theta on a coboundary, or its
+    # components in one jet pass) and phi once
     for check in ["multiplicative", "unit-identities", "classification",
                   "dirac-type", "kernel-orthogonality", "rel-closed"]:
         fx = fixtures.load(name)

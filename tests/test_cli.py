@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgeo import cli, fixtures
+from diracgeo import cli, fixtures, linear
 from diracgeo import groupoid as GR
+from diracgeo import liegroup as LG
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -305,6 +306,37 @@ def test_unrelated_value_error_is_not_an_entry(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="broadcast"):
         cli.main(["run", os.path.join(SCN, "pair-groupoid-r2.json"),
                   "--out", str(tmp_path / "r.json")])
+
+
+def test_chart_radius_and_rank_defects_are_entries(capsys, monkeypatch):
+    # an amm-so3 sampler that leaves the exp-chart radius fails rel-closed,
+    # whose Cartan 3-form refuses the points, and a rank defect fails its
+    # check: entries, exit 1, no traceback
+    monkeypatch.setattr(LG, "uniform", lambda lo, hi, d, scale=1.0:
+                        GR.uniform(lo, hi, d, 8 * scale))
+
+    def defect(fx, rng, policy):
+        raise linear.DegenerateRankError("rank defect in ds at the unit")
+
+    monkeypatch.setitem(cli.CHECKS, "structure", defect)
+    code = cli.main(["run", os.path.join(SCN, "amm-so3.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    checks = _strict(captured.out)["reports"][0]["checks"]
+    assert "outside the exp-chart radius at sample" in \
+        checks["rel-closed"]["error"]
+    assert checks["structure"]["error"] == "rank defect in ds at the unit"
+    assert not (checks["rel-closed"]["pass"] or checks["structure"]["pass"])
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+def test_stream_is_the_generator_of_the_seed_and_the_name(seed):
+    # one uint32 array of the seed's 32-bit words and the name bytes is the
+    # entropy SeedSequence makes of the list [seed, *name bytes]
+    for name in cli.TABLE:
+        want = np.random.default_rng([seed] + list(name.encode()))
+        assert cli.stream({"seed": seed}, name).bit_generator.state \
+            == want.bit_generator.state
 
 
 @pytest.mark.parametrize("key", ["box", "tol", "fd_step"])
