@@ -24,14 +24,14 @@ class AnchoredDual:
     n x r anchor matrix, rho_star(p) the r x n matrix of sigma (both
     generic over jets, batch-first (..., n, r) and (..., r, n) at a batch
     of points, or constant) and structure[i, j, k] the constant
-    coefficient of a_k in [a_i, a_j] (zeros when A is abelian); whole,
-    if given, is the frame function whose slices rho and rho_star are."""
+    coefficient of a_k in [a_i, a_j] (zeros when A is abelian); frame_jet,
+    if given, is jet(p) in closed form, at float points and float stacks."""
 
     chart: Chart
     rho: object
     rho_star: object
     structure: np.ndarray
-    whole: object = None
+    frame_jet: object = None
 
     @property
     def rank(self):
@@ -45,14 +45,16 @@ class AnchoredDual:
     def frame(self, p):
         """The (2n, r) frame matrix [rho; sigma^T] at p, whose column i is
         the section a_i; batch-first at a batch of points."""
-        return self.whole(p) if self.whole is not None else block(
-            [[self.rho(p)], [mT(self.rho_star(p))]])
+        return block([[self.rho(p)], [mT(self.rho_star(p))]])
 
     def jet(self, p):
-        """(rho, sigma, d rho, d sigma) at p from one jet pass over the flat
-        frame: rho[..., i, k] = rho_i^k, d rho[..., i, k, l] = d_l rho_i^k,
-        and so for sigma; batch-first at a stack unless constant (each of
-        the four on its own), object arrays of jets where p carries jets."""
+        """(rho, sigma, d rho, d sigma) at p from frame_jet, or where p
+        carries jets or there is none one jet pass over the flat frame:
+        rho[..., i, k] = rho_i^k, d rho[..., i, k, l] = d_l rho_i^k, and so
+        for sigma; batch-first at a stack unless constant (each of the four
+        on its own), object arrays of jets where p carries jets."""
+        if self.frame_jet and not any(isinstance(c, jets.Jet) for c in p):
+            return self.frame_jet(p)
         n, r, values = self.chart.dim, self.rank, []
 
         def f(q):

@@ -264,12 +264,17 @@ def _to_slot(D, k, a):
 
 
 def ext_d(w):
-    """Exterior derivative: w.exterior() where w has it, else the alternated
-    Jacobian of the components, a jet pass where w has no closed form."""
+    """Exterior derivative: w.exterior() where w has it, zero where w is of
+    top degree, else the alternated Jacobian of the components, a jet pass
+    where w has no closed form."""
     if w.degree > 3:
         raise ValueError("degree overflow: d of forms of degree > 3 unsupported")
     if w.exterior is not None:
         return w.exterior()
+    n = w.chart.dim
+    if w.degree == n:   # 0 C: w read for its domain errors and NaNs
+        return Form(w.chart, n + 1, lambda p: np.zeros((n,) * (n + 1))
+                    * np.expand_dims(w.components(p), -n - 1))
     return Form(w.chart, w.degree + 1,
                 lambda p: alternate(component_jacobian(w, p), w.degree))
 

@@ -1,9 +1,9 @@
 """Compact matrix groups in exponential charts: SO(3), SU(2) (real 4x4
 quaternion embedding), and tori; Maurer-Cartan forms, adjoint action, the
 bi-invariant Cartan 3-form, the Cartan-Dirac structure, and the conjugation
-(AMM) groupoid with its multiplicative 2-form.  The chart matrices that a
-form differentiates give their derivatives in closed form, so the AMM and
-action forms carry closed-form Jacobians.
+(AMM) and coadjoint groupoids, whose 2-forms integrate their action
+algebroids.  The chart matrices and those algebroids' frames give their
+derivatives in closed form, so the action forms carry closed-form Jacobians.
 
 SO(3) and SU(2) share structure constants [e_i, e_j] = e_k (cyclic), so
 their chart-level group operations coincide (the covering is a local
@@ -248,8 +248,8 @@ class _QuaternionChartGroup(MatrixGroup):
         left_matrix     +1/2                     1/th^2 - cot(th/2)/(2 th)
         right_matrix    -1/2                     1/th^2 - cot(th/2)/(2 th)
 
-    Ad_jet, lam_jet and lam_bar_jet give the matrix with its derivative in
-    closed form, from the derivatives in s = th^2 of the coefficients: w'
+    lam_jet and lam_bar_jet give the matrix with its derivative in closed
+    form, from the derivatives in s = th^2 of the coefficients: w'
     = -f/4, f' = (w - 2f)/(4s) and, for (th - sin th)/th^3 = (1 - 2wf)/s,
     beta' = (f^2/2 - 2wf' - beta)/s; f' and beta' are their series below
     s = 1.
@@ -258,10 +258,8 @@ class _QuaternionChartGroup(MatrixGroup):
     def mul(self, u, v):
         return _qlog(_qmul(_qexp(u), _qexp(v)))
 
-    Ad_matrix, Ad_jet = _chart_matrix(
-        lambda s, w, f: 2.0 * w * f, lambda s, w, f: 2.0 * f * f,
-        lambda s, w, f, df: 2.0 * w * df - 0.5 * f * f,
-        lambda s, w, f, df: 4.0 * f * df)
+    Ad_matrix = _chart_matrix(lambda s, w, f: 2.0 * w * f,
+                              lambda s, w, f: 2.0 * f * f)
     lam_matrix, lam_jet = _chart_matrix(
         lambda s, w, f: -2.0 * f * f, _MC_BETA,
         lambda s, w, f, df: -4.0 * f * df, _MC_BETA_PRIME)
@@ -298,7 +296,7 @@ class _Torus(MatrixGroup):
     def lam_jet(self, u):
         return np.eye(len(u)), np.zeros((len(u),) * 3)
 
-    lam_bar_jet = Ad_jet = lam_jet
+    lam_bar_jet = lam_jet
 
     def ad_matrix(self, y):
         return np.zeros(np.shape(y)[-1:] * 2)   # the algebra is abelian
@@ -376,11 +374,11 @@ def cartan_dirac(Gp, u):
 
 def cartan_dirac_frame(Gp):
     """The Cartan-Dirac structure: the anchored dual over the algebra basis
-    whose frame(u) is one cartan_frame(Gp, u), sliced into rho and rho_star,
+    whose frame(u) is cartan_frame(Gp, u), sliced into rho and rho_star,
     with the algebra bracket negated, as for the conjugation algebroid."""
     d, frame = Gp.dim, functools.partial(cartan_frame, Gp)
     return AnchoredDual(Gp.chart, lambda u: frame(u)[..., :d, :],
-                        lambda u: mT(frame(u)[..., d:, :]), -Gp.struct, frame)
+                        lambda u: mT(frame(u)[..., d:, :]), -Gp.struct)
 
 
 # -- conjugation (AMM) groupoid --------------------------------------------
@@ -390,66 +388,18 @@ def conjugate(Gp, u, x):
     return Gp.mul(Gp.mul(u, x), Gp.inv(u))
 
 
-def amm_omega(Gp):
-    """The multiplicative 2-form on the conjugation groupoid H x H:
-    omega_(g,x) = 1/2 ((Ad_x p_g* lam, p_g* lam) + (p_g* lam, p_x*(lam + lam_bar))),
-    i.e. 1/2 (P^T Ad^T P - P^T Ad P + P^T Q - Q^T P) with
-    P = [lam_g, 0] and Q = [0, lam_x + lam_bar_x].  Its Jacobian is the
-    product rule over lam_g, Ad_x and lam_x + lam_bar_x (zero on a torus)."""
-    d = Gp.dim
-
-    def components(p):
-        u, x = p[:d], p[d:]
-        L = Gp.lam_matrix(u)
-        X = mT(Gp.Ad_matrix(x) @ L) @ L
-        top = 0.5 * (mT(L) @ (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x)))
-        return block([[0.5 * (X - mT(X)), top], [-mT(top), np.zeros((d, d))]])
-
-    def jacobian(p):
-        # the partials of the components are B - B^T for B = [[dX/2,
-        # d top], [0, 0]], which keeps the sign of their zeros
-        u, x = p[:d], p[d:]
-        (L, dL), (A, dA) = _partials(Gp.lam_jet(u)), _partials(Gp.Ad_jet(x))
-        Q, dQ = (a + b for a, b in zip(_partials(Gp.lam_jet(x)),
-                                       _partials(Gp.lam_bar_jet(x))))
-        zero = np.zeros((d, d))
-        B = _jacobian(
-            [[0.5 * (mT(dL) @ mT(A) @ L + mT(A @ L) @ dL),
-              0.5 * (mT(dL) @ Q)], [zero, zero]],
-            [[0.5 * (mT(L) @ mT(dA) @ L), 0.5 * (mT(L) @ dQ)], [zero, zero]])
-        return B - np.swapaxes(B, -3, -2)
-
-    zero = np.zeros((2 * d,) * 3)
-    return Form(action_chart(Gp, Gp.chart), 2, components,
-                (lambda p: zero) if isinstance(Gp, _Torus) else jacobian)
-
-
-def _partials(jet):
-    """(M, dM) of a chart matrix, or of a slice of a frame jet, with the
-    partial axis of dM moved in front of its matrix axes and M given an
-    axis of length 1 there."""
-    M, dM = jet
-    return M[..., None, :, :], np.moveaxis(dM, -1, -3)
-
-
-def _jacobian(*partials):
-    """D[..., i, j, l] = d_l C_ij from the block rows of the partials of C,
-    those in the group coordinates and then those in the base, each with
-    its partial axis in front of its matrix axes."""
-    return np.moveaxis(np.concatenate([block(rows) for rows in partials],
-                                      axis=-3), -3, -1)
-
-
 def amm_groupoid(Gp):
     """The conjugation groupoid H x H, over the group chart, with the AMM
-    form and the Cartan 3-form."""
+    form, which integrates the conjugation algebroid with the dual
+    amm_rho_star, and the Cartan 3-form."""
     d = Gp.dim
     point = uniform(-0.7, 0.7, d, 0.5)
     # conjugation is Ad_exp(u) x in the exponential chart
     G = action_groupoid(Gp, Gp.chart, conjugation_action(Gp), point, point,
                         uniform(-0.7, 0.7, d, 0.4), lambda u, y: (
                             Gp.Ad_derivative(u, y), Gp.Ad_matrix(u)))
-    return G, GroupoidForm(amm_omega(Gp), cartan_form(Gp))
+    D = adjoint_algebroid(Gp, G.base, True)
+    return G, GroupoidForm(general_action_form(Gp, D), cartan_form(Gp))
 
 
 # -- action algebroids and their multiplicative 2-forms --------------------
@@ -465,6 +415,35 @@ def action_algebroid(Gp, ch, action, rho_star):
                                         Gp.identity()))
 
     return AnchoredDual(ch, rho, rho_star, -Gp.struct)
+
+
+def adjoint_algebroid(Gp, ch, amm):
+    """The action algebroid of conjugation (amm) or of the coadjoint action
+    on the algebra coordinates x of ch, with its frame jet in closed form.
+    Both act by Ad_exp(u) (on the orthonormal basis of a compact group's
+    algebra), so the anchor is v -> [v, x] = ad_(-x) v, with d_l rho_i^k =
+    c_ilk; the dual is amm_rho_star, or the identity for the coadjoint."""
+    d, drho = Gp.dim, np.swapaxes(Gp.struct, -1, -2)
+
+    def rho(x):
+        return Gp.ad_matrix(-jets.stack([x])[..., 0, :])
+
+    def frame_jet(x):
+        if not amm:
+            return mT(rho(x)), np.eye(d), drho, np.zeros((d,) * 3)
+        (L, dL), (Lb, dLb) = Gp.lam_jet(x), Gp.lam_bar_jet(x)
+        return mT(rho(x)), 0.5 * (L + Lb), drho, 0.5 * (dL + dLb)
+
+    return AnchoredDual(ch, rho, amm_rho_star(Gp) if amm
+                        else lambda x: np.eye(d), -Gp.struct, frame_jet)
+
+
+def _partials(jet):
+    """(M, dM) of a chart matrix, or of a slice of a frame jet, with the
+    partial axis of dM moved in front of its matrix axes and M given an
+    axis of length 1 there."""
+    M, dM = jet
+    return M[..., None, :, :], np.moveaxis(dM, -1, -3)
 
 
 def general_action_form(Gp, D):
@@ -488,7 +467,9 @@ def general_action_form(Gp, D):
                       [-S, np.zeros((m, m))]])
 
     def jacobian(p):
-        # R = rho_x; St = S^T = lam_g^T rho*_x has the partials dSu, dSx
+        # R = rho_x; St = S^T = lam_g^T rho*_x has the partials dSu, dSx,
+        # whose blocks stack on the partial axis, then moved last; 0.0 - dS
+        # is -dS with the zeros +0.0, as a jet pass gives them
         u, x = p[:d], p[d:]
         L, dL = _partials(Gp.lam_jet(u))
         rho, sigma, drho, dsigma = D.jet(x)
@@ -496,9 +477,9 @@ def general_action_form(Gp, D):
         Sig, dSig = _partials((sigma, dsigma))
         St, zero = mT(L) @ Sig, np.zeros((m, m))
         dSu, dSx = mT(dL) @ Sig, mT(L) @ dSig
-        return _jacobian(
-            [[dSu @ (R @ L) + St @ R @ dL, dSu], [-mT(dSu), zero]],
-            [[dSx @ (R @ L) + St @ dR @ L, dSx], [-mT(dSx), zero]])
+        return np.moveaxis(np.concatenate([block(
+            [[dS @ (R @ L) + St @ A @ B, dS], [0.0 - mT(dS), zero]])
+            for dS, A, B in ((dSu, R, dL), (dSx, dR, L))], axis=-3), -3, -1)
 
     return Form(action_chart(Gp, D.chart), 2, components, jacobian)
 
@@ -539,10 +520,7 @@ def coadjoint_groupoid(Gp):
                         uniform(-0.8, 0.8, d, 0.4), lambda u, y: (
                             Gp.Ad_derivative(u, y),
                             mT(Gp.Ad_matrix(Gp.inv(u)))))
-    # the anchor is the matrix of [., xi] ([e_i, e_j] = e_k, cyclic)
-    D = AnchoredDual(G.base, lambda xi: jets.stack([
-        [0.0, xi[2], -xi[1]], [-xi[2], 0.0, xi[0]], [xi[1], -xi[0], 0.0]]),
-        lambda x: np.eye(d), -Gp.struct)
+    D = adjoint_algebroid(Gp, G.base, False)
     return G, GroupoidForm(general_action_form(Gp, D), None)
 
 

@@ -130,24 +130,19 @@ def test_no_jet_pass_through_a_structure_map(name, monkeypatch):
                 if any(f is m or f is m.func for m in maps)]
 
 
-# the frame jet of coadjoint-so3's algebroid, read by its omega's Jacobian
-FRAME_JETS = {"amm-so3": 0, "amm-torus2": 0, "coadjoint-so3": 1}
-
-
 @pytest.mark.parametrize("name", CHART_GROUPS)
 def test_group_checks_make_no_jet_pass_but_the_frame_jet(name,
                                                         monkeypatch):
-    # d omega reads omega's closed-form Jacobian: no jet pass goes through
-    # the quaternion chart in any of the 7 group checks
+    # d omega reads omega's closed-form Jacobian, and that the closed-form
+    # frame jet of its algebroid: none of the 7 group checks makes a jet
+    # pass, through the quaternion chart or the frame
     fx = fixtures.load(name)
     passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
     for check in GROUP_CHECKS:
         if feeds(fx, check):
             cli.CHECKS[check](fx, np.random.default_rng(42),
                               cli.DEFAULT_POLICY)
-    assert len(passes) == FRAME_JETS[name]
-    assert all(f.__qualname__ == "AnchoredDual.jet.<locals>.f"
-               for f, _ in passes)
+    assert passes == []
 
 
 @pytest.mark.parametrize("name", ["amm-so3", "coadjoint-so3"])

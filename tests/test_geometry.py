@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from diracgeo import jets, linear
 from diracgeo.courant import AnchoredDual, frame_brackets
-from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, chart,
-                               ext_d, interior, lie_derivative, pullback)
+from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, alternate,
+                               chart, component_jacobian, ext_d, interior,
+                               lie_derivative, pullback)
 
 
 CH3 = chart("x", "y", "z")
@@ -74,6 +75,36 @@ def test_d_of_known_two_form():
     p = [0.5, 0.5, 0.5]
     assert vol(p, list(e[0]), list(e[1]), list(e[2])) == pytest.approx(1.0)
     assert vol(p, list(e[1]), list(e[0]), list(e[2])) == pytest.approx(-1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_d_of_a_top_degree_form_is_zero_without_a_jet_pass(n, monkeypatch):
+    # zero at a stack, at a point and at jet points, as the alternated jet
+    # pass gives it; NaN at a sample where the form is not finite, as the
+    # jet pass gives it, and a domain error raises with its sample
+    ch = chart(*"xyz"[:n])
+    top = tuple(range(n))
+    w = Form.from_components(ch, n, {top: "sin(x) + 1e308*x*x*10.0"})
+    P = np.random.default_rng(7).uniform(-0.05, 0.05, (6, n))
+    P[3, 0] = 0.5           # w overflows to inf there
+    plain = Form(ch, n + 1,
+                 lambda p: alternate(component_jacobian(w, p), n))
+    want = plain.at(P)
+    assert np.isnan(want[3]).any()
+    assert np.all(np.abs(np.delete(want, 3, 0)) == 0.0)
+    q = jets.seed_point(list(P[0]), np.eye(n).tolist(), jets.new_tag())
+    nested = jets.stack([np.ravel(ext_d(w).components(q))])
+    monkeypatch.setattr(jets, "jacobian", None)
+    got = ext_d(w).at(P)
+    assert got.shape == want.shape == (6,) + (n,) * (n + 1)
+    assert np.isnan(got[3]).any() and np.all(np.delete(got, 3, 0) == 0.0)
+    assert np.all(got[3][~np.isnan(got[3])] == 0.0)
+    assert np.all(ext_d(w).at(P[0]) == 0.0)
+    assert all(jets.value_of(c) == 0.0 for c in nested[0])
+    bad = Form.from_components(ch, n, {top: "sqrt(x)"})
+    with pytest.raises(jets.DomainError, match="at sample 1"):
+        ext_d(bad).at(np.array([[0.5] * n, [-0.5] * n]))
 
 
 def test_interior_product():
@@ -264,7 +295,8 @@ def test_group_forms_have_skew_component_matrices():
     from diracgeo import liegroup as lg
     Gp = lg.so3()
     p = [0.3, -0.2, 0.1, 0.25, 0.05, -0.35]
-    for omega in (lg.amm_omega(Gp), lg.coadjoint_groupoid(Gp)[1].omega):
+    for omega in (lg.amm_groupoid(Gp)[1].omega,
+                  lg.coadjoint_groupoid(Gp)[1].omega):
         Om = omega.at(p)
         assert Om.shape == (6, 6)
         assert np.max(np.abs(Om)) > 0.1

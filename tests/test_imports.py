@@ -28,8 +28,9 @@ TEST_ONLY = {
                                               "path-rel-closed check "
                                               "(ROADMAP item 5)",
     "liegroup.action_algebroid": "the anchor by a jet pass, the reference "
-                                 "for the coadjoint groupoid's closed-form "
-                                 "anchor",
+                                 "for adjoint_algebroid's closed-form anchor "
+                                 "and frame jet, on the conjugation and "
+                                 "coadjoint algebroids",
     "liegroup.canonical_cotangent_form": "the reference for the coadjoint "
                                          "groupoid's canonical symplectic "
                                          "form",
