@@ -17,7 +17,7 @@ the trailing ones, so component code indexes and multiplies from the end
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from types import FunctionType
 
 import numpy as np
@@ -356,9 +356,16 @@ def pullback(f, w):
 
 def block(rows):
     """np.block on the two trailing axes of the blocks, each of which may
-    be batch-first or constant."""
-    batch = np.broadcast_shapes(*(np.shape(M)[:-2] for row in rows
-                                  for M in row))
-    return np.concatenate([np.concatenate(
-        [np.broadcast_to(M, batch + np.shape(M)[-2:]) for M in row],
-        axis=-1) for row in rows], axis=-2)
+    be batch-first or constant, filled into one array by slices."""
+    blocks = [M for row in rows for M in row]
+    h = [0, *accumulate(np.shape(row[0])[-2] for row in rows)]
+    out = np.empty(np.broadcast_shapes(*(np.shape(M)[:-2] for M in blocks))
+                   + (h[-1], sum(np.shape(M)[-1] for M in rows[0])),
+                   np.result_type(*blocks))
+    for row, a, b in zip(rows, h, h[1:]):
+        w = [0, *accumulate(np.shape(M)[-1] for M in row)]
+        if w[-1] != out.shape[-1]:
+            raise ValueError("the rows of a block differ in width")
+        for M, c, d in zip(row, w, w[1:]):
+            out[..., a:b, c:d] = M
+    return out

@@ -20,7 +20,7 @@ import numpy as np
 from . import jets, linear
 from .jets import sin, cos, sqrt, atan2, value_of
 from .courant import AnchoredDual
-from .geometry import Chart, Form, block, dot, ext_d, pull
+from .geometry import Chart, Form, block, dot, pull
 from .groupoid import GroupoidForm, action_chart, action_groupoid, uniform
 from .linear import mT
 
@@ -52,17 +52,21 @@ def _small_or(s, cut, series, exact):
         return series(s)
     if not small.any():
         return exact(s)
-    return jets.where(small, series(s), exact(jets.where(small, 1.0, s)))
+    lo, hi = series(s), exact(jets.where(small, 1.0, s))
+    if isinstance(lo, tuple):   # several functions of s under one mask
+        return tuple(jets.where(small, a, b) for a, b in zip(lo, hi))
+    return jets.where(small, lo, hi)
 
 
 def _half_angle(s):
-    """(cos(|u|/2), sin(|u|/2)/|u|), analytic in s = |u|^2."""
-    return (_small_or(s, 1e-4, lambda s: 1.0 - s / 8.0 + s * s / 384.0
-                      - s * s * s / 46080.0,
-                      lambda s: cos(sqrt(s) / 2.0)),
-            _small_or(s, 1e-4, lambda s: 0.5 - s / 48.0 + s * s / 3840.0
-                      - s * s * s / 645120.0,
-                      lambda s: sin(sqrt(s) / 2.0) / sqrt(s)))
+    """(cos(|u|/2), sin(|u|/2)/|u|), analytic in s = |u|^2; one sqrt."""
+    def exact(s):
+        r = sqrt(s)
+        return cos(r / 2.0), sin(r / 2.0) / r
+
+    return _small_or(s, 1e-4, lambda s: (
+        1.0 - s / 8.0 + s * s / 384.0 - s * s * s / 46080.0,
+        0.5 - s / 48.0 + s * s / 3840.0 - s * s * s / 645120.0), exact)
 
 
 def _qexp(u):
@@ -156,8 +160,8 @@ class MatrixGroup:
     # and w of a point or of a stack
     def mul_jacobian(self, u, v, w):
         """(D_u w, D_v w) for the product w = log(exp(u) exp(v))."""
-        return (self.right_matrix(w) @ self.lam_bar_matrix(u),
-                self.left_matrix(w) @ self.lam_matrix(v))
+        left = self.left_matrix(w)
+        return mT(left) @ self.lam_bar_matrix(u), left @ self.lam_matrix(v)
 
     def ad_matrix(self, y):
         """The matrix of [y, .] at an array y of algebra coordinates."""
@@ -174,31 +178,36 @@ class MatrixGroup:
 
 
 def _chart_matrix(alpha, beta, dalpha=None, dbeta=None):
-    """u -> I + alpha K + beta K^2 entry by entry: K^2 = u u^T - s I, and
-    the coefficients are functions of s = |u|^2 and (w, f) = _half_angle(s).
+    """u -> I + alpha K + beta K^2 from the array of the coordinates (of
+    floats, of a float stack or of jets): K^2 = u u^T - s I, and the
+    coefficients are functions of s = |u|^2 and (w, f) = _half_angle(s).
     With the derivatives dalpha and dbeta in s, functions of (s, w, f, f'),
     also u -> (M, dM) at float coordinates or a float stack, dM[..., i, j,
     l] = d_l M_ij = 2 u_l (alpha' K + beta' K^2) + alpha E_l + beta (e_l u^T
     + u e_l^T - 2 u_l I), E_l = dK/du_l (None without them)."""
     def matrix(self, u, derivative=False):
-        sq = [c * c for c in u]
+        v = np.array(u)
+        sq = v * v
         s = sq[0] + sq[1] + sq[2]
         w, f = _half_angle(s)
-        a, b = alpha(s, w, f), beta(s, w, f)
-        K = [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
-        M = jets.stack([[1.0 - b * (sq[i - 1] + sq[i - 2]) if i == j
-                         else a * K[i][j] + b * (u[i] * u[j])
-                         for j in range(3)] for i in range(3)])
+        a, b = (np.asarray(c)[..., None, None]
+                for c in (alpha(s, w, f), beta(s, w, f)))
+        # K_ij = _K_SIGN u[_K_INDEX] with K_ii = +-0.0, so that row i of K * K
+        # sums to u_(i-1)^2 + u_(i-2)^2, the diagonal of -K^2
+        v = v.T
+        K = _K_SIGN * v[..., _K_INDEX]
+        M = np.where(_DIAG, 1.0 - b * (K * K).sum(-1, keepdims=True),
+                     a * K + b * (v[..., :, None] * v[..., None, :]))
         if not derivative:
             return M
         df = _F_PRIME(s, w, f)
-        s, a, b, da, db = (np.asarray(c)[..., None, None, None] for c in (
-            s, a, b, dalpha(s, w, f, df), dbeta(s, w, f, df)))
-        v = np.stack(np.broadcast_arrays(*u), axis=-1)
+        s, da, db = (np.asarray(c)[..., None, None, None] for c in (
+            s, dalpha(s, w, f, df), dbeta(s, w, f, df)))
+        a, b = a[..., None], b[..., None]
         # u_i, u_j and u_l on the axes i, j and l of dM
         ui, uj, ul = (v[..., :, None, None], v[..., None, :, None],
                       v[..., None, None, :])
-        K = np.einsum("ijl,...l->...ij", _E, v)[..., None]
+        K = K[..., None]
         return M, (2.0 * ul * (da * K + db * (ui * uj - s * _I3[..., None]))
                    + a * _E + b * (_I3[:, None] * uj + ui * _I3
                                    - 2.0 * ul * _I3[..., None]))
@@ -232,7 +241,7 @@ _F_PRIME = _series_or([(-1) ** k * k / (2 ** (2 * k + 1)
 _MC_BETA_PRIME = _series_or(
     [k * c for k, c in enumerate(_MC_SERIES)][1:], lambda s, w, f, df: (
         0.5 * f * f - 2.0 * w * df - (1.0 - 2.0 * w * f) / s) / s)
-_I3 = np.eye(3)
+_I3, _DIAG = np.eye(3), np.eye(3, dtype=bool)
 
 
 class _QuaternionChartGroup(MatrixGroup):
@@ -244,15 +253,15 @@ class _QuaternionChartGroup(MatrixGroup):
         matrix          alpha                    beta
         Ad_matrix       sin th/th = 2wf          (1 - cos th)/th^2 = 2f^2
         lam_matrix      -(1 - cos th)/th^2       (th - sin th)/th^3
-        lam_bar_matrix  +(1 - cos th)/th^2       (th - sin th)/th^3
         left_matrix     +1/2                     1/th^2 - cot(th/2)/(2 th)
-        right_matrix    -1/2                     1/th^2 - cot(th/2)/(2 th)
 
-    lam_jet and lam_bar_jet give the matrix with its derivative in closed
-    form, from the derivatives in s = th^2 of the coefficients: w'
-    = -f/4, f' = (w - 2f)/(4s) and, for (th - sin th)/th^3 = (1 - 2wf)/s,
-    beta' = (f^2/2 - 2wf' - beta)/s; f' and beta' are their series below
-    s = 1.
+    K^T = -K, so the matrices with alpha negated are the transposes, to
+    the bit: lam_bar_matrix = lam_matrix^T, right_matrix = left_matrix^T
+    and Ad_matrix(-u) = Ad_matrix(u)^T.  lam_jet gives lam_matrix with its
+    derivative in closed form, from the derivatives in s = th^2 of the
+    coefficients: w' = -f/4, f' = (w - 2f)/(4s) and, for (th - sin th)/th^3
+    = (1 - 2wf)/s, beta' = (f^2/2 - 2wf' - beta)/s; f' and beta' are their
+    series below s = 1.
     """
 
     def mul(self, u, v):
@@ -263,11 +272,13 @@ class _QuaternionChartGroup(MatrixGroup):
     lam_matrix, lam_jet = _chart_matrix(
         lambda s, w, f: -2.0 * f * f, _MC_BETA,
         lambda s, w, f, df: -4.0 * f * df, _MC_BETA_PRIME)
-    lam_bar_matrix, lam_bar_jet = _chart_matrix(
-        lambda s, w, f: 2.0 * f * f, _MC_BETA,
-        lambda s, w, f, df: 4.0 * f * df, _MC_BETA_PRIME)
     left_matrix = _chart_matrix(lambda s, w, f: 0.5, _TRANSLATION_BETA)
-    right_matrix = _chart_matrix(lambda s, w, f: -0.5, _TRANSLATION_BETA)
+
+    def lam_bar_matrix(self, u):
+        return mT(self.lam_matrix(u))
+
+    def right_matrix(self, u):
+        return mT(self.left_matrix(u))
 
 
 class _SO3(_QuaternionChartGroup):
@@ -296,8 +307,6 @@ class _Torus(MatrixGroup):
     def lam_jet(self, u):
         return np.eye(len(u)), np.zeros((len(u),) * 3)
 
-    lam_bar_jet = lam_jet
-
     def ad_matrix(self, y):
         return np.zeros(np.shape(y)[-1:] * 2)   # the algebra is abelian
 
@@ -320,6 +329,7 @@ def _eps_struct():
 
 
 _E = -_eps_struct()   # E[i, j, l] = dK_ij/du_l
+_K_INDEX, _K_SIGN = np.abs(_E).argmax(-1), _E.sum(-1)
 
 
 def so3():
@@ -362,9 +372,7 @@ def chart_metric(Gp, u):
 def cartan_frame(Gp, u):
     """The frame (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis,
     batch-first at a batch of points."""
-    R = Gp.right_matrix(u)
-    L = Gp.left_matrix(u)
-    return block([[R - L], [chart_metric(Gp, u) @ (0.5 * (R + L))]])
+    return cartan_dirac_frame(Gp).frame(u)
 
 
 def cartan_dirac(Gp, u):
@@ -374,11 +382,14 @@ def cartan_dirac(Gp, u):
 
 def cartan_dirac_frame(Gp):
     """The Cartan-Dirac structure: the anchored dual over the algebra basis
-    whose frame(u) is cartan_frame(Gp, u), sliced into rho and rho_star,
-    with the algebra bracket negated, as for the conjugation algebroid."""
-    d, frame = Gp.dim, functools.partial(cartan_frame, Gp)
-    return AnchoredDual(Gp.chart, lambda u: frame(u)[..., :d, :],
-                        lambda u: mT(frame(u)[..., d:, :]), -Gp.struct)
+    with rho = v_r - v_l = L^T - L and sigma^T = ((v_r + v_l)/2)-flat, L =
+    left_matrix(u), and the algebra bracket negated, as for conjugation."""
+    def rho(u):
+        L = Gp.left_matrix(u)
+        return mT(L) - L
+
+    return AnchoredDual(Gp.chart, rho, lambda u: mT(
+        chart_metric(Gp, u) @ _half_sum(Gp.left_matrix(u))), -Gp.struct)
 
 
 # -- conjugation (AMM) groupoid --------------------------------------------
@@ -404,19 +415,6 @@ def amm_groupoid(Gp):
 
 # -- action algebroids and their multiplicative 2-forms --------------------
 
-def action_algebroid(Gp, ch, action, rho_star):
-    """The action algebroid h x M of a left action on the chart ch with the
-    dual rho_star(x), an r x n matrix.  Its anchor is the Jacobian at the
-    identity of u -> action(u, x); the generator map of a left action is
-    an anti-morphism, so the structure constants are those of h negated."""
-
-    def rho(x):
-        return jets.stack(jets.jacobian(lambda u: action(u, x),
-                                        Gp.identity()))
-
-    return AnchoredDual(ch, rho, rho_star, -Gp.struct)
-
-
 def adjoint_algebroid(Gp, ch, amm):
     """The action algebroid of conjugation (amm) or of the coadjoint action
     on the algebra coordinates x of ch, with its frame jet in closed form.
@@ -431,8 +429,8 @@ def adjoint_algebroid(Gp, ch, amm):
     def frame_jet(x):
         if not amm:
             return mT(rho(x)), np.eye(d), drho, np.zeros((d,) * 3)
-        (L, dL), (Lb, dLb) = Gp.lam_jet(x), Gp.lam_bar_jet(x)
-        return mT(rho(x)), 0.5 * (L + Lb), drho, 0.5 * (dL + dLb)
+        L, dL = Gp.lam_jet(x)
+        return mT(rho(x)), _half_sum(L), drho, _half_sum(dL, -3)
 
     return AnchoredDual(ch, rho, amm_rho_star(Gp) if amm
                         else lambda x: np.eye(d), -Gp.struct, frame_jet)
@@ -487,7 +485,12 @@ def general_action_form(Gp, D):
 def amm_rho_star(Gp):
     """rho*_x = (1/2)(lam + lam_bar) at x: row v is the covector
     (1/2)((lam + lam_bar)(.), v) on the group chart."""
-    return lambda x: 0.5 * (Gp.lam_matrix(x) + Gp.lam_bar_matrix(x))
+    return lambda x: _half_sum(Gp.lam_matrix(x))
+
+
+def _half_sum(M, axis=-2):
+    """(M + M^T)/2 for the matrix axes axis and axis + 1."""
+    return 0.5 * (M + np.swapaxes(M, axis, axis + 1))
 
 
 def conjugation_action(Gp):
@@ -501,9 +504,9 @@ def coadjoint_action(Gp):
     (g . xi)(v) = xi(Ad_{g^{-1}} v)."""
 
     def act(u, xi):
-        A = Gp.Ad_matrix(Gp.inv(u))
-        # (A^T xi)_i; A[..., :, i].T lists column i entry by entry
-        return [dot(A[..., :, i].T, xi) for i in range(Gp.dim)]
+        A = Gp.Ad_matrix(u)   # Ad_exp(-u)^T
+        # (A xi)_i; A[..., i, :].T lists row i entry by entry
+        return [dot(A[..., i, :].T, xi) for i in range(Gp.dim)]
 
     return act
 
@@ -518,21 +521,7 @@ def coadjoint_groupoid(Gp):
     G = action_groupoid(Gp, Chart.numbered(x=d), act,
                         uniform(-0.8, 0.8, d, 0.5), uniform(-1.0, 1.0, d),
                         uniform(-0.8, 0.8, d, 0.4), lambda u, y: (
-                            Gp.Ad_derivative(u, y),
-                            mT(Gp.Ad_matrix(Gp.inv(u)))))
+                            Gp.Ad_derivative(u, y), Gp.Ad_matrix(u)))
     D = adjoint_algebroid(Gp, G.base, False)
     return G, GroupoidForm(general_action_form(Gp, D), None)
 
-
-def canonical_cotangent_form(Gp):
-    """-d sigma with sigma_(g,xi)(V, Xi) = <xi, lam_g V>: the canonical
-    symplectic form of T*H in the left trivialization chart."""
-    d = Gp.dim
-
-    def sigma(p):
-        u, xi = p[:d], p[d:]
-        L = Gp.lam_matrix(u)
-        return jets.stack([[dot(L[..., :, i].T, xi) for i in range(d)]
-                           + [0.0] * d])[..., 0, :]
-
-    return -ext_d(Form(action_chart(Gp, Chart.numbered(x=d)), 1, sigma))

@@ -44,27 +44,29 @@ def _keep(M, dim):
 
 def svd(M, full_matrices=True, compute_uv=True):
     """np.linalg.svd of a matrix or stack; a run of consecutive byte-equal
-    matrices (-0.0 is not 0.0) is decomposed once, at its head."""
-    M = np.ascontiguousarray(M, dtype=float)
+    matrices (-0.0 is not 0.0) is decomposed once, at its head, and a
+    broadcast stack (stride 0 on every batch axis) once, uncopied."""
+    M = np.asarray(M, dtype=float)
     if M.ndim == 2 or not M.size:
         return np.linalg.svd(M, full_matrices, compute_uv)
-    flat, batch = M.reshape((-1,) + M.shape[-2:]), M.shape[:-2]
-    bits = flat.view(np.uint64)
-    if not np.any(bits != bits[0]):   # one run: one matrix, broadcast
-        one = np.linalg.svd(flat[0], full_matrices, compute_uv)
-
-        def spread(f):
-            return np.broadcast_to(f, batch + f.shape)
+    batch, head = M.shape[:-2], np.ones(1, bool)
+    if any(M.strides[:-2]):
+        flat = np.ascontiguousarray(M).reshape((-1,) + M.shape[-2:])
+        bits = flat.view(np.uint64)
+        head = np.append(head, np.any(bits[1:] != bits[:-1], axis=(1, 2)))
+    if head.sum() == 1:   # one run: one matrix, broadcast
+        one = np.linalg.svd(M[(0,) * len(batch)], full_matrices, compute_uv)
+        run = None
+    elif head.all():
+        return np.linalg.svd(flat.reshape(M.shape), full_matrices, compute_uv)
     else:
-        new = np.any(bits[1:] != bits[:-1], axis=(1, 2))
-        if new.all():
-            return np.linalg.svd(M, full_matrices, compute_uv)
-        heads = np.flatnonzero(np.concatenate([[True], new]))
-        one = np.linalg.svd(flat[heads], full_matrices, compute_uv)
-        runs = np.diff(heads, append=len(flat))
+        one = np.linalg.svd(flat[head], full_matrices, compute_uv)
+        run = np.cumsum(head) - 1   # the run of each matrix
 
-        def spread(f):
-            return np.repeat(f, runs, axis=0).reshape(batch + f.shape[1:])
+    def spread(f):
+        if run is None:
+            return np.broadcast_to(f, batch + f.shape)
+        return f[run].reshape(batch + f.shape[1:])
     return tuple(map(spread, one)) if compute_uv else spread(one)
 
 
@@ -82,9 +84,10 @@ def padded_kernel(Vt, r):
     basis of its kernel, and the kernel dimensions."""
     n = Vt.shape[-1]
     dim = n - r
-    order = (np.arange(n) + r[..., None]) % n
-    return _keep(mT(np.take_along_axis(Vt, order[..., None], axis=-2)),
-                 dim), dim
+    flat = Vt.reshape((-1, n, n))
+    order = (np.arange(n) + np.reshape(r, (-1, 1))) % n
+    return _keep(mT(flat[np.arange(len(flat))[:, None], order].reshape(
+        Vt.shape)), dim), dim
 
 
 def kernel_svd(M, floor=0.0):

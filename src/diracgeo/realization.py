@@ -80,7 +80,7 @@ def equivariance_residual(Q, samples):
     Gp = Q.group
     P = np.asarray(samples, dtype=float)
     u = coordinates(apply(Q.mu.func, P))
-    gen = Gp.right_matrix(u) - Gp.left_matrix(u)
+    gen = cartan_dirac_frame(Gp).rho(u)
     lhs = jets.stack(jets.jacobian(Q.mu.func, coordinates(P))) \
         @ Q.D.rho(coordinates(P))
     return worst_of(0.0, np.abs(lhs - gen))

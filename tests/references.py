@@ -1,0 +1,36 @@
+"""Reference constructions that the tests check the package against.  No
+run of the package uses them, so they live with the tests: the action
+algebroid of any group action, whose anchor is a jet pass, and the
+canonical symplectic form of T*H by its definition."""
+
+from diracgeo import jets
+from diracgeo.courant import AnchoredDual
+from diracgeo.geometry import Chart, Form, dot, ext_d
+from diracgeo.groupoid import action_chart
+
+
+def action_algebroid(Gp, ch, action, rho_star):
+    """The action algebroid h x M of a left action on the chart ch with the
+    dual rho_star(x), an r x n matrix.  Its anchor is the Jacobian at the
+    identity of u -> action(u, x); the generator map of a left action is
+    an anti-morphism, so the structure constants are those of h negated."""
+
+    def rho(x):
+        return jets.stack(jets.jacobian(lambda u: action(u, x),
+                                        Gp.identity()))
+
+    return AnchoredDual(ch, rho, rho_star, -Gp.struct)
+
+
+def canonical_cotangent_form(Gp):
+    """-d sigma with sigma_(g,xi)(V, Xi) = <xi, lam_g V>: the canonical
+    symplectic form of T*H in the left trivialization chart."""
+    d = Gp.dim
+
+    def sigma(p):
+        u, xi = p[:d], p[d:]
+        L = Gp.lam_matrix(u)
+        return jets.stack([[dot(L[..., :, i].T, xi) for i in range(d)]
+                           + [0.0] * d])[..., 0, :]
+
+    return -ext_d(Form(action_chart(Gp, Chart.numbered(x=d)), 1, sigma))

@@ -627,6 +627,20 @@ def test_svd_decomposes_each_run_once(monkeypatch):
                                             (6, 5, 3), (7, 5, 3)]
 
 
+@pytest.mark.parametrize("name", ["constant", "two axes", "wide",
+                                  "constant copy"])
+def test_svd_of_a_constant_stack_is_one_matrix_call(monkeypatch, name):
+    # a broadcast stack (stride 0 on its batch axes) is decomposed once,
+    # on a view of its one matrix: no copy of the stack is made.  A
+    # materialised constant stack is one run, the same one 2-D call
+    M = _svd_stacks()[name]
+    calls = _count_calls(monkeypatch, np.linalg, ("svd",))
+    for form in ({}, {"full_matrices": False}, {"compute_uv": False}):
+        linear.svd(M, **form)
+    assert [A.shape for A, *_ in calls] == [M.shape[-2:]] * 3
+    assert all(np.shares_memory(A, M) for A, *_ in calls)
+
+
 @pytest.mark.parametrize("stack", ["constant", "mixed"])
 def test_svd_of_a_nan_matrix_raises(stack):
     M = np.array(_svd_stacks()[stack])

@@ -18,6 +18,7 @@ from diracgeo.courant import (AnchoredDual, cartan_closed_residual,
 from diracgeo.geometry import (Chart, Form, VectorField, chart, coordinates,
                                ext_d, interior, lie_derivative)
 from diracgeo.groupoid import max_abs, worst_of
+from references import action_algebroid
 
 
 CH2 = chart("x", "y")
@@ -312,7 +313,7 @@ def amm_algebroid(name="so3", rho_star=None):
     """The conjugation action algebroid with the dual amm_rho_star (or the
     given one) and the Cartan 3-form."""
     Gp = lg.GROUPS[name]()
-    D = lg.action_algebroid(Gp, Gp.chart,
+    D = action_algebroid(Gp, Gp.chart,
                             lg.conjugation_action(Gp),
                             rho_star or lg.amm_rho_star(Gp))
     return D, lg.cartan_form(Gp)
@@ -320,7 +321,7 @@ def amm_algebroid(name="so3", rho_star=None):
 
 def coadjoint_algebroid(name="so3"):
     Gp = lg.GROUPS[name]()
-    return lg.action_algebroid(
+    return action_algebroid(
         Gp, Chart.numbered(x=Gp.dim),
         lg.coadjoint_action(Gp), lambda x: np.eye(Gp.dim))
 
@@ -371,7 +372,7 @@ def test_cartan_closedness_is_stronger_than_the_im_conditions():
     # torus(1) acting trivially on R^2, sigma(e) = x2 dx1, no twist: the IM
     # conditions hold (rho = 0 and one section has no brackets), but
     # d sigma(e) = dx2 ^ dx1 differs from i_{rho(e)} phi = 0
-    D = lg.action_algebroid(lg.torus(1), Chart(("x1", "x2")),
+    D = action_algebroid(lg.torus(1), Chart(("x1", "x2")),
                             lambda u, x: list(x),
                             lambda x: jets.stack([[x[1], 0.0]]))
     pts = samples(np.random.default_rng(40), 2, 4, 0.4)

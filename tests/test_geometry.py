@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from diracgeo import jets, linear
 from diracgeo.courant import AnchoredDual, frame_brackets
 from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, alternate,
-                               chart, component_jacobian, ext_d, interior,
-                               lie_derivative, pullback)
+                               block, chart, component_jacobian, ext_d,
+                               interior, lie_derivative, pullback)
+from references import canonical_cotangent_form
 
 
 CH3 = chart("x", "y", "z")
@@ -274,7 +275,7 @@ def test_d_squared_vanishes_on_the_canonical_cotangent_form():
     # -d sigma through the quaternion chart needs second derivatives of lam,
     # so d(-d sigma) exercises nested Jacobians
     from diracgeo import liegroup as lg
-    can = lg.canonical_cotangent_form(lg.so3())
+    can = canonical_cotangent_form(lg.so3())
     p = [0.3, -0.2, 0.25, 0.7, -0.4, 0.1]
     assert np.max(np.abs(can.at(p))) > 0.1
     assert np.max(np.abs(ext_d(can).at(p))) < 1e-12
@@ -313,3 +314,40 @@ def test_form_given_by_values_on_vectors_reads_its_components():
     assert np.array_equal(lam.at(p), w.at(p))
     u, v = np.random.default_rng(6).standard_normal((2, 3))
     assert by_values(p, u, v) == pytest.approx(w(p, u, v), abs=1e-15)
+
+
+def _concatenated(rows):
+    """block as the concatenation of its broadcast blocks: the reference."""
+    batch = np.broadcast_shapes(*(np.shape(M)[:-2] for row in rows
+                                  for M in row))
+    return np.concatenate([np.concatenate(
+        [np.broadcast_to(M, batch + np.shape(M)[-2:]) for M in row],
+        axis=-1) for row in rows], axis=-2)
+
+
+def test_block_matches_the_concatenation_to_the_bit():
+    # batch-first and constant blocks, -0.0 entries, integer, boolean and
+    # float32 blocks among float64 ones, a row of one block under a row of
+    # four, and object arrays
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 2, 3))
+    A[1, 0, 0] = A[2, 1, 2] = -0.0
+    Z = np.full((2, 2), -0.0)
+    cases = [
+        [[A, Z], [np.zeros((1, 3)), np.ones((1, 2), dtype=int)]],
+        [[A, np.eye(2, dtype=int), A[:1], np.ones((2, 1), dtype=bool)],
+         [np.eye(3, 9, 2, dtype=np.float32)]],
+        [[np.eye(2, dtype=int), np.ones((2, 1), dtype=int)]],
+        [[-A], [A.astype(np.float32)]],
+        [[np.array([[1.0, None]], dtype=object), np.zeros((1, 1))],
+         [np.full((2, 3), -0.0)]]]
+    for rows in cases:
+        got, want = block(rows), _concatenated(rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert [repr(a) for a in got.ravel()] \
+                == [repr(b) for b in want.ravel()]
+        else:
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        block([[A, Z], [np.zeros((1, 4))]])

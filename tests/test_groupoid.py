@@ -1,11 +1,13 @@
 """Multiplicative-form checks on chart groupoids."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from diracgeo import fixtures, linear
-from diracgeo.geometry import Form, chart, pullback
-from diracgeo.groupoid import (RankInstabilityError,
+from diracgeo.geometry import ChartMap, Form, chart, coordinates, pullback
+from diracgeo.groupoid import (RankInstabilityError, apply,
                                check_kernel_orthogonality,
                                check_multiplicative, check_orbit_form,
                                check_rel_closed, check_unit_identities,
@@ -185,3 +187,57 @@ def test_rank_decision_near_the_threshold_is_refused():
     # side, so the rank is indeterminate
     with pytest.raises(RankInstabilityError):
         kernel_of_form(np.diag([1.0, 5e-9, 5e-10]), "probe")
+
+
+# -- closed-form Jacobians against central differences ----------------------
+# A closed-form Jacobian that is wrong in the same way at every point passes
+# every first-order check that reads it; central differences see it.
+
+CHART_GROUP_FIXTURES = ["amm-so3", "amm-torus2", "coadjoint-so3"]
+
+
+def _fd_error(f, J, P, rng, h=1e-5):
+    """max |J d - (f(P + h d) - f(P - h d))/(2h)| over a random unit
+    direction d per point of the (B, n) stack P, relative to max(1, |J d|);
+    J is the closed-form Jacobian at P, the derivative axis last, stacked
+    or constant."""
+    D = rng.standard_normal(P.shape)
+    D /= np.linalg.norm(D, axis=-1, keepdims=True)
+    fd = (f(P + h * D) - f(P - h * D)) / (2.0 * h)
+    Jd = np.einsum("b...l,bl->b...",
+                   np.broadcast_to(J, fd.shape + D.shape[-1:]), D)
+    return np.max(np.abs(Jd - fd)) / max(1.0, np.max(np.abs(Jd)))
+
+
+def _map_error(f, P, rng):
+    J = f.jacobian(P, None) if callable(f.jacobian) else f.jacobian
+    return _fd_error(partial(apply, f), J, P, rng)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_structure_map_jacobians_match_central_differences(name):
+    G = fixtures.load(name)["groupoid"]
+    rng = rng_for(name)
+    arrows, units, pairs = (S.draw(rng, 16)
+                            for S in (G.arrows, G.units, G.pairs))
+    for f, P in ((G.s, arrows), (G.t, arrows), (G.unit, units),
+                 (G.inv, arrows), (G.mul, pairs)):
+        assert _map_error(f, P, rng) <= 1e-8, name
+
+
+@pytest.mark.parametrize("name", CHART_GROUP_FIXTURES)
+def test_form_jacobians_match_central_differences(name):
+    G, F = (fixtures.load(name)[k] for k in ("groupoid", "form"))
+    rng = rng_for(name)
+    P = G.arrows.draw(rng, 16)
+    w = F.omega
+    assert _fd_error(w.at, w.jacobian(coordinates(P)), P, rng) <= 1e-8
+
+
+def test_central_differences_see_a_wrong_jacobian():
+    # nondirac-flow's t with D_u negated: every point is off by 2 D_u
+    G = fixtures.load("nondirac-flow")["groupoid"]
+    rng = rng_for("nondirac-flow")
+    t = ChartMap(G.t.source, G.t.target, G.t.func, lambda P, Y: (
+        G.t.jacobian(P, Y) * np.array([-1.0, 1.0, 1.0])))
+    assert _map_error(t, G.arrows.draw(rng, 16), rng) > 0.5   # reads 1.48

@@ -27,13 +27,6 @@ TEST_ONLY = {
                                               "closedness, for the "
                                               "path-rel-closed check "
                                               "(ROADMAP item 5)",
-    "liegroup.action_algebroid": "the anchor by a jet pass, the reference "
-                                 "for adjoint_algebroid's closed-form anchor "
-                                 "and frame jet, on the conjugation and "
-                                 "coadjoint algebroids",
-    "liegroup.canonical_cotangent_form": "the reference for the coadjoint "
-                                         "groupoid's canonical symplectic "
-                                         "form",
     "realization.equivariance_residual": "an AMM axiom that quasi-ham does "
                                          "not report; adding it would "
                                          "change reports",

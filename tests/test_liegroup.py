@@ -1,6 +1,7 @@
 """Matrix groups in exponential charts and their canonical forms."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from diracgeo.geometry import (Form, block, component_jacobian, coordinates,
                                ext_d)
 from diracgeo.jets import value_of
 from diracgeo.linear import LinearDirac, mT
+from references import action_algebroid, canonical_cotangent_form
 
 
 def vals(seq):
@@ -159,14 +161,19 @@ def _jet_derivative(matrix, d, point):
     return D.reshape(D.shape[:-2] + (d,) * 3)
 
 
-@pytest.mark.parametrize("name", ["lam", "lam_bar"])
+@pytest.mark.parametrize("name", ["lam", "sigma"])
 @pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
 def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
-    # at each point as floats, at the stacks of the series (s < 1e-4) and
-    # of the exact branch (s > 1), and at the stack that mixes both; on
-    # the tori to the bit
+    # lam_jet, and the AMM frame jet's sigma = (lam + lam^T)/2 with its
+    # derivative, which reads lam_bar = lam^T off lam_jet: at each point as
+    # floats, at the stacks of the series (s < 1e-4) and of the exact
+    # branch (s > 1), and at the stack that mixes both; on the tori to the
+    # bit
     Gp = lg.GROUPS[group]()
-    matrix, jet = (getattr(Gp, name + k) for k in ("_matrix", "_jet"))
+    matrix, jet = Gp.lam_matrix, Gp.lam_jet
+    if name == "sigma":
+        D = lg.adjoint_algebroid(Gp, Gp.chart, True)
+        matrix, jet = lg.amm_rho_star(Gp), lambda p: D.jet(p)[1::2]
     P = chart_points(Gp.dim)
     s = np.sum(P * P, axis=1)
     for point in [p.tolist() for p in P] + [
@@ -175,6 +182,131 @@ def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
         assert np.asarray(M).tobytes() == np.asarray(matrix(point)).tobytes()
         _close(dM, _jet_derivative(matrix, Gp.dim, point),
                group.startswith("torus"))
+
+
+# -- the chart matrices against their entrywise construction ---------------
+# The reference builds each matrix entry by entry from the coordinate list,
+# with (w, f) under two masks and three square roots, and lam_bar and right
+# with alpha negated; the chart group builds them from one coordinate array
+# and reads the mirrored ones as transposes.  The two agree to the bit.
+
+def _half_angle_reference(s):
+    return (lg._small_or(s, 1e-4, lambda s: 1.0 - s / 8.0 + s * s / 384.0
+                         - s * s * s / 46080.0,
+                         lambda s: jets.cos(jets.sqrt(s) / 2.0)),
+            lg._small_or(s, 1e-4, lambda s: 0.5 - s / 48.0 + s * s / 3840.0
+                         - s * s * s / 645120.0,
+                         lambda s: jets.sin(jets.sqrt(s) / 2.0)
+                         / jets.sqrt(s)))
+
+
+def _entrywise(alpha, beta, dalpha=None, dbeta=None):
+    """u -> I + alpha K + beta K^2 entry by entry, and u -> (M, dM) with
+    the derivatives dalpha and dbeta."""
+    def matrix(u, derivative=False):
+        sq = [c * c for c in u]
+        s = sq[0] + sq[1] + sq[2]
+        w, f = _half_angle_reference(s)
+        a, b = alpha(s, w, f), beta(s, w, f)
+        K = [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
+        M = jets.stack([[1.0 - b * (sq[i - 1] + sq[i - 2]) if i == j
+                         else a * K[i][j] + b * (u[i] * u[j])
+                         for j in range(3)] for i in range(3)])
+        if not derivative:
+            return M
+        df = lg._F_PRIME(s, w, f)
+        s, a, b, da, db = (np.asarray(c)[..., None, None, None] for c in (
+            s, a, b, dalpha(s, w, f, df), dbeta(s, w, f, df)))
+        v = np.stack(np.broadcast_arrays(*u), axis=-1)
+        ui, uj, ul = (v[..., :, None, None], v[..., None, :, None],
+                      v[..., None, None, :])
+        K = np.einsum("ijl,...l->...ij", lg._E, v)[..., None]
+        I3 = np.eye(3)
+        return M, (2.0 * ul * (da * K + db * (ui * uj - s * I3[..., None]))
+                   + a * lg._E + b * (I3[:, None] * uj + ui * I3
+                                      - 2.0 * ul * I3[..., None]))
+
+    return matrix
+
+
+ENTRYWISE = {
+    "Ad_matrix": _entrywise(lambda s, w, f: 2.0 * w * f,
+                            lambda s, w, f: 2.0 * f * f),
+    "lam_matrix": _entrywise(lambda s, w, f: -2.0 * f * f, lg._MC_BETA,
+                             lambda s, w, f, df: -4.0 * f * df,
+                             lg._MC_BETA_PRIME),
+    "lam_bar_matrix": _entrywise(lambda s, w, f: 2.0 * f * f, lg._MC_BETA,
+                                 lambda s, w, f, df: 4.0 * f * df,
+                                 lg._MC_BETA_PRIME),
+    "left_matrix": _entrywise(lambda s, w, f: 0.5, lg._TRANSLATION_BETA),
+    "right_matrix": _entrywise(lambda s, w, f: -0.5, lg._TRANSLATION_BETA)}
+
+
+def _signed_zero_points():
+    """Float points whose coordinates take +0.0, -0.0 and either sign on
+    both sides of the cuts (s = 1e-4 and s = 1), and a 12-point stack
+    across both cuts with signed zeros in it."""
+    points = [list(p) for p in itertools.product(
+        [0.0, -0.0, 1e-7, -0.3, 1.5], repeat=3)]
+    P = chart_points(3)[1:]
+    P[::3, 0], P[1::3, 1], P[2::4, 2] = 0.0, -0.0, -0.0
+    return points, P
+
+
+def _same_bytes(got, ref):
+    assert np.shape(got) == np.shape(ref)
+    assert np.asarray(got).dtype == np.asarray(ref).dtype == float
+    assert np.ascontiguousarray(got).tobytes() \
+        == np.ascontiguousarray(ref).tobytes()
+
+
+def _second_derivatives(matrix, point):
+    """Every entry's second derivatives: a jet pass through a jet pass."""
+    def first(q):
+        return [c for row in jets.jacobian(
+            lambda r: list(np.ravel(matrix(r))), q) for c in row]
+
+    return jets.stack(jets.jacobian(first, point))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRYWISE) + ["lam_jet"])
+@pytest.mark.parametrize("group", ["so3", "su2"])
+def test_chart_matrices_match_the_entrywise_construction(group, name):
+    # at float points, at stacks of the series branch, the exact branch
+    # and both, with signed zeros, and under nested jets, to the bit
+    Gp = lg.GROUPS[group]()
+    ref = ENTRYWISE["lam_matrix" if name == "lam_jet" else name]
+    points, Z = _signed_zero_points()
+    P = chart_points(3)
+    s = np.sum(P * P, axis=1)
+    for point in [p.tolist() for p in P] + points + [
+            list(Q.T) for Q in (P[s < 1e-4], P[s > 1.0], P, Z)]:
+        if name == "lam_jet":
+            for got, want in zip(Gp.lam_jet(point), ref(point, True)):
+                _same_bytes(got, want)
+        else:
+            _same_bytes(getattr(Gp, name)(point), ref(point))
+        if name == "Ad_matrix":   # Ad_exp(-u) = Ad_exp(u)^T
+            _same_bytes(mT(Gp.Ad_matrix(point)), ref([-c for c in point]))
+    if name != "lam_jet":
+        for point in (P[7].tolist(), list(P[1:].T)):
+            _same_bytes(_second_derivatives(getattr(Gp, name), point),
+                        _second_derivatives(ref, point))
+
+
+@pytest.mark.parametrize("group", ["so3", "su2"])
+def test_amm_frame_jet_sigma_matches_lam_plus_lam_bar(group):
+    # sigma and d sigma, read off one lam_jet as (lam + lam^T)/2, are the
+    # halves of the sums of the entrywise lam and lam_bar jets, to the bit
+    D = lg.adjoint_algebroid(lg.GROUPS[group](), lg.GROUPS[group]().chart,
+                             True)
+    points, Z = _signed_zero_points()
+    for point in points + [list(chart_points(3).T), list(Z.T)]:
+        (L, dL), (Lb, dLb) = (ENTRYWISE[k](point, True)
+                              for k in ("lam_matrix", "lam_bar_matrix"))
+        _, sigma, _, dsigma = D.jet(point)
+        _same_bytes(sigma, 0.5 * (L + Lb))
+        _same_bytes(dsigma, 0.5 * (dL + dLb))
 
 
 FORMS = {"amm-so3": lambda: lg.amm_groupoid(lg.so3())[1].omega,
@@ -231,7 +363,7 @@ def test_closed_form_frame_jet_matches_the_jet_pass(name, size):
     Gp = lg.GROUPS[group]()
     D = lg.adjoint_algebroid(Gp, Gp.chart, amm)
     action = lg.conjugation_action if amm else lg.coadjoint_action
-    ref = lg.action_algebroid(Gp, Gp.chart, action(Gp), lg.amm_rho_star(Gp)
+    ref = action_algebroid(Gp, Gp.chart, action(Gp), lg.amm_rho_star(Gp)
                               if amm else lambda x: np.eye(Gp.dim))
     assert D.frame_jet is not None and ref.frame_jet is None
     P = chart_points(Gp.dim) if size == "mixed" else np.random.default_rng(
@@ -422,17 +554,36 @@ def test_cartan_dirac_frame_integrable_against_cartan_form():
                                   lg.cartan_form(Gp), pts) < 1e-9
 
 
+def _cartan_frame_reference(Gp, u):
+    """(v_r - v_l, ((v_r + v_l)/2)-flat) from right, left and lam each
+    built on its own, entry by entry on so3 and su2 (I on a torus)."""
+    R, L, lam = (np.eye(Gp.dim),) * 3 if Gp.name == "torus" else (
+        ENTRYWISE[k](u) for k in ("right_matrix", "left_matrix",
+                                  "lam_matrix"))
+    return block([[R - L], [mT(lam) @ lam @ (0.5 * (R + L))]])
+
+
 def test_cartan_dirac_frame_is_cartan_frame():
-    # the frame is cartan_frame, to the bit, and rho and rho_star are its
-    # slices
+    # the frame is the two-sided-translate frame, to the bit, rho and
+    # rho_star are its slices, and frame(u) builds three chart matrices:
+    # rho reads left_matrix, sigma left_matrix and lam_matrix
+    assert not hasattr(lg._QuaternionChartGroup, "lam_bar_jet")
     for name in ("so3", "su2", "torus2"):
         Gp = lg.GROUPS[name]()
+        built = []
+        for k in ("lam_matrix", "left_matrix", "Ad_matrix"):
+            setattr(Gp, k, lambda u, k=k, real=getattr(Gp, k): (
+                built.append(k), real(u))[1])
         u = list(np.random.default_rng(3).uniform(-0.5, 0.5, (Gp.dim, 4)))
-        want = lg.cartan_frame(Gp, u)
+        want = _cartan_frame_reference(Gp, u)
         D = lg.cartan_dirac_frame(Gp)
+        built.clear()
         F = D.frame(u)
+        assert sorted(built) == ["lam_matrix", "left_matrix", "left_matrix"]
         assert F.shape == want.shape
         assert np.array_equal(F.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(lg.cartan_frame(Gp, u).view(np.uint64),
+                              want.view(np.uint64))
         assert np.array_equal(D.rho(u), want[..., :Gp.dim, :])
         assert np.array_equal(D.rho_star(u),
                               np.swapaxes(want[..., Gp.dim:, :], -1, -2))
@@ -472,7 +623,7 @@ def test_cartan_dirac_frame_im_conditions_see_twist_and_structure():
 def test_coadjoint_form_is_canonical_symplectic():
     Gp = lg.so3()
     _, F = lg.coadjoint_groupoid(Gp)
-    can = lg.canonical_cotangent_form(Gp)
+    can = canonical_cotangent_form(Gp)
     rng = np.random.default_rng(20)
     for _ in range(5):
         p = list(rng.uniform(-0.4, 0.4, 3)) + list(rng.uniform(-1, 1, 3))
@@ -488,7 +639,7 @@ def test_coadjoint_anchor_matches_the_jet_anchor(group):
     # which differentiates the anchor, to the bit
     Gp = getattr(lg, group)()
     G, F = lg.coadjoint_groupoid(Gp)
-    D = lg.action_algebroid(Gp, G.base, lg.coadjoint_action(Gp),
+    D = action_algebroid(Gp, G.base, lg.coadjoint_action(Gp),
                             lambda x: np.eye(3))
     ref = lg.general_action_form(Gp, D)
     P = G.arrows.draw(np.random.default_rng(21), 16)
