@@ -1,4 +1,5 @@
-"""The conjugation groupoid of SO(3) and its multiplicative 2-form.
+"""The conjugation groupoid of SO(3), `adjoint_groupoid` with `amm` true,
+and its multiplicative 2-form.
 
 Runs the multiplicativity and relative-closedness checks, classifies the
 form, and verifies that the structure induced on the base at units is the
@@ -14,7 +15,7 @@ from diracgeo import liegroup as lg
 def main():
     rng = np.random.default_rng(42)
     Gp = lg.so3()
-    G, F = lg.amm_groupoid(Gp)
+    G, F = lg.adjoint_groupoid(Gp, True)
 
     print("structure residuals:", G.structure_residuals(rng, 8))
     print("multiplicativity   :", gr.check_multiplicative(G, F, rng, 8))

@@ -442,6 +442,9 @@ def run_scenario(scenario, args):
     for name, expected in expect.items():
         if name not in CHECKS:
             raise ScenarioError(f"expectation for unknown check {name!r}")
+        if name not in scenario["suite"]:
+            raise ScenarioError(f"expectation for {name!r}, which the suite "
+                                "does not run")
         if not isinstance(expected, bool):
             raise ScenarioError(f"expectation for {name!r} must be true or "
                                 f"false, got {expected!r}")

@@ -137,12 +137,12 @@ def foliated_r3():
             "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": False}}
 
 
-def chart_group(builder, group_name, group=False):
-    """The groupoid builder makes of a chart group: the conjugation groupoid,
-    carrying the group for the induced-Dirac checks, or T*H."""
+def chart_group(group_name, amm):
+    """The adjoint groupoid of a chart group: the conjugation groupoid,
+    carrying the group for the induced-Dirac checks (amm), or T*H."""
     Gp = lg.GROUPS[group_name]()
-    G, F = builder(Gp)
-    return {"groupoid": G, "form": F, **({"group": Gp} if group else {}),
+    G, F = lg.adjoint_groupoid(Gp, amm)
+    return {"groupoid": G, "form": F, **({"group": Gp} if amm else {}),
             "expected_flags": {**_PRESYMPLECTIC, "is_symplectic": True}}
 
 
@@ -151,9 +151,9 @@ FIXTURES = {
     "twisted-pair-r3": twisted_pair_r3,
     "nondirac-flow": flow_groupoid,
     "foliated-r3": foliated_r3,
-    "amm-so3": lambda: chart_group(lg.amm_groupoid, "so3", group=True),
-    "amm-torus2": lambda: chart_group(lg.amm_groupoid, "torus2", group=True),
-    "coadjoint-so3": lambda: chart_group(lg.coadjoint_groupoid, "so3"),
+    "amm-so3": lambda: chart_group("so3", True),
+    "amm-torus2": lambda: chart_group("torus2", True),
+    "coadjoint-so3": lambda: chart_group("so3", False),
 }
 
 

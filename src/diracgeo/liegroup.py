@@ -1,8 +1,9 @@
 """Compact matrix groups in exponential charts: SO(3), SU(2) (real 4x4
 quaternion embedding), and tori; Maurer-Cartan forms, adjoint action, the
-bi-invariant Cartan 3-form, the Cartan-Dirac structure, and the conjugation
-(AMM) and coadjoint groupoids, whose 2-forms integrate their action
-algebroids.  The chart matrices and those algebroids' frames give their
+bi-invariant Cartan 3-form, the Cartan-Dirac structure, and the action
+groupoids of Ad_exp(u) on algebra coordinates: the conjugation (AMM)
+groupoid and T*H, from one builder, whose 2-forms integrate one action
+algebroid.  The chart matrices and that algebroid's frame give their
 derivatives in closed form, so the action forms carry closed-form Jacobians.
 
 SO(3) and SU(2) share structure constants [e_i, e_j] = e_k (cyclic), so
@@ -103,6 +104,7 @@ class MatrixGroup:
     name: str
     dim: int
     struct: np.ndarray   # [i, j, k] coefficient of e_k in [e_i, e_j]
+    radius = 0.9 * math.pi   # inside |u| < pi, where exp is one-to-one
 
     # chart-level multiplication; set by the constructors below
     def mul(self, u, v):
@@ -134,8 +136,8 @@ class MatrixGroup:
 
     def check_radius(self, u):
         r2 = np.asarray(sum(value_of(c) ** 2 for c in u))
-        out = r2 > (0.9 * math.pi) ** 2
-        if out.any() and self.name != "torus":
+        out = r2 > self.radius ** 2
+        if out.any():
             raise ChartRadiusError(
                 f"|u| = {math.sqrt(r2.max()):.3f} outside the exp-chart "
                 f"radius{jets.at_sample(out)}")
@@ -296,6 +298,8 @@ class _SU2(_QuaternionChartGroup):
 
 
 class _Torus(MatrixGroup):
+    radius = math.inf   # exp onto a torus is a local diffeomorphism at every u
+
     def mul(self, u, v):
         return [a + b for a, b in zip(u, v)]
 
@@ -392,25 +396,32 @@ def cartan_dirac_frame(Gp):
         chart_metric(Gp, u) @ _half_sum(Gp.left_matrix(u))), -Gp.struct)
 
 
-# -- conjugation (AMM) groupoid --------------------------------------------
+# -- the adjoint action groupoids ------------------------------------------
 
 def conjugate(Gp, u, x):
-    """Chart coordinates of exp(u) exp(x) exp(-u)."""
-    return Gp.mul(Gp.mul(u, x), Gp.inv(u))
+    """Chart coordinates of exp(u) exp(x) exp(-u) = exp(Ad_exp(u) x): Ad
+    keeps |x|, so they are Ad_exp(u) x.  On the orthonormal basis of a
+    compact group's algebra this is also the coadjoint action on h*."""
+    A = Gp.Ad_matrix(u)
+    # (A x)_i; A[..., i, :].T lists row i entry by entry
+    return [dot(A[..., i, :].T, x) for i in range(Gp.dim)]
 
 
-def amm_groupoid(Gp):
-    """The conjugation groupoid H x H, over the group chart, with the AMM
-    form, which integrates the conjugation algebroid with the dual
-    amm_rho_star, and the Cartan 3-form."""
-    d = Gp.dim
-    point = uniform(-0.7, 0.7, d, 0.5)
-    # conjugation is Ad_exp(u) x in the exponential chart
-    G = action_groupoid(Gp, Gp.chart, conjugation_action(Gp), point, point,
-                        uniform(-0.7, 0.7, d, 0.4), lambda u, y: (
+def adjoint_groupoid(Gp, amm):
+    """The action groupoid of conjugate on algebra coordinates, with the
+    form of adjoint_algebroid: the conjugation groupoid H x H over the
+    group chart, with the AMM form and the Cartan 3-form (amm), or T*H as
+    H x h* with the canonical form."""
+    d, r = Gp.dim, 0.7 if amm else 0.8
+    group = uniform(-r, r, d, 0.5)
+    G = action_groupoid(Gp, Gp.chart if amm else Chart.numbered(x=d),
+                        functools.partial(conjugate, Gp), group,
+                        group if amm else uniform(-1.0, 1.0, d),
+                        uniform(-r, r, d, 0.4), lambda u, y: (
                             Gp.Ad_derivative(u, y), Gp.Ad_matrix(u)))
-    D = adjoint_algebroid(Gp, G.base, True)
-    return G, GroupoidForm(general_action_form(Gp, D), cartan_form(Gp))
+    D = adjoint_algebroid(Gp, G.base, amm)
+    return G, GroupoidForm(general_action_form(Gp, D),
+                           cartan_form(Gp) if amm else None)
 
 
 # -- action algebroids and their multiplicative 2-forms --------------------
@@ -491,37 +502,3 @@ def amm_rho_star(Gp):
 def _half_sum(M, axis=-2):
     """(M + M^T)/2 for the matrix axes axis and axis + 1."""
     return 0.5 * (M + np.swapaxes(M, axis, axis + 1))
-
-
-def conjugation_action(Gp):
-    return lambda u, x: conjugate(Gp, u, x)
-
-
-# -- coadjoint groupoid ----------------------------------------------------
-
-def coadjoint_action(Gp):
-    """Left coadjoint action on algebra-dual coordinates:
-    (g . xi)(v) = xi(Ad_{g^{-1}} v)."""
-
-    def act(u, xi):
-        A = Gp.Ad_matrix(u)   # Ad_exp(-u)^T
-        # (A xi)_i; A[..., i, :].T lists row i entry by entry
-        return [dot(A[..., i, :].T, xi) for i in range(Gp.dim)]
-
-    return act
-
-
-def coadjoint_groupoid(Gp):
-    """T*H presented as the action groupoid H x h* with the canonical form,
-    for H = SO(3) or SU(2)."""
-    d = Gp.dim
-    act = coadjoint_action(Gp)
-    # on an orthonormal basis of a compact group's algebra the coadjoint
-    # action is Ad_exp(u) xi
-    G = action_groupoid(Gp, Chart.numbered(x=d), act,
-                        uniform(-0.8, 0.8, d, 0.5), uniform(-1.0, 1.0, d),
-                        uniform(-0.8, 0.8, d, 0.4), lambda u, y: (
-                            Gp.Ad_derivative(u, y), Gp.Ad_matrix(u)))
-    D = adjoint_algebroid(Gp, G.base, False)
-    return G, GroupoidForm(general_action_form(Gp, D), None)
-

@@ -1,7 +1,8 @@
 """Reference constructions that the tests check the package against.  No
 run of the package uses them, so they live with the tests: the action
-algebroid of any group action, whose anchor is a jet pass, and the
-canonical symplectic form of T*H by its definition."""
+algebroid of any group action, whose anchor is a jet pass, conjugation
+by two chart products, and the canonical symplectic form of T*H by its
+definition."""
 
 from diracgeo import jets
 from diracgeo.courant import AnchoredDual
@@ -20,6 +21,12 @@ def action_algebroid(Gp, ch, action, rho_star):
                                         Gp.identity()))
 
     return AnchoredDual(ch, rho, rho_star, -Gp.struct)
+
+
+def triple_product(Gp):
+    """Conjugation (u, x) -> u x u^-1 by two chart products: the quaternion
+    triple product on SO(3) and SU(2), with no Ad_matrix in it."""
+    return lambda u, x: Gp.mul(Gp.mul(u, x), Gp.inv(u))
 
 
 def canonical_cotangent_form(Gp):

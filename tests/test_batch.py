@@ -73,7 +73,7 @@ NORMS = [1e-9, 5e-3, 0.0099, 0.0101, 0.5, 0.999, 1.001, 2.0, 2.7]
 
 def _chart_group_groupoid(name):
     if name == "amm-su2":
-        return LG.amm_groupoid(LG.su2())[0]
+        return LG.adjoint_groupoid(LG.su2(), True)[0]
     return fixtures.load(name)["groupoid"]
 
 

@@ -180,10 +180,11 @@ def test_parse_errors_exit_two(tmp_path, capsys):
         assert cli.main(["run", str(p3), "--expect-file", str(expect)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-    # an expectation must be a boolean, for a known check; inline and
-    # through --expect-file
+    # an expectation must be a boolean, for a check that the suite runs;
+    # inline and through --expect-file
     scn4 = {"id": "x", "fixture": "pair-groupoid-r2", "suite": ["structure"]}
-    for bad in ({"structure": "no"}, {"nosuch": False}):
+    for bad in ({"structure": "no"}, {"nosuch": False},
+                {"classification": False}):
         expect.write_text(json.dumps({"x": bad}))
         for inline, flags in ((bad, []),
                               ({}, ["--expect-file", str(expect)])):
@@ -417,7 +418,7 @@ def test_flow_samples_do_not_depend_on_suite(tmp_path, capsys):
     _, out = run_cli(["run", os.path.join(SCN, "nondirac-flow.json"),
                       "--samples", "3"], capsys)
     in_suite = json.loads(out)["reports"][0]["checks"]["dirac-type"]
-    scn["suite"] = ["dirac-type"]
+    scn["suite"], scn["expect"] = ["dirac-type"], {"dirac-type": False}
     p = tmp_path / "alone.json"
     p.write_text(json.dumps(scn))
     _, out = run_cli(["run", str(p), "--samples", "3"], capsys)

@@ -296,8 +296,8 @@ def test_group_forms_have_skew_component_matrices():
     from diracgeo import liegroup as lg
     Gp = lg.so3()
     p = [0.3, -0.2, 0.1, 0.25, 0.05, -0.35]
-    for omega in (lg.amm_groupoid(Gp)[1].omega,
-                  lg.coadjoint_groupoid(Gp)[1].omega):
+    for omega in (lg.adjoint_groupoid(Gp, True)[1].omega,
+                  lg.adjoint_groupoid(Gp, False)[1].omega):
         Om = omega.at(p)
         assert Om.shape == (6, 6)
         assert np.max(np.abs(Om)) > 0.1

@@ -13,7 +13,8 @@ from diracgeo.geometry import (Form, block, component_jacobian, coordinates,
                                ext_d)
 from diracgeo.jets import value_of
 from diracgeo.linear import LinearDirac, mT
-from references import action_algebroid, canonical_cotangent_form
+from references import (action_algebroid, canonical_cotangent_form,
+                        triple_product)
 
 
 def vals(seq):
@@ -309,11 +310,15 @@ def test_amm_frame_jet_sigma_matches_lam_plus_lam_bar(group):
         _same_bytes(dsigma, 0.5 * (dL + dLb))
 
 
-FORMS = {"amm-so3": lambda: lg.amm_groupoid(lg.so3())[1].omega,
-         "amm-su2": lambda: lg.amm_groupoid(lg.su2())[1].omega,
-         "amm-torus2": lambda: lg.amm_groupoid(lg.torus(2))[1].omega,
-         "coadjoint-so3": lambda: lg.coadjoint_groupoid(lg.so3())[1].omega,
-         "coadjoint-su2": lambda: lg.coadjoint_groupoid(lg.su2())[1].omega}
+# the adjoint groupoids and their algebroids by name: (group, amm)
+ADJOINT = {"amm-so3": ("so3", True), "amm-su2": ("su2", True),
+           "amm-torus2": ("torus2", True), "coadjoint-so3": ("so3", False),
+           "coadjoint-su2": ("su2", False)}
+
+
+def adjoint_form(name):
+    group, amm = ADJOINT[name]
+    return lg.adjoint_groupoid(lg.GROUPS[group](), amm)[1].omega
 
 
 def _jet_form(w):
@@ -321,11 +326,11 @@ def _jet_form(w):
     return Form(w.chart, w.degree, w.components)
 
 
-@pytest.mark.parametrize("name", sorted(FORMS))
+@pytest.mark.parametrize("name", sorted(ADJOINT))
 @pytest.mark.parametrize("size", [None, 1, 8, 64])
 def test_form_jacobians_match_the_jet_pass(name, size):
     # at one float point (size None) and at stacks; on the torus to the bit
-    w = FORMS[name]()
+    w = adjoint_form(name)
     P = np.random.default_rng(24).uniform(-0.7, 0.7,
                                           (size or 1, w.chart.dim))
     p = coordinates(P if size else P[0])
@@ -338,7 +343,7 @@ def test_form_jacobians_match_the_jet_pass(name, size):
 def test_second_derivative_of_amm_form_keeps_the_nested_pass():
     # at jet points the closed form stands aside: d omega differentiated
     # once more is the nested jet pass, to the bit
-    w = FORMS["amm-so3"]()
+    w = adjoint_form("amm-so3")
     P = np.random.default_rng(25).uniform(-0.7, 0.7, (8, 6))
     got, ref = (component_jacobian(ext_d(f), coordinates(P))
                 for f in (w, _jet_form(w)))
@@ -346,25 +351,19 @@ def test_second_derivative_of_amm_form_keeps_the_nested_pass():
     assert got.tobytes() == ref.tobytes()
 
 
-# the algebroids of the two actions on algebra coordinates: (group, amm)
-ADJOINT = {"amm-so3": ("so3", True), "amm-su2": ("su2", True),
-           "amm-torus2": ("torus2", True), "coadjoint-so3": ("so3", False),
-           "coadjoint-su2": ("su2", False)}
-
-
 @pytest.mark.parametrize("name", sorted(ADJOINT))
 @pytest.mark.parametrize("size", [None, 1, 8, 64, "mixed"])
 def test_closed_form_frame_jet_matches_the_jet_pass(name, size):
-    # the builders' frame jet against action_algebroid's, whose anchor and
-    # frame jet are jet passes: at one point (size None), at stacks and at
-    # the chart points, which mix the series and exact branches; on the
-    # torus to the bit.  The constant d rho is broadcast to the stack
+    # the builders' frame jet against action_algebroid's of the triple
+    # product, whose anchor and frame jet are jet passes: at one point
+    # (size None), at stacks and at the chart points, which mix the series
+    # and exact branches; on the torus to the bit.  The constant d rho is
+    # broadcast to the stack
     group, amm = ADJOINT[name]
     Gp = lg.GROUPS[group]()
     D = lg.adjoint_algebroid(Gp, Gp.chart, amm)
-    action = lg.conjugation_action if amm else lg.coadjoint_action
-    ref = action_algebroid(Gp, Gp.chart, action(Gp), lg.amm_rho_star(Gp)
-                              if amm else lambda x: np.eye(Gp.dim))
+    rho_star = lg.amm_rho_star(Gp) if amm else lambda x: np.eye(Gp.dim)
+    ref = action_algebroid(Gp, Gp.chart, triple_product(Gp), rho_star)
     assert D.frame_jet is not None and ref.frame_jet is None
     P = chart_points(Gp.dim) if size == "mixed" else np.random.default_rng(
         26).uniform(-0.7, 0.7, (size or 1, Gp.dim))
@@ -395,7 +394,7 @@ def test_amm_form_matches_the_closed_formula(group):
     # the fixture's omega, general_action_form of the conjugation
     # algebroid, against the AMM formula, at a point and at a stack
     Gp = lg.GROUPS[group]()
-    omega = lg.amm_groupoid(Gp)[1].omega
+    omega = lg.adjoint_groupoid(Gp, True)[1].omega
     P = np.random.default_rng(19).uniform(-0.4, 0.4, (16, 2 * Gp.dim))
     ref = amm_closed_formula(Gp, P)
     assert np.max(np.abs(ref)) > 0.1
@@ -458,7 +457,7 @@ def test_amm_form_makes_no_jacobian_pass(monkeypatch):
 
     monkeypatch.setattr(jets, "jacobian", refuse)
     P = np.random.default_rng(23).uniform(-0.4, 0.4, (16, 6))
-    assert FORMS["amm-so3"]().at(P).shape == (16, 6, 6)
+    assert adjoint_form("amm-so3").at(P).shape == (16, 6, 6)
 
 
 @pytest.mark.parametrize("name", ["so3", "su2"])
@@ -622,7 +621,7 @@ def test_cartan_dirac_frame_im_conditions_see_twist_and_structure():
 
 def test_coadjoint_form_is_canonical_symplectic():
     Gp = lg.so3()
-    _, F = lg.coadjoint_groupoid(Gp)
+    _, F = lg.adjoint_groupoid(Gp, False)
     can = canonical_cotangent_form(Gp)
     rng = np.random.default_rng(20)
     for _ in range(5):
@@ -634,27 +633,46 @@ def test_coadjoint_form_is_canonical_symplectic():
 
 @pytest.mark.parametrize("group", ["so3", "su2"])
 def test_coadjoint_anchor_matches_the_jet_anchor(group):
-    # the closed-form anchor [., xi] against the Jacobian of the coadjoint
-    # action at the identity: omega at a point and at a stack, and d omega,
-    # which differentiates the anchor, to the bit
+    # the closed-form anchor [., xi] against the Jacobian at the identity
+    # of the action: omega at a point and at a stack, and d omega, which
+    # differentiates the anchor, to the bit for conjugate and within
+    # 1e-14 max(1, |v|) for the triple product u xi u^-1
     Gp = getattr(lg, group)()
-    G, F = lg.coadjoint_groupoid(Gp)
-    D = action_algebroid(Gp, G.base, lg.coadjoint_action(Gp),
-                            lambda x: np.eye(3))
-    ref = lg.general_action_form(Gp, D)
+    G, F = lg.adjoint_groupoid(Gp, False)
     P = G.arrows.draw(np.random.default_rng(21), 16)
-    for got, want in ((F.omega.at(P), ref.at(P)),
-                      (F.omega.at(P[0]), ref.at(P[0])),
-                      (ext_d(F.omega).at(P), ext_d(ref).at(P))):
-        assert got.tobytes() == want.tobytes()
+    for action, exact in ((lambda u, x: lg.conjugate(Gp, u, x), True),
+                          (triple_product(Gp), False)):
+        D = action_algebroid(Gp, G.base, action, lambda x: np.eye(3))
+        ref = lg.general_action_form(Gp, D)
+        for got, want in ((F.omega.at(P), ref.at(P)),
+                          (F.omega.at(P[0]), ref.at(P[0])),
+                          (ext_d(F.omega).at(P), ext_d(ref).at(P))):
+            _close(got, want, exact)
 
 
 def test_coadjoint_action_preserves_pairing():
     Gp = lg.so3()
-    act = lg.coadjoint_action(Gp)
     rng = np.random.default_rng(21)
     u = rand_alg(rng, 3)
     xi = rand_alg(rng, 3, 1.0)
     v = rand_alg(rng, 3, 1.0)
-    lhs = np.dot(vals(act(u, xi)), vals(Gp.Ad(u, v)))
+    lhs = np.dot(vals(lg.conjugate(Gp, u, xi)), vals(Gp.Ad(u, v)))
     assert lhs == pytest.approx(np.dot(xi, v), abs=1e-10)
+
+
+@pytest.mark.parametrize("group", ["so3", "su2", "torus2"])
+def test_conjugate_is_the_triple_product(group):
+    # Ad_exp(u) x from Ad_matrix against exp(u) exp(x) exp(-u) by chart
+    # products, at float points and on a stack, u and x on both sides of
+    # the series cuts; conjugating by -u is far off but on the torus,
+    # which is abelian
+    Gp = lg.GROUPS[group]()
+    U = chart_points(Gp.dim)
+    X = U[::-1] * 0.9
+    ref = triple_product(Gp)
+    for u, x in [(list(U.T), list(X.T))] + [
+            (a.tolist(), b.tolist()) for a, b in zip(U, X)]:
+        _close(vals(lg.conjugate(Gp, u, x)), vals(ref(u, x)), False)
+    wrong = np.max(np.abs(vals(lg.conjugate(Gp, list(-U.T), list(X.T)))
+                          - vals(ref(list(U.T), list(X.T)))))
+    assert wrong > 1e-2 if group != "torus2" else wrong < 1e-14
