@@ -4,6 +4,8 @@ feed.  Every sampler maps a block of uniform doubles from the supplied
 generator to its points (`groupoid.Sampler`), so runs are reproducible
 from the seed."""
 
+import functools
+
 import numpy as np
 
 from . import liegroup as lg
@@ -47,10 +49,11 @@ def _signed(lo, hi):
 def pair_groupoid_r2():
     """The pair groupoid of the symplectic plane, with the path space of
     its algebroid TM, rho* = theta-flat: a gauge parameter, and for each
-    grid size N a path on the grid with two probe tangents."""
+    grid size N a path on the grid with two probe tangents, built once."""
     fx = pair_fixture(2, uniform(-1.0, 1.0, 2), {(0, 1): "1.0"})
     pres = graph_of_form(fx["theta"])
 
+    @functools.cache
     def paths(N):
         path = ps.sampled_path(pres, ["t", "t*t*(1.0-t)"],
                                ["1.0", "2.0*t - 3.0*t*t"], N)

@@ -45,10 +45,6 @@ class Chart:
                            for i in range(n)))
 
 
-def chart(*names):
-    return Chart(tuple(names))
-
-
 def _as_expr(e, ch):
     """An expression string or number compiled on the chart; a callable
     p -> value (such as a compiled ScalarExpr) as it is."""
@@ -308,13 +304,6 @@ class ChartMap:
         self.func = func
         self.jacobian = jacobian
 
-    @staticmethod
-    def from_components(source, target, comps):
-        exprs = [_as_expr(c, source) for c in comps]
-        if len(exprs) != target.dim:
-            raise ValueError("component count must match target dimension")
-        return ChartMap(source, target, lambda p: [e(p) for e in exprs])
-
     def __call__(self, p):
         return self.func(p)
 
@@ -333,22 +322,28 @@ def pull(C, J, k):
     return C
 
 
+def map_jacobian(f, p, q=None):
+    """The Jacobian of the chart map f at p, batch-first at a batch: f's
+    closed form (q is f(p) where held) at float points and float stacks
+    where f has one, a jet pass otherwise."""
+    J = f.jacobian
+    if J is None or any(isinstance(c, jets.Jet) for c in p):
+        return jets.stack(jets.jacobian(f.func, p))
+    if callable(J):
+        J = J(*(c if c is None else np.stack(np.broadcast_arrays(*c), -1)
+                for c in (p, q)))
+    return J
+
+
 def pullback(f, w):
     """f* w for a chart map f and a form w on the target chart: every slot
-    of the components at f(p) is contracted with the Jacobian J of f at p,
-    J^T.w.J for a 2-form.  J is f's closed form at float points and float
-    stacks, where f has one, a jet pass otherwise; d(f* w) is f*(dw)."""
+    of the components at f(p) is contracted with the Jacobian J of f at p
+    (`map_jacobian`), J^T.w.J for a 2-form; d(f* w) is f*(dw)."""
     _check_chart(f.target, w.chart)
 
     def components(p):
         q = f(p)
-        J = f.jacobian
-        if J is None or any(isinstance(c, jets.Jet) for c in p):
-            J = jets.stack(jets.jacobian(f.func, p))
-        elif callable(J):
-            J = J(*(np.stack(np.broadcast_arrays(*c), axis=-1)
-                    for c in (p, q)))
-        return pull(w.components(q), J, w.degree)
+        return pull(w.components(q), map_jacobian(f, p, q), w.degree)
 
     return Form(f.source, w.degree, components,
                 exterior=lambda: pullback(f, ext_d(w)))

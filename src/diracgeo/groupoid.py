@@ -458,7 +458,7 @@ def induced_span(G, F, x):
     Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
     KTM, dim = padded_null(projections(Kw, padded_orth(sp.TM)[0]))
     # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
-    base_kernel = np.linalg.pinv(sp.TM) @ KTM
+    base_kernel = linear.pinv_solve(sp.TM, KTM)[0]
     span = block([[sp.rho, base_kernel],
                   [mT(sp.rho_star), np.zeros_like(base_kernel)]])
     return span, sp.A.shape[-1] + dim

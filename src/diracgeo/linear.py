@@ -70,6 +70,16 @@ def svd(M, full_matrices=True, compute_uv=True):
     return tuple(map(spread, one)) if compute_uv else spread(one)
 
 
+def pinv_solve(A, B):
+    """np.linalg.pinv(A) @ B to the bit, numpy's formula on one `svd`, and
+    the kernel dimensions of A as `padded_null` counts them."""
+    U, s, Vt = svd(A, full_matrices=False)
+    large = s > 1e-15 * np.amax(s, axis=-1, keepdims=True)
+    inv = np.divide(1, s, where=large, out=np.zeros(s.shape))
+    return mT(Vt) @ (inv[..., None] * mT(U)) @ B, \
+        Vt.shape[-1] - np.sum(s > DEFAULT_TOL * s[..., :1], axis=-1)
+
+
 def padded_orth(M, tol=DEFAULT_TOL):
     """Padded orthonormal bases of the column spans and their dimensions:
     the rank counts the singular values above tol times the largest (none

@@ -9,7 +9,7 @@ omega_tilde + omega_phi as the grid and step are refined.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class DiscretizedAPath:
     pres: AnchoredDual
     gamma: np.ndarray   # (N+1, n)
     a: np.ndarray       # (N+1, r)
+    gauges: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -92,6 +93,13 @@ class DiscretizedAPath:
         """Max defect of rho(a) against the central-difference velocity."""
         vel = (self.gamma[2:] - self.gamma[:-2]) / (2 * self.dt)
         return worst_of(0.0, np.abs(self.rho_of_a()[1:-1] - vel))
+
+    def gauge(self, eta):
+        """X_eta at this path, `gauge_vector` built once per gauge."""
+        key = tuple(eta.exprs)
+        if key not in self.gauges:
+            self.gauges[key] = gauge_vector(self, eta)
+        return self.gauges[key]
 
     def shifted(self, s, T):
         return DiscretizedAPath(self.pres, self.gamma + s * T.dgamma,
@@ -216,7 +224,7 @@ def gauge_vector(path, eta):
 def basicness_residual(path, eta, phi, probes, h=None):
     """Max over probe tangents X of |omega_tilde(X_eta, X) +
     omega_phi(X_eta, X)|."""
-    X_eta = gauge_vector(path, eta)
+    X_eta = path.gauge(eta)
     worst = 0.0
     for X in probes:
         val = omega_tilde(path, X_eta, X, h) + omega_phi(path, X_eta, X, phi)
@@ -227,7 +235,7 @@ def basicness_residual(path, eta, phi, probes, h=None):
 def sigma_contraction_residual(path, eta):
     """Discrete-exact identity (granted the antisymmetry of <rho*, rho>):
     sigma_tilde(X_eta) = -quadrature of <rho*(eta), rho(a)>."""
-    X_eta = gauge_vector(path, eta)
+    X_eta = path.gauge(eta)
     lhs = sigma_tilde(path, X_eta)
     eta_here = _section_on_grid(path, eta.compiled(path.pres.chart))
     vals = _dot(eta_here, mv(_at_grid(path, path.pres.rho_star),

@@ -15,11 +15,11 @@ import numpy as np
 from . import jets
 from .courant import AnchoredDual
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
-                       lie_derivative, pullback)
+                       lie_derivative, map_jacobian, pullback)
 from .groupoid import apply, max_abs, worst_of
 from .liegroup import (MatrixGroup, amm_rho_star, cartan_dirac_frame,
                        cartan_form, torus)
-from .linear import mT, padded_null, padded_orth, padded_span_gap
+from .linear import mT, padded_null, padded_orth, padded_span_gap, pinv_solve
 
 
 def closedness_residual(eta, mu, phi, samples):
@@ -37,15 +37,15 @@ def realization_check(eta, mu, target, samples):
     sample (one X per frame column of the target Dirac space).
     """
     P = np.asarray(samples, dtype=float)
-    Dmu = jets.stack(jets.jacobian(mu.func, coordinates(P)))
+    Dmu = map_jacobian(mu, coordinates(P))
     H = eta.at(P)
     m = Dmu.shape[-2]
     frame = target.frame(coordinates(apply(mu.func, P)))
     A = block([[Dmu], [mT(H)]])
     rhs = block([[frame[..., :m, :]], [mT(Dmu) @ frame[..., m:, :]]])
-    X = np.linalg.pinv(A) @ rhs
+    X, ker_dim = pinv_solve(A, rhs)
     solve = worst_of(0.0, np.abs(A @ X - rhs))
-    kdim = int(np.max(padded_null(A)[1]))
+    kdim = int(np.max(ker_dim))
     # d mu maps Ker(eta) isomorphically onto Ker(L), the tangent parts of
     # the frame combinations with no covector part: equal dimensions, an
     # injective image and a zero principal angle
@@ -81,8 +81,7 @@ def equivariance_residual(Q, samples):
     P = np.asarray(samples, dtype=float)
     u = coordinates(apply(Q.mu.func, P))
     gen = cartan_dirac_frame(Gp).rho(u)
-    lhs = jets.stack(jets.jacobian(Q.mu.func, coordinates(P))) \
-        @ Q.D.rho(coordinates(P))
+    lhs = map_jacobian(Q.mu, coordinates(P)) @ Q.D.rho(coordinates(P))
     return worst_of(0.0, np.abs(lhs - gen))
 
 
@@ -134,17 +133,18 @@ def equivalence_crosscheck(Q, samples):
 def rotation_quasi_ham(factor=0.5):
     """The plane R^2 with area form dx^dy, the clockwise rotation
     generator (y, -x), and moment map mu = factor*(x^2 + y^2) into the
-    circle group chart.  factor=1/2 satisfies the axioms; other factors
-    give a negative control."""
+    circle group chart, with its Jacobian in closed form.  factor=1/2
+    satisfies the axioms; other factors give a negative control."""
     ch = Chart(("x", "y"))
     Gp = torus(1)
     eta = Form.from_components(ch, 2, {(0, 1): "1.0"})
     mu = ChartMap(ch, Gp.chart,
-                  lambda p: [factor * (p[0] * p[0] + p[1] * p[1])])
+                  lambda p: [factor * (p[0] * p[0] + p[1] * p[1])],
+                  lambda P, _: factor * (P + P)[..., None, :])
     sigma = amm_rho_star(Gp)
     D = AnchoredDual(ch, lambda p: jets.stack([[p[1]], [-p[0]]]),
-                     lambda p: sigma(mu(p)) @ jets.stack(jets.jacobian(
-                         mu.func, p)), -Gp.struct)
+                     lambda p: sigma(mu(p)) @ map_jacobian(mu, p),
+                     -Gp.struct)
     return QuasiHamData(Gp, D, eta, mu)
 
 

@@ -1,13 +1,27 @@
 """Reference constructions that the tests check the package against.  No
 run of the package uses them, so they live with the tests: the action
 algebroid of any group action, whose anchor is a jet pass, conjugation
-by two chart products, and the canonical symplectic form of T*H by its
-definition."""
+by two chart products, the canonical symplectic form of T*H by its
+definition, and charts and chart maps from names and expressions."""
 
 from diracgeo import jets
 from diracgeo.courant import AnchoredDual
-from diracgeo.geometry import Chart, Form, dot, ext_d
+from diracgeo.expr import parse
+from diracgeo.geometry import Chart, ChartMap, Form, dot, ext_d
 from diracgeo.groupoid import action_chart
+
+
+def chart(*names):
+    """The chart of the coordinate names."""
+    return Chart(tuple(names))
+
+
+def expression_map(source, target, comps):
+    """The chart map whose components are expressions on the source."""
+    exprs = [parse(c, source.names) for c in comps]
+    if len(exprs) != target.dim:
+        raise ValueError("component count must match target dimension")
+    return ChartMap(source, target, lambda p: [e(p) for e in exprs])
 
 
 def action_algebroid(Gp, ch, action, rho_star):

@@ -5,6 +5,7 @@ errors."""
 
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -14,11 +15,13 @@ from diracgeo import cli, expr, fixtures, jets, linear
 from diracgeo import foliation as FO
 from diracgeo import groupoid as GR
 from diracgeo import liegroup as LG
+from diracgeo import pathspace as PS
 from diracgeo import realization as RZ
 from diracgeo import courant
 from diracgeo.courant import AnchoredDual
-from diracgeo.geometry import (Form, chart, component_jacobian, coordinates,
-                               ext_d, lie_derivative)
+from diracgeo.geometry import (Form, component_jacobian, coordinates, ext_d,
+                               lie_derivative)
+from references import chart
 
 # These fixtures' maps and these checks' forms go through sin, cos or
 # atan2, which numpy's array loops and math need not round alike in the
@@ -505,6 +508,63 @@ def test_jet_passes_and_expression_calls_do_not_grow_with_the_grid(
         assert counts[0] == counts[1], (check, counts)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PATHSPACE = os.path.join(ROOT, "scenarios", "pathspace-pair.json")
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "256,512,1024"]])
+def test_one_path_and_gauge_direction_per_grid(grid, capsys, monkeypatch):
+    # basicness builds each grid's path and X_eta; sigma-contraction reads
+    # those of the finest grid
+    paths = _count_calls(monkeypatch, PS, ("sampled_path",))
+    gauges = _count_calls(monkeypatch, PS, ("gauge_vector",))
+    assert cli.main(["run", PATHSPACE, *grid]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    Ns = report["policy"]["grid"]
+    assert [args[3] for args in paths] == Ns == [path.N for path, _ in gauges]
+
+
+def test_each_run_builds_its_own_paths(capsys, monkeypatch):
+    # the paths live in the fixture, which each scenario run loads anew
+    gauges = _count_calls(monkeypatch, PS, ("gauge_vector",))
+    for _ in range(2):
+        assert cli.main(["run", PATHSPACE]) == 0
+    capsys.readouterr()
+    first, second = ([path for path, _ in gauges[i:i + 3]] for i in (0, 3))
+    assert len(gauges) == 6
+    assert not any(a is b for a in first for b in second)
+
+
+def test_path_and_leaf_scenarios_share_their_jet_passes(capsys,
+                                                        monkeypatch):
+    # the benchmark's path-space and leaf scenarios: 21 passes, 8 fewer
+    # than with a gauge direction rebuilt by sigma-contraction (4) and mu
+    # differentiated by jets (4)
+    runs = [os.path.join(ROOT, "perfbench", "scenarios", "paths-and-leaves",
+                         name + ".json")
+            for name in ("pathspace-pair", "foliation-x3",
+                         "rotation-quasi-ham")]
+    passes = _count_calls(monkeypatch, jets, ("jacobian", "directional"))
+    counts = []
+    for unshared in (False, True):
+        if unshared:
+            monkeypatch.setattr(PS.DiscretizedAPath, "gauge",
+                                lambda path, eta: PS.gauge_vector(path, eta))
+            quasi_ham = RZ.rotation_quasi_ham
+
+            def jet_mu(factor):
+                Q = quasi_ham(factor)
+                Q.mu.jacobian = None
+                return Q
+            monkeypatch.setattr(RZ, "rotation_quasi_ham", jet_mu)
+        del passes[:]
+        assert cli.main(["run", *runs, "--seed", "42"]) == 0
+        counts.append((len(passes), capsys.readouterr().out))
+    (shared, report), (unshared, same) = counts
+    assert (shared, unshared) == (21, 29)
+    assert json.loads(report)["reports"] == json.loads(same)["reports"]
+
+
 def test_domain_errors_name_the_first_failing_sample():
     x1 = np.array([1.0, 4.0, -1.0, -9.0])
     with pytest.raises(jets.DomainError,
@@ -650,6 +710,54 @@ def test_svd_of_a_nan_matrix_raises(stack):
     for form in ({}, {"full_matrices": False}, {"compute_uv": False}):
         with pytest.raises(np.linalg.LinAlgError):
             linear.svd(M, **form)
+
+
+def _pinv_stacks():
+    rng = np.random.default_rng(11)
+    one = rng.standard_normal((6, 3))
+    # singular values 1, 1e-8 (in the rank) and 5e-15 (in the kernel, and
+    # inverted: above pinv's cutoff)
+    U, _, Vt = np.linalg.svd(rng.standard_normal((16, 6, 3)), False)
+    return {**{f"random {shape}": rng.standard_normal(shape) for shape in (
+                (256, 3, 2), (64, 6, 3), (8, 2, 3), (5, 4, 4))},
+            "graded": U * [1.0, 1e-8, 5e-15] @ Vt,
+            "zero": np.zeros((8, 6, 3)),
+            "rank 1": rng.standard_normal((16, 6, 1))
+            @ rng.standard_normal((16, 1, 3)),
+            "runs": np.stack([one] * 3 + [2 * one] * 4 + [one]),
+            "stride 0": np.broadcast_to(one, (32, 6, 3)),
+            "one matrix": one}
+
+
+@pytest.mark.parametrize("name", sorted(_pinv_stacks()))
+def test_pinv_is_numpy_pinv_to_the_bit(name):
+    # the solve, the formula of np.linalg.pinv on one linear.svd, and
+    # the kernel dimensions as padded_null counts them
+    A = _pinv_stacks()[name]
+    B = np.random.default_rng(12).standard_normal(A.shape[-2:-1] + (4,))
+    X, dim = linear.pinv_solve(A, B)
+    _same_bits(X, np.linalg.pinv(A) @ B)
+    assert np.array_equal(dim, linear.padded_null(A)[1])
+
+
+def test_pinv_of_a_nan_sample_raises():
+    A = np.array(_pinv_stacks()["random (8, 2, 3)"])
+    A[5, 1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.pinv(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        linear.pinv_solve(A, np.ones((2, 1)))
+
+
+def test_every_svd_goes_through_numpy_svd(tmp_path, capsys, monkeypatch):
+    # no pseudo-inverse or least squares hides an SVD from the counter
+    def hidden(*args, **kwargs):
+        raise AssertionError("an SVD outside np.linalg.svd")
+    for name in ("pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, hidden)
+    _groupoid_reports(tmp_path, capsys)
+    assert cli.main(["run", os.path.join(ROOT, "scenarios",
+                                         "rotation-quasi-ham.json")]) == 0
 
 
 def _groupoid_reports(tmp_path, capsys, samples=64):

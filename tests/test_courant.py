@@ -15,10 +15,10 @@ from diracgeo import foliation as fo
 from diracgeo.courant import (AnchoredDual, cartan_closed_residual,
                               frame_brackets, graph_of_form,
                               im_conditions_residual, integrability_residual)
-from diracgeo.geometry import (Chart, Form, VectorField, chart, coordinates,
-                               ext_d, interior, lie_derivative)
+from diracgeo.geometry import (Chart, Form, VectorField, coordinates, ext_d,
+                               interior, lie_derivative)
 from diracgeo.groupoid import max_abs, worst_of
-from references import action_algebroid, triple_product
+from references import action_algebroid, chart, triple_product
 
 
 CH2 = chart("x", "y")

@@ -45,10 +45,6 @@ TEST_ONLY = {
     "VectorField.from_components": "builds the expression-defined vector "
                                    "fields of the geometry and Courant "
                                    "tests",
-    "ChartMap.from_components": "builds the expression-defined maps of the "
-                                "geometry tests",
-    "geometry.chart": "builds the charts of the tests from their "
-                      "coordinate names",
 }
 
 
@@ -112,8 +108,8 @@ def referenced_names(dirs):
     reaches the methods of that name that its own file defines, so
     perfbench's M.bracket reaches its own MatrixModel.bracket and not
     MatrixGroup.bracket; where its file defines none, it reaches every
-    method of that name (but no module function: fol.chart does not reach
-    geometry.chart)."""
+    method of that name (but no module function: fol.chart would not
+    reach a module function named chart)."""
     classes = {node.name for p in glob.glob(os.path.join(SRC, "*.py"))
                for node in _parse(p).body if isinstance(node, ast.ClassDef)}
     names = set()

@@ -7,7 +7,8 @@ from diracgeo import fixtures, jets
 from diracgeo import pathspace as ps
 from diracgeo.courant import AnchoredDual, graph_of_form
 from diracgeo.expr import parse
-from diracgeo.geometry import Form, chart
+from diracgeo.geometry import Form
+from references import chart
 
 
 def pair_pres():

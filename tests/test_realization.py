@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from diracgeo import jets
 from diracgeo import liegroup as lg
 from diracgeo.courant import graph_of_form
-from diracgeo.geometry import Chart, ChartMap, Form
-from diracgeo.realization import (closedness_residual,
+from diracgeo.geometry import Chart, ChartMap, Form, coordinates
+from diracgeo.realization import (annulus_samples, closedness_residual,
                                   equivalence_crosscheck,
                                   equivariance_residual,
                                   quasi_ham_check, realization_check,
@@ -113,3 +114,37 @@ def test_quasi_ham_kernel_axiom_nontrivial_case():
     rng = np.random.default_rng(44)
     r1, r2, r3, _ = quasi_ham_check(Q, annulus(rng, 3))
     assert r3 < 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0])
+def test_moment_map_jacobian_is_the_jet_pass(factor):
+    # byte for byte, and against central differences along random unit
+    # directions
+    mu = rotation_quasi_ham(factor).mu
+    rng = np.random.default_rng(45)
+    P = annulus_samples(rng, 256)
+    J = mu.jacobian(P, None)
+    jet = jets.stack(jets.jacobian(mu.func, coordinates(P)))
+    assert J.shape == jet.shape == (256, 1, 2)
+    assert np.array_equal(J.view(np.uint64), jet.view(np.uint64))
+    v = rng.standard_normal(P.shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    h = 1e-5
+    fd = (mu(coordinates(P + h * v))[0]
+          - mu(coordinates(P - h * v))[0]) / (2 * h)
+    Jv = (J @ v[:, :, None])[:, 0, 0]
+    assert np.all(np.abs(fd - Jv) <= 1e-8 * np.maximum(1.0, np.abs(Jv)))
+
+
+def test_negated_moment_map_jacobian_fails_the_axioms():
+    # the solve, the moment one-forms and the equivariance read d mu's
+    # closed form: negated, the solved action vectors are -rho_P and sigma
+    # changes sign (d mu(rho_P) = 0 on the circle either way)
+    Q = rotation_quasi_ham(0.5)
+    J, reads = Q.mu.jacobian, []
+    Q.mu.jacobian = lambda P, Y: reads.append(P) or -J(P, Y)
+    P = annulus_samples(np.random.default_rng(46), 64)
+    assert equivalence_crosscheck(Q, P)["generator_mismatch"] > 1e-2
+    assert max(quasi_ham_check(Q, P)) > 1e-2
+    del reads[:]
+    assert equivariance_residual(Q, P) < 1e-12 and len(reads) == 1
