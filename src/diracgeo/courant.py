@@ -49,28 +49,25 @@ class AnchoredDual:
 
     def jet(self, p):
         """(rho, sigma, d rho, d sigma) at p from frame_jet, or where p
-        carries jets or there is none one jet pass over the flat frame:
+        carries jets or there is none one jet pass over the frame:
         rho[..., i, k] = rho_i^k, d rho[..., i, k, l] = d_l rho_i^k, and so
-        for sigma; batch-first at a stack unless constant (each of the four
-        on its own), object arrays of jets where p carries jets."""
+        for sigma; batch-first at a stack unless constant (frame_jet's four
+        each on its own, the pass's values together and its derivatives
+        together), object arrays of jets where p carries jets."""
         if self.frame_jet and not any(isinstance(c, jets.Jet) for c in p):
             return self.frame_jet(p)
-        n, r, values = self.chart.dim, self.rank, []
+        n, values = self.chart.dim, []
 
         def f(q):
-            flat, tag = list(np.ravel(self.frame(q))), q[0].tag
+            F, tag = self.frame(q), q[0].tag
             # each value is its entry without this pass's jet layer
             values[:] = [[c.value if isinstance(c, jets.Jet) and c.tag == tag
-                          else c] for c in flat]
-            return flat
+                          else c for c in row] for row in F]
+            return F
 
-        def half(rows, h, k):    # the entries of the (n, r) block h
-            A = jets.stack(rows[h * n * r:(h + 1) * n * r])
-            return np.swapaxes(A.reshape(A.shape[:-2] + (n, r, k)), -3, -2)
-
-        rows = jets.jacobian(f, p)
-        return (half(values, 0, 1)[..., 0], half(values, 1, 1)[..., 0],
-                half(rows, 0, n), half(rows, 1, n))
+        D = np.swapaxes(jets.jacobian(f, p), -3, -2)   # [..., i, k, l]
+        V = mT(jets.stack(values))
+        return V[..., :n], V[..., n:], D[..., :n, :], D[..., n:, :]
 
 
 def graph_of_form(theta):

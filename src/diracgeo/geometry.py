@@ -229,15 +229,7 @@ def component_jacobian(w, p):
     if w.jacobian is not None and not any(isinstance(c, jets.Jet)
                                           for c in p):
         return w.jacobian(p)
-    n, k = len(p), w.degree
-
-    def flat(q):
-        # the entries, each a (B,) array when C is batch-first
-        C = np.asarray(w.components(q))
-        return list(C.reshape(C.shape[:C.ndim - k] + (-1,)).T)
-
-    D = jets.stack(jets.jacobian(flat, p))
-    return D.reshape(D.shape[:-2] + (n,) * (k + 1))
+    return jets.jacobian(lambda q: np.asarray(w.components(q)), p)
 
 
 def alternate(D, k):
@@ -328,7 +320,7 @@ def map_jacobian(f, p, q=None):
     where f has one, a jet pass otherwise."""
     J = f.jacobian
     if J is None or any(isinstance(c, jets.Jet) for c in p):
-        return jets.stack(jets.jacobian(f.func, p))
+        return jets.jacobian(f.func, p)
     if callable(J):
         J = J(*(c if c is None else np.stack(np.broadcast_arrays(*c), -1)
                 for c in (p, q)))

@@ -267,26 +267,29 @@ def _first_partial(c, tag):
 
 
 def jacobian(f, point):
-    """Jacobian matrix (list of rows) of f at the point, one jet pass with
-    one partial per coordinate.
+    """D[..., l] = d f(p)[...] / d p_l at the point, one jet pass with one
+    partial per coordinate: D has the shape of f's value (() for a scalar,
+    (m,) for a list or tuple of m, its own for an array) followed by n, and
+    an entry without partials of this pass gives 0.0.
 
     Nesting-safe: when the point carries jets of an outer differentiation,
-    the entries are those jets, not their values.  At a batch of points
-    (coordinates that are arrays of shape (B,)) the entries are arrays;
-    `stack` makes the (B, m, n) array of the rows.
+    D is an object array of those jets, not of their values.  At a batch
+    of points (coordinates that are arrays of shape (B,)) D is
+    batch-first, or has no batch axis where it is constant.
     """
     n = len(point)
     tag = new_tag()
     dirs = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    q = seed_point(point, dirs, tag)
-    out = f(q)
-    if not isinstance(out, (list, tuple)):
-        out = [out]
-    rows = []
-    for c in out:
-        p = tangent_part(c, tag)
-        rows.append([0.0] * n if p is None else list(p))
-    return rows
+    out = f(seed_point(point, dirs, tag))
+    if isinstance(out, np.ndarray):
+        shape, out = out.shape, out.ravel()
+    elif isinstance(out, (list, tuple)):
+        shape = (len(out),)
+    else:
+        shape, out = (), [out]
+    D = stack([[0.0] * n if p is None else p
+               for p in (tangent_part(c, tag) for c in out)])
+    return D.reshape(D.shape[:-2] + shape + (n,))
 
 
 def stack(rows):

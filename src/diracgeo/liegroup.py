@@ -106,10 +106,6 @@ class MatrixGroup:
     struct: np.ndarray   # [i, j, k] coefficient of e_k in [e_i, e_j]
     radius = 0.9 * math.pi   # inside |u| < pi, where exp is one-to-one
 
-    # chart-level multiplication; set by the constructors below
-    def mul(self, u, v):
-        raise NotImplementedError
-
     def inv(self, u):
         return [-c for c in u]
 
@@ -173,10 +169,6 @@ class MatrixGroup:
         """D_u of Ad_exp(u) x, given the array y = Ad_exp(u) x: V ->
         [lam_bar(u) V, y] = ad_(-y) lam_bar(u) V."""
         return self.ad_matrix(-y) @ self.lam_bar_matrix(u)
-
-    def embed(self, u):
-        """Matrix of exp(u) in the defining representation."""
-        raise NotImplementedError
 
 
 def _chart_matrix(alpha, beta, dalpha=None, dbeta=None):

@@ -278,8 +278,8 @@ def path_variation_identity_residual(u_exprs, gamma, X):
     lhs1 = (functional(gamma + h * X) - functional(gamma - h * X)) / (2 * h)
     vel = velocity(gamma)
     # grad[i, j, l] = d u_j / d z_l at (t_i, gamma(t_i)), one jet pass
-    grad = jets.stack(jets.jacobian(lambda q: [f(q) for f in ufun],
-                                    [ts] + coordinates(gamma)))
+    grad = jets.jacobian(lambda q: [f(q) for f in ufun],
+                         [ts] + coordinates(gamma))
     grad = np.broadcast_to(grad, (Np + 1,) + grad.shape[-2:])
     dt_u = grad[..., 0]
     dx_uT = grad[..., 1:].swapaxes(-1, -2)   # [i, l, j] = d u_j / d x_l

@@ -16,7 +16,7 @@ from . import jets
 from .courant import AnchoredDual
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
                        lie_derivative, map_jacobian, pullback)
-from .groupoid import apply, max_abs, worst_of
+from .groupoid import max_abs, worst_of
 from .liegroup import (MatrixGroup, amm_rho_star, cartan_dirac_frame,
                        cartan_form, torus)
 from .linear import mT, padded_null, padded_orth, padded_span_gap, pinv_solve
@@ -40,7 +40,7 @@ def realization_check(eta, mu, target, samples):
     Dmu = map_jacobian(mu, coordinates(P))
     H = eta.at(P)
     m = Dmu.shape[-2]
-    frame = target.frame(coordinates(apply(mu.func, P)))
+    frame = target.frame(mu(coordinates(P)))
     A = block([[Dmu], [mT(H)]])
     rhs = block([[frame[..., :m, :]], [mT(Dmu) @ frame[..., m:, :]]])
     X, ker_dim = pinv_solve(A, rhs)
@@ -77,12 +77,9 @@ class QuasiHamData:
 
 def equivariance_residual(Q, samples):
     """|d mu(rho_P(v)) - (v_r - v_l) at mu(p)| over the algebra basis."""
-    Gp = Q.group
-    P = np.asarray(samples, dtype=float)
-    u = coordinates(apply(Q.mu.func, P))
-    gen = cartan_dirac_frame(Gp).rho(u)
-    lhs = map_jacobian(Q.mu, coordinates(P)) @ Q.D.rho(coordinates(P))
-    return worst_of(0.0, np.abs(lhs - gen))
+    p = coordinates(samples)
+    gen = cartan_dirac_frame(Q.group).rho(Q.mu(p))
+    return worst_of(0.0, np.abs(map_jacobian(Q.mu, p) @ Q.D.rho(p) - gen))
 
 
 def moment_residual(Q, samples):
@@ -106,8 +103,8 @@ def quasi_ham_check(Q, samples):
     r_inv = worst_of(0.0, *(max_abs(lie_derivative(D.anchor(i), Q.eta),
                                     samples) for i in range(D.rank)))
     P = np.asarray(samples, dtype=float)
-    ker_v, dim_v = padded_null(
-        Gp.Ad_matrix(coordinates(apply(Q.mu.func, P))) + np.eye(Gp.dim))
+    ker_v, dim_v = padded_null(Gp.Ad_matrix(Q.mu(coordinates(P)))
+                               + np.eye(Gp.dim))
     r3 = worst_of(0.0, padded_span_gap(D.rho(coordinates(P)) @ ker_v, dim_v,
                                        *padded_null(Q.eta.at(P))))
     return r1, moment_residual(Q, P), r3, r_inv

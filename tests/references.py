@@ -31,8 +31,7 @@ def action_algebroid(Gp, ch, action, rho_star):
     an anti-morphism, so the structure constants are those of h negated."""
 
     def rho(x):
-        return jets.stack(jets.jacobian(lambda u: action(u, x),
-                                        Gp.identity()))
+        return jets.jacobian(lambda u: action(u, x), Gp.identity())
 
     return AnchoredDual(ch, rho, rho_star, -Gp.struct)
 

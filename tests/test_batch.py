@@ -106,7 +106,7 @@ def test_closed_form_jacobians_match_the_jet_pass(name, size):
         for f, points in ((G.s, P), (G.t, P), (G.unit, X), (G.inv, P),
                           (G.mul, Z)):
             points = points if size else points[0]
-            J = jets.stack(jets.jacobian(f.func, coordinates(points)))
+            J = jets.jacobian(f.func, coordinates(points))
             J = np.broadcast_to(J, points.shape[:-1] + J.shape[-2:])
             closed = GR._jac(f, points)
             _agree(name, closed, J)
@@ -429,7 +429,7 @@ def test_stacked_realization_solve_matches_per_point_lstsq():
     P = RZ.annulus_samples(np.random.default_rng(42), 16)
     rep = RZ.equivalence_crosscheck(Q, P)
     for p, vecs in zip(P, rep["action_vectors"]):
-        Dmu = np.array(jets.jacobian(Q.mu.func, list(p)))
+        Dmu = jets.jacobian(Q.mu.func, list(p))
         frame = LG.cartan_frame(Q.group, [jets.value_of(c) for c in Q.mu(p)])
         m = len(Dmu)
         X, *_ = np.linalg.lstsq(np.vstack([Dmu, Q.eta.at(p).T]),

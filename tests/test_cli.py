@@ -484,6 +484,17 @@ def test_nan_residuals_fail_and_stay_strict_json(tmp_path, capsys):
         assert entry["residual"] is None, name
 
 
+def test_classification_names_each_unexpected_flag():
+    # a fixture that expects a flag the classification does not find fails
+    # the check, which names the flag with what was expected and got
+    fx = fixtures.load("pair-groupoid-r2")
+    fx["expected_flags"]["is_symplectic"] = False
+    rep = cli.check_classification(fx, None, cli.DEFAULT_POLICY)
+    assert rep["pass"] is False
+    assert rep["mismatches"] == {
+        "is_symplectic": {"expected": False, "got": True}}
+
+
 def test_classification_fails_on_non_finite_omega(tmp_path, capsys):
     # the kernel SVD of a NaN matrix does not converge, and sqrt(x1) has no
     # value at the sampled x1 < 0; the checks must fail with a reason

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from diracgeo import jets, linear
 from diracgeo.courant import AnchoredDual, frame_brackets
-from diracgeo.geometry import (Chart, Form, VectorField, alternate, block,
-                               component_jacobian, ext_d, interior,
+from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, alternate,
+                               block, component_jacobian, ext_d, interior,
                                lie_derivative, pullback)
 from references import canonical_cotangent_form, chart, expression_map
 
@@ -220,6 +220,37 @@ def test_pullback_chain_and_values():
     lhs = ext_d(pullback(f, w1))(p, a, b)
     rhs = pullback(f, ext_d(w1))(p, a, b)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_lie_derivative_of_a_function():
+    # L_X f = X(f): along X = (y, -x), L_X(xy) = y^2 - x^2
+    ch = chart("x", "y")
+    X = VectorField.from_components(ch, ["y", "-x"])
+    Lf = lie_derivative(X, Form.function(ch, "x*y"))
+    assert Lf.degree == 0
+    for p in ([0.6, -0.3], [-1.2, 0.5]):
+        assert Lf(p) == pytest.approx(p[1] ** 2 - p[0] ** 2, abs=1e-15)
+
+
+def test_pullback_of_a_one_form_along_a_closed_form_jacobian():
+    # f* w at a stack, f's Jacobian in closed form against the jet pass:
+    # (f* w)_l = w_k(f(p)) J_kl
+    src = chart("u", "v")
+    f = expression_map(src, CH3, ["u*v", "u + v", "v^2"])
+
+    def jacobian(P, Y):
+        u, v = P[..., 0], P[..., 1]
+        return np.stack([np.stack([v, u], -1), np.ones_like(P),
+                         np.stack([0.0 * v, 2.0 * v], -1)], -2)
+
+    closed = ChartMap(src, CH3, f.func, jacobian)
+    w = Form.from_components(CH3, 1, {(0,): "y*z", (2,): "x"})
+    P = np.random.default_rng(6).uniform(-1, 1, (16, 2))
+    got, want = pullback(closed, w).at(P), pullback(f, w).at(P)
+    assert got.shape == want.shape == (16, 2)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    u, v = P.T
+    assert np.allclose(got[:, 0], (u + v) * v ** 2 * v, rtol=0.0, atol=1e-15)
 
 
 _coord = st.floats(min_value=-1.0, max_value=1.0,

@@ -41,7 +41,7 @@ TEST_ONLY = {
                            "algebra morphism and the metric ad-invariant",
     **{f"{group}.embed": "the matrix representation of a chart group, "
                          "against which the tests check mul"
-       for group in ("MatrixGroup", "_SU2", "_Torus")},
+       for group in ("_SU2", "_Torus")},
     "VectorField.from_components": "builds the expression-defined vector "
                                    "fields of the geometry and Courant "
                                    "tests",

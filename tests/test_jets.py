@@ -22,7 +22,7 @@ def test_jacobian_matches_closed_form():
         return [q[0] * q[1], jets.sqrt(q[0]) + q[1] ** 3]
 
     J = jets.jacobian(f, [0.9, 0.5])
-    assert isinstance(J, list)
+    assert isinstance(J, np.ndarray) and J.shape == (2, 2)
     expected = [[0.5, 0.9], [0.5 / math.sqrt(0.9), 3 * 0.25]]
     assert np.allclose(J, expected, atol=1e-14)
 
@@ -56,6 +56,15 @@ def test_tags_do_not_mix_across_nesting():
         return q[0] * inner  # = 2 x^2, derivative 4x
 
     assert jets.directional(f, [1.5], [1.0]) == pytest.approx(6.0)
+
+
+def test_division_by_a_jet_of_a_later_tag():
+    # x / r with r seeded by an inner pass inside the outer pass over x:
+    # d/dx d/dr (x / r) = -1 / r^2
+    out = jets.directional(lambda q: jets.directional(
+        lambda r: q[0] / r[0], [q[1]], [1.0]), [0.7, -1.3], [1.0, 0.0])
+    assert out == pytest.approx(-1.0 / 1.3 ** 2, abs=1e-15)
+    assert out == pytest.approx(-0.5917159763313609, abs=1e-15)
 
 
 def test_power_rules():
@@ -117,8 +126,54 @@ def test_nested_jacobian_is_the_hessian():
         return jets.sin(q[0] * q[1]) + q[0] ** 3 * q[1]
 
     x, y = 0.7, -0.4
-    H = jets.jacobian(lambda q: jets.jacobian(f, q)[0], [x, y])
+    H = jets.jacobian(lambda q: jets.jacobian(f, q), [x, y])
     c, s = math.cos(x * y), math.sin(x * y)
     expected = [[-y * y * s + 6 * x * y, c - x * y * s + 3 * x * x],
                 [c - x * y * s + 3 * x * x, -x * x * s]]
     assert np.allclose(H, expected, atol=1e-14)
+
+
+# f, and its Jacobian at (x, y): d(xy) = (y, x), d(y^2) = (0, 2y); the
+# constant entries 2 and 1, and the linear value, have constant partials
+LAYOUTS = {
+    "scalar": (lambda q: q[0] * q[1], lambda x, y: [y, x]),
+    "list": (lambda q: [q[0] * q[1], 2.0], lambda x, y: [[y, x], [0, 0]]),
+    "array": (lambda q: np.array([[q[0], 1.0], [q[1] ** 2, q[0] * q[1]]],
+                                 dtype=object),
+              lambda x, y: [[[1, 0], [0, 0]], [[0, 2 * y], [y, x]]]),
+    "linear": (lambda q: (q[0] + 2.0 * q[1], 1.0),
+               lambda x, y: [[1, 2], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_jacobian_layout(kind):
+    # D[..., l] = d f(p)[...] / d p_l: the shape of f's value followed by
+    # n, floats at a float point, batch-first at a stack unless constant,
+    # an object array of the outer pass's jets at nested jets, and 0.0
+    # for an entry without partials
+    f, exact = LAYOUTS[kind]
+    shape = np.shape(exact(0.0, 0.0))
+    D = jets.jacobian(f, [0.7, -1.3])
+    assert D.dtype == float and D.shape == shape
+    assert np.array_equal(D, exact(0.7, -1.3))
+    xs, ys = np.array([0.7, 0.2, -0.5]), np.array([-1.3, 0.4, 2.0])
+    D = jets.jacobian(f, [xs, ys])
+    assert D.dtype == float
+    if kind == "linear":
+        assert np.array_equal(D, exact(0.0, 0.0))
+    else:
+        assert D.shape == (3,) + shape
+        for i in range(3):
+            assert np.array_equal(D[i], exact(xs[i], ys[i]))
+    inner = []
+
+    def nested(q):
+        inner.append(jets.jacobian(f, q))
+        return inner[0]
+
+    H = jets.jacobian(nested, [0.7, -1.3])
+    assert inner[0].shape == shape and H.shape == shape + (2,)
+    assert np.array_equal(np.vectorize(jets.value_of)(inner[0]),
+                          exact(0.7, -1.3))
+    assert (inner[0].dtype == object) == (kind != "linear")

@@ -97,7 +97,7 @@ def reference_matrix(Gp, name, u):
              "Ad_matrix": lambda v: Gp.mul(Gp.mul(u, v), Gp.inv(u)),
              "left_matrix": lambda v: Gp.mul(u, v),
              "right_matrix": lambda v: Gp.mul(v, u)}[name]
-    return jets.stack(jets.jacobian(curve, Gp.identity()))
+    return jets.jacobian(curve, Gp.identity())
 
 
 def chart_points(d):
@@ -130,11 +130,8 @@ def test_closed_form_derivatives_match_the_nested_jacobians(group, name):
     Gp = lg.GROUPS[group]()
     P = chart_points(Gp.dim)[1:]   # the curve Jacobian is not smooth at 0
 
-    def entries(f):
-        return lambda q: list(np.ravel(f(q)))
-
     def both(point):
-        return [jets.stack(jets.jacobian(entries(f), point)) for f in (
+        return [jets.jacobian(f, point) for f in (
             getattr(Gp, name), lambda q: reference_matrix(Gp, name, q))]
 
     got, ref = both([c for c in P.T])
@@ -156,12 +153,6 @@ def _close(got, ref, exact):
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
-def _jet_derivative(matrix, d, point):
-    """dM[..., i, j, l] = d_l M_ij from one jet pass."""
-    D = jets.stack(jets.jacobian(lambda q: list(np.ravel(matrix(q))), point))
-    return D.reshape(D.shape[:-2] + (d,) * 3)
-
-
 @pytest.mark.parametrize("name", ["lam", "sigma"])
 @pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
 def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
@@ -181,7 +172,7 @@ def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
             list(Q.T) for Q in (P[s < 1e-4], P[s > 1.0], P)]:
         M, dM = jet(point)
         assert np.asarray(M).tobytes() == np.asarray(matrix(point)).tobytes()
-        _close(dM, _jet_derivative(matrix, Gp.dim, point),
+        _close(dM, jets.jacobian(matrix, point),
                group.startswith("torus"))
 
 
@@ -263,11 +254,7 @@ def _same_bytes(got, ref):
 
 def _second_derivatives(matrix, point):
     """Every entry's second derivatives: a jet pass through a jet pass."""
-    def first(q):
-        return [c for row in jets.jacobian(
-            lambda r: list(np.ravel(matrix(r))), q) for c in row]
-
-    return jets.stack(jets.jacobian(first, point))
+    return jets.jacobian(lambda q: jets.jacobian(matrix, q), point)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRYWISE) + ["lam_jet"])

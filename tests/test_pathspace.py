@@ -266,8 +266,8 @@ def ref_path_variation(u_exprs, gamma, X):
     vel = velocity(gamma)
     vals = []
     for i in range(Np + 1):
-        grad = np.array(jets.jacobian(lambda q: [f(q) for f in ufun],
-                                      [ts[i]] + list(gamma[i])))
+        grad = jets.jacobian(lambda q: [f(q) for f in ufun],
+                             [ts[i]] + list(gamma[i]))
         dt_u, dx_u = grad[:, 0], grad[:, 1:]
         du_X_gdot = float(X[i] @ dx_u.T @ vel[i] - vel[i] @ dx_u.T @ X[i])
         vals.append(du_X_gdot - float(dt_u @ X[i]))
