@@ -27,8 +27,8 @@ def main():
     print("flags:", rep["flags"])
 
     x = [0.2, -0.3, 0.4]
-    sp = gr.extract_rho_star(G, F, x)
-    print("rho at a unit has rank", np.linalg.matrix_rank(sp.rho, tol=1e-9))
+    rho = gr.unit_frame(G, F, x)[0]
+    print("rho at a unit has rank", np.linalg.matrix_rank(rho, tol=1e-9))
 
     L1 = gr.induced_dirac(G, F, x)
     L2 = lg.cartan_dirac(Gp, x)

@@ -207,17 +207,16 @@ def check_induced_vs_group(fx, rng, policy):
 
 
 def check_rho_star_half_flat(fx, rng, policy):
-    """Conjugation fixtures: (rho, rho*) extracted at units must be the
-    Cartan-Dirac frame element (v_r - v_l, ((v_r + v_l)/2)-flat) of the
-    algebra vector v carried by each Ker(ds) basis element (at a unit those
-    live purely in the arrow slot)."""
+    """Conjugation fixtures: (rho, rho*) read at units must be the
+    Cartan-Dirac frame (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra
+    basis, whose vectors are the arrow coordinates that span Ker(ds) at a
+    unit."""
     d = fx["group"].dim
     x = fx["groupoid"].units.draw(rng, policy["samples"])
-    sp = GR.extract_rho_star(fx["groupoid"], fx["form"], x)
-    ref = LG.cartan_frame(fx["group"], coordinates(x)) @ sp.A[:, :d]
-    return GR.worst_of(0.0, np.abs(sp.A[:, d:]),
-                       np.abs(sp.rho_star - mT(ref[:, d:])),
-                       np.abs(sp.rho - ref[:, :d]))
+    rho, sigma, _ = GR.unit_frame(fx["groupoid"], fx["form"], x)
+    ref = LG.cartan_frame(fx["group"], coordinates(x))
+    return GR.worst_of(0.0, np.abs(sigma - mT(ref[..., d:, :])),
+                       np.abs(rho - ref[..., :d, :]))
 
 
 def check_quasi_ham(fx, rng, policy):

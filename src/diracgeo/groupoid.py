@@ -323,7 +323,7 @@ def _jac(f, p, values=None):
 
 
 def kernel_of_form(Om, where="omega", points=None):
-    """Kernel of Om (a component matrix of omega, or a Jacobian, or a
+    """Kernel of Om (a component matrix of omega, or omega on T_xM, or a
     stack of them with their points) as a padded basis, its dimension, and
     the rank gap, each per sample of a stack.  The first sample whose
     matrix is not finite, or whose rank sits too close to the threshold to
@@ -421,47 +421,33 @@ def check_orbit_form(G, F, theta, rng, n=8):
     return _upper_max(diff.at(G.arrows.draw(rng, n)))
 
 
-# -- units: splitting, rho*, induced Dirac --------------------------------
+# -- units: (rho, sigma) and induced Dirac ---------------------------------
 
-@dataclass
-class UnitSplitting:
-    """The canonical splitting T_x G = T_x M + A_x at a unit, or stacks."""
-
-    TM: np.ndarray         # basis of T_xM inside T_{eps(x)}G (d eps columns)
-    A: np.ndarray          # basis of A_x = Ker(ds) at eps(x)
-    rho: np.ndarray        # dt restricted to A, in base coordinates (n x a)
-    rho_star: np.ndarray   # matrix (a x n): row j = i_{A_j} omega |_{T_xM}
-    omega: np.ndarray      # component matrix of omega at eps(x)
-
-
-def extract_rho_star(G, F, x):
-    """rho*_omega at the unit over x, or over each point of a (B, n)
-    stack: alpha -> i_alpha(omega)|_{T_xM}."""
+def unit_frame(G, F, x):
+    """(rho, sigma, W) at the unit over x, or the stacks of them over a
+    (B, n) stack: A = Ker(ds) is spanned by the arrow coordinates that the
+    constant coordinate selection ds does not read, rho = dt|_A (n x a),
+    row k of W = omega(eps(x)) d eps is i_{e_k} omega on T_xM, and sigma,
+    its rows over A, is rho*: a -> i_a omega|_{T_xM} (a x n)."""
+    free = None if callable(G.s.jacobian) else ~np.any(G.s.jacobian, 0)
+    if free is None or free.sum() != G.chart.dim - G.base.dim:
+        raise linear.DegenerateRankError("ds is not a coordinate selection")
     x = np.asarray(x, dtype=float)
     ex = apply(G.unit, x)
-    K, dim, _ = kernel_of_form(_jac(G.s, ex), "ds at unit")
-    if np.any(dim != G.chart.dim - G.base.dim):
-        raise linear.DegenerateRankError("rank defect in ds at the unit")
-    A = K[..., :G.chart.dim - G.base.dim]
-    Deps = _jac(G.unit, x)
-    Om = F.omega.at(ex)
-    return UnitSplitting(Deps, A, _jac(G.t, ex) @ A, mT(A) @ Om @ Deps, Om)
+    W = F.omega.at(ex) @ _jac(G.unit, x)
+    return _jac(G.t, ex)[..., free], W[..., free, :], W
 
 
 def induced_span(G, F, x):
     """The frame of the Dirac structure induced on the base at x by a
-    multiplicative form, or the stack of them over a (B, n) stack, from one
-    splitting, and the number of its leading columns that are not padding:
-    columns (rho(a), rho*(a)) over A, then (k, 0) over the padded basis of
-    Ker(omega) ∩ T_xM."""
-    sp = extract_rho_star(G, F, x)
-    Kw, _, _ = kernel_of_form(sp.omega, "omega at unit")
-    KTM, dim = padded_null(projections(Kw, padded_orth(sp.TM)[0]))
-    # Ker(omega) ∩ T_xM in base coordinates (d eps is injective)
-    base_kernel = linear.pinv_solve(sp.TM, KTM)[0]
-    span = block([[sp.rho, base_kernel],
-                  [mT(sp.rho_star), np.zeros_like(base_kernel)]])
-    return span, sp.A.shape[-1] + dim
+    multiplicative form, or the stack of them over a (B, n) stack, and the
+    number of its leading columns that are not padding: columns
+    (rho(a), sigma(a)) over A, then (k, 0) over the padded basis of Ker W,
+    which is Ker(omega) ∩ T_xM in base coordinates (d eps is injective)."""
+    rho, sigma, W = unit_frame(G, F, x)
+    K, dim, _ = kernel_of_form(W, "omega at unit")
+    return block([[rho, K], [mT(sigma), np.zeros_like(K)]]), \
+        rho.shape[-1] + dim
 
 
 def induced_dirac(G, F, x):

@@ -2,13 +2,20 @@
 run of the package uses them, so they live with the tests: the action
 algebroid of any group action, whose anchor is a jet pass, conjugation
 by two chart products, the canonical symplectic form of T*H by its
-definition, and charts and chart maps from names and expressions."""
+definition, Ker(omega) ∩ T_xM through the projections of padded bases, a
+source map that is no coordinate selection, and charts and chart maps from
+names and expressions."""
+
+import dataclasses
 
 from diracgeo import jets
 from diracgeo.courant import AnchoredDual
 from diracgeo.expr import parse
 from diracgeo.geometry import Chart, ChartMap, Form, dot, ext_d
-from diracgeo.groupoid import action_chart
+from diracgeo.groupoid import (action_chart, apply, kernel_of_form,
+                               linear_map)
+from diracgeo.linear import (padded_null, padded_orth, pinv_solve,
+                             projections)
 
 
 def chart(*names):
@@ -54,3 +61,24 @@ def canonical_cotangent_form(Gp):
                            + [0.0] * d])[..., 0, :]
 
     return -ext_d(Form(action_chart(Gp, Chart.numbered(x=d)), 1, sigma))
+
+
+def unit_kernel_by_projections(G, F, x):
+    """Ker(omega) ∩ T_xM at the units over the (B, n) stack x, in base
+    coordinates, and its dimensions: the padded kernel of omega at eps(x)
+    met with the span of d eps through the projections of the two padded
+    bases, then solved back through d eps (a constant matrix on both
+    builders) by its pseudo-inverse."""
+    TM = G.unit.jacobian
+    Kw, _, _ = kernel_of_form(F.omega.at(apply(G.unit, x)), "omega at unit")
+    K, dim = padded_null(projections(Kw, padded_orth(TM)[0]))
+    return pinv_solve(TM, K)[0], dim
+
+
+def mixed_source(G):
+    """G with its source map replaced by x + y on the first n arrow
+    coordinates y and the last n coordinates x (N >= 2n): a linear map
+    that reads every coordinate of an arrow when N = 2n."""
+    N, n = G.chart.dim, G.base.dim
+    return dataclasses.replace(G, s=linear_map(G.chart, G.base, lambda p: [
+        p[i] + p[N - n + i] for i in range(n)]))

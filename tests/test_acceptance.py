@@ -153,17 +153,15 @@ def test_acceptance_4_unit_extraction():
     worst_star = 0.0
     worst_ind = 0.0
     for x in G.units.draw(rng, 32).tolist():
-        sp = gr.extract_rho_star(G, F, x)
+        rho, sigma, _ = gr.unit_frame(G, F, x)
         Gm = lg.chart_metric(Gp, x)
-        for j in range(sp.A.shape[1]):
-            v = list(sp.A[:d, j])
-            worst_star = max(worst_star, float(np.max(np.abs(sp.A[d:, j]))))
+        for j, v in enumerate(np.eye(d).tolist()):
             vr = np.array([value_of(c) for c in Gp.right_translate(x, v)])
             vl = np.array([value_of(c) for c in Gp.left_translate(x, v)])
             worst_star = max(worst_star, float(np.max(np.abs(
-                sp.rho_star[j] - Gm @ (0.5 * (vr + vl))))))
+                sigma[j] - Gm @ (0.5 * (vr + vl))))))
             worst_star = max(worst_star, float(np.max(np.abs(
-                sp.rho[:, j] - (vr - vl)))))
+                rho[:, j] - (vr - vl)))))
         L1 = gr.induced_dirac(G, F, x)
         L2 = lg.cartan_dirac(Gp, x)
         worst_ind = max(worst_ind, L1.gap(L2))

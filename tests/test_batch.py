@@ -241,15 +241,13 @@ def test_no_check_repeats_a_chart_product(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["amm-so3", "amm-torus2"])
 def test_unit_splitting_stack_matches_the_per_point_loop(name):
-    # one splitting of the unit stack, read by rho-star-half-flat and
-    # induced-dirac, against the splitting at each unit
+    # one (rho, rho*, W) of the unit stack, read by rho-star-half-flat and
+    # induced-dirac, against the reading at each unit
     fx = fixtures.load(name)
     G, F = fx["groupoid"], fx["form"]
     X = G.units.draw(np.random.default_rng(42), 8)
-    sp = GR.extract_rho_star(G, F, X)
-    for field in dataclasses.fields(sp):
-        _agree(name, getattr(sp, field.name), [
-            getattr(GR.extract_rho_star(G, F, x), field.name) for x in X])
+    for i, part in enumerate(GR.unit_frame(G, F, X)):
+        _agree(name, part, [GR.unit_frame(G, F, x)[i] for x in X])
     _agree(name, GR.induced_span(G, F, X)[0],
            [GR.induced_span(G, F, x)[0] for x in X])
 

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgeo import cli, fixtures, linear
+from diracgeo import cli, fixtures
 from diracgeo import groupoid as GR
 from diracgeo import liegroup as LG
+from references import mixed_source
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -311,23 +312,28 @@ def test_unrelated_value_error_is_not_an_entry(tmp_path, monkeypatch):
 
 def test_chart_radius_and_rank_defects_are_entries(capsys, monkeypatch):
     # an amm-so3 sampler that leaves the exp-chart radius fails rel-closed,
-    # whose Cartan 3-form refuses the points, and a rank defect fails its
-    # check: entries, exit 1, no traceback
+    # whose Cartan 3-form refuses the points, and a source map that is no
+    # coordinate selection fails rho-star-half-flat, which reads Ker ds
+    # from the coordinates ds does not read: entries, exit 1, no traceback
     monkeypatch.setattr(LG, "uniform", lambda lo, hi, d, scale=1.0:
                         GR.uniform(lo, hi, d, 8 * scale))
+    real = fixtures.FIXTURES["amm-so3"]
 
-    def defect(fx, rng, policy):
-        raise linear.DegenerateRankError("rank defect in ds at the unit")
+    def mixed():
+        fx = real()
+        return {**fx, "groupoid": mixed_source(fx["groupoid"])}
 
-    monkeypatch.setitem(cli.CHECKS, "structure", defect)
+    monkeypatch.setitem(fixtures.FIXTURES, "amm-so3", mixed)
     code = cli.main(["run", os.path.join(SCN, "amm-so3.json")])
     captured = capsys.readouterr()
     assert code == 1 and "Traceback" not in captured.err
     checks = _strict(captured.out)["reports"][0]["checks"]
     assert "outside the exp-chart radius at sample" in \
         checks["rel-closed"]["error"]
-    assert checks["structure"]["error"] == "rank defect in ds at the unit"
-    assert not (checks["rel-closed"]["pass"] or checks["structure"]["pass"])
+    assert checks["rho-star-half-flat"]["error"] == \
+        "ds is not a coordinate selection"
+    assert not (checks["rel-closed"]["pass"]
+                or checks["rho-star-half-flat"]["pass"])
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])

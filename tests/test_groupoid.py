@@ -1,19 +1,22 @@
 """Multiplicative-form checks on chart groupoids."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
 import pytest
 
 from diracgeo import fixtures, linear
+from diracgeo import liegroup as lg
+from diracgeo.courant import graph_of_form
 from diracgeo.geometry import ChartMap, Form, coordinates, pullback
-from diracgeo.groupoid import (RankInstabilityError, apply,
+from diracgeo.groupoid import (GroupoidForm, RankInstabilityError, apply,
                                check_kernel_orthogonality,
                                check_multiplicative, check_orbit_form,
                                check_rel_closed, check_unit_identities,
-                               classify, extract_rho_star, gauge,
-                               induced_dirac, kernel_of_form)
-from references import chart
+                               classify, gauge, induced_dirac, induced_span,
+                               kernel_of_form, unit_frame)
+from references import chart, mixed_source, unit_kernel_by_projections
 
 
 def rng_for(name):
@@ -118,18 +121,68 @@ def test_flow_counterexample_witness():
 
 
 def test_rho_star_pair_groupoid():
-    # pair groupoid of (R^2, dx^dy): A_x = Ker ds = {(u, 0)},
-    # rho = id, rho* = omega-flat
+    # pair groupoid of (R^2, dx^dy): A_x = Ker ds = {(u, 0)} on the first
+    # two arrow coordinates, rho = id and rho* = omega-flat, exactly
     fx = fixtures.load("pair-groupoid-r2")
-    sp = extract_rho_star(fx["groupoid"], fx["form"], [0.3, -0.5])
-    assert sp.rho.shape == (2, 2)
-    # rho has full rank (transitive groupoid)
-    assert np.linalg.matrix_rank(sp.rho) == 2
-    # rho*(a)(rho(b)) is antisymmetric and matches omega_M = dx^dy
-    M = sp.rho_star @ sp.rho
-    assert np.max(np.abs(M + M.T)) < 1e-12
-    # pairing values reproduce omega_M up to the sign of the anchor basis
-    assert abs(abs(np.linalg.det(M)) - 1.0) < 1e-9
+    rho, sigma, _ = unit_frame(fx["groupoid"], fx["form"], [0.3, -0.5])
+    assert np.array_equal(rho, np.eye(2))
+    assert np.array_equal(sigma, [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_unit_frame_refuses_a_source_that_is_no_coordinate_selection():
+    # x + y reads every arrow coordinate, so no coordinate column spans
+    # Ker ds; a closed-form Jacobian that depends on the point is refused
+    # as well, since it is no constant selection
+    fx = fixtures.load("pair-groupoid-r2")
+    G = mixed_source(fx["groupoid"])
+    for H in (G, dataclasses.replace(G, s=ChartMap(
+            G.chart, G.base, G.s.func, lambda P, Y: G.s.jacobian))):
+        with pytest.raises(linear.DegenerateRankError,
+                           match="ds is not a coordinate selection"):
+            unit_frame(H, fx["form"], [0.3, -0.5])
+
+
+# the presentations the builders integrate: the adjoint algebroid (group,
+# amm) of the chart-group fixtures, and the graph of theta on the pairs
+PRESENTED = {"amm-so3": ("so3", True), "amm-torus2": ("torus2", True),
+             "coadjoint-so3": ("so3", False), "pair-groupoid-r2": None,
+             "twisted-pair-r3": None}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED))
+def test_unit_frame_is_the_builders_presentation(name):
+    # (rho, rho*) read at 16 units equal the presentation's to the bit, and
+    # the negated form's rho* is far from it
+    fx = fixtures.load(name)
+    G, F = fx["groupoid"], fx["form"]
+    if PRESENTED[name]:
+        group, amm = PRESENTED[name]
+        D = lg.adjoint_algebroid(lg.GROUPS[group](), G.base, amm)
+    else:
+        D = graph_of_form(fx["theta"])
+    x = G.units.draw(np.random.default_rng(1), 16)
+    rho, sigma, _ = unit_frame(G, F, x)
+    for got, want in ((rho, D.rho), (sigma, D.rho_star)):
+        assert np.array_equal(got, np.broadcast_to(
+            want(coordinates(x)), got.shape)), name
+    _, negated, _ = unit_frame(G, GroupoidForm(-F.omega, F.phi), x)
+    assert np.max(np.abs(negated - sigma)) > 1e-2, name
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_induced_span_kernel_is_the_projection_route(name):
+    # the kernel columns of the induced frame, Ker W, against Ker(omega) ∩
+    # T_xM through the projections of padded bases and d eps's
+    # pseudo-inverse at 64 units: the same widths and spans
+    fx = fixtures.load(name)
+    G, F = fx["groupoid"], fx["form"]
+    x = G.units.draw(rng_for(name), 64)
+    n, a = G.base.dim, G.chart.dim - G.base.dim
+    span, width = induced_span(G, F, x)
+    ref, dim = unit_kernel_by_projections(G, F, x)
+    assert np.array_equal(width - a, dim), name
+    gap = linear.padded_span_gap(span[..., :n, a:], dim, ref, dim)
+    assert np.max(gap) <= 1e-14, name
 
 
 def test_induced_dirac_pair_groupoid_is_graph():
