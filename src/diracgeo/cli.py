@@ -104,7 +104,7 @@ def load_fixture(ref):
         try:
             return ref, fx_mod.load(ref)
         except KeyError as e:
-            raise ScenarioError(str(e))
+            raise ScenarioError(e.args[0])
     if isinstance(ref, dict) and "inline" in ref:
         return "inline", _inline_fixture(ref["inline"])
     raise ScenarioError("fixture must be a builtin name or {'inline': ...}")

@@ -76,13 +76,6 @@ class VectorField:
         self.chart = ch
         self.func = func
 
-    @staticmethod
-    def from_components(ch, comps):
-        exprs = [_as_expr(c, ch) for c in comps]
-        if len(exprs) != ch.dim:
-            raise ValueError("component count must match chart dimension")
-        return VectorField(ch, lambda p: [e(p) for e in exprs])
-
     def __call__(self, p):
         return self.func(p)
 

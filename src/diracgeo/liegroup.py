@@ -1,15 +1,13 @@
-"""Compact matrix groups in exponential charts: SO(3), SU(2) (real 4x4
-quaternion embedding), and tori; Maurer-Cartan forms, adjoint action, the
-bi-invariant Cartan 3-form, the Cartan-Dirac structure, and the action
-groupoids of Ad_exp(u) on algebra coordinates: the conjugation (AMM)
-groupoid and T*H, from one builder, whose 2-forms integrate one action
-algebroid.  The chart matrices and that algebroid's frame give their
-derivatives in closed form, so the action forms carry closed-form Jacobians.
+"""Compact matrix groups in exponential charts: SO(3) and tori;
+Maurer-Cartan forms, adjoint action, the bi-invariant Cartan 3-form, the
+Cartan-Dirac structure, and the action groupoids of Ad_exp(u) on algebra
+coordinates: the conjugation (AMM) groupoid and T*H, from one builder,
+whose 2-forms integrate one action algebroid.  The chart matrices and that
+algebroid's frame give their derivatives in closed form, so the action
+forms carry closed-form Jacobians.
 
-SO(3) and SU(2) share structure constants [e_i, e_j] = e_k (cyclic), so
-their chart-level group operations coincide (the covering is a local
-isomorphism); they differ in the matrix embedding and in global topology,
-neither of which the local checks see.
+SU(2) is absent: it has SO(3)'s algebra and chart product, so every local
+check here would report for it what it reports for SO(3).
 """
 
 import functools
@@ -101,7 +99,6 @@ def _qlog(q):
 class MatrixGroup:
     """A compact group in one exponential chart at the identity."""
 
-    name: str
     dim: int
     struct: np.ndarray   # [i, j, k] coefficient of e_k in [e_i, e_j]
     radius = 0.9 * math.pi   # inside |u| < pi, where exp is one-to-one
@@ -115,16 +112,6 @@ class MatrixGroup:
     @property
     def chart(self):
         return Chart.numbered(u=self.dim)
-
-    def bracket(self, a, b):
-        out = [0.0] * self.dim
-        for i in range(self.dim):
-            for j in range(self.dim):
-                c = a[i] * b[j]
-                for k in range(self.dim):
-                    if self.struct[i, j, k]:
-                        out[k] = out[k] + self.struct[i, j, k] * c
-        return out
 
     def inner(self, a, b):
         """The invariant inner product; the algebra basis is orthonormal."""
@@ -147,12 +134,6 @@ class MatrixGroup:
 
     def Ad(self, u, v):
         return self.Ad_matrix(u) @ np.asarray(v)
-
-    def left_translate(self, u, v):
-        return self.left_matrix(u) @ np.asarray(v)
-
-    def right_translate(self, u, v):
-        return self.right_matrix(u) @ np.asarray(v)
 
     # derivatives from the matrices above, at the chart coordinates u, v
     # and w of a point or of a stack
@@ -238,11 +219,13 @@ _MC_BETA_PRIME = _series_or(
 _I3, _DIAG = np.eye(3), np.eye(3, dtype=bool)
 
 
-class _QuaternionChartGroup(MatrixGroup):
-    """[e_i, e_j] = e_k, so ad_u is the cross-product matrix K of u.  The
-    Maurer-Cartan forms V -> g^-1 dg(V) and dg(V) g^-1, Ad and the
-    translations v -> d/ds u exp(sv) and d/ds exp(sv) u have the matrices
-    I + alpha K + beta K^2, where th = |u|, w = cos(th/2), f = sin(th/2)/th:
+class _SO3(MatrixGroup):
+    """SO(3) in the quaternion chart: mul is the product of the unit
+    quaternions exp(u/2), and Ad_matrix is the rotation matrix of exp(u).
+    [e_i, e_j] = e_k, so ad_u is the cross-product matrix K of u.  The
+    Maurer-Cartan forms V -> g^-1 dg(V) and dg(V) g^-1, Ad and the left
+    translation v -> d/ds u exp(sv) have the matrices I + alpha K + beta K^2,
+    where th = |u|, w = cos(th/2), f = sin(th/2)/th:
 
         matrix          alpha                    beta
         Ad_matrix       sin th/th = 2wf          (1 - cos th)/th^2 = 2f^2
@@ -250,12 +233,12 @@ class _QuaternionChartGroup(MatrixGroup):
         left_matrix     +1/2                     1/th^2 - cot(th/2)/(2 th)
 
     K^T = -K, so the matrices with alpha negated are the transposes, to
-    the bit: lam_bar_matrix = lam_matrix^T, right_matrix = left_matrix^T
-    and Ad_matrix(-u) = Ad_matrix(u)^T.  lam_jet gives lam_matrix with its
-    derivative in closed form, from the derivatives in s = th^2 of the
-    coefficients: w' = -f/4, f' = (w - 2f)/(4s) and, for (th - sin th)/th^3
-    = (1 - 2wf)/s, beta' = (f^2/2 - 2wf' - beta)/s; f' and beta' are their
-    series below s = 1.
+    the bit: lam_bar_matrix = lam_matrix^T, the right translation
+    v -> d/ds exp(sv) u is left_matrix^T and Ad_matrix(-u) = Ad_matrix(u)^T.
+    lam_jet gives lam_matrix with its derivative in closed form, from the
+    derivatives in s = th^2 of the coefficients: w' = -f/4, f' = (w -
+    2f)/(4s) and, for (th - sin th)/th^3 = (1 - 2wf)/s, beta' = (f^2/2 -
+    2wf' - beta)/s; f' and beta' are their series below s = 1.
     """
 
     def mul(self, u, v):
@@ -271,23 +254,6 @@ class _QuaternionChartGroup(MatrixGroup):
     def lam_bar_matrix(self, u):
         return mT(self.lam_matrix(u))
 
-    def right_matrix(self, u):
-        return mT(self.left_matrix(u))
-
-
-class _SO3(_QuaternionChartGroup):
-    embed = _QuaternionChartGroup.Ad_matrix  # rotation = adjoint action
-
-
-class _SU2(_QuaternionChartGroup):
-    def embed(self, u):
-        """Real 4x4 left-multiplication matrix of the quaternion exp(u)."""
-        w, x, y, z = _qexp([c / 1.0 for c in u])
-        return np.array([[w, -x, -y, -z],
-                         [x, w, -z, y],
-                         [y, z, w, -x],
-                         [z, -y, x, w]], dtype=object)
-
 
 class _Torus(MatrixGroup):
     radius = math.inf   # exp onto a torus is a local diffeomorphism at every u
@@ -298,23 +264,13 @@ class _Torus(MatrixGroup):
     def lam_matrix(self, u):
         return np.eye(len(u))
 
-    lam_bar_matrix = Ad_matrix = left_matrix = right_matrix = lam_matrix
+    lam_bar_matrix = Ad_matrix = left_matrix = lam_matrix
 
     def lam_jet(self, u):
         return np.eye(len(u)), np.zeros((len(u),) * 3)
 
     def ad_matrix(self, y):
         return np.zeros(np.shape(y)[-1:] * 2)   # the algebra is abelian
-
-    def embed(self, u):
-        d = self.dim
-        M = np.zeros((2 * d, 2 * d), dtype=object)
-        for i in range(d):
-            M[2 * i, 2 * i] = cos(u[i])
-            M[2 * i, 2 * i + 1] = -sin(u[i])
-            M[2 * i + 1, 2 * i] = sin(u[i])
-            M[2 * i + 1, 2 * i + 1] = cos(u[i])
-        return M
 
 
 def _eps_struct():
@@ -329,19 +285,14 @@ _K_INDEX, _K_SIGN = np.abs(_E).argmax(-1), _E.sum(-1)
 
 
 def so3():
-    return _SO3("so3", 3, _eps_struct())
-
-
-def su2():
-    return _SU2("su2", 3, _eps_struct())
+    return _SO3(3, _eps_struct())
 
 
 def torus(d=2):
-    return _Torus("torus", d, np.zeros((d, d, d)))
+    return _Torus(d, np.zeros((d, d, d)))
 
 
-GROUPS = {"so3": so3, "su2": su2, "torus2": lambda: torus(2),
-          "torus1": lambda: torus(1)}
+GROUPS = {"so3": so3, "torus2": lambda: torus(2), "torus1": lambda: torus(1)}
 
 
 # -- Cartan form and Cartan-Dirac structure --------------------------------

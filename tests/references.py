@@ -3,15 +3,16 @@ run of the package uses them, so they live with the tests: the action
 algebroid of any group action, whose anchor is a jet pass, conjugation
 by two chart products, the canonical symplectic form of T*H by its
 definition, Ker(omega) ∩ T_xM through the projections of padded bases, a
-source map that is no coordinate selection, and charts and chart maps from
-names and expressions."""
+source map that is no coordinate selection, and charts, chart maps and
+vector fields from names and expressions."""
 
 import dataclasses
 
 from diracgeo import jets
 from diracgeo.courant import AnchoredDual
 from diracgeo.expr import parse
-from diracgeo.geometry import Chart, ChartMap, Form, dot, ext_d
+from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, dot,
+                               ext_d)
 from diracgeo.groupoid import (action_chart, apply, kernel_of_form,
                                linear_map)
 from diracgeo.linear import (padded_null, padded_orth, pinv_solve,
@@ -31,6 +32,11 @@ def expression_map(source, target, comps):
     return ChartMap(source, target, lambda p: [e(p) for e in exprs])
 
 
+def expression_field(ch, comps):
+    """The vector field whose components are expressions on the chart."""
+    return VectorField(ch, expression_map(ch, ch, comps).func)
+
+
 def action_algebroid(Gp, ch, action, rho_star):
     """The action algebroid h x M of a left action on the chart ch with the
     dual rho_star(x), an r x n matrix.  Its anchor is the Jacobian at the
@@ -45,7 +51,7 @@ def action_algebroid(Gp, ch, action, rho_star):
 
 def triple_product(Gp):
     """Conjugation (u, x) -> u x u^-1 by two chart products: the quaternion
-    triple product on SO(3) and SU(2), with no Ad_matrix in it."""
+    triple product on SO(3), with no Ad_matrix in it."""
     return lambda u, x: Gp.mul(Gp.mul(u, x), Gp.inv(u))
 
 

@@ -27,7 +27,7 @@ from references import chart
 # atan2, which numpy's array loops and math need not round alike in the
 # last place; everything else is the same arithmetic in the same order, so
 # it must agree to the bit.
-THROUGH_TRANSCENDENTALS = {"amm-so3", "amm-su2", "coadjoint-so3",
+THROUGH_TRANSCENDENTALS = {"amm-so3", "coadjoint-so3",
                            "nondirac-flow", "leafwise-d-squared",
                            "twisted-shift"}
 
@@ -74,12 +74,6 @@ COORDINATE = ["foliated-r3", "nondirac-flow", "pair-groupoid-r2",
 NORMS = [1e-9, 5e-3, 0.0099, 0.0101, 0.5, 0.999, 1.001, 2.0, 2.7]
 
 
-def _chart_group_groupoid(name):
-    if name == "amm-su2":
-        return LG.adjoint_groupoid(LG.su2(), True)[0]
-    return fixtures.load(name)["groupoid"]
-
-
 def _group_norm(M, G, r):
     """M with the group coordinates of each of its arrows scaled to |u| = r."""
     d, N = G.chart.dim - G.base.dim, G.chart.dim
@@ -90,15 +84,15 @@ def _group_norm(M, G, r):
     return M
 
 
-@pytest.mark.parametrize("name", CHART_GROUPS + ["amm-su2"] + COORDINATE)
+@pytest.mark.parametrize("name", CHART_GROUPS + COORDINATE)
 @pytest.mark.parametrize("size", [None, 1, 8, 64])
 def test_closed_form_jacobians_match_the_jet_pass(name, size):
     # at one float point (size None) and at stacks, with and without the
     # map's values; to the bit where no transcendental is involved, the
     # sign of 0.0 too (inv negates foliated-r3's slot rows, zeros included)
-    G = _chart_group_groupoid(name)
+    G = fixtures.load(name)["groupoid"]
     rng = np.random.default_rng(3)
-    for r in NORMS if name in CHART_GROUPS + ["amm-su2"] else [None]:
+    for r in NORMS if name in CHART_GROUPS else [None]:
         P, Z = (S.draw(rng, size or 1) for S in (G.arrows, G.pairs))
         if r is not None:
             P, Z = _group_norm(P, G, r), _group_norm(Z, G, r)
@@ -224,7 +218,7 @@ def test_no_check_repeats_a_chart_product(name, monkeypatch):
     # a Jacobian takes the values of t, inv and mul that its check holds,
     # so no check multiplies the same stacks twice
     products = []
-    for cls in (LG._QuaternionChartGroup, LG._Torus):
+    for cls in (LG._SO3, LG._Torus):
         def counted(Gp, u, v, real=cls.mul):
             products.append(np.stack(np.broadcast_arrays(*u, *v)).tobytes())
             return real(Gp, u, v)

@@ -169,6 +169,13 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     p3.write_text(json.dumps(scn2))
     assert cli.main(["run", str(p3)]) == 2
     capsys.readouterr()
+    # an unknown fixture is named as the message, not as its repr
+    p3.write_text(json.dumps({"id": "x", "fixture": "nope",
+                              "suite": ["structure"]}))
+    assert cli.main(["run", str(p3)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown fixture 'nope'; known: "
+        + ", ".join(sorted(fixtures.FIXTURES)) + "\n")
     # a list is unhashable: as a check name, and as an id that
     # --expect-file looks up
     expect = tmp_path / "expect.json"

@@ -18,7 +18,8 @@ from diracgeo.courant import (AnchoredDual, cartan_closed_residual,
 from diracgeo.geometry import (Chart, Form, VectorField, coordinates, ext_d,
                                interior, lie_derivative)
 from diracgeo.groupoid import max_abs, worst_of
-from references import action_algebroid, chart, triple_product
+from references import (action_algebroid, chart, expression_field,
+                        triple_product)
 
 
 CH2 = chart("x", "y")
@@ -115,7 +116,7 @@ def reference_integrability(D, phi, P):
 
 
 def section(ch, vec, cov):
-    return (VectorField.from_components(ch, vec),
+    return (expression_field(ch, vec),
             Form.from_components(ch, 1, {(i,): c for i, c in enumerate(cov)}))
 
 
@@ -127,8 +128,8 @@ def test_untwisted_bracket_on_exact_sections():
     # [(X, df), (Y, dg)] has covector part L_X dg - i_Y d(df) = d(X g)
     f = Form.function(CH3, "x*y")
     g = Form.function(CH3, "z^2")
-    X = VectorField.from_components(CH3, ["y", "0.0", "x"])
-    Y = VectorField.from_components(CH3, ["z", "x", "1.0"])
+    X = expression_field(CH3, ["y", "0.0", "x"])
+    Y = expression_field(CH3, ["z", "x", "1.0"])
     _, zeta = courant_bracket((X, ext_d(f)), (Y, ext_d(g)))
     # oracle: d(X g) - the derivative of g along X differentiated again
     Xg = Form(CH3, 0, lambda p: ext_d(g)(p, X(p)))
@@ -333,13 +334,6 @@ def test_conjugation_triple_satisfies_all_conditions():
     assert r3 < 1e-10
 
 
-def test_conjugation_triple_su2():
-    rng = np.random.default_rng(32)
-    D, phi = amm_algebroid("su2")
-    r1, r2, r3 = cartan_closed_residual(D, phi, samples(rng, 3, 3, 0.4))
-    assert max(r1, r2, r3) < 1e-10
-
-
 def test_coadjoint_triple_satisfies_all_conditions():
     rng = np.random.default_rng(33)
     D = coadjoint_algebroid()
@@ -379,7 +373,7 @@ def test_cartan_closedness_is_stronger_than_the_im_conditions():
     assert im_conditions_residual(D, None, pts) == pytest.approx((0.0, 0.0))
 
 
-@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("name", ["so3", "torus2"])
 def test_im_conditions_on_conjugation_algebroids(name):
     D, phi = amm_algebroid(name)
     pts = samples(np.random.default_rng(41), D.chart.dim, 3, 0.4)
@@ -426,7 +420,7 @@ def fixture_graph(name, entry, twist):
 # name: () -> (anchored dual, twist or None)
 ALGEBROIDS = {
     **{f"conjugation-{g}": lambda g=g: amm_algebroid(g)
-       for g in ("so3", "su2", "torus2")},
+       for g in ("so3", "torus2")},
     "coadjoint-so3": lambda: (coadjoint_algebroid(), None),
     **{f"so3-anchor{s:+.0f}": lambda s=s: (
         so3_anchor(polynomial_sigma, s),
@@ -435,7 +429,7 @@ ALGEBROIDS = {
     "twisted-pair-r3": lambda: fixture_graph(
         "twisted-pair-r3", "theta", lambda fx: fx["form"].phi),
     **{f"cartan-dirac-{g}": lambda g=g: cartan_dirac(g)
-       for g in ("so3", "su2", "torus2")},
+       for g in ("so3", "torus2")},
     "foliated-r3": lambda: fixture_graph(
         "foliated-r3", "leafwise", lambda fx: fx["twist"]),
 }

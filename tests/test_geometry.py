@@ -11,7 +11,8 @@ from diracgeo.courant import AnchoredDual, frame_brackets
 from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, alternate,
                                block, component_jacobian, ext_d, interior,
                                lie_derivative, pullback)
-from references import canonical_cotangent_form, chart, expression_map
+from references import (canonical_cotangent_form, chart, expression_field,
+                        expression_map)
 
 
 CH3 = chart("x", "y", "z")
@@ -110,7 +111,7 @@ def test_d_of_a_top_degree_form_is_zero_without_a_jet_pass(n, monkeypatch):
 
 def test_interior_product():
     w = Form.from_components(CH3, 2, {(0, 1): "1.0"})
-    X = VectorField.from_components(CH3, ["y", "-x", "0.0"])
+    X = expression_field(CH3, ["y", "-x", "0.0"])
     iw = interior(X, w)
     p = [0.3, 0.8, 0.0]
     assert iw(p, [1.0, 0.0, 0.0]) == pytest.approx(w(p, X(p), [1.0, 0.0, 0.0]))
@@ -131,8 +132,8 @@ def lie_bracket(X, Y):
 
 
 def test_lie_bracket_matches_closed_form():
-    X = VectorField.from_components(CH3, ["y", "-x", "0.0"])
-    Y = VectorField.from_components(CH3, ["x*z", "0.0", "1.0"])
+    X = expression_field(CH3, ["y", "-x", "0.0"])
+    Y = expression_field(CH3, ["x*z", "0.0", "1.0"])
     got = lie_bracket(X, Y)(p := [0.4, -0.9, 0.7])
     # finite-difference oracle for [X,Y]^i = X(Y^i) - Y(X^i)
     h = 1e-6
@@ -148,9 +149,9 @@ def test_lie_bracket_matches_closed_form():
 
 
 def test_lie_bracket_antisymmetry_and_jacobi():
-    X = VectorField.from_components(CH3, ["y*z", "x", "0.5"])
-    Y = VectorField.from_components(CH3, ["sin(x)", "z", "x*y"])
-    Z = VectorField.from_components(CH3, ["1.0", "x^2", "y"])
+    X = expression_field(CH3, ["y*z", "x", "0.5"])
+    Y = expression_field(CH3, ["sin(x)", "z", "x*y"])
+    Z = expression_field(CH3, ["1.0", "x^2", "y"])
     p = [0.3, -0.5, 0.8]
     ab = lie_bracket(X, Y)(p)
     ba = lie_bracket(Y, X)(p)
@@ -164,7 +165,7 @@ def test_lie_bracket_antisymmetry_and_jacobi():
 
 def test_cartan_magic_formula_consistency():
     # L_X w computed by the package vs the FD flow derivative of w
-    X = VectorField.from_components(CH3, ["y", "-x", "0.1"])
+    X = expression_field(CH3, ["y", "-x", "0.1"])
     w = Form.from_components(CH3, 2, {(0, 1): "z", (0, 2): "x*y"})
     p = [0.6, 0.2, -0.3]
     rng = np.random.default_rng(2)
@@ -225,7 +226,7 @@ def test_pullback_chain_and_values():
 def test_lie_derivative_of_a_function():
     # L_X f = X(f): along X = (y, -x), L_X(xy) = y^2 - x^2
     ch = chart("x", "y")
-    X = VectorField.from_components(ch, ["y", "-x"])
+    X = expression_field(ch, ["y", "-x"])
     Lf = lie_derivative(X, Form.function(ch, "x*y"))
     assert Lf.degree == 0
     for p in ([0.6, -0.3], [-1.2, 0.5]):

@@ -25,9 +25,14 @@ def rand_alg(rng, d, scale=0.6):
     return list(rng.uniform(-scale, scale, d))
 
 
+def bracket(Gp, a, b):
+    """[a, b] from the structure constants."""
+    return np.einsum("i,j,ijk->k", a, b, Gp.struct)
+
+
 # -- chart-level group laws -------------------------------------------------
 
-@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("name", ["so3", "torus2"])
 def test_group_axioms_in_chart(name):
     Gp = lg.GROUPS[name]()
     rng = np.random.default_rng(10)
@@ -42,33 +47,30 @@ def test_group_axioms_in_chart(name):
         assert np.allclose(vals(ab_c), vals(a_bc), atol=1e-10)
 
 
-@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("name", ["so3", "torus2"])
 def test_chart_mul_matches_matrix_embedding(name):
+    # the rotation matrices of SO(3), which are Ad, and the torus's
+    # rotations e^(i u_k) of C^d
     Gp = lg.GROUPS[name]()
+    embed = Gp.Ad_matrix if name == "so3" else (
+        lambda u: np.diag(np.exp(1j * np.asarray(u))))
     rng = np.random.default_rng(11)
     for _ in range(5):
         u, v = rand_alg(rng, Gp.dim), rand_alg(rng, Gp.dim)
-        Mu = np.array([[value_of(c) for c in row] for row in Gp.embed(u)])
-        Mv = np.array([[value_of(c) for c in row] for row in Gp.embed(v)])
-        w = Gp.mul(u, v)
-        Mw = np.array([[value_of(c) for c in row] for row in Gp.embed(w)])
-        assert np.allclose(Mu @ Mv, Mw, atol=1e-10)
+        assert np.allclose(embed(u) @ embed(v), embed(vals(Gp.mul(u, v))),
+                           atol=1e-10)
 
 
 def test_so3_embed_small_angle_branch():
     # |u|^2 = 1e-14 takes the series branch of the Rodrigues formula
-    Gp = lg.so3()
-    R = np.array([[value_of(c) for c in row]
-                  for row in Gp.embed([1e-7, 0.0, 0.0])])
+    R = lg.so3().Ad_matrix([1e-7, 0.0, 0.0])
     c, s = math.cos(1e-7), math.sin(1e-7)
     assert np.allclose(R, [[1, 0, 0], [0, c, -s], [0, s, c]],
                        rtol=0.0, atol=1e-15)
 
 
 def test_so3_embed_is_rotation():
-    Gp = lg.so3()
-    u = [0.0, 0.0, 0.5]
-    R = np.array([[value_of(c) for c in row] for row in Gp.embed(u)])
+    R = lg.so3().Ad_matrix([0.0, 0.0, 0.5])
     c, s = math.cos(0.5), math.sin(0.5)
     assert np.allclose(R, [[c, -s, 0], [s, c, 0], [0, 0, 1]], atol=1e-12)
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
@@ -86,6 +88,14 @@ def test_chart_radius_guard():
 
 MATRICES = ["lam_matrix", "lam_bar_matrix", "Ad_matrix", "left_matrix",
             "right_matrix"]
+
+
+def chart_matrix(Gp, name):
+    """The chart matrix of the name; the right translation's is the
+    transpose of the left translation's."""
+    if name == "right_matrix":
+        return lambda u: mT(Gp.left_matrix(u))
+    return getattr(Gp, name)
 
 
 def reference_matrix(Gp, name, u):
@@ -111,20 +121,21 @@ def chart_points(d):
 
 
 @pytest.mark.parametrize("name", MATRICES)
-@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+@pytest.mark.parametrize("group", ["so3", "torus1", "torus2"])
 def test_closed_forms_match_the_curve_jacobians(group, name):
     Gp = lg.GROUPS[group]()
+    matrix = chart_matrix(Gp, name)
     P = chart_points(Gp.dim)
-    stacked = getattr(Gp, name)([c for c in P.T])
+    stacked = matrix([c for c in P.T])
     for p, M in zip(P, np.broadcast_to(stacked, (len(P), Gp.dim, Gp.dim))):
         ref = reference_matrix(Gp, name, p.tolist())
-        assert np.allclose(getattr(Gp, name)(p.tolist()), ref, rtol=0,
+        assert np.allclose(matrix(p.tolist()), ref, rtol=0,
                            atol=1e-14)
         assert np.allclose(M, ref, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", MATRICES)
-@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+@pytest.mark.parametrize("group", ["so3", "torus1", "torus2"])
 def test_closed_form_derivatives_match_the_nested_jacobians(group, name):
     # first derivatives of every entry, at single points and at the stack
     Gp = lg.GROUPS[group]()
@@ -132,7 +143,7 @@ def test_closed_form_derivatives_match_the_nested_jacobians(group, name):
 
     def both(point):
         return [jets.jacobian(f, point) for f in (
-            getattr(Gp, name), lambda q: reference_matrix(Gp, name, q))]
+            chart_matrix(Gp, name), lambda q: reference_matrix(Gp, name, q))]
 
     got, ref = both([c for c in P.T])
     assert np.all(np.abs(got - ref) <= 1e-13)
@@ -154,7 +165,7 @@ def _close(got, ref, exact):
 
 
 @pytest.mark.parametrize("name", ["lam", "sigma"])
-@pytest.mark.parametrize("group", ["so3", "su2", "torus1", "torus2"])
+@pytest.mark.parametrize("group", ["so3", "torus1", "torus2"])
 def test_chart_matrix_derivatives_match_the_jet_pass(group, name):
     # lam_jet, and the AMM frame jet's sigma = (lam + lam^T)/2 with its
     # derivative, which reads lam_bar = lam^T off lam_jet: at each point as
@@ -258,7 +269,7 @@ def _second_derivatives(matrix, point):
 
 
 @pytest.mark.parametrize("name", sorted(ENTRYWISE) + ["lam_jet"])
-@pytest.mark.parametrize("group", ["so3", "su2"])
+@pytest.mark.parametrize("group", ["so3"])
 def test_chart_matrices_match_the_entrywise_construction(group, name):
     # at float points, at stacks of the series branch, the exact branch
     # and both, with signed zeros, and under nested jets, to the bit
@@ -273,16 +284,16 @@ def test_chart_matrices_match_the_entrywise_construction(group, name):
             for got, want in zip(Gp.lam_jet(point), ref(point, True)):
                 _same_bytes(got, want)
         else:
-            _same_bytes(getattr(Gp, name)(point), ref(point))
+            _same_bytes(chart_matrix(Gp, name)(point), ref(point))
         if name == "Ad_matrix":   # Ad_exp(-u) = Ad_exp(u)^T
             _same_bytes(mT(Gp.Ad_matrix(point)), ref([-c for c in point]))
     if name != "lam_jet":
         for point in (P[7].tolist(), list(P[1:].T)):
-            _same_bytes(_second_derivatives(getattr(Gp, name), point),
+            _same_bytes(_second_derivatives(chart_matrix(Gp, name), point),
                         _second_derivatives(ref, point))
 
 
-@pytest.mark.parametrize("group", ["so3", "su2"])
+@pytest.mark.parametrize("group", ["so3"])
 def test_amm_frame_jet_sigma_matches_lam_plus_lam_bar(group):
     # sigma and d sigma, read off one lam_jet as (lam + lam^T)/2, are the
     # halves of the sums of the entrywise lam and lam_bar jets, to the bit
@@ -298,9 +309,8 @@ def test_amm_frame_jet_sigma_matches_lam_plus_lam_bar(group):
 
 
 # the adjoint groupoids and their algebroids by name: (group, amm)
-ADJOINT = {"amm-so3": ("so3", True), "amm-su2": ("su2", True),
-           "amm-torus2": ("torus2", True), "coadjoint-so3": ("so3", False),
-           "coadjoint-su2": ("su2", False)}
+ADJOINT = {"amm-so3": ("so3", True), "amm-torus2": ("torus2", True),
+           "coadjoint-so3": ("so3", False)}
 
 
 def adjoint_form(name):
@@ -376,7 +386,7 @@ def amm_closed_formula(Gp, P):
                   - mT(Qm) @ Pm)
 
 
-@pytest.mark.parametrize("group", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("group", ["so3", "torus2"])
 def test_amm_form_matches_the_closed_formula(group):
     # the fixture's omega, general_action_form of the conjugation
     # algebroid, against the AMM formula, at a point and at a stack
@@ -447,7 +457,7 @@ def test_amm_form_makes_no_jacobian_pass(monkeypatch):
     assert adjoint_form("amm-so3").at(P).shape == (16, 6, 6)
 
 
-@pytest.mark.parametrize("name", ["so3", "su2"])
+@pytest.mark.parametrize("name", ["so3"])
 def test_adjoint_is_orthogonal_algebra_morphism(name):
     Gp = lg.GROUPS[name]()
     rng = np.random.default_rng(12)
@@ -456,8 +466,8 @@ def test_adjoint_is_orthogonal_algebra_morphism(name):
         A = Gp.Ad_matrix(u)
         assert np.allclose(A @ A.T, np.eye(3), atol=1e-10)
         v, w = rand_alg(rng, 3), rand_alg(rng, 3)
-        lhs = vals(Gp.bracket(Gp.Ad(u, v), Gp.Ad(u, w)))
-        rhs = vals(Gp.Ad(u, Gp.bracket(v, w)))
+        lhs = bracket(Gp, Gp.Ad(u, v), Gp.Ad(u, w))
+        rhs = Gp.Ad(u, bracket(Gp, v, w))
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -467,20 +477,20 @@ def test_translations_relate_by_adjoint():
     rng = np.random.default_rng(13)
     for _ in range(5):
         u, v = rand_alg(rng, 3), rand_alg(rng, 3)
-        vr = vals(Gp.right_translate(u, v))
-        vl = vals(Gp.left_translate(u, [value_of(c) for c in Gp.Ad(Gp.inv(u), v)]))
+        vr = mT(Gp.left_matrix(u)) @ v
+        vl = Gp.left_matrix(u) @ Gp.Ad(Gp.inv(u), v)
         assert np.allclose(vr, vl, atol=1e-10)
 
 
 def test_lam_inverts_left_translate():
-    Gp = lg.su2()
+    Gp = lg.so3()
     rng = np.random.default_rng(14)
     for _ in range(5):
         u, v = rand_alg(rng, 3), rand_alg(rng, 3)
-        V = [value_of(c) for c in Gp.left_translate(u, v)]
-        assert np.allclose(vals(Gp.lam(u, V)), v, atol=1e-10)
-        W = [value_of(c) for c in Gp.right_translate(u, v)]
-        assert np.allclose(vals(Gp.lam_bar(u, W)), v, atol=1e-10)
+        V = Gp.left_matrix(u) @ v
+        assert np.allclose(Gp.lam(u, V), v, atol=1e-10)
+        W = mT(Gp.left_matrix(u)) @ v
+        assert np.allclose(Gp.lam_bar(u, W), v, atol=1e-10)
 
 
 def test_metric_is_bi_invariant():
@@ -489,8 +499,7 @@ def test_metric_is_bi_invariant():
     for _ in range(4):
         u, v, w = (rand_alg(rng, 3) for _ in range(3))
         # ad-invariance: <[u,v], w> + <v, [u,w]> = 0
-        s = (value_of(Gp.inner(Gp.bracket(u, v), w))
-             + value_of(Gp.inner(v, Gp.bracket(u, w))))
+        s = Gp.inner(bracket(Gp, u, v), w) + Gp.inner(v, bracket(Gp, u, w))
         assert abs(s) < 1e-12
 
 
@@ -507,7 +516,7 @@ def test_cartan_form_closed_and_bi_invariant():
     # value at the identity is the structure-constant 3-form
     e = np.eye(3)
     assert phi([0.0] * 3, e[0], e[1], e[2]) == pytest.approx(
-        0.5 * value_of(Gp.inner(e[0], Gp.bracket(e[1], e[2]))))
+        0.5 * Gp.inner(e[0], bracket(Gp, e[1], e[2])))
 
 
 def test_torus_cartan_form_vanishes():
@@ -542,8 +551,8 @@ def test_cartan_dirac_frame_integrable_against_cartan_form():
 
 def _cartan_frame_reference(Gp, u):
     """(v_r - v_l, ((v_r + v_l)/2)-flat) from right, left and lam each
-    built on its own, entry by entry on so3 and su2 (I on a torus)."""
-    R, L, lam = (np.eye(Gp.dim),) * 3 if Gp.name == "torus" else (
+    built on its own, entry by entry on so3 (I on a torus)."""
+    R, L, lam = (np.eye(Gp.dim),) * 3 if isinstance(Gp, lg._Torus) else (
         ENTRYWISE[k](u) for k in ("right_matrix", "left_matrix",
                                   "lam_matrix"))
     return block([[R - L], [mT(lam) @ lam @ (0.5 * (R + L))]])
@@ -553,8 +562,8 @@ def test_cartan_dirac_frame_is_cartan_frame():
     # the frame is the two-sided-translate frame, to the bit, rho and
     # rho_star are its slices, and frame(u) builds three chart matrices:
     # rho reads left_matrix, sigma left_matrix and lam_matrix
-    assert not hasattr(lg._QuaternionChartGroup, "lam_bar_jet")
-    for name in ("so3", "su2", "torus2"):
+    assert not hasattr(lg._SO3, "lam_bar_jet")
+    for name in ("so3", "torus2"):
         Gp = lg.GROUPS[name]()
         built = []
         for k in ("lam_matrix", "left_matrix", "Ad_matrix"):
@@ -578,7 +587,7 @@ def test_cartan_dirac_frame_is_cartan_frame():
         assert LinearDirac.from_span(one).dim == Gp.dim
 
 
-@pytest.mark.parametrize("name", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("name", ["so3", "torus2"])
 def test_cartan_dirac_frame_satisfies_the_im_conditions(name):
     # the pairing of frame brackets cannot see the twist: the tangent parts
     # v_r - v_l span the conjugacy classes, of dimension 2 on so3, where
@@ -618,7 +627,7 @@ def test_coadjoint_form_is_canonical_symplectic():
             value_of(can(p, u, v)), abs=1e-12)
 
 
-@pytest.mark.parametrize("group", ["so3", "su2"])
+@pytest.mark.parametrize("group", ["so3"])
 def test_coadjoint_anchor_matches_the_jet_anchor(group):
     # the closed-form anchor [., xi] against the Jacobian at the identity
     # of the action: omega at a point and at a stack, and d omega, which
@@ -647,7 +656,7 @@ def test_coadjoint_action_preserves_pairing():
     assert lhs == pytest.approx(np.dot(xi, v), abs=1e-10)
 
 
-@pytest.mark.parametrize("group", ["so3", "su2", "torus2"])
+@pytest.mark.parametrize("group", ["so3", "torus2"])
 def test_conjugate_is_the_triple_product(group):
     # Ad_exp(u) x from Ad_matrix against exp(u) exp(x) exp(-u) by chart
     # products, at float points and on a stack, u and x on both sides of
