@@ -12,6 +12,7 @@ error, or an --out path that cannot be written.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -199,10 +200,9 @@ def check_induced_vs_group(fx, rng, policy):
     G = fx["groupoid"]
     x = G.units.draw(rng, policy["samples"])
     span, _ = GR.induced_span(G, fx["form"], x)
+    ref = LG.cartan_dirac_frame(fx["group"]).frame(coordinates(x))
     # an induced span of rank below the base dimension reads 1.0
-    gap = padded_span_gap(*padded_orth(span),
-                          LG.cartan_frame(fx["group"], coordinates(x)),
-                          G.base.dim)
+    gap = padded_span_gap(*padded_orth(span), ref, G.base.dim)
     return GR.worst_of(0.0, gap)
 
 
@@ -214,7 +214,7 @@ def check_rho_star_half_flat(fx, rng, policy):
     d = fx["group"].dim
     x = fx["groupoid"].units.draw(rng, policy["samples"])
     rho, sigma, _ = GR.unit_frame(fx["groupoid"], fx["form"], x)
-    ref = LG.cartan_frame(fx["group"], coordinates(x))
+    ref = LG.cartan_dirac_frame(fx["group"]).frame(coordinates(x))
     return GR.worst_of(0.0, np.abs(sigma - mT(ref[..., d:, :])),
                        np.abs(rho - ref[..., :d, :]))
 
@@ -488,23 +488,27 @@ def run_scenario(scenario, args):
     return report, ok
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call of `main`."""
     parser = argparse.ArgumentParser(
         prog="diracgeo",
         description="Run scenario check-suites and emit JSON reports.")
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="run scenario files")
     runp.add_argument("scenarios", nargs="+")
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--samples", type=int, default=None)
-    runp.add_argument("--tol", type=float, default=None)
-    runp.add_argument("--grid", type=lambda s: [int(c) for c in s.split(",")],
-                      default=None)
-    runp.add_argument("--fd-step", type=float, default=None)
-    runp.add_argument("--out", default=None)
-    runp.add_argument("--expect-file", default=None)
+    for flag, kind in (("--seed", int), ("--samples", int), ("--tol", float),
+                       ("--grid", lambda s: [int(c) for c in s.split(",")]),
+                       ("--fd-step", float), ("--out", None),
+                       ("--expect-file", None)):
+        runp.add_argument(flag, type=kind)
     sub.add_parser("list-fixtures", help="list builtin fixtures")
     sub.add_parser("list-checks", help="list known checks")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,11 +1,11 @@
 """Scalar expressions over chart coordinates.
 
 Recursive-descent parser for a small expression language (variables,
-+ - * /, unary minus, sin cos exp sqrt, integer powers), parsed once into
-a closure and its printed form.  Precedence, tightest first: function
-application, unary minus, power, * /, + -.  An expression evaluates at a
-point of floats, of arrays of shape (B,) (a batch of B points) or of jets
-over either.
++ - * /, unary minus, sin cos exp sqrt, integer powers), parsed once per
+source into a closure and its printed form.  Precedence, tightest first:
+function application, unary minus, power, * /, + -.  An expression
+evaluates at a point of floats, of arrays of shape (B,) (a batch of B
+points) or of jets over either.
 """
 
 import operator
@@ -242,6 +242,13 @@ class ScalarExpr:
         return self.func(point)
 
 
+_PARSED = {}
+
+
 def parse(src, variables):
-    """Parse src over the declared variable names into a ScalarExpr."""
-    return ScalarExpr(*_Parser(src, variables)._parse(), tuple(variables))
+    """Parse src over the declared variable names into a ScalarExpr, once
+    per source and tuple of names (a failed parse raises on every call)."""
+    key = (src, tuple(variables))
+    if key not in _PARSED:
+        _PARSED[key] = ScalarExpr(*_Parser(*key)._parse(), key[1])
+    return _PARSED[key]

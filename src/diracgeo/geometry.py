@@ -50,9 +50,8 @@ def _as_expr(e, ch):
     p -> value (such as a compiled ScalarExpr) as it is."""
     if callable(e):
         return e
-    if isinstance(e, (int, float)):
-        return parse(repr(float(e)), ch.names)
-    return parse(e, ch.names)
+    return parse(repr(float(e)) if isinstance(e, (int, float)) else e,
+                 ch.names)
 
 
 def coordinates(P):
@@ -62,6 +61,17 @@ def coordinates(P):
     if P.ndim == 1:
         return P.tolist()
     return list(np.ascontiguousarray(P.T))
+
+
+def from_coordinates(values, batch=None):
+    """The inverse of `coordinates`: m floats or arrays over a batch (by
+    default their broadcast shape) as the (m,) point or batch + (m,) stack."""
+    if batch is None:
+        batch = np.broadcast_shapes(*map(np.shape, values))
+    out = np.empty(tuple(batch) + (len(values),))
+    for i, c in enumerate(values):
+        out[..., i] = c
+    return out
 
 
 def _check_chart(a, b):
@@ -280,8 +290,7 @@ class ChartMap:
     """Differentiable map between charts, evaluator point -> point.  An
     optional jacobian gives its Jacobian in closed form: the (m, n) matrix
     where it is constant, else jacobian(P, Y), the matrix at a float point
-    P, the (B, m, n) stack at a (B, n) stack; Y is f(P) where held, else
-    None."""
+    P or the (B, m, n) stack at a (B, n) stack, with Y = f.at(P)."""
 
     def __init__(self, source, target, func, jacobian=None):
         self.source = source
@@ -291,6 +300,11 @@ class ChartMap:
 
     def __call__(self, p):
         return self.func(p)
+
+    def at(self, P):
+        """The (m,) values at a float point, the (B, m) stack at a stack."""
+        P = np.asarray(P, dtype=float)
+        return from_coordinates(self.func(coordinates(P)), P.shape[:-1])
 
 
 def pull(C, J, k):
@@ -307,17 +321,20 @@ def pull(C, J, k):
     return C
 
 
-def map_jacobian(f, p, q=None):
-    """The Jacobian of the chart map f at p, batch-first at a batch: f's
-    closed form (q is f(p) where held) at float points and float stacks
-    where f has one, a jet pass otherwise."""
-    J = f.jacobian
-    if J is None or any(isinstance(c, jets.Jet) for c in p):
-        return jets.jacobian(f.func, p)
-    if callable(J):
-        J = J(*(c if c is None else np.stack(np.broadcast_arrays(*c), -1)
-                for c in (p, q)))
-    return J
+def map_jacobian(f, P, Y=None):
+    """The Jacobian of the chart map f at P, a float point or (B, n) stack
+    as an array or its coordinates, batch-first at a stack: f's constant
+    matrix as it is, its closed form at the arrays of P and of f's values
+    Y (by f.at where None), a jet pass where it has none or P has jets."""
+    J, array = f.jacobian, isinstance(P, np.ndarray)
+    if J is None or not array and any(isinstance(c, jets.Jet) for c in P):
+        return jets.jacobian(f.func, coordinates(P) if array else P)
+    if not callable(J):
+        return J
+    P = P if array else from_coordinates(P)
+    if not isinstance(Y, np.ndarray):
+        Y = f.at(P) if Y is None else from_coordinates(Y, P.shape[:-1])
+    return J(P, Y)
 
 
 def pullback(f, w):

@@ -17,7 +17,7 @@ from . import jets, linear
 from .linear import (kernel_svd, mT, padded_contained, padded_kernel,
                      padded_null, padded_orth, padded_span_gap, projections)
 from .geometry import (Chart, ChartMap, Form, block, coordinates, ext_d,
-                       pull, pullback)
+                       map_jacobian, pull, pullback)
 
 
 class RankInstabilityError(ValueError):
@@ -39,16 +39,6 @@ def max_abs(w, samples):
     """Largest |component| of the form w over the samples, evaluated as
     one stack (NaN if any is NaN)."""
     return worst_of(0.0, np.abs(w.at(np.asarray(samples, dtype=float))))
-
-
-def apply(f, P):
-    """The (B, m) stack of the values of the structure map f at a (B, n)
-    stack of points (the (m,) values at one point), evaluated once."""
-    values = f(coordinates(P))
-    out = np.empty(P.shape[:-1] + (len(values),))
-    for i, c in enumerate(values):
-        out[..., i] = c
-    return out
 
 
 def each(f, *stacks):
@@ -153,9 +143,8 @@ class ChartGroupoid:
         S = concat(self.units, self.pairs, self.triples).draw(rng, n)
         N = self.chart.dim
         x, g, h, a, b, c = np.split(S, self.base.dim + N * np.arange(5), 1)
-        s, t, unit, inv = (partial(apply, f)
-                           for f in (self.s, self.t, self.unit, self.inv))
-        mul = partial(each, partial(apply, self.mul))
+        s, t, unit, inv = self.s.at, self.t.at, self.unit.at, self.inv.at
+        mul = partial(each, self.mul.at)
         ex, ig = unit(x), inv(g)
         gh, ab, bc, g_ig = mul(*map(np.hstack, [(g, h), (a, b), (b, c),
                                                 (g, ig)]))
@@ -178,7 +167,9 @@ def coboundary(G, theta):
 def linear_map(source, target, f):
     """The ChartMap of a linear map f, its matrix as its Jacobian: the
     images of the basis vectors (-0.0 where f negates 0.0)."""
-    return ChartMap(source, target, f, apply(f, np.eye(source.dim)).T)
+    f = ChartMap(source, target, f)
+    f.jacobian = f.at(np.eye(source.dim)).T
+    return f
 
 
 def action_chart(Gp, base):
@@ -213,8 +204,8 @@ def action_groupoid(Gp, base, act, group, point, group_near, act_jacobian):
     def s(p):
         return list(p[d:])
 
-    def t(p):
-        return act(p[:d], p[d:])
+    t = ChartMap(ch, base, lambda p: act(p[:d], p[d:]), lambda P, Y: block(
+        [list(act_jacobian(coordinates(P[..., :d]), Y))]))
 
     def unit(x):
         return Gp.identity() + list(x)
@@ -225,29 +216,23 @@ def action_groupoid(Gp, base, act, group, point, group_near, act_jacobian):
     def mul(z):
         return Gp.mul(z[:d], z[N:N + d]) + list(z[N + d:])
 
-    # D inv = [-I, 0; Dt] and, on (u, x_g, v, x_h), D mul = [D_u w, 0,
-    # D_v w, 0; 0, 0, 0, I] for w = uv; they read the values Y of t, inv
-    # (whose base part is t's) and mul where the caller holds them
-    def Dt(P, Y):
-        return block([list(act_jacobian(coordinates(P[..., :d]),
-                                        apply(t, P) if Y is None else Y))])
-
+    # D inv = [-I, 0; D t], at t's values, the base part of inv's, and on
+    # (u, x_g, v, x_h) D mul = [D_u w, 0, D_v w, 0; 0, 0, 0, I] for w = uv
     def Dmul(Z, Y):
-        Du, Dv = Gp.mul_jacobian(
-            coordinates(Z[..., :d]), coordinates(Z[..., N:N + d]),
-            coordinates((apply(mul, Z) if Y is None else Y)[..., :d]))
+        Du, Dv = Gp.mul_jacobian(*map(coordinates, (
+            Z[..., :d], Z[..., N:N + d], Y[..., :d])))
         zero = np.zeros((d, m))
         return block([[Du, zero, Dv, zero], [np.eye(m, 2 * N, 2 * N - m)]])
 
     def extend(P, u):
         # the arrows (u, t(g)) for the first arrows g of P, put before P
-        return np.hstack([u, apply(t, P[:, :N]), P])
+        return np.hstack([u, t.at(P[:, :N]), P])
 
     arrows = concat(group, point)
     return ChartGroupoid(
-        ch, base, linear_map(ch, base, s), ChartMap(ch, base, t, Dt),
-        linear_map(base, ch, unit), ChartMap(ch, ch, inv, lambda P, Y: block(
-            [[-np.eye(d, N)], [Dt(P, Y if Y is None else Y[..., d:])]])),
+        ch, base, linear_map(ch, base, s), t, linear_map(base, ch, unit),
+        ChartMap(ch, ch, inv, lambda P, Y: block(
+            [[-np.eye(d, N)], [t.jacobian(P, Y[..., d:])]])),
         ChartMap(pair_chart(ch), ch, mul, Dmul), point, arrows,
         concat(arrows, group, build=extend),
         concat(concat(arrows, group_near, build=extend), group_near,
@@ -272,8 +257,7 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     def s(p):
         return list(p[k:2 * k]) + list(p[2 * k:j])
 
-    def t(p):
-        return list(p[:k]) + list(p[2 * k:j])
+    t = linear_map(ch, base, lambda p: list(p[:k]) + list(p[2 * k:j]))
 
     def unit(b):
         return list(b[:k]) + list(b) + [0.0] * r
@@ -288,7 +272,7 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
 
     def extend(y, P, v):
         # the arrows (y, t(g), v) for the first arrows g of P, put before P
-        return np.hstack([y, apply(t, P[:, :j + r]), v, P])
+        return np.hstack([y, t.at(P[:, :j + r]), v, P])
 
     # y is drawn before the arrows it extends, so that the pair groupoid
     # samples its pairs as (x, y), (y, z) from points drawn in that order
@@ -296,10 +280,10 @@ def fiberwise_pair_groupoid(n, k, r, leaf, point):
     arrows = concat(leaf, point, slot)
     pairs = concat(leaf, arrows, slot, build=extend)
     # the maps select, negate and add coordinates
-    return ChartGroupoid(ch, base, *(linear_map(*m) for m in (
-        (ch, base, s), (ch, base, t), (base, ch, unit), (ch, ch, inv),
-        (pair_chart(ch), ch, mul))), point, arrows, pairs,
-        concat(leaf, pairs, slot, build=extend))
+    return ChartGroupoid(ch, base, linear_map(ch, base, s), t, *(
+        linear_map(*m) for m in ((base, ch, unit), (ch, ch, inv),
+                                 (pair_chart(ch), ch, mul))), point, arrows,
+        pairs, concat(leaf, pairs, slot, build=extend))
 
 
 @dataclass
@@ -310,17 +294,8 @@ class GroupoidForm:
     phi: Form = None  # None means zero
 
 
-# -- jacobians, kernels and rank decisions over stacks ---------------------
+# -- kernels and rank decisions over stacks --------------------------------
 # Subspaces at a stack of samples are linear's padded bases.
-
-def _jac(f, p, values=None):
-    """The closed-form Jacobian of the structure map f at a float point,
-    or the (B, m, n) stack of its Jacobians at a (B, n) stack of points;
-    values are f's values there, where the caller holds them."""
-    P = np.asarray(p, dtype=float)
-    J = f.jacobian(P, values) if callable(f.jacobian) else f.jacobian
-    return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
-
 
 def kernel_of_form(Om, where="omega", points=None):
     """Kernel of Om (a component matrix of omega, or omega on T_xM, or a
@@ -370,10 +345,10 @@ def check_multiplicative(G, F, rng, n_pairs=8):
     Z = G.pairs.draw(rng, n_pairs)
     g, h = Z[:, :N], Z[:, N:]
     # t(h) is s(g) on a composable pair
-    B, _ = padded_null(np.concatenate(
-        [_jac(G.s, g), -_jac(G.t, h, apply(G.s, g))], -1))
-    gh = apply(G.mul, Z)
-    DmB, B1, B2 = _jac(G.mul, Z, gh) @ B, B[..., :N, :], B[..., N:, :]
+    B, _ = padded_null(np.concatenate(np.broadcast_arrays(
+        map_jacobian(G.s, g), -map_jacobian(G.t, h, G.s.at(g))), -1))
+    gh = G.mul.at(Z)
+    DmB, (B1, B2) = map_jacobian(G.mul, Z, gh) @ B, np.split(B, 2, -2)
     W, Wg, Wh = each(F.omega.at, gh, g, h)
     return _upper_max(mT(DmB) @ W @ DmB - mT(B1) @ Wg @ B1
                       - mT(B2) @ Wh @ B2)
@@ -385,19 +360,19 @@ def check_rel_closed(G, F, rng, n_points=8):
     P = G.arrows.draw(rng, n_points)
     total = ext_d(F.omega).at(P)
     if F.phi is not None:
-        T = apply(G.t, P)
-        Ps, Pt = each(F.phi.at, apply(G.s, P), T)
-        total = total + -pull(Ps, _jac(G.s, P), 3) \
-            + pull(Pt, _jac(G.t, P, T), 3)
+        T = G.t.at(P)
+        Ps, Pt = each(F.phi.at, G.s.at(P), T)
+        total = total + -pull(Ps, map_jacobian(G.s, P), 3) \
+            + pull(Pt, map_jacobian(G.t, P, T), 3)
     return worst_of(0.0, np.abs(total))
 
 
 def check_unit_identities(G, F, rng, n=8):
     """(max |eps* omega| at units, max |i* omega + omega| at arrows)."""
     x, g = G.units.draw(rng, n), G.arrows.draw(rng, n)
-    ig = apply(G.inv, g)
-    Deps, Dinv = _jac(G.unit, x), _jac(G.inv, g, ig)
-    We, Wi, Wg = each(F.omega.at, apply(G.unit, x), ig, g)
+    ig = G.inv.at(g)
+    Deps, Dinv = map_jacobian(G.unit, x), map_jacobian(G.inv, g, ig)
+    We, Wi, Wg = each(F.omega.at, G.unit.at(x), ig, g)
     return (_upper_max(mT(Deps) @ We @ Deps),
             _upper_max(mT(Dinv) @ Wi @ Dinv + Wg))
 
@@ -409,7 +384,8 @@ def check_kernel_orthogonality(G, F, rng, n=8):
     Om = F.omega.at(g)
     finite = np.all(np.isfinite(Om), axis=(-2, -1))
     Om = np.where(finite[:, None, None], Om, 0.0)
-    (Ks, _), (Kt, _) = each(padded_null, _jac(G.s, g), _jac(G.t, g))
+    (Ks, Kt), _ = padded_null(np.stack(np.broadcast_arrays(
+        map_jacobian(G.s, g), map_jacobian(G.t, g))))
     span, _ = padded_orth(block([[Ks, padded_null(Om)[0]]]))
     worst = np.max(np.abs(mT(span) @ Om @ Kt), axis=(-2, -1))
     return worst_of(0.0, np.where(finite, worst, np.nan))
@@ -428,14 +404,15 @@ def unit_frame(G, F, x):
     (B, n) stack: A = Ker(ds) is spanned by the arrow coordinates that the
     constant coordinate selection ds does not read, rho = dt|_A (n x a),
     row k of W = omega(eps(x)) d eps is i_{e_k} omega on T_xM, and sigma,
-    its rows over A, is rho*: a -> i_a omega|_{T_xM} (a x n)."""
+    its rows over A, is rho*: a -> i_a omega|_{T_xM} (a x n); rho is one
+    matrix where dt is constant."""
     free = None if callable(G.s.jacobian) else ~np.any(G.s.jacobian, 0)
     if free is None or free.sum() != G.chart.dim - G.base.dim:
         raise linear.DegenerateRankError("ds is not a coordinate selection")
     x = np.asarray(x, dtype=float)
-    ex = apply(G.unit, x)
-    W = F.omega.at(ex) @ _jac(G.unit, x)
-    return _jac(G.t, ex)[..., free], W[..., free, :], W
+    ex = G.unit.at(x)
+    W = F.omega.at(ex) @ map_jacobian(G.unit, x)
+    return map_jacobian(G.t, ex)[..., free], W[..., free, :], W
 
 
 def induced_span(G, F, x):
@@ -466,8 +443,8 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
     on each other are one SVD of their concatenation."""
     N, n = G.chart.dim, G.base.dim
     x, g = G.units.draw(rng, n_units), G.arrows.draw(rng, n_arrows)
-    sx, tx = apply(G.s, g), apply(G.t, g)
-    ex, esx, etx = each(partial(apply, G.unit), x, sx, tx)
+    sx, tx = G.s.at(g), G.t.at(g)
+    ex, esx, etx = each(G.unit.at, x, sx, tx)
 
     def kernel(P, *at):   # omega at P, and its kernel
         Om = F.omega.at(P)
@@ -479,9 +456,10 @@ def classify(G, F, rng, n_units=8, n_arrows=16):
         (_, _, dim_s, _), (_, _, dim_t, _) = each(
             kernel, (ex, "unit", x), (g, "arrow", g), (esx, "unit", sx),
             (etx, "unit", tx))
-    (Ks, _), (Kt, _) = each(padded_null, _jac(G.s, ex), _jac(G.t, ex))
+    (Ks, Kt), _ = padded_null(np.stack(np.broadcast_arrays(
+        map_jacobian(G.s, ex), map_jacobian(G.t, ex))))
     Kst, _ = padded_null(projections(Ks, Kt))
-    TM, _ = padded_orth(_jac(G.unit, x))
+    TM, _ = padded_orth(map_jacobian(G.unit, x))
     # Ker(omega) meets Ker ds ∩ Ker dt, T_xM and Ker ds
     (_, dim_gx), (KwTM, dim_ker_tm), (KwKs, dim_ker_ks) = each(
         padded_null, *(projections(Kw, K) for K in (Kst, TM, Ks)))

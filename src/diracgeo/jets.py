@@ -235,13 +235,6 @@ def new_tag():
     return next(_tag_counter)
 
 
-def tangent_part(x, tag):
-    """Partials of x w.r.t. a given tag (zero if x does not carry that tag)."""
-    if isinstance(x, Jet) and x.tag == tag:
-        return x.partials
-    return None
-
-
 def seed_point(point, directions, tag):
     """Lift a point to jets seeded with the given direction vectors."""
     return [Jet(tag, point[i], tuple(d[i] for d in directions))
@@ -262,7 +255,7 @@ def directional(f, point, direction):
 
 
 def _first_partial(c, tag):
-    p = tangent_part(c, tag)
+    p = _split(c, tag)[1]
     return p[0] if p is not None else 0.0
 
 
@@ -288,7 +281,7 @@ def jacobian(f, point):
     else:
         shape, out = (), [out]
     D = stack([[0.0] * n if p is None else p
-               for p in (tangent_part(c, tag) for c in out)])
+               for p in (_split(c, tag)[1] for c in out)])
     return D.reshape(D.shape[:-2] + shape + (n,))
 
 

@@ -316,15 +316,9 @@ def chart_metric(Gp, u):
     return mT(L) @ L
 
 
-def cartan_frame(Gp, u):
-    """The frame (v_r - v_l, ((v_r + v_l)/2)-flat) over the algebra basis,
-    batch-first at a batch of points."""
-    return cartan_dirac_frame(Gp).frame(u)
-
-
 def cartan_dirac(Gp, u):
     """L_g = span of the Cartan frame at u."""
-    return linear.LinearDirac.from_span(cartan_frame(Gp, u))
+    return linear.LinearDirac.from_span(cartan_dirac_frame(Gp).frame(u))
 
 
 def cartan_dirac_frame(Gp):

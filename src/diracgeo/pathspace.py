@@ -8,30 +8,20 @@ module establish that gauge directions are in the kernel of
 omega_tilde + omega_phi as the grid and step are refined.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr, jets
 from .courant import AnchoredDual
-from .geometry import coordinates
+from .geometry import coordinates, from_coordinates
 from .groupoid import worst_of
 from .linear import mv
-
-# the curve, gauge and functional expressions are parsed once per source
-parse = functools.cache(expr.parse)
 
 
 def _trapz(vals, dt):
     vals = np.asarray(vals, dtype=float)
     return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
-
-
-def _columns(vals, ts):
-    """The (N+1, m) stack of m values on the grid ts, each a float
-    (constant along the grid) or an (N+1,) array."""
-    return np.stack(np.broadcast_arrays(*vals, ts)[:-1], axis=-1)
 
 
 def _dot(u, v):
@@ -123,7 +113,8 @@ class PathTangent:
 def _on_grid(exprs, ts):
     """Expressions in the variable t, each evaluated once on the grid ts,
     as the (N+1, m) stack."""
-    return _columns([parse(e, ("t",))([ts]) for e in exprs], ts)
+    return from_coordinates([expr.parse(e, ("t",))([ts]) for e in exprs],
+                            ts.shape)
 
 
 def sampled_path(pres, gamma_exprs, a_exprs, N):
@@ -181,14 +172,14 @@ class GaugeParameter:
     exprs: list
 
     def compiled(self, chart):
-        return [parse(e, ("t",) + chart.names) for e in self.exprs]
+        return [expr.parse(e, ("t",) + chart.names) for e in self.exprs]
 
 
 def _section_on_grid(path, fns):
     """chi(t) eta(t, gamma(t)) on the grid, the (N+1, r) stack."""
     ts = path.times
     z = [ts] + coordinates(path.gamma)
-    return _columns([_chi(ts) * f(z) for f in fns], ts)
+    return from_coordinates([_chi(ts) * f(z) for f in fns], ts.shape)
 
 
 def gauge_vector(path, eta):
@@ -259,7 +250,7 @@ def path_variation_identity_residual(u_exprs, gamma, X):
     dt = 1.0 / Np
     n = gamma.shape[1]
     names = ("t",) + tuple(f"x{i+1}" for i in range(n))
-    ufun = [parse(e, names) for e in u_exprs]
+    ufun = [expr.parse(e, names) for e in u_exprs]
     ts = grid(Np)
 
     def velocity(curve):

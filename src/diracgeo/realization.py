@@ -37,10 +37,11 @@ def realization_check(eta, mu, target, samples):
     sample (one X per frame column of the target Dirac space).
     """
     P = np.asarray(samples, dtype=float)
-    Dmu = map_jacobian(mu, coordinates(P))
+    Y = mu(coordinates(P))
+    Dmu = map_jacobian(mu, P, Y)
     H = eta.at(P)
     m = Dmu.shape[-2]
-    frame = target.frame(mu(coordinates(P)))
+    frame = target.frame(Y)
     A = block([[Dmu], [mT(H)]])
     rhs = block([[frame[..., :m, :]], [mT(Dmu) @ frame[..., m:, :]]])
     X, ker_dim = pinv_solve(A, rhs)
@@ -78,8 +79,9 @@ class QuasiHamData:
 def equivariance_residual(Q, samples):
     """|d mu(rho_P(v)) - (v_r - v_l) at mu(p)| over the algebra basis."""
     p = coordinates(samples)
-    gen = cartan_dirac_frame(Q.group).rho(Q.mu(p))
-    return worst_of(0.0, np.abs(map_jacobian(Q.mu, p) @ Q.D.rho(p) - gen))
+    y = Q.mu(p)
+    gen = cartan_dirac_frame(Q.group).rho(y)
+    return worst_of(0.0, np.abs(map_jacobian(Q.mu, p, y) @ Q.D.rho(p) - gen))
 
 
 def moment_residual(Q, samples):
@@ -139,8 +141,12 @@ def rotation_quasi_ham(factor=0.5):
                   lambda p: [factor * (p[0] * p[0] + p[1] * p[1])],
                   lambda P, _: factor * (P + P)[..., None, :])
     sigma = amm_rho_star(Gp)
-    D = AnchoredDual(ch, lambda p: jets.stack([[p[1]], [-p[0]]]),
-                     lambda p: sigma(mu(p)) @ map_jacobian(mu, p),
+
+    def rho_star(p):
+        y = mu(p)
+        return sigma(y) @ map_jacobian(mu, p, y)
+
+    D = AnchoredDual(ch, lambda p: jets.stack([[p[1]], [-p[0]]]), rho_star,
                      -Gp.struct)
     return QuasiHamData(Gp, D, eta, mu)
 

@@ -13,8 +13,7 @@ from diracgeo.courant import AnchoredDual
 from diracgeo.expr import parse
 from diracgeo.geometry import (Chart, ChartMap, Form, VectorField, dot,
                                ext_d)
-from diracgeo.groupoid import (action_chart, apply, kernel_of_form,
-                               linear_map)
+from diracgeo.groupoid import action_chart, kernel_of_form, linear_map
 from diracgeo.linear import (padded_null, padded_orth, pinv_solve,
                              projections)
 
@@ -76,7 +75,7 @@ def unit_kernel_by_projections(G, F, x):
     bases, then solved back through d eps (a constant matrix on both
     builders) by its pseudo-inverse."""
     TM = G.unit.jacobian
-    Kw, _, _ = kernel_of_form(F.omega.at(apply(G.unit, x)), "omega at unit")
+    Kw, _, _ = kernel_of_form(F.omega.at(G.unit.at(x)), "omega at unit")
     K, dim = padded_null(projections(Kw, padded_orth(TM)[0]))
     return pinv_solve(TM, K)[0], dim
 

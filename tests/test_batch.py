@@ -19,9 +19,10 @@ from diracgeo import pathspace as PS
 from diracgeo import realization as RZ
 from diracgeo import courant
 from diracgeo.courant import AnchoredDual
-from diracgeo.geometry import (Form, component_jacobian, coordinates, ext_d,
-                               lie_derivative)
-from references import chart
+from diracgeo.geometry import (ChartMap, Form, component_jacobian,
+                               coordinates, ext_d, lie_derivative,
+                               map_jacobian, pullback)
+from references import chart, expression_map
 
 # These fixtures' maps and these checks' forms go through sin, cos or
 # atan2, which numpy's array loops and math need not round alike in the
@@ -47,6 +48,15 @@ def _jacobians_one_by_one(f, P):
     return [jets.jacobian(f, [float(c) for c in p]) for p in P]
 
 
+def _stacked(f, P, *Y):
+    """map_jacobian(f, P, *Y) broadcast over the stack P; f's constant
+    matrix comes back as it is."""
+    J = map_jacobian(f, P, *Y)
+    if not callable(f.jacobian):
+        assert J is f.jacobian
+    return np.broadcast_to(J, P.shape[:-1] + J.shape[-2:])
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 @pytest.mark.parametrize("size", [1, 8, 64])
 def test_stack_matches_the_per_point_loop(name, size):
@@ -54,14 +64,14 @@ def test_stack_matches_the_per_point_loop(name, size):
     G, F = fx["groupoid"], fx["form"]
     rng = np.random.default_rng(42)
     P = G.arrows.draw(rng, size)
-    X = GR.apply(G.s, P)
+    X = G.s.at(P)
     Z = G.pairs.draw(rng, size)
     _agree(name, F.omega.at(P), [F.omega.at(p) for p in P])
     if F.phi is not None:
         _agree(name, F.phi.at(X), [F.phi.at(x) for x in X])
     for f, points in ((G.s, P), (G.t, P), (G.inv, P), (G.unit, X),
                       (G.mul, Z)):
-        _agree(name, GR._jac(f, points), _jacobians_one_by_one(f, points))
+        _agree(name, _stacked(f, points), _jacobians_one_by_one(f, points))
 
 
 # -- closed-form Jacobians of the groupoids' structure maps ----------------
@@ -102,13 +112,61 @@ def test_closed_form_jacobians_match_the_jet_pass(name, size):
             points = points if size else points[0]
             J = jets.jacobian(f.func, coordinates(points))
             J = np.broadcast_to(J, points.shape[:-1] + J.shape[-2:])
-            closed = GR._jac(f, points)
+            closed = _stacked(f, points)
             _agree(name, closed, J)
-            assert GR._jac(f, points, GR.apply(f, points)).tobytes() \
+            assert _stacked(f, points, f.at(points)).tobytes() \
                 == closed.tobytes()
             if name not in THROUGH_TRANSCENDENTALS:
                 assert np.ascontiguousarray(closed).tobytes() \
                     == np.ascontiguousarray(J).tobytes()
+
+
+def test_jet_pass_of_a_map_without_closed_form_matches_the_per_point_loop():
+    # no closed form, so a (B, n) stack goes through one batched jet pass;
+    # no transcendental, so it agrees with the per-point passes to the bit
+    ch = chart("x1", "x2", "x3")
+    f = expression_map(ch, chart("y1", "y2"),
+                       ["x1*x2 - x3^3", "(x1 - x3)/(2 + x2*x2)"])
+    P = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 3))
+    _agree("expression-map", map_jacobian(f, P),
+           _jacobians_one_by_one(f.func, P))
+
+
+def _counted(f):
+    """f with its evaluator counting its calls, and the list of them."""
+    calls = []
+    return ChartMap(f.source, f.target, lambda p: calls.append(p)
+                    or f.func(p), f.jacobian), calls
+
+
+@pytest.mark.parametrize("name, key", [("nondirac-flow", "t"),
+                                       ("amm-so3", "mul")])
+def test_closed_form_reads_held_values_and_evaluates_the_map_once(name, key):
+    # with Y held the map is not evaluated, without it once, by f.at, and
+    # the two Jacobians are byte-equal
+    G = fixtures.load(name)["groupoid"]
+    f, calls = _counted(getattr(G, key))
+    P = (G.pairs if key == "mul" else G.arrows).draw(
+        np.random.default_rng(8), 16)
+    held = map_jacobian(f, P, getattr(G, key).at(P))
+    assert not calls
+    computed = map_jacobian(f, P)
+    assert len(calls) == 1
+    assert held.tobytes() == computed.tobytes()
+
+
+@pytest.mark.parametrize("name", COORDINATE)
+def test_constant_jacobian_through_coordinates_evaluates_no_map(name):
+    # the constant matrix itself, and f* w evaluates f once, for w
+    G = fixtures.load(name)["groupoid"]
+    f, calls = _counted(G.s)
+    P = G.arrows.draw(np.random.default_rng(9), 16)
+    assert map_jacobian(f, coordinates(P)) is G.s.jacobian and not calls
+    assert map_jacobian(f, coordinates(P[0])) is G.s.jacobian and not calls
+    x = G.base.names
+    w = Form.from_components(G.base, 1, {(0,): f"{x[0]}*{x[-1]}"})
+    _agree(name, pullback(f, w).at(P), pullback(G.s, w).at(P))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", CHART_GROUPS + COORDINATE)
@@ -241,7 +299,9 @@ def test_unit_splitting_stack_matches_the_per_point_loop(name):
     G, F = fx["groupoid"], fx["form"]
     X = G.units.draw(np.random.default_rng(42), 8)
     for i, part in enumerate(GR.unit_frame(G, F, X)):
-        _agree(name, part, [GR.unit_frame(G, F, x)[i] for x in X])
+        # rho is one matrix where dt is constant, as on the torus
+        single = [GR.unit_frame(G, F, x)[i] for x in X]
+        _agree(name, np.broadcast_to(part, np.shape(single)), single)
     _agree(name, GR.induced_span(G, F, X)[0],
            [GR.induced_span(G, F, x)[0] for x in X])
 
@@ -422,7 +482,8 @@ def test_stacked_realization_solve_matches_per_point_lstsq():
     rep = RZ.equivalence_crosscheck(Q, P)
     for p, vecs in zip(P, rep["action_vectors"]):
         Dmu = jets.jacobian(Q.mu.func, list(p))
-        frame = LG.cartan_frame(Q.group, [jets.value_of(c) for c in Q.mu(p)])
+        frame = LG.cartan_dirac_frame(Q.group).frame(
+            [jets.value_of(c) for c in Q.mu(p)])
         m = len(Dmu)
         X, *_ = np.linalg.lstsq(np.vstack([Dmu, Q.eta.at(p).T]),
                                 np.vstack([frame[:m], Dmu.T @ frame[m:]]),

@@ -57,6 +57,39 @@ def test_list_fixtures_and_checks(capsys):
     assert "basicness" in out.split()
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built on the first call, not at import, and once: a
+    # usage error, a run and list-checks in one process give the output
+    # and exit codes of fresh calls
+    probe = subprocess.run(
+        [sys.executable, "-c", "from diracgeo import cli; "
+         "print(cli._parser.cache_info().currsize)"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert probe.stdout.split() == ["0"]
+    scenario = os.path.join(SCN, "pair-groupoid-r2.json")
+    calls = [["run", scenario, "--samples", "x"],
+             ["run", scenario, "--samples", "4"], ["list-checks"]]
+
+    def results(fresh):
+        out = []
+        for args in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = cli.main(args)
+            text, err = capsys.readouterr()
+            if code == 0 and args[0] == "run":
+                text = scrub(json.loads(text))
+            out.append((code, text, err))
+        return out
+
+    cli._parser.cache_clear()
+    shared = results(False)
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "invalid int value" in shared[0][2]
+    assert shared == results(True)
+
+
 def test_run_single_scenario_report_schema(capsys):
     code, out = run_cli(
         ["run", os.path.join(SCN, "pair-groupoid-r2.json"),

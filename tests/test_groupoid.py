@@ -1,7 +1,6 @@
 """Multiplicative-form checks on chart groupoids."""
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +8,9 @@ import pytest
 from diracgeo import fixtures, linear
 from diracgeo import liegroup as lg
 from diracgeo.courant import graph_of_form
-from diracgeo.geometry import ChartMap, Form, coordinates, pullback
-from diracgeo.groupoid import (GroupoidForm, RankInstabilityError, apply,
+from diracgeo.geometry import (ChartMap, Form, coordinates, map_jacobian,
+                               pullback)
+from diracgeo.groupoid import (GroupoidForm, RankInstabilityError,
                                check_kernel_orthogonality,
                                check_multiplicative, check_orbit_form,
                                check_rel_closed, check_unit_identities,
@@ -264,8 +264,7 @@ def _fd_error(f, J, P, rng, h=1e-5):
 
 
 def _map_error(f, P, rng):
-    J = f.jacobian(P, None) if callable(f.jacobian) else f.jacobian
-    return _fd_error(partial(apply, f), J, P, rng)
+    return _fd_error(f.at, map_jacobian(f, P), P, rng)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))

@@ -577,8 +577,9 @@ def test_cartan_dirac_frame_is_cartan_frame():
         assert sorted(built) == ["lam_matrix", "left_matrix", "left_matrix"]
         assert F.shape == want.shape
         assert np.array_equal(F.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(lg.cartan_frame(Gp, u).view(np.uint64),
-                              want.view(np.uint64))
+        assert np.array_equal(
+            lg.cartan_dirac_frame(Gp).frame(u).view(np.uint64),
+            want.view(np.uint64))
         assert np.array_equal(D.rho(u), want[..., :Gp.dim, :])
         assert np.array_equal(D.rho_star(u),
                               np.swapaxes(want[..., Gp.dim:, :], -1, -2))
